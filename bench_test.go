@@ -702,14 +702,14 @@ func delayedRelay(b *testing.B, target string, delay time.Duration) string {
 	return ln.Addr().String()
 }
 
-// BenchmarkFleetPipelined measures what protocol-3 pipelining buys on a
-// remote connection with realistic latency (a relay adds 200µs each
-// way): the same 32-scenario minidb coverage batch with one batch in
-// flight (the protocol-2 discipline — every round trip sits on the
-// worker's critical path and it idles between batches) versus the
-// proto-3 default of 4, where the scheduler keeps the worker saturated
-// while frames are in the air. The depth-4 tests/s over depth-1 is the
-// pipelining win BENCH_9 records.
+// BenchmarkFleetPipelined measures what pipelining buys on a remote
+// connection with realistic latency (a relay adds 200µs each way): the
+// same 32-scenario minidb coverage batch with one batch in flight
+// (call-and-response — every round trip sits on the worker's critical
+// path and it idles between batches) versus the default depth of 4,
+// where the scheduler keeps the worker saturated while frames are in
+// the air. The depth-4 tests/s over depth-1 is the pipelining win
+// BENCH_9 records.
 func BenchmarkFleetPipelined(b *testing.B) {
 	s, err := ParseScenarioString(`<scenario name="bench-exec-read">
 	  <trigger id="nth" class="CallCountTrigger"><args><n>3</n></args></trigger>

@@ -47,8 +47,8 @@
 //	lfi explore -app minidb -store .lfi-store -patch errmsg_load -impact -v
 //
 // Execution backends are pluggable. The serve subcommand turns this
-// binary into a remote test-execution worker speaking length-prefixed
-// JSON-RPC over TCP:
+// binary into a remote test-execution worker speaking the
+// length-prefixed wire protocol over TCP:
 //
 //	lfi serve -addr :7411 -j 8
 //
@@ -57,8 +57,9 @@
 //	lfi explore -all -workers-remote host1:7411,host2:7411
 //	lfi explore -app minidb -pool 4     # crash-isolating subprocess pool
 //
-// Remote workers drain their in-flight batch on Ctrl-C; a worker killed
-// mid-batch has its unfinished runs requeued on the surviving backends.
+// On Ctrl-C, pool and remote workers stop after their in-flight runs
+// and hand back the completed prefix; a worker killed mid-batch has
+// its unfinished runs requeued on the surviving backends.
 //
 // Fleet service mode removes the hand-maintained worker list entirely.
 // A registry process coordinates the cluster, workers announce
@@ -141,14 +142,13 @@ func newSession(opts ...lfi.SessionOption) *lfi.Session {
 	return sess
 }
 
-// executorOpts translates the backend flags (-pool, -workers-remote,
-// -drain-grace) into session options: the local pool always
-// participates unless -no-local is set, subprocess/remote backends join
-// the mix with the configured cancellation drain grace. haveFleet
+// executorOpts translates the backend flags (-pool, -workers-remote)
+// into session options: the local pool always participates unless
+// -no-local is set, subprocess/remote backends join the mix. haveFleet
 // relaxes the at-least-one-backend rule: with -fleet the session
 // discovers workers from the registry, so an empty explicit list is
 // legitimate.
-func executorOpts(jobs, pool int, remotes string, noLocal bool, drainGrace time.Duration, haveFleet bool) []lfi.SessionOption {
+func executorOpts(jobs, pool int, remotes string, noLocal, haveFleet bool) []lfi.SessionOption {
 	var execs []lfi.Executor
 	if !noLocal {
 		execs = append(execs, lfi.NewLocalExecutor(jobs))
@@ -159,7 +159,6 @@ func executorOpts(jobs, pool int, remotes string, noLocal bool, drainGrace time.
 			fmt.Fprintln(os.Stderr, "lfi: -pool:", err)
 			os.Exit(2)
 		}
-		p.SetDrainGrace(drainGrace)
 		execs = append(execs, p)
 	}
 	for _, addr := range strings.Split(remotes, ",") {
@@ -181,7 +180,6 @@ func executorOpts(jobs, pool int, remotes string, noLocal bool, drainGrace time.
 			fmt.Fprintln(os.Stderr, "lfi: -workers-remote:", err)
 			os.Exit(2)
 		}
-		r.SetDrainGrace(drainGrace)
 		execs = append(execs, r)
 	}
 	if len(execs) == 0 {
@@ -433,7 +431,6 @@ func runExplore(args []string) {
 	remotes := fs.String("workers-remote", "", "comma-separated host:port list of `lfi serve` workers to fan batches across")
 	fleet := fs.String("fleet", "", "fleet registry `host:port`; discover self-registered `lfi serve -register` workers and follow joins/evictions for the whole campaign")
 	noLocal := fs.Bool("no-local", false, "run batches only on -pool/-workers-remote/-fleet backends")
-	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long an interrupted run drains in-flight pool/remote batches before force-closing them")
 	seed := fs.Int64("seed", 0, "runtime random seed")
 	impact := fs.Bool("impact", false, "diff-aware resume: invalidate only cached entries the code change can reach (needs -store)")
 	patch := fs.String("patch", "", "flip this `function`'s inert prologue immediate before exploring (exercises -impact end to end)")
@@ -474,7 +471,7 @@ func runExplore(args []string) {
 	if *fleet != "" {
 		opts = append(opts, lfi.WithFleet(*fleet))
 	}
-	opts = append(opts, executorOpts(*jobs, *pool, *remotes, *noLocal, *drainGrace, *fleet != "")...)
+	opts = append(opts, executorOpts(*jobs, *pool, *remotes, *noLocal, *fleet != "")...)
 	sess := newSession(opts...)
 	defer sess.Close()
 	if *verbose {

@@ -10,12 +10,12 @@
 //
 //   - Local — the zero-allocation in-process pool (controller.RunN),
 //     now an adapter. Fastest per-run latency, no isolation.
-//   - Pool — a fixed pool of worker subprocesses speaking the wire
-//     protocol over stdin/stdout. A workload panic that escapes the
-//     crash monitor kills one worker, not the session; the worker is
-//     respawned and the batch slice retried.
-//   - Remote — a TCP client for `lfi serve` workers, same protocol
-//     with a length-prefix frame. Fan batches across machines.
+//   - Pool — a fixed pool of worker subprocesses, each driven by a
+//     Remote client over its stdin/stdout. A workload panic that
+//     escapes the crash monitor kills one worker, not the session; the
+//     worker is respawned and the batch slice retried.
+//   - Remote — the wire-protocol client, over TCP to `lfi serve`
+//     workers. Fan batches across machines.
 //
 // All three consume a Batch (system name + serialized scenarios + seed)
 // and produce the same Outcome records: because runs are deterministic
@@ -29,7 +29,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-
 	"sync"
 
 	"lfi/internal/controller"
@@ -110,41 +109,40 @@ type Batch struct {
 // failure signature is computed where the run executed (it needs the
 // injection log), so local, pool and remote batches dedup identically.
 type Outcome struct {
-	Name        string   `json:"name"`
-	Crashed     bool     `json:"crashed,omitempty"`
-	CrashKind   int      `json:"crash_kind,omitempty"`
-	CrashReason string   `json:"crash_reason,omitempty"`
-	CrashThread int      `json:"crash_thread,omitempty"`
-	WorkErr     string   `json:"work_err,omitempty"`
-	Signature   string   `json:"signature,omitempty"` // "" = passed
-	Injections  int      `json:"injections,omitempty"`
-	Blocks      []string `json:"blocks,omitempty"` // covered block IDs, sorted (JSON boundary form)
+	Name        string
+	Crashed     bool
+	CrashKind   int
+	CrashReason string
+	CrashThread int
+	WorkErr     string
+	Signature   string // "" = passed
+	Injections  int
 
-	// Cov/CovU are the hot-path coverage encoding: a dense bitset over
-	// the block universe CovU. Backends fill these instead of Blocks;
+	// Cov/CovU are the coverage encoding: a dense bitset over the
+	// block universe CovU (nil when the batch collected no coverage).
 	// BlockIDs materializes the sorted-ID form at serialization
-	// boundaries (JSON stores, wire fallback).
-	Cov  coverage.Bitset `json:"-"`
-	CovU *coverage.Index `json:"-"`
+	// boundaries such as the store.
+	Cov  coverage.Bitset
+	CovU *coverage.Index
 
 	// Raw carries the full in-process outcome (injection log included)
 	// when the run executed locally; wire backends leave it nil.
-	Raw *controller.Outcome `json:"-"`
+	Raw *controller.Outcome
 
 	// Image is set (client-side, never on the wire) when the outcome
 	// came from a backend whose image version for the batch's system
 	// differs from Batch.Image: the version the run actually executed
 	// against. Consumers reconcile such outcomes through change-impact
 	// analysis instead of folding them as current-image results.
-	Image string `json:"-"`
+	Image string
 }
 
-// BlockIDs returns the run's covered block IDs, sorted: the explicit
-// Blocks slice when set (wire/store deserialization), otherwise a fresh
-// materialization of the bitset. The result is caller-owned.
+// BlockIDs returns the run's covered block IDs, sorted, materialized
+// fresh from the bitset (nil without coverage). The result is
+// caller-owned.
 func (o *Outcome) BlockIDs() []string {
-	if o.Blocks != nil || o.CovU == nil {
-		return o.Blocks
+	if o.CovU == nil {
+		return nil
 	}
 	return o.CovU.AppendIDs(nil, o.Cov)
 }

@@ -57,9 +57,21 @@ func testScenarios(t *testing.T) []*scenario.Scenario {
 	return out
 }
 
+// marshalOutcomes renders outcomes in their backend-independent form:
+// every field the wire carries, with coverage materialized as sorted
+// block IDs — equal bytes mean equal coverage, not just equal verdicts.
 func marshalOutcomes(t *testing.T, outs []*Outcome) []byte {
 	t.Helper()
-	data, err := json.MarshalIndent(outs, "", " ")
+	type form struct {
+		Outcome
+		Blocks []string
+	}
+	forms := make([]form, len(outs))
+	for i, o := range outs {
+		forms[i] = form{Outcome: *o, Blocks: o.BlockIDs()}
+		forms[i].Cov, forms[i].CovU, forms[i].Raw = nil, nil, nil
+	}
+	data, err := json.MarshalIndent(forms, "", " ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,20 +99,21 @@ func startLoopbackServe(t *testing.T, workers int) *Remote {
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	in := request{ID: 7, Method: "run", Batch: &wireBatch{System: "minidb", Seed: 3, Scenarios: []string{"<x/>"}}}
+	in := request{ID: 7, Method: "funcs", System: "minidb"}
 	if err := writeFrame(&buf, &in); err != nil {
 		t.Fatal(err)
 	}
-	var out request
-	if err := readFrame(&buf, &out); err != nil {
+	payload, err := readRawFrame(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.ID != 7 || out.Method != "run" || out.Batch == nil || out.Batch.System != "minidb" {
-		t.Fatalf("frame round trip mangled the request: %+v", out)
+	var out request
+	if err := json.Unmarshal(payload, &out); err != nil || out != in {
+		t.Fatalf("frame round trip mangled the request: %+v (%v)", out, err)
 	}
 	// A frame claiming an absurd length is rejected before allocation.
 	bad := []byte{0xff, 0xff, 0xff, 0xff, 0}
-	if err := readFrame(bytes.NewReader(bad), &out); err == nil {
+	if _, err := readRawFrame(bytes.NewReader(bad)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
 }
@@ -133,6 +146,15 @@ func TestBackendEquivalence(t *testing.T) {
 			}
 			got := marshalOutcomes(t, outs)
 			if want == nil {
+				// The coverage half of the property must not hold
+				// vacuously: the reference batch covers blocks.
+				covered := 0
+				for _, o := range outs {
+					covered += len(o.BlockIDs())
+				}
+				if covered == 0 {
+					t.Fatalf("seed %d: local coverage batch covered no blocks", seed)
+				}
 				want = got
 				continue
 			}
@@ -160,16 +182,14 @@ func TestPoolWorkerCrashRespawn(t *testing.T) {
 		t.Fatalf("healthy pool run: %d outcomes, err %v", len(first), err)
 	}
 
-	pool.mu.Lock()
-	for w := range pool.procs {
-		w.cmd.Process.Kill()
-		break
-	}
-	pool.mu.Unlock()
+	pool.worker(0).liveConn().(*procConn).cmd.Process.Kill()
 
 	second, err := pool.Run(context.Background(), &Batch{System: "minidb", Scenarios: scens})
 	if err != nil || len(second) != len(scens) {
 		t.Fatalf("run across a killed worker: %d outcomes, err %v", len(second), err)
+	}
+	if pool.worker(0).liveConn() == nil {
+		t.Fatal("killed worker not respawned")
 	}
 	if !bytes.Equal(marshalOutcomes(t, first), marshalOutcomes(t, second)) {
 		t.Fatal("outcomes diverged across a worker crash")
@@ -282,9 +302,9 @@ func TestFleetCancellationSparse(t *testing.T) {
 }
 
 // TestRemoteDrainGraceTimeout: a cancelled Run against a wedged worker
-// gives up after the configured drain grace instead of the 30s default
-// — the connection is force-closed and the batch comes back as
-// BackendError for the scheduler to requeue.
+// gives up after the drain grace (shortened here from the 30s
+// production value) — the connection is force-closed and the batch
+// comes back as BackendError for the scheduler to requeue.
 func TestRemoteDrainGraceTimeout(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -300,8 +320,9 @@ func TestRemoteDrainGraceTimeout(t *testing.T) {
 			return
 		}
 		defer conn.Close()
+		payload, err := readRawFrame(conn)
 		var req request
-		if err := readFrame(conn, &req); err != nil || req.Method != "hello" {
+		if err != nil || json.Unmarshal(payload, &req) != nil || req.Method != "hello" {
 			return
 		}
 		hello := &response{ID: req.ID, Hello: &helloInfo{Proto: protoVersion, Capacity: 1, Systems: []string{"minidb"}}}
@@ -316,7 +337,7 @@ func TestRemoteDrainGraceTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	r.SetDrainGrace(50 * time.Millisecond)
+	r.drainGrace = 50 * time.Millisecond
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: Run goes straight to the drain wait

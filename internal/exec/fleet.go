@@ -92,9 +92,9 @@ func NewFleet(execs ...Executor) *Fleet {
 }
 
 // pipeliner is implemented by backends that keep several batches in
-// flight on one connection (Remote against a protocol-3 worker): the
-// scheduler subdivides such a backend's chunk so the worker's input
-// queue never drains between batches.
+// flight on one connection (Remote): the scheduler subdivides such a
+// backend's chunk so the worker's input queue never drains between
+// batches.
 type pipeliner interface{ Pipeline() int }
 
 // imaged is implemented by backends that know which image version they

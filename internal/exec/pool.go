@@ -2,38 +2,32 @@ package exec
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	osexec "os/exec"
 	"sync"
-	"time"
-
-	"lfi/internal/coverage"
 )
 
 // Pool is the subprocess backend: a fixed pool of worker processes,
-// each speaking the wire protocol over its stdin/stdout. The workers
-// re-exec the current binary with EnvWorker set, so any program whose
-// main (or TestMain) calls MaybeWorker is pool-capable with no separate
-// worker executable.
+// each driven by its own Remote client over the worker's stdin/stdout.
+// The workers re-exec the current binary with EnvWorker set, so any
+// program whose main (or TestMain) calls MaybeWorker is pool-capable
+// with no separate worker executable.
 //
 // What the pool buys over Local is crash isolation: a workload panic
 // that escapes the controller's crash monitor — a logic bug in the
 // harness itself, not a simulated crash — kills one worker process, not
 // the session. The dead worker is respawned, the lost slice of the
-// batch is retried once on a live worker, and only a repeat failure
+// batch is retried once on the fresh worker, and only a repeat failure
 // surfaces as BackendError for the scheduler to requeue elsewhere.
 type Pool struct {
-	argv       []string
-	size       int
-	drainGrace time.Duration
+	argv []string
 
-	mu     sync.Mutex
-	closed bool
-	procs  map[*poolWorker]bool
-	free   chan *poolWorker
+	mu      sync.Mutex
+	closed  bool
+	workers []*Remote // one client per worker slot
 }
 
 // NewPool starts size worker subprocesses running argv (default: the
@@ -50,50 +44,32 @@ func NewPool(size int, argv ...string) (*Pool, error) {
 		}
 		argv = []string{self}
 	}
-	p := &Pool{
-		argv:       argv,
-		size:       size,
-		drainGrace: defaultDrainGrace,
-		procs:      make(map[*poolWorker]bool),
-		free:       make(chan *poolWorker, size),
-	}
+	p := &Pool{argv: argv}
 	for i := 0; i < size; i++ {
 		w, err := p.spawn()
 		if err != nil {
 			p.Close()
 			return nil, err
 		}
-		p.free <- w
+		p.workers = append(p.workers, w)
 	}
 	return p, nil
-}
-
-// SetDrainGrace bounds how long a cancelled Run keeps draining a
-// worker's in-flight slice before killing the process (default 30s).
-func (p *Pool) SetDrainGrace(d time.Duration) {
-	if d > 0 {
-		p.drainGrace = d
-	}
 }
 
 // Info reports the pool's metadata: capacity is the worker count (each
 // worker runs its slice sequentially; pool parallelism is process-level).
 func (p *Pool) Info() Info {
-	return Info{Name: fmt.Sprintf("pool(%d)", p.size), Kind: KindPool, Capacity: p.size, Isolated: true}
+	n := len(p.workers)
+	return Info{Name: fmt.Sprintf("pool(%d)", n), Kind: KindPool, Capacity: n, Isolated: true}
 }
 
 // Close kills every worker process.
 func (p *Pool) Close() error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.closed = true
-	procs := make([]*poolWorker, 0, len(p.procs))
-	for w := range p.procs {
-		procs = append(procs, w)
-	}
-	p.procs = make(map[*poolWorker]bool)
-	p.mu.Unlock()
-	for _, w := range procs {
-		w.kill()
+	for _, w := range p.workers {
+		w.Close()
 	}
 	return nil
 }
@@ -108,15 +84,11 @@ func (p *Pool) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	chunk := (n + p.size - 1) / p.size
+	chunk := (n + len(p.workers) - 1) / len(p.workers)
 	type slice struct{ off, end int }
 	var slices []slice
 	for off := 0; off < n; off += chunk {
-		end := off + chunk
-		if end > n {
-			end = n
-		}
-		slices = append(slices, slice{off, end})
+		slices = append(slices, slice{off, min(off+chunk, n)})
 	}
 	outs := make([]*Outcome, n)
 	errs := make([]error, len(slices))
@@ -125,21 +97,23 @@ func (p *Pool) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 		wg.Add(1)
 		go func(si int, sl slice) {
 			defer wg.Done()
-			// One retry on a fresh worker, resuming past whatever the
-			// dead worker completed: the first failure may be a
-			// crashed (now respawned) process; a second failure means
-			// the slice itself is poison or the pool is going down.
-			done := 0
+			// One retry on a respawned worker, resuming past whatever
+			// the dead worker completed: the first failure may be a
+			// crashed process; a second failure means the slice itself
+			// is poison or the pool is going down. Workers re-exec this
+			// binary, so sub-batches carry no Image to reconcile.
+			off := sl.off
 			var err error
-			for attempt := 0; attempt < 2 && sl.off+done < sl.end; attempt++ {
-				sub := &Batch{System: b.System, Seed: b.Seed, Coverage: b.Coverage, Scenarios: b.Scenarios[sl.off+done : sl.end]}
+			for attempt := 0; attempt < 2 && off < sl.end; attempt++ {
+				w := p.worker(si)
 				var got []*Outcome
-				got, err = p.runSlice(ctx, sub)
-				for i, o := range got {
-					outs[sl.off+done+i] = o
+				got, err = w.Run(ctx, &Batch{System: b.System, Seed: b.Seed, Coverage: b.Coverage, Scenarios: b.Scenarios[off:sl.end]})
+				off += copy(outs[off:sl.end], got)
+				if !IsBackendError(err) {
+					break
 				}
-				done += len(got)
-				if err == nil || !IsBackendError(err) || ctx.Err() != nil {
+				p.respawn(si, w)
+				if ctx.Err() != nil {
 					break
 				}
 			}
@@ -166,6 +140,11 @@ func (p *Pool) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 			err = errs[si]
 		}
 	}
+	// A backend failure is the pool's, whichever worker it hit.
+	var be *BackendError
+	if errors.As(err, &be) {
+		err = &BackendError{Backend: p.Info().Name, Err: be.Err}
+	}
 	done := outs[:end]
 	if b.Observe != nil {
 		for i, o := range done {
@@ -185,71 +164,30 @@ func sliceDone(outs []*Outcome) []*Outcome {
 	return outs
 }
 
-// runSlice executes one contiguous slice on the next free worker,
-// respawning the worker if it died.
-func (p *Pool) runSlice(ctx context.Context, sub *Batch) ([]*Outcome, error) {
-	var w *poolWorker
-	select {
-	case w = <-p.free:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	var resp response
-	done := make(chan error, 1)
-	go func() {
-		done <- w.call("run", sub, &resp)
-	}()
-	var err error
-	select {
-	case err = <-done:
-	case <-ctx.Done():
-		// Drain like the remote backend: the worker finishes its
-		// slice; its outcomes land in the store before we stop.
-		t := time.NewTimer(p.drainGrace)
-		select {
-		case err = <-done:
-			t.Stop()
-		case <-t.C:
-			p.replace(w)
-			<-done
-			return nil, &BackendError{Backend: p.Info().Name, Err: fmt.Errorf("cancelled and drain timed out")}
-		}
-	}
-	if err != nil {
-		p.replace(w)
-		return nil, &BackendError{Backend: p.Info().Name, Err: err}
-	}
-	p.free <- w
-	if len(resp.Outcomes) > len(sub.Scenarios) {
-		resp.Outcomes = resp.Outcomes[:len(sub.Scenarios)]
-	}
-	if resp.Error != "" {
-		// A batch problem; the worker's completed prefix still counts.
-		return resp.Outcomes, fmt.Errorf("exec: pool worker: %s", resp.Error)
-	}
-	return resp.Outcomes, ctx.Err()
-}
-
-// replace kills a (presumed dead) worker and tries to spawn a fresh
-// one in its place; on spawn failure the pool just shrinks.
-func (p *Pool) replace(w *poolWorker) {
-	w.kill()
+// worker returns slot i's client.
+func (p *Pool) worker(i int) *Remote {
 	p.mu.Lock()
-	delete(p.procs, w)
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return
-	}
-	nw, err := p.spawn()
-	if err != nil {
-		return
-	}
-	p.free <- nw
+	defer p.mu.Unlock()
+	return p.workers[i]
 }
 
-// spawn starts one worker subprocess and verifies it with hello.
-func (p *Pool) spawn() (*poolWorker, error) {
+// respawn replaces slot i's (presumed dead) client with a fresh worker,
+// unless a concurrent Run already did. On spawn failure the dead client
+// stays in the slot, failing fast, and the next failure retries.
+func (p *Pool) respawn(i int, dead *Remote) {
+	dead.Close()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed || p.workers[i] != dead {
+		return
+	}
+	if w, err := p.spawn(); err == nil {
+		p.workers[i] = w
+	}
+}
+
+// spawn starts one worker subprocess and connects a client to it.
+func (p *Pool) spawn() (*Remote, error) {
 	cmd := osexec.Command(p.argv[0], p.argv[1:]...)
 	cmd.Env = append(os.Environ(), EnvWorker+"=1")
 	cmd.Stderr = os.Stderr
@@ -264,87 +202,19 @@ func (p *Pool) spawn() (*poolWorker, error) {
 	if err := cmd.Start(); err != nil {
 		return nil, fmt.Errorf("exec: pool: %w", err)
 	}
-	w := &poolWorker{cmd: cmd, in: stdin, out: stdout, proto: protoOldest, universes: make(map[uint64]*coverage.Index)}
-	var resp response
-	if err := w.call("hello", nil, &resp); err != nil {
-		w.kill()
-		return nil, fmt.Errorf("exec: pool worker hello: %w", err)
-	}
-	if resp.Hello == nil {
-		w.kill()
-		return nil, fmt.Errorf("exec: pool worker: malformed hello response")
-	}
-	if resp.Hello.Proto < protoOldest || resp.Hello.Proto > protoVersion {
-		w.kill()
-		return nil, fmt.Errorf("exec: pool worker speaks proto v%d, need v%d — rebuild worker", resp.Hello.Proto, protoVersion)
-	}
-	w.proto = resp.Hello.Proto
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		w.kill()
-		return nil, fmt.Errorf("exec: pool closed")
-	}
-	p.procs[w] = true
-	p.mu.Unlock()
-	return w, nil
+	return newRemote(fmt.Sprintf("pool worker %d", cmd.Process.Pid), &procConn{stdout, stdin, cmd})
 }
 
-// poolWorker is one subprocess and its stdio protocol stream.
-type poolWorker struct {
-	cmd       *osexec.Cmd
-	in        io.WriteCloser
-	out       io.ReadCloser
-	nextID    uint64
-	proto     int
-	universes map[uint64]*coverage.Index // per-worker universe table
+// procConn is one worker subprocess as a protocol stream: reads come
+// from its stdout, writes go to its stdin, and Close kills it.
+type procConn struct {
+	io.ReadCloser
+	io.WriteCloser
+	cmd *osexec.Cmd
 }
 
-// call sends one request and reads its response: binary frames for run
-// requests once the worker negotiated protocol 2, JSON otherwise
-// (mirrors Remote.call; pool workers are single-client so no lock).
-func (w *poolWorker) call(method string, b *Batch, resp *response) error {
-	w.nextID++
-	id := w.nextID
-	if method == "run" && w.proto >= 2 {
-		if err := writeRawFrame(w.in, encodeRunRequest(id, b)); err != nil {
-			return err
-		}
-		payload, err := readRawFrame(w.out)
-		if err != nil {
-			return err
-		}
-		if isBinaryFrame(payload, frameRunResp) {
-			err = decodeRunResponse(payload, resp, w.universes)
-		} else {
-			err = json.Unmarshal(payload, resp)
-		}
-		if err != nil {
-			return err
-		}
-	} else {
-		req := &request{ID: id, Method: method}
-		if b != nil {
-			req.Batch = toWire(b)
-		}
-		if err := writeFrame(w.in, req); err != nil {
-			return err
-		}
-		if err := readFrame(w.out, resp); err != nil {
-			return err
-		}
-	}
-	if resp.ID != id {
-		return fmt.Errorf("response id %d for request %d", resp.ID, id)
-	}
-	return nil
-}
-
-func (w *poolWorker) kill() {
-	w.in.Close()
-	w.out.Close()
-	if w.cmd.Process != nil {
-		w.cmd.Process.Kill()
-	}
-	w.cmd.Wait()
+func (c *procConn) Close() error {
+	c.WriteCloser.Close()
+	c.cmd.Process.Kill()
+	return c.cmd.Wait() // also closes the stdout pipe
 }

@@ -3,8 +3,6 @@ package exec
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,96 +10,110 @@ import (
 	"lfi/internal/scenario"
 )
 
-// TestRemoteCancelFastWithoutGrace pins the protocol-3 cancel contract:
-// cancelling a Run against a live worker returns the completed prefix
-// promptly — the cancel frame stops the worker after its in-flight run
-// — with the 30s drain grace untouched (it remains a fallback for
-// wedged workers and proto≤2 peers, never the steady-state cost of a
-// Ctrl-C). Completed runs are not lost: the prefix is byte-identical to
-// a local run of the same batch.
+// TestRemoteCancelFastWithoutGrace pins the cancel contract for both
+// backends built on the Remote client, a loopback `lfi serve` worker
+// and a subprocess pool: cancelling a Run against live workers returns
+// the completed prefix promptly — the cancel frame stops each worker
+// after its in-flight run — with the 30s drain grace untouched (it
+// remains a fallback for wedged workers, never the steady-state cost
+// of a Ctrl-C). Completed runs are not lost: the prefix is
+// byte-identical to a local run of the same batch.
 func TestRemoteCancelFastWithoutGrace(t *testing.T) {
-	r := startLoopbackServe(t, 1)
-	if r.Pipeline() != defaultPipeline {
-		t.Fatalf("loopback worker negotiated pipeline %d, want proto-3 default %d", r.Pipeline(), defaultPipeline)
-	}
-	// Note: the drain grace is left at its 30s default on purpose.
 	scens := testScenarios(t)
 	var big []*scenario.Scenario
 	for len(big) < 2000 {
 		big = append(big, scens...)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	outs, err := r.Run(ctx, &Batch{System: "minidb", Coverage: true, Scenarios: big})
-	elapsed := time.Since(start)
-	if err != context.Canceled {
-		t.Fatalf("cancelled run: err %v (completed %d), want context.Canceled — batch too fast for the cancel?", err, len(outs))
-	}
-	if elapsed > 10*time.Second {
-		t.Fatalf("cancel took %v: the run leaned on the 30s drain grace instead of the cancel frame", elapsed)
-	}
-	completed := 0
-	for _, o := range outs {
-		if o == nil {
-			break
-		}
-		completed++
-	}
-	if completed == 0 || completed >= len(big) {
-		t.Fatalf("cancel completed %d of %d runs; want a partial prefix", completed, len(big))
-	}
-	// Zero completed runs lost or corrupted: the prefix matches a local
-	// run of the identical batch.
-	want, err := NewLocal(1).Run(context.Background(), &Batch{System: "minidb", Coverage: true, Scenarios: big[:completed]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshalOutcomes(t, outs[:completed]), marshalOutcomes(t, want)) {
-		t.Fatal("cancelled prefix diverges from a local run of the same scenarios")
+	for _, tc := range []struct {
+		name    string
+		backend func(t *testing.T) Executor
+	}{
+		{"remote", func(t *testing.T) Executor { return startLoopbackServe(t, 1) }},
+		{"pool", func(t *testing.T) Executor {
+			pool, err := NewPool(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { pool.Close() })
+			return pool
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.backend(t)
+			var outs []*Outcome
+			var err error
+			var elapsed time.Duration
+			// A cancel that lands before the first run completes proves
+			// nothing (slow or instrumented builds start up slowly), so
+			// back off and cancel later; the batch runs for seconds
+			// under the race detector, so later still interrupts it.
+			for delay := 20 * time.Millisecond; ; delay *= 3 {
+				ctx, cancel := context.WithCancel(context.Background())
+				timer := time.AfterFunc(delay, cancel)
+				start := time.Now()
+				outs, err = e.Run(ctx, &Batch{System: "minidb", Coverage: true, Scenarios: big})
+				elapsed = time.Since(start)
+				timer.Stop()
+				cancel()
+				if len(outs) > 0 || delay > time.Second {
+					break
+				}
+			}
+			if err != context.Canceled {
+				t.Fatalf("cancelled run: err %v (completed %d), want context.Canceled — batch too fast for the cancel?", err, len(outs))
+			}
+			if elapsed > 10*time.Second {
+				t.Fatalf("cancel took %v: the run leaned on the 30s drain grace instead of the cancel frame", elapsed)
+			}
+			completed := len(outs)
+			if completed == 0 || completed >= len(big) {
+				t.Fatalf("cancel completed %d of %d runs; want a partial prefix", completed, len(big))
+			}
+			// Zero completed runs lost or corrupted: the prefix matches
+			// a local run of the identical batch.
+			want, err := NewLocal(1).Run(context.Background(), &Batch{System: "minidb", Coverage: true, Scenarios: big[:completed]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(marshalOutcomes(t, outs), marshalOutcomes(t, want)) {
+				t.Fatal("cancelled prefix diverges from a local run of the same scenarios")
+			}
+		})
 	}
 }
 
-// TestRemotePipelinedConcurrentBatches: a protocol-3 connection carries
+// TestRemotePipelinedConcurrentBatches: a connection carries
 // several batches at once (the scheduler keeps Pipeline() in flight);
 // concurrent Runs on one Remote must all complete and stay
 // byte-identical to the local backend per batch.
 func TestRemotePipelinedConcurrentBatches(t *testing.T) {
 	r := startLoopbackServe(t, 2)
 	if got := r.Pipeline(); got != defaultPipeline {
-		t.Fatalf("Pipeline() = %d, want %d against a proto-3 worker", got, defaultPipeline)
+		t.Fatalf("Pipeline() = %d, want %d", got, defaultPipeline)
 	}
 	scens := testScenarios(t)
-	local := NewLocal(2)
+	got := make([][]*Outcome, defaultPipeline)
+	errs := make([]error, defaultPipeline)
 	var wg sync.WaitGroup
-	errs := make(chan error, defaultPipeline)
-	for seed := int64(0); seed < int64(defaultPipeline); seed++ {
+	for seed := range got {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(seed int) {
 			defer wg.Done()
-			got, err := r.Run(context.Background(), &Batch{System: "minidb", Seed: seed, Coverage: true, Scenarios: scens})
-			if err != nil {
-				errs <- fmt.Errorf("seed %d: %w", seed, err)
-				return
-			}
-			want, err := local.Run(context.Background(), &Batch{System: "minidb", Seed: seed, Coverage: true, Scenarios: scens})
-			if err != nil {
-				errs <- fmt.Errorf("seed %d local: %w", seed, err)
-				return
-			}
-			g, _ := json.Marshal(got)
-			w, _ := json.Marshal(want)
-			if !bytes.Equal(g, w) {
-				errs <- fmt.Errorf("seed %d: pipelined outcomes diverge from local", seed)
-			}
+			got[seed], errs[seed] = r.Run(context.Background(), &Batch{System: "minidb", Seed: int64(seed), Coverage: true, Scenarios: scens})
 		}(seed)
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+	local := NewLocal(2)
+	for seed := range got {
+		if errs[seed] != nil {
+			t.Fatalf("seed %d: %v", seed, errs[seed])
+		}
+		want, err := local.Run(context.Background(), &Batch{System: "minidb", Seed: int64(seed), Coverage: true, Scenarios: scens})
+		if err != nil {
+			t.Fatalf("seed %d local: %v", seed, err)
+		}
+		if !bytes.Equal(marshalOutcomes(t, got[seed]), marshalOutcomes(t, want)) {
+			t.Errorf("seed %d: pipelined outcomes diverge from local", seed)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -12,32 +13,31 @@ import (
 	"lfi/internal/coverage"
 )
 
-// Remote is the client side of the wire protocol: one TCP connection to
-// an `lfi serve` worker.
+// Remote is the client side of the wire protocol: one connection to a
+// protocol worker — a TCP connection to `lfi serve` (Dial), or a pool
+// worker subprocess's stdin/stdout (Pool).
 //
-// Against a protocol-3 worker the connection is **pipelined**: Run is
-// safe for concurrent use and up to Pipeline() batches ride the wire
-// at once, matched back to callers by request id through a single
-// reader goroutine — the worker's input queue stays non-empty, so the
-// round-trip latency is off the critical path. Cancellation sends a
-// cancel frame and the worker answers promptly with the completed
-// prefix; the drain grace survives only as the fallback for wedged or
-// proto≤2 peers. A broken connection fails every in-flight batch with
-// BackendError and marks the backend dead — the scheduler requeues the
-// batches' runs elsewhere, so killing a worker loses no work.
+// The connection is **pipelined**: Run is safe for concurrent use and
+// up to Pipeline() batches ride the wire at once, matched back to
+// callers by request id through a single reader goroutine — the
+// worker's input queue stays non-empty, so the round-trip latency is
+// off the critical path. Cancellation sends a cancel frame and the
+// worker answers promptly with the completed prefix; a drain grace
+// survives only as the fallback for a wedged worker. A broken
+// connection fails every in-flight batch with BackendError and marks
+// the backend dead — the scheduler requeues the batches' runs
+// elsewhere, so killing a worker loses no work.
 type Remote struct {
 	addr  string
 	hello helloInfo
-	proto int // negotiated protocol: min(ours, worker's)
 
 	// drainGrace bounds how long a cancelled Run keeps waiting for the
-	// in-flight response before force-closing the connection. With a
-	// protocol-3 worker the cancel frame makes the response arrive in
-	// batch-drain time (milliseconds); older workers run the batch to
-	// completion, which is what the grace was sized for.
+	// in-flight response before force-closing the connection. The
+	// cancel frame makes the response arrive in batch-drain time
+	// (milliseconds); the grace only catches a wedged worker.
 	drainGrace time.Duration
 	// pipeline is the in-flight batch budget Pipeline() advertises to
-	// the fleet scheduler (protocol 3 only).
+	// the fleet scheduler.
 	pipeline int
 
 	mu      sync.Mutex // request ids + pending-response registry
@@ -48,7 +48,7 @@ type Remote struct {
 	writeMu sync.Mutex // one frame writer at a time
 
 	// universes is the per-connection coverage-universe table. Only
-	// the reader goroutine touches it after Dial.
+	// the reader goroutine touches it after the hello exchange.
 	universes map[uint64]*coverage.Index
 
 	funcsMu sync.Mutex
@@ -56,16 +56,16 @@ type Remote struct {
 
 	// conn teardown has its own lock: a drain timeout must force-close
 	// the connection while the reader is blocked in a read — closing
-	// the socket is exactly what unblocks that read.
+	// the stream is exactly what unblocks that read.
 	connMu sync.Mutex
-	conn   net.Conn
+	conn   io.ReadWriteCloser
 
 	readDone chan struct{}
 }
 
-// ProtoMismatchError reports a worker whose wire protocol this client
-// cannot speak. The fleet assembler treats it as "drop this worker",
-// not "abort the campaign" — the worker just needs a rebuild.
+// ProtoMismatchError reports a worker whose wire protocol version is
+// not this client's. The fleet assembler treats it as "drop this
+// worker", not "abort the campaign" — the worker just needs a rebuild.
 type ProtoMismatchError struct {
 	Addr string
 	Got  int
@@ -77,32 +77,35 @@ func (e *ProtoMismatchError) Error() string {
 		e.Addr, e.Got, protoVersion)
 }
 
-// defaultDrainGrace is generous: a batch is at most a few hundred
+// drainGraceTimeout is generous: a batch is at most a few hundred
 // simulated runs, each of which completes in milliseconds.
-const defaultDrainGrace = 30 * time.Second
+const drainGraceTimeout = 30 * time.Second
 
-// defaultPipeline is how many batches a protocol-3 connection keeps in
-// flight: enough that the worker never idles waiting on the wire, few
-// enough that a cancel loses little queued work.
+// defaultPipeline is how many batches a connection keeps in flight:
+// enough that the worker never idles waiting on the wire, few enough
+// that a cancel loses little queued work.
 const defaultPipeline = 4
 
 // Dial connects to an `lfi serve` worker and performs the hello
-// exchange, negotiating the protocol version and learning the worker's
-// capacity, registered systems, and (protocol 3) per-system image
-// versions. A protocol-1 worker is served with JSON run frames; a
-// worker outside [protoOldest, protoVersion] fails with
-// ProtoMismatchError so fleet assembly can drop the worker and keep
-// the campaign.
+// exchange, learning the worker's capacity, registered systems, and
+// per-system image versions. A worker speaking any protocol version
+// but this build's fails with ProtoMismatchError so fleet assembly can
+// drop the worker and keep the campaign.
 func Dial(addr string) (*Remote, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("exec: remote %s: %w", addr, err)
 	}
+	return newRemote(addr, conn)
+}
+
+// newRemote performs the hello exchange over conn and starts the
+// reader. On failure conn is closed.
+func newRemote(addr string, conn io.ReadWriteCloser) (*Remote, error) {
 	r := &Remote{
 		addr:       addr,
 		conn:       conn,
-		proto:      protoOldest, // hello itself is always JSON
-		drainGrace: defaultDrainGrace,
+		drainGrace: drainGraceTimeout,
 		pipeline:   defaultPipeline,
 		pending:    make(map[uint64]chan *response),
 		universes:  make(map[uint64]*coverage.Index),
@@ -110,37 +113,29 @@ func Dial(addr string) (*Remote, error) {
 	}
 	// Hello runs synchronously, before the reader demux starts.
 	r.nextID = 1
-	if err := writeFrame(conn, &request{ID: 1, Method: "hello", Proto: protoVersion}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("exec: remote %s: hello: %w", addr, err)
-	}
 	var resp response
-	if err := readFrame(conn, &resp); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("exec: remote %s: hello: %w", addr, err)
+	err := writeFrame(conn, &request{ID: 1, Method: "hello"})
+	if err == nil {
+		var payload []byte
+		if payload, err = readRawFrame(conn); err == nil {
+			err = json.Unmarshal(payload, &resp)
+		}
 	}
-	if resp.ID != 1 || resp.Hello == nil {
-		conn.Close()
-		return nil, fmt.Errorf("exec: remote %s: malformed hello response", addr)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("exec: remote %s: hello: %w", addr, err)
+	case resp.ID != 1 || resp.Hello == nil:
+		err = fmt.Errorf("exec: remote %s: malformed hello response", addr)
+	case resp.Hello.Proto != protoVersion:
+		err = &ProtoMismatchError{Addr: addr, Got: resp.Hello.Proto}
 	}
-	if resp.Hello.Proto < protoOldest || resp.Hello.Proto > protoVersion {
+	if err != nil {
 		conn.Close()
-		return nil, &ProtoMismatchError{Addr: addr, Got: resp.Hello.Proto}
+		return nil, err
 	}
 	r.hello = *resp.Hello
-	r.proto = resp.Hello.Proto
 	go r.readLoop(conn)
 	return r, nil
-}
-
-// SetDrainGrace bounds how long a cancelled Run keeps draining the
-// in-flight batch before force-closing the connection (default 30s).
-// Against protocol-3 workers the cancel frame makes the grace a pure
-// fallback; it never delays an uncancelled run.
-func (r *Remote) SetDrainGrace(d time.Duration) {
-	if d > 0 {
-		r.drainGrace = d
-	}
 }
 
 // SetPipeline overrides the in-flight batch budget (default 4). It
@@ -153,14 +148,8 @@ func (r *Remote) SetPipeline(k int) {
 }
 
 // Pipeline reports how many batches this backend wants in flight at
-// once: the configured depth against a protocol-3 worker, 1 against
-// anything older (those connections are strictly call-and-response).
-func (r *Remote) Pipeline() int {
-	if r.proto >= 3 {
-		return r.pipeline
-	}
-	return 1
-}
+// once.
+func (r *Remote) Pipeline() int { return r.pipeline }
 
 // Info reports the worker's advertised metadata. A remote worker is
 // crash-isolated by construction: it is a different process on
@@ -173,7 +162,7 @@ func (r *Remote) Info() Info {
 func (r *Remote) Systems() []string { return r.hello.Systems }
 
 // ImageVersion reports the image version the worker advertised for a
-// system ("" when unknown: a proto≤2 worker, or a system it lacks).
+// system ("" for a system it lacks).
 func (r *Remote) ImageVersion(sys string) string { return r.hello.Images[sys] }
 
 // FuncFingerprints fetches (and caches) the worker's per-function
@@ -185,9 +174,6 @@ func (r *Remote) FuncFingerprints(sys string) (map[string]string, error) {
 	defer r.funcsMu.Unlock()
 	if m, ok := r.funcs[sys]; ok {
 		return m, nil
-	}
-	if r.proto < 3 {
-		return nil, fmt.Errorf("exec: remote %s: proto v%d has no funcs method", r.addr, r.proto)
 	}
 	conn := r.liveConn()
 	if conn == nil {
@@ -202,7 +188,7 @@ func (r *Remote) FuncFingerprints(sys string) (map[string]string, error) {
 	r.writeMu.Unlock()
 	if werr != nil {
 		r.abandon(id)
-		r.drop()
+		r.Close()
 		return nil, fmt.Errorf("exec: remote %s: funcs: %w", r.addr, werr)
 	}
 	resp := <-ch
@@ -220,7 +206,7 @@ func (r *Remote) FuncFingerprints(sys string) (map[string]string, error) {
 }
 
 // Close shuts the connection down. It never waits on an in-flight
-// call: closing the socket is what fails the reader's blocked read,
+// call: closing the stream is what fails the reader's blocked read,
 // which in turn fails every pending request.
 func (r *Remote) Close() error {
 	r.connMu.Lock()
@@ -233,13 +219,8 @@ func (r *Remote) Close() error {
 	return err
 }
 
-// drop tears the connection down after a protocol failure.
-func (r *Remote) drop() {
-	r.Close()
-}
-
 // liveConn snapshots the connection for one exchange.
-func (r *Remote) liveConn() net.Conn {
+func (r *Remote) liveConn() io.ReadWriteCloser {
 	r.connMu.Lock()
 	defer r.connMu.Unlock()
 	return r.conn
@@ -278,11 +259,11 @@ func (r *Remote) readError() error {
 
 // readLoop is the connection's single reader: it decodes every inbound
 // frame (binary run responses against the shared universe table, JSON
-// for everything else) and hands it to the pending request it answers.
+// for the control methods) and hands it to the pending request it answers.
 // On any failure it tears the connection down and fails every pending
 // request — their callers surface BackendError and the scheduler
 // requeues.
-func (r *Remote) readLoop(conn net.Conn) {
+func (r *Remote) readLoop(conn io.Reader) {
 	var err error
 	for {
 		var payload []byte
@@ -322,13 +303,13 @@ func (r *Remote) readLoop(conn net.Conn) {
 
 // Run ships the batch to the worker and waits for its outcomes; it is
 // safe for concurrent use (the fleet pipelines several batches onto
-// one protocol-3 connection). On cancellation it sends a cancel frame
-// (protocol 3) so the worker stops after its in-flight runs and
-// answers with the completed prefix — returned with ctx.Err(), so the
-// caller persists them exactly like a locally interrupted batch. The
-// drain grace remains as the fallback: a proto≤2 worker runs the batch
-// out, a wedged worker is force-closed. Transport failures (a killed
-// worker) come back as BackendError: requeue, don't retry here.
+// one connection). On cancellation it sends a cancel frame so the
+// worker stops after its in-flight runs and answers with the completed
+// prefix — returned with ctx.Err(), so the caller persists them
+// exactly like a locally interrupted batch. A worker that does not
+// answer within the drain grace is wedged and force-closed. Transport
+// failures (a killed worker) come back as BackendError: requeue, don't
+// retry here.
 func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	conn := r.liveConn()
 	if conn == nil {
@@ -339,15 +320,11 @@ func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 		return nil, &BackendError{Backend: r.Info().Name, Err: err}
 	}
 	r.writeMu.Lock()
-	if r.proto >= 2 {
-		err = writeRawFrame(conn, encodeRunRequest(id, b))
-	} else {
-		err = writeFrame(conn, &request{ID: id, Method: "run", Batch: toWire(b)})
-	}
+	err = writeRawFrame(conn, encodeRunRequest(id, b))
 	r.writeMu.Unlock()
 	if err != nil {
 		r.abandon(id)
-		r.drop()
+		r.Close()
 		return nil, &BackendError{Backend: r.Info().Name, Err: err}
 	}
 	var resp *response
@@ -356,14 +333,12 @@ func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	case resp = <-ch:
 	case <-ctx.Done():
 		cancelled = true
-		if r.proto >= 3 {
-			// Fast drain: the worker stops after in-flight runs and
-			// answers with the prefix. A write failure just demotes us
-			// to the grace path below.
-			r.writeMu.Lock()
-			writeRawFrame(conn, encodeCancel(id))
-			r.writeMu.Unlock()
-		}
+		// Fast drain: the worker stops after in-flight runs and
+		// answers with the prefix. A write failure just leaves us on
+		// the grace path below.
+		r.writeMu.Lock()
+		writeRawFrame(conn, encodeCancel(id))
+		r.writeMu.Unlock()
 		t := time.NewTimer(r.drainGrace)
 		select {
 		case resp = <-ch:

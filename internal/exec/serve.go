@@ -150,8 +150,7 @@ func WorkerRegistration(addr string, workers int) fleetd.Worker {
 
 // ServeCounters aggregates a worker's lifetime execution counters for
 // heartbeat reporting: batches and runs completed, and batches cut
-// short by a protocol-3 cancel. All methods are safe for concurrent
-// use.
+// short by a cancel frame. All methods are safe for concurrent use.
 type ServeCounters struct {
 	batches atomic.Int64
 	runs    atomic.Int64
@@ -324,13 +323,11 @@ const cancelledBatch = "cancelled"
 const pipelineQueueMax = 64
 
 // queuedRun is one run request awaiting the connection's executor
-// goroutine: either a protocol-2/3 binary payload (decoded at
-// execution time, so the read loop never touches serverConn state) or
-// an already-unmarshalled JSON request.
+// goroutine. The payload is decoded at execution time, so the read
+// loop never touches serverConn state.
 type queuedRun struct {
 	id      uint64
-	payload []byte   // binary form; nil when req is set
-	req     *request // JSON form; nil when payload is set
+	payload []byte
 	ctx     context.Context
 }
 
@@ -343,21 +340,19 @@ func ServeConn(conn io.ReadWriter, workers int) error {
 	return serveConn(context.Background(), conn, ServeOptions{Workers: workers})
 }
 
-// serveConn is the connection loop. Run requests arrive as binary
-// frames (protocol 2/3, answered in kind) or as protocol-1 JSON
-// (answered with JSON, coverage materialized as sorted block-ID
-// strings) — the first payload byte tells them apart, so one worker
-// serves every client vintage.
+// serveConn is the connection loop. Run and cancel requests arrive as
+// binary frames, hello and funcs as JSON — the first payload byte
+// tells them apart.
 //
-// The loop splits into two goroutines so protocol-3 semantics work:
-// the read loop enqueues run requests (up to pipelineQueueMax deep —
-// pipelining) and handles control frames inline, while a single
+// The loop splits into two goroutines so pipelining and cancellation
+// work: the read loop enqueues run requests (up to pipelineQueueMax
+// deep) and handles control frames inline, while a single
 // executor goroutine runs batches strictly in arrival order
 // (determinism: same FIFO execution a sequential client got). A
 // cancel frame cancels the named request's context whether it is
 // executing or still queued; the cancelled batch answers with its
-// completed prefix and the in-band "cancelled" error, which is what
-// frees clients from the 30s drain grace.
+// completed prefix and the in-band "cancelled" error, so a client's
+// Ctrl-C never waits for a batch to run out.
 func serveConn(ctx context.Context, conn io.ReadWriter, opts ServeOptions) error {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -404,7 +399,7 @@ func serveConn(ctx context.Context, conn io.ReadWriter, opts ServeOptions) error
 	go func() {
 		defer close(done)
 		for qr := range queue {
-			serveRun(local, sc, opts.Counters, qr, write, writeJSON)
+			serveRun(local, sc, opts.Counters, qr, write)
 			retire(qr.id)
 		}
 	}()
@@ -443,7 +438,12 @@ read:
 			}
 			switch req.Method {
 			case "hello":
-				resp := response{ID: req.ID, Hello: helloFor(req.Proto, workers)}
+				resp := response{ID: req.ID, Hello: &helloInfo{
+					Proto:    protoVersion,
+					Capacity: workers,
+					Systems:  system.Names(),
+					Images:   workerImages(),
+				}}
 				if err := writeJSON(&resp); err != nil {
 					readErr = err
 					break read
@@ -460,9 +460,6 @@ read:
 					readErr = err
 					break read
 				}
-			case "run":
-				r := req
-				queue <- queuedRun{id: req.ID, req: &r, ctx: admit(req.ID)}
 			default:
 				resp := response{ID: req.ID, Error: fmt.Sprintf("unknown method %q", req.Method)}
 				if err := writeJSON(&resp); err != nil {
@@ -484,79 +481,36 @@ read:
 	return readErr
 }
 
-// helloFor negotiates the hello response: min(ours, client's), where a
-// client that sent no version (the field exists since protocol 3)
-// counts as protocol 2 — exactly what those builds were. Image
-// versions are advertised to protocol-3 clients only.
-func helloFor(clientProto, workers int) *helloInfo {
-	p := protoVersion
-	if clientProto == 0 {
-		clientProto = 2
-	}
-	if clientProto < p {
-		p = clientProto
-	}
-	h := &helloInfo{Proto: p, Capacity: workers, Systems: system.Names()}
-	if p >= 3 {
-		h.Images = workerImages()
-	}
-	return h
-}
-
 // serveRun executes one queued run request and writes its response.
-func serveRun(local *Local, sc *serverConn, counters *ServeCounters, qr queuedRun, write func([]byte) error, writeJSON func(any) error) {
-	runCtx := func(b *Batch) (outs []*Outcome, errStr string) {
-		outs, err := local.Run(qr.ctx, b)
-		if err != nil {
-			if qr.ctx.Err() != nil && errors.Is(err, qr.ctx.Err()) {
-				errStr = cancelledBatch
-				if counters != nil {
-					counters.cancels.Add(1)
-				}
-			} else {
-				errStr = err.Error()
-			}
-		}
+func serveRun(local *Local, sc *serverConn, counters *ServeCounters, qr queuedRun, write func([]byte) error) {
+	id, b, err := decodeRunRequest(qr.payload, sc.parse)
+	var outs []*Outcome
+	if err == nil {
+		outs, err = local.Run(qr.ctx, b)
 		if counters != nil {
 			counters.batches.Add(1)
 			counters.runs.Add(int64(len(outs)))
 		}
-		return outs, errStr
 	}
-	if qr.payload != nil {
-		id, b, derr := decodeRunRequest(qr.payload, sc.parse)
-		var outs []*Outcome
-		var errStr string
-		if derr != nil {
-			errStr = derr.Error()
-		} else {
-			outs, errStr = runCtx(b)
+	var errStr string
+	switch {
+	case err == nil:
+	case qr.ctx.Err() != nil && errors.Is(err, qr.ctx.Err()):
+		errStr = cancelledBatch
+		if counters != nil {
+			counters.cancels.Add(1)
 		}
-		var tag uint64
-		var inline []string
-		for _, o := range outs {
-			if o.CovU != nil {
-				// One system per batch, so one universe per response.
-				tag, inline = sc.universe(o.CovU)
-				break
-			}
-		}
-		write(encodeRunResponse(id, errStr, outs, tag, inline))
-		return
+	default:
+		errStr = err.Error()
 	}
-	req := qr.req
-	resp := response{ID: req.ID}
-	if req.Batch == nil {
-		resp.Error = "run request without batch"
-	} else if b, err := fromWireCached(sc, req.Batch); err != nil {
-		resp.Error = err.Error()
-	} else {
-		resp.Outcomes, resp.Error = runCtx(b)
-		for _, o := range resp.Outcomes {
-			if o.Blocks == nil && o.CovU != nil {
-				o.Blocks = o.BlockIDs() // JSON boundary: sorted-ID form
-			}
+	var tag uint64
+	var inline []string
+	for _, o := range outs {
+		if o.CovU != nil {
+			// One system per batch, so one universe per response.
+			tag, inline = sc.universe(o.CovU)
+			break
 		}
 	}
-	writeJSON(&resp)
+	write(encodeRunResponse(id, errStr, outs, tag, inline))
 }

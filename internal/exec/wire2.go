@@ -8,12 +8,13 @@ import (
 	"lfi/internal/scenario"
 )
 
-// Protocol-2 binary payloads for the hot "run" method. The frame layer
-// (4-byte length prefix) is shared with JSON; a binary payload is
-// recognized by its first byte:
+// Binary payloads for the hot path: run requests, run responses and
+// cancels. The frame layer (4-byte length prefix) is shared with the
+// JSON control methods; a binary payload is recognized by its first
+// byte:
 //
 //	payload := 0xB2 kind body
-//	kind    := 0x01 (run request) | 0x02 (run response) | 0x03 (cancel, protocol 3)
+//	kind    := 0x01 (run request) | 0x02 (run response) | 0x03 (cancel)
 //
 // Run request body:
 //
@@ -73,7 +74,7 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// encodeRunRequest encodes a run request for a protocol-2 peer.
+// encodeRunRequest encodes a run request.
 func encodeRunRequest(id uint64, b *Batch) []byte {
 	out := []byte{frameMagic, frameRunReq}
 	out = appendUvarint(out, id)
@@ -93,7 +94,7 @@ func encodeRunRequest(id uint64, b *Batch) []byte {
 	return out
 }
 
-// encodeCancel encodes a protocol-3 cancel frame naming an in-flight
+// encodeCancel encodes a cancel frame naming an in-flight
 // run request. Cancel has no response of its own: the cancelled run
 // request answers with its completed prefix.
 func encodeCancel(id uint64) []byte {
@@ -105,6 +106,9 @@ func encodeCancel(id uint64) []byte {
 // with, without decoding the rest — the server's read loop needs the
 // id before the (potentially deferred) full decode.
 func frameID(payload []byte) (uint64, error) {
+	if len(payload) < 2 {
+		return 0, fmt.Errorf("exec: binary frame of %d bytes has no header", len(payload))
+	}
 	d := &bdec{data: payload, off: 2}
 	id := d.uvarint()
 	return id, d.err
@@ -132,7 +136,7 @@ func (e *respEncoder) ref(s string) uint64 {
 	return i + 1
 }
 
-// encodeRunResponse encodes outcomes for a protocol-2 peer. universeTag
+// encodeRunResponse encodes a run response's outcomes. universeTag
 // and inlineUniverse describe the coverage universe section: tag 0
 // means no outcome in this response carries coverage.
 func encodeRunResponse(id uint64, errStr string, outs []*Outcome, universeTag uint64, inlineUniverse []string) []byte {
@@ -250,8 +254,8 @@ func (d *bdec) str() string {
 	return s
 }
 
-// isBinaryFrame reports whether a payload is a protocol-2 binary frame
-// of the given kind.
+// isBinaryFrame reports whether a payload is a binary frame of the
+// given kind.
 func isBinaryFrame(payload []byte, kind byte) bool {
 	return len(payload) >= 2 && payload[0] == frameMagic && payload[1] == kind
 }

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -49,8 +48,8 @@ func outcomesFromBytes(data []byte, idx *coverage.Index) []*Outcome {
 			for w := range cov {
 				cov[w] = uint64(b[7]) * 0x0101010101010101 >> uint(w)
 			}
-			// Mask bits beyond the universe so AppendIDs and the JSON
-			// path agree on the footprint.
+			// Mask bits beyond the universe: a valid bitset never
+			// names a block outside it.
 			cov[len(cov)-1] &= (1 << (uint(idx.Len()) % 64)) - 1
 			o.Cov = cov
 			o.CovU = idx
@@ -61,8 +60,8 @@ func outcomesFromBytes(data []byte, idx *coverage.Index) []*Outcome {
 }
 
 // outcomeEqual compares the serializable fields of two outcomes,
-// coverage in materialized sorted-ID form (the cross-encoding
-// invariant: binary and JSON must agree on exactly these).
+// coverage in materialized sorted-ID form (exactly what the codec must
+// preserve).
 func outcomeEqual(a, b *Outcome) bool {
 	if a.Name != b.Name || a.Crashed != b.Crashed || a.CrashKind != b.CrashKind ||
 		a.CrashReason != b.CrashReason || a.CrashThread != b.CrashThread ||
@@ -82,17 +81,16 @@ func outcomeEqual(a, b *Outcome) bool {
 }
 
 // FuzzWireFrame is the binary wire codec's round-trip fuzzer, the
-// protocol-2 analogue of the scenario XML FuzzRoundTrip:
+// wire-protocol analogue of the scenario XML FuzzRoundTrip:
 //
 //   - outcomes derived from the fuzz input must survive
 //     encodeRunResponse → decodeRunResponse bit-for-bit, both with the
 //     universe inline (first response on a connection) and by tag
 //     (steady state);
-//   - the decoded outcomes must serialize to exactly the same JSON as
-//     the originals — the binary and JSON encodings are two views of
-//     one response, never two dialects;
 //   - a run request must survive encodeRunRequest → decodeRunRequest;
-//   - arbitrary bytes fed to the decoders may error but never panic.
+//   - a cancel frame must survive encodeCancel → frameID;
+//   - arbitrary bytes fed to the decoders and to frameID may error but
+//     never panic.
 func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xB2, 0x02})
@@ -100,6 +98,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 1, 0, 3, 0, 1, 255, 9, 9, 0, 0, 0, 0, 0, 128})
 	f.Add(bytes.Repeat([]byte{0xaa}, 64))
+	f.Add([]byte{0xB2, 0x03, 0x85, 0x01})
 	sc, err := scenario.ParseString(`<scenario name="fuzz-read">
 	  <trigger id="nth" class="CallCountTrigger"><args><n>3</n></args></trigger>
 	  <function name="read" return="-1" errno="EIO"><reftrigger ref="nth" /></function>
@@ -118,6 +117,21 @@ func FuzzWireFrame(f *testing.F) {
 		if isBinaryFrame(data, frameRunResp) {
 			var resp response
 			_ = decodeRunResponse(data, &resp, map[uint64]*coverage.Index{})
+		}
+		_, _ = frameID(data)
+
+		// Cancel round trip: the id the server's read loop recovers is
+		// the id the client cancelled.
+		cancelID := uint64(len(data))
+		for _, c := range data {
+			cancelID = cancelID<<7 ^ uint64(c)
+		}
+		cancel := encodeCancel(cancelID)
+		if !isBinaryFrame(cancel, frameCancel) {
+			t.Fatalf("cancel frame %x not recognized as one", cancel)
+		}
+		if id, err := frameID(cancel); err != nil || id != cancelID {
+			t.Fatalf("cancel id %d round-tripped as %d (%v)", cancelID, id, err)
 		}
 
 		// Structured response round trip, inline universe then by tag.
@@ -143,13 +157,6 @@ func FuzzWireFrame(f *testing.F) {
 				if !outcomeEqual(outs[i], resp.Outcomes[i]) {
 					t.Fatalf("round %d: outcome %d differs:\n got %+v\nwant %+v", round, i, resp.Outcomes[i], outs[i])
 				}
-			}
-			// JSON equivalence: materialize both sides at the JSON
-			// boundary exactly like ServeConn does for proto-1 clients.
-			want := marshalJSONForm(t, outs)
-			got := marshalJSONForm(t, resp.Outcomes)
-			if !bytes.Equal(want, got) {
-				t.Fatalf("round %d: JSON form differs:\n got %s\nwant %s", round, got, want)
 			}
 		}
 
@@ -177,26 +184,6 @@ func FuzzWireFrame(f *testing.F) {
 			}
 		}
 	})
-}
-
-// marshalJSONForm renders outcomes the way the JSON wire path ships
-// them: Blocks materialized, hot-path fields json:"-" so they drop out.
-func marshalJSONForm(t *testing.T, outs []*Outcome) []byte {
-	t.Helper()
-	forms := make([]*Outcome, len(outs))
-	for i, o := range outs {
-		c := *o
-		if c.Blocks == nil && c.CovU != nil {
-			c.Blocks = c.BlockIDs()
-		}
-		c.Cov, c.CovU = nil, nil
-		forms[i] = &c
-	}
-	data, err := json.Marshal(forms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // TestDecodeUnknownUniverseTag pins the steady-state failure mode: a

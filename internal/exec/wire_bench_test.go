@@ -31,7 +31,7 @@ func benchResponse() ([]*Outcome, *coverage.Index) {
 	return outs, idx
 }
 
-// BenchmarkWireEncodeResponse measures the protocol-2 binary encoder on
+// BenchmarkWireEncodeResponse measures the binary encoder on
 // a steady-state response (universe already sent, tag only).
 func BenchmarkWireEncodeResponse(b *testing.B) {
 	outs, _ := benchResponse()

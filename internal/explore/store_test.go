@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -65,57 +66,41 @@ func TestStoreCrashSafePartialWrite(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyMigration: a v1 single-document store is split into
-// shards transparently and keeps its entries.
-func TestStoreLegacyMigration(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "explore.json")
-	legacy := `{"system":"sys","image":"img@0","entries":{` +
-		`"s1@aaaa":{"name":"one","failed":true,"signature":"sig"},` +
-		`"s2@bbbb":{"name":"two","blocks":["rec.x"]}}}`
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadStore(path, "sys", "img@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := st.Lookup("s1@aaaa")
-	if !ok || !e.Failed || e.Signature != "sig" {
-		t.Fatalf("legacy entry lost: %+v ok=%v", e, ok)
-	}
-	if _, ok := st.Lookup("s2@bbbb"); !ok {
-		t.Fatal("second legacy entry lost")
-	}
-	// The old file was swapped for the shard directory, and the
-	// migrated entries are durable immediately — a crash right after
-	// LoadStore (before any Save) must not lose the cached campaign.
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("legacy file not swapped for shard dir: %v", err)
-	}
-	re, err := LoadStore(path, "sys", "img@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := re.Lookup("s1@aaaa"); !ok {
-		t.Fatal("migrated entry not durable before first Save")
-	}
-	if err := st.Save(map[string]bool{"s1@aaaa": true, "s2@bbbb": true}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(st.Shards()); got != 2 {
-		t.Fatalf("want 2 shards after migration, have %d", got)
-	}
-	// A legacy store for a different system is refused, not destroyed.
-	other := filepath.Join(t.TempDir(), "other.json")
-	if err := os.WriteFile(other, []byte(`{"system":"theirs","entries":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadStore(other, "sys", "img@1"); err == nil || !strings.Contains(err.Error(), "theirs") {
-		t.Fatalf("cross-system legacy store accepted: %v", err)
-	}
-	if _, err := os.Stat(other); err != nil {
-		t.Fatal("refused legacy store was removed")
-	}
+// TestStoreNotADirectory: a regular file at the store path (such as a
+// single-document store from before the shard layout) is refused with
+// an error naming the path, and left byte-for-byte untouched; a stray
+// <path>.v1 next to a missing store is ignored.
+func TestStoreNotADirectory(t *testing.T) {
+	t.Run("file-at-path", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "explore.json")
+		doc := []byte(`{"system":"sys","entries":{"s1@aaaa":{"name":"one"}}}`)
+		if err := os.WriteFile(path, doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := LoadStore(path, "sys", "img@1")
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "not a store directory") {
+			t.Fatalf("file at store path: got %v, want a not-a-store-directory error naming %s", err, path)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, doc) {
+			t.Fatalf("refused file was modified: %q (%v)", got, err)
+		}
+	})
+	t.Run("stray-v1", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "explore.json")
+		if err := os.WriteFile(path+".v1", []byte(`{"system":"sys","entries":{"s1@aaaa":{"name":"one"}}}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := LoadStore(path, "sys", "img@1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats().Entries; got != 0 {
+			t.Fatalf("stray .v1 yielded %d entries", got)
+		}
+		if _, err := os.Stat(path + ".v1"); err != nil {
+			t.Fatalf("stray .v1 touched: %v", err)
+		}
+	})
 }
 
 // TestStoreConcurrentShardFlush is the -race satellite: two workers
@@ -211,31 +196,6 @@ func TestStoreConcurrentSameShardFlush(t *testing.T) {
 				t.Fatalf("entry %s lost in same-shard flush race", key)
 			}
 		}
-	}
-}
-
-// TestStoreMigrationCrashResume: a crash between parking the v1 file
-// and renaming the staged directory into place leaves path missing and
-// path+".v1" present — the next LoadStore must resume the migration
-// from the parked copy with no entries lost.
-func TestStoreMigrationCrashResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "explore.json")
-	legacy := `{"system":"sys","entries":{"s1@aaaa":{"name":"one"}}}`
-	if err := os.WriteFile(path+".v1", []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadStore(path, "sys", "img@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Lookup("s1@aaaa"); !ok {
-		t.Fatal("entry lost across interrupted migration")
-	}
-	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
-		t.Fatalf("migration not completed: %v", err)
-	}
-	if _, err := os.Stat(path + ".v1"); !os.IsNotExist(err) {
-		t.Fatalf("parked v1 file not cleaned up: %v", err)
 	}
 }
 

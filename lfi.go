@@ -199,8 +199,9 @@ type (
 	// ExecBatch is one dispatch unit: scenarios + system + seed.
 	ExecBatch = exec.Batch
 	// ProtoMismatchError reports a remote worker whose wire protocol
-	// this client cannot speak. Fleet assembly should drop the worker
-	// (it needs a rebuild), not abort the campaign.
+	// version differs from this build's (there is exactly one). Fleet
+	// assembly should drop the worker (it needs a rebuild), not abort
+	// the campaign.
 	ProtoMismatchError = exec.ProtoMismatchError
 	// ExecOutcome is one run's serializable, backend-independent
 	// result.
@@ -215,8 +216,11 @@ var (
 	// NewLocalExecutor returns the in-process backend (the default).
 	NewLocalExecutor = exec.NewLocal
 	// NewPoolExecutor starts a pool of crash-isolating worker
-	// subprocesses; the calling binary must invoke MaybeExecWorker
-	// first thing in main (cmd/lfi does) or TestMain.
+	// subprocesses, each driven by the same wire-protocol client
+	// DialExecutor returns, over the worker's stdin/stdout — so a
+	// cancelled pool run stops promptly, like a remote one. The calling
+	// binary must invoke MaybeExecWorker first thing in main (cmd/lfi
+	// does) or TestMain.
 	NewPoolExecutor = exec.NewPool
 	// DialExecutor connects to an `lfi serve` worker.
 	DialExecutor = exec.Dial

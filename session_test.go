@@ -258,9 +258,10 @@ func TestSessionExecutorEquivalence(t *testing.T) {
 }
 
 // TestSessionExploreRemoteMatchesLocal: exploring minidb entirely on a
-// loopback remote worker finds exactly the bugs the local explorer
-// finds, and a second session resumes from the shared store with zero
-// re-execution — the store lives with the session, not the worker.
+// wire-protocol backend — a loopback remote worker, or a subprocess
+// pool — finds exactly the bugs the local explorer finds, and a second
+// session resumes from the shared store with zero re-execution — the
+// store lives with the session, not the worker.
 func TestSessionExploreRemoteMatchesLocal(t *testing.T) {
 	sys, ok := LookupSystem("minidb")
 	if !ok {
@@ -271,17 +272,6 @@ func TestSessionExploreRemoteMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	store := filepath.Join(t.TempDir(), "store")
-	remoteSess := mustSession(t,
-		WithExecutor(startSessionLoopback(t, 4)),
-		WithStallBatches(1000),
-		WithStore(store),
-	)
-	remoteRes, err := remoteSess.Explore(context.Background(), sys)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sigs := func(res *ExploreResult) []string {
 		var out []string
 		for _, b := range res.Bugs {
@@ -289,21 +279,48 @@ func TestSessionExploreRemoteMatchesLocal(t *testing.T) {
 		}
 		return out
 	}
-	lw, rw := sigs(localRes), sigs(remoteRes)
-	if strings.Join(lw, "\n") != strings.Join(rw, "\n") {
-		t.Fatalf("remote exploration found different bugs:\nlocal:  %v\nremote: %v", lw, rw)
-	}
-	if remoteRes.Executed == 0 {
-		t.Fatal("remote exploration executed nothing")
-	}
+	lw := sigs(localRes)
 
-	resumed := mustSession(t, WithWorkers(4), WithStallBatches(1000), WithStore(store))
-	res, err := resumed.Explore(context.Background(), sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Executed != 0 || res.Replayed != remoteRes.Executed {
-		t.Fatalf("resume after remote run executed %d / replayed %d, want 0 / %d",
-			res.Executed, res.Replayed, remoteRes.Executed)
+	for _, tc := range []struct {
+		name    string
+		backend func(t *testing.T) Executor
+	}{
+		{"remote", func(t *testing.T) Executor { return startSessionLoopback(t, 4) }},
+		{"pool", func(t *testing.T) Executor {
+			pool, err := NewPoolExecutor(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pool
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := filepath.Join(t.TempDir(), "store")
+			sess := mustSession(t,
+				WithExecutor(tc.backend(t)),
+				WithStallBatches(1000),
+				WithStore(store),
+			)
+			res, err := sess.Explore(context.Background(), sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rw := sigs(res); strings.Join(lw, "\n") != strings.Join(rw, "\n") {
+				t.Fatalf("%s exploration found different bugs:\nlocal: %v\n%s: %v", tc.name, lw, tc.name, rw)
+			}
+			if res.Executed == 0 {
+				t.Fatalf("%s exploration executed nothing", tc.name)
+			}
+
+			resumed := mustSession(t, WithWorkers(4), WithStallBatches(1000), WithStore(store))
+			again, err := resumed.Explore(context.Background(), sys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.Executed != 0 || again.Replayed != res.Executed {
+				t.Fatalf("resume after %s run executed %d / replayed %d, want 0 / %d",
+					tc.name, again.Executed, again.Replayed, res.Executed)
+			}
+		})
 	}
 }
