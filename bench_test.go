@@ -523,6 +523,16 @@ func BenchmarkScenarioParse(b *testing.B) {
 	}
 }
 
+// exploreConfig returns a registered system's exploration config.
+func exploreConfig(tb testing.TB, app string) explore.Config {
+	tb.Helper()
+	sys, ok := LookupSystem(app)
+	if !ok {
+		tb.Fatalf("%s not registered", app)
+	}
+	return explore.ConfigForSystem(sys)
+}
+
 // BenchmarkExploreCandidates measures candidate enumeration: the
 // call-site analysis plus scenario construction, canonicalization and
 // content hashing for the full minidb fault space — the explorer's
@@ -530,10 +540,7 @@ func BenchmarkScenarioParse(b *testing.B) {
 // single test runs. Reports the space size so a generation change that
 // silently shrinks coverage shows up next to its speed.
 func BenchmarkExploreCandidates(b *testing.B) {
-	cfg, ok := explore.ConfigFor("minidb")
-	if !ok {
-		b.Fatal("minidb config missing")
-	}
+	cfg := exploreConfig(b, "minidb")
 	b.ReportAllocs()
 	b.ResetTimer()
 	var n int
@@ -553,10 +560,7 @@ func BenchmarkExploreCandidates(b *testing.B) {
 // for the full minivcs image — the `lfi lint` unit cost, also paid by
 // the explorer at campaign start to seed its static prior.
 func BenchmarkLintAnalyze(b *testing.B) {
-	cfg, ok := explore.ConfigFor("minivcs")
-	if !ok {
-		b.Fatal("minivcs config missing")
-	}
+	cfg := exploreConfig(b, "minivcs")
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sites int

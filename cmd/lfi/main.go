@@ -32,19 +32,34 @@
 // per-batch progress and the per-store compaction stats (shards,
 // retained image versions, entries migrated vs invalidated).
 //
-// Resumes are diff-aware on request. Every campaign records the
-// image's per-function code fingerprints in the store; after a code
-// change, -impact diffs the new binary against them, walks the CFG to
-// the recovery blocks the edit can reach, migrates cached outcomes
-// whose coverage the edit provably cannot touch, and re-executes only
-// the rest (falling back to whole-shard invalidation whenever the edit
-// cannot be bounded). The diff subcommand previews that classification
-// without running anything, and -patch applies an inert one-function
-// edit for exercising the workflow end to end:
+// Resumes are diff-aware. Every campaign records the image's
+// per-function code fingerprints and the library fault-profile
+// fingerprints in the store; after a code change the next explore
+// diffs the new binary against them, walks the CFG to the recovery
+// blocks the edit can reach, migrates cached outcomes whose coverage
+// the edit provably cannot touch, and re-executes only the rest
+// (falling back to whole-shard invalidation whenever the edit cannot
+// be bounded); after a fault-profile edit it re-executes the changed
+// callees' cached outcomes. The diff subcommand previews that
+// classification without running anything, and -patch applies an
+// inert one-function edit for exercising the workflow end to end:
 //
 //	lfi explore -app minidb -store .lfi-store
 //	lfi diff    -app minidb -store .lfi-store -patch errmsg_load
-//	lfi explore -app minidb -store .lfi-store -patch errmsg_load -impact -v
+//	lfi explore -app minidb -store .lfi-store -patch errmsg_load -v
+//
+// The analyze and profile subcommands expose the two static analyses
+// behind the explorer: the call-site analyzer (§5, Algorithm 1), which
+// classifies every library call site as checked / partially checked /
+// unchecked and generates scenarios for the vulnerable ones, and the
+// library profiler (§2), which infers a library's fault profile XML
+// from its binary:
+//
+//	lfi analyze -app minivcs               # classify all sites
+//	lfi analyze -app minidns -scenarios    # also emit scenario XML
+//	lfi analyze -app pbft -dis             # dump the disassembly to stderr
+//	lfi profile -lib libc                  # libraries: libc, libxml, libapr
+//	lfi profile -lib libc -dis
 //
 // Execution backends are pluggable. The serve subcommand turns this
 // binary into a remote test-execution worker speaking the
@@ -94,6 +109,7 @@ import (
 	"time"
 
 	"lfi"
+	"lfi/internal/system"
 )
 
 // appsUsage enumerates the registered systems for usage/error text.
@@ -273,6 +289,68 @@ func runLint(args []string) {
 	}
 }
 
+// runAnalyze implements `lfi analyze`: the call-site analyzer (§5,
+// Algorithm 1) over registered application binaries, classifying every
+// library call site and optionally emitting the injection scenarios
+// aimed at the vulnerable ones.
+func runAnalyze(args []string) {
+	fs := flag.NewFlagSet("lfi analyze", flag.ExitOnError)
+	app := fs.String("app", "minivcs", "application binary (or comma-separated list): "+appsUsage())
+	emit := fs.Bool("scenarios", false, "emit generated injection scenarios (XML) for C_not and C_part")
+	dis := fs.Bool("dis", false, "dump the binary disassembly to stderr")
+	fs.Parse(args)
+	for _, sys := range lookupApps(*app) {
+		bin, _ := sys.Binary()
+		if *dis {
+			fmt.Fprintln(os.Stderr, bin.Disassemble())
+		}
+		profs := sys.Profiles()
+		a := &lfi.Analyzer{}
+		rep := a.Analyze(bin, profs...)
+		yes, part, not := rep.ByClass()
+		fmt.Printf("%s: %d call sites: %d checked, %d partially checked, %d unchecked\n\n",
+			bin.Name, len(rep.Sites), len(yes), len(part), len(not))
+		for _, s := range rep.Sites {
+			flagStr := ""
+			if s.Indirect {
+				flagStr = " [indirect branches near site]"
+			}
+			fmt.Printf("%6x  %-10s in %-22s %-9s eq=%v ineq=%v missing=%v%s\n",
+				s.Offset, s.Callee, s.Caller, s.Class, s.ChkEq, s.ChkIneq, s.Missing, flagStr)
+		}
+		if *emit {
+			scens := lfi.GenerateScenarios(bin, append(not, part...), profs...)
+			fmt.Printf("\n%d generated scenarios:\n\n", len(scens))
+			for _, s := range scens {
+				os.Stdout.Write(s.Serialize())
+				fmt.Println()
+			}
+		}
+	}
+}
+
+// runProfile implements `lfi profile`: the automated library profiler
+// (§2) statically analyzes a simulated library binary and prints its
+// fault profile XML (error return values and errno side effects per
+// exported function). Libraries come from the system registry's
+// library table.
+func runProfile(args []string) {
+	fs := flag.NewFlagSet("lfi profile", flag.ExitOnError)
+	lib := fs.String("lib", "libc", "library to profile: "+strings.Join(system.Libraries(), ", "))
+	dis := fs.Bool("dis", false, "dump the library disassembly to stderr")
+	fs.Parse(args)
+	bin, ok := system.BuildLibrary(*lib)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "lfi profile: unknown library %q (have: %s)\n",
+			*lib, strings.Join(system.Libraries(), ", "))
+		os.Exit(2)
+	}
+	if *dis {
+		fmt.Fprintln(os.Stderr, bin.Disassemble())
+	}
+	os.Stdout.Write(lfi.ProfileBinary(bin).Serialize())
+}
+
 // runServe implements `lfi serve`: this process becomes a remote test
 // execution worker for `lfi explore -workers-remote`, or — with
 // -register — a self-registering member of a fleetd cluster that
@@ -424,7 +502,6 @@ func runExplore(args []string) {
 	all := fs.Bool("all", false, "explore every registered system in one session")
 	store := fs.String("store", "", "persistent campaign store root (shard directory per system); resumes incrementally")
 	budget := fs.Int("budget", 0, "max executed test runs, total across systems (0 = explore everything)")
-	batch := fs.Int("batch", 0, "candidates per scheduling batch (default 16)")
 	stall := fs.Int("stall", 0, "stop after this many batches with no new coverage/bugs (default 3)")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "local campaign worker pool size (1 = sequential)")
 	pool := fs.Int("pool", 0, "add a crash-isolating pool of this many worker subprocesses")
@@ -432,8 +509,7 @@ func runExplore(args []string) {
 	fleet := fs.String("fleet", "", "fleet registry `host:port`; discover self-registered `lfi serve -register` workers and follow joins/evictions for the whole campaign")
 	noLocal := fs.Bool("no-local", false, "run batches only on -pool/-workers-remote/-fleet backends")
 	seed := fs.Int64("seed", 0, "runtime random seed")
-	impact := fs.Bool("impact", false, "diff-aware resume: invalidate only cached entries the code change can reach (needs -store)")
-	patch := fs.String("patch", "", "flip this `function`'s inert prologue immediate before exploring (exercises -impact end to end)")
+	patch := fs.String("patch", "", "flip this `function`'s inert prologue immediate before exploring (exercises the diff-aware resume end to end)")
 	verbose := fs.Bool("v", false, "print per-batch progress and per-store compaction stats")
 	fs.Parse(args)
 
@@ -443,24 +519,14 @@ func runExplore(args []string) {
 	} else {
 		systems = lookupApps(*app)
 	}
-	if *impact && *store == "" {
-		fmt.Fprintln(os.Stderr, "lfi explore: -impact needs -store (the previous image's fingerprints live there)")
-		os.Exit(2)
-	}
 	patchSystems(systems, *patch)
 
 	opts := []lfi.SessionOption{
 		lfi.WithStore(*store),
 		lfi.WithSeed(*seed),
 	}
-	if *impact {
-		opts = append(opts, lfi.WithImpact())
-	}
 	if *budget > 0 {
 		opts = append(opts, lfi.WithBudget(*budget))
-	}
-	if *batch > 0 {
-		opts = append(opts, lfi.WithBatchSize(*batch))
 	}
 	if *stall > 0 {
 		opts = append(opts, lfi.WithStallBatches(*stall))
@@ -482,27 +548,12 @@ func runExplore(args []string) {
 	ctx, cancel := interruptible()
 	defer cancel()
 
-	printStats := func(res *lfi.ExploreResult) {
-		if *verbose && res != nil && res.StoreStats != nil {
-			fmt.Printf("  %s\n", res.StoreStats)
-		}
-	}
-
-	var err error
-	if len(systems) == 1 {
-		var res *lfi.ExploreResult
-		res, err = sess.Explore(ctx, systems[0])
-		if res != nil {
-			fmt.Print(res)
-			printStats(res)
-		}
-	} else {
-		var res *lfi.ExploreAllResult
-		res, err = sess.ExploreAll(ctx, systems...)
-		if res != nil {
-			fmt.Print(res)
-			for _, r := range res.Results {
-				printStats(r)
+	res, err := sess.ExploreAll(ctx, systems...)
+	if res != nil {
+		fmt.Print(res)
+		for _, r := range res.Results {
+			if *verbose && r.StoreStats != nil {
+				fmt.Printf("  %s\n", r.StoreStats)
 			}
 		}
 	}
@@ -530,6 +581,12 @@ func main() {
 			return
 		case "lint":
 			runLint(os.Args[2:])
+			return
+		case "analyze":
+			runAnalyze(os.Args[2:])
+			return
+		case "profile":
+			runProfile(os.Args[2:])
 			return
 		case "serve":
 			runServe(os.Args[2:])

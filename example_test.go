@@ -47,8 +47,9 @@ func ExampleNewSession() {
 // on one system — no hand-written scenarios — and checks it
 // rediscovers every stock Table-1 crash bug the system's descriptor
 // advertises. Add WithStore to persist outcomes and resume
-// incrementally, and WithImpact to make resumes diff-aware after a
-// code change (see `lfi explore -impact` and DESIGN.md).
+// incrementally; resumes are diff-aware, so after a code or
+// fault-profile edit only the cached outcomes the edit can reach
+// re-execute (see `lfi diff` and DESIGN.md).
 func ExampleSession_Explore() {
 	sess, err := lfi.NewSession(lfi.WithWorkers(4), lfi.WithStallBatches(1000))
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // workflow end to end through the facade, for every registered system:
 // explore with a store, apply an inert one-function patch
 // (PatchSystem), preview the classification with Session.Diff, then
-// re-explore under WithImpact — every cached entry is accounted for
+// re-explore with default options — every cached entry is accounted for
 // exactly once, and every advertised stock Table-1 bug is still found
 // after the edit, whether the analysis bounded it or fell back to
 // whole-shard invalidation (minidns's hidden indirect jump exercises
@@ -27,7 +27,6 @@ func TestSessionImpactWorkflow(t *testing.T) {
 				WithWorkers(4),
 				WithStallBatches(1000),
 				WithStore(filepath.Join(t.TempDir(), "store")),
-				WithImpact(),
 			)
 			first, err := sess.Explore(context.Background(), sys)
 			if err != nil {

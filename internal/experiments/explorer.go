@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -131,10 +132,11 @@ func Explorer(quick bool) (ExplorerResult, error) {
 		// fault space rather than wherever the stall heuristic
 		// happened to stop.
 		cfg.StallBatches = 1000
-		er, err := explore.Explore(cfg)
+		all, err := explore.Explore(context.Background(), 0, cfg)
 		if err != nil {
 			return res, err
 		}
+		er := all.Results[0]
 		stock, err := crashSignatures(sys, quick, profs)
 		if err != nil {
 			return res, err

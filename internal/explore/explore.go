@@ -157,26 +157,10 @@ type Config struct {
 	BlockForSite func(callee string, offset uint64) string
 	// BlockOffsets maps recovery-block IDs to their check sites' code
 	// offsets — the inverse view impact analysis walks. Optional; when
-	// empty, -impact degrades to the conservative whole-shard fallback.
+	// empty, a resume after a code edit degrades to the conservative
+	// whole-shard fallback.
 	BlockOffsets map[string]uint64
 
-	// Impact enables change-impact-aware invalidation on the store
-	// resume path: when the image changed since the store's last save,
-	// entries whose recorded coverage is provably unreachable from the
-	// edit migrate forward with their outcomes intact, and only
-	// intersecting entries re-execute (highest expected gain first).
-	// Requires Store; off by default — the default resume path stays
-	// exactly the whole-shard behavior TestShardInvalidation pins.
-	Impact bool
-
-	// BatchSize is the number of candidates per scheduling round
-	// (default 16).
-	BatchSize int
-	// MaxOccurrence bounds the occurrence dimension (default 6).
-	MaxOccurrence int
-	// MaxRuns bounds executed tests, excluding replayed store hits
-	// (0 = unlimited).
-	MaxRuns int
 	// StallBatches stops the run after this many consecutive batches
 	// with no new coverage and no new bugs (default 3).
 	StallBatches int
@@ -216,13 +200,15 @@ type StatusUpdate struct {
 	Cost           exec.CostModel
 }
 
+// batchSize is the number of candidates per scheduling round, and
+// maxOccurrence bounds the occurrence dimension (n-th call, 1..6) and,
+// through it, the window-mutation lattice.
+const (
+	batchSize     = 16
+	maxOccurrence = 6
+)
+
 func (c Config) withDefaults() Config {
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
-	if c.MaxOccurrence <= 0 {
-		c.MaxOccurrence = 6
-	}
 	if c.StallBatches <= 0 {
 		c.StallBatches = 3
 	}
@@ -260,8 +246,8 @@ type Result struct {
 	// StoreStats is the persistent store's compaction summary after the
 	// final save (nil when the run had no store).
 	StoreStats *StoreStats
-	// Impact is the change-impact analysis summary (nil unless
-	// Config.Impact was set and the store recorded a previous image).
+	// Impact is the change-impact analysis summary (nil unless the
+	// store recorded a previous image or a fault-profile edit).
 	Impact *ImpactSummary
 	// Mixed is the mixed-build reconciliation summary (nil unless some
 	// fleet worker ran a different image version than the coordinator).
@@ -374,7 +360,7 @@ func Generate(cfg Config) []*Candidate {
 	for _, fn := range fns {
 		for _, code := range profileErrorCodes(cfg.Profiles, fn) {
 			for _, e := range errnosFor(cfg.Profiles, fn, code) {
-				for n := uint64(1); n <= uint64(cfg.MaxOccurrence); n++ {
+				for n := uint64(1); n <= maxOccurrence; n++ {
 					add(occurrenceCandidate(cfg, fn, n, code, e))
 				}
 			}
@@ -546,7 +532,7 @@ type explorer struct {
 	// reval holds per-candidate re-validation boosts assigned by the
 	// impact plan: candidates whose cached outcome an image edit may
 	// have affected jump the queue, ordered by expected gain under the
-	// store's persisted EWMA cost model (nil when impact is off).
+	// store's persisted EWMA cost model.
 	reval map[string]float64
 
 	// static is the interprocedural prior: final site class by call
@@ -559,7 +545,7 @@ type explorer struct {
 	// since the store's last save (impact.DiffProfiles): their cached
 	// outcomes were produced under a different fault model and must
 	// re-validate even though no code byte — and so no store key —
-	// moved (nil when impact is off or nothing changed).
+	// moved (nil when nothing changed).
 	profileChanged map[string]bool
 
 	// Mixed-build reconciliation state: this coordinator's image
@@ -621,10 +607,10 @@ func (x *explorer) mutationWorthy(e Entry) bool {
 // false) but still reached recovery code seeds the site-local bursts
 // [1,2] and [1,3] — sustained pressure exactly where one fault was
 // absorbed; one that crashed seeds nothing, the single shot already
-// found the bug. Results are bounded to [1, 2*MaxOccurrence] for
-// global windows and [1, MaxOccurrence] for stack windows (site-local
+// found the bug. Results are bounded to [1, 2*maxOccurrence] for
+// global windows and [1, maxOccurrence] for stack windows (site-local
 // counts are aligned to the site, so the interesting bursts sit near
-// the start), with bursts no longer than MaxOccurrence, and
+// the start), with bursts no longer than maxOccurrence, and
 // deduplicated against everything already enumerated, so the mutation
 // lattice is finite and the loop always terminates. Every decision
 // depends only on the candidate and its outcome entry, never on
@@ -662,11 +648,11 @@ func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
 	default:
 		return nil
 	}
-	maxTo := uint64(2 * x.cfg.MaxOccurrence)
+	maxTo := uint64(2 * maxOccurrence)
 	if stack {
-		maxTo = uint64(x.cfg.MaxOccurrence)
+		maxTo = maxOccurrence
 	}
-	maxLen := uint64(x.cfg.MaxOccurrence)
+	maxLen := uint64(maxOccurrence)
 	var out []*Candidate
 	for _, w := range wins {
 		from, to := w[0], w[1]
@@ -740,10 +726,7 @@ func (x *explorer) score(c *Candidate) float64 {
 			s += 30
 		}
 	}
-	if x.reval != nil {
-		s += x.reval[c.Hash]
-	}
-	return s + x.boost[c.Callee]
+	return s + x.reval[c.Hash] + x.boost[c.Callee]
 }
 
 func (x *explorer) reward(callee string) {
@@ -758,33 +741,8 @@ func (x *explorer) logf(format string, args ...any) {
 	}
 }
 
-// Explore runs the engine: generate candidates, replay the store,
-// schedule the rest in coverage-guided batches, persist outcomes.
-func Explore(cfg Config) (*Result, error) {
-	return ExploreContext(context.Background(), cfg)
-}
-
-// ExploreContext is Explore under a context. Cancellation is honored
-// between test runs: in-flight tests finish, the sharded store is saved
-// (no torn shards — at most the interrupted batch's outcomes are lost),
-// and the partial Result comes back together with ctx.Err(), so an
-// interrupted run is fully resumable.
-func ExploreContext(ctx context.Context, cfg Config) (*Result, error) {
-	r, err := newRun(cfg)
-	if err != nil {
-		return nil, err
-	}
-	var runErr error
-	for runErr == nil && !r.done() {
-		runErr = r.step(ctx, 0)
-	}
-	return r.finish(runErr)
-}
-
 // run is one system's in-flight exploration — the schedulable unit
-// shared by the single-system driver (ExploreContext) and the
-// cross-system driver (ExploreAllContext), which interleaves steps of
-// several runs.
+// the driver (Explore) interleaves steps of.
 type run struct {
 	cfg     Config
 	x       *explorer
@@ -819,6 +777,7 @@ func newRun(cfg Config) (*run, error) {
 		acc:     coverage.New(),
 		sigs:    make(map[string][]string),
 		boost:   make(map[string]float64),
+		reval:   make(map[string]float64),
 		seen:    make(map[string]bool, len(cands)),
 		mutated: make(map[string]bool),
 	}
@@ -869,38 +828,32 @@ func newRun(cfg Config) (*run, error) {
 		if cost, ok := store.CostModel(); ok {
 			cfg.Exec.SeedCost(cfg.System, cost)
 		}
-		if cfg.Impact {
-			if plan = newImpactPlan(cfg, store); plan == nil {
-				x.logf("explore %s: impact: no previous image metadata in %s — falling back to whole-shard invalidation",
-					cfg.System, cfg.Store)
-			} else {
-				sum = plan.sum
-				x.reval = make(map[string]float64)
-				x.logf("explore %s: %s", cfg.System, plan.sum)
-			}
+		// Diff-aware resume: when the store holds a previous image with
+		// function fingerprints, cached entries the code edit provably
+		// cannot reach migrate forward and the rest re-validate; with no
+		// fingerprints (or an edit the walk cannot bound) the candidates
+		// whose keys moved simply re-execute — whole-shard invalidation.
+		if plan = newImpactPlan(cfg, store); plan != nil {
+			sum = plan.sum
+			x.logf("explore %s: %s", cfg.System, plan.sum)
 		}
-		if cfg.Impact {
-			// A profile edit moves no code byte — every store key still
-			// matches — but the cached outcomes were produced under a
-			// different fault model. Diff the persisted profile
-			// fingerprints and force the affected callees' cached
-			// entries through re-execution, ahead of fresh candidates.
-			if prior, ok := store.PriorProfileHashes(); ok {
-				if changed := impact.DiffProfiles(prior, profHashes); len(changed) > 0 {
-					x.profileChanged = make(map[string]bool, len(changed))
-					for _, fn := range changed {
-						x.profileChanged[fn] = true
-					}
-					if x.reval == nil {
-						x.reval = make(map[string]float64)
-					}
-					if sum == nil {
-						sum = &ImpactSummary{PrevImage: x.imageVersion}
-					}
-					sum.ProfilesChanged = changed
-					x.logf("explore %s: impact: %d callee profile(s) changed %v — re-validating their cached outcomes",
-						cfg.System, len(changed), changed)
+		// A profile edit moves no code byte — every store key still
+		// matches — but the cached outcomes were produced under a
+		// different fault model. Diff the persisted profile fingerprints
+		// and force the affected callees' cached entries through
+		// re-execution, ahead of fresh candidates.
+		if prior, ok := store.PriorProfileHashes(); ok {
+			if changed := impact.DiffProfiles(prior, profHashes); len(changed) > 0 {
+				x.profileChanged = make(map[string]bool, len(changed))
+				for _, fn := range changed {
+					x.profileChanged[fn] = true
 				}
+				if sum == nil {
+					sum = &ImpactSummary{PrevImage: x.imageVersion}
+				}
+				sum.ProfilesChanged = changed
+				x.logf("explore %s: impact: %d callee profile(s) changed %v — re-validating their cached outcomes",
+					cfg.System, len(changed), changed)
 			}
 		}
 		// Record this image's function and profile fingerprints so the
@@ -1016,13 +969,10 @@ func sameHashes(a, b map[string]string) bool {
 	return true
 }
 
-// done reports whether scheduling is finished: queue drained, stalled,
-// or the per-run budget spent.
+// done reports whether scheduling is finished: queue drained or
+// stalled.
 func (r *run) done() bool {
-	if len(r.pending)+len(r.reval) == 0 || r.stall >= r.cfg.StallBatches {
-		return true
-	}
-	return r.cfg.MaxRuns > 0 && r.res.Executed >= r.cfg.MaxRuns
+	return len(r.pending)+len(r.reval) == 0 || r.stall >= r.cfg.StallBatches
 }
 
 // uncoveredRecovery counts the recovery blocks exploration has not
@@ -1038,20 +988,12 @@ func (r *run) uncoveredRecovery() int {
 // that completed: even a cancelled batch's drained outcomes (local
 // prefix, in-flight remote responses) are folded, counted as executed
 // and saved, and only the candidates that never ran go back to the
-// queue. cap, when positive, additionally bounds the batch size (the
-// cross-system driver passes its shared remaining budget).
+// queue. cap, when positive, bounds the batch size (the driver passes
+// its shared remaining budget).
 func (r *run) step(ctx context.Context, cap int) error {
-	size := r.cfg.BatchSize
-	if r.cfg.MaxRuns > 0 {
-		if left := r.cfg.MaxRuns - r.res.Executed; left < size {
-			size = left
-		}
-	}
+	size := batchSize
 	if cap > 0 && cap < size {
 		size = cap
-	}
-	if size <= 0 {
-		return nil
 	}
 	// Mixed-build re-validations run first, pinned to build-matched
 	// backends: they are completed experiments waiting on a trusted

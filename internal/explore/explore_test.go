@@ -10,21 +10,39 @@ import (
 
 	"lfi/internal/callsite"
 	"lfi/internal/isa"
+	"lfi/internal/system"
 
-	// ConfigFor resolves systems through the registry, which is
+	// configFor resolves systems through the registry, which is
 	// populated by importing the system packages.
 	_ "lfi/internal/system/all"
 )
+
+// configFor returns the exploration config of a registered system.
+func configFor(t *testing.T, app string) Config {
+	t.Helper()
+	d, ok := system.Lookup(app)
+	if !ok {
+		t.Fatalf("%s not registered", app)
+	}
+	return ConfigForSystem(d)
+}
+
+// exploreOne runs the driver over a single config, unbudgeted, and
+// returns that system's result.
+func exploreOne(cfg Config) (*Result, error) {
+	res, err := Explore(context.Background(), 0, cfg)
+	if res == nil || len(res.Results) == 0 {
+		return nil, err
+	}
+	return res.Results[0], err
+}
 
 // minidbConfig returns a config that explores the whole minidb fault
 // space deterministically (no budget, stall disabled high enough that
 // every candidate runs).
 func minidbConfig(t *testing.T) Config {
 	t.Helper()
-	cfg, ok := ConfigFor("minidb")
-	if !ok {
-		t.Fatal("minidb config missing")
-	}
+	cfg := configFor(t, "minidb")
 	cfg.StallBatches = 1000
 	cfg.Workers = 4
 	return cfg
@@ -77,7 +95,7 @@ func TestGenerateDeterministicAndDeduped(t *testing.T) {
 // is pinned by the registry conformance test at the repository root.)
 func TestExploreMinidbCoverageGain(t *testing.T) {
 	cfg := minidbConfig(t)
-	res, err := Explore(cfg)
+	res, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +117,7 @@ func TestExploreResume(t *testing.T) {
 	cfg := minidbConfig(t)
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 
-	first, err := Explore(cfg)
+	first, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +128,7 @@ func TestExploreResume(t *testing.T) {
 		t.Fatalf("store not written: %v", err)
 	}
 
-	second, err := Explore(cfg)
+	second, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,19 +158,18 @@ func bugSigs(r *Result) []string {
 }
 
 // TestExploreBudget bounds the run and checks the budget counts only
-// executed tests.
+// executed tests: the last batch shrinks to what the budget has left.
 func TestExploreBudget(t *testing.T) {
-	cfg := minidbConfig(t)
-	cfg.MaxRuns = 5
-	cfg.BatchSize = 3
-	res, err := Explore(cfg)
+	const budget = batchSize + 4
+	all, err := Explore(context.Background(), budget, minidbConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Executed != 5 {
-		t.Fatalf("executed %d runs, budget was 5", res.Executed)
+	res := all.Results[0]
+	if res.Executed != budget || all.Executed != budget {
+		t.Fatalf("executed %d runs, budget was %d", res.Executed, budget)
 	}
-	if len(res.Batches) != 2 || res.Batches[0].Runs != 3 || res.Batches[1].Runs != 2 {
+	if len(res.Batches) != 2 || res.Batches[0].Runs != batchSize || res.Batches[1].Runs != 4 {
 		t.Fatalf("unexpected batching under budget: %+v", res.Batches)
 	}
 }
@@ -161,11 +178,11 @@ func TestExploreBudget(t *testing.T) {
 // identical bug lists and batch structure.
 func TestExploreDeterministic(t *testing.T) {
 	cfg := minidbConfig(t)
-	a, err := Explore(cfg)
+	a, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Explore(cfg)
+	b, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,17 +215,18 @@ func patched(t *testing.T, bin *isa.Binary, fn string) *isa.Binary {
 }
 
 // TestShardInvalidation pins the incremental-reuse contract of the
-// sharded store: after a change to one application function, only the
-// candidates aimed at that function — its call-stack candidates, plus
-// the image-wide occurrence/window dimension — re-execute; every other
-// function's shard replays, and the old image's shards stay on disk
-// next to the new ones.
+// sharded store: after a change to one application function, at most
+// the candidates aimed at that function — its call-stack candidates,
+// plus the image-wide occurrence/window dimension — re-execute (the
+// diff-aware resume migrates some of those too; TestImpactInvalidation
+// pins how many); every other function's shard replays, and the old
+// image's shards stay on disk next to the new ones.
 func TestShardInvalidation(t *testing.T) {
 	const changed = "errmsg_load"
 	cfg := minidbConfig(t)
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 
-	first, err := Explore(cfg)
+	first, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +252,7 @@ func TestShardInvalidation(t *testing.T) {
 	}
 
 	cfg.Binary = patched(t, cfg.Binary, changed)
-	second, err := Explore(cfg)
+	second, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,17 +281,14 @@ func TestShardInvalidation(t *testing.T) {
 // TestWindowMutantsDeterministic: breeding must be reproducible — the
 // same config twice yields the same mutant count and the same bugs.
 func TestWindowMutantsDeterministic(t *testing.T) {
-	cfg, ok := ConfigFor("pbft")
-	if !ok {
-		t.Fatal("pbft config missing")
-	}
+	cfg := configFor(t, "pbft")
 	cfg.StallBatches = 1000
 	cfg.Workers = 4
-	a, err := Explore(cfg)
+	a, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Explore(cfg)
+	b, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,23 +325,23 @@ func (c *cancelAfterBatches) Write(p []byte) (int, error) {
 // from it — replaying everything the interrupted run completed and
 // converging on the same bugs as an uninterrupted run.
 func TestExploreCancelLeavesResumableStore(t *testing.T) {
-	full, err := Explore(minidbConfig(t))
+	full, err := exploreOne(minidbConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	cfg := minidbConfig(t)
 	cfg.Store = filepath.Join(t.TempDir(), "store")
-	cfg.BatchSize = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.Log = &cancelAfterBatches{cancel: cancel, n: 2}
 
-	partial, err := ExploreContext(ctx, cfg)
+	all, err := Explore(ctx, 0, cfg)
 	if err != context.Canceled {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if partial == nil || partial.Executed == 0 {
+	partial := all.Results[0]
+	if partial.Executed == 0 {
 		t.Fatalf("cancelled run reported no progress: %+v", partial)
 	}
 	if partial.Executed >= full.Executed {
@@ -334,7 +349,7 @@ func TestExploreCancelLeavesResumableStore(t *testing.T) {
 	}
 
 	cfg.Log = nil
-	resumed, err := Explore(cfg)
+	resumed, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,10 +373,7 @@ func TestExploreAllSharedStore(t *testing.T) {
 	configs := func() []Config {
 		var cfgs []Config
 		for _, sys := range []string{"minidb", "minivcs"} {
-			cfg, ok := ConfigFor(sys)
-			if !ok {
-				t.Fatalf("%s config missing", sys)
-			}
+			cfg := configFor(t, sys)
 			cfg.StallBatches = 1000
 			cfg.Workers = 4
 			cfg.Store = root
@@ -370,7 +382,7 @@ func TestExploreAllSharedStore(t *testing.T) {
 		return cfgs
 	}
 
-	first, err := ExploreAllContext(context.Background(), configs(), 0)
+	first, err := Explore(context.Background(), 0, configs()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +398,7 @@ func TestExploreAllSharedStore(t *testing.T) {
 		t.Fatalf("cross-system run missed stock bugs: %v", bySystem)
 	}
 
-	second, err := ExploreAllContext(context.Background(), configs(), 0)
+	second, err := Explore(context.Background(), 0, configs()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +416,7 @@ func TestExploreAllSharedStore(t *testing.T) {
 	if err := os.RemoveAll(root); err != nil {
 		t.Fatal(err)
 	}
-	capped, err := ExploreAllContext(context.Background(), configs(), 10)
+	capped, err := Explore(context.Background(), 10, configs()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,11 +429,8 @@ func TestExploreAllSharedStore(t *testing.T) {
 // double-execute its candidate space and race two Store instances over
 // the same shard directory, so the engine refuses.
 func TestExploreAllRejectsDuplicateSystems(t *testing.T) {
-	cfg, ok := ConfigFor("minidb")
-	if !ok {
-		t.Fatal("minidb config missing")
-	}
-	if _, err := ExploreAllContext(context.Background(), []Config{cfg, cfg}, 0); err == nil {
+	cfg := configFor(t, "minidb")
+	if _, err := Explore(context.Background(), 0, cfg, cfg); err == nil {
 		t.Fatal("duplicate system accepted")
 	}
 }

@@ -1,11 +1,11 @@
 package explore
 
-// Change-impact-aware store invalidation (the `-impact` resume path).
+// Change-impact-aware store invalidation — the resume path.
 //
-// Without it, a code edit invalidates per shard: call-stack candidates
-// whose enclosing function changed lose their shard, and every
+// Store keys alone invalidate per shard: call-stack candidates whose
+// enclosing function changed lose their shard, and every
 // occurrence/window candidate — keyed on the whole image — loses its
-// cache on *any* edit. With it, the resume worklist consults an
+// cache on *any* edit. So the resume worklist also consults an
 // impactPlan built from the store's previous-image function
 // fingerprints (persisted in index.json by the last session) and the
 // internal/impact CFG walk:
@@ -19,7 +19,7 @@ package explore
 //
 // When the analysis cannot bound the edit (indirect branch, truncated
 // walk, removed function, no previous-image metadata) the plan degrades
-// to the pre-existing whole-shard behavior — strictly conservative.
+// to whole-shard invalidation — strictly conservative.
 
 import (
 	"fmt"
@@ -30,7 +30,7 @@ import (
 )
 
 // ImpactSummary reports what the impact plan did on the resume path —
-// the Result.Impact / `lfi explore -impact -v` shape.
+// the Result.Impact / `lfi explore` shape.
 type ImpactSummary struct {
 	PrevImage string   // image version the plan diffed against
 	Changed   []string // changed/added functions (sorted)
@@ -75,8 +75,8 @@ type impactPlan struct {
 // newImpactPlan diffs the current binary against the most recent other
 // image the store retains. nil when the store has no previous image
 // with function fingerprints (first run, unchanged image, or a store
-// written before fingerprints existed) — callers then keep the default
-// whole-shard resume path.
+// written before fingerprints existed) — callers then fall back to
+// whole-shard invalidation.
 func newImpactPlan(cfg Config, store *Store) *impactPlan {
 	prev, oldFuncs, ok := store.PreviousImage()
 	if !ok {

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,45 +13,43 @@ import (
 )
 
 // TestImpactInvalidation pins the diff-aware resume contract: after an
-// inert patch to one minidb function, an -impact resume re-executes
-// only the scenarios whose recorded coverage the edit can reach —
-// strictly fewer than the whole-shard invalidation path on the same
-// edit — while keeping the every-entry-exactly-once invariant and the
-// full bug list. An identical-binary -impact resume still executes
-// nothing.
+// inert patch to one minidb function, a resume re-executes only the
+// scenarios whose recorded coverage the edit can reach — strictly
+// fewer than the whole-shard fallback on the same edit — while keeping
+// the every-entry-exactly-once invariant and the full bug list. An
+// identical-binary resume still executes nothing.
 func TestImpactInvalidation(t *testing.T) {
 	const changed = "errmsg_load"
 
-	// Whole-shard baseline: the pre-existing resume behavior on an
-	// identical store and identical edit, Impact off.
-	wcfg := minidbConfig(t)
-	wcfg.Store = filepath.Join(t.TempDir(), "store")
-	if _, err := Explore(wcfg); err != nil {
-		t.Fatal(err)
-	}
-	wcfg.Binary = patched(t, wcfg.Binary, changed)
-	whole, err := Explore(wcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Impact path: same sequence with Config.Impact set throughout —
-	// the first run has no previous image and must behave identically
-	// to a plain full run.
+	// The first run has no previous image and must be a plain full run.
 	cfg := minidbConfig(t)
 	cfg.Store = filepath.Join(t.TempDir(), "store")
-	cfg.Impact = true
-	first, err := Explore(cfg)
+	first, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Executed == 0 || first.Replayed != 0 || first.Impact != nil {
-		t.Fatalf("first impact run: executed %d, replayed %d, impact %+v; want a plain full run",
+		t.Fatalf("first run: executed %d, replayed %d, impact %+v; want a plain full run",
 			first.Executed, first.Replayed, first.Impact)
 	}
 
+	// Whole-shard baseline: the same edit resumed from a copy of the
+	// store whose manifests carry no function fingerprints, so the plan
+	// cannot be built and the resume takes the fallback arm.
+	wcfg := cfg
+	wcfg.Store = filepath.Join(t.TempDir(), "store")
+	copyStoreWithoutFingerprints(t, cfg.Store, wcfg.Store, cfg.System)
+	wcfg.Binary = patched(t, cfg.Binary, changed)
+	whole, err := exploreOne(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Impact != nil {
+		t.Fatalf("fingerprint-less store still built an impact plan: %s", whole.Impact)
+	}
+
 	cfg.Binary = patched(t, cfg.Binary, changed)
-	second, err := Explore(cfg)
+	second, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +99,10 @@ func TestImpactInvalidation(t *testing.T) {
 		t.Fatalf("bug signatures diverged across impact resume:\n%v\nvs\n%v", bugSigs(first), bugSigs(second))
 	}
 
-	// Identical binary, -impact still on: everything replays, nothing
-	// executes, and the plan (built against the pre-patch manifest)
-	// neither migrates nor re-validates anything.
-	third, err := Explore(cfg)
+	// Identical binary: everything replays, nothing executes, and the
+	// plan (built against the pre-patch manifest) neither migrates nor
+	// re-validates anything.
+	third, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +115,43 @@ func TestImpactInvalidation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bugSigs(second), bugSigs(third)) {
 		t.Fatalf("bug signatures diverged on identical-binary resume:\n%v\nvs\n%v", bugSigs(second), bugSigs(third))
+	}
+}
+
+// copyStoreWithoutFingerprints copies one system's store directory from
+// src to dst, dropping every manifest's function fingerprints — the
+// shape of a store written before fingerprints were recorded, which
+// leaves the resume path only whole-shard invalidation.
+func copyStoreWithoutFingerprints(t *testing.T, src, dst, sys string) {
+	t.Helper()
+	from, to := filepath.Join(src, sys), filepath.Join(dst, sys)
+	if err := os.MkdirAll(to, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	names, err := filepath.Glob(filepath.Join(from, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(name) == "index.json" {
+			var idx storeIndex
+			if err := json.Unmarshal(data, &idx); err != nil {
+				t.Fatal(err)
+			}
+			for i := range idx.Images {
+				idx.Images[i].Funcs = nil
+			}
+			if data, err = json.Marshal(idx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(to, filepath.Base(name)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -156,16 +192,15 @@ func dupReturnProfiles(t *testing.T, ps []*profile.Profile, fn string) []*profil
 // TestImpactProfileEdit pins the profile-fingerprint half of the impact
 // contract: an edit to one library function's fault profile moves no
 // code byte — image, region, and function hashes are all identical, so
-// every store key still matches — yet an -impact resume must not trust
+// every store key still matches — yet a resume must not trust
 // outcomes cached under the old fault model. Exactly the changed
 // callee's cached entries re-execute; everything else replays.
 func TestImpactProfileEdit(t *testing.T) {
 	const changed = "read"
 	cfg := minidbConfig(t)
 	cfg.Store = filepath.Join(t.TempDir(), "store")
-	cfg.Impact = true
 
-	first, err := Explore(cfg)
+	first, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +209,7 @@ func TestImpactProfileEdit(t *testing.T) {
 	}
 
 	cfg.Profiles = dupReturnProfiles(t, cfg.Profiles, changed)
-	second, err := Explore(cfg)
+	second, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +236,13 @@ func TestImpactProfileEdit(t *testing.T) {
 	if second.Executed < second.Impact.Revalidated {
 		t.Fatalf("executed %d < revalidated %d: a re-validated entry fell through", second.Executed, second.Impact.Revalidated)
 	}
+	// Pinned numbers for this exact edit under default settings: read's
+	// 40 cached base entries re-validate, and with the window mutants
+	// they re-breed that is 176 of minidb's 376 runs.
+	if first.Executed != 376 || second.Executed != 176 || second.Impact.Revalidated != 40 {
+		t.Fatalf("profile-edit resume executed %d of %d (revalidated %d), want 176 of 376 (40)",
+			second.Executed, first.Executed, second.Impact.Revalidated)
+	}
 	// Every first-run entry is still accounted for exactly once.
 	if second.Executed+second.Replayed != first.Executed {
 		t.Fatalf("executed %d + replayed %d, want total %d", second.Executed, second.Replayed, first.Executed)
@@ -213,7 +255,7 @@ func TestImpactProfileEdit(t *testing.T) {
 
 	// The store manifest now records the edited fingerprints: an
 	// unchanged rerun replays everything and re-validates nothing.
-	third, err := Explore(cfg)
+	third, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,21 +277,17 @@ func TestImpactProfileEdit(t *testing.T) {
 // run-accounting invariant and bug list hold.
 func TestImpactFallbackConservative(t *testing.T) {
 	const changed = "load_zone"
-	cfg, ok := ConfigFor("minidns")
-	if !ok {
-		t.Fatal("minidns config missing")
-	}
+	cfg := configFor(t, "minidns")
 	cfg.StallBatches = 1000
 	cfg.Workers = 4
 	cfg.Store = filepath.Join(t.TempDir(), "store")
-	cfg.Impact = true
 
-	first, err := Explore(cfg)
+	first, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Binary = patched(t, cfg.Binary, changed)
-	second, err := Explore(cfg)
+	second, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +320,7 @@ func TestDiffReport(t *testing.T) {
 		t.Fatal("diff without a store succeeded")
 	}
 	cfg.Store = filepath.Join(t.TempDir(), "store")
-	full, err := Explore(cfg)
+	full, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,10 +48,7 @@ func ancestorsOf(sums callgraph.Summaries, fn string) []string {
 // function's summary plus its call-graph ancestors, and everything
 // else is reused.
 func TestLintIncremental(t *testing.T) {
-	cfg, ok := ConfigFor("minivcs")
-	if !ok {
-		t.Fatal("minivcs config missing")
-	}
+	cfg := configFor(t, "minivcs")
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 
 	cold, err := Lint(cfg)

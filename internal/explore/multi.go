@@ -10,8 +10,8 @@ import (
 	"lfi/internal/controller"
 )
 
-// MultiResult is the outcome of one cross-system exploration run — the
-// `lfi explore -all` shape: per-system results plus the merged totals.
+// MultiResult is the outcome of one exploration session — the
+// `lfi explore` shape: per-system results plus the merged totals.
 type MultiResult struct {
 	Results  []*Result        // one per system, in scheduling-input order
 	Executed int              // tests actually run, all systems
@@ -43,12 +43,16 @@ func (m *MultiResult) CrashBugs() []controller.Bug {
 	return out
 }
 
-// ExploreAllContext runs one exploration session over several systems
-// at once — the ROADMAP's cross-system campaign orchestration. All
-// configs share the caller's execution fleet (by convention: a Session
-// passes one fleet to every config) and one store root: LoadStore keys
-// shards by system name, so the configs' Store fields may all point at
-// the same directory.
+// Explore is the exploration driver: one session over one or more
+// systems — a single-system run is the same loop over one config. For
+// each config it generates the candidate space, runs the coverage
+// baseline and replays the persistent store (diff-aware: see
+// impact.go), then schedules the remaining candidates in
+// coverage-guided batches and persists their outcomes. All configs
+// share the caller's execution fleet (by convention: a Session passes
+// one fleet to every config) and one store root: LoadStore keys shards
+// by system name, so the configs' Store fields may all point at the
+// same directory.
 //
 // Scheduling interleaves batches across systems by expected coverage
 // gain per second, priced by each system's cost model: gain/run (EWMA
@@ -63,12 +67,12 @@ func (m *MultiResult) CrashBugs() []controller.Bug {
 // the fleet's mix of local/pool/remote backends (exec.Fleet.Run).
 //
 // budget, when positive, bounds the total tests executed across all
-// systems (replayed store hits are free, as in Config.MaxRuns).
-// Cancellation behaves like ExploreContext per system: every started
-// batch's outcomes are saved — drained remote responses included — no
-// shard is ever torn, and the partial MultiResult comes back with
-// ctx.Err().
-func ExploreAllContext(ctx context.Context, cfgs []Config, budget int) (*MultiResult, error) {
+// systems; replayed store hits are free. Cancellation is honored
+// between test runs: every started batch's outcomes are saved —
+// drained remote responses included — no shard is ever torn, and the
+// partial MultiResult comes back with ctx.Err(), so an interrupted
+// session is fully resumable.
+func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, error) {
 	begin := time.Now()
 	seen := make(map[string]bool, len(cfgs))
 	for _, cfg := range cfgs {
@@ -120,7 +124,7 @@ func ExploreAllContext(ctx context.Context, cfgs []Config, budget int) (*MultiRe
 	res := &MultiResult{}
 	for _, r := range runs {
 		// finish flushes and prunes each store even on a shared error,
-		// so an interrupted -all session resumes with no re-execution.
+		// so an interrupted session resumes with no re-execution.
 		sysRes, err := r.finish(nil)
 		if runErr == nil {
 			runErr = err

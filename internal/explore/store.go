@@ -56,7 +56,7 @@ type Store struct {
 	profiles map[string]string
 	// summaries is the current image's interprocedural analysis record
 	// (callgraph.Summaries), persisted in the manifest next to funcs so
-	// a later lint or -impact session recomputes only the summaries an
+	// a later lint or explore session recomputes only the summaries an
 	// edit can reach.
 	summaries callgraph.Summaries
 	// adopted records old-image keys whose entries the impact plan
@@ -96,10 +96,9 @@ type storeIndex struct {
 
 // imageManifest names the shards one image version's candidate set
 // references, plus that image's per-function code fingerprints — the
-// impact metadata the `-impact` resume path diffs against. Manifests
-// written before fingerprints existed load fine with Funcs nil; impact
-// analysis then reports "no previous image metadata" and the resume
-// path stays whole-shard.
+// impact metadata the resume path diffs against. Manifests written
+// before fingerprints existed load fine with Funcs nil; the resume path
+// then falls back to whole-shard invalidation.
 type imageManifest struct {
 	Image  string            `json:"image"`
 	Shards []string          `json:"shards"`
@@ -107,7 +106,7 @@ type imageManifest struct {
 	// Profiles fingerprints the library fault profiles the candidate
 	// set was generated from (impact.ProfileHashes). A profile edit
 	// moves no code byte — image and region hashes all stay put — so
-	// this is the only record that lets a later `-impact` session spot
+	// this is the only record that lets a later session spot
 	// one and re-validate the affected callees' cached outcomes.
 	Profiles map[string]string `json:"profiles,omitempty"`
 	// Summaries is the image's per-function interprocedural analysis

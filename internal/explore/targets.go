@@ -22,8 +22,8 @@ func blockForSite(offs map[string]uint64) func(string, uint64) string {
 }
 
 // ConfigForSystem builds an exploration config from a registered system
-// descriptor. The caller still sets budget, batch size, store path,
-// workers, seed and logging.
+// descriptor. The caller still sets store path, workers, seed and
+// logging.
 func ConfigForSystem(d *system.Descriptor) Config {
 	bin, offs := d.Binary()
 	cfg := Config{
@@ -45,16 +45,4 @@ func ConfigForSystem(d *system.Descriptor) Config {
 		cfg.BlockOffsets["rec."+label] = off
 	}
 	return cfg
-}
-
-// ConfigFor returns a ready exploration config for a registered system.
-// Registration follows package imports (see internal/system/all), so
-// callers that do not import the lfi facade must import the system
-// packages they target.
-func ConfigFor(app string) (Config, bool) {
-	d, ok := system.Lookup(app)
-	if !ok {
-		return Config{}, false
-	}
-	return ConfigForSystem(d), true
 }

@@ -257,7 +257,7 @@ func (b *Binary) CallSites(fn string) []uint64 {
 }
 
 // Disassemble renders the whole binary as text, one instruction per
-// line, with symbol headers — the lfi-analyzer's -dis output.
+// line, with symbol headers — the `lfi analyze -dis` output.
 func (b *Binary) Disassemble() string {
 	symAt := make(map[uint64]string, len(b.Symbols))
 	for _, s := range b.Symbols {

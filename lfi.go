@@ -13,7 +13,9 @@
 //     functional options (WithStore, WithWorkers, WithBudget, WithSeed,
 //     WithExecutors, …) configure one session whose Run, Explore and
 //     ExploreAll methods stream outcomes, cancel cleanly, and fan out
-//     over every registered system (`lfi explore -all`);
+//     over every registered system (`lfi explore -all`). With a store,
+//     every resume is diff-aware: after a code or fault-profile edit
+//     only the cached outcomes the edit can reach re-execute;
 //   - Executor / NewLocalExecutor / NewPoolExecutor / DialExecutor /
 //     ServeExecutor — the pluggable execution backends: batches run on
 //     the in-process pool, in crash-isolating worker subprocesses, or
@@ -25,8 +27,10 @@
 //     framework and its registry (§3);
 //   - Runtime / NewRuntime — the injection engine that splices into a
 //     simulated process (§2, §6);
-//   - Analyzer / GenerateScenarios — the call-site analyzer (§5);
-//   - ProfileBinary — the automated library profiler (§2).
+//   - Analyzer / GenerateScenarios — the call-site analyzer (§5,
+//     `lfi analyze`);
+//   - ProfileBinary — the automated library profiler (§2,
+//     `lfi profile`).
 //
 // The substrates (simulated C library, synthetic ISA, PBFT, target
 // applications) live under internal/; see DESIGN.md ("Public API: the
@@ -39,7 +43,6 @@ import (
 	"io"
 
 	"lfi/internal/callsite"
-	"lfi/internal/cfg"
 	"lfi/internal/controller"
 	"lfi/internal/core"
 	"lfi/internal/errno"
@@ -242,15 +245,13 @@ type (
 	// ExploreAllResult is a cross-system exploration's outcome — the
 	// Session.ExploreAll / `lfi explore -all` shape.
 	ExploreAllResult = explore.MultiResult
-	// ExploreCandidate is one proposed injection experiment.
-	ExploreCandidate = explore.Candidate
 	// StoreStats is a persistent store's compaction summary (shards,
 	// retained image versions, entries migrated vs invalidated).
 	StoreStats = explore.StoreStats
-	// ImpactSummary reports what the change-impact plan did on an
-	// -impact resume: functions diffed, recovery blocks reached,
-	// entries migrated intact vs queued for re-validation
-	// (ExploreResult.Impact; see WithImpact).
+	// ImpactSummary reports what the change-impact plan did on a
+	// resume after a code or fault-profile edit: functions diffed,
+	// recovery blocks reached, entries migrated intact vs queued for
+	// re-validation (ExploreResult.Impact).
 	ImpactSummary = explore.ImpactSummary
 	// DiffReport classifies the cached candidate space against a code
 	// edit without executing anything — the `lfi diff` shape (see
@@ -263,21 +264,13 @@ type (
 	LintSite = explore.LintSite
 )
 
-// DefaultAnalysisWindow is the paper's post-call analysis window (§5):
-// the number of instructions the windowed Algorithm 1 walks after a
-// library call. cmd/lfi-analyzer resolves `-window 0` to it.
-const DefaultAnalysisWindow = cfg.DefaultWindow
-
-// GenerateCandidates enumerates the candidate fault space.
-var GenerateCandidates = explore.Generate
-
 // PatchSystem returns a copy of sys whose program image has fn's inert
 // prologue immediate flipped — a one-function code edit that moves that
 // function's fingerprint (and the image version) without changing any
 // behavior. It exists to exercise the incremental re-exploration
-// workflow end to end (`lfi explore -patch`, the CI incremental-smoke
-// job): explore, patch, re-explore with WithImpact, and watch only the
-// entries the edit can reach re-execute. Patching the same function
+// workflow end to end (`lfi explore -patch`): explore, patch,
+// re-explore, and watch only the entries the edit can reach
+// re-execute. Patching the same function
 // twice restores the original image. The returned descriptor is a
 // detached copy, not registered.
 func PatchSystem(sys *System, fn string) (*System, error) {

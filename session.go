@@ -62,9 +62,7 @@ type Session struct {
 	store    string
 	workers  int
 	budget   int
-	batch    int
 	stall    int
-	impact   bool
 	seed     int64
 	log      io.Writer
 	observer func(system string, o Outcome)
@@ -106,8 +104,8 @@ func WithWorkers(n int) SessionOption {
 	}
 }
 
-// WithBudget bounds executed test runs: per Explore call, and in total
-// across systems for ExploreAll. Replayed store outcomes are free.
+// WithBudget bounds executed test runs per Explore or ExploreAll call
+// (in total across systems). Replayed store outcomes are free.
 // 0 means unlimited; negative budgets are rejected.
 func WithBudget(n int) SessionOption {
 	return func(s *Session) error {
@@ -115,17 +113,6 @@ func WithBudget(n int) SessionOption {
 			return fmt.Errorf("lfi: WithBudget(%d): budget cannot be negative (0 means unlimited)", n)
 		}
 		s.budget = n
-		return nil
-	}
-}
-
-// WithBatchSize sets the explorer's scheduling batch size (default 16).
-func WithBatchSize(n int) SessionOption {
-	return func(s *Session) error {
-		if n < 0 {
-			return fmt.Errorf("lfi: WithBatchSize(%d): batch size cannot be negative", n)
-		}
-		s.batch = n
 		return nil
 	}
 }
@@ -140,21 +127,6 @@ func WithStallBatches(n int) SessionOption {
 		s.stall = n
 		return nil
 	}
-}
-
-// WithImpact enables change-impact-aware store invalidation on resume
-// (`lfi explore -impact`): instead of invalidating whole shards, the
-// explorer diffs the binary's per-function fingerprints against the
-// ones the store recorded for its previous image, walks the CFG to the
-// recovery blocks the edit can reach, migrates cached entries whose
-// recorded coverage is provably disjoint, and re-validates only the
-// rest — scheduled ahead of fresh candidates by the persisted cost
-// model. When the edit cannot be bounded (indirect branch, removed
-// function, a store without fingerprints) the run falls back to the
-// default whole-shard invalidation; correctness never depends on the
-// analysis. Meaningful only together with WithStore.
-func WithImpact() SessionOption {
-	return func(s *Session) error { s.impact = true; return nil }
 }
 
 // WithSeed fixes the runtime random source of every test the session
@@ -335,9 +307,7 @@ func (s *Session) config(sys *System) ExploreConfig {
 	cfg := explore.ConfigForSystem(sys)
 	cfg.Store = s.store
 	cfg.Workers = s.workers
-	cfg.BatchSize = s.batch
 	cfg.StallBatches = s.stall
-	cfg.Impact = s.impact
 	cfg.Seed = s.seed
 	cfg.Log = s.log
 	cfg.Exec = s.fleet
@@ -350,7 +320,7 @@ func (s *Session) config(sys *System) ExploreConfig {
 // Diff classifies the cached candidate space against the session's
 // store without executing a single test or writing anything — the
 // engine behind `lfi diff`: which candidates replay as-is, which would
-// migrate intact under WithImpact, which must re-validate, and which
+// migrate intact on the next resume, which must re-validate, and which
 // were never cached. It requires WithStore.
 func (s *Session) Diff(sys *System) (*DiffReport, error) {
 	return explore.Diff(s.config(sys))
@@ -370,15 +340,22 @@ func (s *Session) Lint(sys *System) (*LintReport, error) {
 }
 
 // Explore runs the coverage-guided fault-space explorer on one system,
-// batches dispatched across the session's execution backends.
-// Cancellation flushes the sharded store cleanly — completed local runs
-// and drained remote responses included; only candidates that never ran
-// are left for the next session — and returns the partial result with
-// ctx.Err(), so the next run resumes with no re-execution.
+// batches dispatched across the session's execution backends — the
+// ExploreAll driver over that one system. A resume is diff-aware: after
+// a code edit, cached outcomes the edit provably cannot reach migrate
+// forward and only the rest re-execute (whole-shard invalidation when
+// the edit cannot be bounded); after a fault-profile edit, the changed
+// callees' cached outcomes re-execute. Cancellation flushes the sharded
+// store cleanly — completed local runs and drained remote responses
+// included; only candidates that never ran are left for the next
+// session — and returns the partial result with ctx.Err(), so the next
+// run resumes with no re-execution.
 func (s *Session) Explore(ctx context.Context, sys *System) (*ExploreResult, error) {
-	cfg := s.config(sys)
-	cfg.MaxRuns = s.budget
-	return explore.ExploreContext(ctx, cfg)
+	res, err := s.ExploreAll(ctx, sys)
+	if res == nil || len(res.Results) == 0 {
+		return nil, err
+	}
+	return res.Results[0], err
 }
 
 // ExploreAll explores several systems (default: every registered one)
@@ -401,5 +378,5 @@ func (s *Session) ExploreAll(ctx context.Context, systems ...*System) (*ExploreA
 		seen[sys.Name] = true
 		cfgs = append(cfgs, s.config(sys))
 	}
-	return explore.ExploreAllContext(ctx, cfgs, s.budget)
+	return explore.Explore(ctx, s.budget, cfgs...)
 }

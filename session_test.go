@@ -150,7 +150,6 @@ func TestNewSessionValidation(t *testing.T) {
 		{"zero workers", []SessionOption{WithWorkers(0)}, "WithWorkers"},
 		{"negative workers", []SessionOption{WithWorkers(-3)}, "WithWorkers"},
 		{"negative budget", []SessionOption{WithBudget(-1)}, "WithBudget"},
-		{"negative batch", []SessionOption{WithBatchSize(-2)}, "WithBatchSize"},
 		{"negative stall", []SessionOption{WithStallBatches(-2)}, "WithStallBatches"},
 		{"nil executor", []SessionOption{WithExecutors(nil)}, "nil executor"},
 		{"no executors", []SessionOption{WithExecutors()}, "no executors"},
