@@ -431,6 +431,33 @@ func BenchmarkArenaRunReuse(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tests/s")
 }
 
+// BenchmarkSystemRun measures one controller run of every registered
+// system: controller.RunOne, round-robin over the system's first
+// generated candidates, on one goroutine. It is the per-system run-loop
+// cost the explorer pays per test — for pbft and raft that includes
+// building the simulated network and replaying the message trace — so
+// allocs/op and tests/s here gate every system, not only minidb.
+func BenchmarkSystemRun(b *testing.B) {
+	const firstCandidates = 32
+	for _, sys := range Systems() {
+		cands := explore.Generate(explore.ConfigForSystem(sys))
+		if len(cands) == 0 {
+			b.Fatalf("%s: no candidates", sys.Name)
+		}
+		cands = cands[:min(len(cands), firstCandidates)]
+		tgt := sys.Target()
+		b.Run(sys.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := controller.RunOne(tgt, cands[i%len(cands)].Scenario, RuntimeSeed(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tests/s")
+		})
+	}
+}
+
 // BenchmarkAblationShortCircuit quantifies §4.3's short-circuit
 // optimization: a 5-trigger conjunction whose FIRST trigger is false
 // versus one whose first four are true (so all five evaluate).

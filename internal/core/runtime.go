@@ -138,8 +138,9 @@ type Runtime struct {
 	log       *Log
 	env       trigger.Env
 	insp      inspector
-	rng       *rand.Rand
+	rng       *rand.Rand // built on the first draw; nil if no trigger ever drew
 	rngMu     sync.Mutex
+	seeded    bool // rng has been seeded with seed since acquire
 	seed      int64
 	decider   trigger.Decider
 	maxInject uint64
@@ -180,13 +181,8 @@ func (p *Program) acquire(proc *libsim.C, opts ...Option) *Runtime {
 		r = &Runtime{
 			prog:  p,
 			insts: make([]instance, len(p.decls)),
-			rng:   rand.New(rand.NewSource(1)),
 		}
-		r.env.Rand = func() float64 {
-			r.rngMu.Lock()
-			defer r.rngMu.Unlock()
-			return r.rng.Float64()
-		}
+		r.env.Rand = r.draw
 		r.env.Inspect = &r.insp
 		for i := range r.insts {
 			r.insts[i].decl = &p.decls[i]
@@ -202,7 +198,7 @@ func (p *Program) acquire(proc *libsim.C, opts ...Option) *Runtime {
 		o(r)
 	}
 	r.env.Dist = r.decider
-	r.rng.Seed(r.seed)
+	r.seeded = false
 	r.log = NewLog()
 	r.injected.Store(0)
 	for i := range r.evals {
@@ -212,6 +208,23 @@ func (p *Program) acquire(proc *libsim.C, opts ...Option) *Runtime {
 		r.insts[i].reset()
 	}
 	return r
+}
+
+// draw is the trigger Env's random source. Most scenarios never draw,
+// so the source is seeded here, on the run's first draw, rather than in
+// acquire; the sequence is the same either way.
+func (r *Runtime) draw() float64 {
+	r.rngMu.Lock()
+	defer r.rngMu.Unlock()
+	if !r.seeded {
+		if r.rng == nil {
+			r.rng = rand.New(rand.NewSource(r.seed))
+		} else {
+			r.rng.Seed(r.seed)
+		}
+		r.seeded = true
+	}
+	return r.rng.Float64()
 }
 
 // Release returns the runtime to its program's pool for reuse by a

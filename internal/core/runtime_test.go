@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -386,5 +387,94 @@ func TestValidateRejectedAtNew(t *testing.T) {
 	</scenario>`)
 	if _, err := New(c, s); err == nil {
 		t.Fatal("invalid scenario accepted by New")
+	}
+}
+
+const coinReadDoc = `<scenario name="coin-read">
+  <trigger id="rnd" class="RandomTrigger"><args><probability>0.5</probability></args></trigger>
+  <function name="read" return="-1" errno="EIO"><reftrigger ref="rnd" /></function>
+</scenario>`
+
+// coinReads acquires a runtime for p under seed, performs 64 reads
+// through it and returns the runtime (not released) with the read
+// results — the RandomTrigger's draw sequence, as the workload sees it.
+func coinReads(t *testing.T, p *Program, seed int64) (*Runtime, []int64) {
+	t.Helper()
+	c, th := newProc()
+	r := p.acquire(c, WithSeed(seed))
+	r.Install()
+	defer r.Uninstall()
+	fd := th.Open("/f", libsim.O_RDONLY)
+	buf := make([]byte, 1)
+	out := make([]int64, 64)
+	for i := range out {
+		out[i] = th.Read(fd, buf)
+	}
+	return r, out
+}
+
+func compileDoc(t *testing.T, doc string) *Program {
+	t.Helper()
+	s, err := scenario.ParseString(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := compile(s) // unmemoized: a program with an empty pool
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestPooledRuntimeDrawsMatchFresh: a runtime recycled from the pool
+// carries a source seeded and advanced by its previous run; its first
+// draw must reseed it, so it replays exactly what a fresh runtime draws
+// for the same seed.
+func TestPooledRuntimeDrawsMatchFresh(t *testing.T) {
+	const seed, other = 7, 8
+	_, fresh := coinReads(t, compileDoc(t, coinReadDoc), seed)
+	_, otherSeq := coinReads(t, compileDoc(t, coinReadDoc), other)
+	if slices.Equal(fresh, otherSeq) {
+		t.Fatal("seeds 7 and 8 drew identical sequences")
+	}
+
+	p := compileDoc(t, coinReadDoc)
+	for attempt := 0; attempt < 100; attempt++ {
+		prev, _ := coinReads(t, p, other)
+		prev.Release()
+		r, pooled := coinReads(t, p, seed)
+		if r != prev {
+			r.Release()
+			continue // the pool dropped it (it may, e.g. under -race)
+		}
+		if !slices.Equal(pooled, fresh) {
+			t.Fatalf("pooled runtime drew %v, fresh runtime %v", pooled, fresh)
+		}
+		return
+	}
+	t.Skip("the pool never handed a runtime back")
+}
+
+// TestNoDrawNoSource: a scenario without a RandomTrigger never pays for
+// building or seeding a random source.
+func TestNoDrawNoSource(t *testing.T) {
+	p := compileDoc(t, `<scenario>
+	  <trigger id="n2" class="CallCountTrigger"><args><n>2</n></args></trigger>
+	  <function name="read" return="-1" errno="EIO"><reftrigger ref="n2" /></function>
+	</scenario>`)
+	c, th := newProc()
+	r := p.acquire(c, WithSeed(3))
+	r.Install()
+	fd := th.Open("/f", libsim.O_RDONLY)
+	buf := make([]byte, 1)
+	for i := 0; i < 4; i++ {
+		th.Read(fd, buf)
+	}
+	r.Uninstall()
+	if r.Injections() != 1 {
+		t.Fatalf("injections = %d, want 1", r.Injections())
+	}
+	if r.rng != nil {
+		t.Fatal("a run without random triggers built a random source")
 	}
 }

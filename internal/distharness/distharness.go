@@ -19,6 +19,7 @@ package distharness
 
 import (
 	"fmt"
+	"sync"
 
 	"lfi/internal/controller"
 	"lfi/internal/coverage"
@@ -48,9 +49,9 @@ type Replica interface {
 }
 
 // Protocol describes one distributed target: everything protocol-
-// specific the generic trace loop needs. Implementations are stateless
-// values; all per-run state lives in the Replica a NewReplica call
-// returns.
+// specific the generic trace loop needs. Implementations are stateless,
+// comparable values; all per-run state lives in the Replica a
+// NewReplica call returns.
 type Protocol interface {
 	// Name is the registry/system name ("pbft", "raft").
 	Name() string
@@ -60,7 +61,8 @@ type Protocol interface {
 	// on, in order, so every outbound send has a live destination.
 	Sinks() []string
 	// Trace is the recorded message sequence, one encoded datagram per
-	// receive interception.
+	// receive interception. The harness calls it once per protocol
+	// value and shares the result between runs.
 	Trace() [][]byte
 	// NewReplica builds a fresh replica-under-test bound to the shared
 	// network, with coverage recording enabled.
@@ -69,6 +71,21 @@ type Protocol interface {
 	// epilogue: a non-nil error is a workload-detected failure that is
 	// not a crash.
 	Check(r Replica) error
+}
+
+// traces memoizes each protocol's encoded trace. Trace is a pure
+// function of a stateless Protocol value, and the explorer builds a
+// coverage target for every run, so encoding it per harness would
+// re-encode the same messages on every run. Sharing one slice is safe:
+// nothing writes it, and SendTo copies each datagram onto the wire.
+var traces sync.Map // Protocol -> [][]byte
+
+func traceOf(p Protocol) [][]byte {
+	if t, ok := traces.Load(p); ok {
+		return t.([][]byte)
+	}
+	t, _ := traces.LoadOrStore(p, p.Trace())
+	return t.([][]byte)
 }
 
 // Harness is one scripted replay of a protocol's trace.
@@ -109,7 +126,7 @@ func (h *Harness) Run() error {
 	}
 	addr := h.p.Addr()
 	buf := make([]byte, 4096)
-	for i, payload := range h.p.Trace() {
+	for i, payload := range traceOf(h.p) {
 		if e := h.wire.SendTo(addr, payload); e != 0 {
 			return fmt.Errorf("%s harness: stage datagram: errno %d", h.p.Name(), e)
 		}

@@ -16,6 +16,9 @@ import (
 	"lfi/internal/libsim"
 )
 
+// queueDepth caps the datagrams pending on one endpoint; a send beyond
+// it is dropped silently. Queues start empty and grow on demand, so an
+// endpoint costs a few hundred bytes until traffic actually queues.
 const queueDepth = 4096
 
 type datagram struct {
@@ -36,16 +39,66 @@ func New() *Network {
 
 // NewEndpoint implements libsim.NetBackend.
 func (n *Network) NewEndpoint() libsim.NetEndpoint {
-	return &Endpoint{net: n, q: make(chan datagram, queueDepth)}
+	return &Endpoint{net: n, ready: make(chan struct{}, 1)}
 }
 
 // Endpoint is one datagram socket.
 type Endpoint struct {
-	net    *Network
-	q      chan datagram
+	net *Network
+	// ready holds a token whenever a datagram may be queued; receivers
+	// that find the queue empty wait on it.
+	ready  chan struct{}
 	mu     sync.Mutex
+	ring   []datagram // power-of-two ring, grown on demand up to queueDepth
+	head   int        // index of the oldest pending datagram
+	n      int        // pending datagrams
 	addr   string
 	closed bool
+}
+
+// push enqueues d, dropping it silently when queueDepth are pending.
+func (e *Endpoint) push(d datagram) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.n == queueDepth {
+		return // dropped, like UDP under pressure
+	}
+	if e.n == len(e.ring) {
+		grown := make([]datagram, max(4, 2*len(e.ring)))
+		k := copy(grown, e.ring[e.head:])
+		copy(grown[k:], e.ring[:e.head])
+		e.ring, e.head = grown, 0
+	}
+	e.ring[(e.head+e.n)&(len(e.ring)-1)] = d
+	e.n++
+	e.signal()
+}
+
+// pop dequeues the oldest datagram. When data is left behind it
+// re-signals ready, so a second receiver waiting on the endpoint is not
+// left asleep by a wakeup the first one consumed.
+func (e *Endpoint) pop() (datagram, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.n == 0 {
+		return datagram{}, false
+	}
+	d := e.ring[e.head]
+	e.ring[e.head] = datagram{}
+	e.head = (e.head + 1) & (len(e.ring) - 1)
+	e.n--
+	if e.n > 0 {
+		e.signal()
+	}
+	return d, true
+}
+
+// signal leaves a token on ready unless one is already there.
+func (e *Endpoint) signal() {
+	select {
+	case e.ready <- struct{}{}:
+	default:
+	}
 }
 
 // Bind attaches the endpoint to an address.
@@ -75,40 +128,36 @@ func (e *Endpoint) SendTo(dst string, payload []byte) errno.Errno {
 	e.mu.Lock()
 	from := e.addr
 	e.mu.Unlock()
-	d := datagram{payload: append([]byte(nil), payload...), from: from}
-	select {
-	case target.q <- d:
-		return errno.OK
-	default:
-		return errno.OK // dropped, like UDP under pressure
-	}
+	target.push(datagram{payload: append([]byte(nil), payload...), from: from})
+	return errno.OK
 }
 
 // RecvFrom blocks up to timeoutMs for a datagram (0 = poll, <0 = wait
 // forever).
 func (e *Endpoint) RecvFrom(timeoutMs int) ([]byte, string, errno.Errno) {
+	if d, ok := e.pop(); ok {
+		return d.payload, d.from, errno.OK
+	}
 	if timeoutMs == 0 {
+		return nil, "", errno.EAGAIN
+	}
+	var expired <-chan time.Time // nil: wait forever
+	if timeoutMs > 0 {
+		timer := time.NewTimer(time.Duration(timeoutMs) * time.Millisecond)
+		defer timer.Stop()
+		expired = timer.C
+	}
+	for {
 		select {
-		case d := <-e.q:
-			return d.payload, d.from, errno.OK
-		default:
-			return nil, "", errno.EAGAIN
+		case <-e.ready:
+			// The token may be stale (another receiver took the data),
+			// so look and wait again if the queue is empty.
+			if d, ok := e.pop(); ok {
+				return d.payload, d.from, errno.OK
+			}
+		case <-expired:
+			return nil, "", errno.ETIMEDOUT
 		}
-	}
-	if timeoutMs < 0 {
-		d, ok := <-e.q
-		if !ok {
-			return nil, "", errno.EBADF
-		}
-		return d.payload, d.from, errno.OK
-	}
-	timer := time.NewTimer(time.Duration(timeoutMs) * time.Millisecond)
-	defer timer.Stop()
-	select {
-	case d := <-e.q:
-		return d.payload, d.from, errno.OK
-	case <-timer.C:
-		return nil, "", errno.ETIMEDOUT
 	}
 }
 
@@ -132,7 +181,11 @@ func (e *Endpoint) Close() {
 }
 
 // Pending returns the queued datagram count (tests and monitors).
-func (e *Endpoint) Pending() int { return len(e.q) }
+func (e *Endpoint) Pending() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.n
+}
 
 // Drop removes and discards one queued datagram at addr, reporting
 // whether one was queued. It models a zero-depth receive buffer: a
@@ -148,10 +201,6 @@ func (n *Network) Drop(addr string) bool {
 	if !ok {
 		return false
 	}
-	select {
-	case <-e.q:
-		return true
-	default:
-		return false
-	}
+	_, dropped := e.pop()
+	return dropped
 }
