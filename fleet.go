@@ -247,15 +247,5 @@ var PatchWorkerSystem = exec.PatchWorkerSystem
 // listener is bound to a wildcard or NAT'd interface); empty means the
 // listener's own address.
 func ServeRegistered(ctx context.Context, ln net.Listener, workers int, logw io.Writer, registry, advertise string) error {
-	opts := exec.ServeOptions{Workers: workers, Log: logw}
-	if registry != "" {
-		if advertise == "" {
-			advertise = ln.Addr().String()
-		}
-		opts.Counters = new(exec.ServeCounters)
-		agent := fleetd.NewAgent(registry, exec.WorkerRegistration(advertise, workers), opts.Counters.Stats)
-		agent.Log = logw
-		go agent.Run(ctx)
-	}
-	return exec.ServeWith(ctx, ln, opts)
+	return exec.ServeRegistered(ctx, ln, exec.ServeOptions{Workers: workers, Log: logw}, registry, advertise)
 }

@@ -230,14 +230,7 @@ func RunNContext(ctx context.Context, workers, n int, run func(i int) (Outcome, 
 // each), so with a fixed seed the result is identical to the sequential
 // Campaign. workers <= 1 degrades to the sequential path.
 func CampaignParallel(tgt Target, scenarios []*scenario.Scenario, workers int, opts ...core.Option) ([]Outcome, error) {
-	return CampaignParallelContext(context.Background(), tgt, scenarios, workers, opts...)
-}
-
-// CampaignParallelContext is CampaignParallel under a context: on
-// cancellation, in-flight tests finish, no new test starts, and the
-// contiguous prefix of completed outcomes comes back with ctx.Err().
-func CampaignParallelContext(ctx context.Context, tgt Target, scenarios []*scenario.Scenario, workers int, opts ...core.Option) ([]Outcome, error) {
-	return RunNContext(ctx, workers, len(scenarios), func(i int) (Outcome, error) {
+	return RunNContext(context.Background(), workers, len(scenarios), func(i int) (Outcome, error) {
 		o, err := RunOne(tgt, scenarios[i], opts...)
 		if err != nil {
 			return o, fmt.Errorf("controller: scenario %q: %w", scenarios[i].Name, err)

@@ -151,21 +151,8 @@ func (x *Index) Pos(id string) (int, bool) {
 // ID returns the block ID at position i.
 func (x *Index) ID(i int) string { return x.ids[i] }
 
-// Compress encodes a set of block IDs as a bitset over this universe.
-// Unknown IDs are dropped — recorded footprints are only trusted where
-// the block still exists (see the explorer's replay rules).
-func (x *Index) Compress(ids []string) Bitset {
-	b := NewBitset(len(x.ids))
-	for _, id := range ids {
-		if p, ok := x.pos[id]; ok {
-			b.Set(p)
-		}
-	}
-	return b
-}
-
 // AppendIDs materializes the bitset's blocks as sorted IDs appended to
-// dst — the JSON-boundary inverse of Compress (sorted because the
+// dst — the JSON-boundary form of a footprint (sorted because the
 // universe is).
 func (x *Index) AppendIDs(dst []string, b Bitset) []string {
 	for w, word := range b {

@@ -26,7 +26,7 @@ type Block struct {
 type Tracker struct {
 	mu      sync.Mutex
 	blocks  map[string]*Block
-	scratch []string // reused by CoveredIDs/CoveredRecoveryIDs
+	scratch []string // reused by CoveredIDs
 }
 
 // New creates an empty tracker.
@@ -117,8 +117,8 @@ func (t *Tracker) stats(recoveryOnly bool) Stats {
 
 // CoveredIDs returns the IDs of blocks executed at least once, sorted.
 // The returned slice is tracker-owned scratch, invalidated by the next
-// CoveredIDs/CoveredRecoveryIDs call — callers that retain it (store
-// and wire serialization boundaries) must copy.
+// CoveredIDs call — callers that retain it (store and wire
+// serialization boundaries) must copy.
 func (t *Tracker) CoveredIDs() []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -158,24 +158,6 @@ func (t *Tracker) RecoveryIDs() []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// CoveredRecoveryIDs returns the IDs of recovery blocks executed at
-// least once, sorted — the per-run footprint the fault-space explorer
-// attributes to each scenario. Like CoveredIDs it returns tracker-owned
-// scratch; retaining callers must copy.
-func (t *Tracker) CoveredRecoveryIDs() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.scratch[:0]
-	for id, b := range t.blocks {
-		if b.Recovery && b.Hits > 0 {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	t.scratch = out
 	return out
 }
 

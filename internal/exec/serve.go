@@ -87,14 +87,8 @@ func MaybeWorker() {
 			os.Exit(1)
 		}
 		fmt.Printf("listening %s\n", ln.Addr())
-		opts := ServeOptions{Workers: jobs}
 		ctx := context.Background()
-		if reg := os.Getenv(EnvRegister); reg != "" {
-			opts.Counters = new(ServeCounters)
-			agent := fleetd.NewAgent(reg, WorkerRegistration(ln.Addr().String(), jobs), opts.Counters.Stats)
-			go agent.Run(ctx)
-		}
-		if err := ServeWith(ctx, ln, opts); err != nil && ctx.Err() == nil {
+		if err := ServeRegistered(ctx, ln, ServeOptions{Workers: jobs}, os.Getenv(EnvRegister), ""); err != nil && ctx.Err() == nil {
 			fmt.Fprintln(os.Stderr, "lfi exec serve:", err)
 			os.Exit(1)
 		}
@@ -102,13 +96,30 @@ func MaybeWorker() {
 	}
 }
 
+// ServeRegistered is ServeWith plus fleet membership: when registry is
+// non-empty the worker self-registers there and heartbeats its
+// execution counters until ctx ends, re-registering whenever the
+// registry forgets it. advertise overrides the announced dial-back
+// address; empty means the listener's own address.
+func ServeRegistered(ctx context.Context, ln net.Listener, opts ServeOptions, registry, advertise string) error {
+	if registry != "" {
+		if advertise == "" {
+			advertise = ln.Addr().String()
+		}
+		opts.Counters = new(ServeCounters)
+		agent := fleetd.NewAgent(registry, workerRegistration(advertise, opts.Workers), opts.Counters.Stats)
+		agent.Log = opts.Log
+		go agent.Run(ctx)
+	}
+	return ServeWith(ctx, ln, opts)
+}
+
 // PatchWorkerSystem replaces the registered system named in spec
-// ("system:function") with a copy whose image carries the inert
-// one-function patch of impact.PatchFunc. Execution is unchanged (the
-// patch is behavior-preserving by construction), but the image hash
-// and the function's fingerprint differ — this process now looks like
-// a worker built from a different commit, which is exactly what the
-// mixed-build reconciliation tests need.
+// ("system:function") with its PatchSystem copy. Execution is unchanged
+// (the patch is behavior-preserving by construction), but the image
+// hash and the function's fingerprint differ — this process now looks
+// like a worker built from a different commit, which is exactly what
+// the mixed-build reconciliation tests need.
 func PatchWorkerSystem(spec string) error {
 	name, fn, ok := strings.Cut(spec, ":")
 	if !ok || name == "" || fn == "" {
@@ -118,27 +129,38 @@ func PatchWorkerSystem(spec string) error {
 	if !ok {
 		return fmt.Errorf("exec: patch: system %q not registered (have: %v)", name, system.Names())
 	}
-	orig := d.Binary
-	b, _ := orig()
-	if _, err := impact.PatchFunc(b, fn); err != nil {
+	nd, err := PatchSystem(d, fn)
+	if err != nil {
 		return fmt.Errorf("exec: patch %s: %w", spec, err)
 	}
+	return system.Replace(nd)
+}
+
+// PatchSystem returns a detached copy of d whose program image carries
+// the inert one-function patch of impact.PatchFunc: fn's fingerprint and
+// the image version move, behavior does not.
+func PatchSystem(d *system.Descriptor, fn string) (*system.Descriptor, error) {
+	b, _ := d.Binary()
+	if _, err := impact.PatchFunc(b, fn); err != nil {
+		return nil, err
+	}
 	nd := *d
+	orig := d.Binary
 	nd.Binary = func() (*isa.Binary, map[string]uint64) {
 		b, offs := orig()
 		pb, err := impact.PatchFunc(b, fn)
 		if err != nil {
-			return b, offs
+			return b, offs // validated above; cannot happen
 		}
 		return pb, offs
 	}
-	return system.Replace(&nd)
+	return &nd, nil
 }
 
-// WorkerRegistration describes this process as a fleet worker: the
+// workerRegistration describes this process as a fleet worker: the
 // registry record `lfi serve -register` announces, advertising the
 // same systems and image versions the hello exchange does.
-func WorkerRegistration(addr string, workers int) fleetd.Worker {
+func workerRegistration(addr string, workers int) fleetd.Worker {
 	return fleetd.Worker{
 		Addr:     addr,
 		Capacity: workers,

@@ -151,14 +151,11 @@ type Config struct {
 	// Target builds the controller target, merging each run's
 	// coverage into the given tracker (the TargetWithCoverage shape).
 	Target func(*coverage.Tracker) controller.Target
-	// BlockForSite maps a (callee, call site offset) to the recovery
-	// block its error path executes, when the application's site map
-	// knows it. Optional; "" means unknown.
-	BlockForSite func(callee string, offset uint64) string
 	// BlockOffsets maps recovery-block IDs to their check sites' code
-	// offsets — the inverse view impact analysis walks. Optional; when
-	// empty, a resume after a code edit degrades to the conservative
-	// whole-shard fallback.
+	// offsets: the site map candidates name their target block from
+	// and impact analysis walks. Optional; when empty, candidates target
+	// no known block and a resume after a code edit degrades to the
+	// conservative whole-shard fallback.
 	BlockOffsets map[string]uint64
 
 	// StallBatches stops the run after this many consecutive batches
@@ -256,10 +253,9 @@ type Result struct {
 
 // MixedSummary reports how outcomes from workers running a *different*
 // image version were reconciled instead of dropped: per foreign image,
-// the function-level diff bounds what the divergence can reach
-// (internal/impact); outcomes whose coverage the divergence provably
-// cannot touch fold in and adopt into the store, everything else
-// re-executes on a build-matched backend.
+// the stale-outcome rule (impact.go) adopts the outcomes the divergence
+// provably cannot reach into the store, and everything else re-executes
+// on a build-matched backend.
 type MixedSummary struct {
 	Images      []string // foreign image versions seen (sorted)
 	Migrated    int      // outcomes adopted — divergence cannot reach their coverage
@@ -315,6 +311,7 @@ func Generate(cfg Config) []*Candidate {
 	var out []*Candidate
 	seen := make(map[string]bool)
 	hashes := impact.NewHasher(cfg.Binary)
+	blocks := blockAt(cfg.BlockOffsets)
 	add := func(c *Candidate) {
 		c.Hash = contentHash(c.Scenario)
 		if seen[c.Hash] {
@@ -334,7 +331,7 @@ func Generate(cfg Config) []*Candidate {
 		if site.Class != callsite.Checked {
 			for _, code := range site.Missing {
 				for _, e := range errnosFor(cfg.Profiles, site.Callee, code) {
-					add(stackCandidate(cfg, site, code, e, Vulnerable))
+					add(stackCandidate(cfg, site, code, e, Vulnerable, blocks[site.Offset]))
 				}
 			}
 		}
@@ -345,7 +342,7 @@ func Generate(cfg Config) []*Candidate {
 		}
 		for _, code := range codes {
 			for _, e := range errnosFor(cfg.Profiles, site.Callee, code) {
-				add(stackCandidate(cfg, site, code, e, Exercise))
+				add(stackCandidate(cfg, site, code, e, Exercise, blocks[site.Offset]))
 			}
 		}
 	}
@@ -369,7 +366,17 @@ func Generate(cfg Config) []*Candidate {
 	return out
 }
 
-func stackCandidate(cfg Config, site callsite.Site, code int64, e errno.Errno, kind Kind) *Candidate {
+// blockAt inverts the site map: the recovery block each check-site
+// offset guards.
+func blockAt(offs map[string]uint64) map[uint64]string {
+	m := make(map[uint64]string, len(offs))
+	for id, off := range offs {
+		m[off] = id
+	}
+	return m
+}
+
+func stackCandidate(cfg Config, site callsite.Site, code int64, e errno.Errno, kind Kind, block string) *Candidate {
 	name := fmt.Sprintf("explore-cs-%s-%s-%x-%d-%s", cfg.Binary.Name, site.Callee, site.Offset, code, e)
 	bld := scenario.NewBuilder(name)
 	cs := bld.Trigger(fmt.Sprintf("%x", site.Offset), "CallStackTrigger", frameArgs(cfg.Binary.Name, site.Offset))
@@ -379,14 +386,10 @@ func stackCandidate(cfg Config, site callsite.Site, code int64, e errno.Errno, k
 	if err != nil {
 		panic("explore: generated scenario invalid: " + err.Error())
 	}
-	c := &Candidate{
+	return &Candidate{
 		Scenario: s, Kind: kind, Callee: site.Callee, Caller: site.Caller,
-		Offset: site.Offset, Code: code, Errno: e, Class: site.Class,
+		Offset: site.Offset, Code: code, Errno: e, Class: site.Class, Block: block,
 	}
-	if cfg.BlockForSite != nil {
-		c.Block = cfg.BlockForSite(site.Callee, site.Offset)
-	}
-	return c
 }
 
 func occurrenceCandidate(cfg Config, fn string, n uint64, code int64, e errno.Errno) *Candidate {
@@ -530,9 +533,9 @@ type explorer struct {
 	spawned     int
 
 	// reval holds per-candidate re-validation boosts assigned by the
-	// impact plan: candidates whose cached outcome an image edit may
-	// have affected jump the queue, ordered by expected gain under the
-	// store's persisted EWMA cost model.
+	// stale-outcome rule: candidates whose cached outcome a code or
+	// fault-profile edit may have affected jump the queue (see
+	// buildDiff.revalBoost).
 	reval map[string]float64
 
 	// static is the interprocedural prior: final site class by call
@@ -541,21 +544,14 @@ type explorer struct {
 	// caller provably checks rank below recovery exercising.
 	static map[uint64]callsite.Class
 
-	// profileChanged marks callees whose library fault profile changed
-	// since the store's last save (impact.DiffProfiles): their cached
-	// outcomes were produced under a different fault model and must
-	// re-validate even though no code byte — and so no store key —
-	// moved (nil when nothing changed).
-	profileChanged map[string]bool
-
 	// Mixed-build reconciliation state: this coordinator's image
-	// version and function fingerprints, plus — per foreign image
-	// version some worker reported — the impact set bounding what the
-	// build divergence can reach (lazily computed from the worker's
-	// own fingerprints; a fallback set when it cannot be bounded).
+	// version and function fingerprints, plus the stale-outcome rule per
+	// foreign image version some worker reported (built from the
+	// worker's own fingerprints; a fallback set when they cannot be
+	// fetched).
 	imageVersion string
 	funcHashes   map[string]string
-	mixed        map[string]*mixedImage
+	mixed        map[string]*buildDiff
 	mixedSum     *MixedSummary
 
 	// uniSame memoizes which outcome universes are bit-compatible with
@@ -788,7 +784,7 @@ func newRun(cfg Config) (*run, error) {
 	x.imageRegion = x.hashes.Image()
 	x.imageVersion = ImageVersion(cfg.Binary)
 	x.funcHashes = impact.FuncHashes(cfg.Binary)
-	x.mixed = make(map[string]*mixedImage)
+	x.mixed = make(map[string]*buildDiff)
 	res := &Result{System: cfg.System, Candidates: len(cands)}
 
 	// Baseline: the default suite with no injection. This registers
@@ -814,8 +810,7 @@ func newRun(cfg Config) (*run, error) {
 	// mutation chain replays to its fixpoint and a resumed run against
 	// an unchanged target still executes nothing.
 	var store *Store
-	var plan *impactPlan
-	var sum *ImpactSummary
+	var stale *buildDiff
 	profHashes := impact.ProfileHashes(cfg.Profiles)
 	if cfg.Store != "" {
 		var err error
@@ -828,33 +823,12 @@ func newRun(cfg Config) (*run, error) {
 		if cost, ok := store.CostModel(); ok {
 			cfg.Exec.SeedCost(cfg.System, cost)
 		}
-		// Diff-aware resume: when the store holds a previous image with
-		// function fingerprints, cached entries the code edit provably
-		// cannot reach migrate forward and the rest re-validate; with no
-		// fingerprints (or an edit the walk cannot bound) the candidates
-		// whose keys moved simply re-execute — whole-shard invalidation.
-		if plan = newImpactPlan(cfg, store); plan != nil {
-			sum = plan.sum
-			x.logf("explore %s: %s", cfg.System, plan.sum)
-		}
-		// A profile edit moves no code byte — every store key still
-		// matches — but the cached outcomes were produced under a
-		// different fault model. Diff the persisted profile fingerprints
-		// and force the affected callees' cached entries through
-		// re-execution, ahead of fresh candidates.
-		if prior, ok := store.PriorProfileHashes(); ok {
-			if changed := impact.DiffProfiles(prior, profHashes); len(changed) > 0 {
-				x.profileChanged = make(map[string]bool, len(changed))
-				for _, fn := range changed {
-					x.profileChanged[fn] = true
-				}
-				if sum == nil {
-					sum = &ImpactSummary{PrevImage: x.imageVersion}
-				}
-				sum.ProfilesChanged = changed
-				x.logf("explore %s: impact: %d callee profile(s) changed %v — re-validating their cached outcomes",
-					cfg.System, len(changed), changed)
-			}
+		// Diff-aware resume: the stale-outcome rule (impact.go) against
+		// the store's previous image and profile fingerprints decides
+		// per candidate whether its cached outcome replays, migrates
+		// forward, or re-validates.
+		if stale = storeDiff(cfg, store, x.funcHashes, profHashes); stale != nil {
+			res.Impact = stale.summary(x.imageVersion)
 		}
 		// Record this image's function and profile fingerprints so the
 		// *next* session can diff against us without the old binary or
@@ -866,17 +840,11 @@ func newRun(cfg Config) (*run, error) {
 	// Static prior: refine the windowed site classes across frames
 	// (package callgraph) and hand the final classes to the scheduler.
 	// Summaries persisted by an earlier session are reused for every
-	// function the current build left untouched — but only under an
-	// unchanged fault-profile set, since a profile edit changes the
-	// site universe the summaries describe. The fresh summary set is
-	// staged for this image's manifest so the next session (lint or
-	// explore) diffs against us.
-	var priorSums callgraph.Summaries
-	if sums, _, ok := store.PriorSummaries(); ok {
-		if prev, pok := store.PriorProfileHashes(); pok && sameHashes(prev, profHashes) {
-			priorSums = sums
-		}
-	}
+	// function the current build left untouched, under an unchanged
+	// fault-profile set. The fresh summary set is staged for this
+	// image's manifest so the next session (lint or explore) diffs
+	// against us.
+	priorSums, _ := store.reusableSummaries(profHashes)
 	inter := callgraph.AnalyzeIncremental(cfg.Binary, cfg.Profiles, priorSums)
 	x.static = make(map[uint64]callsite.Class, len(inter.Sites))
 	for _, st := range inter.Sites {
@@ -890,39 +858,17 @@ func newRun(cfg Config) (*run, error) {
 	for len(work) > 0 {
 		c := work[0]
 		work = work[1:]
-		e, ok := store.Lookup(c.key)
-		if ok && x.profileChanged[c.Callee] {
-			// Cached under the old fault model: skip the replay and
-			// re-execute, failed entries boosted first — a bug found
-			// under the old profile is the outcome most worth
-			// re-confirming under the new one.
-			boost := 125.0
-			if e.Failed {
-				boost += 40
-			}
-			x.reval[c.Hash] = boost
-			sum.Revalidated++
-			ok = false
-		}
-		if !ok && plan != nil {
-			// The candidate's region hash moved (or it keys on the
-			// image and the image moved). If the previous image cached
-			// this scenario, decide per entry instead of per shard:
-			// migrate it forward when the edit provably cannot reach
-			// its recorded coverage, otherwise queue it for
-			// re-validation ahead of fresh candidates.
-			if oldKey, old, hit := plan.lookupOld(store, c); hit {
-				if c.Caller == "" && !plan.set.Intersects(old.Blocks) {
-					store.Adopt(oldKey, c.key, old)
-					e, ok = old, true
-					plan.sum.Migrated++
-				} else {
-					x.reval[c.Hash] = plan.revalBoost(old)
-					plan.sum.Revalidated++
-				}
-			}
-		}
-		if !ok {
+		v, e, oldKey := stale.classify(store, c)
+		switch v {
+		case adopt:
+			store.Adopt(oldKey, c.key, e)
+			res.Impact.Migrated++
+		case revalidate:
+			x.reval[c.Hash] = stale.revalBoost(c, e)
+			res.Impact.Revalidated++
+			pending = append(pending, c)
+			continue
+		case miss:
 			pending = append(pending, c)
 			continue
 		}
@@ -950,23 +896,10 @@ func newRun(cfg Config) (*run, error) {
 	if res.Replayed > 0 {
 		x.logf("explore %s: replayed %d cached outcomes from %s", cfg.System, res.Replayed, cfg.Store)
 	}
-	if sum != nil {
-		res.Impact = sum
+	if res.Impact != nil {
+		x.logf("explore %s: %s", cfg.System, res.Impact)
 	}
 	return &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, begin: begin, ownExec: ownExec}, nil
-}
-
-// sameHashes reports whether two fingerprint maps are identical.
-func sameHashes(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // done reports whether scheduling is finished: queue drained or
@@ -1123,47 +1056,31 @@ func (x *explorer) takeBatch(pending []*Candidate, size int) (batch, rest []*Can
 	return pending[:size], pending[size:]
 }
 
-// mixedImage is the reconciliation state for one foreign worker image:
-// the worker's own function fingerprints and the impact set bounding
-// which recovery blocks its divergence from our image can reach.
-type mixedImage struct {
-	set   *impact.Set
-	funcs map[string]string
-}
-
-// mixedImageFor resolves (memoized) the reconciliation state for a
-// foreign image version some worker reported. The fingerprints come
-// from the worker itself over the proto-3 "funcs" RPC, routed through
-// the fleet; when no live backend can serve them the set degrades to a
-// fallback that intersects everything, so every outcome from that
-// image re-validates — never adopts on a bound we cannot prove.
-func (x *explorer) mixedImageFor(image string) *mixedImage {
-	if m, ok := x.mixed[image]; ok {
-		return m
+// foreign resolves (memoized) the stale-outcome rule for a foreign
+// image version some worker reported. The fingerprints come from the
+// worker itself over the "funcs" RPC, routed through the fleet; when no
+// live backend can serve them the impact set falls back to one that
+// intersects everything, so every outcome from that image re-validates
+// — never adopts on a bound we cannot prove.
+func (x *explorer) foreign(image string) *buildDiff {
+	if d, ok := x.mixed[image]; ok {
+		return d
 	}
-	m := &mixedImage{}
+	var why string
 	theirs, err := x.cfg.Exec.FuncsForImage(x.cfg.System, image)
-	switch {
-	case err != nil:
-		m.set = &impact.Set{Fallback: true, Reason: err.Error()}
-	default:
-		m.funcs = theirs
-		d := impact.DiffFuncs(theirs, x.funcHashes)
-		if d.Empty() {
-			m.set = &impact.Set{Fallback: true, Reason: "image differs outside function symbols"}
-		} else {
-			m.set = impact.Compute(x.cfg.Binary, d, x.cfg.BlockOffsets)
-		}
+	if err != nil {
+		why = err.Error()
 	}
-	x.mixed[image] = m
+	d := newBuildDiff(x.cfg, x.funcHashes, image, theirs, why)
+	x.mixed[image] = d
 	if x.mixedSum == nil {
 		x.mixedSum = &MixedSummary{}
 	}
 	x.mixedSum.Images = append(x.mixedSum.Images, image)
 	sort.Strings(x.mixedSum.Images)
 	x.logf("explore %s: worker image %s differs from ours (%s): %s",
-		x.cfg.System, image, x.imageVersion, mixedBound(m.set))
-	return m
+		x.cfg.System, image, x.imageVersion, mixedBound(d.set))
+	return d
 }
 
 // mixedBound renders what the reconciliation decided for a log line.
@@ -1171,22 +1088,7 @@ func mixedBound(s *impact.Set) string {
 	if s.Fallback {
 		return "divergence unbounded (" + s.Reason + "); all its outcomes re-validate"
 	}
-	return fmt.Sprintf("%d changed fn, %d impacted blocks; disjoint outcomes adopt", len(s.Changed), len(s.Blocks))
-}
-
-// foreignKey derives the store key the candidate would have under the
-// foreign image — the provenance Adopt records when an outcome
-// migrates across the build divergence. "" when the foreign region
-// cannot be named (no fingerprint for the caller).
-func (m *mixedImage) foreignKey(c *Candidate, image string) string {
-	region := regionOfImage(image)
-	if c.Caller != "" {
-		region = m.funcs[c.Caller]
-	}
-	if region == "" {
-		return ""
-	}
-	return c.Hash + "@" + region
+	return fmt.Sprintf("%d changed fn, %d impacted blocks; unaffected outcomes adopt", len(s.Changed), len(s.Blocks))
 }
 
 // runBatch dispatches one batch across the execution fleet, then folds
@@ -1234,22 +1136,22 @@ func (x *explorer) runBatch(ctx context.Context, index int, batch []*Candidate, 
 		covBlocks := out.BlockIDs()
 
 		// Mixed build: the worker executed a different image version
-		// than the coordinator analyzed. Bound the divergence with the
-		// worker's own function fingerprints: an outcome whose recorded
-		// coverage the divergence provably cannot reach folds in (and
+		// than the coordinator analyzed. The stale-outcome rule, built
+		// from the worker's own function fingerprints, decides: an
+		// outcome the divergence provably cannot reach folds in (and
 		// adopts into the store with foreign-key provenance); anything
 		// else is discarded here and re-executed on a build-matched
 		// backend — reconciled, never silently dropped.
 		var adoptKey string
 		if out.Image != "" && out.Image != x.imageVersion {
-			m := x.mixedImageFor(out.Image)
-			if m.set.Intersects(covBlocks) {
+			d := x.foreign(out.Image)
+			if !d.adoptable(c, covBlocks) {
 				x.mixedSum.Revalidated++
 				reval = append(reval, c)
 				continue
 			}
 			x.mixedSum.Migrated++
-			adoptKey = m.foreignKey(c, out.Image)
+			adoptKey = d.oldKey(c)
 		}
 		if out.CovU != nil && x.sameUniverse(out.CovU) {
 			// Bitset fast path: the outcome's universe matches ours, so

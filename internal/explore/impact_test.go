@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,6 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"lfi/internal/exec"
+	"lfi/internal/impact"
+	"lfi/internal/isa"
 	"lfi/internal/profile"
 )
 
@@ -375,6 +379,24 @@ func TestDiffReport(t *testing.T) {
 	if rep2.PrevImage == "" && rep2.Entries == 0 {
 		t.Fatalf("identical-binary diff lost the store: %+v", rep2)
 	}
+
+	// A fault-profile edit moves no code byte, yet the diff previews it
+	// with the resume's own rule: the changed callee's cached entries
+	// re-validate — the 40 TestImpactProfileEdit's resume re-validates.
+	cfg3 := minidbConfig(t)
+	cfg3.Store = cfg.Store
+	cfg3.Profiles = dupReturnProfiles(t, cfg3.Profiles, "read")
+	rep3, err := Diff(cfg3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep3.ProfilesChanged, []string{"read"}) || rep3.Revalidate != 40 || rep3.Migratable != 0 || rep3.Missing != 0 {
+		t.Fatalf("profile-edit diff: profiles %v, %d revalidate, %d migratable, %d missing; want [read], 40, 0, 0",
+			rep3.ProfilesChanged, rep3.Revalidate, rep3.Migratable, rep3.Missing)
+	}
+	if out := rep3.String(); !strings.Contains(out, "fault profiles changed (1): read") || strings.Contains(out, "nothing to diff") {
+		t.Fatalf("profile-edit diff report %q does not name the edit", out)
+	}
 }
 
 // TestStoreEntryStampRetentionPrune: entries are stamped with the
@@ -480,5 +502,135 @@ func TestStorePreviousImage(t *testing.T) {
 	}
 	if img, _, ok := st3.PreviousImage(); ok {
 		t.Fatalf("current image offered as its own diff base: %q", img)
+	}
+}
+
+// TestImpactProfileEditAgedStore: a fault-profile edit re-validates the
+// changed callee's cached outcomes even when the store still retains an
+// older image the resume diffs code against. Explore image A, then B
+// (one-function patch), then B with read's profile edited: the third
+// resume must execute exactly what the same edit costs on a store that
+// only ever held B, migrate nothing across the profile edit, and count
+// each re-validated entry once.
+func TestImpactProfileEditAgedStore(t *testing.T) {
+	const changed = "read"
+	base := minidbConfig(t)
+	imageB := patched(t, base.Binary, "errmsg_load")
+	edited := dupReturnProfiles(t, base.Profiles, changed)
+
+	control := base
+	control.Binary = imageB
+	control.Store = filepath.Join(t.TempDir(), "store")
+	if _, err := exploreOne(control); err != nil {
+		t.Fatal(err)
+	}
+	control.Profiles = edited
+	want, err := exploreOne(control)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	aged := base
+	aged.Store = filepath.Join(t.TempDir(), "store")
+	first, err := exploreOne(aged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aged.Binary = imageB
+	if _, err := exploreOne(aged); err != nil {
+		t.Fatal(err)
+	}
+	aged.Profiles = edited
+	got, err := exploreOne(aged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Impact == nil || !reflect.DeepEqual(got.Impact.ProfilesChanged, []string{changed}) {
+		t.Fatalf("aged-store profile edit: impact %+v, want profiles [%s]", got.Impact, changed)
+	}
+	if want.Executed != 176 || got.Executed != want.Executed {
+		t.Fatalf("aged-store profile edit executed %d, B-only store %d; want both 176", got.Executed, want.Executed)
+	}
+	if got.Impact.Migrated != 0 || got.Impact.Revalidated != 40 {
+		t.Fatalf("aged-store profile edit migrated %d, revalidated %d; want 0, 40 (cached under the old fault model, counted once)",
+			got.Impact.Migrated, got.Impact.Revalidated)
+	}
+	if got.Executed+got.Replayed != first.Executed {
+		t.Fatalf("executed %d + replayed %d, want total %d", got.Executed, got.Replayed, first.Executed)
+	}
+	if !reflect.DeepEqual(bugSigs(want), bugSigs(got)) {
+		t.Fatalf("bug signatures diverged:\n%v\nvs\n%v", bugSigs(want), bugSigs(got))
+	}
+}
+
+// foreignExec is a local backend posing as a worker built from another
+// commit: it executes our image in process (the patch it advertises is
+// inert, so outcomes are identical) but reports bin's image version and
+// function fingerprints, and stamps its outcomes with that version.
+type foreignExec struct {
+	*exec.Local
+	image string
+	funcs map[string]string
+}
+
+func newForeignExec(bin *isa.Binary, workers int) *foreignExec {
+	return &foreignExec{Local: exec.NewLocal(workers), image: ImageVersion(bin), funcs: impact.FuncHashes(bin)}
+}
+
+func (f *foreignExec) ImageVersion(string) string { return f.image }
+
+func (f *foreignExec) FuncFingerprints(string) (map[string]string, error) { return f.funcs, nil }
+
+func (f *foreignExec) Run(ctx context.Context, b *exec.Batch) ([]*exec.Outcome, error) {
+	outs, err := f.Local.Run(ctx, b)
+	for _, o := range outs {
+		if o != nil {
+			o.Image = f.image
+		}
+	}
+	return outs, err
+}
+
+// TestMixedBuildCallerGuard: outcomes a worker of another build returns
+// follow the same adopt rule as a resume. A call-stack outcome whose
+// enclosing function differs between the two builds re-validates on a
+// build-matched backend even when its coverage misses the impact set;
+// only outcomes the divergence provably cannot reach adopt. The foreign
+// backend reports the same name as the local one, so the fleet prices
+// both identically and splits every batch the same way on every run —
+// which makes the counts pinnable.
+func TestMixedBuildCallerGuard(t *testing.T) {
+	const changed = "errmsg_load"
+	cfg := minidbConfig(t)
+	baseline, err := exploreOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	foreign := newForeignExec(patched(t, cfg.Binary, changed), 2)
+	cfg.Exec = exec.NewFleet(exec.NewLocal(2), foreign)
+	cfg.Store = filepath.Join(t.TempDir(), "store")
+	res, err := exploreOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Mixed == nil || !reflect.DeepEqual(res.Mixed.Images, []string{foreign.image}) {
+		t.Fatalf("mixed summary %+v, want the foreign image %s", res.Mixed, foreign.image)
+	}
+	if res.Mixed.Migrated != 170 || res.Mixed.Revalidated != 18 {
+		t.Fatalf("mixed build adopted %d, re-validated %d; want 170, 18", res.Mixed.Migrated, res.Mixed.Revalidated)
+	}
+	if !reflect.DeepEqual(bugSigs(baseline), bugSigs(res)) || res.Final.BlocksCovered != baseline.Final.BlocksCovered {
+		t.Fatalf("mixed fleet diverged from local: bugs %v vs %v, coverage %d vs %d",
+			bugSigs(res), bugSigs(baseline), res.Final.BlocksCovered, baseline.Final.BlocksCovered)
+	}
+
+	cfg.Exec = nil
+	again, err := exploreOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Executed != 0 {
+		t.Fatalf("resume after the mixed-build campaign executed %d runs, want 0", again.Executed)
 	}
 }

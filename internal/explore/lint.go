@@ -68,13 +68,7 @@ func Lint(cfg Config) (*LintReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		if sums, img, ok := store.PriorSummaries(); ok {
-			// A profile edit changes the site universe the summaries
-			// describe; reuse only under an identical fault model.
-			if prev, pok := store.PriorProfileHashes(); pok && sameHashes(prev, profHashes) {
-				prior, baseline = sums, img
-			}
-		}
+		prior, baseline = store.reusableSummaries(profHashes)
 	}
 
 	a := callgraph.AnalyzeIncremental(cfg.Binary, cfg.Profiles, prior)
@@ -90,10 +84,7 @@ func Lint(cfg Config) (*LintReport, error) {
 		Reused:        a.Reused,
 		Baseline:      baseline,
 	}
-	blockAt := make(map[uint64]string, len(cfg.BlockOffsets))
-	for id, off := range cfg.BlockOffsets {
-		blockAt[off] = id
-	}
+	blocks := blockAt(cfg.BlockOffsets)
 	for _, s := range a.Sites {
 		ls := LintSite{
 			Offset: s.Offset,
@@ -101,7 +92,7 @@ func Lint(cfg Config) (*LintReport, error) {
 			Caller: s.Caller,
 			Intra:  s.Intra.String(),
 			Final:  s.Final.String(),
-			Block:  blockAt[s.Offset],
+			Block:  blocks[s.Offset],
 		}
 		if s.DeadRecovery && ls.Block != "" {
 			ls.Dead = true

@@ -3,6 +3,7 @@ package explore
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -59,9 +60,9 @@ type Store struct {
 	// a later lint or explore session recomputes only the summaries an
 	// edit can reach.
 	summaries callgraph.Summaries
-	// adopted records old-image keys whose entries the impact plan
-	// migrated forward this run (Adopt), so compaction stats count them
-	// as migrated rather than invalidated.
+	// adopted records old-image keys whose entries the stale-outcome
+	// rule migrated forward this run (Adopt), so compaction stats count
+	// them as migrated rather than invalidated.
 	adopted map[string]bool
 
 	// migrated/invalidated are computed by Save from the loaded sets:
@@ -116,10 +117,11 @@ type imageManifest struct {
 	Summaries callgraph.Summaries `json:"summaries,omitempty"`
 }
 
-// shardFile is the on-disk shape of one shard.
+// shardFile is the on-disk shape of one shard. Its region is its file
+// name, never a field inside it: a base name cannot carry a path
+// separator, so no shard can point Save outside the store.
 type shardFile struct {
 	System  string           `json:"system"`
-	Region  string           `json:"region"`
 	Entries map[string]Entry `json:"entries"`
 }
 
@@ -226,10 +228,7 @@ func (s *Store) loadDir() error {
 		if sf.System != "" && sf.System != s.system {
 			continue
 		}
-		region := sf.Region
-		if region == "" {
-			region = strings.TrimSuffix(base, ".json")
-		}
+		region := strings.TrimSuffix(base, ".json")
 		loaded := make(map[string]bool, len(sf.Entries))
 		for scen := range sf.Entries {
 			loaded[scen] = true
@@ -317,7 +316,7 @@ func (s *Store) FlushShard(region string) error {
 		s.mu.Unlock()
 		return nil
 	}
-	sf := shardFile{System: s.system, Region: region, Entries: make(map[string]Entry, len(sh.entries))}
+	sf := shardFile{System: s.system, Entries: make(map[string]Entry, len(sh.entries))}
 	for k, v := range sh.entries {
 		sf.Entries[k] = v
 	}
@@ -464,8 +463,8 @@ func (s *Store) Save(currentKeys map[string]bool) error {
 	// Compaction stats: of the entries that were on disk when the store
 	// was opened, how many the current image's manifest can still
 	// replay — in place, or adopted forward across an image edit by the
-	// impact plan — vs how many it can no longer reach (their code
-	// region changed, or they were pruned).
+	// stale-outcome rule — vs how many it can no longer reach (their
+	// code region changed, or they were pruned).
 	current := make(map[string]bool, len(manifest.Shards))
 	for _, region := range manifest.Shards {
 		current[region] = true
@@ -581,23 +580,29 @@ func (s *Store) SetSummaries(sums callgraph.Summaries) {
 	s.summaries = sums
 }
 
-// PriorSummaries returns the most recently saved summary set and the
+// reusableSummaries returns the most recently saved summary set and the
 // image it was computed for — the reuse base for incremental
-// re-analysis. Like PriorProfileHashes it does not skip the current
-// image: an unchanged build should reuse every summary. ok is false
-// when no retained manifest recorded summaries.
-func (s *Store) PriorSummaries() (sums callgraph.Summaries, image string, ok bool) {
+// re-analysis — when it was recorded under the profile fingerprints
+// given: a profile edit changes the site universe the summaries
+// describe, so only an identical fault model reuses them. Like
+// PriorProfileHashes it does not skip the current image: an unchanged
+// build reuses every summary. nil when nothing is reusable.
+func (s *Store) reusableSummaries(profiles map[string]string) (callgraph.Summaries, string) {
 	if s == nil {
-		return nil, "", false
+		return nil, ""
+	}
+	prior, ok := s.PriorProfileHashes()
+	if !ok || !maps.Equal(prior, profiles) {
+		return nil, ""
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, m := range s.index.Images {
 		if len(m.Summaries) > 0 {
-			return m.Summaries, m.Image, true
+			return m.Summaries, m.Image
 		}
 	}
-	return nil, "", false
+	return nil, ""
 }
 
 // SaveSummaries persists a summary set for the current image by

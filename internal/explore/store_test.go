@@ -2,9 +2,11 @@ package explore
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -278,4 +280,113 @@ func TestStoreCostModelRoundTrip(t *testing.T) {
 		got.Speed["local"] != 1200 || got.Speed["remote(h:1)"] != 3400 {
 		t.Fatalf("cost model mangled: %+v vs %+v", got, want)
 	}
+}
+
+// TestStoreShardRegionIsFileName: a shard's region is its file name,
+// never a field inside the file. A shard claiming the region
+// "../../victim" must not make Save reach outside the store: the file
+// two directories above the system's shard directory survives, and the
+// unreferenced shard itself is what gets collected.
+func TestStoreShardRegionIsFileName(t *testing.T) {
+	base := t.TempDir()
+	root := filepath.Join(base, "store")
+	dir := filepath.Join(root, "minidb")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	victim := filepath.Join(base, "victim.json")
+	if err := os.WriteFile(victim, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	evil := filepath.Join(dir, "evil.json")
+	if err := os.WriteFile(evil, []byte(`{"system":"minidb","region":"../../victim","entries":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadStore(root, "minidb", "img@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Put("s@rrrr", Entry{Name: "s"})
+	if err := st.Save(map[string]bool{"s@rrrr": true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(victim); err != nil {
+		t.Fatalf("Save removed a file outside the store: %v", err)
+	}
+	if _, err := os.Stat(evil); !os.IsNotExist(err) {
+		t.Fatalf("unreferenced shard evil.json not collected: %v", err)
+	}
+}
+
+// FuzzStoreLoad feeds arbitrary bytes to LoadStore as index.json and as
+// one shard file. Loading never panics and fails only on a
+// foreign-system index; a following Put + Save creates and removes
+// nothing outside the store directory; and a reload returns the Put
+// entry.
+func FuzzStoreLoad(f *testing.F) {
+	f.Add([]byte(`{"system":"minidb","images":[{"image":"img@1","shards":["rrrr"]}]}`),
+		[]byte(`{"system":"minidb","region":"../../victim","entries":{}}`))
+	f.Add([]byte(`{"system":"other"}`), []byte(`{"system":"minidb","entries":{"s":{"name":"x","image":"img@0"}}}`))
+	f.Add([]byte(`null`), []byte(`{"entries":{"a":{"blocks":["rec.x"]}}`))
+	f.Fuzz(func(t *testing.T, index, shard []byte) {
+		base := t.TempDir()
+		root := filepath.Join(base, "store")
+		dir := filepath.Join(root, "minidb")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, data := range map[string][]byte{
+			filepath.Join(base, "victim.json"): []byte("{}\n"),
+			filepath.Join(dir, "index.json"):   index,
+			filepath.Join(dir, "fuzz.json"):    shard,
+		} {
+			if err := os.WriteFile(name, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		outside := func() []string {
+			var paths []string
+			err := filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if p == root {
+					return filepath.SkipDir
+				}
+				paths = append(paths, p)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return paths
+		}
+		before := outside()
+
+		st, err := LoadStore(root, "minidb", "img@1")
+		if err != nil {
+			var idx struct{ System string }
+			if json.Unmarshal(index, &idx) == nil && idx.System != "" && idx.System != "minidb" {
+				return // a foreign-system index is refused, by design
+			}
+			t.Fatalf("LoadStore: %v", err)
+		}
+		want := Entry{Name: "probe", Blocks: []string{"rec.a"}, Injections: 1}
+		st.Put("probe@rrrr", want)
+		if err := st.Save(map[string]bool{"probe@rrrr": true}); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		if after := outside(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("Save touched paths outside the store:\nbefore %v\nafter  %v", before, after)
+		}
+		st2, err := LoadStore(root, "minidb", "img@1")
+		if err != nil {
+			t.Fatalf("reload: %v", err)
+		}
+		got, ok := st2.Lookup("probe@rrrr")
+		want.Image = "img@1"
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Fatalf("reload lost the Put entry: %+v, %v", got, ok)
+		}
+	})
 }

@@ -56,9 +56,10 @@ type StockBug struct {
 	StackWindowOnly bool
 }
 
-// Descriptor describes one testable target system. All fields up to
-// StockBugs are required; a nil BlockForSite falls back to the shared
-// "rec." + site-label convention derived from the Binary offset map.
+// Descriptor describes one testable target system. Name, Binary,
+// Target, TargetWithCoverage and Profiles are required. Recovery blocks
+// are named by the shared "rec." + site-label convention over the
+// Binary offset map.
 type Descriptor struct {
 	// Name is the registry key, the store directory name, and the
 	// system label on bug reports (e.g. "minidb").
@@ -81,10 +82,6 @@ type Descriptor struct {
 	// Profiles returns the fault profiles of the libraries the system
 	// links against (usually DefaultProfiles).
 	Profiles func() []*profile.Profile
-	// BlockForSite maps (callee, call-site offset) to the recovery
-	// block its error path executes, "" if unknown. Optional: nil uses
-	// the built-in convention ("rec." + the site label at that offset).
-	BlockForSite func(callee string, offset uint64) string
 	// StockBugs are the system's known Table-1 crash bugs.
 	StockBugs []StockBug
 }

@@ -48,9 +48,7 @@ import (
 	"lfi/internal/errno"
 	"lfi/internal/exec"
 	"lfi/internal/explore"
-	"lfi/internal/impact"
 	"lfi/internal/interpose"
-	"lfi/internal/isa"
 	"lfi/internal/libsim"
 	"lfi/internal/profile"
 	"lfi/internal/scenario"
@@ -248,14 +246,14 @@ type (
 	// StoreStats is a persistent store's compaction summary (shards,
 	// retained image versions, entries migrated vs invalidated).
 	StoreStats = explore.StoreStats
-	// ImpactSummary reports what the change-impact plan did on a
+	// ImpactSummary reports what the stale-outcome rule did on a
 	// resume after a code or fault-profile edit: functions diffed,
 	// recovery blocks reached, entries migrated intact vs queued for
 	// re-validation (ExploreResult.Impact).
 	ImpactSummary = explore.ImpactSummary
 	// DiffReport classifies the cached candidate space against a code
-	// edit without executing anything — the `lfi diff` shape (see
-	// Session.Diff).
+	// or fault-profile edit without executing anything — the `lfi diff`
+	// shape (see Session.Diff).
 	DiffReport = explore.DiffReport
 	// LintReport is the whole-program interprocedural analysis of one
 	// system — the `lfi lint` shape (see Session.Lint).
@@ -274,19 +272,9 @@ type (
 // twice restores the original image. The returned descriptor is a
 // detached copy, not registered.
 func PatchSystem(sys *System, fn string) (*System, error) {
-	bin, _ := sys.Binary()
-	if _, err := impact.PatchFunc(bin, fn); err != nil {
+	ps, err := exec.PatchSystem(sys, fn)
+	if err != nil {
 		return nil, fmt.Errorf("lfi: patching %s: %w", sys.Name, err)
 	}
-	ns := *sys
-	orig := sys.Binary
-	ns.Binary = func() (*isa.Binary, map[string]uint64) {
-		b, offs := orig()
-		pb, err := impact.PatchFunc(b, fn)
-		if err != nil {
-			return b, offs // validated above; cannot happen
-		}
-		return pb, offs
-	}
-	return &ns, nil
+	return ps, nil
 }
