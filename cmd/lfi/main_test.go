@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -23,7 +24,9 @@ import (
 // compute is pinned elsewhere — stock-bug rediscovery by the root
 // conformance test, lint tallies by its goldens, diff-aware resume
 // counts by internal/explore's impact tests, eviction and requeue by
-// TestFleetServiceSelfRegistration — so nothing here re-asserts it.
+// TestFleetServiceSelfRegistration — so nothing here re-asserts it,
+// except that TestExplorePool pins the subprocess pool to the local
+// backend's minidb figures.
 
 // lfiBin is the binary TestMain builds once for every test.
 var lfiBin string
@@ -296,6 +299,54 @@ func TestServeWorkersRemote(t *testing.T) {
 	}
 
 	run(t, 2, "explore", "-app", "minidb", "-no-local")
+}
+
+// TestExplorePool: `lfi explore -pool 2 -no-local` runs every test in
+// worker subprocesses and matches the local backend's figures for
+// minidb (376 executed, 35 signatures); an identical rerun under
+// default flags executes nothing; and SIGINT during a pool-only
+// `-all` campaign exits 130 promptly with the store flushed, so the
+// rerun replays what was folded.
+func TestExplorePool(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "s")
+	args := []string{"explore", "-app", "minidb", "-pool", "2", "-no-local", "-store", store, "-v"}
+	out, errOut := run(t, 0, args...)
+	mustMatch(t, "pool explore", out,
+		`(?m)^explore minidb: .*, 376 executed, 0 replayed, `,
+		`(?m)^  35 distinct failure signatures:$`)
+	mustMatch(t, "pool explore -v log", errOut, `backend pool\(2\) \(capacity 2, isolated true\)`)
+	out, _ = run(t, 0, args...)
+	mustMatch(t, "pool resume", out, `(?m)^explore minidb: .*, 0 executed, 376 replayed, `)
+
+	store2 := filepath.Join(t.TempDir(), "s2")
+	args = []string{"explore", "-all", "-pool", "2", "-no-local", "-store", store2}
+	cmd := exec.Command(lfiBin, append(args, "-v")...)
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Interrupt as soon as the first batch has been folded.
+	sc := bufio.NewScanner(stderr)
+	for sc.Scan() && !regexp.MustCompile(`: batch \d+: `).MatchString(sc.Text()) {
+	}
+	cmd.Process.Signal(os.Interrupt)
+	interrupted := time.Now()
+	hung := time.AfterFunc(10*time.Second, func() { cmd.Process.Kill() })
+	defer hung.Stop()
+	io.Copy(io.Discard, stderr)
+	err = cmd.Wait()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 130 {
+		t.Fatalf("lfi %s: interrupt gave %v, want exit 130", strings.Join(args, " "), err)
+	}
+	if d := time.Since(interrupted); d > 5*time.Second {
+		t.Fatalf("lfi %s: exited %v after SIGINT, want within 5s", strings.Join(args, " "), d)
+	}
+	out, _ = run(t, 0, args...)
+	mustMatch(t, "pool resume after interrupt", out, `(?m)^explore all: \d+ systems, \d+ executed, [1-9]\d* replayed, `)
 }
 
 // fleetStatus reads the registry's status document through the CLI.

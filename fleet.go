@@ -54,7 +54,7 @@ type fleetWatch struct {
 	registry string
 	fleet    *exec.Fleet
 	log      func(format string, args ...any)
-	dialed   map[string]bool // worker addr -> currently dialed
+	dialed   map[string]string // registration ID -> worker addr, currently dialed
 	stop     chan struct{}
 	done     chan struct{}
 }
@@ -64,12 +64,17 @@ type fleetWatch struct {
 func execName(addr string) string { return "remote(" + addr + ")" }
 
 // sync reconciles the fleet against one registry snapshot: dial and add
-// workers we do not have, retire workers the registry no longer lists.
+// registrations we do not have, retire workers the registry no longer
+// lists. Registrations are keyed by ID, not address: a worker that
+// restarts at the same address registers afresh under a new ID, so it
+// is dialed again and Fleet.Add swaps it in for its dead predecessor
+// (same name), clearing the dead mark its last BackendError left.
 func (w *fleetWatch) sync(workers []fleetd.Worker) (added, retired int) {
 	live := make(map[string]bool, len(workers))
+	liveAddr := make(map[string]bool, len(workers))
 	for _, rec := range workers {
-		live[rec.Addr] = true
-		if w.dialed[rec.Addr] {
+		live[rec.ID], liveAddr[rec.Addr] = true, true
+		if _, ok := w.dialed[rec.ID]; ok {
 			continue
 		}
 		r, err := exec.Dial(rec.Addr)
@@ -81,13 +86,18 @@ func (w *fleetWatch) sync(workers []fleetd.Worker) (added, retired int) {
 			continue
 		}
 		w.fleet.Add(r)
-		w.dialed[rec.Addr] = true
+		w.dialed[rec.ID] = rec.Addr
 		added++
 	}
-	for addr := range w.dialed {
-		if !live[addr] {
+	for id, addr := range w.dialed {
+		if live[id] {
+			continue
+		}
+		delete(w.dialed, id)
+		// A re-registration at the same address was swapped in above;
+		// retiring the shared name would kill it.
+		if !liveAddr[addr] {
 			w.fleet.Retire(execName(addr))
-			delete(w.dialed, addr)
 			retired++
 		}
 	}
@@ -181,7 +191,7 @@ func (s *Session) initFleet() error {
 	w := &fleetWatch{
 		registry: s.fleetReg,
 		fleet:    s.fleet,
-		dialed:   make(map[string]bool),
+		dialed:   make(map[string]string),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -245,7 +255,7 @@ var PatchWorkerSystem = exec.PatchWorkerSystem
 // registry forgets it — the engine behind `lfi serve -register`.
 // advertise overrides the announced dial-back address (needed when the
 // listener is bound to a wildcard or NAT'd interface); empty means the
-// listener's own address.
+// listener's own address. Both entry points are the one exec.Serve.
 func ServeRegistered(ctx context.Context, ln net.Listener, workers int, logw io.Writer, registry, advertise string) error {
-	return exec.ServeRegistered(ctx, ln, exec.ServeOptions{Workers: workers, Log: logw}, registry, advertise)
+	return exec.Serve(ctx, ln, exec.ServeOptions{Workers: workers, Log: logw, Registry: registry, Advertise: advertise})
 }

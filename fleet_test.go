@@ -237,3 +237,73 @@ func TestSessionMixedBuildReconciliation(t *testing.T) {
 		t.Fatalf("resume lost bugs: %v vs %v", exploreSigs(res), exploreSigs(res2))
 	}
 }
+
+// TestFleetWorkerRestartsAtSameAddress: a registered worker that is
+// killed — its BackendError gets it marked dead — and restarts at the
+// same address before the registry evicts it re-registers under a new
+// ID. The session's fleet watcher must dial it again, so later runs
+// dispatch to it instead of finding no live backend for the rest of
+// the session.
+func TestFleetWorkerRestartsAtSameAddress(t *testing.T) {
+	sys, ok := LookupSystem("minidb")
+	if !ok {
+		t.Fatal("minidb not registered")
+	}
+	scens := []*Scenario{
+		sessionScenario(t, `<scenario name="first-read-fails">
+		  <trigger id="nth" class="CallCountTrigger"><args><n>1</n></args></trigger>
+		  <function name="read" return="-1" errno="EIO"><reftrigger ref="nth" /></function>
+		</scenario>`),
+		sessionScenario(t, `<scenario name="benign">
+		  <trigger id="never" class="CallCountTrigger"><args><n>100000</n></args></trigger>
+		  <function name="read" return="-1" errno="EINTR"><reftrigger ref="never" /></function>
+		</scenario>`),
+	}
+	// Default registry timing: the restart lands well inside the
+	// 3 × 2 s eviction window, so the registry never drops the address.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	go NewFleetRegistry(DefaultFleetHeartbeat, DefaultFleetMiss).Serve(ctx, ln, nil)
+	regAddr := ln.Addr().String()
+	registered := func(addr string) string {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+			ws, err := fleetd.Workers(regAddr)
+			if err == nil && len(ws) == 1 && ws[0].Addr == addr {
+				return ws[0].ID
+			}
+		}
+		t.Fatalf("worker %s never registered", addr)
+		return ""
+	}
+
+	addr, kill := spawnWorkerProcess(t, exec.EnvRegister+"="+regAddr)
+	firstID := registered(addr)
+	sess := mustSession(t, WithFleet(regAddr))
+	if _, err := sess.Run(context.Background(), sys, scens); err != nil {
+		t.Fatal(err)
+	}
+	kill()
+	if _, err := sess.Run(context.Background(), sys, scens); err == nil {
+		t.Fatal("run succeeded with the fleet's only worker killed")
+	}
+
+	spawnWorkerProcess(t, exec.EnvServe+"="+addr, exec.EnvRegister+"="+regAddr)
+	for registered(addr) == firstID {
+		time.Sleep(10 * time.Millisecond)
+	}
+	// The watcher polls the registry every heartbeat interval.
+	for deadline := time.Now().Add(5 * DefaultFleetHeartbeat); ; time.Sleep(50 * time.Millisecond) {
+		rep, err := sess.Run(context.Background(), sys, scens)
+		if err == nil && len(rep.Outcomes) == len(scens) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted worker at %s never dispatched to: %v", addr, err)
+		}
+	}
+}

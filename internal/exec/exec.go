@@ -6,23 +6,28 @@
 // of one injection run: every test stages a fresh process image and a
 // fresh runtime, so runs never share state. Up to now that parallelism
 // was confined to the controller's in-process worker pool; this package
-// turns "where a batch runs" into an interface with three backends:
+// turns "where a batch runs" into an interface with two backends and
+// one way to compose them:
 //
 //   - Local — the zero-allocation in-process pool (controller.RunN),
 //     now an adapter. Fastest per-run latency, no isolation.
-//   - Pool — a fixed pool of worker subprocesses, each driven by a
-//     Remote client over its stdin/stdout. A workload panic that
-//     escapes the crash monitor kills one worker, not the session; the
-//     worker is respawned and the batch slice retried.
-//   - Remote — the wire-protocol client, over TCP to `lfi serve`
-//     workers. Fan batches across machines.
+//   - Remote — the wire-protocol client: over TCP to `lfi serve`
+//     workers (Dial), fanning batches across machines, or over the
+//     stdin/stdout of a worker subprocess (NewPool).
+//   - Fleet — a mix of executors, itself an Executor: it scatters a
+//     batch by cost, reassembles the outcomes and requeues a dead
+//     member's runs, respawning the member if it can. A subprocess
+//     pool is a Fleet of respawning Remote members (NewPool): a
+//     workload panic that escapes the crash monitor kills one worker,
+//     not the session.
 //
-// All three consume a Batch (system name + serialized scenarios + seed)
-// and produce the same Outcome records: because runs are deterministic
-// under a fixed seed, the three backends are observationally equivalent
-// — byte-identical outcome sequences — which is what lets the Fleet
-// scheduler route batches by cost alone and requeue a dead backend's
-// batch anywhere else without changing results.
+// Both backends consume a Batch (system name + serialized scenarios +
+// seed) and produce the same Outcome records: because runs are
+// deterministic under a fixed seed, every backend and every fleet of
+// them is observationally equivalent — byte-identical outcome
+// sequences — which is what lets the Fleet scheduler route batches by
+// cost alone and requeue a dead backend's batch anywhere else without
+// changing results.
 package exec
 
 import (
@@ -172,7 +177,9 @@ func (o *Outcome) Controller(s *scenario.Scenario) controller.Outcome {
 }
 
 // Executor is a pluggable execution backend. Run executes a batch and
-// returns the contiguous prefix of completed outcomes: on cancellation
+// returns the contiguous prefix of completed outcomes (a plain Fleet
+// instead aligns them with the batch, nil where a run did not
+// execute): on cancellation
 // in-flight runs finish and the prefix comes back with ctx.Err(); on a
 // backend failure (dead subprocess, broken connection) the error wraps
 // BackendError so schedulers can requeue the unfinished tail elsewhere.

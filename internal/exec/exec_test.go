@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,6 +13,7 @@ import (
 	osexec "os/exec"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -88,7 +90,7 @@ func startLoopbackServe(t *testing.T, workers int) *Remote {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	go Serve(ctx, ln, workers, nil)
+	go Serve(ctx, ln, ServeOptions{Workers: workers})
 	r, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -166,33 +168,149 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestPoolWorkerCrashRespawn: killing a pool worker between batches
-// must not lose work — the dead worker's slice is retried and the pool
-// respawns back to strength.
+// poolMember returns the pool's current member in the given slot.
+func poolMember(t *testing.T, pool *Fleet, slot int) *Remote {
+	t.Helper()
+	name := fmt.Sprintf("%s[%d]", pool.Info().Name, slot)
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	for _, e := range pool.execs {
+		if e.Info().Name == name {
+			return e.(*Remote)
+		}
+	}
+	t.Fatalf("pool has no member %s", name)
+	return nil
+}
+
+// TestPoolWorkerCrashRespawn: killing pool workers — between batches,
+// mid-batch, or inside a fleet that nests the pool — must not lose
+// work: the dead member's slices are requeued, the fleet respawns the
+// slot exactly once per failure wave, and outcomes stay byte-identical
+// to the local backend's. A slot whose respawn fails is retired, and a
+// pool that cannot respawn at all fails with BackendError instead of
+// hanging or spawning without bound.
 func TestPoolWorkerCrashRespawn(t *testing.T) {
-	pool, err := NewPool(2)
+	scens := testScenarios(t)
+	var big []*scenario.Scenario
+	for len(big) < 400 {
+		big = append(big, scens...)
+	}
+	want, err := NewLocal(2).Run(context.Background(), &Batch{System: "minidb", Scenarios: big})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close()
-	scens := testScenarios(t)
+	for _, tc := range []struct {
+		name     string
+		nest     bool // dispatch through NewFleet(NewLocal(1), pool)
+		midBatch bool // kill while the batch is in flight on the victims
+		kill     int  // slots killed, from slot 0
+		refuse   int  // slots, from slot 0, whose respawn function fails
+	}{
+		{name: "between-batches", kill: 1},
+		{name: "mid-batch", midBatch: true, kill: 1},
+		{name: "nested-mid-batch", nest: true, midBatch: true, kill: 1},
+		{name: "respawn-fails", kill: 1, refuse: 1},
+		{name: "unrespawnable", kill: 2, refuse: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := NewPool(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			var respawns atomic.Int32
+			var victims []*Remote
+			for slot := 0; slot < 2; slot++ {
+				m := poolMember(t, pool, slot)
+				spawn, refuse := m.respawn, slot < tc.refuse
+				m.respawn = func() (*Remote, error) {
+					respawns.Add(1)
+					if refuse {
+						return nil, errors.New("spawn refused")
+					}
+					return spawn()
+				}
+				if slot < tc.kill {
+					victims = append(victims, m)
+				}
+			}
+			kill := func() {
+				for _, m := range victims {
+					m.liveConn().(*procConn).cmd.Process.Kill()
+				}
+			}
+			var e Executor = pool
+			if tc.nest {
+				e = NewFleet(NewLocal(1), pool)
+			}
 
-	first, err := pool.Run(context.Background(), &Batch{System: "minidb", Scenarios: scens})
-	if err != nil || len(first) != len(scens) {
-		t.Fatalf("healthy pool run: %d outcomes, err %v", len(first), err)
-	}
-
-	pool.worker(0).liveConn().(*procConn).cmd.Process.Kill()
-
-	second, err := pool.Run(context.Background(), &Batch{System: "minidb", Scenarios: scens})
-	if err != nil || len(second) != len(scens) {
-		t.Fatalf("run across a killed worker: %d outcomes, err %v", len(second), err)
-	}
-	if pool.worker(0).liveConn() == nil {
-		t.Fatal("killed worker not respawned")
-	}
-	if !bytes.Equal(marshalOutcomes(t, first), marshalOutcomes(t, second)) {
-		t.Fatal("outcomes diverged across a worker crash")
+			first, err := e.Run(context.Background(), &Batch{System: "minidb", Scenarios: big})
+			if err != nil || len(first) != len(big) {
+				t.Fatalf("healthy pool run: %d outcomes, err %v", len(first), err)
+			}
+			// Mid-batch, the victims are frozen before the batch is
+			// dispatched and killed once it is in flight on them, so
+			// none of their slices can complete first.
+			if tc.midBatch {
+				for _, m := range victims {
+					m.liveConn().(*procConn).cmd.Process.Signal(syscall.SIGSTOP)
+				}
+			} else {
+				kill()
+			}
+			var second []*Outcome
+			done := make(chan struct{})
+			start := time.Now()
+			go func() {
+				defer close(done)
+				second, err = e.Run(context.Background(), &Batch{System: "minidb", Scenarios: big})
+			}()
+			if tc.midBatch {
+				for _, m := range victims {
+					for inFlight := 0; inFlight == 0; time.Sleep(time.Millisecond) {
+						if time.Since(start) > 10*time.Second {
+							t.Fatalf("batch never reached %s", m.Info().Name)
+						}
+						m.mu.Lock()
+						inFlight = len(m.pending)
+						m.mu.Unlock()
+					}
+				}
+				kill()
+			}
+			<-done
+			if tc.refuse == 2 {
+				if !IsBackendError(err) {
+					t.Fatalf("unrespawnable pool: err %v, want BackendError", err)
+				}
+				if n := respawns.Load(); n > maxAttempts {
+					t.Fatalf("unrespawnable pool tried %d respawns, want at most %d", n, maxAttempts)
+				}
+				if elapsed := time.Since(start); elapsed > 30*time.Second {
+					t.Fatalf("unrespawnable pool took %v to fail", elapsed)
+				}
+				return
+			}
+			if err != nil || len(second) != len(big) {
+				t.Fatalf("run across a killed worker: %d outcomes, err %v", len(second), err)
+			}
+			if n := respawns.Load(); n != 1 {
+				t.Fatalf("one failure wave caused %d respawns, want 1", n)
+			}
+			live := len(pool.live(nil))
+			if tc.refuse == 0 {
+				if poolMember(t, pool, 0).liveConn() == nil || live != 2 {
+					t.Fatalf("killed worker not respawned: %d live members", live)
+				}
+			} else if live != 1 {
+				t.Fatalf("unrespawnable member not retired: %d live members", live)
+			}
+			if !bytes.Equal(marshalOutcomes(t, want), marshalOutcomes(t, first)) ||
+				!bytes.Equal(marshalOutcomes(t, want), marshalOutcomes(t, second)) {
+				t.Fatal("outcomes diverged across a worker crash")
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -48,7 +49,9 @@ func speedPrior(info Info) float64 {
 }
 
 // Fleet owns a mix of executors and fans batches across them. It is
-// the scheduling layer between a Session and its backends:
+// the scheduling layer between a Session and its backends, and the
+// only code that scatters a batch, reassembles its outcomes or
+// requeues after a backend failure:
 //
 //   - a batch is split into contiguous chunks sized by each backend's
 //     observed (or prior) runs/sec for the batch's system, so big
@@ -58,37 +61,69 @@ func speedPrior(info Info) float64 {
 //     remote);
 //   - a chunk whose backend dies (BackendError) is requeued on the
 //     surviving executors, up to maxAttempts, so killing a worker
-//     never loses work;
+//     never loses work; the dead member is respawned if it carries a
+//     respawn function (a pool worker), retired otherwise;
 //   - completed chunk timings feed the per-system cost model.
 //
-// Run returns outcomes aligned with the batch's scenarios; an index is
-// nil only when cancellation or exhausted retries left that run
-// unexecuted — callers requeue exactly those.
+// A Fleet is itself an Executor, so fleets nest: a subprocess pool is
+// a Fleet of respawning pool workers (NewPool). Run returns outcomes
+// aligned with the batch's scenarios; an index is nil only when
+// cancellation or exhausted retries left that run unexecuted — callers
+// requeue exactly those. A pool instead returns the contiguous prefix
+// before the first such gap, the Executor contract.
 type Fleet struct {
-	mu    sync.Mutex
-	execs []Executor
-	dead  map[string]bool
-	cost  map[string]*CostModel
-	obsMu sync.Mutex
+	name   string // Info().Name
+	prefix bool   // Run returns the contiguous completed prefix
+
+	mu     sync.Mutex
+	execs  []Executor
+	dead   map[string]bool
+	cost   map[string]*CostModel
+	closed bool
+	obsMu  sync.Mutex
+
+	// respawnMu serializes recover, so concurrent Runs that saw the
+	// same member die start exactly one replacement.
+	respawnMu sync.Mutex
 }
 
 // maxAttempts bounds how many backends one chunk may burn through
 // before its failure is treated as fatal rather than environmental.
 const maxAttempts = 3
 
-// NewFleet builds a fleet over the given executors, ordered by latency
-// class (local, then pool, then remote; stable within a class) so the
-// head of every batch lands on the fastest-dispatch backend.
+// NewFleet builds a fleet named "fleet" over the given executors,
+// ordered by latency class (local, then pool, then remote; stable
+// within a class) so the head of every batch lands on the
+// fastest-dispatch backend.
 func NewFleet(execs ...Executor) *Fleet {
 	ordered := append([]Executor(nil), execs...)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		return ordered[i].Info().Kind < ordered[j].Info().Kind
 	})
 	return &Fleet{
+		name:  "fleet",
 		execs: ordered,
 		dead:  make(map[string]bool),
 		cost:  make(map[string]*CostModel),
 	}
+}
+
+// Info describes the fleet as one backend: the name it was built
+// with, its members' lowest (fastest) kind, their summed capacity, and
+// isolated when every member is.
+func (f *Fleet) Info() Info {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	info := Info{Name: f.name, Isolated: true}
+	for i, e := range f.execs {
+		m := e.Info()
+		if i == 0 {
+			info.Kind = m.Kind // execs are ordered by kind
+		}
+		info.Capacity += m.Capacity
+		info.Isolated = info.Isolated && m.Isolated
+	}
+	return info
 }
 
 // pipeliner is implemented by backends that keep several batches in
@@ -119,11 +154,17 @@ func (f *Fleet) Executors() []Info {
 // Add inserts a backend mid-campaign, preserving latency ordering —
 // the fleet-watcher path for a worker that registered after the
 // session started. A backend with the same name replaces (and closes)
-// the previous one and sheds any dead mark: a re-registered worker
-// comes back to life this way.
+// the previous one and sheds any dead mark: a re-registered worker and
+// a respawned pool worker come back to life this way. Adding to a
+// closed fleet just closes e.
 func (f *Fleet) Add(e Executor) {
 	info := e.Info()
 	f.mu.Lock()
+	if f.closed {
+		f.mu.Unlock()
+		e.Close()
+		return
+	}
 	var old Executor
 	for i, ex := range f.execs {
 		if ex.Info().Name == info.Name {
@@ -171,6 +212,7 @@ func (f *Fleet) FuncsForImage(sys, image string) (map[string]string, error) {
 // Close closes every backend.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
+	f.closed = true
 	execs := append([]Executor(nil), f.execs...)
 	f.mu.Unlock()
 	var first error
@@ -206,16 +248,42 @@ func (f *Fleet) live(b *Batch) []Executor {
 	return out
 }
 
-// markDead retires a backend whose transport failed. Pool backends
-// respawn their own workers, so only remotes are retired: a Remote
-// closes its connection on any transport error and cannot recover.
-func (f *Fleet) markDead(e Executor) {
-	if e.Info().Kind != KindRemote {
-		return
+// recover reacts, once per wave, to the members whose transport
+// failed: a member carrying a respawn function (a pool worker) is
+// replaced by a fresh one under the same name through Add; any other,
+// or one whose respawn fails, is retired — a dead Remote cannot
+// reconnect. A member already replaced under its name (by a concurrent
+// Run's respawn, or the fleet watcher re-dialing a restarted worker)
+// is left alone: the replacement is alive.
+func (f *Fleet) recover(failed []Executor) {
+	f.respawnMu.Lock()
+	defer f.respawnMu.Unlock()
+	for i, e := range failed {
+		name := e.Info().Name
+		if slices.ContainsFunc(failed[:i], func(p Executor) bool { return p.Info().Name == name }) {
+			continue // several slices of one member failed together
+		}
+		r, _ := e.(*Remote)
+		if r != nil && r.respawn != nil && f.has(r) {
+			if fresh, err := r.respawn(); err == nil {
+				f.Add(fresh)
+				continue
+			}
+		}
+		f.mu.Lock()
+		if r == nil || slices.Contains(f.execs, Executor(r)) {
+			f.dead[name] = true
+		}
+		f.mu.Unlock()
 	}
+}
+
+// has reports whether r is still a member, not yet replaced under its
+// name.
+func (f *Fleet) has(r *Remote) bool {
 	f.mu.Lock()
-	f.dead[e.Info().Name] = true
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	return slices.Contains(f.execs, Executor(r))
 }
 
 // model returns the (created-on-demand) cost model for one system.
@@ -350,7 +418,7 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	for len(queue) > 0 && fatal == nil && ctx.Err() == nil {
 		live := f.live(b)
 		if len(live) == 0 {
-			fatal = &BackendError{Backend: "fleet", Err: fmt.Errorf("no live executors")}
+			fatal = &BackendError{Backend: f.name, Err: fmt.Errorf("no live executors")}
 			break
 		}
 		// First wave: split the whole batch by cost-model share. Retry
@@ -370,9 +438,10 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 		}
 		wave = expandWave(wave)
 		var (
-			wg      sync.WaitGroup
-			retryMu sync.Mutex
-			retry   []chunk
+			wg     sync.WaitGroup
+			mu     sync.Mutex
+			retry  []chunk
+			failed []Executor
 		)
 		for _, d := range wave {
 			e, c := d.e, d.c
@@ -389,36 +458,50 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 				}
 				begin := time.Now()
 				got, err := e.Run(ctx, sub)
-				f.observeSpeed(b.System, e.Info(), len(got), time.Since(begin))
+				// A nested fleet answers aligned with nil holes, so the
+				// chunk's unfinished tail starts at its first gap.
+				done := len(got)
 				for i, o := range got {
+					if o == nil {
+						done = min(done, i)
+						continue
+					}
 					outs[c.off+i] = o
 				}
+				f.observeSpeed(b.System, e.Info(), done, time.Since(begin))
 				if err == nil || (ctx.Err() != nil && errors.Is(err, ctx.Err())) {
 					return
 				}
-				if IsBackendError(err) {
-					f.markDead(e)
-					if rest := (chunk{off: c.off + len(got), end: c.end, attempts: c.attempts + 1}); rest.off < rest.end {
-						if rest.attempts >= maxAttempts {
-							retryMu.Lock()
-							fatal = err
-							retryMu.Unlock()
-							return
-						}
-						retryMu.Lock()
-						retry = append(retry, rest)
-						retryMu.Unlock()
-					}
+				mu.Lock()
+				defer mu.Unlock()
+				if !IsBackendError(err) {
+					fatal = err
 					return
 				}
-				retryMu.Lock()
-				fatal = err
-				retryMu.Unlock()
+				failed = append(failed, e)
+				switch rest := (chunk{off: c.off + done, end: c.end, attempts: c.attempts + 1}); {
+				case rest.off >= rest.end:
+				case rest.attempts >= maxAttempts:
+					fatal = err
+				default:
+					retry = append(retry, rest)
+				}
 			}(e, c)
 		}
 		wg.Wait()
+		if failed != nil {
+			f.recover(failed)
+		}
 		sort.Slice(retry, func(i, j int) bool { return retry[i].off < retry[j].off })
 		queue = append(queue, retry...)
+	}
+	if f.prefix {
+		for i, o := range outs {
+			if o == nil {
+				outs = outs[:i]
+				break
+			}
+		}
 	}
 	if fatal != nil {
 		return outs, fatal

@@ -15,7 +15,7 @@ import (
 
 // Remote is the client side of the wire protocol: one connection to a
 // protocol worker — a TCP connection to `lfi serve` (Dial), or a pool
-// worker subprocess's stdin/stdout (Pool).
+// worker subprocess's stdin/stdout (NewPool).
 //
 // The connection is **pipelined**: Run is safe for concurrent use and
 // up to Pipeline() batches ride the wire at once, matched back to
@@ -29,7 +29,14 @@ import (
 // elsewhere, so killing a worker loses no work.
 type Remote struct {
 	addr  string
+	name  string // Info().Name: remote(addr), or the pool slot
+	kind  Kind
 	hello helloInfo
+
+	// respawn, set on pool members, starts a replacement worker under
+	// the same name; the fleet calls it when this member's transport
+	// fails (see Fleet.Run).
+	respawn func() (*Remote, error)
 
 	// drainGrace bounds how long a cancelled Run keeps waiting for the
 	// in-flight response before force-closing the connection. The
@@ -104,6 +111,8 @@ func Dial(addr string) (*Remote, error) {
 func newRemote(addr string, conn io.ReadWriteCloser) (*Remote, error) {
 	r := &Remote{
 		addr:       addr,
+		name:       "remote(" + addr + ")",
+		kind:       KindRemote,
 		conn:       conn,
 		drainGrace: drainGraceTimeout,
 		pipeline:   defaultPipeline,
@@ -155,7 +164,7 @@ func (r *Remote) Pipeline() int { return r.pipeline }
 // crash-isolated by construction: it is a different process on
 // (possibly) a different machine.
 func (r *Remote) Info() Info {
-	return Info{Name: "remote(" + r.addr + ")", Kind: KindRemote, Capacity: r.hello.Capacity, Isolated: true}
+	return Info{Name: r.name, Kind: r.kind, Capacity: r.hello.Capacity, Isolated: true}
 }
 
 // Systems returns the registered system names the worker advertised.

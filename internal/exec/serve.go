@@ -21,10 +21,12 @@ import (
 	"lfi/internal/system"
 )
 
-// This file is the worker side of the wire protocol: the TCP server
-// behind `lfi serve`, the stdio loop pool workers run, and the
-// self-re-exec hook that turns any binary calling MaybeWorker into a
-// pool-capable worker.
+// This file is the worker side of the wire protocol: one listener
+// entry, Serve (the TCP server behind `lfi serve`, with optional fleet
+// registration), one connection loop, serveConn (which Serve runs per
+// connection and pool workers run over stdio), and the self-re-exec
+// hook that turns any binary calling MaybeWorker into a pool-capable
+// worker.
 
 // EnvWorker, when set in a process's environment, makes MaybeWorker
 // take over the process as a stdio protocol worker (the pool backend's
@@ -64,10 +66,10 @@ func MaybeWorker() {
 		jobs = j
 	}
 	if os.Getenv(EnvWorker) != "" {
-		err := ServeConn(struct {
+		err := serveConn(context.Background(), struct {
 			io.Reader
 			io.Writer
-		}{os.Stdin, os.Stdout}, jobs)
+		}{os.Stdin, os.Stdout}, jobs, nil)
 		if err != nil && !errors.Is(err, io.EOF) {
 			fmt.Fprintln(os.Stderr, "lfi exec worker:", err)
 			os.Exit(1)
@@ -88,30 +90,12 @@ func MaybeWorker() {
 		}
 		fmt.Printf("listening %s\n", ln.Addr())
 		ctx := context.Background()
-		if err := ServeRegistered(ctx, ln, ServeOptions{Workers: jobs}, os.Getenv(EnvRegister), ""); err != nil && ctx.Err() == nil {
+		if err := Serve(ctx, ln, ServeOptions{Workers: jobs, Registry: os.Getenv(EnvRegister)}); err != nil && ctx.Err() == nil {
 			fmt.Fprintln(os.Stderr, "lfi exec serve:", err)
 			os.Exit(1)
 		}
 		os.Exit(0)
 	}
-}
-
-// ServeRegistered is ServeWith plus fleet membership: when registry is
-// non-empty the worker self-registers there and heartbeats its
-// execution counters until ctx ends, re-registering whenever the
-// registry forgets it. advertise overrides the announced dial-back
-// address; empty means the listener's own address.
-func ServeRegistered(ctx context.Context, ln net.Listener, opts ServeOptions, registry, advertise string) error {
-	if registry != "" {
-		if advertise == "" {
-			advertise = ln.Addr().String()
-		}
-		opts.Counters = new(ServeCounters)
-		agent := fleetd.NewAgent(registry, workerRegistration(advertise, opts.Workers), opts.Counters.Stats)
-		agent.Log = opts.Log
-		go agent.Run(ctx)
-	}
-	return ServeWith(ctx, ln, opts)
 }
 
 // PatchWorkerSystem replaces the registered system named in spec
@@ -170,20 +154,17 @@ func workerRegistration(addr string, workers int) fleetd.Worker {
 	}
 }
 
-// ServeCounters aggregates a worker's lifetime execution counters for
+// serveCounters aggregates a worker's lifetime execution counters for
 // heartbeat reporting: batches and runs completed, and batches cut
 // short by a cancel frame. All methods are safe for concurrent use.
-type ServeCounters struct {
+type serveCounters struct {
 	batches atomic.Int64
 	runs    atomic.Int64
 	cancels atomic.Int64
 }
 
-// Stats snapshots the counters in the registry's heartbeat form.
-func (c *ServeCounters) Stats() fleetd.WorkerStats {
-	if c == nil {
-		return fleetd.WorkerStats{}
-	}
+// stats snapshots the counters in the registry's heartbeat form.
+func (c *serveCounters) stats() fleetd.WorkerStats {
 	return fleetd.WorkerStats{
 		Batches: c.batches.Load(),
 		Runs:    c.runs.Load(),
@@ -191,30 +172,41 @@ func (c *ServeCounters) Stats() fleetd.WorkerStats {
 	}
 }
 
-// ServeOptions parametrizes ServeWith beyond the listener: the
-// in-process pool width each connection's batches run on, an optional
-// log sink, and optional counters for heartbeat reporting.
+// ServeOptions parametrizes Serve beyond the listener: the in-process
+// pool width each connection's batches run on, an optional log sink,
+// and optional fleet membership — the registry to self-register with
+// and the dial-back address to announce there (empty: the listener's
+// own address, which a wildcard or NAT'd bind needs to override).
 type ServeOptions struct {
-	Workers  int
-	Log      io.Writer
-	Counters *ServeCounters
+	Workers   int
+	Log       io.Writer
+	Registry  string
+	Advertise string
 }
 
 // Serve accepts protocol connections on ln until ctx is cancelled and
 // answers each with the connection loop — the engine behind
-// `lfi serve`. See ServeWith for the full option set.
-func Serve(ctx context.Context, ln net.Listener, workers int, logw io.Writer) error {
-	return ServeWith(ctx, ln, ServeOptions{Workers: workers, Log: logw})
-}
-
-// ServeWith accepts protocol connections on ln until ctx is cancelled.
-// Every batch a connection carries runs on an in-process pool of
-// opts.Workers width. Cancellation closes the listener and every
-// active connection: a client mid-batch observes a dead worker and
-// requeues (the same contract as a killed worker process).
-func ServeWith(ctx context.Context, ln net.Listener, opts ServeOptions) error {
+// `lfi serve`. Every batch a connection carries runs on an in-process
+// pool of opts.Workers width. With opts.Registry set the worker
+// self-registers there and heartbeats its execution counters until ctx
+// ends, re-registering whenever the registry forgets it. Cancellation
+// closes the listener and every active connection: a client mid-batch
+// observes a dead worker and requeues (the same contract as a killed
+// worker process).
+func Serve(ctx context.Context, ln net.Listener, opts ServeOptions) error {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
+	}
+	var counters *serveCounters
+	if opts.Registry != "" {
+		advertise := opts.Advertise
+		if advertise == "" {
+			advertise = ln.Addr().String()
+		}
+		counters = new(serveCounters)
+		agent := fleetd.NewAgent(opts.Registry, workerRegistration(advertise, opts.Workers), counters.stats)
+		agent.Log = opts.Log
+		go agent.Run(ctx)
 	}
 	var (
 		mu    sync.Mutex
@@ -251,7 +243,7 @@ func ServeWith(ctx context.Context, ln net.Listener, opts ServeOptions) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := serveConn(ctx, conn, opts)
+			err := serveConn(ctx, conn, opts.Workers, counters)
 			conn.Close()
 			mu.Lock()
 			delete(conns, conn)
@@ -353,18 +345,14 @@ type queuedRun struct {
 	ctx     context.Context
 }
 
-// ServeConn answers one protocol connection: hello, then run requests,
-// each batch executed on an in-process Local backend of the given
-// width. It returns io.EOF on clean client disconnect. Which systems
-// the worker offers follows from which system packages the serving
-// binary imports (cmd/lfi imports them all via the lfi facade).
-func ServeConn(conn io.ReadWriter, workers int) error {
-	return serveConn(context.Background(), conn, ServeOptions{Workers: workers})
-}
-
-// serveConn is the connection loop. Run and cancel requests arrive as
-// binary frames, hello and funcs as JSON — the first payload byte
-// tells them apart.
+// serveConn is the connection loop: hello, then run requests, each
+// batch executed on an in-process Local backend of the given width,
+// with counters (nil outside a registered worker) tallying them. It
+// returns io.EOF on clean client disconnect. Which systems the worker
+// offers follows from which system packages the serving binary imports
+// (cmd/lfi imports them all via the lfi facade). Run and cancel
+// requests arrive as binary frames, hello and funcs as JSON — the
+// first payload byte tells them apart.
 //
 // The loop splits into two goroutines so pipelining and cancellation
 // work: the read loop enqueues run requests (up to pipelineQueueMax
@@ -375,11 +363,7 @@ func ServeConn(conn io.ReadWriter, workers int) error {
 // executing or still queued; the cancelled batch answers with its
 // completed prefix and the in-band "cancelled" error, so a client's
 // Ctrl-C never waits for a batch to run out.
-func serveConn(ctx context.Context, conn io.ReadWriter, opts ServeOptions) error {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+func serveConn(ctx context.Context, conn io.ReadWriter, workers int, counters *serveCounters) error {
 	local := NewLocal(workers)
 	sc := &serverConn{}
 	var (
@@ -421,7 +405,7 @@ func serveConn(ctx context.Context, conn io.ReadWriter, opts ServeOptions) error
 	go func() {
 		defer close(done)
 		for qr := range queue {
-			serveRun(local, sc, opts.Counters, qr, write)
+			serveRun(local, sc, counters, qr, write)
 			retire(qr.id)
 		}
 	}()
@@ -504,7 +488,7 @@ read:
 }
 
 // serveRun executes one queued run request and writes its response.
-func serveRun(local *Local, sc *serverConn, counters *ServeCounters, qr queuedRun, write func([]byte) error) {
+func serveRun(local *Local, sc *serverConn, counters *serveCounters, qr queuedRun, write func([]byte) error) {
 	id, b, err := decodeRunRequest(qr.payload, sc.parse)
 	var outs []*Outcome
 	if err == nil {

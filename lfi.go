@@ -39,8 +39,10 @@
 package lfi
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"net"
 
 	"lfi/internal/callsite"
 	"lfi/internal/controller"
@@ -216,23 +218,30 @@ type (
 var (
 	// NewLocalExecutor returns the in-process backend (the default).
 	NewLocalExecutor = exec.NewLocal
-	// NewPoolExecutor starts a pool of crash-isolating worker
-	// subprocesses, each driven by the same wire-protocol client
-	// DialExecutor returns, over the worker's stdin/stdout — so a
-	// cancelled pool run stops promptly, like a remote one. The calling
-	// binary must invoke MaybeExecWorker first thing in main (cmd/lfi
-	// does) or TestMain.
+	// NewPoolExecutor starts n crash-isolating worker subprocesses and
+	// returns them as one executor named pool(n): a fleet whose
+	// members, pool(n)[0] … pool(n)[n-1], are the same wire-protocol
+	// client DialExecutor returns, over each worker's stdin/stdout — so
+	// a cancelled pool run stops promptly, like a remote one. A member
+	// whose worker dies is respawned by the fleet and its unfinished
+	// runs requeued. The calling binary must invoke MaybeExecWorker
+	// first thing in main (cmd/lfi does) or TestMain.
 	NewPoolExecutor = exec.NewPool
 	// DialExecutor connects to an `lfi serve` worker.
 	DialExecutor = exec.Dial
-	// ServeExecutor accepts executor connections on a listener — the
-	// engine behind `lfi serve`.
-	ServeExecutor = exec.Serve
 	// MaybeExecWorker turns the current process into an execution
 	// worker when the worker environment hooks are set; call it first
 	// thing in main or TestMain to make a binary pool-capable.
 	MaybeExecWorker = exec.MaybeWorker
 )
+
+// ServeExecutor accepts executor connections on ln until ctx ends, and
+// runs every batch a connection carries on an in-process pool of
+// workers width, logging connections to logw when it is non-nil — the
+// engine behind `lfi serve`. ServeRegistered adds fleet membership.
+func ServeExecutor(ctx context.Context, ln net.Listener, workers int, logw io.Writer) error {
+	return exec.Serve(ctx, ln, exec.ServeOptions{Workers: workers, Log: logw})
+}
 
 // Fault-space exploration.
 type (
