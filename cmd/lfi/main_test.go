@@ -26,7 +26,8 @@ import (
 // counts by internal/explore's impact tests, eviction and requeue by
 // TestFleetServiceSelfRegistration — so nothing here re-asserts it,
 // except that TestExplorePool pins the subprocess pool to the local
-// backend's minidb figures.
+// backend's minidb figures and TestExploreAllCoverage pins the printed
+// coverage lines.
 
 // lfiBin is the binary TestMain builds once for every test.
 var lfiBin string
@@ -147,6 +148,29 @@ func TestExploreThenResume(t *testing.T) {
 		})
 	}
 	run(t, 2, "explore", "-app", "nosuchsystem")
+}
+
+// TestExploreAllCoverage pins the exact coverage lines `explore -all
+// -seed 1` prints for every system — recovery coverage of the suite
+// alone and after exploration, and total coverage — under a sequential
+// and a parallel local pool.
+func TestExploreAllCoverage(t *testing.T) {
+	want := []struct{ app, recovery, total string }{
+		{"minidb", "0/16 blocks, 0/103 LOC (0.0%) (suite alone) -> 16/16 blocks, 103/103 LOC (100.0%)", "22/22 blocks, 288/288 LOC (100.0%)"},
+		{"minidns", "2/26 blocks, 10/176 LOC (5.7%) (suite alone) -> 23/26 blocks, 134/176 LOC (76.1%)", "32/38 blocks, 6134/9804 LOC (62.6%)"},
+		{"minivcs", "0/24 blocks, 0/223 LOC (0.0%) (suite alone) -> 20/24 blocks, 131/223 LOC (58.7%)", "28/35 blocks, 7731/9657 LOC (80.1%)"},
+		{"miniweb", "0/5 blocks, 0/33 LOC (0.0%) (suite alone) -> 5/5 blocks, 33/33 LOC (100.0%)", "8/8 blocks, 147/147 LOC (100.0%)"},
+		{"pbft", "0/3 blocks, 0/14 LOC (0.0%) (suite alone) -> 3/3 blocks, 14/14 LOC (100.0%)", "11/11 blocks, 164/164 LOC (100.0%)"},
+		{"raft", "0/4 blocks, 0/19 LOC (0.0%) (suite alone) -> 4/4 blocks, 19/19 LOC (100.0%)", "11/11 blocks, 115/115 LOC (100.0%)"},
+	}
+	for _, j := range []string{"1", "2"} {
+		out, _ := run(t, 0, "explore", "-all", "-seed", "1", "-j", j)
+		for _, w := range want {
+			mustMatch(t, "explore -all -j "+j, out, `(?m)^explore `+w.app+`: .*\n`+
+				`  recovery coverage: `+regexp.QuoteMeta(w.recovery)+`\n`+
+				`  total coverage:    `+regexp.QuoteMeta(w.total)+`$`)
+		}
+	}
 }
 
 // TestDiffAndPatchedExplore: `lfi diff` previews a -patch edit against

@@ -7,7 +7,6 @@ import (
 
 	"lfi/internal/callgraph"
 	"lfi/internal/controller"
-	"lfi/internal/coverage"
 )
 
 // lintGoldens pins the interprocedural site-class tally of every
@@ -23,6 +22,18 @@ var lintGoldens = map[string]callgraph.Counts{
 	"miniweb": {Checked: 7, Partial: 0, Unchecked: 0, Swallowed: 1, CheckedInCaller: 0},
 	"pbft":    {Checked: 3, Partial: 0, Unchecked: 0, Swallowed: 3, CheckedInCaller: 0},
 	"raft":    {Checked: 3, Partial: 0, Unchecked: 0, Swallowed: 4, CheckedInCaller: 0},
+}
+
+// universeGoldens pins every built-in system's declared coverage
+// universe (Descriptor.Blocks): blocks, recovery blocks, and LOC — the
+// denominators of the explorer's and Table 3's coverage lines.
+var universeGoldens = map[string]struct{ Blocks, Recovery, LOC int }{
+	"minidb":  {22, 16, 288},
+	"minidns": {38, 26, 9804},
+	"minivcs": {35, 24, 9657},
+	"miniweb": {8, 5, 147},
+	"pbft":    {11, 3, 164},
+	"raft":    {11, 4, 115},
 }
 
 // runsToAllBugsCeiling pins the explorer's executed outcomes until the
@@ -41,9 +52,10 @@ var runsToAllBugsCeiling = map[string]int{
 
 // TestSystemRegistryConformance is the descriptor contract, enforced
 // for every registered system in one table-driven sweep: the binary
-// assembles with a site map, the libraries profile cleanly, both
-// controller adapters run the default suite, the coverage adapter
-// actually accumulates, and — the acceptance bar — Session.Explore
+// assembles with a site map, the libraries profile cleanly, the target
+// runs the default suite, the declared block universe matches its
+// golden and a coverage run records hits over it, and — the acceptance
+// bar — Session.Explore
 // rediscovers every stock Table-1 crash bug with no hand-written
 // scenario, window-only bugs strictly through bred window mutants
 // (stack-window-only bugs strictly through bred call-stack windows).
@@ -90,24 +102,27 @@ func TestSystemRegistryConformance(t *testing.T) {
 				}
 			}
 
-			// Both controller adapters run the default suite; the
-			// coverage adapter must register a block universe with
-			// recovery blocks and merge per-run hits.
-			if out, err := controller.RunOne(sys.Target(), nil); err != nil || out.Failed() {
-				t.Fatalf("default suite failed under Target(): err=%v out=%v", err, out)
+			// The target runs the default suite, without and with
+			// coverage; a coverage run returns its hits over the
+			// system's declared universe, which matches its golden.
+			tgt := sys.Target()
+			if out, err := controller.RunOne(tgt, nil); err != nil || out.Failed() || out.CovU != nil {
+				t.Fatalf("default suite failed under Target(): err=%v out=%v (coverage %v)", err, out, out.CovU != nil)
 			}
-			acc := coverage.New()
-			if out, err := controller.RunOne(sys.TargetWithCoverage(acc), nil); err != nil || out.Failed() {
-				t.Fatalf("default suite failed under TargetWithCoverage(): err=%v out=%v", err, out)
+			tgt.Coverage = true
+			out, err := controller.RunOne(tgt, nil)
+			if err != nil || out.Failed() {
+				t.Fatalf("default suite failed with coverage: err=%v out=%v", err, out)
 			}
-			if len(acc.RegisteredIDs()) == 0 {
-				t.Fatal("coverage adapter registered no blocks")
+			if out.CovU != sys.Blocks {
+				t.Fatal("coverage run is not over the descriptor's Blocks")
 			}
-			if len(acc.RecoveryIDs()) == 0 {
-				t.Fatal("coverage adapter registered no recovery blocks")
+			if sys.Blocks.Total(out.Cov).BlocksCovered == 0 {
+				t.Fatal("coverage run recorded no hits from the suite")
 			}
-			if len(acc.CoveredIDs()) == 0 {
-				t.Fatal("coverage adapter merged no hits from the suite")
+			tot, rec := sys.Blocks.Total(nil), sys.Blocks.Recovery(nil)
+			if want := universeGoldens[sys.Name]; tot.Blocks != want.Blocks || rec.Blocks != want.Recovery || tot.LOC != want.LOC {
+				t.Errorf("universe: %d blocks, %d recovery, %d LOC; want %+v", tot.Blocks, rec.Blocks, tot.LOC, want)
 			}
 
 			// The static analysis contract: the interprocedural lint

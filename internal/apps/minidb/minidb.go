@@ -93,9 +93,8 @@ func Binary() (*isa.Binary, map[string]uint64) {
 
 // App is one running minidb instance.
 type App struct {
-	C   *libsim.C
-	Th  *libsim.Thread
-	Cov *coverage.Tracker
+	C  *libsim.C
+	Th *libsim.Thread
 
 	mutex       int64 // THR_LOCK_myisam
 	tableFD     int64
@@ -140,7 +139,8 @@ var mergeNames = func() [6]struct{ name, tmp, myi string } {
 // New stages database fixtures and returns a ready instance.
 func New() *App {
 	c := libsim.New(1 << 22)
-	a := &App{C: c, Th: c.NewThread(Module, "main"), Cov: coverage.New()}
+	c.Cov = coverage.NewRecorder(Blocks)
+	a := &App{C: c, Th: c.NewThread(Module, "main")}
 	c.Owner = a
 	a.suite = a.RunSuite
 	a.mutex = c.MutexInit()
@@ -150,7 +150,6 @@ func New() *App {
 	c.SnapshotFS()
 	c.RegisterVar("thread_count", func() int64 { return a.threadCount })
 	c.RegisterVar("shutdown_in_progress", func() int64 { return a.shutdownInProgress })
-	a.registerCoverage()
 	return a
 }
 
@@ -162,7 +161,6 @@ func New() *App {
 func (a *App) Reset() {
 	a.C.Reset()
 	a.Th.Reset()
-	a.Cov.ResetHits()
 	a.mutex = a.C.MutexInit()
 	a.tableFD = 0
 	a.errmsgReady = false
@@ -177,31 +175,33 @@ func (a *App) atLine(fn, label, file string, line int) func() {
 	return a.Th.EnterAt(Module, fn, offsets[label], file, line)
 }
 
-func (a *App) registerCoverage() {
-	reg := func(id string, loc int, rec bool) { a.Cov.Register(id, loc, rec) }
-	reg("main.mi_create", 60, false)
-	reg("main.errmsg", 30, false)
-	reg("main.flush", 25, false)
-	reg("main.lock", 20, false)
-	reg("main.bufpool", 20, false)
-	reg("main.txn", 30, false)
-	reg("rec.mc_open", 8, true)
-	reg("rec.mc_write", 10, true)
-	reg("rec.mc_scratch_close", 4, true)
-	reg("rec.mc_close", 12, true)
-	reg("rec.em_open", 8, true)
-	reg("rec.em_read", 6, true)
-	reg("rec.em_close", 4, true)
-	reg("rec.hf_close1", 3, true)
-	reg("rec.hf_close2", 3, true)
-	reg("rec.hf_close3", 3, true)
-	reg("rec.lm_fcntl", 6, true)
-	reg("rec.lm_fcntl2", 6, true)
-	reg("rec.bp_malloc1", 7, true)
-	reg("rec.bp_malloc2", 7, true)
-	reg("rec.tx_read", 8, true)
-	reg("rec.tx_write", 8, true)
-}
+// Blocks is minidb's coverage universe: the MyISAM subsystems' mainline
+// blocks and their recovery arms, named by the rec.<site label>
+// convention.
+var Blocks = coverage.NewIndex([]coverage.Block{
+	{ID: "main.mi_create", LOC: 60},
+	{ID: "main.errmsg", LOC: 30},
+	{ID: "main.flush", LOC: 25},
+	{ID: "main.lock", LOC: 20},
+	{ID: "main.bufpool", LOC: 20},
+	{ID: "main.txn", LOC: 30},
+	{ID: "rec.mc_open", LOC: 8, Recovery: true},
+	{ID: "rec.mc_write", LOC: 10, Recovery: true},
+	{ID: "rec.mc_scratch_close", LOC: 4, Recovery: true},
+	{ID: "rec.mc_close", LOC: 12, Recovery: true},
+	{ID: "rec.em_open", LOC: 8, Recovery: true},
+	{ID: "rec.em_read", LOC: 6, Recovery: true},
+	{ID: "rec.em_close", LOC: 4, Recovery: true},
+	{ID: "rec.hf_close1", LOC: 3, Recovery: true},
+	{ID: "rec.hf_close2", LOC: 3, Recovery: true},
+	{ID: "rec.hf_close3", LOC: 3, Recovery: true},
+	{ID: "rec.lm_fcntl", LOC: 6, Recovery: true},
+	{ID: "rec.lm_fcntl2", LOC: 6, Recovery: true},
+	{ID: "rec.bp_malloc1", LOC: 7, Recovery: true},
+	{ID: "rec.bp_malloc2", LOC: 7, Recovery: true},
+	{ID: "rec.tx_read", LOC: 8, Recovery: true},
+	{ID: "rec.tx_write", LOC: 8, Recovery: true},
+})
 
 // --- MyISAM table creation (Table 1 bug [19], Table 2 target) --------------
 
@@ -217,7 +217,7 @@ func (a *App) MiCreate(name string) error {
 // dominate the allocation profile).
 func (a *App) miCreate(tmpPath, myiPath string) error {
 	t := a.Th
-	a.Cov.Hit("main.mi_create")
+	a.C.Cov.Hit("main.mi_create")
 
 	// A scratch descriptor, closed well before the lock region. Its
 	// failure is tolerated (logged) without aborting table creation.
@@ -225,7 +225,7 @@ func (a *App) miCreate(tmpPath, myiPath string) error {
 	if scratch >= 0 {
 		pop := a.atLine("mi_create", "mc_scratch_close", MiCreateFile, 512)
 		if t.Close(scratch) < 0 {
-			a.Cov.Hit("rec.mc_scratch_close")
+			a.C.Cov.Hit("rec.mc_scratch_close")
 		}
 		pop()
 	}
@@ -234,7 +234,7 @@ func (a *App) miCreate(tmpPath, myiPath string) error {
 	fd := t.Open(myiPath, libsim.O_CREAT|libsim.O_WRONLY|libsim.O_TRUNC)
 	pop()
 	if fd < 0 {
-		a.Cov.Hit("rec.mc_open")
+		a.C.Cov.Hit("rec.mc_open")
 		return fmt.Errorf("mi_create: open: %v", t.Errno())
 	}
 
@@ -244,7 +244,7 @@ func (a *App) miCreate(tmpPath, myiPath string) error {
 	n := t.Write(fd, myiHeader)
 	pop()
 	if n < 0 {
-		a.Cov.Hit("rec.mc_write")
+		a.C.Cov.Hit("rec.mc_write")
 		t.MutexUnlock(a.mutex)
 		t.Close(fd)
 		return fmt.Errorf("mi_create: write: %v", t.Errno())
@@ -260,7 +260,7 @@ func (a *App) miCreate(tmpPath, myiPath string) error {
 	if rc < 0 {
 		// BUG [19]: the error path releases "all" resources,
 		// including the mutex the normal flow already released.
-		a.Cov.Hit("rec.mc_close")
+		a.C.Cov.Hit("rec.mc_close")
 		t.MutexUnlock(a.mutex) // double unlock -> abort
 		return fmt.Errorf("mi_create: close: %v", t.Errno())
 	}
@@ -274,13 +274,13 @@ func (a *App) miCreate(tmpPath, myiPath string) error {
 // structure is accessed anyway and the server crashes.
 func (a *App) ErrmsgLoad() error {
 	t := a.Th
-	a.Cov.Hit("main.errmsg")
+	a.C.Cov.Hit("main.errmsg")
 
 	pop := a.atLine("errmsg_load", "em_open", ErrmsgFile, 120)
 	fd := t.Open("/var/db/errmsg.sys", libsim.O_RDONLY)
 	pop()
 	if fd < 0 {
-		a.Cov.Hit("rec.em_open")
+		a.C.Cov.Hit("rec.em_open")
 		return fmt.Errorf("errmsg: cannot open errmsg.sys: %v", t.Errno())
 	}
 
@@ -290,7 +290,7 @@ func (a *App) ErrmsgLoad() error {
 	pop()
 	if n == -1 {
 		// BUG [20]: log and continue; errmsgs stays uninitialized.
-		a.Cov.Hit("rec.em_read")
+		a.C.Cov.Hit("rec.em_read")
 	} else {
 		a.errmsgs = splitMsgs(a.errmsgs[:0], string(buf[:max64(n, 0)]))
 		a.errmsgReady = true
@@ -298,7 +298,7 @@ func (a *App) ErrmsgLoad() error {
 
 	pop = a.atLine("errmsg_load", "em_close", ErrmsgFile, 150)
 	if t.Close(fd) < 0 {
-		a.Cov.Hit("rec.em_close")
+		a.C.Cov.Hit("rec.em_close")
 	}
 	pop()
 
@@ -347,7 +347,7 @@ func max64(a, b int64) int64 {
 // Failures here are real errors: the statement is aborted (gracefully).
 func (a *App) HandlerFlush() error {
 	t := a.Th
-	a.Cov.Hit("main.flush")
+	a.C.Cov.Hit("main.flush")
 	for i, label := range flushLabels {
 		fd := t.Open("/var/db/table.MYD", libsim.O_RDONLY)
 		if fd < 0 {
@@ -357,7 +357,7 @@ func (a *App) HandlerFlush() error {
 		rc := t.Close(fd)
 		pop()
 		if rc < 0 {
-			a.Cov.Hit(flushRecIDs[i])
+			a.C.Cov.Hit(flushRecIDs[i])
 			return fmt.Errorf("flush: close %d: %v", i, t.Errno())
 		}
 	}
@@ -378,21 +378,21 @@ func (a *App) ensureTable() int64 {
 // per transaction.
 func (a *App) LockCheck() error {
 	t := a.Th
-	a.Cov.Hit("main.lock")
+	a.C.Cov.Hit("main.lock")
 	fd := a.ensureTable()
 
 	pop := a.atLine("lock_manager", "lm_fcntl", HandlerFile, 900)
 	rc := t.Fcntl(fd, libsim.F_GETLK, 0)
 	pop()
 	if rc < 0 {
-		a.Cov.Hit("rec.lm_fcntl")
+		a.C.Cov.Hit("rec.lm_fcntl")
 		return fmt.Errorf("lock: fcntl: %v", t.Errno())
 	}
 	pop = a.atLine("lock_manager", "lm_fcntl2", HandlerFile, 910)
 	rc = t.Fcntl(fd, libsim.F_SETLK, 0)
 	pop()
 	if rc == -1 {
-		a.Cov.Hit("rec.lm_fcntl2")
+		a.C.Cov.Hit("rec.lm_fcntl2")
 		return fmt.Errorf("lock: fcntl setlk: %v", t.Errno())
 	}
 	return nil
@@ -402,7 +402,7 @@ func (a *App) LockCheck() error {
 // read-write) an update.
 func (a *App) Txn(readWrite bool) error {
 	t := a.Th
-	a.Cov.Hit("main.txn")
+	a.C.Cov.Hit("main.txn")
 	a.threadCount++
 	defer func() { a.threadCount-- }()
 
@@ -416,7 +416,7 @@ func (a *App) Txn(readWrite bool) error {
 	n := t.Read(fd, buf)
 	pop()
 	if n == -1 {
-		a.Cov.Hit("rec.tx_read")
+		a.C.Cov.Hit("rec.tx_read")
 		return fmt.Errorf("txn: read: %v", t.Errno())
 	}
 	if readWrite {
@@ -424,7 +424,7 @@ func (a *App) Txn(readWrite bool) error {
 		if wfd >= 0 {
 			pop = a.atLine("oltp_txn", "tx_write", HandlerFile, 960)
 			if t.Write(wfd, updateRec) < 0 {
-				a.Cov.Hit("rec.tx_write")
+				a.C.Cov.Hit("rec.tx_write")
 			}
 			pop()
 			t.Close(wfd)
@@ -449,13 +449,13 @@ func (a *App) SetShutdown(v bool) {
 // BufferPoolInit allocates the two buffer-pool segments.
 func (a *App) BufferPoolInit() error {
 	t := a.Th
-	a.Cov.Hit("main.bufpool")
+	a.C.Cov.Hit("main.bufpool")
 	for i, label := range bufpoolLabels {
 		pop := a.atLine("buffer_pool_init", label, HandlerFile, 100)
 		p := t.Malloc(4096)
 		pop()
 		if p == 0 {
-			a.Cov.Hit(bufpoolRecIDs[i])
+			a.C.Cov.Hit(bufpoolRecIDs[i])
 			return fmt.Errorf("bufpool: out of memory")
 		}
 		t.Free(p)

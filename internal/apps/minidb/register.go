@@ -8,12 +8,12 @@ import "lfi/internal/system"
 // enforces the contract, including rediscovery of the stock bugs below.
 func init() {
 	system.Register(&system.Descriptor{
-		Name:               Module,
-		Workload:           "MyISAM-style create/insert/select/merge regression suite (RunSuite)",
-		Binary:             Binary,
-		Target:             Target,
-		TargetWithCoverage: TargetWithCoverage,
-		Profiles:           system.DefaultProfiles,
+		Name:     Module,
+		Workload: "MyISAM-style create/insert/select/merge regression suite (RunSuite)",
+		Binary:   Binary,
+		Target:   Target,
+		Blocks:   Blocks,
+		Profiles: system.DefaultProfiles,
 		StockBugs: []system.StockBug{
 			{Match: "double unlock", Note: "double mutex unlock in mi_create's recovery path (MySQL bug [19])"},
 			{Match: "uninitialized errmsg", Note: "crash on uninitialized error-message structure after a failed read (MySQL bug [20])"},

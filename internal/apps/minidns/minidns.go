@@ -102,9 +102,8 @@ func Binary() (*isa.Binary, map[string]uint64) {
 
 // App is one running minidns instance.
 type App struct {
-	C   *libsim.C
-	Th  *libsim.Thread
-	Cov *coverage.Tracker
+	C  *libsim.C
+	Th *libsim.Thread
 
 	zones          map[string]string // name -> address
 	queriesServed  int64
@@ -118,10 +117,10 @@ type App struct {
 // New stages zone fixtures and returns a ready instance.
 func New() *App {
 	c := libsim.New(1 << 22)
+	c.Cov = coverage.NewRecorder(Blocks)
 	a := &App{
 		C:     c,
 		Th:    c.NewThread(Module, "main"),
-		Cov:   coverage.New(),
 		zones: make(map[string]string),
 	}
 	c.Owner = a
@@ -132,7 +131,6 @@ func New() *App {
 	c.MustWriteFile("/etc/named/journal", []byte("ixfr-delta-1"))
 	c.SnapshotFS()
 	c.RegisterVar("queries_served", func() int64 { return a.queriesServed })
-	a.registerCoverage()
 	return a
 }
 
@@ -143,7 +141,6 @@ func New() *App {
 func (a *App) Reset() {
 	a.C.Reset()
 	a.Th.Reset()
-	a.Cov.ResetHits()
 	clear(a.zones)
 	a.queriesServed = 0
 	a.dstInitialized = false
@@ -156,52 +153,52 @@ func (a *App) at(fn, label string) func() {
 	return a.Th.Enter(Module, fn, offsets[label])
 }
 
-func (a *App) registerCoverage() {
-	reg := func(id string, loc int, rec bool) { a.Cov.Register(id, loc, rec) }
+// Blocks is minidns's coverage universe.
+var Blocks = coverage.NewIndex([]coverage.Block{
 	// Mainline blocks, weighted like BIND so that recovery code is a
 	// small share of the program (see the minivcs note).
-	reg("main.stats", 700, false)
-	reg("main.dst_init", 500, false)
-	reg("main.load_zone", 1100, false)
-	reg("main.journal", 700, false)
-	reg("main.cache", 500, false)
-	reg("main.dump", 600, false)
-	reg("main.query", 700, false)
-	reg("main.shutdown", 500, false)
-	reg("main.reload", 700, false)
+	{ID: "main.stats", LOC: 700},
+	{ID: "main.dst_init", LOC: 500},
+	{ID: "main.load_zone", LOC: 1100},
+	{ID: "main.journal", LOC: 700},
+	{ID: "main.cache", LOC: 500},
+	{ID: "main.dump", LOC: 600},
+	{ID: "main.query", LOC: 700},
+	{ID: "main.shutdown", LOC: 500},
+	{ID: "main.reload", LOC: 700},
 	// Recovery blocks.
-	reg("rec.sc_xmlwrite", 6, true)
-	reg("rec.dst_malloc_key", 8, true)
-	reg("rec.dst_malloc_ctx", 8, true)
-	reg("rec.lz_open", 10, true)
-	reg("rec.lz_read", 8, true)
-	reg("rec.lz_eof", 4, true)
-	reg("rec.lz_close", 4, true)
-	reg("rec.jr_open", 8, true)
-	reg("rec.jr_read", 6, true)
-	reg("rec.jr_unlink", 5, true)
-	reg("rec.jr_close", 4, true)
-	reg("rec.ca_malloc1", 6, true)
-	reg("rec.ca_malloc2", 6, true)
-	reg("rec.ca_malloc3", 6, true)
-	reg("rec.df_fopen", 7, true)
-	reg("rec.df_fwrite", 9, true)
-	reg("rec.df_fclose", 4, true)
-	reg("rec.df_unlink", 5, true)
-	reg("rec.sd_close1", 3, true)
-	reg("rec.sd_close2", 3, true)
-	reg("rec.sd_close3", 3, true)
-	reg("rec.cf_open", 8, true)
-	reg("rec.cf_close", 3, true)
+	{ID: "rec.sc_xmlwrite", LOC: 6, Recovery: true},
+	{ID: "rec.dst_malloc_key", LOC: 8, Recovery: true},
+	{ID: "rec.dst_malloc_ctx", LOC: 8, Recovery: true},
+	{ID: "rec.lz_open", LOC: 10, Recovery: true},
+	{ID: "rec.lz_read", LOC: 8, Recovery: true},
+	{ID: "rec.lz_eof", LOC: 4, Recovery: true},
+	{ID: "rec.lz_close", LOC: 4, Recovery: true},
+	{ID: "rec.jr_open", LOC: 8, Recovery: true},
+	{ID: "rec.jr_read", LOC: 6, Recovery: true},
+	{ID: "rec.jr_unlink", LOC: 5, Recovery: true},
+	{ID: "rec.jr_close", LOC: 4, Recovery: true},
+	{ID: "rec.ca_malloc1", LOC: 6, Recovery: true},
+	{ID: "rec.ca_malloc2", LOC: 6, Recovery: true},
+	{ID: "rec.ca_malloc3", LOC: 6, Recovery: true},
+	{ID: "rec.df_fopen", LOC: 7, Recovery: true},
+	{ID: "rec.df_fwrite", LOC: 9, Recovery: true},
+	{ID: "rec.df_fclose", LOC: 4, Recovery: true},
+	{ID: "rec.df_unlink", LOC: 5, Recovery: true},
+	{ID: "rec.sd_close1", LOC: 3, Recovery: true},
+	{ID: "rec.sd_close2", LOC: 3, Recovery: true},
+	{ID: "rec.sd_close3", LOC: 3, Recovery: true},
+	{ID: "rec.cf_open", LOC: 8, Recovery: true},
+	{ID: "rec.cf_close", LOC: 3, Recovery: true},
 	// Recovery outside the trimmed campaign's reach.
-	reg("rec.tsig_verify", 14, true)
-	reg("rec.notify_send", 12, true)
-	reg("rec.axfr_stream", 16, true)
+	{ID: "rec.tsig_verify", LOC: 14, Recovery: true},
+	{ID: "rec.notify_send", LOC: 12, Recovery: true},
+	{ID: "rec.axfr_stream", LOC: 16, Recovery: true},
 	// Cold features.
-	reg("cold.dnssec_sign", 1600, false)
-	reg("cold.lwres", 1000, false)
-	reg("cold.dlz_backend", 1028, false)
-}
+	{ID: "cold.dnssec_sign", LOC: 1600},
+	{ID: "cold.lwres", LOC: 1000},
+	{ID: "cold.dlz_backend", LOC: 1028},
+})
 
 // --- subsystems -------------------------------------------------------------
 
@@ -209,7 +206,7 @@ func (a *App) registerCoverage() {
 // BUG [4]: xmlNewTextWriterDoc's return is not checked.
 func (a *App) StatsChannel() (string, error) {
 	t := a.Th
-	a.Cov.Hit("main.stats")
+	a.C.Cov.Hit("main.stats")
 
 	pop := a.at("statschannel_render", "sc_xmlnew")
 	w := t.XMLNewTextWriterDoc()
@@ -219,7 +216,7 @@ func (a *App) StatsChannel() (string, error) {
 	rc := t.XMLTextWriterWriteElement(w, "queries", fmt.Sprint(a.queriesServed))
 	pop()
 	if rc == -1 {
-		a.Cov.Hit("rec.sc_xmlwrite")
+		a.C.Cov.Hit("rec.sc_xmlwrite")
 		t.XMLFreeTextWriter(w)
 		return "", fmt.Errorf("stats: xml write failed")
 	}
@@ -248,13 +245,13 @@ func (a *App) DstLibDestroy() {
 // dst_initialized is set, tripping the assertion (abort).
 func (a *App) DstLibInit() error {
 	t := a.Th
-	a.Cov.Hit("main.dst_init")
+	a.C.Cov.Hit("main.dst_init")
 
 	pop := a.at("dst_lib_init", "dst_malloc_key")
 	a.dstKeyBuf = t.Malloc(512)
 	pop()
 	if a.dstKeyBuf == 0 {
-		a.Cov.Hit("rec.dst_malloc_key")
+		a.C.Cov.Hit("rec.dst_malloc_key")
 		a.DstLibDestroy() // BUG: flag not yet set -> assertion aborts
 		return fmt.Errorf("dst: out of memory")
 	}
@@ -265,7 +262,7 @@ func (a *App) DstLibInit() error {
 	if a.dstCtxBuf == 0 {
 		// Correct recovery: release what was allocated directly,
 		// without going through the assertion-guarded destroy.
-		a.Cov.Hit("rec.dst_malloc_ctx")
+		a.C.Cov.Hit("rec.dst_malloc_ctx")
 		t.Free(a.dstKeyBuf)
 		a.dstKeyBuf = 0
 		return fmt.Errorf("dst: out of memory")
@@ -280,13 +277,13 @@ func (a *App) DstLibInit() error {
 // check: injected open failures are handled gracefully.
 func (a *App) LoadZone(path string) error {
 	t := a.Th
-	a.Cov.Hit("main.load_zone")
+	a.C.Cov.Hit("main.load_zone")
 
 	pop := a.at("load_zone", "lz_open")
 	fd := t.Open(path, libsim.O_RDONLY)
 	pop()
 	if fd < 0 {
-		a.Cov.Hit("rec.lz_open")
+		a.C.Cov.Hit("rec.lz_open")
 		return fmt.Errorf("zone: cannot open %s: %v", path, t.Errno())
 	}
 
@@ -295,12 +292,12 @@ func (a *App) LoadZone(path string) error {
 	n := t.Read(fd, buf)
 	pop()
 	if n == -1 {
-		a.Cov.Hit("rec.lz_read")
+		a.C.Cov.Hit("rec.lz_read")
 		a.closeZone(fd)
 		return fmt.Errorf("zone: read %s: %v", path, t.Errno())
 	}
 	if n == 0 {
-		a.Cov.Hit("rec.lz_eof")
+		a.C.Cov.Hit("rec.lz_eof")
 		a.closeZone(fd)
 		return fmt.Errorf("zone: %s is empty", path)
 	}
@@ -316,7 +313,7 @@ func (a *App) LoadZone(path string) error {
 func (a *App) closeZone(fd int64) {
 	pop := a.at("load_zone", "lz_close")
 	if a.Th.Close(fd) < 0 {
-		a.Cov.Hit("rec.lz_close")
+		a.C.Cov.Hit("rec.lz_close")
 	}
 	pop()
 }
@@ -324,13 +321,13 @@ func (a *App) closeZone(fd int64) {
 // JournalRollforward replays the zone journal and truncates it.
 func (a *App) JournalRollforward() error {
 	t := a.Th
-	a.Cov.Hit("main.journal")
+	a.C.Cov.Hit("main.journal")
 
 	pop := a.at("journal_rollforward", "jr_open")
 	fd := t.Open("/etc/named/journal", libsim.O_RDONLY)
 	pop()
 	if fd < 0 {
-		a.Cov.Hit("rec.jr_open")
+		a.C.Cov.Hit("rec.jr_open")
 		return fmt.Errorf("journal: open: %v", t.Errno())
 	}
 	buf := make([]byte, 128)
@@ -338,7 +335,7 @@ func (a *App) JournalRollforward() error {
 	n := t.Read(fd, buf)
 	pop()
 	if n == -1 { // partial: EOF not distinguished
-		a.Cov.Hit("rec.jr_read")
+		a.C.Cov.Hit("rec.jr_read")
 		n = 0
 	}
 	_ = buf[:n]
@@ -347,14 +344,14 @@ func (a *App) JournalRollforward() error {
 	rc := t.Unlink("/etc/named/journal.old")
 	pop()
 	if rc < 0 {
-		a.Cov.Hit("rec.jr_unlink")
+		a.C.Cov.Hit("rec.jr_unlink")
 	}
 
 	pop = a.at("journal_rollforward", "jr_close")
 	rc = t.Close(fd)
 	pop()
 	if rc < 0 {
-		a.Cov.Hit("rec.jr_close")
+		a.C.Cov.Hit("rec.jr_close")
 	}
 	return nil
 }
@@ -362,13 +359,13 @@ func (a *App) JournalRollforward() error {
 // CacheAlloc grows the answer cache (three checked allocations).
 func (a *App) CacheAlloc() error {
 	t := a.Th
-	a.Cov.Hit("main.cache")
+	a.C.Cov.Hit("main.cache")
 	for i, label := range []string{"ca_malloc1", "ca_malloc2", "ca_malloc3"} {
 		pop := a.at("cache_alloc", label)
 		p := t.Malloc(int64(64 << i))
 		pop()
 		if p == 0 {
-			a.Cov.Hit("rec." + label)
+			a.C.Cov.Hit("rec." + label)
 			return fmt.Errorf("cache: out of memory (stage %d)", i)
 		}
 		t.Free(p)
@@ -379,20 +376,20 @@ func (a *App) CacheAlloc() error {
 // DumpStats writes the statistics file (rndc stats).
 func (a *App) DumpStats() error {
 	t := a.Th
-	a.Cov.Hit("main.dump")
+	a.C.Cov.Hit("main.dump")
 
 	pop := a.at("dump_stats_file", "df_fopen")
 	fp := t.Fopen("/etc/named/named.stats", "w")
 	pop()
 	if fp == 0 {
-		a.Cov.Hit("rec.df_fopen")
+		a.C.Cov.Hit("rec.df_fopen")
 		return fmt.Errorf("stats: fopen: %v", t.Errno())
 	}
 	pop = a.at("dump_stats_file", "df_fwrite")
 	n := t.Fwrite([]byte(fmt.Sprintf("queries %d\n", a.queriesServed)), fp)
 	pop()
 	if n == 0 {
-		a.Cov.Hit("rec.df_fwrite")
+		a.C.Cov.Hit("rec.df_fwrite")
 		a.fcloseStats(fp)
 		return fmt.Errorf("stats: fwrite failed")
 	}
@@ -400,7 +397,7 @@ func (a *App) DumpStats() error {
 
 	pop = a.at("dump_stats_file", "df_unlink")
 	if t.Unlink("/etc/named/named.stats.old") < 0 {
-		a.Cov.Hit("rec.df_unlink")
+		a.C.Cov.Hit("rec.df_unlink")
 	}
 	pop()
 	return nil
@@ -409,14 +406,14 @@ func (a *App) DumpStats() error {
 func (a *App) fcloseStats(fp int64) {
 	pop := a.at("dump_stats_file", "df_fclose")
 	if a.Th.Fclose(fp) < 0 {
-		a.Cov.Hit("rec.df_fclose")
+		a.C.Cov.Hit("rec.df_fclose")
 	}
 	pop()
 }
 
 // Query answers one DNS query from the loaded zones.
 func (a *App) Query(name string) (string, bool) {
-	a.Cov.Hit("main.query")
+	a.C.Cov.Hit("main.query")
 	a.queriesServed++
 	addr, ok := a.zones[name]
 	return addr, ok
@@ -425,7 +422,7 @@ func (a *App) Query(name string) (string, bool) {
 // Shutdown closes listener descriptors.
 func (a *App) Shutdown() {
 	t := a.Th
-	a.Cov.Hit("main.shutdown")
+	a.C.Cov.Hit("main.shutdown")
 	for _, label := range []string{"sd_close1", "sd_close2", "sd_close3"} {
 		fd := t.Open("/etc/named/example.zone", libsim.O_RDONLY)
 		if fd < 0 {
@@ -433,7 +430,7 @@ func (a *App) Shutdown() {
 		}
 		pop := a.at("shutdown_server", label)
 		if t.Close(fd) < 0 {
-			a.Cov.Hit("rec." + label)
+			a.C.Cov.Hit("rec." + label)
 		}
 		pop()
 	}
@@ -443,20 +440,20 @@ func (a *App) Shutdown() {
 // includes); every open is checked, in various compiled idioms.
 func (a *App) ReloadConfig() error {
 	t := a.Th
-	a.Cov.Hit("main.reload")
+	a.C.Cov.Hit("main.reload")
 	for _, label := range []string{"cf_open1", "cf_open2", "cf_open3", "cf_open4"} {
 		pop := a.at("reload_config", label)
 		fd := t.Open("/etc/named/example.zone", libsim.O_RDONLY)
 		pop()
 		if fd < 0 {
-			a.Cov.Hit("rec.cf_open")
+			a.C.Cov.Hit("rec.cf_open")
 			return fmt.Errorf("reload: open (%s): %v", label, t.Errno())
 		}
 		pop = a.at("reload_config", "cf_close")
 		rc := t.Close(fd)
 		pop()
 		if rc < 0 {
-			a.Cov.Hit("rec.cf_close")
+			a.C.Cov.Hit("rec.cf_close")
 		}
 	}
 	return nil

@@ -6,12 +6,12 @@ import "lfi/internal/system"
 // point; see internal/system.
 func init() {
 	system.Register(&system.Descriptor{
-		Name:               Module,
-		Workload:           "zone-load/query/statistics-channel regression suite (RunSuite)",
-		Binary:             Binary,
-		Target:             Target,
-		TargetWithCoverage: TargetWithCoverage,
-		Profiles:           system.DefaultProfiles,
+		Name:     Module,
+		Workload: "zone-load/query/statistics-channel regression suite (RunSuite)",
+		Binary:   Binary,
+		Target:   Target,
+		Blocks:   Blocks,
+		Profiles: system.DefaultProfiles,
 		StockBugs: []system.StockBug{
 			{Match: "dst != NULL && dst_initialized", Note: "recovery path destroys the dst subsystem before its init flag is set (BIND assertion)"},
 			{Match: "xmlTextWriterWriteElement(NULL writer)", Note: "failed xmlNewTextWriterDoc not checked before use (BIND statistics channel)"},

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"lfi/internal/controller"
-	"lfi/internal/coverage"
 	"lfi/internal/libsim"
 )
 
@@ -31,21 +30,6 @@ func Target() controller.Target {
 		Start: func() (*libsim.C, func() error) {
 			app := acquire()
 			return app.C, app.suite
-		},
-		Recycle: recycle,
-	}
-}
-
-// TargetWithCoverage merges each run's coverage into acc (Table 3).
-func TargetWithCoverage(acc *coverage.Tracker) controller.Target {
-	return controller.Target{
-		Name: Module,
-		Start: func() (*libsim.C, func() error) {
-			app := acquire()
-			return app.C, func() error {
-				defer func() { acc.Merge(app.Cov) }()
-				return app.RunSuite()
-			}
 		},
 		Recycle: recycle,
 	}

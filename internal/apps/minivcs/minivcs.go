@@ -102,9 +102,8 @@ func Binary() (*isa.Binary, map[string]uint64) {
 
 // App is one running minivcs instance.
 type App struct {
-	C   *libsim.C
-	Th  *libsim.Thread
-	Cov *coverage.Tracker
+	C  *libsim.C
+	Th *libsim.Thread
 
 	suite func() error // bound RunSuite, reused across pooled runs
 }
@@ -112,7 +111,8 @@ type App struct {
 // New stages a repository fixture and returns a ready instance.
 func New() *App {
 	c := libsim.New(1 << 22)
-	a := &App{C: c, Th: c.NewThread(Module, "main"), Cov: coverage.New()}
+	c.Cov = coverage.NewRecorder(Blocks)
+	a := &App{C: c, Th: c.NewThread(Module, "main")}
 	c.Owner = a
 	a.suite = a.RunSuite
 	c.MustMkdirAll("/repo/.git/objects")
@@ -122,7 +122,6 @@ func New() *App {
 	c.MustWriteFile("/repo/file-b", []byte("bravo contents\n"))
 	c.MustWriteFile("/repo/link-x.lnk", []byte("file-a"))
 	c.SnapshotFS()
-	a.registerCoverage()
 	return a
 }
 
@@ -132,7 +131,6 @@ func New() *App {
 func (a *App) Reset() {
 	a.C.Reset()
 	a.Th.Reset()
-	a.Cov.ResetHits()
 }
 
 // at pushes the virtual stack frame for one modelled call site.
@@ -148,65 +146,65 @@ func (a *App) atLine(fn, label, file string, line int) func() {
 	return a.Th.EnterAt(Module, fn, offsets[label], file, line)
 }
 
-func (a *App) registerCoverage() {
-	reg := func(id string, loc int, rec bool) { a.Cov.Register(id, loc, rec) }
+// Blocks is minivcs's coverage universe.
+var Blocks = coverage.NewIndex([]coverage.Block{
 	// Mainline blocks. LOC weights are sized so that recovery code is
 	// a few percent of the program, as in Git: the Table 3 experiment
 	// needs total coverage to move by ~1 point while recovery
 	// coverage moves by tens of points.
-	reg("main.update_index", 900, false)
-	reg("main.refresh_cache", 700, false)
-	reg("main.merge", 1800, false)
-	reg("main.patience", 900, false)
-	reg("main.run_external", 500, false)
-	reg("main.object_write", 1100, false)
-	reg("main.object_read", 900, false)
-	reg("main.gc", 800, false)
+	{ID: "main.update_index", LOC: 900},
+	{ID: "main.refresh_cache", LOC: 700},
+	{ID: "main.merge", LOC: 1800},
+	{ID: "main.patience", LOC: 900},
+	{ID: "main.run_external", LOC: 500},
+	{ID: "main.object_write", LOC: 1100},
+	{ID: "main.object_read", LOC: 900},
+	{ID: "main.gc", LOC: 800},
 	// Recovery blocks (the Table 3 numerator).
-	reg("rec.ui_open", 8, true)
-	reg("rec.ui_read", 6, true)
-	reg("rec.ui_close", 4, true)
-	reg("rec.rc_close", 4, true)
-	reg("rec.xm_malloc_ok", 10, true)
-	reg("rec.xp_malloc_ok", 9, true)
-	reg("rec.re_setenv_work", 5, true)
-	reg("rec.os_malloc", 7, true)
-	reg("rec.os_open", 8, true)
-	reg("rec.os_write", 12, true)
-	reg("rec.os_close1", 4, true)
-	reg("rec.or_open", 8, true)
-	reg("rec.or_read", 10, true)
-	reg("rec.or_eof", 5, true)
-	reg("rec.or_close", 4, true)
-	reg("rec.or_readlink", 6, true)
-	reg("rec.gc_opendir", 7, true)
-	reg("rec.gc_unlink", 6, true)
-	reg("rec.gc_close2", 4, true)
-	reg("rec.gc_close3", 4, true)
+	{ID: "rec.ui_open", LOC: 8, Recovery: true},
+	{ID: "rec.ui_read", LOC: 6, Recovery: true},
+	{ID: "rec.ui_close", LOC: 4, Recovery: true},
+	{ID: "rec.rc_close", LOC: 4, Recovery: true},
+	{ID: "rec.xm_malloc_ok", LOC: 10, Recovery: true},
+	{ID: "rec.xp_malloc_ok", LOC: 9, Recovery: true},
+	{ID: "rec.re_setenv_work", LOC: 5, Recovery: true},
+	{ID: "rec.os_malloc", LOC: 7, Recovery: true},
+	{ID: "rec.os_open", LOC: 8, Recovery: true},
+	{ID: "rec.os_write", LOC: 12, Recovery: true},
+	{ID: "rec.os_close1", LOC: 4, Recovery: true},
+	{ID: "rec.or_open", LOC: 8, Recovery: true},
+	{ID: "rec.or_read", LOC: 10, Recovery: true},
+	{ID: "rec.or_eof", LOC: 5, Recovery: true},
+	{ID: "rec.or_close", LOC: 4, Recovery: true},
+	{ID: "rec.or_readlink", LOC: 6, Recovery: true},
+	{ID: "rec.gc_opendir", LOC: 7, Recovery: true},
+	{ID: "rec.gc_unlink", LOC: 6, Recovery: true},
+	{ID: "rec.gc_close2", LOC: 4, Recovery: true},
+	{ID: "rec.gc_close3", LOC: 4, Recovery: true},
 	// Recovery code the trimmed LFI campaign does not target (keeps
 	// the coverage gain below 100%, as in the paper).
-	reg("rec.pack_mmap", 22, true)
-	reg("rec.net_push", 30, true)
-	reg("rec.net_fetch", 28, true)
-	reg("rec.alternates", 12, true)
+	{ID: "rec.pack_mmap", LOC: 22, Recovery: true},
+	{ID: "rec.net_push", LOC: 30, Recovery: true},
+	{ID: "rec.net_fetch", LOC: 28, Recovery: true},
+	{ID: "rec.alternates", LOC: 12, Recovery: true},
 	// Cold feature code never exercised by the default suite.
-	reg("cold.bisect", 600, false)
-	reg("cold.cvsimport", 700, false)
-	reg("cold.svn_bridge", 534, false)
-}
+	{ID: "cold.bisect", LOC: 600},
+	{ID: "cold.cvsimport", LOC: 700},
+	{ID: "cold.svn_bridge", LOC: 534},
+})
 
 // --- commands (the Go code paths mirroring the site models) ---------------
 
 // UpdateIndex reads the index file (git update-index).
 func (a *App) UpdateIndex() error {
 	t := a.Th
-	a.Cov.Hit("main.update_index")
+	a.C.Cov.Hit("main.update_index")
 
 	pop := a.at("cmd_update_index", "ui_open")
 	fd := t.Open("/repo/.git/index", libsim.O_RDONLY)
 	pop()
 	if fd < 0 { // CheckIneq
-		a.Cov.Hit("rec.ui_open")
+		a.C.Cov.Hit("rec.ui_open")
 		return fmt.Errorf("update-index: cannot open index: %v", t.Errno())
 	}
 
@@ -215,7 +213,7 @@ func (a *App) UpdateIndex() error {
 	n := t.Read(fd, buf)
 	pop()
 	if n == -1 { // CheckEq{-1}: EOF (0) is NOT handled — a partial check
-		a.Cov.Hit("rec.ui_read")
+		a.C.Cov.Hit("rec.ui_read")
 		a.closeQuiet(fd, "cmd_update_index", "ui_close")
 		return fmt.Errorf("update-index: read failed: %v", t.Errno())
 	}
@@ -225,7 +223,7 @@ func (a *App) UpdateIndex() error {
 	rc := t.Close(fd)
 	pop()
 	if rc < 0 {
-		a.Cov.Hit("rec.ui_close")
+		a.C.Cov.Hit("rec.ui_close")
 		return fmt.Errorf("update-index: close failed: %v", t.Errno())
 	}
 	return nil
@@ -234,7 +232,7 @@ func (a *App) UpdateIndex() error {
 func (a *App) closeQuiet(fd int64, fn, label string) {
 	pop := a.at(fn, label)
 	if a.Th.Close(fd) < 0 {
-		a.Cov.Hit("rec." + label)
+		a.C.Cov.Hit("rec." + label)
 	}
 	pop()
 }
@@ -243,7 +241,7 @@ func (a *App) closeQuiet(fd int64, fn, label string) {
 // checked — Git bug [9]: "crash on make test" via readdir(NULL).
 func (a *App) RefreshCache() error {
 	t := a.Th
-	a.Cov.Hit("main.refresh_cache")
+	a.C.Cov.Hit("main.refresh_cache")
 
 	pop := a.at("refresh_cache", "rc_opendir")
 	dir := t.Opendir("/repo/.git/objects")
@@ -265,7 +263,7 @@ func (a *App) RefreshCache() error {
 	fd := t.Open("/repo/.git/index", libsim.O_RDONLY)
 	if fd >= 0 {
 		if t.Close(fd) < 0 {
-			a.Cov.Hit("rec.rc_close")
+			a.C.Cov.Hit("rec.rc_close")
 		}
 	}
 	pop()
@@ -276,7 +274,7 @@ func (a *App) RefreshCache() error {
 // mallocs are unchecked — Git bug [10], lines 567 and 571.
 func (a *App) Merge(oursLen, theirsLen int64) error {
 	t := a.Th
-	a.Cov.Hit("main.merge")
+	a.C.Cov.Hit("main.merge")
 
 	pop := a.atLine("xdl_do_merge", "xm_malloc_567", "xdiff/xmerge.c", 567)
 	dest := t.Malloc(oursLen + theirsLen)
@@ -294,7 +292,7 @@ func (a *App) Merge(oursLen, theirsLen int64) error {
 	scratch := t.Malloc(128)
 	pop()
 	if scratch == 0 { // CheckEqZero: proper recovery
-		a.Cov.Hit("rec.xm_malloc_ok")
+		a.C.Cov.Hit("rec.xm_malloc_ok")
 		t.Free(dest)
 		t.Free(markers)
 		return fmt.Errorf("merge: out of memory")
@@ -312,7 +310,7 @@ func (a *App) Merge(oursLen, theirsLen int64) error {
 // The histogram allocation is unchecked — Git bug [10], line 191.
 func (a *App) Patience(entries int64) error {
 	t := a.Th
-	a.Cov.Hit("main.patience")
+	a.C.Cov.Hit("main.patience")
 
 	pop := a.atLine("xdl_patience", "xp_malloc_191", "xdiff/xpatience.c", 191)
 	table := t.Malloc(entries * 16)
@@ -325,7 +323,7 @@ func (a *App) Patience(entries int64) error {
 	aux := t.Malloc(entries * 8)
 	pop()
 	if aux == 0 {
-		a.Cov.Hit("rec.xp_malloc_ok")
+		a.C.Cov.Hit("rec.xp_malloc_ok")
 		t.Free(table)
 		return fmt.Errorf("patience: out of memory")
 	}
@@ -339,7 +337,7 @@ func (a *App) Patience(entries int64) error {
 // command runs in the wrong environment, losing data.
 func (a *App) RunExternal(command string) error {
 	t := a.Th
-	a.Cov.Hit("main.run_external")
+	a.C.Cov.Hit("main.run_external")
 
 	pop := a.at("run_external", "re_setenv_dir")
 	t.Setenv("GIT_DIR", "/repo/.git") // BUG: return ignored
@@ -348,7 +346,7 @@ func (a *App) RunExternal(command string) error {
 	pop = a.at("run_external", "re_setenv_work")
 	if t.Setenv("GIT_WORK_TREE", "/repo") < 0 {
 		pop()
-		a.Cov.Hit("rec.re_setenv_work")
+		a.C.Cov.Hit("rec.re_setenv_work")
 		return fmt.Errorf("run-external: cannot set GIT_WORK_TREE: %v", t.Errno())
 	}
 	pop()
@@ -366,13 +364,13 @@ func (a *App) RunExternal(command string) error {
 // StoreObject writes one object into the object store.
 func (a *App) StoreObject(name string, data []byte) error {
 	t := a.Th
-	a.Cov.Hit("main.object_write")
+	a.C.Cov.Hit("main.object_write")
 
 	pop := a.at("object_store_write", "os_malloc")
 	buf := t.Malloc(int64(len(data)) + 16)
 	pop()
 	if buf == 0 {
-		a.Cov.Hit("rec.os_malloc")
+		a.C.Cov.Hit("rec.os_malloc")
 		return fmt.Errorf("object-store: out of memory")
 	}
 	defer t.Free(buf)
@@ -383,7 +381,7 @@ func (a *App) StoreObject(name string, data []byte) error {
 	fd := t.Open(path, libsim.O_CREAT|libsim.O_WRONLY|libsim.O_TRUNC)
 	pop()
 	if fd < 0 {
-		a.Cov.Hit("rec.os_open")
+		a.C.Cov.Hit("rec.os_open")
 		return fmt.Errorf("object-store: open %s: %v", path, t.Errno())
 	}
 
@@ -391,7 +389,7 @@ func (a *App) StoreObject(name string, data []byte) error {
 	n := t.Write(fd, data)
 	pop()
 	if n < 0 {
-		a.Cov.Hit("rec.os_write")
+		a.C.Cov.Hit("rec.os_write")
 		a.closeQuiet(fd, "object_store_write", "os_close1")
 		return fmt.Errorf("object-store: write: %v", t.Errno())
 	}
@@ -400,7 +398,7 @@ func (a *App) StoreObject(name string, data []byte) error {
 	rc := t.Close(fd)
 	pop()
 	if rc < 0 {
-		a.Cov.Hit("rec.os_close1")
+		a.C.Cov.Hit("rec.os_close1")
 		return fmt.Errorf("object-store: close: %v", t.Errno())
 	}
 	return nil
@@ -409,13 +407,13 @@ func (a *App) StoreObject(name string, data []byte) error {
 // LoadObject reads one object back.
 func (a *App) LoadObject(name string) ([]byte, error) {
 	t := a.Th
-	a.Cov.Hit("main.object_read")
+	a.C.Cov.Hit("main.object_read")
 
 	pop := a.at("object_store_read", "or_open")
 	fd := t.Open("/repo/.git/objects/"+name, libsim.O_RDONLY)
 	pop()
 	if fd < 0 {
-		a.Cov.Hit("rec.or_open")
+		a.C.Cov.Hit("rec.or_open")
 		return nil, fmt.Errorf("object-store: open %s: %v", name, t.Errno())
 	}
 
@@ -425,11 +423,11 @@ func (a *App) LoadObject(name string) ([]byte, error) {
 	pop()
 	switch {
 	case n == -1: // full CheckEq{-1,0}
-		a.Cov.Hit("rec.or_read")
+		a.C.Cov.Hit("rec.or_read")
 		a.closeQuiet(fd, "object_store_read", "or_close")
 		return nil, fmt.Errorf("object-store: read: %v", t.Errno())
 	case n == 0:
-		a.Cov.Hit("rec.or_eof")
+		a.C.Cov.Hit("rec.or_eof")
 		a.closeQuiet(fd, "object_store_read", "or_close")
 		return nil, fmt.Errorf("object-store: object %s empty", name)
 	}
@@ -438,7 +436,7 @@ func (a *App) LoadObject(name string) ([]byte, error) {
 	rc := t.Close(fd)
 	pop()
 	if rc < 0 {
-		a.Cov.Hit("rec.or_close")
+		a.C.Cov.Hit("rec.or_close")
 	}
 
 	lbuf := make([]byte, 64)
@@ -446,7 +444,7 @@ func (a *App) LoadObject(name string) ([]byte, error) {
 	ln := t.Readlink("/repo/link-x", lbuf)
 	pop()
 	if ln == -1 {
-		a.Cov.Hit("rec.or_readlink")
+		a.C.Cov.Hit("rec.or_readlink")
 	}
 	return buf[:n], nil
 }
@@ -454,13 +452,13 @@ func (a *App) LoadObject(name string) ([]byte, error) {
 // GC prunes loose objects.
 func (a *App) GC() error {
 	t := a.Th
-	a.Cov.Hit("main.gc")
+	a.C.Cov.Hit("main.gc")
 
 	pop := a.at("gc_prune", "gc_opendir")
 	dir := t.Opendir("/repo/.git/objects")
 	pop()
 	if dir == 0 { // CheckEqZero: proper recovery, unlike refresh_cache
-		a.Cov.Hit("rec.gc_opendir")
+		a.C.Cov.Hit("rec.gc_opendir")
 		return fmt.Errorf("gc: opendir: %v", t.Errno())
 	}
 	var victims []string
@@ -480,7 +478,7 @@ func (a *App) GC() error {
 		rc := t.Unlink("/repo/.git/objects/" + v)
 		pop()
 		if rc < 0 {
-			a.Cov.Hit("rec.gc_unlink")
+			a.C.Cov.Hit("rec.gc_unlink")
 		}
 	}
 
@@ -491,7 +489,7 @@ func (a *App) GC() error {
 		rc := t.Close(fd)
 		pop()
 		if rc == -1 {
-			a.Cov.Hit("rec.gc_close2")
+			a.C.Cov.Hit("rec.gc_close2")
 		}
 	}
 	fd = t.Open("/repo/file-a", libsim.O_RDONLY)
@@ -500,7 +498,7 @@ func (a *App) GC() error {
 		rc := t.Close(fd)
 		pop()
 		if rc < 0 {
-			a.Cov.Hit("rec.gc_close3")
+			a.C.Cov.Hit("rec.gc_close3")
 		}
 	}
 	return nil

@@ -7,7 +7,6 @@ import (
 
 	"lfi/internal/callsite"
 	"lfi/internal/controller"
-	"lfi/internal/coverage"
 	"lfi/internal/libsim"
 	"lfi/internal/libspec"
 	"lfi/internal/profile"
@@ -132,22 +131,23 @@ func TestCoverageImprovesUnderInjection(t *testing.T) {
 	if err := app.RunSuite(); err != nil {
 		t.Fatal(err)
 	}
-	base := app.Cov.Recovery()
+	base := Blocks.Recovery(app.C.Cov.Bits())
 	if base.BlocksCovered != 0 {
 		t.Fatalf("baseline recovery coverage nonzero: %+v", base)
 	}
 	// One injected fault exercises one recovery block. The workload
 	// reports the (gracefully handled) failure — that is expected;
 	// what must not happen is a crash.
-	acc := coverage.New()
-	out, err := controller.RunOne(TargetWithCoverage(acc), siteScenario(t, "open", -1, "EACCES", "ui_open"))
+	tgt := Target()
+	tgt.Coverage = true
+	out, err := controller.RunOne(tgt, siteScenario(t, "open", -1, "EACCES", "ui_open"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Crash != nil {
 		t.Fatalf("crash: %v", out.Crash)
 	}
-	rec := acc.Recovery()
+	rec := out.CovU.Recovery(out.Cov)
 	if rec.BlocksCovered == 0 {
 		t.Fatalf("injection did not improve recovery coverage: %+v", rec)
 	}

@@ -9,12 +9,12 @@ import "lfi/internal/system"
 // site).
 func init() {
 	system.Register(&system.Descriptor{
-		Name:               Module,
-		Workload:           "init/add/commit/log/gc repository regression suite (RunSuite)",
-		Binary:             Binary,
-		Target:             Target,
-		TargetWithCoverage: TargetWithCoverage,
-		Profiles:           system.DefaultProfiles,
+		Name:     Module,
+		Workload: "init/add/commit/log/gc repository regression suite (RunSuite)",
+		Binary:   Binary,
+		Target:   Target,
+		Blocks:   Blocks,
+		Profiles: system.DefaultProfiles,
 		StockBugs: []system.StockBug{
 			{Match: "malloc at minivcs+0x150", Note: "unchecked malloc in xmalloc wrapper, site 1 (Git)"},
 			{Match: "malloc at minivcs+0x168", Note: "unchecked malloc in xmalloc wrapper, site 2 (Git)"},

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"lfi/internal/controller"
-	"lfi/internal/coverage"
 	"lfi/internal/libsim"
 )
 
@@ -32,23 +31,6 @@ func Target() controller.Target {
 		Start: func() (*libsim.C, func() error) {
 			app := acquire()
 			return app.C, app.suite
-		},
-		Recycle: recycle,
-	}
-}
-
-// TargetWithCoverage is Target plus per-run coverage accumulation into
-// acc — the Table 3 workflow, where lcov data from every test run is
-// merged before computing campaign coverage.
-func TargetWithCoverage(acc *coverage.Tracker) controller.Target {
-	return controller.Target{
-		Name: Module,
-		Start: func() (*libsim.C, func() error) {
-			app := acquire()
-			return app.C, func() error {
-				defer func() { acc.Merge(app.Cov) }()
-				return app.RunSuite()
-			}
 		},
 		Recycle: recycle,
 	}

@@ -77,11 +77,22 @@ func Binary() (*isa.Binary, map[string]uint64) {
 	return bin, offs
 }
 
+// Blocks is miniweb's coverage universe.
+var Blocks = coverage.NewIndex([]coverage.Block{
+	{ID: "main.static", LOC: 40},
+	{ID: "main.php", LOC: 60},
+	{ID: "main.log", LOC: 14},
+	{ID: "rec.dh_open", LOC: 6, Recovery: true},
+	{ID: "rec.dh_apr_read", LOC: 8, Recovery: true},
+	{ID: "rec.ph_open", LOC: 6, Recovery: true},
+	{ID: "rec.ph_apr_read", LOC: 8, Recovery: true},
+	{ID: "rec.lt_fwrite", LOC: 5, Recovery: true},
+})
+
 // App is one running miniweb instance.
 type App struct {
-	C   *libsim.C
-	Th  *libsim.Thread
-	Cov *coverage.Tracker
+	C  *libsim.C
+	Th *libsim.Thread
 
 	methodNumber int64
 	served       int64
@@ -93,7 +104,8 @@ type App struct {
 // New stages the document root and returns a ready instance.
 func New() *App {
 	c := libsim.New(1 << 22)
-	a := &App{C: c, Th: c.NewThread(Module, "main"), Cov: coverage.New()}
+	c.Cov = coverage.NewRecorder(Blocks)
+	a := &App{C: c, Th: c.NewThread(Module, "main")}
 	c.Owner = a
 	a.suite = a.RunSuite
 	a.mutex = c.MutexInit()
@@ -107,14 +119,6 @@ func New() *App {
 	c.MustWriteFile("/www/app.php", []byte("<?php compute(); ?>"))
 	c.SnapshotFS()
 	c.RegisterVar("method_number", func() int64 { return a.methodNumber })
-	a.Cov.Register("main.static", 40, false)
-	a.Cov.Register("main.php", 60, false)
-	a.Cov.Register("main.log", 14, false)
-	a.Cov.Register("rec.dh_open", 6, true)
-	a.Cov.Register("rec.dh_apr_read", 8, true)
-	a.Cov.Register("rec.ph_open", 6, true)
-	a.Cov.Register("rec.ph_apr_read", 8, true)
-	a.Cov.Register("rec.lt_fwrite", 5, true)
 	return a
 }
 
@@ -124,7 +128,6 @@ func New() *App {
 func (a *App) Reset() {
 	a.C.Reset()
 	a.Th.Reset()
-	a.Cov.ResetHits()
 	a.mutex = a.C.MutexInit()
 	a.methodNumber = 0
 	a.served = 0
@@ -142,7 +145,7 @@ func (a *App) at(fn, label string) func() {
 // for the custom WithMutex trigger.
 func (a *App) ServeStatic(path string, method int64) error {
 	t := a.Th
-	a.Cov.Hit("main.static")
+	a.C.Cov.Hit("main.static")
 	a.methodNumber = method
 	popReq := t.Enter(Module, "ap_process_request_internal", 0)
 	defer popReq()
@@ -151,7 +154,7 @@ func (a *App) ServeStatic(path string, method int64) error {
 	fd := t.Open(path, libsim.O_RDONLY)
 	pop()
 	if fd < 0 {
-		a.Cov.Hit("rec.dh_open")
+		a.C.Cov.Hit("rec.dh_open")
 		return fmt.Errorf("static: open %s: %v", path, t.Errno())
 	}
 	defer func() {
@@ -174,7 +177,7 @@ func (a *App) ServeStatic(path string, method int64) error {
 			// including the worker mutex the deferred cleanup below
 			// also releases — a double unlock, which error-checking
 			// mutexes turn into an abort (the mi_create bug family).
-			a.Cov.Hit("rec.dh_apr_read")
+			a.C.Cov.Hit("rec.dh_apr_read")
 			t.MutexUnlock(a.mutex)
 			return fmt.Errorf("static: apr_file_read: status %d", st)
 		}
@@ -191,7 +194,7 @@ func (a *App) ServeStatic(path string, method int64) error {
 // library calls per unit time).
 func (a *App) ServePHP(path string, method int64) error {
 	t := a.Th
-	a.Cov.Hit("main.php")
+	a.C.Cov.Hit("main.php")
 	a.methodNumber = method
 	popReq := t.Enter(Module, "ap_process_request_internal", 0)
 	defer popReq()
@@ -200,7 +203,7 @@ func (a *App) ServePHP(path string, method int64) error {
 	fd := t.Open(path, libsim.O_RDONLY)
 	pop()
 	if fd < 0 {
-		a.Cov.Hit("rec.ph_open")
+		a.C.Cov.Hit("rec.ph_open")
 		return fmt.Errorf("php: open %s: %v", path, t.Errno())
 	}
 	defer func() {
@@ -215,7 +218,7 @@ func (a *App) ServePHP(path string, method int64) error {
 	st := t.APRFileRead(fd, buf, &n)
 	pop()
 	if st != 0 {
-		a.Cov.Hit("rec.ph_apr_read")
+		a.C.Cov.Hit("rec.ph_apr_read")
 		return fmt.Errorf("php: apr_file_read: status %d", st)
 	}
 
@@ -238,7 +241,7 @@ func (a *App) ServePHP(path string, method int64) error {
 // opened, the fwrite crashes on the NULL stream.
 func (a *App) LogTransaction(line string) {
 	t := a.Th
-	a.Cov.Hit("main.log")
+	a.C.Cov.Hit("main.log")
 	pop := a.at("log_transaction", "lt_fopen")
 	fp := t.Fopen("/var/log/access_log", "a")
 	pop()
@@ -247,7 +250,7 @@ func (a *App) LogTransaction(line string) {
 	n := t.Fwrite([]byte(line+"\n"), fp)
 	pop()
 	if n == 0 {
-		a.Cov.Hit("rec.lt_fwrite")
+		a.C.Cov.Hit("rec.lt_fwrite")
 	}
 	t.Fclose(fp)
 }

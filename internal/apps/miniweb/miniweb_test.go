@@ -113,7 +113,7 @@ func TestMissingFileRecovered(t *testing.T) {
 	if err := app.ServeStatic("/www/nope.html", MethodGET); err == nil {
 		t.Fatal("missing file served")
 	}
-	if app.Cov.Recovery().BlocksCovered == 0 {
+	if Blocks.Recovery(app.C.Cov.Bits()).BlocksCovered == 0 {
 		t.Fatal("open recovery not exercised")
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"lfi/internal/core"
+	"lfi/internal/coverage"
 	"lfi/internal/libsim"
 	"lfi/internal/scenario"
 )
@@ -46,6 +47,9 @@ type Target struct {
 	// controller guarantees nothing still references it. Targets
 	// without Recycle keep the one-image-per-run behaviour.
 	Recycle func(*libsim.C)
+	// Coverage asks RunOne to copy the blocks the run executed (the
+	// image's coverage recorder) onto Outcome.Cov/CovU.
+	Coverage bool
 }
 
 // Outcome is the observed result of one test run.
@@ -56,6 +60,10 @@ type Outcome struct {
 	Injections int
 	Log        *core.Log
 	Elapsed    time.Duration
+	// Cov is the run's coverage, a bitset over the system's block
+	// universe CovU (both nil unless Target.Coverage was set).
+	Cov  coverage.Bitset
+	CovU *coverage.Index
 }
 
 // Failed reports whether the run ended abnormally in any way.
@@ -96,6 +104,9 @@ func RunOne(tgt Target, s *scenario.Scenario, opts ...core.Option) (Outcome, err
 		rt.Install()
 	}
 	out.Crash, out.WorkErr = monitor(workload)
+	if tgt.Coverage && proc.Cov != nil {
+		out.Cov, out.CovU = proc.Cov.Bits().Clone(), proc.Cov.Index()
+	}
 	// Teardown order matters for pooled targets: capture everything the
 	// outcome needs, detach the runtime from the dispatcher, release the
 	// runtime for reuse, and only then hand the image back — once
@@ -288,21 +299,25 @@ func FailureSignature(o Outcome) (sig string, ok bool) {
 // DistinctBugs deduplicates campaign failures into the Table 1 shape,
 // grouping outcomes by FailureSignature.
 func DistinctBugs(system string, outcomes []Outcome) []Bug {
-	bySig := map[string]*Bug{}
+	bySig := map[string][]string{}
 	for _, o := range outcomes {
 		sig, failed := FailureSignature(o)
 		if !failed {
 			continue
 		}
-		b, ok := bySig[sig]
-		if !ok {
-			b = &Bug{System: system, Signature: sig}
-			bySig[sig] = b
-		}
+		names := bySig[sig]
 		if o.Scenario != nil {
-			b.Scenarios = append(b.Scenarios, o.Scenario.Name)
+			names = append(names, o.Scenario.Name)
 		}
+		bySig[sig] = names
 	}
+	return SortBugs(system, bySig)
+}
+
+// SortBugs renders failures grouped by signature (signature → names of
+// the scenarios that reproduced it) as Bugs sorted by signature — the
+// one rendering campaigns, sessions and the explorer share.
+func SortBugs(system string, bySig map[string][]string) []Bug {
 	sigs := make([]string, 0, len(bySig))
 	for s := range bySig {
 		sigs = append(sigs, s)
@@ -310,7 +325,7 @@ func DistinctBugs(system string, outcomes []Outcome) []Bug {
 	sort.Strings(sigs)
 	out := make([]Bug, 0, len(sigs))
 	for _, s := range sigs {
-		out = append(out, *bySig[s])
+		out = append(out, Bug{System: system, Signature: s, Scenarios: bySig[s]})
 	}
 	return out
 }

@@ -2,14 +2,13 @@ package coverage
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Bitset is a dense bitset over a block universe established by an
 // Index: bit i stands for the block at universe position i. It is the
-// hot-path encoding of per-run coverage footprints — the sorted
-// []string ID form survives only at JSON serialization boundaries
-// (stores, wire fallback), materialized on demand via Index.AppendIDs.
+// encoding of coverage from a run's Hit to the store boundary, where the
+// sorted []string ID form is materialized on demand via Index.AppendIDs.
 type Bitset []uint64
 
 // NewBitset returns a zeroed bitset able to hold n bits.
@@ -33,36 +32,6 @@ func (b Bitset) Or(other Bitset) {
 	}
 }
 
-// And intersects b with other in place; bits beyond other clear.
-func (b Bitset) And(other Bitset) {
-	for i := range b {
-		if i < len(other) {
-			b[i] &= other[i]
-		} else {
-			b[i] = 0
-		}
-	}
-}
-
-// Count returns the number of set bits.
-func (b Bitset) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Empty reports whether no bit is set.
-func (b Bitset) Empty() bool {
-	for _, w := range b {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy.
 func (b Bitset) Clone() Bitset {
 	out := make(Bitset, len(b))
@@ -77,19 +46,18 @@ func (b Bitset) Reset() {
 	}
 }
 
-// FoldNew ors src∩mask into b and calls fn with each position that was
-// newly set, in ascending order — the one-pass "which recovery blocks
-// did this run cover first" fold of the explorer.
+// FoldNew ors src into b and calls fn with each newly set position that
+// mask also has, in ascending order — the explorer's one-pass "which
+// recovery blocks did this run cover first" fold.
 func (b Bitset) FoldNew(src, mask Bitset, fn func(i int)) {
 	for w := 0; w < len(src) && w < len(b); w++ {
-		m := src[w]
-		if w < len(mask) {
-			m &= mask[w]
-		} else {
-			m = 0
-		}
-		nw := m &^ b[w]
+		nw := src[w] &^ b[w]
 		b[w] |= nw
+		if w < len(mask) {
+			nw &= mask[w]
+		} else {
+			nw = 0
+		}
 		for nw != 0 {
 			t := bits.TrailingZeros64(nw)
 			fn(w*64 + t)
@@ -109,128 +77,40 @@ func (b Bitset) Range(fn func(i int)) {
 	}
 }
 
-// Index is an immutable ID↔position table over a block universe: the
-// sorted registered-block IDs of one application image. Everyone who
-// shares an Index (worker and session, executor and explorer) agrees on
-// what each bit of a Bitset means. Wire backends establish a shared
-// Index at handshake; in-process users take it from the Tracker that
-// registered the universe.
-type Index struct {
-	ids []string
-	pos map[string]int
+// Remap translates bitsets over a foreign ID table — the universe a
+// worker built from another commit announced — onto a local Index:
+// blocks both sides declare keep their bit, blocks the local build lacks
+// are dropped.
+type Remap struct {
+	to  *Index
+	pos []int // foreign position -> local position, -1 = dropped
 }
 
-// NewIndex builds an index over the given IDs (copied, sorted,
-// deduplicated).
-func NewIndex(ids []string) *Index {
-	sorted := append([]string(nil), ids...)
-	sort.Strings(sorted)
-	x := &Index{ids: sorted[:0], pos: make(map[string]int, len(sorted))}
-	for _, id := range sorted {
-		if _, dup := x.pos[id]; dup {
-			continue
-		}
-		x.pos[id] = len(x.ids)
-		x.ids = append(x.ids, id)
+// Remap returns the mapping from the strictly ascending ID table ids
+// onto x, or nil when ids is x's own table and bitsets carry over
+// unchanged.
+func (x *Index) Remap(ids []string) *Remap {
+	if slices.Equal(ids, x.ids) {
+		return nil
 	}
-	return x
-}
-
-// Len returns the universe size.
-func (x *Index) Len() int { return len(x.ids) }
-
-// IDs returns the sorted universe. Callers must not mutate it.
-func (x *Index) IDs() []string { return x.ids }
-
-// Pos returns the position of id in the universe.
-func (x *Index) Pos(id string) (int, bool) {
-	p, ok := x.pos[id]
-	return p, ok
-}
-
-// ID returns the block ID at position i.
-func (x *Index) ID(i int) string { return x.ids[i] }
-
-// AppendIDs materializes the bitset's blocks as sorted IDs appended to
-// dst — the JSON-boundary form of a footprint (sorted because the
-// universe is).
-func (x *Index) AppendIDs(dst []string, b Bitset) []string {
-	for w, word := range b {
-		for word != 0 {
-			t := bits.TrailingZeros64(word)
-			if i := w*64 + t; i < len(x.ids) {
-				dst = append(dst, x.ids[i])
-			}
-			word &^= 1 << uint(t)
-		}
-	}
-	return dst
-}
-
-// Index builds the ID↔position table over this tracker's registered
-// universe.
-func (t *Tracker) Index() *Index {
-	return NewIndex(t.RegisteredIDs())
-}
-
-// CoveredBits encodes the covered blocks as a bitset over x, reusing
-// dst when it is large enough.
-func (t *Tracker) CoveredBits(x *Index, dst Bitset) Bitset {
-	if need := (x.Len() + 63) / 64; cap(dst) < need {
-		dst = make(Bitset, need)
-	} else {
-		dst = dst[:need]
-		dst.Reset()
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for id, b := range t.blocks {
-		if b.Hits == 0 {
-			continue
-		}
+	m := &Remap{to: x, pos: make([]int, len(ids))}
+	for i, id := range ids {
 		if p, ok := x.pos[id]; ok {
-			dst.Set(p)
+			m.pos[i] = p
+		} else {
+			m.pos[i] = -1
 		}
 	}
-	return dst
+	return m
 }
 
-// RecoveryBits encodes recovery-block membership as a bitset over x.
-func (t *Tracker) RecoveryBits(x *Index) Bitset {
-	b := NewBitset(x.Len())
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for id, blk := range t.blocks {
-		if !blk.Recovery {
-			continue
+// Apply returns src's bits as a new bitset over the local universe.
+func (m *Remap) Apply(src Bitset) Bitset {
+	out := NewBitset(m.to.Len())
+	src.Range(func(i int) {
+		if i < len(m.pos) && m.pos[i] >= 0 {
+			out.Set(m.pos[i])
 		}
-		if p, ok := x.pos[id]; ok {
-			b.Set(p)
-		}
-	}
-	return b
-}
-
-// HitBits records one execution of every block set in b (the bitset
-// fold of per-run footprints into a campaign accumulator).
-func (t *Tracker) HitBits(x *Index, b Bitset) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for w, word := range b {
-		for word != 0 {
-			tz := bits.TrailingZeros64(word)
-			word &^= 1 << uint(tz)
-			i := w*64 + tz
-			if i >= len(x.ids) {
-				continue
-			}
-			id := x.ids[i]
-			blk, ok := t.blocks[id]
-			if !ok {
-				blk = &Block{ID: id, LOC: 1}
-				t.blocks[id] = blk
-			}
-			blk.Hits++
-		}
-	}
+	})
+	return out
 }

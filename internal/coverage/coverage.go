@@ -1,72 +1,102 @@
 // Package coverage measures recovery-code coverage, standing in for the
 // paper's gcov/lcov workflow (§7.1, Table 3).
 //
-// Applications register their basic blocks up front, marking which ones
-// are recovery code (error-handling arms) and how many source lines each
-// block represents, then report execution with Hit. The tracker answers
-// the two Table 3 questions: what fraction of recovery blocks/lines did
-// a campaign execute, and what was total line coverage.
+// Each system declares its block universe once, as an immutable Index:
+// every basic block's ID, how many source lines it stands for, and
+// whether it is recovery code (an error-handling arm). A run records the
+// blocks it executes in a Recorder held by its process image — one
+// bitset over that Index, like the gcov counters living in the process
+// under test. The controller copies the bitset onto the run's outcome
+// when coverage is requested, campaigns union run bitsets (lcov merging
+// .info files), and the Index answers the two Table 3 questions over any
+// union: what fraction of recovery blocks/lines it covers, and what the
+// total line coverage is. Sorted IDs appear only at serialization
+// boundaries (the store, the wire's universe table).
 package coverage
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
-// Block is one registered basic block.
+// Block declares one basic block of a system's universe.
 type Block struct {
 	ID       string
 	LOC      int
 	Recovery bool
-	Hits     uint64
 }
 
-// Tracker accumulates coverage for one application image.
-type Tracker struct {
-	mu      sync.Mutex
-	blocks  map[string]*Block
-	scratch []string // reused by CoveredIDs
+// Index is an immutable block universe: the declared blocks sorted by
+// ID, with their LOC weights and recovery flags. Bit i of a Bitset over
+// an Index stands for the block at position i. Everyone who shares an
+// Index (process image, executor, explorer) agrees on what each bit
+// means; a worker's universe reaches a client as its ID table and is
+// mapped onto the client's own Index with Remap.
+type Index struct {
+	ids []string
+	loc []int
+	rec Bitset
+	pos map[string]int
+
+	recBlocks, recLOC, totLOC int
 }
 
-// New creates an empty tracker.
-func New() *Tracker {
-	return &Tracker{blocks: make(map[string]*Block)}
-}
-
-// Register adds a block. Registering an existing ID updates its
-// metadata but preserves hits.
-func (t *Tracker) Register(id string, loc int, recovery bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b, ok := t.blocks[id]; ok {
-		b.LOC, b.Recovery = loc, recovery
-		return
+// NewIndex builds a universe from the declared blocks. A block declared
+// twice panics: like a duplicate system registration it is a wiring bug
+// that should fail at program start.
+func NewIndex(blocks []Block) *Index {
+	sorted := append([]Block(nil), blocks...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+	x := &Index{
+		ids: make([]string, len(sorted)),
+		loc: make([]int, len(sorted)),
+		rec: NewBitset(len(sorted)),
+		pos: make(map[string]int, len(sorted)),
 	}
-	t.blocks[id] = &Block{ID: id, LOC: loc, Recovery: recovery}
+	for i, b := range sorted {
+		if _, dup := x.pos[b.ID]; dup {
+			panic(fmt.Sprintf("coverage: block %q declared twice", b.ID))
+		}
+		x.ids[i], x.loc[i], x.pos[b.ID] = b.ID, b.LOC, i
+		x.totLOC += b.LOC
+		if b.Recovery {
+			x.rec.Set(i)
+			x.recBlocks++
+			x.recLOC += b.LOC
+		}
+	}
+	return x
 }
 
-// Hit records one execution of a block. Unregistered IDs are registered
-// implicitly as 1-line non-recovery blocks so that coverage never
-// silently drops data.
-func (t *Tracker) Hit(id string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	b, ok := t.blocks[id]
-	if !ok {
-		b = &Block{ID: id, LOC: 1}
-		t.blocks[id] = b
-	}
-	b.Hits++
+// Len returns the universe size.
+func (x *Index) Len() int { return len(x.ids) }
+
+// IDs returns the sorted universe. Callers must not mutate it.
+func (x *Index) IDs() []string { return x.ids }
+
+// Pos returns the position of id in the universe.
+func (x *Index) Pos(id string) (int, bool) {
+	p, ok := x.pos[id]
+	return p, ok
 }
 
-// ResetHits zeroes execution counts, keeping registrations.
-func (t *Tracker) ResetHits() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, b := range t.blocks {
-		b.Hits = 0
-	}
+// ID returns the block ID at position i.
+func (x *Index) ID(i int) string { return x.ids[i] }
+
+// Recoveries returns the recovery blocks as a bitset. Callers must not
+// mutate it.
+func (x *Index) Recoveries() Bitset { return x.rec }
+
+// AppendIDs materializes the bitset's blocks as sorted IDs appended to
+// dst — the JSON-boundary form of a footprint (sorted because the
+// universe is).
+func (x *Index) AppendIDs(dst []string, b Bitset) []string {
+	b.Range(func(i int) {
+		if i < len(x.ids) {
+			dst = append(dst, x.ids[i])
+		}
+	})
+	return dst
 }
 
 // Stats is a coverage summary.
@@ -91,97 +121,69 @@ func (s Stats) String() string {
 		s.BlocksCovered, s.Blocks, s.LOCCovered, s.LOC, s.Percent())
 }
 
-// Recovery returns coverage over recovery blocks only.
-func (t *Tracker) Recovery() Stats { return t.stats(true) }
-
-// Total returns coverage over all registered blocks.
-func (t *Tracker) Total() Stats { return t.stats(false) }
-
-func (t *Tracker) stats(recoveryOnly bool) Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var s Stats
-	for _, b := range t.blocks {
-		if recoveryOnly && !b.Recovery {
-			continue
-		}
-		s.Blocks++
-		s.LOC += b.LOC
-		if b.Hits > 0 {
+// Recovery returns the coverage of recovery blocks by covered.
+func (x *Index) Recovery(covered Bitset) Stats {
+	s := Stats{Blocks: x.recBlocks, LOC: x.recLOC}
+	covered.Range(func(i int) {
+		if x.rec.Has(i) {
 			s.BlocksCovered++
-			s.LOCCovered += b.LOC
+			s.LOCCovered += x.loc[i]
 		}
-	}
+	})
 	return s
 }
 
-// CoveredIDs returns the IDs of blocks executed at least once, sorted.
-// The returned slice is tracker-owned scratch, invalidated by the next
-// CoveredIDs call — callers that retain it (store and wire
-// serialization boundaries) must copy.
-func (t *Tracker) CoveredIDs() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := t.scratch[:0]
-	for id, b := range t.blocks {
-		if b.Hits > 0 {
-			out = append(out, id)
+// Total returns the coverage of the whole universe by covered.
+func (x *Index) Total(covered Bitset) Stats {
+	s := Stats{Blocks: len(x.ids), LOC: x.totLOC}
+	covered.Range(func(i int) {
+		if i < len(x.ids) {
+			s.BlocksCovered++
+			s.LOCCovered += x.loc[i]
 		}
-	}
-	sort.Strings(out)
-	t.scratch = out
-	return out
+	})
+	return s
 }
 
-// RegisteredIDs returns the IDs of all registered blocks, sorted.
-func (t *Tracker) RegisteredIDs() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.blocks))
-	for id := range t.blocks {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
+// Recorder records the blocks one run executes, as a bitset over its
+// universe. A process image holds at most one; a nil Recorder records
+// nothing, which is how a process that is not measured (a live cluster
+// replica) keeps its hot path free of coverage work. A Recorder is not
+// safe for concurrent use: a process image runs one workload at a time.
+type Recorder struct {
+	idx  *Index
+	bits Bitset
 }
 
-// RecoveryIDs returns the IDs of all registered recovery blocks,
-// sorted — the block universe the fault-space explorer validates
-// replayed store entries against.
-func (t *Tracker) RecoveryIDs() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []string
-	for id, b := range t.blocks {
-		if b.Recovery {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
+// NewRecorder returns an empty recorder over the universe x.
+func NewRecorder(x *Index) *Recorder {
+	return &Recorder{idx: x, bits: NewBitset(x.Len())}
 }
 
-// Merge folds another tracker's hits into this one (campaigns union
-// coverage across many runs, like lcov merging .info files). Both locks
-// are held for the duration, destination first; merges only ever flow
-// per-run tracker → campaign accumulator, so the order cannot invert.
-// This keeps the steady-state merge allocation-free (no snapshot slice)
-// once the accumulator knows the universe.
-func (t *Tracker) Merge(other *Tracker) {
-	if other == t {
+// Hit records that block id executed. An ID the universe does not
+// declare panics: a block the system forgot to declare is a wiring bug,
+// not data to drop or invent.
+func (r *Recorder) Hit(id string) {
+	if r == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	other.mu.Lock()
-	defer other.mu.Unlock()
-	for id, ob := range other.blocks {
-		b, ok := t.blocks[id]
-		if !ok {
-			nb := *ob
-			t.blocks[id] = &nb
-			continue
-		}
-		b.Hits += ob.Hits
+	p, ok := r.idx.pos[id]
+	if !ok {
+		panic(fmt.Sprintf("coverage: hit on undeclared block %q", id))
+	}
+	r.bits.Set(p)
+}
+
+// Reset clears the recorded hits.
+func (r *Recorder) Reset() {
+	if r != nil {
+		r.bits.Reset()
 	}
 }
+
+// Index returns the recorder's universe.
+func (r *Recorder) Index() *Index { return r.idx }
+
+// Bits returns the recorded hits. The bitset is the recorder's own and
+// changes with the next Hit or Reset; callers that keep it must Clone.
+func (r *Recorder) Bits() Bitset { return r.bits }

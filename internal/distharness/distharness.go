@@ -4,8 +4,10 @@
 // Protocol — a replica factory, an encoded message trace, and a
 // liveness/safety oracle — and the harness supplies the rest: the
 // recvfrom-interception ↔ trace-datagram loop, zero-depth-buffer loss
-// semantics (netsim.Drop), and opt-in per-replica coverage, identical
-// for every protocol.
+// semantics (netsim.Drop), identical for every protocol. Coverage needs
+// no harness support: the replica's process image records its hits over
+// the system's declared universe, and the controller reads them from
+// the image like any other target's.
 //
 // The loop replays a recorded trace against one replica-under-test.
 // Each scripted datagram is staged on the wire and consumed by exactly
@@ -22,7 +24,6 @@ import (
 	"sync"
 
 	"lfi/internal/controller"
-	"lfi/internal/coverage"
 	"lfi/internal/libsim"
 	"lfi/internal/netsim"
 )
@@ -32,9 +33,6 @@ type Replica interface {
 	// Image is the replica's simulated process (the controller's
 	// injection surface).
 	Image() *libsim.C
-	// Coverage is the replica's block tracker; the harness merges it
-	// into the explorer's accumulator after each run.
-	Coverage() *coverage.Tracker
 	// Open creates and binds the replica socket without starting any
 	// background loop — the harness drives receives itself.
 	Open() error
@@ -65,7 +63,7 @@ type Protocol interface {
 	// value and shares the result between runs.
 	Trace() [][]byte
 	// NewReplica builds a fresh replica-under-test bound to the shared
-	// network, with coverage recording enabled.
+	// network, its image recording coverage over the system's Blocks.
 	NewReplica(net *netsim.Network) Replica
 	// Check is the liveness/safety oracle, run after the trace and the
 	// epilogue: a non-nil error is a workload-detected failure that is
@@ -74,10 +72,10 @@ type Protocol interface {
 }
 
 // traces memoizes each protocol's encoded trace. Trace is a pure
-// function of a stateless Protocol value, and the explorer builds a
-// coverage target for every run, so encoding it per harness would
-// re-encode the same messages on every run. Sharing one slice is safe:
-// nothing writes it, and SendTo copies each datagram onto the wire.
+// function of a stateless Protocol value, and every run builds a fresh
+// harness, so encoding it per harness would re-encode the same messages
+// on every run. Sharing one slice is safe: nothing writes it, and
+// SendTo copies each datagram onto the wire.
 var traces sync.Map // Protocol -> [][]byte
 
 func traceOf(p Protocol) [][]byte {
@@ -149,21 +147,6 @@ func Target(p Protocol) controller.Target {
 		Start: func() (*libsim.C, func() error) {
 			h := New(p)
 			return h.R.Image(), h.Run
-		},
-	}
-}
-
-// TargetWithCoverage is Target plus per-run coverage merged into acc —
-// the TargetWithCoverage shape the explorer consumes.
-func TargetWithCoverage(p Protocol, acc *coverage.Tracker) controller.Target {
-	return controller.Target{
-		Name: p.Name(),
-		Start: func() (*libsim.C, func() error) {
-			h := New(p)
-			return h.R.Image(), func() error {
-				defer func() { acc.Merge(h.R.Coverage()) }()
-				return h.Run()
-			}
 		},
 	}
 }

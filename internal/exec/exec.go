@@ -87,7 +87,7 @@ type Info struct {
 type Batch struct {
 	System    string
 	Seed      int64
-	Coverage  bool // collect per-run coverage block IDs
+	Coverage  bool // collect per-run coverage (Outcome.Cov/CovU)
 	Scenarios []*scenario.Scenario
 
 	// Image is the image version the dispatching session expects the
@@ -124,11 +124,15 @@ type Outcome struct {
 	Injections  int
 
 	// Cov/CovU are the coverage encoding: a dense bitset over the
-	// block universe CovU (nil when the batch collected no coverage).
-	// BlockIDs materializes the sorted-ID form at serialization
-	// boundaries such as the store.
+	// system's block universe CovU — this process's Descriptor.Blocks,
+	// whichever backend ran the test (nil when the batch collected no
+	// coverage). BlockIDs materializes the sorted-ID form at
+	// serialization boundaries such as the store.
 	Cov  coverage.Bitset
 	CovU *coverage.Index
+	// wire is the worker's universe a decoded outcome's Cov is over,
+	// until Remote localizes it onto CovU.
+	wire *wireUniverse
 
 	// Raw carries the full in-process outcome (injection log included)
 	// when the run executed locally; wire backends leave it nil.
@@ -237,49 +241,6 @@ func (l *Local) Info() Info {
 // Close is a no-op: the local backend holds no resources.
 func (l *Local) Close() error { return nil }
 
-// sysCov caches per-system coverage machinery: the block-universe index
-// (built from the first run's registrations, immutable afterwards) and
-// a pool of per-run trackers, so coverage batches neither rebuild the
-// universe nor allocate a tracker per run.
-type sysCov struct {
-	mu   sync.Mutex
-	idx  *coverage.Index
-	pool sync.Pool
-}
-
-var sysCovs sync.Map // system name -> *sysCov
-
-func covState(sys string) *sysCov {
-	if v, ok := sysCovs.Load(sys); ok {
-		return v.(*sysCov)
-	}
-	v, _ := sysCovs.LoadOrStore(sys, &sysCov{})
-	return v.(*sysCov)
-}
-
-func (s *sysCov) tracker() *coverage.Tracker {
-	if tr, ok := s.pool.Get().(*coverage.Tracker); ok {
-		return tr
-	}
-	return coverage.New()
-}
-
-func (s *sysCov) release(tr *coverage.Tracker) {
-	tr.ResetHits()
-	s.pool.Put(tr)
-}
-
-// index returns the system's block universe, built once from a tracker
-// that has seen a full run's registrations.
-func (s *sysCov) index(tr *coverage.Tracker) *coverage.Index {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.idx == nil {
-		s.idx = tr.Index()
-	}
-	return s.idx
-}
-
 // Run executes the batch on the in-process pool. Outcomes come back in
 // scenario order; under a fixed seed the sequence is identical to a
 // sequential campaign (the PR-1 equivalence invariant), which is what
@@ -291,35 +252,16 @@ func (l *Local) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	}
 	outs := make([]*Outcome, len(b.Scenarios))
 	var obsMu sync.Mutex
-	// The plain target is stateless (Start/Recycle functions) and shared
-	// by every non-coverage run; coverage runs bind a pooled per-run
-	// tracker instead.
-	baseTgt := d.Target()
-	var sc *sysCov
-	if b.Coverage {
-		sc = covState(b.System)
-	}
+	// The target is stateless (Start/Recycle functions) and shared by
+	// every run of the batch.
+	tgt := d.Target()
+	tgt.Coverage = b.Coverage
 	ctrl, err := controller.RunNContext(ctx, l.workers, len(b.Scenarios), func(i int) (controller.Outcome, error) {
-		tgt := baseTgt
-		var tr *coverage.Tracker
-		if sc != nil {
-			tr = sc.tracker()
-			tgt = d.TargetWithCoverage(tr)
-		}
 		o, rerr := controller.RunOne(tgt, b.Scenarios[i], core.WithSeed(b.Seed))
 		if rerr != nil {
-			if tr != nil {
-				sc.release(tr)
-			}
 			return o, fmt.Errorf("exec: scenario %q: %w", b.Scenarios[i].Name, rerr)
 		}
 		outs[i] = fromController(&o)
-		if tr != nil {
-			idx := sc.index(tr)
-			outs[i].Cov = tr.CoveredBits(idx, nil)
-			outs[i].CovU = idx
-			sc.release(tr)
-		}
 		if b.Observe != nil {
 			// Streamed in completion order, serialized; the deferred
 			// unlock keeps a panicking observer from wedging the pool.
@@ -337,7 +279,7 @@ func (l *Local) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 // fromController converts a completed in-process outcome into the
 // serializable form, keeping the full outcome on Raw.
 func fromController(o *controller.Outcome) *Outcome {
-	out := &Outcome{Injections: o.Injections, Raw: o}
+	out := &Outcome{Injections: o.Injections, Cov: o.Cov, CovU: o.CovU, Raw: o}
 	if o.Scenario != nil {
 		out.Name = o.Scenario.Name
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lfi/internal/coverage"
+	"lfi/internal/system"
 )
 
 // Remote is the client side of the wire protocol: one connection to a
@@ -56,7 +57,7 @@ type Remote struct {
 
 	// universes is the per-connection coverage-universe table. Only
 	// the reader goroutine touches it after the hello exchange.
-	universes map[uint64]*coverage.Index
+	universes map[uint64]*wireUniverse
 
 	funcsMu sync.Mutex
 	funcs   map[string]map[string]string // system -> fingerprint cache
@@ -117,7 +118,7 @@ func newRemote(addr string, conn io.ReadWriteCloser) (*Remote, error) {
 		drainGrace: drainGraceTimeout,
 		pipeline:   defaultPipeline,
 		pending:    make(map[uint64]chan *response),
-		universes:  make(map[uint64]*coverage.Index),
+		universes:  make(map[uint64]*wireUniverse),
 		readDone:   make(chan struct{}),
 	}
 	// Hello runs synchronously, before the reader demux starts.
@@ -382,13 +383,21 @@ func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	return outs, nil
 }
 
-// observed caps outcomes at the batch length, tags them with the
+// observed caps outcomes at the batch length, maps their coverage onto
+// this process's Blocks for the batch's system, tags them with the
 // worker's image version when it differs from the batch's expected
 // image (the mixed-build handshake), and streams them to the batch
 // observer.
 func (r *Remote) observed(b *Batch, outs []*Outcome) []*Outcome {
 	if len(outs) > len(b.Scenarios) {
 		outs = outs[:len(b.Scenarios)]
+	}
+	var local *coverage.Index
+	if d, ok := system.Lookup(b.System); ok {
+		local = d.Blocks
+	}
+	for _, o := range outs {
+		o.localize(local)
 	}
 	if img := r.hello.Images[b.System]; img != "" && b.Image != "" && img != b.Image {
 		for _, o := range outs {

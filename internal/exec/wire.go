@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"lfi/internal/coverage"
 	"lfi/internal/scenario"
@@ -410,16 +411,56 @@ func decodeRunRequest(payload []byte, parse func(string) (*scenario.Scenario, er
 	return id, b, d.err
 }
 
+// wireUniverse is one coverage universe a worker announced on a
+// connection: its ID table as sent (bit i of a decoded bitset means its
+// i-th ID), plus the mapping onto the local system's Blocks, computed
+// once when the first outcome over it is localized.
+type wireUniverse struct {
+	ids []string
+
+	mu    sync.Mutex
+	local *coverage.Index
+	remap *coverage.Remap
+}
+
+// onto returns the mapping of the table onto local, nil when the table
+// is local's own (same build: the bits carry over unchanged).
+func (u *wireUniverse) onto(local *coverage.Index) *coverage.Remap {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.local != local {
+		u.local, u.remap = local, local.Remap(u.ids)
+	}
+	return u.remap
+}
+
+// localize turns a decoded outcome's coverage into bits over local, the
+// dispatching process's Blocks for the batch's system: blocks a foreign
+// build declares and this one lacks are dropped. A nil local (a system
+// this process does not register) drops the coverage.
+func (o *Outcome) localize(local *coverage.Index) {
+	if o.wire == nil {
+		return
+	}
+	if local == nil {
+		o.Cov = o.Cov[:0]
+	} else if m := o.wire.onto(local); m != nil {
+		o.Cov = m.Apply(o.Cov)
+	}
+	o.CovU, o.wire = local, nil
+}
+
 // decodeRunResponse parses a binary run response. universes is the
 // client's per-connection tag → universe cache; an inline table
-// populates it, a bare tag must already be present.
-func decodeRunResponse(payload []byte, resp *response, universes map[uint64]*coverage.Index) error {
+// populates it, a bare tag must already be present. Decoded coverage
+// stays over the worker's table until the outcome is localized.
+func decodeRunResponse(payload []byte, resp *response, universes map[uint64]*wireUniverse) error {
 	d := &bdec{data: payload, off: 2}
 	resp.ID = d.uvarint()
 	resp.Error = d.str()
 	resp.Hello = nil
 	resp.Outcomes = nil
-	var idx *coverage.Index
+	var u *wireUniverse
 	if tag := d.uvarint(); tag != 0 {
 		if inline := d.byte(); inline == 1 {
 			n := d.uvarint()
@@ -434,11 +475,16 @@ func decodeRunResponse(payload []byte, resp *response, universes map[uint64]*cov
 			if d.err != nil {
 				return d.err
 			}
-			idx = coverage.NewIndex(ids)
-			universes[tag] = idx
+			for i := 1; i < len(ids); i++ {
+				if ids[i] <= ids[i-1] {
+					return fmt.Errorf("exec: binary frame: coverage universe %d not strictly ascending at entry %d", tag, i)
+				}
+			}
+			u = &wireUniverse{ids: ids}
+			universes[tag] = u
 		} else {
 			var ok bool
-			if idx, ok = universes[tag]; !ok {
+			if u, ok = universes[tag]; !ok {
 				return fmt.Errorf("exec: binary frame references unknown universe %d", tag)
 			}
 		}
@@ -483,7 +529,7 @@ func decodeRunResponse(payload []byte, resp *response, universes map[uint64]*cov
 		o.Signature = ref()
 		o.Injections = int(d.uvarint())
 		if flags&outHasCoverage != 0 {
-			if idx == nil {
+			if u == nil {
 				return fmt.Errorf("exec: binary frame: outcome coverage without universe")
 			}
 			nw := d.uvarint()
@@ -501,7 +547,7 @@ func decodeRunResponse(payload []byte, resp *response, universes map[uint64]*cov
 				o.Cov[w] = binary.LittleEndian.Uint64(d.data[d.off:])
 				d.off += 8
 			}
-			o.CovU = idx
+			o.wire = u
 		}
 		if d.err != nil {
 			return d.err

@@ -11,7 +11,7 @@ import (
 // reasons, and coverage bitsets — the steady-state shape of one remote
 // batch.
 func benchResponse() ([]*Outcome, *coverage.Index) {
-	idx := coverage.NewIndex(fuzzUniverse())
+	idx := fuzzUniverse()
 	outs := make([]*Outcome, 32)
 	for i := range outs {
 		o := &Outcome{Name: "bench-exec-read", Injections: 3}
@@ -49,7 +49,7 @@ func BenchmarkWireEncodeResponse(b *testing.B) {
 func BenchmarkWireDecodeResponse(b *testing.B) {
 	outs, idx := benchResponse()
 	payload := encodeRunResponse(1, "", outs, 1, nil)
-	universes := map[uint64]*coverage.Index{1: idx}
+	universes := map[uint64]*wireUniverse{1: {ids: idx.IDs()}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,21 +2,25 @@ package exec
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"net"
+	"slices"
 	"testing"
 
 	"lfi/internal/coverage"
 	"lfi/internal/scenario"
+	"lfi/internal/system"
 )
 
 // fuzzUniverse is a fixed 130-block universe (three bitset words, the
 // last one partial) shared by the wire round-trip tests.
-func fuzzUniverse() []string {
-	ids := make([]string, 130)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("minidb.c:%03d", i)
+func fuzzUniverse() *coverage.Index {
+	blocks := make([]coverage.Block, 130)
+	for i := range blocks {
+		blocks[i] = coverage.Block{ID: fmt.Sprintf("minidb.c:%03d", i), LOC: 1}
 	}
-	return ids
+	return coverage.NewIndex(blocks)
 }
 
 // outcomesFromBytes deterministically derives a slice of outcomes from
@@ -99,6 +103,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 3, 0, 1, 255, 9, 9, 0, 0, 0, 0, 0, 128})
 	f.Add(bytes.Repeat([]byte{0xaa}, 64))
 	f.Add([]byte{0xB2, 0x03, 0x85, 0x01})
+	f.Add(encodeRunResponse(1, "", []*Outcome{{Name: "s"}}, 1, []string{"rec.b", "rec.a"}))
 	sc, err := scenario.ParseString(`<scenario name="fuzz-read">
 	  <trigger id="nth" class="CallCountTrigger"><args><n>3</n></args></trigger>
 	  <function name="read" return="-1" errno="EIO"><reftrigger ref="nth" /></function>
@@ -106,7 +111,7 @@ func FuzzWireFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	idx := coverage.NewIndex(fuzzUniverse())
+	idx := fuzzUniverse()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decoder robustness: whatever the bytes, no panic. (The frame
 		// layer only hands payloads to a decoder when isBinaryFrame
@@ -116,7 +121,7 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		if isBinaryFrame(data, frameRunResp) {
 			var resp response
-			_ = decodeRunResponse(data, &resp, map[uint64]*coverage.Index{})
+			_ = decodeRunResponse(data, &resp, map[uint64]*wireUniverse{})
 		}
 		_, _ = frameID(data)
 
@@ -140,12 +145,15 @@ func FuzzWireFrame(f *testing.F) {
 		if len(data) > 0 && data[0]&0x80 != 0 {
 			errStr = "mid-batch failure"
 		}
-		universes := map[uint64]*coverage.Index{}
+		universes := map[uint64]*wireUniverse{}
 		for round, inline := range [][]string{idx.IDs(), nil} {
 			payload := encodeRunResponse(7, errStr, outs, 3, inline)
 			var resp response
 			if err := decodeRunResponse(payload, &resp, universes); err != nil {
 				t.Fatalf("round %d: decode: %v", round, err)
+			}
+			for _, o := range resp.Outcomes {
+				o.localize(idx)
 			}
 			if resp.ID != 7 || resp.Error != errStr {
 				t.Fatalf("round %d: header (%d, %q) != (7, %q)", round, resp.ID, resp.Error, errStr)
@@ -190,13 +198,87 @@ func FuzzWireFrame(f *testing.F) {
 // tag-only response on a connection that never saw the inline table is
 // an error, not silently empty coverage.
 func TestDecodeUnknownUniverseTag(t *testing.T) {
-	idx := coverage.NewIndex(fuzzUniverse())
+	idx := fuzzUniverse()
 	o := &Outcome{Name: "s", Cov: coverage.NewBitset(idx.Len()), CovU: idx}
 	o.Cov.Set(1)
 	payload := encodeRunResponse(1, "", []*Outcome{o}, 5, nil)
 	var resp response
-	err := decodeRunResponse(payload, &resp, map[uint64]*coverage.Index{})
+	err := decodeRunResponse(payload, &resp, map[uint64]*wireUniverse{})
 	if err == nil {
 		t.Fatal("decode with unknown universe tag succeeded")
+	}
+}
+
+// TestDecodeRejectsUnorderedUniverse: bit i of a decoded bitset means
+// the i-th ID the worker sent, and a universe table is sorted, so a
+// table that is not strictly ascending would misattribute every bit on
+// the connection. It is an error, never reordered.
+func TestDecodeRejectsUnorderedUniverse(t *testing.T) {
+	idx := fuzzUniverse()
+	o := &Outcome{Name: "s", Cov: coverage.NewBitset(2), CovU: idx}
+	o.Cov.Set(0)
+	for _, table := range [][]string{{"rec.b", "rec.a"}, {"rec.a", "rec.a"}} {
+		payload := encodeRunResponse(1, "", []*Outcome{o}, 1, table)
+		var resp response
+		if err := decodeRunResponse(payload, &resp, map[uint64]*wireUniverse{}); err == nil {
+			t.Errorf("universe table %q decoded without error", table)
+		}
+	}
+}
+
+// TestRemoteMapsForeignUniverse: a worker built from another commit
+// announces a universe with one block this build lacks and without one
+// this build declares. Remote returns the outcome's coverage over this
+// process's own Blocks: every shared block keeps its bit, the unknown
+// block is dropped.
+func TestRemoteMapsForeignUniverse(t *testing.T) {
+	d, ok := system.Lookup("minidb")
+	if !ok {
+		t.Fatal("minidb not registered")
+	}
+	local := d.Blocks.IDs()
+	shared := local[1:]
+	var theirs []coverage.Block
+	for _, id := range append([]string{"rec.only_in_their_build"}, shared...) {
+		theirs = append(theirs, coverage.Block{ID: id, LOC: 1})
+	}
+	worker := coverage.NewIndex(theirs)
+	covered := &Outcome{Name: "s", Cov: coverage.NewBitset(worker.Len()), CovU: worker}
+	for i := 0; i < worker.Len(); i++ {
+		covered.Cov.Set(i)
+	}
+
+	client, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		if _, err := readRawFrame(server); err != nil {
+			return
+		}
+		hello := &response{ID: 1, Hello: &helloInfo{Proto: protoVersion, Capacity: 1, Systems: []string{"minidb"}}}
+		if writeFrame(server, hello) != nil {
+			return
+		}
+		req, err := readRawFrame(server)
+		if err != nil {
+			return
+		}
+		id, _ := frameID(req)
+		writeRawFrame(server, encodeRunResponse(id, "", []*Outcome{covered}, 1, worker.IDs()))
+		readRawFrame(server) // hold the connection until the client closes it
+	}()
+	r, err := newRemote("foreign-build", client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	outs, err := r.Run(context.Background(), &Batch{System: "minidb", Coverage: true, Scenarios: testScenarios(t)[:1]})
+	if err != nil || len(outs) != 1 {
+		t.Fatalf("run: %d outcomes, %v", len(outs), err)
+	}
+	if outs[0].CovU != d.Blocks {
+		t.Fatal("remote coverage is not over this process's minidb Blocks")
+	}
+	if got := outs[0].BlockIDs(); !slices.Equal(got, shared) {
+		t.Fatalf("covered blocks %v, want the shared blocks %v", got, shared)
 	}
 }

@@ -73,13 +73,6 @@ func (r Table3Result) String() string {
 	return b.String()
 }
 
-// coverageTarget pairs an application with its coverage-merging target.
-type coverageTarget struct {
-	name   string
-	bin    *binaryOf
-	target func(*coverage.Tracker) controller.Target
-}
-
 // Table3 runs the §7.1 coverage experiment on minivcs (Git) and minidns
 // (BIND): measure recovery coverage of the default suite alone, then
 // re-run the suite once per analyzer-generated scenario (C_not, C_part,
@@ -87,43 +80,47 @@ type coverageTarget struct {
 // known-fallible calls) and measure again.
 func Table3() (Table3Result, error) {
 	profs := profiles()
-	systems := []coverageTarget{
-		{minivcs.Module, firstBin(minivcs.Binary()), minivcs.TargetWithCoverage},
-		{minidns.Module, firstBin(minidns.Binary()), minidns.TargetWithCoverage},
+	systems := []struct {
+		name   string
+		bin    *binaryOf
+		target controller.Target
+	}{
+		{minivcs.Module, firstBin(minivcs.Binary()), minivcs.Target()},
+		{minidns.Module, firstBin(minidns.Binary()), minidns.Target()},
 	}
 	var res Table3Result
 	for _, sys := range systems {
 		// Baseline: the default suite, no LFI.
-		base := coverage.New()
-		if _, err := controller.RunOne(sys.target(base), nil); err != nil {
+		sys.target.Coverage = true
+		base, err := controller.RunOne(sys.target, nil)
+		if err != nil {
 			return res, err
 		}
+		idx := base.CovU
 		row := Table3Row{
 			System:           sys.name,
-			RecoveryBaseline: base.Recovery(),
-			TotalBaseline:    base.Total(),
+			RecoveryBaseline: idx.Recovery(base.Cov),
+			TotalBaseline:    idx.Total(base.Cov),
 		}
 
 		// Campaign: default suite once per generated scenario, with
-		// coverage merged across runs (lcov-style).
-		acc := coverage.New()
-		if _, err := controller.RunOne(sys.target(acc), nil); err != nil {
-			return res, err
-		}
+		// the runs' coverage unioned (lcov-style) onto the baseline.
 		a := &callsite.Analyzer{}
 		rep := a.Analyze(sys.bin, profs...)
 		yes, part, not := rep.ByClass()
 		scens := callsite.GenerateScenarios(sys.bin, append(not, part...), profs...)
 		scens = append(scens, callsite.GenerateExercise(sys.bin, yes, profs...)...)
 		row.Scenarios = len(scens)
-		// Coverage merging is commutative (per-block hit addition into
-		// the thread-safe tracker), so the per-scenario suite runs can
-		// share the worker pool.
-		if _, err := controller.CampaignParallel(sys.target(acc), scens, campaignWorkers()); err != nil {
+		outs, err := controller.CampaignParallel(sys.target, scens, campaignWorkers())
+		if err != nil {
 			return res, err
 		}
-		row.RecoveryWithLFI = acc.Recovery()
-		row.TotalWithLFI = acc.Total()
+		covered := base.Cov.Clone()
+		for _, o := range outs {
+			covered.Or(o.Cov)
+		}
+		row.RecoveryWithLFI = idx.Recovery(covered)
+		row.TotalWithLFI = idx.Total(covered)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -148,9 +147,10 @@ type Config struct {
 	// Profiles are the library fault profiles to cross with the
 	// binary's imports.
 	Profiles []*profile.Profile
-	// Target builds the controller target, merging each run's
-	// coverage into the given tracker (the TargetWithCoverage shape).
-	Target func(*coverage.Tracker) controller.Target
+	// Target is the controller target the coverage baseline runs (the
+	// default suite, no injection); its outcome's universe is the one
+	// every batch outcome's coverage is folded over.
+	Target controller.Target
 	// BlockOffsets maps recovery-block IDs to their check sites' code
 	// offsets: the site map candidates name their target block from
 	// and impact analysis walks. Optional; when empty, candidates target
@@ -501,22 +501,19 @@ func ImageVersion(b *isa.Binary) string {
 // explorer is the mutable state of one run.
 type explorer struct {
 	cfg   Config
-	acc   *coverage.Tracker
 	sigs  map[string][]string // failure signature -> scenario names
 	boost map[string]float64  // callee -> feedback priority boost
 
-	// Block universe, established by the baseline run and encoded as
-	// bitsets over idx (the folding of per-run footprints is bit
-	// arithmetic, not string-map traffic): recovery membership, the
-	// recovery blocks reached so far, and the recovery blocks the suite
-	// covers with no injection. Replayed store entries may predate a
-	// code change elsewhere in the image, and a mismatched remote
-	// worker could report blocks this image does not have, so recorded
-	// block IDs are only trusted if they still exist in idx.
-	idx      *coverage.Index
-	recBits  coverage.Bitset
-	covBits  coverage.Bitset
-	baseBits coverage.Bitset
+	// The system's block universe, taken from the baseline outcome, and
+	// two bitsets over it: the blocks reached so far and the blocks the
+	// suite covers with no injection. Every batch outcome's coverage is
+	// over idx already (executors map a worker's universe onto this
+	// process's Blocks), so folding is bit arithmetic. Replayed store
+	// entries may predate a code change elsewhere in the image, so
+	// their recorded block IDs count only if they still exist in idx.
+	idx     *coverage.Index
+	covered coverage.Bitset
+	base    coverage.Bitset
 
 	// Mutation state: the scenario hashes already enumerated (initial
 	// candidates plus spawned mutants), the candidates already mutated,
@@ -553,29 +550,6 @@ type explorer struct {
 	funcHashes   map[string]string
 	mixed        map[string]*buildDiff
 	mixedSum     *MixedSummary
-
-	// uniSame memoizes which outcome universes are bit-compatible with
-	// idx (same sorted ID table, possibly a different *Index — the local
-	// backend builds its own per-system index).
-	uniSame map[*coverage.Index]bool
-}
-
-// sameUniverse reports whether bitsets over u can be folded directly
-// into this explorer's bitsets (identical universes, position for
-// position).
-func (x *explorer) sameUniverse(u *coverage.Index) bool {
-	if u == x.idx {
-		return true
-	}
-	same, ok := x.uniSame[u]
-	if !ok {
-		if x.uniSame == nil {
-			x.uniSame = make(map[*coverage.Index]bool)
-		}
-		same = slices.Equal(u.IDs(), x.idx.IDs())
-		x.uniSame[u] = same
-	}
-	return same
 }
 
 // mutationWorthy reports whether an outcome earns its candidate a set
@@ -589,7 +563,7 @@ func (x *explorer) mutationWorthy(e Entry) bool {
 		return true
 	}
 	for _, id := range e.Blocks {
-		if p, ok := x.idx.Pos(id); ok && x.recBits.Has(p) && !x.baseBits.Has(p) {
+		if p, ok := x.idx.Pos(id); ok && x.idx.Recoveries().Has(p) && !x.base.Has(p) {
 			return true
 		}
 	}
@@ -716,7 +690,7 @@ func (x *explorer) score(c *Candidate) float64 {
 		s = 46 - float64(c.From) - 0.5*float64(c.To-c.From)
 	}
 	if c.Block != "" {
-		if p, ok := x.idx.Pos(c.Block); ok && x.covBits.Has(p) {
+		if p, ok := x.idx.Pos(c.Block); ok && x.covered.Has(p) {
 			s -= 50
 		} else {
 			s += 30
@@ -770,7 +744,6 @@ func newRun(cfg Config) (*run, error) {
 
 	x := &explorer{
 		cfg:     cfg,
-		acc:     coverage.New(),
 		sigs:    make(map[string][]string),
 		boost:   make(map[string]float64),
 		reval:   make(map[string]float64),
@@ -787,22 +760,20 @@ func newRun(cfg Config) (*run, error) {
 	x.mixed = make(map[string]*buildDiff)
 	res := &Result{System: cfg.System, Candidates: len(cands)}
 
-	// Baseline: the default suite with no injection. This registers
-	// the application's block universe in the accumulator and records
-	// what the suite reaches on its own.
-	if _, err := controller.RunOne(cfg.Target(x.acc), nil); err != nil {
+	// Baseline: the default suite with no injection. Its outcome
+	// carries the system's block universe and what the suite reaches on
+	// its own, which seeds the covered-so-far set.
+	tgt := cfg.Target
+	tgt.Coverage = true
+	base, err := controller.RunOne(tgt, nil)
+	if err != nil {
 		return nil, fmt.Errorf("explore: baseline: %w", err)
 	}
-	res.Baseline = x.acc.Recovery()
-
-	// The block universe the baseline registered, as an index plus
-	// bitsets: recovery membership, covered-so-far (seeded with what
-	// the suite reaches uninjected), and that baseline snapshot.
-	x.idx = x.acc.Index()
-	x.recBits = x.acc.RecoveryBits(x.idx)
-	x.covBits = x.acc.CoveredBits(x.idx, nil)
-	x.covBits.And(x.recBits)
-	x.baseBits = x.covBits.Clone()
+	if base.CovU == nil {
+		return nil, fmt.Errorf("explore: baseline: %s records no coverage", cfg.System)
+	}
+	x.idx, x.base, x.covered = base.CovU, base.Cov, base.Cov.Clone()
+	res.Baseline = x.idx.Recovery(x.base)
 
 	// Replay the persistent store: cached outcomes count as explored
 	// without executing anything. Worthy cached occurrence outcomes
@@ -874,13 +845,8 @@ func newRun(cfg Config) (*run, error) {
 		}
 		res.Replayed++
 		for _, id := range e.Blocks {
-			p, ok := x.idx.Pos(id)
-			if !ok {
-				continue
-			}
-			x.acc.Hit(id)
-			if x.recBits.Has(p) {
-				x.covBits.Set(p)
+			if p, ok := x.idx.Pos(id); ok {
+				x.covered.Set(p)
 			}
 		}
 		if e.Failed {
@@ -906,12 +872,6 @@ func newRun(cfg Config) (*run, error) {
 // stalled.
 func (r *run) done() bool {
 	return len(r.pending)+len(r.reval) == 0 || r.stall >= r.cfg.StallBatches
-}
-
-// uncoveredRecovery counts the recovery blocks exploration has not
-// reached yet — the cross-system scheduling priority.
-func (r *run) uncoveredRecovery() int {
-	return r.x.recBits.Count() - r.x.covBits.Count()
 }
 
 // step schedules one batch, dispatches it across the execution fleet,
@@ -994,13 +954,14 @@ func (r *run) publishStatus() {
 	if r.cfg.Status == nil {
 		return
 	}
+	rec := r.x.idx.Recovery(r.x.covered)
 	r.cfg.Status(StatusUpdate{
 		System:         r.cfg.System,
 		Executed:       r.res.Executed,
 		Replayed:       r.res.Replayed,
 		Bugs:           len(r.x.sigs),
-		Covered:        r.x.covBits.Count(),
-		RecoveryBlocks: r.x.recBits.Count(),
+		Covered:        rec.BlocksCovered,
+		RecoveryBlocks: rec.Blocks,
 		Cost:           r.cfg.Exec.Cost(r.cfg.System),
 	})
 }
@@ -1023,9 +984,9 @@ func (r *run) finish(runErr error) (*Result, error) {
 	}
 	r.res.Mutants = r.x.spawned
 	r.res.Mixed = r.x.mixedSum
-	r.res.Bugs = r.x.distinctBugs()
-	r.res.Final = r.x.acc.Recovery()
-	r.res.Total = r.x.acc.Total()
+	r.res.Bugs = controller.SortBugs(r.cfg.System, r.x.sigs)
+	r.res.Final = r.x.idx.Recovery(r.x.covered)
+	r.res.Total = r.x.idx.Total(r.x.covered)
 	r.res.Elapsed = time.Since(r.begin)
 	if r.store != nil {
 		stats := r.store.Stats()
@@ -1153,28 +1114,10 @@ func (x *explorer) runBatch(ctx context.Context, index int, batch []*Candidate, 
 			x.mixedSum.Migrated++
 			adoptKey = d.oldKey(c)
 		}
-		if out.CovU != nil && x.sameUniverse(out.CovU) {
-			// Bitset fast path: the outcome's universe matches ours, so
-			// the fold is pure bit arithmetic.
-			x.acc.HitBits(x.idx, out.Cov)
-			x.covBits.FoldNew(out.Cov, x.recBits, func(p int) {
-				report.NewBlocks = append(report.NewBlocks, x.idx.ID(p))
-				x.reward(c.Callee)
-			})
-		} else {
-			for _, id := range covBlocks {
-				p, ok := x.idx.Pos(id)
-				if !ok {
-					continue
-				}
-				x.acc.Hit(id)
-				if x.recBits.Has(p) && !x.covBits.Has(p) {
-					x.covBits.Set(p)
-					report.NewBlocks = append(report.NewBlocks, id)
-					x.reward(c.Callee)
-				}
-			}
-		}
+		x.covered.FoldNew(out.Cov, x.idx.Recoveries(), func(p int) {
+			report.NewBlocks = append(report.NewBlocks, x.idx.ID(p))
+			x.reward(c.Callee)
+		})
 
 		// The entry records the run's full covered footprint (not just
 		// recovery blocks), so a resumed run reconstructs total
@@ -1204,22 +1147,8 @@ func (x *explorer) runBatch(ctx context.Context, index int, batch []*Candidate, 
 	// go back to the wire pool for the next batch.
 	exec.Recycle(outs)
 	sort.Strings(report.NewBlocks)
-	report.Recovery = x.acc.Recovery()
+	report.Recovery = x.idx.Recovery(x.covered)
 	return report, mutants, unrun, reval, err
-}
-
-// distinctBugs renders the accumulated signatures in DistinctBugs shape.
-func (x *explorer) distinctBugs() []controller.Bug {
-	sigs := make([]string, 0, len(x.sigs))
-	for s := range x.sigs {
-		sigs = append(sigs, s)
-	}
-	sort.Strings(sigs)
-	bugs := make([]controller.Bug, 0, len(sigs))
-	for _, s := range sigs {
-		bugs = append(bugs, controller.Bug{System: x.cfg.System, Signature: s, Scenarios: x.sigs[s]})
-	}
-	return bugs
 }
 
 func candidateKeys(cands []*Candidate) map[string]bool {

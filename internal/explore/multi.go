@@ -158,7 +158,8 @@ func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, err
 // EWMAs decay — and speed is the fleet's aggregate runs/sec estimate
 // for the system.
 func systemScore(r *run) float64 {
-	uncovered := float64(r.uncoveredRecovery()) / float64(r.x.recBits.Count()+1)
+	rec := r.x.idx.Recovery(r.x.covered)
+	uncovered := float64(rec.Blocks-rec.BlocksCovered) / float64(rec.Blocks+1)
 	gain := r.cfg.Exec.GainEstimate(r.cfg.System, uncovered)
 	return (gain + 0.05*uncovered) * r.cfg.Exec.SpeedEstimate(r.cfg.System)
 }

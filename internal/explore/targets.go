@@ -8,8 +8,8 @@ import (
 // the engine. The explorer no longer knows any target by name: each
 // application package registers a descriptor carrying its program
 // image, its site-label → offset map (labels double as coverage block
-// IDs under the "rec." prefix), and a coverage-merging controller
-// target; everything here is generic over that contract.
+// IDs under the "rec." prefix), its declared block universe and its
+// controller target; everything here is generic over that contract.
 
 // ConfigForSystem builds an exploration config from a registered system
 // descriptor. The caller still sets store path, workers, seed and
@@ -19,7 +19,7 @@ func ConfigForSystem(d *system.Descriptor) Config {
 	cfg := Config{
 		System:       d.Name,
 		Binary:       bin,
-		Target:       d.TargetWithCoverage,
+		Target:       d.Target(),
 		Profiles:     d.Profiles(),
 		BlockOffsets: make(map[string]uint64, len(offs)),
 	}

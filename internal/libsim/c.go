@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lfi/internal/coverage"
 	"lfi/internal/errno"
 	"lfi/internal/interpose"
 )
@@ -50,6 +51,11 @@ type C struct {
 	// process image; controller.Target.Recycle hooks use it to return
 	// the whole app to a worker-local pool between runs.
 	Owner any
+
+	// Cov records the blocks the program executes (nil = not
+	// measured). Reset clears it, so a recycled image starts each run
+	// with no hits.
+	Cov *coverage.Recorder
 
 	// threadIDs allocates per-process thread ids (dense from 1), so
 	// logs stay deterministic when independent runs execute in parallel.
@@ -123,6 +129,7 @@ func (c *C) SetNet(n NetBackend) { c.net = n }
 // resets those separately via Thread.Reset.
 func (c *C) Reset() {
 	c.Disp.ResetCounts()
+	c.Cov.Reset()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.resetFS()

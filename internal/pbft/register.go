@@ -14,12 +14,12 @@ const SystemName = "pbft"
 // that no non-window scenario finds it.
 func init() {
 	system.Register(&system.Descriptor{
-		Name:               SystemName,
-		Workload:           "scripted deterministic replica-trace harness (one committed operation, then a view change)",
-		Binary:             Binary,
-		Target:             Target,
-		TargetWithCoverage: TargetWithCoverage,
-		Profiles:           system.DefaultProfiles,
+		Name:     SystemName,
+		Workload: "scripted deterministic replica-trace harness (one committed operation, then a view change)",
+		Binary:   Binary,
+		Target:   Target,
+		Blocks:   Blocks,
+		Profiles: system.DefaultProfiles,
 		StockBugs: []system.StockBug{
 			{Match: "fwrite(NULL FILE*)", Note: "shutdown checkpoint's unchecked fopen crashes the following fwrite"},
 			{Match: "view change", Note: "NEW-VIEW dereferences a committed entry with no content after losing both REQUEST and PRE-PREPARE", WindowOnly: true},

@@ -68,15 +68,6 @@ type Replica struct {
 	Th *libsim.Thread
 	fd int64
 
-	// Cov tracks block coverage for the fault-space explorer; blocks
-	// follow the rec.<siteLabel> convention of the application targets.
-	// Hits are recorded only when covOn is set (the scripted harness):
-	// the live cluster loop must stay byte-identical to the seed hot
-	// path, because the view-change reproduction and the Figure 3 /
-	// DoS timing studies are sensitive to per-message overhead.
-	Cov   *coverage.Tracker
-	covOn bool
-
 	mu         sync.Mutex
 	view       int
 	seqCounter int
@@ -112,11 +103,10 @@ func NewReplica(id, f int, net libsim.NetBackend, build Build) *Replica {
 	c.Node = fmt.Sprintf("R%d", id)
 	c.SetNet(net)
 	c.MustMkdirAll("/pbft")
-	r := &Replica{
+	return &Replica{
 		ID: id, N: 3*f + 1, F: f, Build: build,
 		C:           c,
 		Th:          c.NewThread("bft/simple-server", "main"),
-		Cov:         coverage.New(),
 		entries:     make(map[int]*entry),
 		pendingReqs: make(map[string]Msg),
 		lastReply:   make(map[string]Msg),
@@ -124,39 +114,28 @@ func NewReplica(id, f int, net libsim.NetBackend, build Build) *Replica {
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-	r.registerCoverage()
-	return r
 }
 
-func (r *Replica) registerCoverage() {
-	reg := func(id string, loc int, rec bool) { r.Cov.Register(id, loc, rec) }
-	reg("main.request", 30, false)
-	reg("main.preprepare", 25, false)
-	reg("main.prepare", 15, false)
-	reg("main.commit", 15, false)
-	reg("main.exec", 20, false)
-	reg("main.viewadopt", 25, false)
-	reg("main.checkpoint", 12, false)
-	reg("main.shutdown", 8, false)
+// Blocks is the replica's coverage universe; blocks follow the
+// rec.<siteLabel> convention of the application targets. Only the
+// scripted harness gives a replica's image a recorder: live cluster
+// replicas record nothing, so the view-change reproduction and the
+// Figure 3 / DoS timing studies see the seed-identical hot path.
+var Blocks = coverage.NewIndex([]coverage.Block{
+	{ID: "main.request", LOC: 30},
+	{ID: "main.preprepare", LOC: 25},
+	{ID: "main.prepare", LOC: 15},
+	{ID: "main.commit", LOC: 15},
+	{ID: "main.exec", LOC: 20},
+	{ID: "main.viewadopt", LOC: 25},
+	{ID: "main.checkpoint", LOC: 12},
+	{ID: "main.shutdown", LOC: 8},
 	// Recovery arms: the receive-failure pacing, the robust-send retry
 	// loop, and the tolerated periodic-checkpoint open failure.
-	reg("rec.sv_recvfrom", 5, true)
-	reg("rec.sv_sendto", 6, true)
-	reg("rec.cp_fopen_ok", 3, true)
-}
-
-// hit records a coverage block when tracking is enabled. The scripted
-// harness enables it; live cluster replicas leave it off so the timing
-// experiments see the seed-identical hot path.
-func (r *Replica) hit(id string) {
-	if r.covOn {
-		r.Cov.Hit(id)
-	}
-}
-
-// EnableCoverage turns per-block coverage recording on (the scripted
-// harness does this; see the Cov field comment for why it is opt-in).
-func (r *Replica) EnableCoverage() { r.covOn = true }
+	{ID: "rec.sv_recvfrom", LOC: 5, Recovery: true},
+	{ID: "rec.sv_sendto", LOC: 6, Recovery: true},
+	{ID: "rec.cp_fopen_ok", LOC: 3, Recovery: true},
+})
 
 // primary returns the primary replica id of a view.
 func primary(view, n int) int { return view % n }
@@ -230,7 +209,7 @@ func (r *Replica) PollOnce(buf []byte) bool {
 	n := r.Th.Recvfrom(r.fd, buf, &from, 0)
 	pop()
 	if n <= 0 {
-		r.hit("rec.sv_recvfrom")
+		r.C.Cov.Hit("rec.sv_recvfrom")
 		return false
 	}
 	if m, ok := DecodeMsg(buf[:n]); ok {
@@ -296,7 +275,7 @@ func (r *Replica) run() {
 			// Defensive pacing: an instantly-failing receive (EINTR
 			// storm) must not turn the loop into a busy spin that
 			// starves the healthy replicas of CPU.
-			r.hit("rec.sv_recvfrom")
+			r.C.Cov.Hit("rec.sv_recvfrom")
 			recvFails++
 			if recvFails >= 3 {
 				time.Sleep(time.Millisecond)
@@ -328,7 +307,7 @@ func (r *Replica) send(dst string, m Msg) {
 			return
 		}
 		if i == 0 && attempts > 1 {
-			r.hit("rec.sv_sendto") // robust-send retry path entered
+			r.C.Cov.Hit("rec.sv_sendto") // robust-send retry path entered
 		}
 	}
 	if r.Build == BuildDebug {
@@ -401,7 +380,7 @@ func (r *Replica) handle(m Msg) {
 }
 
 func (r *Replica) onRequest(m Msg) {
-	r.hit("main.request")
+	r.C.Cov.Hit("main.request")
 	r.mu.Lock()
 	// Duplicate of an executed request: resend the cached reply.
 	if rep, ok := r.lastReply[m.Client]; ok && rep.ReqID == m.ReqID {
@@ -448,7 +427,7 @@ func (r *Replica) onRequest(m Msg) {
 }
 
 func (r *Replica) onPrePrepare(m Msg) {
-	r.hit("main.preprepare")
+	r.C.Cov.Hit("main.preprepare")
 	r.mu.Lock()
 	// A pre-prepare from the primary of a HIGHER view implies that a
 	// quorum already moved there; adopt it (new-view semantics
@@ -478,7 +457,7 @@ func (r *Replica) onPrePrepare(m Msg) {
 }
 
 func (r *Replica) onPrepare(m Msg) {
-	r.hit("main.prepare")
+	r.C.Cov.Hit("main.prepare")
 	r.mu.Lock()
 	// Prepares are matched by (seq, digest) rather than exact view:
 	// under benign loss a peer may lag one view behind, and its
@@ -498,7 +477,7 @@ func (r *Replica) onPrepare(m Msg) {
 }
 
 func (r *Replica) onCommit(m Msg) {
-	r.hit("main.commit")
+	r.C.Cov.Hit("main.commit")
 	r.mu.Lock()
 	e := r.getEntry(m.Seq)
 	if e.digest == "" {
@@ -547,7 +526,7 @@ func (r *Replica) executeReady() {
 		r.execUpto++
 		e.executed = true
 		r.executedN++
-		r.hit("main.exec")
+		r.C.Cov.Hit("main.exec")
 		r.vcStreak = 0 // progress: reset the view-change backoff
 		r.state = append(r.state, e.op)
 		rep := Msg{Type: TypeReply, View: r.view, Seq: r.execUpto, Replica: r.ID,
@@ -658,7 +637,7 @@ func (r *Replica) onViewChange(m Msg) {
 // arrived is the seeded segfault; it can only happen in the release
 // build (see fillContentLocked).
 func (r *Replica) adoptViewLocked(v int) {
-	r.hit("main.viewadopt")
+	r.C.Cov.Hit("main.viewadopt")
 	r.view = v
 	r.inVC = false
 	r.vcStreak++
@@ -722,12 +701,12 @@ func (r *Replica) onNewView(m Msg) {
 // writeCheckpointLocked persists periodic checkpoints (checked path).
 func (r *Replica) writeCheckpointLocked() {
 	t := r.Th
-	r.hit("main.checkpoint")
+	r.C.Cov.Hit("main.checkpoint")
 	pop := r.at("checkpoint", "cp_fopen_ok")
 	fp := t.Fopen(fmt.Sprintf("/pbft/ckpt-%d", r.execUpto), "w")
 	pop()
 	if fp == 0 {
-		r.hit("rec.cp_fopen_ok")
+		r.C.Cov.Hit("rec.cp_fopen_ok")
 		return // periodic checkpoint failure is tolerated
 	}
 	pop = r.at("checkpoint", "cp_fwrite_ok")
@@ -743,7 +722,7 @@ func (r *Replica) writeCheckpointLocked() {
 // to the controller's monitor.
 func (r *Replica) ShutdownCheckpoint() {
 	t := r.Th
-	r.hit("main.shutdown")
+	r.C.Cov.Hit("main.shutdown")
 	pop := r.at("shutdown", "sd_fopen")
 	fp := t.Fopen("/pbft/checkpoint-final", "w")
 	pop()

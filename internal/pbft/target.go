@@ -61,7 +61,7 @@ func (protocol) Sinks() []string {
 // NewReplica stages a release-build replica with coverage recording on.
 func (protocol) NewReplica(net *netsim.Network) distharness.Replica {
 	r := NewReplica(harnessReplicaID, 1, net, BuildRelease)
-	r.EnableCoverage()
+	r.C.Cov = coverage.NewRecorder(Blocks)
 	return r
 }
 
@@ -96,14 +96,11 @@ func (protocol) Check(r distharness.Replica) error {
 	return nil
 }
 
-// Image, Coverage and Finish adapt *Replica to distharness.Replica
+// Image and Finish adapt *Replica to distharness.Replica
 // (Open and PollOnce it already has).
 
 // Image returns the replica's simulated process.
 func (r *Replica) Image() *libsim.C { return r.C }
-
-// Coverage returns the replica's block tracker.
-func (r *Replica) Coverage() *coverage.Tracker { return r.Cov }
 
 // Finish writes the periodic checkpoint and then the shutdown
 // checkpoint (the unchecked-fopen Table 1 bug), directly so crashes
@@ -115,8 +112,3 @@ func (r *Replica) Finish() {
 
 // Target adapts the scripted harness to the LFI controller.
 func Target() controller.Target { return distharness.Target(Protocol()) }
-
-// TargetWithCoverage is Target plus per-run coverage merged into acc.
-func TargetWithCoverage(acc *coverage.Tracker) controller.Target {
-	return distharness.TargetWithCoverage(Protocol(), acc)
-}

@@ -27,11 +27,6 @@ type Follower struct {
 	Th *libsim.Thread
 	fd int64
 
-	// Cov tracks block coverage for the fault-space explorer; blocks
-	// follow the rec.<siteLabel> convention of the application targets.
-	Cov   *coverage.Tracker
-	covOn bool
-
 	term     int
 	votedFor int
 	leader   int
@@ -49,51 +44,36 @@ func NewFollower(id int, net libsim.NetBackend) *Follower {
 	c.Node = fmt.Sprintf("N%d", id)
 	c.SetNet(net)
 	c.MustMkdirAll("/raft")
-	f := &Follower{
+	return &Follower{
 		ID:       id,
 		C:        c,
 		Th:       c.NewThread(ModuleFollower, "main"),
-		Cov:      coverage.New(),
 		votedFor: -1,
 		leader:   -1,
 	}
-	f.registerCoverage()
-	return f
 }
 
-func (f *Follower) registerCoverage() {
-	reg := func(id string, loc int, rec bool) { f.Cov.Register(id, loc, rec) }
-	reg("main.vote", 18, false)
-	reg("main.heartbeat", 12, false)
-	reg("main.append", 20, false)
-	reg("main.repair", 16, false)
-	reg("main.commit", 10, false)
-	reg("main.snapshot", 12, false)
-	reg("main.shutdown", 8, false)
+// Blocks is the follower's coverage universe; blocks follow the
+// rec.<siteLabel> convention of the application targets.
+var Blocks = coverage.NewIndex([]coverage.Block{
+	{ID: "main.vote", LOC: 18},
+	{ID: "main.heartbeat", LOC: 12},
+	{ID: "main.append", LOC: 20},
+	{ID: "main.repair", LOC: 16},
+	{ID: "main.commit", LOC: 10},
+	{ID: "main.snapshot", LOC: 12},
+	{ID: "main.shutdown", LOC: 8},
 	// Recovery arms: the two receive-failure paths (election loop,
 	// replication loop), the reply retry loop, and the tolerated
 	// periodic-snapshot open failure.
-	reg("rec.el_recvfrom", 5, true)
-	reg("rec.ap_recvfrom", 5, true)
-	reg("rec.rp_sendto", 6, true)
-	reg("rec.sn_fopen_ok", 3, true)
-}
-
-// hit records a coverage block when tracking is enabled.
-func (f *Follower) hit(id string) {
-	if f.covOn {
-		f.Cov.Hit(id)
-	}
-}
-
-// EnableCoverage turns per-block coverage recording on.
-func (f *Follower) EnableCoverage() { f.covOn = true }
+	{ID: "rec.el_recvfrom", LOC: 5, Recovery: true},
+	{ID: "rec.ap_recvfrom", LOC: 5, Recovery: true},
+	{ID: "rec.rp_sendto", LOC: 6, Recovery: true},
+	{ID: "rec.sn_fopen_ok", LOC: 3, Recovery: true},
+})
 
 // Image returns the follower's simulated process.
 func (f *Follower) Image() *libsim.C { return f.C }
-
-// Coverage returns the follower's block tracker.
-func (f *Follower) Coverage() *coverage.Tracker { return f.Cov }
 
 // Committed returns the follower's commit index.
 func (f *Follower) Committed() int { return f.commit }
@@ -141,9 +121,9 @@ func (f *Follower) PollOnce(buf []byte) bool {
 	pop()
 	if n <= 0 {
 		if election {
-			f.hit("rec.el_recvfrom")
+			f.C.Cov.Hit("rec.el_recvfrom")
 		} else {
-			f.hit("rec.ap_recvfrom")
+			f.C.Cov.Hit("rec.ap_recvfrom")
 		}
 		return false
 	}
@@ -166,7 +146,7 @@ func (f *Follower) send(dst string, m Msg) {
 			return
 		}
 		if i == 0 {
-			f.hit("rec.rp_sendto") // retry path entered
+			f.C.Cov.Hit("rec.rp_sendto") // retry path entered
 		}
 	}
 }
@@ -184,7 +164,7 @@ func (f *Follower) handle(m Msg) {
 // onVoteReq grants a vote for any term newer than the follower's own —
 // one vote per term, the core of election safety.
 func (f *Follower) onVoteReq(m Msg) {
-	f.hit("main.vote")
+	f.C.Cov.Hit("main.vote")
 	if m.Term < f.term {
 		return
 	}
@@ -209,9 +189,9 @@ func (f *Follower) onAppend(m Msg) {
 		f.term, f.leader = m.Term, m.From
 	}
 	if m.Idx == 0 {
-		f.hit("main.heartbeat")
+		f.C.Cov.Hit("main.heartbeat")
 	} else {
-		f.hit("main.append")
+		f.C.Cov.Hit("main.append")
 		if m.Idx <= len(f.log) {
 			if f.log[m.Idx-1] == "" {
 				f.log[m.Idx-1] = m.Op // late retransmission repairs in place
@@ -222,7 +202,7 @@ func (f *Follower) onAppend(m Msg) {
 			}
 			if len(f.log) == m.Idx-2 {
 				// One-entry hole: repair from the piggybacked predecessor.
-				f.hit("main.repair")
+				f.C.Cov.Hit("main.repair")
 				f.log = append(f.log, m.PrevOp)
 			}
 			f.log = append(f.log, m.Op)
@@ -232,7 +212,7 @@ func (f *Follower) onAppend(m Msg) {
 		// BUG (Table 1 class): the leader's commit index is adopted
 		// without verifying the local log actually holds content for
 		// every entry below it.
-		f.hit("main.commit")
+		f.C.Cov.Hit("main.commit")
 		f.commit = m.Commit
 	}
 	f.send(NodeAddr(m.From), Msg{Type: TypeAck, Term: f.term, From: f.ID, Idx: len(f.log)})
@@ -243,7 +223,7 @@ func (f *Follower) onAppend(m Msg) {
 // truncated hole below the commit index is the seeded crash.
 func (f *Follower) Snapshot() {
 	t := f.Th
-	f.hit("main.snapshot")
+	f.C.Cov.Hit("main.snapshot")
 	for i := 1; i <= f.commit; i++ {
 		if i > len(f.log) || f.log[i-1] == "" {
 			t.RaiseCrash(libsim.Segfault,
@@ -254,7 +234,7 @@ func (f *Follower) Snapshot() {
 	fp := t.Fopen(fmt.Sprintf("/raft/snap-%d", f.commit), "w")
 	pop()
 	if fp == 0 {
-		f.hit("rec.sn_fopen_ok")
+		f.C.Cov.Hit("rec.sn_fopen_ok")
 		return // periodic snapshot failure is tolerated
 	}
 	pop = f.at("snapshot", "sn_fwrite_ok")
@@ -268,7 +248,7 @@ func (f *Follower) Snapshot() {
 // bug (fwrite through a NULL FILE*).
 func (f *Follower) ShutdownSnapshot() {
 	t := f.Th
-	f.hit("main.shutdown")
+	f.C.Cov.Hit("main.shutdown")
 	pop := f.at("shutdown", "sd_fopen")
 	fp := t.Fopen("/raft/snapshot-final", "w")
 	pop()

@@ -16,12 +16,12 @@ const SystemName = "raft"
 // APPENDs. The conformance test enforces that nothing else finds it.
 func init() {
 	system.Register(&system.Descriptor{
-		Name:               SystemName,
-		Workload:           "scripted deterministic follower-trace harness (six-term election churn, then four replicated log entries)",
-		Binary:             Binary,
-		Target:             Target,
-		TargetWithCoverage: TargetWithCoverage,
-		Profiles:           system.DefaultProfiles,
+		Name:     SystemName,
+		Workload: "scripted deterministic follower-trace harness (six-term election churn, then four replicated log entries)",
+		Binary:   Binary,
+		Target:   Target,
+		Blocks:   Blocks,
+		Profiles: system.DefaultProfiles,
 		StockBugs: []system.StockBug{
 			{Match: "fwrite(NULL FILE*)", Note: "shutdown snapshot's unchecked fopen crashes the following fwrite"},
 			{Match: "log truncation", Note: "commit index advanced past entries truncated by two consecutive APPEND losses; the snapshot of the committed prefix dereferences the hole", WindowOnly: true, StackWindowOnly: true},

@@ -34,7 +34,7 @@ func (protocol) Sinks() []string {
 // NewReplica stages a follower with coverage recording on.
 func (protocol) NewReplica(net *netsim.Network) distharness.Replica {
 	f := NewFollower(followerID, net)
-	f.EnableCoverage()
+	f.C.Cov = coverage.NewRecorder(Blocks)
 	return f
 }
 
@@ -88,8 +88,3 @@ func (protocol) Check(r distharness.Replica) error {
 
 // Target adapts the scripted harness to the LFI controller.
 func Target() controller.Target { return distharness.Target(Protocol()) }
-
-// TargetWithCoverage is Target plus per-run coverage merged into acc.
-func TargetWithCoverage(acc *coverage.Tracker) controller.Target {
-	return distharness.TargetWithCoverage(Protocol(), acc)
-}

@@ -4,8 +4,8 @@
 //
 // Every built-in application (internal/apps/*, internal/pbft) describes
 // itself with a Descriptor — how to build its binary and symbol-offset
-// map, how to adapt it to the test controller with and without coverage
-// accumulation, which library fault profiles it links against, what its
+// map, its coverage block universe, how to adapt it to the test
+// controller, which library fault profiles it links against, what its
 // default workload suite is, and which stock Table-1 crash bugs the
 // toolchain is expected to rediscover — and registers it from an init
 // function, database/sql-driver style. Engines and entry points
@@ -57,9 +57,8 @@ type StockBug struct {
 }
 
 // Descriptor describes one testable target system. Name, Binary,
-// Target, TargetWithCoverage and Profiles are required. Recovery blocks
-// are named by the shared "rec." + site-label convention over the
-// Binary offset map.
+// Target, Blocks and Profiles are required. Recovery blocks are named by
+// the shared "rec." + site-label convention over the Binary offset map.
 type Descriptor struct {
 	// Name is the registry key, the store directory name, and the
 	// system label on bug reports (e.g. "minidb").
@@ -75,10 +74,10 @@ type Descriptor struct {
 	// stages a fresh process image bound to the default workload suite
 	// and must be safe for concurrent campaign workers.
 	Target func() controller.Target
-	// TargetWithCoverage is Target plus per-run coverage accumulation
-	// into the given tracker — the shape the explorer and the Table 3
-	// workflow consume.
-	TargetWithCoverage func(*coverage.Tracker) controller.Target
+	// Blocks is the system's coverage universe, declared once: every
+	// block its process images record hits over. A target run with
+	// Coverage set returns its hits as a bitset over Blocks.
+	Blocks *coverage.Index
 	// Profiles returns the fault profiles of the libraries the system
 	// links against (usually DefaultProfiles).
 	Profiles func() []*profile.Profile
@@ -97,8 +96,8 @@ func (d *Descriptor) validate() error {
 		return fmt.Errorf("system %q: descriptor has no Binary", d.Name)
 	case d.Target == nil:
 		return fmt.Errorf("system %q: descriptor has no Target", d.Name)
-	case d.TargetWithCoverage == nil:
-		return fmt.Errorf("system %q: descriptor has no TargetWithCoverage", d.Name)
+	case d.Blocks == nil:
+		return fmt.Errorf("system %q: descriptor has no Blocks", d.Name)
 	case d.Profiles == nil:
 		return fmt.Errorf("system %q: descriptor has no Profiles", d.Name)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"lfi/internal/controller"
@@ -278,28 +277,13 @@ func (s *Session) Run(ctx context.Context, sys *System, scenarios []*Scenario) (
 // controller.DistinctBugs (whose recomputation would need the
 // injection log, which remote outcomes do not carry).
 func distinctExecBugs(systemName string, outs []*exec.Outcome) []Bug {
-	bySig := map[string]*controller.Bug{}
+	bySig := map[string][]string{}
 	for _, o := range outs {
-		if o == nil || o.Signature == "" {
-			continue
+		if o != nil && o.Signature != "" {
+			bySig[o.Signature] = append(bySig[o.Signature], o.Name)
 		}
-		b, ok := bySig[o.Signature]
-		if !ok {
-			b = &controller.Bug{System: systemName, Signature: o.Signature}
-			bySig[o.Signature] = b
-		}
-		b.Scenarios = append(b.Scenarios, o.Name)
 	}
-	sigs := make([]string, 0, len(bySig))
-	for sig := range bySig {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	out := make([]Bug, 0, len(sigs))
-	for _, sig := range sigs {
-		out = append(out, *bySig[sig])
-	}
-	return out
+	return controller.SortBugs(systemName, bySig)
 }
 
 // config adapts the session knobs to one system's exploration config.
