@@ -329,8 +329,8 @@ func TestServeWorkersRemote(t *testing.T) {
 // worker subprocesses and matches the local backend's figures for
 // minidb (376 executed, 35 signatures); an identical rerun under
 // default flags executes nothing; and SIGINT during a pool-only
-// `-all` campaign exits 130 promptly with the store flushed, so the
-// rerun replays what was folded.
+// `-all` campaign exits 130 promptly with the store compacted (no
+// journal left), so the rerun replays what was folded.
 func TestExplorePool(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "s")
 	args := []string{"explore", "-app", "minidb", "-pool", "2", "-no-local", "-store", store, "-v"}
@@ -369,8 +369,24 @@ func TestExplorePool(t *testing.T) {
 	if d := time.Since(interrupted); d > 5*time.Second {
 		t.Fatalf("lfi %s: exited %v after SIGINT, want within 5s", strings.Join(args, " "), d)
 	}
+	noJournal(t, "interrupted explore -all", store2)
 	out, _ = run(t, 0, args...)
 	mustMatch(t, "pool resume after interrupt", out, `(?m)^explore all: \d+ systems, \d+ executed, [1-9]\d* replayed, `)
+	noJournal(t, "completed explore -all", store2)
+}
+
+// noJournal fails the test if any system directory of the store holds a
+// journal: a session that ends, completed or interrupted, compacts its
+// per-batch journal into the shard snapshots.
+func noJournal(t *testing.T, what, store string) {
+	t.Helper()
+	left, err := filepath.Glob(filepath.Join(store, "*", "journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Errorf("%s left journals behind: %v", what, left)
+	}
 }
 
 // fleetStatus reads the registry's status document through the CLI.

@@ -875,14 +875,13 @@ func (r *run) done() bool {
 }
 
 // step schedules one batch, dispatches it across the execution fleet,
-// and persists its outcomes. The store is saved after every batch, not
-// just at the end — with the sharded layout that only rewrites the
-// batch's dirty shards — so a mid-run error or interrupt loses nothing
-// that completed: even a cancelled batch's drained outcomes (local
-// prefix, in-flight remote responses) are folded, counted as executed
-// and saved, and only the candidates that never ran go back to the
-// queue. cap, when positive, bounds the batch size (the driver passes
-// its shared remaining budget).
+// and appends its outcomes to the store's journal, so a mid-run error,
+// interrupt or kill loses nothing that completed: even a cancelled
+// batch's drained outcomes (local prefix, in-flight remote responses)
+// are folded, counted as executed and journaled, and only the
+// candidates that never ran go back to the queue. cap, when positive,
+// bounds the batch size (the driver passes its shared remaining
+// budget).
 func (r *run) step(ctx context.Context, cap int) error {
 	size := batchSize
 	if cap > 0 && cap < size {
@@ -922,11 +921,11 @@ func (r *run) step(ctx context.Context, cap int) error {
 		r.x.logf("explore %s: batch %d: %d runs, %d new blocks, %d new bugs, %d mutants bred, recovery %s",
 			r.cfg.System, report.Index, report.Runs, len(report.NewBlocks), len(report.NewBugs), len(mutants), report.Recovery)
 	}
-	if err != nil {
-		r.store.Save(r.keys) // keep drained outcomes; the run error wins
-		return err
+	// Journal even a failed batch's drained outcomes; the run error wins.
+	if jerr := r.store.Append(r.keys); err == nil {
+		err = jerr
 	}
-	if err := r.store.Save(r.keys); err != nil {
+	if err != nil {
 		return err
 	}
 	r.publishStatus()
@@ -966,10 +965,11 @@ func (r *run) publishStatus() {
 	})
 }
 
-// finish saves the store one last time — the zero-batch pure-replay
-// path needs it too, since Save is where entry stamping, invalidated-
-// entry pruning, and migrated-entry flushing land on disk — then
-// summarizes the run and attaches the store's compaction stats. runErr
+// finish saves the store — the session's one compaction, on
+// completion, budget and cancellation alike, and on the zero-batch
+// pure-replay path too, since Save is where entry stamping,
+// invalidated-entry pruning, and migrated-entry flushing land on disk —
+// then summarizes the run and attaches the store's compaction stats. runErr
 // — cancellation or a batch failure — wins over a save error, and the
 // partial Result is returned either way so callers can report progress
 // up to the interrupt.

@@ -365,6 +365,127 @@ func TestExploreCancelLeavesResumableStore(t *testing.T) {
 	}
 }
 
+// killAfterBatches is a Config.Log sink that simulates a hard kill: on
+// its n-th per-batch progress line it copies the store directory, then
+// cancels the run. The copy holds what a kill at that moment leaves —
+// the outcomes of the n-1 batches before, and no finish, no compaction
+// and no end-of-session index.
+type killAfterBatches struct {
+	t        *testing.T
+	from, to string
+	cancel   context.CancelFunc
+	n        int
+	batches  int
+}
+
+func (k *killAfterBatches) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), ": batch ") {
+		if k.batches++; k.batches == k.n {
+			copyDir(k.t, k.from, k.to)
+			k.cancel()
+		}
+	}
+	return len(p), nil
+}
+
+// copyDir copies the regular files of the tree at from to to.
+func copyDir(t *testing.T, from, to string) {
+	t.Helper()
+	err := filepath.WalkDir(from, func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(from, p)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(to, rel), 0o755)
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(to, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// killedStore runs cfg on a fresh store and returns the copy a hard
+// kill at the n-th batch line leaves, plus the partial result.
+func killedStore(t *testing.T, cfg Config, n int) (string, *Result) {
+	t.Helper()
+	dir := t.TempDir()
+	cfg.Store = filepath.Join(dir, "store")
+	killed := filepath.Join(dir, "killed")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Log = &killAfterBatches{t: t, from: cfg.Store, to: killed, cancel: cancel, n: n}
+	all, err := Explore(ctx, 0, cfg)
+	if err != context.Canceled {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(killed, cfg.System, journalName)); err != nil {
+		t.Fatalf("killed store holds no journal: %v", err)
+	}
+	return killed, all.Results[0]
+}
+
+// TestExploreHardKillResume pins the kill contract: a store copied
+// mid-run, with only the per-batch journal appends behind it, resumes
+// by replaying every outcome of the batches logged before the kill, and
+// converges on the uninterrupted run's executed count and bugs.
+func TestExploreHardKillResume(t *testing.T) {
+	full, err := exploreOne(minidbConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	killed, partial := killedStore(t, minidbConfig(t), n)
+	before := 0
+	for _, b := range partial.Batches[:n-1] {
+		before += b.Runs
+	}
+
+	cfg := minidbConfig(t)
+	cfg.Store = killed
+	resumed, err := exploreOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Replayed != before {
+		t.Fatalf("resume replayed %d, want the %d outcomes of the %d batches before the kill", resumed.Replayed, before, n-1)
+	}
+	if resumed.Executed+resumed.Replayed != full.Executed {
+		t.Fatalf("resume executed %d + replayed %d != full %d", resumed.Executed, resumed.Replayed, full.Executed)
+	}
+	if !reflect.DeepEqual(bugSigs(full), bugSigs(resumed)) {
+		t.Fatalf("bugs diverged after kill+resume:\n%v\nvs\n%v", bugSigs(full), bugSigs(resumed))
+	}
+	if _, err := os.Stat(filepath.Join(killed, cfg.System, journalName)); !os.IsNotExist(err) {
+		t.Fatalf("completed resume left the journal: %v", err)
+	}
+}
+
+// TestExploreHardKillProfileEdit: a fresh store killed after two
+// batches already records the fault profile its outcomes were produced
+// under, so a resume after a profile edit sees the edit.
+func TestExploreHardKillProfileEdit(t *testing.T) {
+	killed, _ := killedStore(t, minidbConfig(t), 3)
+	cfg := minidbConfig(t)
+	cfg.Store = killed
+	cfg.Profiles = dupReturnProfiles(t, cfg.Profiles, "read")
+	resumed, err := exploreOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Impact == nil || !reflect.DeepEqual(resumed.Impact.ProfilesChanged, []string{"read"}) {
+		t.Fatalf("resume after kill and profile edit: impact %+v, want profiles changed [read]", resumed.Impact)
+	}
+}
+
 // TestExploreAllSharedStore: one cross-system session over minidb and
 // minivcs, sharing a store root, must find both systems' bugs; a second
 // session resumes from both stores and executes nothing.

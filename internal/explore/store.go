@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"maps"
 	"os"
 	"path/filepath"
@@ -21,8 +23,9 @@ import (
 //
 //	<dir>/<system>/index.json            image manifests (newest first)
 //	<dir>/<system>/<codeHash>.json       one shard per targeted region
+//	<dir>/<system>/journal               outcomes recorded since the last Save
 //
-// The layout buys three properties the single document could not offer:
+// The layout buys two properties the single document could not offer:
 //
 //   - Stores from multiple image versions coexist. Each image version
 //     saves a manifest naming the shards its candidate set references;
@@ -32,21 +35,36 @@ import (
 //   - A code change to one application function moves that function's
 //     region hash, so exactly one shard is invalidated; everything else
 //     replays untouched.
-//   - Concurrent campaign workers flush independently: FlushShard
-//     rewrites one region's file (write-temp-then-rename), never the
-//     whole store.
 //
-// All writes go through a temp file and an atomic rename, so a killed
-// campaign can never leave a half-written shard or index behind; stray
-// .tmp files and unparsable shards are ignored on load.
+// Persistence has two speeds. Append, once per batch, writes the
+// batch's outcomes to the journal as framed records in one O_APPEND
+// write. Save, once per session, is the compaction point: it rewrites
+// the dirty shards and index.json, each through a temp file and an
+// atomic rename, and only then removes the journal. LoadStore replays
+// the journal over the shards and ignores stray .tmp files, unparsable
+// shards and a torn journal tail, so a killed campaign loses at most
+// the batch it was writing.
 type Store struct {
 	dir    string // <root>/<system>
 	system string
 	image  string
 
+	// mu guards the store's state and serializes its disk writers
+	// (Append, FlushDirty, Save, SaveSummaries), which hold it across
+	// their IO: no Put or append can land between a snapshot and the
+	// journal removal that follows it.
 	mu     sync.Mutex
 	shards map[string]*shard // codeHash -> entries
 	index  storeIndex
+	// journal is the journal file Append opened, until the next flush
+	// closes it.
+	journal *os.File
+	// indexed reports a manifest on disk: index.json loaded, or written
+	// since. Append saves first while it is false.
+	indexed bool
+	// jbuf holds the journal records of every Put since the last Append
+	// or flush; nil until the first Put.
+	jbuf []byte
 
 	// funcs is the current image's per-function fingerprint map,
 	// recorded into its manifest at Save — the impact metadata a later
@@ -77,12 +95,6 @@ type shard struct {
 	entries map[string]Entry // scenarioHash -> outcome
 	loaded  map[string]bool  // entries read from disk (vs Put this run)
 	dirty   bool
-	// flushMu serializes writers of this one shard file: without it,
-	// two same-region flushes could race snapshot/rename so that the
-	// older snapshot lands last while dirty is already false — durably
-	// losing the newer entries. Disjoint shards still flush in
-	// parallel.
-	flushMu sync.Mutex
 }
 
 // storeIndex is the on-disk index.json shape.
@@ -145,6 +157,27 @@ type Entry struct {
 // Save.
 const maxImages = 8
 
+// The journal is a sequence of records, each a frame header — the body
+// length and the body's CRC-32 (IEEE), both uint32 little-endian —
+// followed by the body, a JSON journalRecord. A kill mid-write leaves a
+// torn last record: a short header, a short or corrupt body.
+const (
+	journalName   = "journal"
+	journalHeader = 8
+)
+
+// maxShardName bounds a shard file name so that the temp file Save
+// renames over it (the name plus ".tmp" and CreateTemp's random
+// suffix) still fits a 255-byte file name.
+const maxShardName = 255 - len(".tmp4294967295")
+
+// journalRecord is one journaled outcome: the full candidate key, so
+// replay restores the entry exactly where Put placed it.
+type journalRecord struct {
+	Key   string `json:"key"`
+	Entry Entry  `json:"entry"`
+}
+
 // splitKey breaks a candidate key into its scenario-hash and
 // code-region components.
 func splitKey(key string) (scen, region string, ok bool) {
@@ -153,6 +186,17 @@ func splitKey(key string) (scen, region string, ok bool) {
 		return "", "", false
 	}
 	return key[:i], key[i+1:], true
+}
+
+// shardName reports whether region can name a shard file: <region>.json
+// is one base name in the store directory, and the loader reads it back
+// as region (not the index, not a temp file). Journal keys come from
+// disk, so replay drops a record whose region fails this — no forged
+// record can point Save outside the store.
+func shardName(region string) bool {
+	base := region + ".json"
+	return filepath.Base(base) == base && base != "index.json" && !strings.Contains(base, ".tmp") &&
+		!strings.ContainsRune(base, 0) && len(base) <= maxShardName
 }
 
 // LoadStore opens the sharded store rooted at path for one target
@@ -185,10 +229,10 @@ func LoadStore(path, system, image string) (*Store, error) {
 	return st, nil
 }
 
-// loadDir reads index.json and every parsable shard. Partial writes —
-// stray .tmp files from a killed campaign, or a shard that does not
-// parse — are skipped, never loaded: the worst case is re-executing the
-// scenarios that shard cached.
+// loadDir reads index.json and every parsable shard, then replays the
+// journal over them. Partial writes — stray .tmp files from a killed
+// campaign, or a shard that does not parse — are skipped, never loaded:
+// the worst case is re-executing the scenarios that shard cached.
 func (s *Store) loadDir() error {
 	data, err := os.ReadFile(filepath.Join(s.dir, "index.json"))
 	switch {
@@ -206,6 +250,7 @@ func (s *Store) loadDir() error {
 			}
 			s.index = idx
 			s.index.System = s.system
+			s.indexed = true
 		}
 	}
 	names, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
@@ -235,7 +280,48 @@ func (s *Store) loadDir() error {
 		}
 		s.shards[region] = &shard{entries: sf.Entries, loaded: loaded}
 	}
+	data, err = os.ReadFile(filepath.Join(s.dir, journalName))
+	if err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("explore: store: %w", err)
+	}
+	s.replay(data)
 	return nil
+}
+
+// replay applies journal records over the loaded shards, in order, and
+// marks every shard it touches dirty so the next Save compacts it. The
+// first record with a short frame, a bad checksum or a body that does
+// not parse ends the replay: it is the torn tail of a killed batch, and
+// nothing after it was acknowledged. A replayed entry counts as loaded
+// from disk, exactly as it would had a snapshot held it.
+func (s *Store) replay(data []byte) {
+	for len(data) >= journalHeader {
+		n := binary.LittleEndian.Uint32(data)
+		if uint64(n) > uint64(len(data)-journalHeader) {
+			return
+		}
+		body := data[journalHeader : journalHeader+int(n)]
+		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[4:]) {
+			return
+		}
+		var rec journalRecord
+		if json.Unmarshal(body, &rec) != nil {
+			return
+		}
+		data = data[journalHeader+int(n):]
+		scen, region, ok := splitKey(rec.Key)
+		if !ok || !shardName(region) {
+			continue
+		}
+		sh, ok := s.shards[region]
+		if !ok {
+			sh = &shard{entries: make(map[string]Entry), loaded: make(map[string]bool)}
+			s.shards[region] = sh
+		}
+		sh.entries[scen] = rec.Entry
+		sh.loaded[scen] = true
+		sh.dirty = true
+	}
 }
 
 // Lookup returns the cached outcome for a candidate key.
@@ -273,7 +359,8 @@ func (s *Store) Adopt(oldKey, newKey string, e Entry) {
 	s.mu.Unlock()
 }
 
-// Put records one outcome and marks its shard dirty.
+// Put records one outcome, marks its shard dirty, and stages its
+// journal record for the next Append.
 func (s *Store) Put(key string, e Entry) {
 	if s == nil {
 		return
@@ -282,6 +369,8 @@ func (s *Store) Put(key string, e Entry) {
 	if !ok {
 		return
 	}
+	// An Entry holds only strings, bools and ints: it always marshals.
+	body, _ := json.Marshal(journalRecord{Key: key, Entry: e})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sh, ok := s.shards[region]
@@ -291,77 +380,116 @@ func (s *Store) Put(key string, e Entry) {
 	}
 	sh.entries[scen] = e
 	sh.dirty = true
+	s.jbuf = binary.LittleEndian.AppendUint32(s.jbuf, uint32(len(body)))
+	s.jbuf = binary.LittleEndian.AppendUint32(s.jbuf, crc32.ChecksumIEEE(body))
+	s.jbuf = append(s.jbuf, body...)
 }
 
-// FlushShard persists one region's shard if it is dirty. The entry map
-// is snapshotted under the store lock and written outside it while the
-// shard's own flush lock is held, so concurrent workers flushing
-// disjoint shards do not serialize on each other's file IO, same-shard
-// flushes are linearized (a newer snapshot can never be overwritten by
-// an older one), and no flush ever rewrites more than its own file.
-func (s *Store) FlushShard(region string) error {
+// Append is the per-batch persistence point: one write appends the
+// journal records of every outcome Put or Adopted since the last Append
+// to <system>/journal — no snapshot, no temp file, no rename. Like the
+// rename Save does, it survives a killed process, not a power loss. A
+// store with no manifest on disk is saved instead, so a killed first
+// session still leaves the fault profile and function fingerprints its
+// outcomes were produced under; currentKeys is the live candidate-key
+// set that Save takes.
+func (s *Store) Append(currentKeys map[string]bool) error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	sh, ok := s.shards[region]
-	s.mu.Unlock()
-	if !ok {
+	defer s.mu.Unlock()
+	if !s.indexed {
+		return s.save(currentKeys)
+	}
+	if len(s.jbuf) == 0 {
 		return nil
 	}
-	sh.flushMu.Lock()
-	defer sh.flushMu.Unlock()
-	s.mu.Lock()
-	if !sh.dirty {
-		s.mu.Unlock()
-		return nil
+	if s.journal == nil {
+		if err := os.MkdirAll(s.dir, 0o755); err != nil {
+			return fmt.Errorf("explore: store: %w", err)
+		}
+		f, err := os.OpenFile(filepath.Join(s.dir, journalName), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("explore: store: %w", err)
+		}
+		s.journal = f
 	}
-	sf := shardFile{System: s.system, Entries: make(map[string]Entry, len(sh.entries))}
-	for k, v := range sh.entries {
-		sf.Entries[k] = v
+	if _, err := s.journal.Write(s.jbuf); err != nil {
+		// The records stay staged and their shards dirty: the next
+		// flush writes them into snapshots.
+		return fmt.Errorf("explore: store: %w", err)
 	}
-	sh.dirty = false
-	s.mu.Unlock()
-	if err := s.writeJSON(s.shardPath(region), sf); err != nil {
-		s.mu.Lock()
-		sh.dirty = true // retry on the next flush
-		s.mu.Unlock()
-		return err
-	}
+	s.jbuf = s.jbuf[:0]
 	return nil
 }
 
-// FlushDirty persists every dirty shard.
+// FlushDirty writes every dirty shard's snapshot, then drops the
+// journal, whose records the snapshots now hold.
 func (s *Store) FlushDirty() error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.flush(nil)
+}
+
+// flush writes every dirty shard's snapshot, then index.json when idx
+// is non-nil, and only after both removes the journal: a kill anywhere
+// before that leaves the journal to replay over whatever snapshots
+// landed. Records staged for the next Append are dropped, since the
+// snapshots hold them. The caller holds mu.
+func (s *Store) flush(idx *storeIndex) error {
+	if s.journal != nil {
+		// Write's error is the one that says whether records landed,
+		// and the next Append reopens the file: released on every path.
+		s.journal.Close()
+		s.journal = nil
+	}
 	regions := make([]string, 0, len(s.shards))
 	for region, sh := range s.shards {
 		if sh.dirty {
 			regions = append(regions, region)
 		}
 	}
-	s.mu.Unlock()
 	sort.Strings(regions)
 	for _, region := range regions {
-		if err := s.FlushShard(region); err != nil {
+		sh := s.shards[region]
+		if err := s.writeJSON(s.shardPath(region), shardFile{System: s.system, Entries: sh.entries}); err != nil {
 			return err
 		}
+		sh.dirty = false
+	}
+	s.jbuf = s.jbuf[:0]
+	if idx != nil {
+		if err := s.writeJSON(filepath.Join(s.dir, "index.json"), idx); err != nil {
+			return err
+		}
+		s.indexed = true
+	}
+	if err := os.Remove(filepath.Join(s.dir, journalName)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("explore: store: %w", err)
 	}
 	return nil
 }
 
-// Save is the end-of-run (and end-of-batch) persistence point: it
-// updates the current image's manifest to the shards currentKeys
-// references, prunes entries and shards no retained image version can
-// ever match again, and flushes everything dirty plus the index.
+// Save is the end-of-session persistence point and the store's one
+// compaction: it updates the current image's manifest to the shards
+// currentKeys references, prunes entries and shards no retained image
+// version can ever match again, writes every dirty shard and the index,
+// and then removes the journal.
 func (s *Store) Save(currentKeys map[string]bool) error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.save(currentKeys)
+}
+
+// save is Save with mu held.
+func (s *Store) save(currentKeys map[string]bool) error {
 	// The current image's shard set and per-shard live key sets.
 	liveByRegion := make(map[string]map[string]bool)
 	for key := range currentKeys {
@@ -496,18 +624,12 @@ func (s *Store) Save(currentKeys map[string]bool) error {
 			delete(s.shards, region)
 		}
 	}
-	idx := s.index
-	s.mu.Unlock()
-
 	for _, region := range stale {
 		if err := os.Remove(s.shardPath(region)); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("explore: store: %w", err)
 		}
 	}
-	if err := s.FlushDirty(); err != nil {
-		return err
-	}
-	return s.writeJSON(filepath.Join(s.dir, "index.json"), idx)
+	return s.flush(&s.index)
 }
 
 func (s *Store) shardPath(region string) string {
@@ -618,6 +740,7 @@ func (s *Store) SaveSummaries(sums callgraph.Summaries, funcs, profiles map[stri
 		return nil
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.summaries = sums
 	found := false
 	for i := range s.index.Images {
@@ -642,9 +765,11 @@ func (s *Store) SaveSummaries(sums callgraph.Summaries, funcs, profiles map[stri
 		}
 		s.index.Images = images
 	}
-	idx := s.index
-	s.mu.Unlock()
-	return s.writeJSON(filepath.Join(s.dir, "index.json"), idx)
+	if err := s.writeJSON(filepath.Join(s.dir, "index.json"), s.index); err != nil {
+		return err
+	}
+	s.indexed = true
+	return nil
 }
 
 // PriorProfileHashes returns the profile fingerprints of the most
@@ -708,24 +833,6 @@ func (s *Store) SetCostModel(c exec.CostModel) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.index.Cost = &c
-}
-
-// Names returns the scenario names recorded across all shards, sorted —
-// a debugging/reporting convenience.
-func (s *Store) Names() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	for _, sh := range s.shards {
-		for _, e := range sh.entries {
-			out = append(out, e.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Shards returns the in-memory shard regions, sorted (tests, CLI).

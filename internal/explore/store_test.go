@@ -2,8 +2,10 @@ package explore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -105,99 +107,160 @@ func TestStoreNotADirectory(t *testing.T) {
 	})
 }
 
-// TestStoreConcurrentShardFlush is the -race satellite: two workers
-// exploring the same system write disjoint shards concurrently —
-// interleaved Puts and per-shard flushes — and no entry is lost.
+// TestStoreConcurrentShardFlush is the -race check of the write path:
+// two workers exploring the same system write disjoint shards
+// concurrently — interleaved Puts, per-batch journal appends and
+// snapshot flushes — and no entry is lost, neither from the journal
+// replayed over the snapshots nor from the compacted store.
 func TestStoreConcurrentShardFlush(t *testing.T) {
+	concurrentStoreWrites(t, func(w int) string { return fmt.Sprintf("shard%d", w) })
+}
+
+// TestStoreConcurrentSameShardFlush: the same with both workers on ONE
+// region, where a flush's snapshot and its journal removal race the
+// other worker's Puts and appends: an append landing between the two
+// would be removed with the journal unless the store serializes them.
+func TestStoreConcurrentSameShardFlush(t *testing.T) {
+	concurrentStoreWrites(t, func(int) string { return "shared" })
+}
+
+// concurrentStoreWrites runs two workers that each Put 200 entries into
+// region(w), appending after every 10th and flushing after every 25th,
+// then checks every entry survives a reload of the journaled store and
+// of the saved one, and that Save leaves no journal.
+func concurrentStoreWrites(t *testing.T, region func(w int) string) {
+	t.Helper()
 	root := t.TempDir()
 	st, err := LoadStore(root, "sys", "img@1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const perWorker = 200
-	keys := make(map[string]bool)
-	var mu sync.Mutex
+	key := func(w, i int) string { return fmt.Sprintf("w%d-%d@%s", w, i, region(w)) }
+	keys, regions := make(map[string]bool), make(map[string]bool)
+	for w := 0; w < 2; w++ {
+		regions[region(w)] = true
+		for i := 0; i < perWorker; i++ {
+			keys[key(w, i)] = true
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			region := fmt.Sprintf("shard%d", w)
 			for i := 0; i < perWorker; i++ {
-				key := fmt.Sprintf("scen%d@%s", i, region)
-				st.Put(key, Entry{Name: fmt.Sprintf("w%d-%d", w, i)})
-				mu.Lock()
-				keys[key] = true
-				mu.Unlock()
-				if i%10 == 9 {
-					if err := st.FlushShard(region); err != nil {
-						t.Error(err)
-						return
-					}
+				st.Put(key(w, i), Entry{Name: key(w, i)})
+				var err error
+				switch {
+				case i%25 == 24:
+					err = st.FlushDirty()
+				case i%10 == 9:
+					err = st.Append(keys)
+				}
+				if err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	if err := st.Append(keys); err != nil {
+		t.Fatal(err)
+	}
+	reload := func(what string) {
+		t.Helper()
+		st2, err := LoadStore(root, "sys", "img@1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range keys {
+			if e, ok := st2.Lookup(k); !ok || e.Name != k {
+				t.Fatalf("%s: entry %s lost (%+v)", what, k, e)
+			}
+		}
+		if got := st2.Shards(); len(got) != len(regions) {
+			t.Fatalf("%s: want %d shards, have %v", what, len(regions), got)
+		}
+	}
+	reload("journaled store")
 	if err := st.Save(keys); err != nil {
 		t.Fatal(err)
 	}
-
-	st2, err := LoadStore(root, "sys", "img@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key := range keys {
-		if _, ok := st2.Lookup(key); !ok {
-			t.Fatalf("entry %s lost", key)
-		}
-	}
-	if got := st2.Shards(); len(got) != 2 {
-		t.Fatalf("want 2 shards, have %v", got)
+	reload("saved store")
+	if _, err := os.Stat(filepath.Join(root, "sys", journalName)); !os.IsNotExist(err) {
+		t.Fatalf("Save left the journal behind: %v", err)
 	}
 }
 
-// TestStoreConcurrentSameShardFlush: flushes of the SAME region are
-// linearized — interleaved Put/FlushShard from two workers can never
-// durably persist an older snapshot over a newer one.
-func TestStoreConcurrentSameShardFlush(t *testing.T) {
+// TestStoreJournalTornTail: a kill mid-append leaves the last record
+// torn at an arbitrary byte. Load must succeed at every cut inside that
+// record, with every earlier record (and the snapshot under them)
+// intact and the torn one absent.
+func TestStoreJournalTornTail(t *testing.T) {
 	root := t.TempDir()
 	st, err := LoadStore(root, "sys", "img@1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const perWorker = 200
-	var wg sync.WaitGroup
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				st.Put(fmt.Sprintf("w%d-%d@shared", w, i), Entry{Name: "e"})
-				if i%7 == 6 {
-					if err := st.FlushShard("shared"); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}(w)
+	keys := map[string]bool{"a@rrrr": true, "b@rrrr": true, "c@ssss": true, "d@ssss": true}
+	// The first append of an unindexed store saves: a lands in a
+	// snapshot, the rest in the journal.
+	for _, k := range []string{"a@rrrr", "b@rrrr", "c@ssss", "d@ssss"} {
+		st.Put(k, Entry{Name: k, Blocks: []string{"rec." + k}})
+		if err := st.Append(keys); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	if err := st.FlushDirty(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := LoadStore(root, "sys", "img@1")
+	path := filepath.Join(root, "sys", journalName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for w := 0; w < 2; w++ {
-		for i := 0; i < perWorker; i++ {
-			key := fmt.Sprintf("w%d-%d@shared", w, i)
-			if _, ok := st2.Lookup(key); !ok {
-				t.Fatalf("entry %s lost in same-shard flush race", key)
+	// Locate the last record by walking the frames: three records.
+	last, records := 0, 0
+	for off := 0; off < len(data); records++ {
+		last = off
+		off += journalHeader + int(binary.LittleEndian.Uint32(data[off:]))
+	}
+	if records != 3 {
+		t.Fatalf("journal holds %d records, want 3", records)
+	}
+	for cut := last; cut <= len(data); cut++ {
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st2, err := LoadStore(root, "sys", "img@1")
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		for _, k := range []string{"a@rrrr", "b@rrrr", "c@ssss"} {
+			if e, ok := st2.Lookup(k); !ok || e.Name != k {
+				t.Fatalf("cut %d: record %s lost (%+v)", cut, k, e)
 			}
 		}
+		if _, ok := st2.Lookup("d@ssss"); ok != (cut == len(data)) {
+			t.Fatalf("cut %d of %d: torn record loaded = %v", cut, len(data), ok)
+		}
+	}
+
+	// A full-length last record whose body still parses but no longer
+	// matches its checksum is as torn as a short one.
+	forged := append([]byte(nil), data...)
+	copy(forged[last:], bytes.Replace(forged[last:], []byte(`"d@ssss"`), []byte(`"e@ssss"`), 1))
+	if err := os.WriteFile(path, forged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st3, err := LoadStore(root, "sys", "img@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st3.Lookup("e@ssss"); ok {
+		t.Fatal("a record failing its checksum was replayed")
+	}
+	if _, ok := st3.Lookup("c@ssss"); !ok {
+		t.Fatal("records before the corrupt one lost")
 	}
 }
 
@@ -318,17 +381,34 @@ func TestStoreShardRegionIsFileName(t *testing.T) {
 	}
 }
 
-// FuzzStoreLoad feeds arbitrary bytes to LoadStore as index.json and as
-// one shard file. Loading never panics and fails only on a
-// foreign-system index; a following Put + Save creates and removes
-// nothing outside the store directory; and a reload returns the Put
-// entry.
+// journalFrame frames one journal record body: length and CRC-32
+// header, then the body.
+func journalFrame(body string) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE([]byte(body)))
+	return append(out, body...)
+}
+
+// FuzzStoreLoad feeds arbitrary bytes to LoadStore as index.json, as
+// one shard file and as the journal. Loading never panics and fails
+// only on a foreign-system index; a following Put + Save creates and
+// removes nothing outside the store directory and leaves no journal;
+// and a reload returns the Put entry.
 func FuzzStoreLoad(f *testing.F) {
+	good := journalFrame(`{"key":"s@rrrr","entry":{"name":"x"}}`)
 	f.Add([]byte(`{"system":"minidb","images":[{"image":"img@1","shards":["rrrr"]}]}`),
-		[]byte(`{"system":"minidb","region":"../../victim","entries":{}}`))
-	f.Add([]byte(`{"system":"other"}`), []byte(`{"system":"minidb","entries":{"s":{"name":"x","image":"img@0"}}}`))
-	f.Add([]byte(`null`), []byte(`{"entries":{"a":{"blocks":["rec.x"]}}`))
-	f.Fuzz(func(t *testing.T, index, shard []byte) {
+		[]byte(`{"system":"minidb","region":"../../victim","entries":{}}`), []byte(nil))
+	f.Add([]byte(`{"system":"other"}`), []byte(`{"system":"minidb","entries":{"s":{"name":"x","image":"img@0"}}}`), good)
+	f.Add([]byte(`null`), []byte(`{"entries":{"a":{"blocks":["rec.x"]}}`), []byte{})
+	// A forged region, a torn length prefix, a bad checksum, a key
+	// without '@'.
+	f.Add([]byte(`null`), []byte(`{}`), journalFrame(`{"key":"s@../../victim","entry":{"name":"x"}}`))
+	f.Add([]byte(`null`), []byte(`{}`), append(good, 0x2a, 0))
+	bad := journalFrame(`{"key":"t@rrrr","entry":{"name":"y"}}`)
+	bad[4] ^= 0xff
+	f.Add([]byte(`null`), []byte(`{}`), append(append([]byte(nil), good...), bad...))
+	f.Add([]byte(`null`), []byte(`{}`), append(journalFrame(`{"key":"noat","entry":{}}`), good...))
+	f.Fuzz(func(t *testing.T, index, shard, journal []byte) {
 		base := t.TempDir()
 		root := filepath.Join(base, "store")
 		dir := filepath.Join(root, "minidb")
@@ -339,6 +419,7 @@ func FuzzStoreLoad(f *testing.F) {
 			filepath.Join(base, "victim.json"): []byte("{}\n"),
 			filepath.Join(dir, "index.json"):   index,
 			filepath.Join(dir, "fuzz.json"):    shard,
+			filepath.Join(dir, journalName):    journal,
 		} {
 			if err := os.WriteFile(name, data, 0o644); err != nil {
 				t.Fatal(err)
@@ -378,6 +459,9 @@ func FuzzStoreLoad(f *testing.F) {
 		}
 		if after := outside(); !reflect.DeepEqual(before, after) {
 			t.Fatalf("Save touched paths outside the store:\nbefore %v\nafter  %v", before, after)
+		}
+		if _, err := os.Stat(filepath.Join(dir, journalName)); !os.IsNotExist(err) {
+			t.Fatalf("Save left the journal behind: %v", err)
 		}
 		st2, err := LoadStore(root, "minidb", "img@1")
 		if err != nil {
