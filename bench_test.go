@@ -30,6 +30,7 @@ import (
 	"lfi/internal/libspec"
 	"lfi/internal/profile"
 	"lfi/internal/scenario"
+	"lfi/internal/trigger"
 )
 
 // analyzedBinary is the binary the analyzer benchmarks run over.
@@ -546,6 +547,35 @@ func BenchmarkScenarioParse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := scenario.ParseString(doc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScenarioBuild measures building one explorer mutant of the
+// call-stack-window shape — the two-trigger scenario the explorer
+// breeds most: validation, the canonical XML serialization and its
+// content hash. Every kept mutant pays this once, serially, between
+// batches.
+func BenchmarkScenarioBuild(b *testing.B) {
+	frame := &trigger.Args{Name: "args", Children: []*trigger.Args{{
+		Name: "frame",
+		Children: []*trigger.Args{
+			{Name: "module", Text: "raft"},
+			{Name: "offset", Text: "1a4"},
+		},
+	}}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		bld := scenario.NewBuilder("explore-swin-raft-recvfrom-1a4-2-4--1-EAGAIN")
+		cs := bld.Trigger("1a4", "CallStackTrigger", frame)
+		win := bld.Trigger("swin", "SiteCountTrigger", scenario.BurstArgs(2, 4))
+		bld.Inject("recvfrom", 0, -1, errno.EAGAIN, cs, win)
+		s, err := bld.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.ContentHash() == "" {
+			b.Fatal("no content hash")
 		}
 	}
 }

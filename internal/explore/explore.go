@@ -45,6 +45,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -302,7 +303,7 @@ func (r *Result) String() string {
 // Generate enumerates the candidate fault space for cfg, in a
 // deterministic order: call-stack candidates by site offset, then the
 // occurrence cross product by function name. Duplicate scenarios (same
-// content hash) are dropped.
+// name, hence same content) are dropped before they are built.
 func Generate(cfg Config) []*Candidate {
 	cfg = cfg.withDefaults()
 	a := &callsite.Analyzer{}
@@ -312,14 +313,28 @@ func Generate(cfg Config) []*Candidate {
 	seen := make(map[string]bool)
 	hashes := impact.NewHasher(cfg.Binary)
 	blocks := blockAt(cfg.BlockOffsets)
-	add := func(c *Candidate) {
-		c.Hash = contentHash(c.Scenario)
-		if seen[c.Hash] {
-			return
+	bin := cfg.Binary.Name
+	var buf []byte // scratch candidate names are assembled in
+	// fresh returns the name just assembled in buf, unless a scenario
+	// of that name was already generated.
+	fresh := func() (string, bool) {
+		if seen[string(buf)] {
+			return "", false
 		}
-		seen[c.Hash] = true
+		name := string(buf)
+		seen[name] = true
+		return name, true
+	}
+	add := func(c *Candidate) {
+		c.Hash = c.Scenario.ContentHash()
 		c.key = c.Hash + "@" + hashes.Region(c.Caller)
 		out = append(out, c)
+	}
+	addStack := func(site callsite.Site, code int64, e errno.Errno, kind Kind) {
+		buf = stackName(buf[:0], bin, site.Callee, site.Offset, code, e)
+		if name, ok := fresh(); ok {
+			add(stackCandidate(cfg, name, site, code, e, kind, blocks[site.Offset]))
+		}
 	}
 
 	vulnerableFn := make(map[string]bool)
@@ -331,7 +346,7 @@ func Generate(cfg Config) []*Candidate {
 		if site.Class != callsite.Checked {
 			for _, code := range site.Missing {
 				for _, e := range errnosFor(cfg.Profiles, site.Callee, code) {
-					add(stackCandidate(cfg, site, code, e, Vulnerable, blocks[site.Offset]))
+					addStack(site, code, e, Vulnerable)
 				}
 			}
 		}
@@ -342,7 +357,7 @@ func Generate(cfg Config) []*Candidate {
 		}
 		for _, code := range codes {
 			for _, e := range errnosFor(cfg.Profiles, site.Callee, code) {
-				add(stackCandidate(cfg, site, code, e, Exercise, blocks[site.Offset]))
+				addStack(site, code, e, Exercise)
 			}
 		}
 	}
@@ -358,7 +373,10 @@ func Generate(cfg Config) []*Candidate {
 		for _, code := range profileErrorCodes(cfg.Profiles, fn) {
 			for _, e := range errnosFor(cfg.Profiles, fn, code) {
 				for n := uint64(1); n <= maxOccurrence; n++ {
-					add(occurrenceCandidate(cfg, fn, n, code, e))
+					buf = occurrenceName(buf[:0], bin, fn, n, code, e)
+					if name, ok := fresh(); ok {
+						add(occurrenceCandidate(name, fn, n, code, e))
+					}
 				}
 			}
 		}
@@ -376,51 +394,102 @@ func blockAt(offs map[string]uint64) map[uint64]string {
 	return m
 }
 
-func stackCandidate(cfg Config, site callsite.Site, code int64, e errno.Errno, kind Kind, block string) *Candidate {
-	name := fmt.Sprintf("explore-cs-%s-%s-%x-%d-%s", cfg.Binary.Name, site.Callee, site.Offset, code, e)
-	bld := scenario.NewBuilder(name)
-	cs := bld.Trigger(fmt.Sprintf("%x", site.Offset), "CallStackTrigger", frameArgs(cfg.Binary.Name, site.Offset))
-	once := bld.Trigger("once", "SingletonTrigger", nil)
-	bld.Inject(site.Callee, 0, code, e, cs, once)
+// Generated scenario names. A name encodes every parameter of its
+// scenario's content — binary, callee, call site, window, code and
+// errno — so equal names mean byte-equal scenarios, and since the name
+// is part of the XML, different names mean different content hashes.
+// The name is therefore the scenario identity the explorer
+// deduplicates by, before it builds and hashes anything. Each appends
+// to b, so a caller can test a name against its seen set without
+// allocating.
+
+func stackName(b []byte, bin, callee string, off uint64, code int64, e errno.Errno) []byte {
+	b = nameHead(b, "explore-cs-", bin, callee)
+	b = strconv.AppendUint(b, off, 16)
+	return nameTail(b, code, e)
+}
+
+func occurrenceName(b []byte, bin, fn string, n uint64, code int64, e errno.Errno) []byte {
+	b = nameHead(b, "explore-occ-", bin, fn)
+	b = strconv.AppendUint(b, n, 10)
+	return nameTail(b, code, e)
+}
+
+func windowName(b []byte, bin, fn string, from, to uint64, code int64, e errno.Errno) []byte {
+	b = nameHead(b, "explore-win-", bin, fn)
+	b = appendBounds(b, from, to)
+	return nameTail(b, code, e)
+}
+
+func stackWindowName(b []byte, bin, callee string, off, from, to uint64, code int64, e errno.Errno) []byte {
+	b = nameHead(b, "explore-swin-", bin, callee)
+	b = strconv.AppendUint(b, off, 16)
+	b = append(b, '-')
+	b = appendBounds(b, from, to)
+	return nameTail(b, code, e)
+}
+
+func nameHead(b []byte, prefix, bin, callee string) []byte {
+	b = append(b, prefix...)
+	b = append(b, bin...)
+	b = append(b, '-')
+	b = append(b, callee...)
+	return append(b, '-')
+}
+
+func appendBounds(b []byte, from, to uint64) []byte {
+	b = strconv.AppendUint(b, from, 10)
+	b = append(b, '-')
+	return strconv.AppendUint(b, to, 10)
+}
+
+func nameTail(b []byte, code int64, e errno.Errno) []byte {
+	b = append(b, '-')
+	b = strconv.AppendInt(b, code, 10)
+	b = append(b, '-')
+	return append(b, e.String()...)
+}
+
+// build seals a generated scenario; the generators only ever produce
+// valid ones.
+func build(bld *scenario.Builder) *scenario.Scenario {
 	s, err := bld.Build()
 	if err != nil {
 		panic("explore: generated scenario invalid: " + err.Error())
 	}
+	return s
+}
+
+func stackCandidate(cfg Config, name string, site callsite.Site, code int64, e errno.Errno, kind Kind, block string) *Candidate {
+	bld := scenario.NewBuilder(name)
+	off := strconv.FormatUint(site.Offset, 16)
+	cs := bld.Trigger(off, "CallStackTrigger", frameArgs(cfg.Binary.Name, off))
+	once := bld.Trigger("once", "SingletonTrigger", nil)
+	bld.Inject(site.Callee, 0, code, e, cs, once)
 	return &Candidate{
-		Scenario: s, Kind: kind, Callee: site.Callee, Caller: site.Caller,
+		Scenario: build(bld), Kind: kind, Callee: site.Callee, Caller: site.Caller,
 		Offset: site.Offset, Code: code, Errno: e, Class: site.Class, Block: block,
 	}
 }
 
-func occurrenceCandidate(cfg Config, fn string, n uint64, code int64, e errno.Errno) *Candidate {
-	name := fmt.Sprintf("explore-occ-%s-%s-%d-%d-%s", cfg.Binary.Name, fn, n, code, e)
+func occurrenceCandidate(name, fn string, n uint64, code int64, e errno.Errno) *Candidate {
 	bld := scenario.NewBuilder(name)
 	nth := bld.Trigger("nth", "CallCountTrigger", scenario.IntArgs("n", n))
 	bld.Inject(fn, 0, code, e, nth)
-	s, err := bld.Build()
-	if err != nil {
-		panic("explore: generated scenario invalid: " + err.Error())
-	}
 	return &Candidate{
-		Scenario: s, Kind: Occurrence, Callee: fn,
+		Scenario: build(bld), Kind: Occurrence, Callee: fn,
 		Occurrence: n, Code: code, Errno: e,
 	}
 }
 
 // windowCandidate builds a CallCount burst mutant: inject on every call
-// in [from, to]. The scenario name encodes the window, so the content
-// hash (and therefore dedup and the store key) is stable.
-func windowCandidate(cfg Config, fn string, from, to uint64, code int64, e errno.Errno) *Candidate {
-	name := fmt.Sprintf("explore-win-%s-%s-%d-%d-%d-%s", cfg.Binary.Name, fn, from, to, code, e)
+// in [from, to].
+func windowCandidate(name, fn string, from, to uint64, code int64, e errno.Errno) *Candidate {
 	bld := scenario.NewBuilder(name)
 	win := bld.Trigger("win", "CallCountTrigger", scenario.BurstArgs(from, to))
 	bld.Inject(fn, 0, code, e, win)
-	s, err := bld.Build()
-	if err != nil {
-		panic("explore: generated scenario invalid: " + err.Error())
-	}
 	return &Candidate{
-		Scenario: s, Kind: Window, Callee: fn,
+		Scenario: build(bld), Kind: Window, Callee: fn,
 		From: from, To: to, Code: code, Errno: e,
 	}
 }
@@ -431,31 +500,29 @@ func windowCandidate(cfg Config, fn string, from, to uint64, code int64, e errno
 // the SiteCountTrigger counts its own evaluations, so (with the
 // conjunction's short-circuit) the burst is site-local — independent of
 // how often the rest of the program called the same function.
-func stackWindowCandidate(cfg Config, c *Candidate, from, to uint64) *Candidate {
-	name := fmt.Sprintf("explore-swin-%s-%s-%x-%d-%d-%d-%s", cfg.Binary.Name, c.Callee, c.Offset, from, to, c.Code, c.Errno)
+func stackWindowCandidate(cfg Config, name string, c *Candidate, from, to uint64) *Candidate {
 	bld := scenario.NewBuilder(name)
-	cs := bld.Trigger(fmt.Sprintf("%x", c.Offset), "CallStackTrigger", frameArgs(cfg.Binary.Name, c.Offset))
+	off := strconv.FormatUint(c.Offset, 16)
+	cs := bld.Trigger(off, "CallStackTrigger", frameArgs(cfg.Binary.Name, off))
 	win := bld.Trigger("swin", "SiteCountTrigger", scenario.BurstArgs(from, to))
 	bld.Inject(c.Callee, 0, c.Code, c.Errno, cs, win)
-	s, err := bld.Build()
-	if err != nil {
-		panic("explore: generated scenario invalid: " + err.Error())
-	}
 	return &Candidate{
-		Scenario: s, Kind: StackWindow, Callee: c.Callee, Caller: c.Caller,
+		Scenario: build(bld), Kind: StackWindow, Callee: c.Callee, Caller: c.Caller,
 		Offset: c.Offset, From: from, To: to, Code: c.Code, Errno: c.Errno,
 		Class: c.Class, Block: c.Block,
 	}
 }
 
-func frameArgs(module string, off uint64) *trigger.Args {
+// frameArgs is a CallStackTrigger's one-frame argument tree; off is the
+// call site offset in hex.
+func frameArgs(module, off string) *trigger.Args {
 	return &trigger.Args{
 		Name: "args",
 		Children: []*trigger.Args{{
 			Name: "frame",
 			Children: []*trigger.Args{
 				{Name: "module", Text: module},
-				{Name: "offset", Text: fmt.Sprintf("%x", off)},
+				{Name: "offset", Text: off},
 			},
 		}},
 	}
@@ -479,14 +546,6 @@ func profileErrorCodes(ps []*profile.Profile, callee string) []int64 {
 		}
 	}
 	return nil
-}
-
-// contentHash is the scenario identity: a hash of the canonical
-// (deterministic) XML serialization. Built scenarios carry the hash
-// (and the serialized bytes the wire encoders reuse) sealed in, so
-// this never re-serializes a scenario the Builder produced.
-func contentHash(s *scenario.Scenario) string {
-	return s.ContentHash()
 }
 
 // ImageVersion identifies the target image the store entries belong to.
@@ -515,7 +574,7 @@ type explorer struct {
 	covered coverage.Bitset
 	base    coverage.Bitset
 
-	// Mutation state: the scenario hashes already enumerated (initial
+	// Mutation state: the scenario names already enumerated (initial
 	// candidates plus spawned mutants), the candidates already mutated,
 	// the code hasher for mutant store keys (stack-window mutants key on
 	// their caller's region, like the call-stack candidates they descend
@@ -528,6 +587,7 @@ type explorer struct {
 	hashes      *impact.Hasher
 	imageRegion string
 	spawned     int
+	name        []byte // scratch a mutant's name is assembled in
 
 	// reval holds per-candidate re-validation boosts assigned by the
 	// stale-outcome rule: candidates whose cached outcome a code or
@@ -581,16 +641,17 @@ func (x *explorer) mutationWorthy(e Entry) bool {
 // global windows and [1, maxOccurrence] for stack windows (site-local
 // counts are aligned to the site, so the interesting bursts sit near
 // the start), with bursts no longer than maxOccurrence, and
-// deduplicated against everything already enumerated, so the mutation
-// lattice is finite and the loop always terminates. Every decision
-// depends only on the candidate and its outcome entry, never on
-// scheduling order, so a resumed run re-breeds the same lattice from
-// replayed entries alone.
+// deduplicated by name against everything already enumerated before
+// anything is built, so the mutation lattice is finite, the loop
+// always terminates, and each kept mutant is serialized and hashed
+// once. Every decision depends only on the candidate and its outcome
+// entry, never on scheduling order, so a resumed run re-breeds the
+// same lattice from replayed entries alone.
 func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
-	if x.mutated[c.Hash] {
+	if x.mutated[c.Scenario.Name] {
 		return nil
 	}
-	x.mutated[c.Hash] = true
+	x.mutated[c.Scenario.Name] = true
 	var wins [][2]uint64
 	stack := false
 	switch c.Kind {
@@ -623,28 +684,33 @@ func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
 		maxTo = maxOccurrence
 	}
 	maxLen := uint64(maxOccurrence)
+	bin := x.cfg.Binary.Name
 	var out []*Candidate
 	for _, w := range wins {
 		from, to := w[0], w[1]
 		if from < 1 || to <= from || to > maxTo || to-from+1 > maxLen {
 			continue
 		}
-		var nc *Candidate
 		if stack {
-			nc = stackWindowCandidate(x.cfg, c, from, to)
+			x.name = stackWindowName(x.name[:0], bin, c.Callee, c.Offset, from, to, c.Code, c.Errno)
 		} else {
-			nc = windowCandidate(x.cfg, c.Callee, from, to, c.Code, c.Errno)
+			x.name = windowName(x.name[:0], bin, c.Callee, from, to, c.Code, c.Errno)
 		}
-		nc.Hash = contentHash(nc.Scenario)
-		if x.seen[nc.Hash] {
+		if x.seen[string(x.name)] {
 			continue
 		}
-		x.seen[nc.Hash] = true
+		name := string(x.name)
+		x.seen[name] = true
+		var nc *Candidate
+		region := x.imageRegion
 		if stack {
-			nc.key = nc.Hash + "@" + x.hashes.Region(nc.Caller)
+			nc = stackWindowCandidate(x.cfg, name, c, from, to)
+			region = x.hashes.Region(nc.Caller)
 		} else {
-			nc.key = nc.Hash + "@" + x.imageRegion
+			nc = windowCandidate(name, c.Callee, from, to, c.Code, c.Errno)
 		}
+		nc.Hash = nc.Scenario.ContentHash()
+		nc.key = nc.Hash + "@" + region
 		x.spawned++
 		out = append(out, nc)
 	}
@@ -751,7 +817,7 @@ func newRun(cfg Config) (*run, error) {
 		mutated: make(map[string]bool),
 	}
 	for _, c := range cands {
-		x.seen[c.Hash] = true
+		x.seen[c.Scenario.Name] = true
 	}
 	x.hashes = impact.NewHasher(cfg.Binary)
 	x.imageRegion = x.hashes.Image()

@@ -23,6 +23,8 @@ package pbft
 import (
 	"encoding/json"
 	"fmt"
+
+	"lfi/internal/distharness"
 )
 
 // Message types.
@@ -49,8 +51,26 @@ type Msg struct {
 	Result  string `json:"res,omitempty"`
 }
 
-// Encode serializes the message.
+// msgTypes lets DecodeMsg return the message type constants instead of
+// allocating a copy per datagram.
+var msgTypes = []string{TypeRequest, TypePrePrepare, TypePrepare, TypeCommit, TypeReply, TypeViewChange, TypeNewView}
+
+// Encode serializes the message: the bytes of json.Marshal, appended
+// directly (json.Marshal itself only for strings it would escape).
 func (m Msg) Encode() []byte {
+	e := distharness.NewFlatEncoder(80 + len(m.Type) + len(m.Client) + len(m.Op) + len(m.Digest) + len(m.Result))
+	e.Str("t", m.Type, false)
+	e.Int("v", int64(m.View), true)
+	e.Int("n", int64(m.Seq), true)
+	e.Int("r", int64(m.Replica), false)
+	e.Str("c", m.Client, true)
+	e.Int("id", m.ReqID, true)
+	e.Str("op", m.Op, true)
+	e.Str("d", m.Digest, true)
+	e.Str("res", m.Result, true)
+	if b, ok := e.Bytes(); ok {
+		return b
+	}
 	b, err := json.Marshal(m)
 	if err != nil {
 		panic(fmt.Sprintf("pbft: marshal: %v", err))
@@ -58,11 +78,44 @@ func (m Msg) Encode() []byte {
 	return b
 }
 
-// DecodeMsg parses one datagram; ok is false for garbage.
+// DecodeMsg parses one datagram; ok is false for garbage. The shape
+// Encode writes is read directly; anything else goes to
+// json.Unmarshal.
 func DecodeMsg(b []byte) (Msg, bool) {
 	var m Msg
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Msg{}, false
+	d := distharness.NewFlatDecoder(b)
+	if d.Key("t") {
+		m.Type = d.Str(msgTypes...)
+	}
+	if d.Key("v") {
+		m.View = d.Int()
+	}
+	if d.Key("n") {
+		m.Seq = d.Int()
+	}
+	if d.Key("r") {
+		m.Replica = d.Int()
+	}
+	if d.Key("c") {
+		m.Client = d.Str()
+	}
+	if d.Key("id") {
+		m.ReqID = d.Int64()
+	}
+	if d.Key("op") {
+		m.Op = d.Str()
+	}
+	if d.Key("d") {
+		m.Digest = d.Str()
+	}
+	if d.Key("res") {
+		m.Result = d.Str()
+	}
+	if !d.Done() {
+		m = Msg{}
+		if err := json.Unmarshal(b, &m); err != nil {
+			return Msg{}, false
+		}
 	}
 	return m, m.Type != ""
 }

@@ -26,6 +26,8 @@ package raft
 import (
 	"encoding/json"
 	"fmt"
+
+	"lfi/internal/distharness"
 )
 
 // Message types.
@@ -53,8 +55,24 @@ type Msg struct {
 	Commit int    `json:"c,omitempty"`
 }
 
-// Encode serializes the message.
+// msgTypes lets DecodeMsg return the message type constants instead of
+// allocating a copy per datagram.
+var msgTypes = []string{TypeVoteReq, TypeVoteResp, TypeAppend, TypeAck}
+
+// Encode serializes the message: the bytes of json.Marshal, appended
+// directly (json.Marshal itself only for strings it would escape).
 func (m Msg) Encode() []byte {
+	e := distharness.NewFlatEncoder(64 + len(m.Type) + len(m.Op) + len(m.PrevOp))
+	e.Str("t", m.Type, false)
+	e.Int("tm", int64(m.Term), true)
+	e.Int("f", int64(m.From), false)
+	e.Int("i", int64(m.Idx), true)
+	e.Str("op", m.Op, true)
+	e.Str("po", m.PrevOp, true)
+	e.Int("c", int64(m.Commit), true)
+	if b, ok := e.Bytes(); ok {
+		return b
+	}
 	b, err := json.Marshal(m)
 	if err != nil {
 		panic(fmt.Sprintf("raft: marshal: %v", err))
@@ -62,11 +80,38 @@ func (m Msg) Encode() []byte {
 	return b
 }
 
-// DecodeMsg parses one datagram; ok is false for garbage.
+// DecodeMsg parses one datagram; ok is false for garbage. The shape
+// Encode writes is read directly; anything else goes to
+// json.Unmarshal.
 func DecodeMsg(b []byte) (Msg, bool) {
 	var m Msg
-	if err := json.Unmarshal(b, &m); err != nil {
-		return Msg{}, false
+	d := distharness.NewFlatDecoder(b)
+	if d.Key("t") {
+		m.Type = d.Str(msgTypes...)
+	}
+	if d.Key("tm") {
+		m.Term = d.Int()
+	}
+	if d.Key("f") {
+		m.From = d.Int()
+	}
+	if d.Key("i") {
+		m.Idx = d.Int()
+	}
+	if d.Key("op") {
+		m.Op = d.Str()
+	}
+	if d.Key("po") {
+		m.PrevOp = d.Str()
+	}
+	if d.Key("c") {
+		m.Commit = d.Int()
+	}
+	if !d.Done() {
+		m = Msg{}
+		if err := json.Unmarshal(b, &m); err != nil {
+			return Msg{}, false
+		}
 	}
 	return m, m.Type != ""
 }

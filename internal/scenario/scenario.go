@@ -78,11 +78,14 @@ func (f *FunctionAssoc) RetvalErrno() (int64, errno.Errno, error) {
 // Scenario is a complete fault injection scenario.
 //
 // The canon/canonHash fields cache the canonical serialized form and
-// its content hash. They are written exactly once, by seal(), before
-// the scenario escapes Build or Parse — after that the scenario is
-// treated as immutable, so concurrent readers (wire encoders on
-// parallel fleet backends) need no synchronization. Hand-constructed
-// literals skip the cache and recompute per call.
+// its content hash, the scenario half of every store key. They are
+// written exactly once, by seal(), before the scenario escapes Build or
+// Parse — after that the scenario is treated as immutable, so
+// concurrent readers (wire encoders on parallel fleet backends) need no
+// synchronization. Sealing is the one place a scenario is serialized
+// and hashed, so a caller that can tell a duplicate by its name (the
+// explorer) checks the name before building. Hand-constructed literals
+// skip the cache and recompute per call.
 type Scenario struct {
 	Name      string
 	Triggers  []TriggerDecl
@@ -248,14 +251,25 @@ func (b *Builder) Build() (*Scenario, error) {
 }
 
 // IntArgs builds a one-level <args> tree from key/value pairs, a
-// convenience for parametrized triggers.
+// convenience for parametrized triggers. Values print as fmt.Sprint
+// would; strings and the integer kinds skip fmt.
 func IntArgs(kv ...any) *trigger.Args {
 	a := &trigger.Args{Name: "args"}
 	for i := 0; i+1 < len(kv); i += 2 {
-		a.Children = append(a.Children, &trigger.Args{
-			Name: kv[i].(string),
-			Text: fmt.Sprint(kv[i+1]),
-		})
+		var text string
+		switch v := kv[i+1].(type) {
+		case string:
+			text = v
+		case int:
+			text = strconv.Itoa(v)
+		case int64:
+			text = strconv.FormatInt(v, 10)
+		case uint64:
+			text = strconv.FormatUint(v, 10)
+		default:
+			text = fmt.Sprint(v)
+		}
+		a.Children = append(a.Children, &trigger.Args{Name: kv[i].(string), Text: text})
 	}
 	return a
 }
@@ -264,5 +278,8 @@ func IntArgs(kv ...any) *trigger.Args {
 // occurrence window — the burst form ("inject on calls from..to") used
 // by the DoS study and by the explorer's window mutants.
 func BurstArgs(from, to uint64) *trigger.Args {
-	return IntArgs("from", from, "to", to)
+	return &trigger.Args{Name: "args", Children: []*trigger.Args{
+		{Name: "from", Text: strconv.FormatUint(from, 10)},
+		{Name: "to", Text: strconv.FormatUint(to, 10)},
+	}}
 }

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"lfi/internal/trigger"
 )
@@ -142,113 +143,191 @@ func (s *Scenario) ContentHash() string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// seal computes and caches the canonical form and content hash. It
-// must be called before the scenario is shared across goroutines and
-// the scenario must not be mutated afterwards.
+// seal computes and caches the canonical form and content hash, once
+// per built or parsed scenario. It must be called before the scenario
+// is shared across goroutines and the scenario must not be mutated
+// afterwards.
 func (s *Scenario) seal() {
 	s.canon = s.serialize()
 	sum := sha256.Sum256(s.canon)
 	s.canonHash = hex.EncodeToString(sum[:8])
 }
 
-// serialize materializes the canonical XML document.
+// serialize materializes the canonical XML document: the one
+// serializer behind Serialize, ContentHash and so every store key, so
+// its bytes must never change. It appends into a buffer sized for the
+// unescaped document.
 func (s *Scenario) serialize() []byte {
-	var b bytes.Buffer
-	b.WriteString("<scenario")
+	b := make([]byte, 0, s.size())
+	b = append(b, "<scenario"...)
 	if s.Name != "" {
-		writeAttr(&b, "name", s.Name)
+		b = appendAttr(b, "name", s.Name)
 	}
-	b.WriteString(">\n")
+	b = append(b, ">\n"...)
 	for _, td := range s.Triggers {
-		b.WriteString("  <trigger")
-		writeAttr(&b, "id", td.ID)
-		writeAttr(&b, "class", td.Class)
+		b = append(b, "  <trigger"...)
+		b = appendAttr(b, "id", td.ID)
+		b = appendAttr(b, "class", td.Class)
 		if td.Args == nil {
-			b.WriteString(" />\n")
+			b = append(b, " />\n"...)
 			continue
 		}
-		b.WriteString(">\n")
-		writeArgs(&b, td.Args, 4)
-		b.WriteString("  </trigger>\n")
+		b = append(b, ">\n"...)
+		b = appendArgs(b, td.Args, 4)
+		b = append(b, "  </trigger>\n"...)
 	}
 	for _, fa := range s.Functions {
-		b.WriteString("  <function")
-		writeAttr(&b, "name", fa.Name)
+		b = append(b, "  <function"...)
+		b = appendAttr(b, "name", fa.Name)
 		if fa.Argc > 0 {
-			writeAttr(&b, "argc", strconv.Itoa(fa.Argc))
+			b = append(b, ` argc="`...)
+			b = strconv.AppendInt(b, int64(fa.Argc), 10)
+			b = append(b, '"')
 		}
-		writeAttr(&b, "return", fa.Return)
-		writeAttr(&b, "errno", fa.Errno)
-		b.WriteString(">\n")
+		b = appendAttr(b, "return", fa.Return)
+		b = appendAttr(b, "errno", fa.Errno)
+		b = append(b, ">\n"...)
 		for _, r := range fa.Refs {
-			b.WriteString("    <reftrigger")
-			writeAttr(&b, "ref", r.Ref)
+			b = append(b, "    <reftrigger"...)
+			b = appendAttr(b, "ref", r.Ref)
 			if r.Negate {
-				writeAttr(&b, "negate", "true")
+				b = append(b, ` negate="true"`...)
 			}
-			b.WriteString(" />\n")
+			b = append(b, " />\n"...)
 		}
-		b.WriteString("  </function>\n")
+		b = append(b, "  </function>\n"...)
 	}
-	b.WriteString("</scenario>\n")
-	return b.Bytes()
+	return append(b, "</scenario>\n"...)
 }
 
-// writeAttr writes one attribute with XML escaping. Newlines, carriage
-// returns and tabs must be written as character references — a parser
-// normalizes the literal characters to spaces inside attribute values.
-func writeAttr(b *bytes.Buffer, name, value string) {
-	b.WriteByte(' ')
-	b.WriteString(name)
-	b.WriteString(`="`)
+// size is the length of the serialized document when nothing in it
+// needs escaping (argc counted at its widest).
+func (s *Scenario) size() int {
+	n := len("<scenario>\n</scenario>\n")
+	if s.Name != "" {
+		n += attrSize("name", s.Name)
+	}
+	for _, td := range s.Triggers {
+		n += len("  <trigger />\n") + attrSize("id", td.ID) + attrSize("class", td.Class)
+		if td.Args != nil {
+			n += len("  </trigger>\n") - 2 + argsSize(td.Args, 4)
+		}
+	}
+	for _, fa := range s.Functions {
+		n += len("  <function>\n  </function>\n") + attrSize("name", fa.Name) +
+			attrSize("return", fa.Return) + attrSize("errno", fa.Errno)
+		if fa.Argc > 0 {
+			n += attrSize("argc", "-9223372036854775808")
+		}
+		for _, r := range fa.Refs {
+			n += len("    <reftrigger />\n") + attrSize("ref", r.Ref)
+			if r.Negate {
+				n += attrSize("negate", "true")
+			}
+		}
+	}
+	return n
+}
+
+func attrSize(name, value string) int { return len(` ="`) + len(name) + len(value) + 1 }
+
+func argsSize(n *trigger.Args, indent int) int {
+	size := indent + len("<") + len(n.Name) + len(">\n")
+	for k, v := range n.Attr {
+		size += attrSize(k, v)
+	}
+	if len(n.Children) == 0 && n.Text == "" {
+		return size + len(" />\n") - len(">\n")
+	}
+	size += len(n.Text) + len("</>") + len(n.Name)
+	if len(n.Children) > 0 {
+		size += len("\n") + indent
+		for _, c := range n.Children {
+			size += argsSize(c, indent+2)
+		}
+	}
+	return size
+}
+
+// appendAttr appends one attribute with XML escaping. Newlines,
+// carriage returns and tabs must be written as character references —
+// a parser normalizes the literal characters to spaces inside
+// attribute values.
+func appendAttr(b []byte, name, value string) []byte {
+	b = append(b, ' ')
+	b = append(b, name...)
+	b = append(b, `="`...)
 	for _, r := range value {
 		switch r {
 		case '&':
-			b.WriteString("&amp;")
+			b = append(b, "&amp;"...)
 		case '<':
-			b.WriteString("&lt;")
+			b = append(b, "&lt;"...)
 		case '>':
-			b.WriteString("&gt;")
+			b = append(b, "&gt;"...)
 		case '"':
-			b.WriteString("&quot;")
+			b = append(b, "&quot;"...)
 		case '\n':
-			b.WriteString("&#xA;")
+			b = append(b, "&#xA;"...)
 		case '\r':
-			b.WriteString("&#xD;")
+			b = append(b, "&#xD;"...)
 		case '\t':
-			b.WriteString("&#x9;")
+			b = append(b, "&#x9;"...)
 		default:
-			b.WriteRune(r)
+			b = utf8.AppendRune(b, r)
 		}
 	}
-	b.WriteByte('"')
+	return append(b, '"')
 }
 
-func writeArgs(b *bytes.Buffer, n *trigger.Args, indent int) {
-	pad := strings.Repeat(" ", indent)
-	fmt.Fprintf(b, "%s<%s", pad, n.Name)
-	keys := make([]string, 0, len(n.Attr))
-	for k := range n.Attr {
-		keys = append(keys, k)
+// appendText appends element text: printable ASCII other than XML
+// metacharacters is copied as is, anything else goes through
+// xml.EscapeText.
+func appendText(b []byte, text string) []byte {
+	for i := 0; i < len(text); i++ {
+		if c := text[i]; c < ' ' || c >= utf8.RuneSelf || c == '&' || c == '<' || c == '>' || c == '"' || c == '\'' {
+			w := bytes.NewBuffer(b)
+			xml.EscapeText(w, []byte(text))
+			return w.Bytes()
+		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		writeAttr(b, k, n.Attr[k])
+	return append(b, text...)
+}
+
+func appendArgs(b []byte, n *trigger.Args, indent int) []byte {
+	b = appendPad(b, indent)
+	b = append(b, '<')
+	b = append(b, n.Name...)
+	if len(n.Attr) > 0 {
+		keys := make([]string, 0, len(n.Attr))
+		for k := range n.Attr {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			b = appendAttr(b, k, n.Attr[k])
+		}
 	}
 	if len(n.Children) == 0 && n.Text == "" {
-		b.WriteString(" />\n")
-		return
+		return append(b, " />\n"...)
 	}
-	b.WriteString(">")
-	if n.Text != "" {
-		xml.EscapeText(b, []byte(n.Text))
-	}
+	b = append(b, '>')
+	b = appendText(b, n.Text)
 	if len(n.Children) > 0 {
-		b.WriteString("\n")
+		b = append(b, '\n')
 		for _, c := range n.Children {
-			writeArgs(b, c, indent+2)
+			b = appendArgs(b, c, indent+2)
 		}
-		b.WriteString(pad)
+		b = appendPad(b, indent)
 	}
-	fmt.Fprintf(b, "</%s>\n", n.Name)
+	b = append(b, "</"...)
+	b = append(b, n.Name...)
+	return append(b, ">\n"...)
+}
+
+func appendPad(b []byte, indent int) []byte {
+	for ; indent > 0; indent-- {
+		b = append(b, ' ')
+	}
+	return b
 }

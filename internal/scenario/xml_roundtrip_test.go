@@ -286,12 +286,16 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 // FuzzRoundTrip drives the same property from the native fuzzer, with
-// the interesting corners as the seed corpus.
+// the interesting corners as the seed corpus. Every input, round-trippable
+// or not, must also serialize exactly as the reference serializer does,
+// and so must the document Parse reads back.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add("name", "id", "Class", "key", `a&<>"value`, "text\nline", int64(-1), true)
 	f.Add("", "t", "SingletonTrigger", "probability", "0.5", "", int64(0), false)
 	f.Add("x&y", "a", "C", "k", "\ttab\t", "]]>", int64(7), true)
+	f.Add("\xffn", "i\x01", "C\u00e9", "k", "v\xfe", "t\x00x", int64(3), false)
 	f.Fuzz(func(t *testing.T, name, id, class, key, val, text string, ret int64, negate bool) {
+		checkReference(t, fuzzScenario(name, id, class, key, val, text, ret, negate))
 		if strings.ContainsAny(id+class, "<>&\"'/= \n\r\t") || id == "" || class == "" {
 			t.Skip() // ids/classes are serialized as attribute values; junk ones are tested elsewhere
 		}
@@ -305,25 +309,36 @@ func FuzzRoundTrip(f *testing.F) {
 			!utf8ValidXML(id) || !utf8ValidXML(class) || !utf8ValidXML(key) {
 			t.Skip()
 		}
-		s := &Scenario{
-			Name: name,
-			Triggers: []TriggerDecl{{
-				ID: id, Class: class,
-				Args: &trigger.Args{
-					Name: "args",
-					Attr: map[string]string{key: val},
-					Text: text,
-				},
-			}},
-			Functions: []FunctionAssoc{{
-				Name:   "read",
-				Return: fmt.Sprint(ret),
-				Errno:  "EIO",
-				Refs:   []TriggerRef{{Ref: id, Negate: negate}},
-			}},
-		}
+		s := fuzzScenario(name, id, class, key, val, text, ret, negate)
 		roundTrip(t, s)
+		p, err := Parse(bytes.NewReader(s.Serialize()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := p.Serialize(), p.serializeReference(); !bytes.Equal(got, want) {
+			t.Fatalf("parsed document serializes differently from the reference:\ngot:\n%q\nwant:\n%q", got, want)
+		}
 	})
+}
+
+func fuzzScenario(name, id, class, key, val, text string, ret int64, negate bool) *Scenario {
+	return &Scenario{
+		Name: name,
+		Triggers: []TriggerDecl{{
+			ID: id, Class: class,
+			Args: &trigger.Args{
+				Name: "args",
+				Attr: map[string]string{key: val},
+				Text: text,
+			},
+		}},
+		Functions: []FunctionAssoc{{
+			Name:   "read",
+			Return: fmt.Sprint(ret),
+			Errno:  "EIO",
+			Refs:   []TriggerRef{{Ref: id, Negate: negate}},
+		}},
+	}
 }
 
 // TestValidateRejectsUnserializableArgNames pins the library-side
