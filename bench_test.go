@@ -436,8 +436,10 @@ func BenchmarkArenaRunReuse(b *testing.B) {
 // system: controller.RunOne, round-robin over the system's first
 // generated candidates, on one goroutine. It is the per-system run-loop
 // cost the explorer pays per test — for pbft and raft that includes
-// building the simulated network and replaying the message trace — so
-// allocs/op and tests/s here gate every system, not only minidb.
+// resetting the pooled harness and replaying the message trace — so
+// allocs/op and tests/s here gate every system, not only minidb. Each
+// scenario compiles on its first run only; BenchmarkSystemRunOnce
+// measures the explorer's path, where every run compiles.
 func BenchmarkSystemRun(b *testing.B) {
 	const firstCandidates = 32
 	for _, sys := range Systems() {
@@ -451,6 +453,55 @@ func BenchmarkSystemRun(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := controller.RunOne(tgt, cands[i%len(cands)].Scenario, RuntimeSeed(1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tests/s")
+		})
+	}
+}
+
+// BenchmarkSystemRunOnce is BenchmarkSystemRun on the path the explorer
+// takes: every iteration runs a *Scenario that has never run before, so
+// every run compiles its scenario and none finds a compiled program to
+// reuse. The scenarios are the same first candidates, re-parsed from
+// their canonical XML outside the timer — in bounded chunks, so memory
+// stays flat however large b.N grows.
+func BenchmarkSystemRunOnce(b *testing.B) {
+	const firstCandidates, chunk = 32, 4096
+	for _, sys := range Systems() {
+		cands := explore.Generate(explore.ConfigForSystem(sys))
+		if len(cands) == 0 {
+			b.Fatalf("%s: no candidates", sys.Name)
+		}
+		cands = cands[:min(len(cands), firstCandidates)]
+		docs := make([]string, len(cands))
+		for i, c := range cands {
+			docs[i] = string(c.Scenario.Serialize())
+		}
+		tgt := sys.Target()
+		b.Run(sys.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			fresh := make([]*scenario.Scenario, 0, min(b.N, chunk))
+			parse := func(from int) {
+				fresh = fresh[:0]
+				for i := from; i < b.N && len(fresh) < cap(fresh); i++ {
+					s, err := scenario.ParseString(docs[i%len(docs)])
+					if err != nil {
+						b.Fatal(err)
+					}
+					fresh = append(fresh, s)
+				}
+			}
+			parse(0)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%chunk == 0 {
+					b.StopTimer()
+					parse(i)
+					b.StartTimer()
+				}
+				if _, err := controller.RunOne(tgt, fresh[i%chunk], RuntimeSeed(1)); err != nil {
 					b.Fatal(err)
 				}
 			}

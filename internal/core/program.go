@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"lfi/internal/errno"
 	"lfi/internal/interpose"
 	"lfi/internal/scenario"
@@ -12,22 +9,17 @@ import (
 
 // Program is the immutable compiled form of a scenario: the validated
 // trigger declarations, the FuncID-indexed entry table, and the
-// touched-function bitset. One Program is shared by every Runtime that
-// runs its scenario — concurrently and across runs — so the explorer
-// compiles each scenario structure once per campaign instead of once
-// per run. All per-run state (trigger instances, log, rng, counters)
-// lives in the Runtime overlay.
+// touched-function bitset. A Program lives in its scenario's
+// write-once slot (scenario.Scenario.Compiled) and is shared by every
+// Runtime that runs that scenario — concurrently and across runs — so
+// repeated runs of one *Scenario compile it once, and the Program is
+// collected with the scenario. All per-run state (trigger instances,
+// log, rng, counters) lives in the Runtime overlay.
 type Program struct {
-	src     *scenario.Scenario
 	decls   []declInfo
 	declIdx map[string]int
 	entries [][]progEntry // indexed by interpose.FuncID
 	touched []uint64      // bitset over FuncIDs with at least one entry
-
-	// pool recycles Runtimes for this program between runs; a pooled
-	// Runtime keeps its rng, instance table, and eval shards, so a
-	// steady-state acquire allocates only the run's fresh Log.
-	pool sync.Pool
 }
 
 // declInfo is one compiled trigger declaration.
@@ -52,47 +44,31 @@ type progEntry struct {
 	e             errno.Errno
 }
 
-// progCacheMax caps the compiled-program cache; beyond it the cache is
-// dropped wholesale (simpler than LRU, and campaigns reuse a bounded
-// working set of scenario structures anyway).
-const progCacheMax = 4096
-
-var (
-	progCache     sync.Map // *scenario.Scenario -> *Program
-	progCacheSize atomic.Int64
-)
-
-// Compile validates and compiles a scenario, memoized by scenario
-// identity: repeated compiles of the same *Scenario return the same
-// Program. Scenarios must not be mutated after first use, which the
-// toolchain already guarantees (builders and parsers hand out fresh
-// values).
+// Compile validates and compiles a scenario, memoized on the scenario
+// itself: the first successful compile of a *Scenario stores its
+// Program in the scenario's write-once slot, and later compiles of the
+// same *Scenario return it. There is no global cache, so a scenario
+// that runs once (every test the explorer derives) costs one compile
+// and pins nothing beyond its own lifetime. Scenarios must not be
+// mutated after first use, which the toolchain already guarantees
+// (builders and parsers hand out fresh values). A scenario that fails
+// to compile is not memoized.
 func Compile(s *scenario.Scenario) (*Program, error) {
-	if p, ok := progCache.Load(s); ok {
-		return p.(*Program), nil
+	if p, ok := s.Compiled().(*Program); ok {
+		return p, nil
 	}
 	p, err := compile(s)
 	if err != nil {
 		return nil, err
 	}
-	if actual, loaded := progCache.LoadOrStore(s, p); loaded {
-		return actual.(*Program), nil
-	}
-	if progCacheSize.Add(1) > progCacheMax {
-		progCache.Range(func(k, _ any) bool {
-			progCache.Delete(k)
-			return true
-		})
-		progCacheSize.Store(0)
-	}
-	return p, nil
+	return s.SetCompiled(p).(*Program), nil
 }
 
 func compile(s *scenario.Scenario) (*Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Program{src: s, declIdx: make(map[string]int, len(s.Triggers))}
+	p := &Program{declIdx: make(map[string]int, len(s.Triggers))}
 	for i := range s.Triggers {
 		td := &s.Triggers[i]
 		p.declIdx[td.ID] = len(p.decls)

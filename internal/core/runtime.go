@@ -16,9 +16,10 @@
 //     evaluation, to avoid program-startup overhead.
 //
 // Compilation is split in two (see Program): the immutable entry table
-// is compiled and cached once per scenario, and New only assembles the
-// small per-run overlay — pooled and reused via Release, so the
-// steady-state run loop allocates almost nothing.
+// is compiled once per scenario and memoized on the scenario itself,
+// and New only assembles the small per-run overlay. Overlays come from
+// one process-wide pool that Release refills, whatever scenario they
+// last ran, so the steady-state run loop allocates almost nothing.
 package core
 
 import (
@@ -88,13 +89,17 @@ func (in *instance) init() {
 	in.trig = t
 }
 
-// reset re-arms the instance for the next run: the next get builds a
-// fresh trigger, so no cross-run trigger state (Singleton.fired,
-// CallStack frame lists grown by Init) can leak between runs.
-func (in *instance) reset() {
+// clear disarms the instance when its Runtime is released: the next
+// get after a later acquire builds a fresh trigger, so no cross-run
+// trigger state (Singleton.fired, CallStack frame lists grown by Init)
+// can leak between runs, and a pooled Runtime pins no trigger,
+// declaration or environment.
+func (in *instance) clear() {
 	in.state.Store(0)
 	in.trig = nil
 	in.err = nil
+	in.decl = nil
+	in.env = nil
 }
 
 // Option configures a Runtime.
@@ -162,9 +167,10 @@ func (i *inspector) ReadVar(name string) (int64, bool) { return i.c.ReadVar(name
 
 // New compiles a scenario for the given process. The scenario is
 // validated; unknown trigger classes or dangling references fail here
-// rather than mid-campaign. Compilation is cached per scenario, and the
-// returned Runtime is drawn from the program's pool — callers that are
-// done with a run may hand it back with Release.
+// rather than mid-campaign. The compiled Program is memoized on the
+// scenario (see Compile), and the returned Runtime is drawn from the
+// process-wide pool — callers that are done with a run may hand it back
+// with Release.
 func New(proc *libsim.C, s *scenario.Scenario, opts ...Option) (*Runtime, error) {
 	p, err := Compile(s)
 	if err != nil {
@@ -173,21 +179,39 @@ func New(proc *libsim.C, s *scenario.Scenario, opts ...Option) (*Runtime, error)
 	return p.acquire(proc, opts...), nil
 }
 
-// acquire assembles a run-ready overlay Runtime: pooled when available,
-// freshly built otherwise.
+// runtimes recycles Runtimes between runs of any scenario. A pooled
+// Runtime keeps its rng, its instance table's storage and its eval
+// shards, so a steady-state acquire allocates only the run's fresh Log.
+var runtimes sync.Pool // of *Runtime
+
+// acquire assembles a run-ready overlay Runtime for p: pooled when
+// available, freshly built otherwise.
 func (p *Program) acquire(proc *libsim.C, opts ...Option) *Runtime {
-	r, _ := p.pool.Get().(*Runtime)
+	r, _ := runtimes.Get().(*Runtime)
 	if r == nil {
-		r = &Runtime{
-			prog:  p,
-			insts: make([]instance, len(p.decls)),
-		}
+		r = new(Runtime)
+	}
+	p.bind(r, proc, opts...)
+	return r
+}
+
+// bind arms a fresh or released Runtime for one run of p on proc. The
+// instance table is resized to p's declarations, reusing its storage
+// when it is large enough.
+func (p *Program) bind(r *Runtime, proc *libsim.C, opts ...Option) {
+	if r.env.Rand == nil {
 		r.env.Rand = r.draw
 		r.env.Inspect = &r.insp
-		for i := range r.insts {
-			r.insts[i].decl = &p.decls[i]
-			r.insts[i].env = &r.env
-		}
+	}
+	r.prog = p
+	if n := len(p.decls); n <= cap(r.insts) {
+		r.insts = r.insts[:n]
+	} else {
+		r.insts = make([]instance, n)
+	}
+	for i := range r.insts {
+		r.insts[i].decl = &p.decls[i]
+		r.insts[i].env = &r.env
 	}
 	r.proc = proc
 	r.insp.c = proc
@@ -204,10 +228,6 @@ func (p *Program) acquire(proc *libsim.C, opts ...Option) *Runtime {
 	for i := range r.evals {
 		r.evals[i].V.Store(0)
 	}
-	for i := range r.insts {
-		r.insts[i].reset()
-	}
-	return r
 }
 
 // draw is the trigger Env's random source. Most scenarios never draw,
@@ -227,18 +247,25 @@ func (r *Runtime) draw() float64 {
 	return r.rng.Float64()
 }
 
-// Release returns the runtime to its program's pool for reuse by a
-// later New on the same scenario. The caller must be completely done
-// with it: uninstalled, log captured (the Log itself is never recycled,
-// so captured logs stay valid). Runtimes that are never released are
-// simply collected by the GC.
+// Release returns the runtime to the process-wide pool for reuse by a
+// later New on any scenario. The caller must be completely done with
+// it: uninstalled, log captured (the Log itself is never recycled, so
+// captured logs stay valid). Release drops every reference the run
+// held — program, process, log, decider and trigger instances — so a
+// pooled Runtime keeps nothing alive. Runtimes that are never released
+// are simply collected by the GC.
 func (r *Runtime) Release() {
+	for i := range r.insts {
+		r.insts[i].clear()
+	}
+	r.insts = r.insts[:0]
+	r.prog = nil
 	r.proc = nil
 	r.insp.c = nil
 	r.log = nil
 	r.decider = nil
 	r.env.Dist = nil
-	r.prog.pool.Put(r)
+	runtimes.Put(r)
 }
 
 // Install splices the runtime into the process's dispatcher.

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"lfi/internal/errno"
@@ -395,13 +398,18 @@ const coinReadDoc = `<scenario name="coin-read">
   <function name="read" return="-1" errno="EIO"><reftrigger ref="rnd" /></function>
 </scenario>`
 
-// coinReads acquires a runtime for p under seed, performs 64 reads
-// through it and returns the runtime (not released) with the read
-// results — the RandomTrigger's draw sequence, as the workload sees it.
-func coinReads(t *testing.T, p *Program, seed int64) (*Runtime, []int64) {
+// coinReads arms r for p under seed — a nil r is acquired from the
+// process-wide pool — performs 64 reads through it and returns the
+// runtime (not released) with the read results: the RandomTrigger's
+// draw sequence, as the workload sees it.
+func coinReads(t *testing.T, p *Program, r *Runtime, seed int64) (*Runtime, []int64) {
 	t.Helper()
 	c, th := newProc()
-	r := p.acquire(c, WithSeed(seed))
+	if r == nil {
+		r = p.acquire(c, WithSeed(seed))
+	} else {
+		p.bind(r, c, WithSeed(seed))
+	}
 	r.Install()
 	defer r.Uninstall()
 	fd := th.Open("/f", libsim.O_RDONLY)
@@ -419,7 +427,7 @@ func compileDoc(t *testing.T, doc string) *Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := compile(s) // unmemoized: a program with an empty pool
+	p, err := compile(s) // unmemoized: a program no other test shares
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,17 +440,17 @@ func compileDoc(t *testing.T, doc string) *Program {
 // for the same seed.
 func TestPooledRuntimeDrawsMatchFresh(t *testing.T) {
 	const seed, other = 7, 8
-	_, fresh := coinReads(t, compileDoc(t, coinReadDoc), seed)
-	_, otherSeq := coinReads(t, compileDoc(t, coinReadDoc), other)
+	_, fresh := coinReads(t, compileDoc(t, coinReadDoc), new(Runtime), seed)
+	_, otherSeq := coinReads(t, compileDoc(t, coinReadDoc), new(Runtime), other)
 	if slices.Equal(fresh, otherSeq) {
 		t.Fatal("seeds 7 and 8 drew identical sequences")
 	}
 
 	p := compileDoc(t, coinReadDoc)
 	for attempt := 0; attempt < 100; attempt++ {
-		prev, _ := coinReads(t, p, other)
+		prev, _ := coinReads(t, p, nil, other)
 		prev.Release()
-		r, pooled := coinReads(t, p, seed)
+		r, pooled := coinReads(t, p, nil, seed)
 		if r != prev {
 			r.Release()
 			continue // the pool dropped it (it may, e.g. under -race)
@@ -463,7 +471,8 @@ func TestNoDrawNoSource(t *testing.T) {
 	  <function name="read" return="-1" errno="EIO"><reftrigger ref="n2" /></function>
 	</scenario>`)
 	c, th := newProc()
-	r := p.acquire(c, WithSeed(3))
+	r := new(Runtime) // a pooled runtime may carry an earlier run's source
+	p.bind(r, c, WithSeed(3))
 	r.Install()
 	fd := th.Open("/f", libsim.O_RDONLY)
 	buf := make([]byte, 1)
@@ -476,5 +485,174 @@ func TestNoDrawNoSource(t *testing.T) {
 	}
 	if r.rng != nil {
 		t.Fatal("a run without random triggers built a random source")
+	}
+}
+
+// Two scenarios of different sizes for the shared-pool tests. The big
+// one declares four triggers — a coin on read, a third-write count
+// composed with a singleton, and one whose Init fails — and the small
+// one a single coin, so a runtime moving between them has to shrink
+// and regrow its instance table.
+const (
+	bigDoc = `<scenario name="big">
+  <trigger id="n3" class="CallCountTrigger"><args><n>3</n></args></trigger>
+  <trigger id="once" class="SingletonTrigger" />
+  <trigger id="bad" class="CallCountTrigger" />
+  <trigger id="rnd" class="RandomTrigger"><args><probability>0.5</probability></args></trigger>
+  <function name="read" return="-1" errno="EIO"><reftrigger ref="rnd" /></function>
+  <function name="write" return="-1" errno="ENOSPC"><reftrigger ref="n3" /><reftrigger ref="once" /></function>
+  <function name="lseek" return="-1" errno="EINVAL"><reftrigger ref="bad" /></function>
+</scenario>`
+	smallDoc = `<scenario name="small">
+  <trigger id="rnd" class="RandomTrigger"><args><probability>0.5</probability></args></trigger>
+  <function name="read" return="-1" errno="EIO"><reftrigger ref="rnd" /></function>
+</scenario>`
+)
+
+// runObservation is everything a workload can observe of one run.
+type runObservation struct {
+	results    []int64
+	injections uint64
+	evals      uint64
+	log        string
+	instances  []string
+}
+
+// observeRun arms r for p under seed — a nil r is acquired from the
+// process-wide pool — drives reads, writes and seeks through it, and
+// records what the workload saw, the log, the counters and
+// TriggerInstance's answer for every trigger id either scenario
+// declares (and one neither does). The runtime comes back uninstalled
+// but not released.
+func observeRun(t *testing.T, p *Program, r *Runtime, seed int64) (*Runtime, runObservation) {
+	t.Helper()
+	c, th := newProc()
+	if r == nil {
+		r = p.acquire(c, WithSeed(seed))
+	} else {
+		p.bind(r, c, WithSeed(seed))
+	}
+	r.Install()
+	fd := th.Open("/f", libsim.O_RDWR)
+	buf := make([]byte, 1)
+	var obs runObservation
+	for i := 0; i < 24; i++ {
+		obs.results = append(obs.results, th.Read(fd, buf))
+		if i%3 == 0 {
+			obs.results = append(obs.results, th.Write(fd, buf), th.Lseek(fd, 0))
+		}
+	}
+	r.Uninstall()
+	obs.injections, obs.evals, obs.log = r.Injections(), r.Evals(), r.Log().String()
+	for _, id := range []string{"n3", "once", "bad", "rnd", "ghost"} {
+		trig, err := r.TriggerInstance(id)
+		obs.instances = append(obs.instances, fmt.Sprintf("%s: %T %v", id, trig, err))
+	}
+	return r, obs
+}
+
+// TestPooledRuntimeAcrossScenarios: a runtime released after a scenario
+// with more trigger declarations and then acquired for one with fewer —
+// and the other way round — draws, injects, logs and answers
+// TriggerInstance exactly like a fresh runtime.
+func TestPooledRuntimeAcrossScenarios(t *testing.T) {
+	const seed = 11
+	progs := map[string]*Program{"big": compileDoc(t, bigDoc), "small": compileDoc(t, smallDoc)}
+	for _, order := range [][2]string{{"big", "small"}, {"small", "big"}, {"big", "big"}} {
+		first, second := progs[order[0]], progs[order[1]]
+		t.Run(order[0]+"-then-"+order[1], func(t *testing.T) {
+			_, want := observeRun(t, second, new(Runtime), seed)
+			if want.injections == 0 {
+				t.Fatal("the workload injected nothing; the comparison would be vacuous")
+			}
+			for attempt := 0; attempt < 100; attempt++ {
+				prev, _ := observeRun(t, first, nil, seed+1)
+				prev.Release()
+				r, got := observeRun(t, second, nil, seed)
+				r.Release()
+				if r != prev {
+					continue // the pool dropped it (it may, e.g. under -race)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("recycled runtime observed\n%+v\nfresh runtime\n%+v", got, want)
+				}
+				return
+			}
+			t.Skip("the pool never handed a runtime back")
+		})
+	}
+}
+
+// TestPooledRuntimeHoldsNothing: a runtime in the pool keeps no
+// program, process, log, decider or trigger reference alive.
+func TestPooledRuntimeHoldsNothing(t *testing.T) {
+	r, _ := observeRun(t, compileDoc(t, bigDoc), new(Runtime), 3)
+	r.Release()
+	if r.prog != nil || r.proc != nil || r.insp.c != nil || r.log != nil || r.decider != nil || r.env.Dist != nil {
+		t.Fatalf("released runtime holds prog=%v proc=%v inspector=%v log=%v decider=%v dist=%v",
+			r.prog, r.proc, r.insp.c, r.log, r.decider, r.env.Dist)
+	}
+	insts := r.insts[:cap(r.insts)]
+	if len(insts) != 4 {
+		t.Fatalf("released runtime kept %d instance slots, want the 4 it ran with", len(insts))
+	}
+	for i := range insts {
+		in := &insts[i]
+		if in.trig != nil || in.err != nil || in.decl != nil || in.env != nil || in.state.Load() != 0 {
+			t.Fatalf("instance %d: trig=%v err=%v decl=%v env=%v state=%d after release",
+				i, in.trig, in.err, in.decl, in.env, in.state.Load())
+		}
+	}
+}
+
+// TestCompileMemoizedOnScenario: every compile of one *Scenario —
+// sequential or racing — returns the one Program stored on it, another
+// *Scenario with the same content compiles its own, and a scenario that
+// fails to compile stores nothing.
+func TestCompileMemoizedOnScenario(t *testing.T) {
+	b := scenario.NewBuilder("memo")
+	b.Inject("read", 3, -1, errno.EIO, b.Trigger("n2", "CallCountTrigger", scenario.IntArgs("n", 2)))
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Compiled() != nil {
+		t.Fatal("a freshly built scenario already carries a compiled program")
+	}
+	progs := make([]*Program, 8)
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			progs[i], _ = Compile(s)
+		}()
+	}
+	wg.Wait()
+	for i, p := range progs {
+		if p == nil || p != progs[0] {
+			t.Fatalf("concurrent compile %d returned %p, compile 0 %p", i, p, progs[0])
+		}
+	}
+	if again, _ := Compile(s); again != progs[0] || s.Compiled() != any(progs[0]) {
+		t.Fatal("a repeated compile did not return the program memoized on the scenario")
+	}
+
+	twin, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := Compile(twin); p == progs[0] {
+		t.Fatal("a second Build shares the first scenario's compiled program")
+	}
+
+	bad, err := scenario.ParseString(`<scenario>
+	  <function name="read" return="-1" errno="EIO"><reftrigger ref="ghost" /></function>
+	</scenario>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(bad); err == nil || bad.Compiled() != nil {
+		t.Fatalf("invalid scenario: err %v, memoized %v", err, bad.Compiled())
 	}
 }

@@ -44,6 +44,10 @@ type Replica interface {
 	// Finish runs the replica's post-trace epilogue (checkpoints,
 	// snapshots, shutdown paths — where Table 1 loves to hide bugs).
 	Finish()
+	// Reset returns the replica to the state NewReplica left it in,
+	// whatever the run did to it (a crash included), so a recycled
+	// replica runs the trace exactly as a fresh one would.
+	Reset()
 }
 
 // Protocol describes one distributed target: everything protocol-
@@ -71,19 +75,26 @@ type Protocol interface {
 	Check(r Replica) error
 }
 
-// traces memoizes each protocol's encoded trace. Trace is a pure
-// function of a stateless Protocol value, and every run builds a fresh
-// harness, so encoding it per harness would re-encode the same messages
-// on every run. Sharing one slice is safe: nothing writes it, and
-// SendTo copies each datagram onto the wire.
-var traces sync.Map // Protocol -> [][]byte
+// shared is what every run of one protocol shares: its encoded trace,
+// and the pool of harnesses its Target recycles.
+type shared struct {
+	trace [][]byte
+	pool  sync.Pool // of *Harness
+}
 
-func traceOf(p Protocol) [][]byte {
-	if t, ok := traces.Load(p); ok {
-		return t.([][]byte)
+// protocols memoizes each protocol's shared state. Trace is a pure
+// function of a stateless Protocol value, so encoding it per harness
+// would re-encode the same messages on every run. Sharing one slice is
+// safe: nothing writes it, and SendTo copies each datagram onto the
+// wire.
+var protocols sync.Map // Protocol -> *shared
+
+func sharedOf(p Protocol) *shared {
+	if sh, ok := protocols.Load(p); ok {
+		return sh.(*shared)
 	}
-	t, _ := traces.LoadOrStore(p, p.Trace())
-	return t.([][]byte)
+	sh, _ := protocols.LoadOrStore(p, &shared{trace: p.Trace()})
+	return sh.(*shared)
 }
 
 // Harness is one scripted replay of a protocol's trace.
@@ -96,7 +107,10 @@ type Harness struct {
 	Drops []int
 
 	p    Protocol
+	sh   *shared
 	wire libsim.NetEndpoint // staging endpoint the trace is sent from
+	buf  []byte             // the replica's receive buffer
+	run  func() error       // bound Run, reused across pooled runs
 }
 
 // New stages a fresh replica plus sink endpoints for its peers and
@@ -105,13 +119,31 @@ type Harness struct {
 // seed, same network state, same outcome.
 func New(p Protocol) *Harness {
 	net := netsim.New()
-	h := &Harness{Net: net, R: p.NewReplica(net), p: p}
-	for _, addr := range p.Sinks() {
-		sink := net.NewEndpoint()
+	h := &Harness{Net: net, R: p.NewReplica(net), p: p, sh: sharedOf(p), buf: make([]byte, 4096)}
+	h.R.Image().Owner = h
+	h.run = h.Run
+	h.stage()
+	return h
+}
+
+// stage binds the sinks in Sinks() order and creates the staging wire.
+func (h *Harness) stage() {
+	for _, addr := range h.p.Sinks() {
+		sink := h.Net.NewEndpoint()
 		sink.Bind(addr)
 	}
-	h.wire = net.NewEndpoint()
-	return h
+	h.wire = h.Net.NewEndpoint()
+}
+
+// Reset returns the harness to the state New left it in, keeping every
+// buffer: the network is emptied and its endpoints re-staged in New's
+// order, and the replica is reset, so the next Run replays the trace
+// exactly as on a fresh harness.
+func (h *Harness) Reset() {
+	h.Net.Reset()
+	h.R.Reset()
+	h.Drops = h.Drops[:0]
+	h.stage()
 }
 
 // Run replays the trace: stage one datagram, let the replica poll once,
@@ -123,12 +155,11 @@ func (h *Harness) Run() error {
 		return err
 	}
 	addr := h.p.Addr()
-	buf := make([]byte, 4096)
-	for i, payload := range traceOf(h.p) {
+	for i, payload := range h.sh.trace {
 		if e := h.wire.SendTo(addr, payload); e != 0 {
 			return fmt.Errorf("%s harness: stage datagram: errno %d", h.p.Name(), e)
 		}
-		if !h.R.PollOnce(buf) {
+		if !h.R.PollOnce(h.buf) {
 			// Zero-depth buffer: the datagram is lost.
 			if h.Net.Drop(addr) {
 				h.Drops = append(h.Drops, i)
@@ -139,14 +170,27 @@ func (h *Harness) Run() error {
 	return h.p.Check(h.R)
 }
 
-// Target adapts a protocol to the LFI controller. Each Start builds a
-// fresh harness, so campaign workers run independently.
+// Target adapts a protocol to the LFI controller. Start draws a
+// harness from the protocol's pool (building one when the pool is
+// empty) and Recycle resets it and puts it back once the controller has
+// captured the outcome, like the application targets' image pools.
+// Concurrent campaign workers each hold distinct harnesses.
 func Target(p Protocol) controller.Target {
+	sh := sharedOf(p)
 	return controller.Target{
 		Name: p.Name(),
 		Start: func() (*libsim.C, func() error) {
-			h := New(p)
-			return h.R.Image(), h.Run
+			h, _ := sh.pool.Get().(*Harness)
+			if h == nil {
+				h = New(p)
+			}
+			return h.R.Image(), h.run
+		},
+		Recycle: func(c *libsim.C) {
+			if h, ok := c.Owner.(*Harness); ok {
+				h.Reset()
+				sh.pool.Put(h)
+			}
 		},
 	}
 }

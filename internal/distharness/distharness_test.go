@@ -1,10 +1,14 @@
 package distharness_test
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"lfi/internal/core"
 	"lfi/internal/distharness"
+	"lfi/internal/libsim"
+	"lfi/internal/pbft"
 	"lfi/internal/raft"
 	"lfi/internal/scenario"
 )
@@ -73,5 +77,78 @@ func TestDropOrderingDeterministic(t *testing.T) {
 	}
 	if !diverged {
 		t.Fatal("five different seeds all produced the same drop ordering")
+	}
+}
+
+// replay is one run on h under seed of a scenario that fails receives
+// and file opens at random, as the controller sees it: the drops, the
+// crash or workload error, and the injection log.
+type replay struct {
+	Drops []int
+	Crash string
+	Err   string
+	Log   string
+}
+
+func replayOn(t *testing.T, h *distharness.Harness, seed int64) replay {
+	t.Helper()
+	s, err := scenario.ParseString(`<scenario name="drop-and-fopen-coin">
+	  <trigger id="rnd" class="RandomTrigger"><args><probability>0.5</probability></args></trigger>
+	  <function name="recvfrom" return="-1" errno="EINTR"><reftrigger ref="rnd" /></function>
+	  <function name="fopen" return="0" errno="ENOSPC"><reftrigger ref="rnd" /></function>
+	</scenario>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := core.New(h.R.Image(), s, core.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.Install()
+	var r replay
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				cr, ok := p.(*libsim.Crash)
+				if !ok {
+					panic(p)
+				}
+				r.Crash = fmt.Sprintf("%+v", *cr)
+			}
+		}()
+		if err := h.Run(); err != nil {
+			r.Err = err.Error()
+		}
+	}()
+	rt.Uninstall()
+	r.Drops = append([]int(nil), h.Drops...)
+	r.Log = rt.Log().String()
+	rt.Release()
+	return r
+}
+
+// TestHarnessResetReplaysLikeNew: a harness reset after any run — one
+// that lost messages, crashed mid-handler or in its epilogue, or
+// failed its oracle — replays the next run exactly like a freshly
+// built harness.
+func TestHarnessResetReplaysLikeNew(t *testing.T) {
+	for _, p := range []distharness.Protocol{raft.Protocol(), pbft.Protocol()} {
+		crashed := 0
+		for seed := int64(1); seed <= 12; seed++ {
+			want := replayOn(t, distharness.New(p), seed)
+			h := distharness.New(p)
+			for _, prev := range []int64{seed + 100, seed + 200} {
+				if replayOn(t, h, prev).Crash != "" {
+					crashed++
+				}
+				h.Reset()
+			}
+			if got := replayOn(t, h, seed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: reset harness replayed\n%+v\nfresh harness\n%+v", p.Name(), seed, got, want)
+			}
+		}
+		if crashed == 0 {
+			t.Fatalf("%s: no run before a reset crashed; the property would be vacuous", p.Name())
+		}
 	}
 }

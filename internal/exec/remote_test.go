@@ -47,7 +47,10 @@ func TestRemoteCancelFastWithoutGrace(t *testing.T) {
 			// nothing (slow or instrumented builds start up slowly), so
 			// back off and cancel later; the batch runs for seconds
 			// under the race detector, so later still interrupts it.
-			for delay := 20 * time.Millisecond; ; delay *= 3 {
+			// A batch that completes before the cancel takes effect
+			// proves nothing either (fast builds), so double it and try
+			// again.
+			for delay := 20 * time.Millisecond; ; {
 				ctx, cancel := context.WithCancel(context.Background())
 				timer := time.AfterFunc(delay, cancel)
 				start := time.Now()
@@ -55,9 +58,14 @@ func TestRemoteCancelFastWithoutGrace(t *testing.T) {
 				elapsed = time.Since(start)
 				timer.Stop()
 				cancel()
+				if len(outs) == len(big) && len(big) < 1<<16 {
+					big = append(big, big...)
+					continue
+				}
 				if len(outs) > 0 || delay > time.Second {
 					break
 				}
+				delay *= 3
 			}
 			if err != context.Canceled {
 				t.Fatalf("cancelled run: err %v (completed %d), want context.Canceled — batch too fast for the cancel?", err, len(outs))

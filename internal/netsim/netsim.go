@@ -30,6 +30,11 @@ type datagram struct {
 type Network struct {
 	mu    sync.Mutex
 	bound map[string]*Endpoint
+	// eps holds every endpoint the network has created, in creation
+	// order; the first live of them are in use since the last Reset,
+	// the rest wait, emptied, for NewEndpoint to hand them out again.
+	eps  []*Endpoint
+	live int
 }
 
 // New creates an empty network.
@@ -37,9 +42,46 @@ func New() *Network {
 	return &Network{bound: make(map[string]*Endpoint)}
 }
 
-// NewEndpoint implements libsim.NetBackend.
+// NewEndpoint implements libsim.NetBackend. After a Reset it hands the
+// network's endpoints out again in creation order before building new
+// ones.
 func (n *Network) NewEndpoint() libsim.NetEndpoint {
-	return &Endpoint{net: n, ready: make(chan struct{}, 1)}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.live < len(n.eps) {
+		e := n.eps[n.live]
+		n.live++
+		return e
+	}
+	e := &Endpoint{net: n, ready: make(chan struct{}, 1)}
+	n.eps = append(n.eps, e)
+	n.live++
+	return e
+}
+
+// Reset returns the network to the state New left it in, keeping its
+// endpoints for reuse: every address is unbound, every queue emptied
+// and every pending wake-up token drained, so an endpoint NewEndpoint
+// hands out next behaves exactly like a fresh one. The caller must be
+// done with the network: no receiver may be waiting on an endpoint and
+// nothing may use an endpoint obtained before the Reset.
+func (n *Network) Reset() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	clear(n.bound)
+	for _, e := range n.eps[:n.live] {
+		e.mu.Lock()
+		clear(e.ring)
+		e.head, e.n = 0, 0
+		e.addr = ""
+		e.closed = false
+		e.mu.Unlock()
+		select {
+		case <-e.ready:
+		default:
+		}
+	}
+	n.live = 0
 }
 
 // Endpoint is one datagram socket.

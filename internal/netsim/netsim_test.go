@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -308,5 +309,70 @@ func TestNewEndpointAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / eps; per > 512 {
 		t.Fatalf("NewEndpoint: %d bytes per endpoint, want well under 1 KB", per)
+	}
+}
+
+// TestNetworkReset: after traffic, a Drop and a closed endpoint, a
+// reset network has no bound address, no queued datagram and no stale
+// wake-up; NewEndpoint hands the same endpoints out again in creation
+// order, and re-binding the same addresses succeeds.
+func TestNetworkReset(t *testing.T) {
+	n := New()
+	addrs := []string{"A", "B", "C"}
+	var eps []*Endpoint
+	for _, addr := range addrs {
+		e := n.NewEndpoint().(*Endpoint)
+		if got := e.Bind(addr); got != errno.OK {
+			t.Fatal(got)
+		}
+		eps = append(eps, e)
+	}
+	for i := 0; i < 5; i++ {
+		eps[0].SendTo("B", []byte{byte(i)})
+		eps[0].SendTo("C", []byte{byte(i)})
+	}
+	eps[1].SendTo("A", []byte("x"))
+	if !n.Drop("B") {
+		t.Fatal("nothing queued at B")
+	}
+	eps[2].Close() // closed with datagrams still queued
+
+	n.Reset()
+	if len(n.bound) != 0 {
+		t.Fatalf("reset network still binds %d addresses", len(n.bound))
+	}
+	for i, e := range eps {
+		if got := e.Pending(); got != 0 {
+			t.Fatalf("endpoint %d: %d datagrams queued after reset", i, got)
+		}
+		if len(e.ready) != 0 {
+			t.Fatalf("endpoint %d: stale wake-up token after reset", i)
+		}
+	}
+	if e := eps[0].SendTo("B", []byte("y")); e != errno.EHOSTUNREACH {
+		t.Fatalf("send to an address bound before the reset: %v", e)
+	}
+
+	for i, addr := range addrs {
+		e := n.NewEndpoint().(*Endpoint)
+		if e != eps[i] {
+			t.Fatalf("NewEndpoint %d after reset: not the network's endpoint %d", i, i)
+		}
+		if e.closed || e.addr != "" {
+			t.Fatalf("endpoint %d: reused with closed=%v addr=%q", i, e.closed, e.addr)
+		}
+		if got := e.Bind(addr); got != errno.OK {
+			t.Fatalf("rebind %s after reset: %v", addr, got)
+		}
+	}
+	if extra := n.NewEndpoint().(*Endpoint); slices.Contains(eps, extra) {
+		t.Fatal("a fourth endpoint reused one already handed out")
+	}
+	eps[0].SendTo("B", []byte("z"))
+	if p, from, e := eps[1].RecvFrom(0); e != errno.OK || string(p) != "z" || from != "A" {
+		t.Fatalf("after reset: recv %q from %q e=%v", p, from, e)
+	}
+	if _, _, e := eps[2].RecvFrom(0); e != errno.EAGAIN {
+		t.Fatalf("reused endpoint delivered a datagram sent before the reset: %v", e)
 	}
 }

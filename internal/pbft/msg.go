@@ -23,6 +23,7 @@ package pbft
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"lfi/internal/distharness"
 )
@@ -130,4 +131,14 @@ func digest(client string, reqID int64, op string) string {
 }
 
 // ReplicaAddr returns the network address of replica i.
-func ReplicaAddr(i int) string { return fmt.Sprintf("replica-%d", i) }
+func ReplicaAddr(i int) string {
+	if i >= 0 && i < len(replicaAddrs) {
+		return replicaAddrs[i]
+	}
+	return "replica-" + strconv.Itoa(i)
+}
+
+// replicaAddrs spells an f=1 group's addresses once: a replica
+// broadcasts to every peer, and formatting each address per send was a
+// measurable share of a run.
+var replicaAddrs = [...]string{"replica-0", "replica-1", "replica-2", "replica-3"}

@@ -103,6 +103,7 @@ func NewReplica(id, f int, net libsim.NetBackend, build Build) *Replica {
 	c.Node = fmt.Sprintf("R%d", id)
 	c.SetNet(net)
 	c.MustMkdirAll("/pbft")
+	c.SnapshotFS()
 	return &Replica{
 		ID: id, N: 3*f + 1, F: f, Build: build,
 		C:           c,
@@ -114,6 +115,31 @@ func NewReplica(id, f int, net libsim.NetBackend, build Build) *Replica {
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
+}
+
+// Reset returns a replica that never ran its receive loop (the
+// scripted harness drives it through Open and PollOnce) to the state
+// NewReplica left it in: the image rewound to its staged filesystem
+// (Reset keeps the coverage recorder, cleared), the main thread's
+// stack unwound, and the protocol state emptied. r.mu is replaced, not
+// unlocked: a crash raised while it was held leaves it locked.
+func (r *Replica) Reset() {
+	r.C.Reset()
+	r.Th.Reset()
+	r.fd = 0
+	r.mu = sync.Mutex{}
+	r.view, r.seqCounter = 0, 0
+	clear(r.entries)
+	clear(r.pendingReqs)
+	r.execUpto = 0
+	r.state = r.state[:0]
+	clear(r.lastReply)
+	clear(r.vcVotes)
+	r.inVC, r.vcView, r.vcStreak = false, 0, 0
+	r.lastVCSent, r.pendingAt = time.Time{}, time.Time{}
+	r.halted = false
+	r.executedN = 0
+	r.crash.Store(nil)
 }
 
 // Blocks is the replica's coverage universe; blocks follow the

@@ -97,7 +97,7 @@ func (protocol) Check(r distharness.Replica) error {
 }
 
 // Image and Finish adapt *Replica to distharness.Replica
-// (Open and PollOnce it already has).
+// (Open, PollOnce and Reset it already has).
 
 // Image returns the replica's simulated process.
 func (r *Replica) Image() *libsim.C { return r.C }

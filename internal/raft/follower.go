@@ -44,6 +44,7 @@ func NewFollower(id int, net libsim.NetBackend) *Follower {
 	c.Node = fmt.Sprintf("N%d", id)
 	c.SetNet(net)
 	c.MustMkdirAll("/raft")
+	c.SnapshotFS()
 	return &Follower{
 		ID:       id,
 		C:        c,
@@ -51,6 +52,20 @@ func NewFollower(id int, net libsim.NetBackend) *Follower {
 		votedFor: -1,
 		leader:   -1,
 	}
+}
+
+// Reset returns the follower to the state NewFollower left it in: the
+// image rewound to its staged filesystem (Reset keeps the coverage
+// recorder, cleared), the main thread's stack unwound, and the protocol
+// state zeroed. A recycled follower runs the trace exactly as a fresh
+// one would.
+func (f *Follower) Reset() {
+	f.C.Reset()
+	f.Th.Reset()
+	f.fd = 0
+	f.term, f.votedFor, f.leader = 0, -1, -1
+	f.log = f.log[:0]
+	f.commit, f.polls = 0, 0
 }
 
 // Blocks is the follower's coverage universe; blocks follow the

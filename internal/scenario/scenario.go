@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"lfi/internal/errno"
 	"lfi/internal/trigger"
@@ -86,6 +87,14 @@ func (f *FunctionAssoc) RetvalErrno() (int64, errno.Errno, error) {
 // and hashed, so a caller that can tell a duplicate by its name (the
 // explorer) checks the name before building. Hand-constructed literals
 // skip the cache and recompute per call.
+//
+// compiled is a write-once slot for the runtime's compiled form of the
+// scenario (see Compiled), so every run of one *Scenario compiles it
+// once and the compiled form is collected with the scenario. It is an
+// atomic.Value rather than an atomic.Pointer because Build returns a
+// copy of the builder's scenario, and vet's copylocks rejects copying
+// an atomic.Pointer; the builder's own scenario is never compiled, so
+// the copy starts empty.
 type Scenario struct {
 	Name      string
 	Triggers  []TriggerDecl
@@ -93,6 +102,23 @@ type Scenario struct {
 
 	canon     []byte
 	canonHash string
+	compiled  atomic.Value
+}
+
+// Compiled returns the compiled form the first SetCompiled stored, or
+// nil if the scenario has not been compiled.
+func (s *Scenario) Compiled() any { return s.compiled.Load() }
+
+// SetCompiled stores v as the scenario's compiled form unless one is
+// already stored, and returns the one stored: concurrent first
+// compiles agree on a single winner. v must be a non-nil pointer of
+// the same type on every call; the scenario must not be mutated once
+// it is compiled.
+func (s *Scenario) SetCompiled(v any) any {
+	if s.compiled.CompareAndSwap(nil, v) {
+		return v
+	}
+	return s.compiled.Load()
 }
 
 // FindTrigger returns the declaration with the given id, or nil.

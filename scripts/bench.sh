@@ -15,7 +15,7 @@ BENCH_INDEX="${BENCH_INDEX:-1}"
 # BENCH_TIME shortens runs for smoke use (e.g. BENCH_TIME=100ms in CI).
 BENCH_TIME="${BENCH_TIME:-1s}"
 OUT="BENCH_${BENCH_INDEX}.json"
-PATTERN="${1:-BenchmarkDispatchUninstrumented|BenchmarkDispatchInstrumentedMiss|BenchmarkDispatchInstrumentedHit|BenchmarkCampaignParallel|BenchmarkInterceptionBaseline|BenchmarkTriggerEvaluation|BenchmarkExecutorBatchLocal|BenchmarkExecutorBatchRemote|BenchmarkFleetPipelined|BenchmarkArenaRunReuse|BenchmarkSystemRun|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkExploreCandidates|BenchmarkLintAnalyze|BenchmarkScenarioBuild}"
+PATTERN="${1:-BenchmarkDispatchUninstrumented|BenchmarkDispatchInstrumentedMiss|BenchmarkDispatchInstrumentedHit|BenchmarkCampaignParallel|BenchmarkInterceptionBaseline|BenchmarkTriggerEvaluation|BenchmarkExecutorBatchLocal|BenchmarkExecutorBatchRemote|BenchmarkFleetPipelined|BenchmarkArenaRunReuse|BenchmarkSystemRun|BenchmarkSystemRunOnce|BenchmarkWireEncodeResponse|BenchmarkWireDecodeResponse|BenchmarkExploreCandidates|BenchmarkLintAnalyze|BenchmarkScenarioBuild}"
 
 # BENCH_SKIP_TESTS=1 skips the tier-1 gate (CI runs it separately
 # under -race; no point paying for the suite twice).
