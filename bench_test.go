@@ -729,8 +729,8 @@ func BenchmarkExecutorBatchLocal(b *testing.B) {
 // `lfi serve` TCP worker: canonical-XML serialization, length-prefixed
 // JSON-RPC framing and transport, per batch. The gap to
 // BenchmarkExecutorBatchLocal is the wire tax a remote worker must
-// amortize with batch size — the reason the cost model routes big
-// batches remote and small hot batches locally.
+// amortize with batch size — the reason the fleet's speed shares route
+// big batches remote and small hot batches locally.
 func BenchmarkExecutorBatchRemote(b *testing.B) {
 	s, err := ParseScenarioString(`<scenario name="bench-exec-read">
 	  <trigger id="nth" class="CallCountTrigger"><args><n>3</n></args></trigger>

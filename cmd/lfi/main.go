@@ -25,8 +25,9 @@
 //
 // With -all (or a comma-separated -app list) one session fans out over
 // the systems with a shared backend fleet, a shared store root and a
-// shared budget, interleaving batches across systems by the per-system
-// cost model (expected coverage gain per second). Ctrl-C cancels
+// shared budget, interleaving batches across systems by expected new
+// recovery blocks per run, scored from outcomes alone, so a budgeted
+// split is the same under any -j, -pool or remote mix. Ctrl-C cancels
 // cleanly: in-flight tests finish, every store is flushed (no torn
 // shards), and the next run resumes with zero re-execution. -v adds
 // per-batch progress and the per-store compaction stats (shards,

@@ -164,8 +164,7 @@ func (p *fleetPublisher) publish(u explore.StatusUpdate) {
 		Bugs:           u.Bugs,
 		Covered:        u.Covered,
 		RecoveryBlocks: u.RecoveryBlocks,
-		GainPerRun:     u.Cost.GainPerRun,
-		Speed:          u.Cost.Speed,
+		GainPerRun:     u.GainPerRun,
 	}
 	if time.Since(p.last) < time.Second {
 		p.mu.Unlock()

@@ -15,7 +15,7 @@
 //     workers (Dial), fanning batches across machines, or over the
 //     stdin/stdout of a worker subprocess (NewPool).
 //   - Fleet — a mix of executors, itself an Executor: it scatters a
-//     batch by cost, reassembles the outcomes and requeues a dead
+//     batch by observed speed, reassembles the outcomes and requeues a dead
 //     member's runs, respawning the member if it can. A subprocess
 //     pool is a Fleet of respawning Remote members (NewPool): a
 //     workload panic that escapes the crash monitor kills one worker,
@@ -26,7 +26,7 @@
 // deterministic under a fixed seed, every backend and every fleet of
 // them is observationally equivalent — byte-identical outcome
 // sequences — which is what lets the Fleet scheduler route batches by
-// cost alone and requeue a dead backend's batch anywhere else without
+// speed alone and requeue a dead backend's batch anywhere else without
 // changing results.
 package exec
 
@@ -44,7 +44,7 @@ import (
 	"lfi/internal/system"
 )
 
-// Kind classifies a backend for latency-class ordering and cost priors.
+// Kind classifies a backend for latency-class ordering and speed priors.
 type Kind int
 
 const (
@@ -70,8 +70,8 @@ func (k Kind) String() string {
 	}
 }
 
-// Info is an executor's capability and cost metadata: the Name keys the
-// cost model, Capacity is how many runs the backend absorbs in
+// Info is an executor's capability metadata: the Name keys the fleet's
+// speed estimate, Capacity is how many runs the backend absorbs in
 // parallel, and Isolated reports whether a crashing test process can
 // take the session process down with it.
 type Info struct {

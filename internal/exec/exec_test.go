@@ -124,7 +124,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // same system, scenarios and seed, the local, pool and loopback-remote
 // backends must produce byte-identical outcome sequences — coverage
 // blocks, injections and worker-computed failure signatures included.
-// This is the contract that lets the fleet route batches by cost alone.
+// This is the contract that lets the fleet route batches by speed alone.
 func TestBackendEquivalence(t *testing.T) {
 	scens := testScenarios(t)
 	pool, err := NewPool(2)
@@ -509,27 +509,5 @@ func TestFleetSplitSharesByCost(t *testing.T) {
 	}
 	if total != 32 {
 		t.Fatalf("split lost runs: %d of 32 assigned", total)
-	}
-}
-
-// TestCostModelEWMA: gain observations fold in as an EWMA and seed/
-// snapshot round-trips preserve the model.
-func TestCostModelEWMA(t *testing.T) {
-	f := NewFleet(NewLocal(1))
-	if g := f.GainEstimate("sys", 0.5); g != 0.5 {
-		t.Fatalf("prior not honored before observations: %v", g)
-	}
-	f.ObserveGain("sys", 10, 5) // 0.5 gain/run
-	f.ObserveGain("sys", 10, 0)
-	got := f.GainEstimate("sys", 99)
-	want := (1-ewmaAlpha)*0.5 + ewmaAlpha*0
-	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("gain EWMA: got %v want %v", got, want)
-	}
-	snap := f.Cost("sys")
-	f2 := NewFleet(NewLocal(1))
-	f2.SeedCost("sys", snap)
-	if g := f2.GainEstimate("sys", 99); g != got {
-		t.Fatalf("seeded model lost the EWMA: %v vs %v", g, got)
 	}
 }

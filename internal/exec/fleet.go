@@ -10,25 +10,9 @@ import (
 	"time"
 )
 
-// CostModel is one system's observed execution economics — the
-// scheduling signal the explorer persists in its store index so a
-// resumed session starts from measured numbers instead of priors.
-//
-// GainPerRun is an EWMA of new-recovery-blocks-per-executed-run across
-// scheduling batches (how much coverage a marginal run of this system
-// still buys); Speed maps backend name to an EWMA of observed runs/sec
-// on that backend (how cheaply that backend executes this system).
-// Together they price a batch: expected coverage gain per second =
-// GainPerRun × runs/sec.
-type CostModel struct {
-	GainPerRun float64            `json:"gain_per_run"`
-	Batches    int                `json:"batches"`
-	Speed      map[string]float64 `json:"runs_per_sec,omitempty"`
-}
-
-// ewmaAlpha weights the newest observation. Batches are coarse (tens
-// of runs), so the model converges in a few batches without whipsawing
-// on one noisy measurement.
+// ewmaAlpha weights the newest runs/sec observation. Chunks are
+// coarse (tens of runs), so the estimate converges in a few batches
+// without whipsawing on one noisy measurement.
 const ewmaAlpha = 0.4
 
 // speedPrior estimates runs/sec for a backend that has not executed
@@ -63,7 +47,10 @@ func speedPrior(info Info) float64 {
 //     surviving executors, up to maxAttempts, so killing a worker
 //     never loses work; the dead member is respawned if it carries a
 //     respawn function (a pool worker), retired otherwise;
-//   - completed chunk timings feed the per-system cost model.
+//   - completed chunk timings feed a per-(system, backend) runs/sec
+//     EWMA. It sizes chunks only: it lives as long as the fleet, is
+//     never persisted, and never decides which system runs next, so
+//     host timing moves where a run executes, not what runs.
 //
 // A Fleet is itself an Executor, so fleets nest: a subprocess pool is
 // a Fleet of respawning pool workers (NewPool). Run returns outcomes
@@ -78,7 +65,7 @@ type Fleet struct {
 	mu     sync.Mutex
 	execs  []Executor
 	dead   map[string]bool
-	cost   map[string]*CostModel
+	speeds map[speedKey]float64 // observed runs/sec EWMA
 	closed bool
 	obsMu  sync.Mutex
 
@@ -101,10 +88,10 @@ func NewFleet(execs ...Executor) *Fleet {
 		return ordered[i].Info().Kind < ordered[j].Info().Kind
 	})
 	return &Fleet{
-		name:  "fleet",
-		execs: ordered,
-		dead:  make(map[string]bool),
-		cost:  make(map[string]*CostModel),
+		name:   "fleet",
+		execs:  ordered,
+		dead:   make(map[string]bool),
+		speeds: make(map[speedKey]float64),
 	}
 }
 
@@ -286,109 +273,32 @@ func (f *Fleet) has(r *Remote) bool {
 	return slices.Contains(f.execs, Executor(r))
 }
 
-// model returns the (created-on-demand) cost model for one system.
-// Callers hold f.mu.
-func (f *Fleet) model(sys string) *CostModel {
-	m, ok := f.cost[sys]
-	if !ok {
-		m = &CostModel{Speed: make(map[string]float64)}
-		f.cost[sys] = m
-	}
-	if m.Speed == nil {
-		m.Speed = make(map[string]float64)
-	}
-	return m
-}
+// speedKey names one system on one backend.
+type speedKey struct{ sys, backend string }
 
 // speed returns the backend's runs/sec estimate for sys.
 func (f *Fleet) speed(sys string, info Info) float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if v, ok := f.model(sys).Speed[info.Name]; ok && v > 0 {
+	if v := f.speeds[speedKey{sys, info.Name}]; v > 0 {
 		return v
 	}
 	return speedPrior(info)
 }
 
-// observeSpeed folds one completed chunk's timing into the model.
+// observeSpeed folds one completed chunk's timing into the estimate.
 func (f *Fleet) observeSpeed(sys string, info Info, runs int, elapsed time.Duration) {
 	if runs <= 0 || elapsed <= 0 {
 		return
 	}
 	obs := float64(runs) / elapsed.Seconds()
+	k := speedKey{sys, info.Name}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m := f.model(sys)
-	if prev, ok := m.Speed[info.Name]; ok && prev > 0 {
+	if prev := f.speeds[k]; prev > 0 {
 		obs = ewmaAlpha*obs + (1-ewmaAlpha)*prev
 	}
-	m.Speed[info.Name] = obs
-}
-
-// ObserveGain folds one scheduling batch's coverage yield into the
-// system's gain-per-run EWMA.
-func (f *Fleet) ObserveGain(sys string, runs, newBlocks int) {
-	if runs <= 0 {
-		return
-	}
-	obs := float64(newBlocks) / float64(runs)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m := f.model(sys)
-	if m.Batches > 0 {
-		obs = ewmaAlpha*obs + (1-ewmaAlpha)*m.GainPerRun
-	}
-	m.GainPerRun = obs
-	m.Batches++
-}
-
-// SeedCost primes a system's model from a persisted snapshot (the
-// store index), so a resumed session schedules on measured economics.
-func (f *Fleet) SeedCost(sys string, c CostModel) {
-	if c.Batches == 0 {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m := f.model(sys)
-	m.GainPerRun, m.Batches = c.GainPerRun, c.Batches
-	for k, v := range c.Speed {
-		m.Speed[k] = v
-	}
-}
-
-// Cost snapshots a system's model for persistence.
-func (f *Fleet) Cost(sys string) CostModel {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m := f.model(sys)
-	out := CostModel{GainPerRun: m.GainPerRun, Batches: m.Batches, Speed: make(map[string]float64, len(m.Speed))}
-	for k, v := range m.Speed {
-		out.Speed[k] = v
-	}
-	return out
-}
-
-// GainEstimate prices one more run of sys: the observed EWMA once any
-// batch has run, else the caller's prior.
-func (f *Fleet) GainEstimate(sys string, prior float64) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	m := f.model(sys)
-	if m.Batches == 0 {
-		return prior
-	}
-	return m.GainPerRun
-}
-
-// SpeedEstimate prices the fleet's aggregate throughput for sys —
-// runs/sec summed over live backends.
-func (f *Fleet) SpeedEstimate(sys string) float64 {
-	total := 0.0
-	for _, e := range f.live(nil) {
-		total += f.speed(sys, e.Info())
-	}
-	return total
+	f.speeds[k] = obs
 }
 
 // chunk is one contiguous slice of a batch awaiting execution.
@@ -421,7 +331,7 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 			fatal = &BackendError{Backend: f.name, Err: fmt.Errorf("no live executors")}
 			break
 		}
-		// First wave: split the whole batch by cost-model share. Retry
+		// First wave: split the whole batch by speed share. Retry
 		// waves keep failed chunks intact and spread them round-robin.
 		// Either way, a pipelining backend's chunk is subdivided so
 		// several slices ride its connection at once.
@@ -513,7 +423,7 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 }
 
 // split cuts one chunk into contiguous sub-chunks, at most one per
-// live executor, sized by cost-model share: backend i gets
+// live executor, sized by speed share: backend i gets
 // round(n × speedᵢ / Σspeed) runs. The head of the batch — the
 // explorer's hottest candidates — goes to live[0], the lowest-latency
 // backend; the wide cheap tail fans out behind it. A backend whose

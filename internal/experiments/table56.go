@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -79,71 +80,82 @@ func (r Table5Result) StackingOverheadPct() float64 {
 
 // Table5 measures the trigger-evaluation overhead on miniweb: requests
 // are timed with no LFI and with 1-5 stacked triggers, no injections.
-// Each cell is the median of three repetitions after a warm-up run, to
-// keep scheduler noise out of a microsecond-scale measurement.
+// Every cell (trigger count × page kind) gets its own warmed-up app
+// image; timed slices of requests then run interleaved across the
+// cells, and each cell reports its median slice, so a slow phase of
+// the host lands on every cell alike.
 func Table5(requests int) (Table5Result, error) {
 	if requests <= 0 {
 		requests = 1000
 	}
 	res := Table5Result{Requests: requests}
-	run := func(k int, php bool) (time.Duration, uint64, error) {
+	// Cell 2k serves static pages under k triggers, cell 2k+1 PHP.
+	apps := make([]*miniweb.App, 12)
+	var rt5 *core.Runtime // 5 triggers, PHP: the triggerings count
+	for cell := range apps {
+		k, php := cell/2, cell%2 == 1
 		app := miniweb.New()
-		var rt *core.Runtime
 		if k > 0 {
 			s, err := miniweb.Table5Scenario(k)
 			if err != nil {
-				return 0, 0, err
+				return res, err
 			}
-			rt, err = core.New(app.C, s)
+			rt, err := core.New(app.C, s)
 			if err != nil {
-				return 0, 0, err
+				return res, err
 			}
 			rt.Install()
 			defer rt.Uninstall()
+			if k == 5 && php {
+				rt5 = rt
+			}
 		}
 		if err := app.RunAB(requests/4, php); err != nil { // warm-up
-			return 0, 0, err
+			return res, err
 		}
-		var times []time.Duration
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			if err := app.RunAB(requests, php); err != nil {
-				return 0, 0, err
-			}
-			times = append(times, time.Since(start))
-		}
-		// median of three
-		if times[0] > times[1] {
-			times[0], times[1] = times[1], times[0]
-		}
-		if times[1] > times[2] {
-			times[1], times[2] = times[2], times[1]
-		}
-		if times[0] > times[1] {
-			times[0], times[1] = times[1], times[0]
-		}
-		var evals uint64
-		if rt != nil {
-			evals = rt.Evals()
-		}
-		return times[1], evals, nil
+		apps[cell] = app
+	}
+	med, err := interleaved(len(apps), 7, func(cell int) (float64, error) {
+		start := time.Now()
+		err := apps[cell].RunAB(requests, cell%2 == 1)
+		return float64(time.Since(start)), err
+	})
+	if err != nil {
+		return res, err
 	}
 	for k := 0; k <= 5; k++ {
-		st, _, err := run(k, false)
-		if err != nil {
-			return res, err
-		}
-		res.StaticTimes[k] = st
-		pt, evals, err := run(k, true)
-		if err != nil {
-			return res, err
-		}
-		res.PHPTimes[k] = pt
-		if k == 5 {
-			res.Triggerings = evals
+		res.StaticTimes[k] = time.Duration(med[2*k])
+		res.PHPTimes[k] = time.Duration(med[2*k+1])
+	}
+	res.Triggerings = rt5.Evals()
+	return res, nil
+}
+
+// interleaved runs rounds of one measured slice per cell and returns
+// each cell's median. Consecutive rounds visit the cells in opposite
+// orders, so neither a slow phase of the host nor a drift within a
+// round favours one cell over another.
+func interleaved(cells, rounds int, slice func(cell int) (float64, error)) ([]float64, error) {
+	samples := make([][]float64, cells)
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < cells; i++ {
+			cell := i
+			if r%2 == 1 {
+				cell = cells - 1 - i
+			}
+			v, err := slice(cell)
+			if err != nil {
+				return nil, err
+			}
+			samples[cell] = append(samples[cell], v)
 		}
 	}
-	return res, nil
+	med := make([]float64, cells)
+	for cell, s := range samples {
+		sort.Float64s(s)
+		med[cell] = s[len(s)/2]
+	}
+	return med, nil
 }
 
 // Table6Result reproduces Table 6: minidb OLTP throughput with 0-4
@@ -211,50 +223,57 @@ func table6Scenario(k int) (*scenario.Scenario, error) {
 	return b.Build()
 }
 
-// Table6 measures OLTP throughput over a fixed window per cell.
+// Table6 measures OLTP throughput over a fixed window per cell. Every
+// cell (trigger count × workload) gets its own database; the window is
+// cut into slices run interleaved across the cells, and each cell
+// reports its median slice throughput, so a slow phase of the host
+// lands on every cell alike.
 func Table6(window time.Duration) (Table6Result, error) {
 	if window <= 0 {
 		window = 300 * time.Millisecond
 	}
 	res := Table6Result{Duration: window}
-	run := func(k int, readWrite bool) (float64, error) {
+	// Cell 2k runs read-only transactions under k triggers, cell 2k+1
+	// read/write ones.
+	apps := make([]*minidb.App, 10)
+	for cell := range apps {
 		app := minidb.New()
 		if err := app.BufferPoolInit(); err != nil {
-			return 0, err
+			return res, err
 		}
-		if k > 0 {
+		if k := cell / 2; k > 0 {
 			s, err := table6Scenario(k)
 			if err != nil {
-				return 0, err
+				return res, err
 			}
 			rt, err := core.New(app.C, s)
 			if err != nil {
-				return 0, err
+				return res, err
 			}
 			rt.Install()
 			defer rt.Uninstall()
 		}
-		deadline := time.Now().Add(window)
-		for time.Now().Before(deadline) {
+		apps[cell] = app
+	}
+	const rounds = 9
+	med, err := interleaved(len(apps), rounds, func(cell int) (float64, error) {
+		app, readWrite := apps[cell], cell%2 == 1
+		before, start := app.TxnCount(), time.Now()
+		for time.Since(start) < window/rounds {
 			for i := 0; i < 32; i++ { // batch to amortize clock reads
 				if err := app.Txn(readWrite); err != nil {
 					return 0, err
 				}
 			}
 		}
-		return float64(app.TxnCount()) / window.Seconds(), nil
+		return float64(app.TxnCount()-before) / time.Since(start).Seconds(), nil
+	})
+	if err != nil {
+		return res, err
 	}
 	for k := 0; k <= 4; k++ {
-		ro, err := run(k, false)
-		if err != nil {
-			return res, err
-		}
-		rw, err := run(k, true)
-		if err != nil {
-			return res, err
-		}
-		res.ReadOnly[k] = ro
-		res.ReadWr[k] = rw
+		res.ReadOnly[k] = med[2*k]
+		res.ReadWr[k] = med[2*k+1]
 	}
 	return res, nil
 }

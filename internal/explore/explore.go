@@ -168,9 +168,8 @@ type Config struct {
 	Workers int
 	// Exec is the execution-backend fleet batches dispatch through.
 	// nil means a private fleet with one local (in-process) backend of
-	// Workers width — the pre-backend behavior, bit for bit. The
-	// system's cost model (runs/sec per backend, coverage gain per run)
-	// lives in the fleet and persists through the store index.
+	// Workers width — the pre-backend behavior, bit for bit. The fleet
+	// decides where a batch runs, never which system runs next.
 	Exec *exec.Fleet
 	// Store is the path of the persistent campaign store ("" = none).
 	Store string
@@ -186,8 +185,8 @@ type Config struct {
 }
 
 // StatusUpdate is one live campaign progress snapshot: outcomes folded
-// so far, the coverage frontier, and the EWMA cost-model state the
-// fleet is scheduling on.
+// so far, the coverage frontier, and the gain-per-run EWMA the
+// explorer is scheduling on.
 type StatusUpdate struct {
 	System         string
 	Executed       int
@@ -195,7 +194,7 @@ type StatusUpdate struct {
 	Bugs           int
 	Covered        int // recovery blocks reached so far
 	RecoveryBlocks int // recovery blocks in the universe
-	Cost           exec.CostModel
+	GainPerRun     float64
 }
 
 // batchSize is the number of candidates per scheduling round, and
@@ -791,6 +790,9 @@ type run struct {
 	// batches pinned to build-matched backends (Batch.RequireImage).
 	reval []*Candidate
 	stall int
+	// gain is the system's coverage yield per run, folded from this
+	// run's own batches (seeded from the store): the scheduling signal.
+	gain  gainEWMA
 	begin time.Time
 	// ownExec marks a fleet newRun built itself (no Config.Exec);
 	// finish closes it.
@@ -854,11 +856,6 @@ func newRun(cfg Config) (*run, error) {
 		store, err = LoadStore(cfg.Store, cfg.System, x.imageVersion)
 		if err != nil {
 			return nil, err
-		}
-		// Resume the execution cost model the last session measured, so
-		// scheduling starts from observed economics instead of priors.
-		if cost, ok := store.CostModel(); ok {
-			cfg.Exec.SeedCost(cfg.System, cost)
 		}
 		// Diff-aware resume: the stale-outcome rule (impact.go) against
 		// the store's previous image and profile fingerprints decides
@@ -931,7 +928,9 @@ func newRun(cfg Config) (*run, error) {
 	if res.Impact != nil {
 		x.logf("explore %s: %s", cfg.System, res.Impact)
 	}
-	return &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, begin: begin, ownExec: ownExec}, nil
+	// The gain EWMA resumes where the last session left it, so
+	// scheduling starts from observed yield instead of the prior.
+	return &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, gain: store.gain(), begin: begin, ownExec: ownExec}, nil
 }
 
 // done reports whether scheduling is finished: queue drained or
@@ -983,7 +982,7 @@ func (r *run) step(ctx context.Context, cap int) error {
 	if report.Runs > 0 {
 		r.res.Executed += report.Runs
 		r.res.Batches = append(r.res.Batches, report)
-		r.cfg.Exec.ObserveGain(r.cfg.System, report.Runs, len(report.NewBlocks))
+		r.gain.observe(report.Runs, len(report.NewBlocks))
 		r.x.logf("explore %s: batch %d: %d runs, %d new blocks, %d new bugs, %d mutants bred, recovery %s",
 			r.cfg.System, report.Index, report.Runs, len(report.NewBlocks), len(report.NewBugs), len(mutants), report.Recovery)
 	}
@@ -1027,7 +1026,7 @@ func (r *run) publishStatus() {
 		Bugs:           len(r.x.sigs),
 		Covered:        rec.BlocksCovered,
 		RecoveryBlocks: rec.Blocks,
-		Cost:           r.cfg.Exec.Cost(r.cfg.System),
+		GainPerRun:     r.gain.PerRun,
 	})
 }
 
@@ -1041,9 +1040,9 @@ func (r *run) publishStatus() {
 // up to the interrupt.
 func (r *run) finish(runErr error) (*Result, error) {
 	r.publishStatus()
-	// Persist the measured execution economics next to the outcomes:
-	// the next session schedules on them from its first batch.
-	r.store.SetCostModel(r.cfg.Exec.Cost(r.cfg.System))
+	// Persist the gain EWMA next to the outcomes: the next session
+	// schedules on it from its first batch.
+	r.store.setGain(r.gain)
 	saveErr := r.store.Save(r.keys)
 	if r.ownExec {
 		r.cfg.Exec.Close()

@@ -174,6 +174,53 @@ func TestExploreBudget(t *testing.T) {
 	}
 }
 
+// TestGainEWMA: batch yields fold into the explorer's gain-per-run
+// EWMA (the prior stands until the first batch), and a new run resumes
+// the EWMA a store persisted — including one whose index still carries
+// per-backend runs/sec.
+func TestGainEWMA(t *testing.T) {
+	var g gainEWMA
+	if got := g.estimate(0.5); got != 0.5 {
+		t.Fatalf("prior not honored before observations: %v", got)
+	}
+	g.observe(10, 5) // 0.5 gain/run
+	g.observe(10, 0)
+	want := (1-gainAlpha)*0.5 + gainAlpha*0
+	if got := g.estimate(99); got-want > 1e-9 || want-got > 1e-9 || g.Batches != 2 {
+		t.Fatalf("gain EWMA: got %v over %d batches, want %v over 2", got, g.Batches, want)
+	}
+
+	cfg := configFor(t, "minidb")
+	cfg.Store = filepath.Join(t.TempDir(), "store")
+	if err := os.MkdirAll(filepath.Join(cfg.Store, "minidb"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cfg.Store, "minidb", "index.json"), oldCostIndex(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	persisted := func() gainEWMA {
+		st, err := LoadStore(cfg.Store, "minidb", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.gain()
+	}
+	seed := persisted()
+	r, err := newRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seed.Batches == 0 || r.gain != seed {
+		t.Fatalf("run seeded gain %+v, store holds %+v", r.gain, seed)
+	}
+	if _, err := r.finish(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := persisted(); got != seed {
+		t.Fatalf("finish persisted gain %+v, want the seeded %+v", got, seed)
+	}
+}
+
 // TestExploreDeterministic runs twice without a store and expects
 // identical bug lists and batch structure.
 func TestExploreDeterministic(t *testing.T) {

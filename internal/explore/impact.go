@@ -36,7 +36,6 @@ import (
 	"slices"
 	"strings"
 
-	"lfi/internal/exec"
 	"lfi/internal/impact"
 )
 
@@ -96,7 +95,7 @@ type buildDiff struct {
 	// since the store's last save. Resume and diff only: a worker runs
 	// the scenarios we send, generated from our profiles.
 	profiles []string
-	model    exec.CostModel // persisted EWMA economics (re-validation order)
+	gain     float64 // persisted gain-per-run EWMA (re-validation order)
 }
 
 // newBuildDiff diffs this build against image from that image's
@@ -134,7 +133,7 @@ func storeDiff(cfg Config, store *Store, ours, profiles map[string]string) *buil
 		}
 	}
 	if d != nil {
-		d.model, _ = store.CostModel()
+		d.gain = store.gain().PerRun
 	}
 	return d
 }
@@ -227,7 +226,7 @@ func (d *buildDiff) revalBoost(c *Candidate, e Entry) float64 {
 		}
 		return b
 	}
-	gain := 1 + d.model.GainPerRun
+	gain := 1 + d.gain
 	b := 120.0
 	if e.Failed {
 		b += 40 * gain

@@ -55,16 +55,15 @@ func (m *MultiResult) CrashBugs() []controller.Bug {
 // same directory.
 //
 // Scheduling interleaves batches across systems by expected coverage
-// gain per second, priced by each system's cost model: gain/run (EWMA
-// of new recovery blocks per executed run, seeded by the uncovered-
-// recovery fraction before any batch has run) times the fleet's
-// aggregate runs/sec for that system (EWMA per backend, persisted in
-// the store index). Early budget still flows to whichever target has
-// the most unexplored recovery code — that is the seed prior — but a
-// system whose batches keep paying off, or that executes cheaply on
-// the available backends, overtakes a nominally larger one that has
-// gone cold or runs slow. Each scheduled batch then fans out across
-// the fleet's mix of local/pool/remote backends (exec.Fleet.Run).
+// gain per run (systemScore), computed from outcomes alone: no wall
+// clock and no backend speed enters it, so a budgeted session splits
+// its budget the same way on every host and every backend mix. Early
+// budget flows to whichever target has the most unexplored recovery
+// code — that is the seed prior — and a system whose batches keep
+// paying off overtakes a nominally larger one that has gone cold. Each
+// scheduled batch then fans out across the fleet's mix of
+// local/pool/remote backends (exec.Fleet.Run), which decides where it
+// runs, never what runs.
 //
 // budget, when positive, bounds the total tests executed across all
 // systems; replayed store hits are free. Cancellation is honored
@@ -148,24 +147,58 @@ func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, err
 }
 
 // systemScore prices one more batch of r in expected new recovery
-// blocks per second:
+// blocks per run:
 //
-//	score = (gain + 0.05·uncovered) × speed
+//	score = gain + 0.05·uncovered
 //
-// where gain is the system's gain-per-run EWMA (seeded by the
-// uncovered-recovery fraction before any batch has run), uncovered is
-// that fraction — a floor that keeps breadth in the mix after gain
-// EWMAs decay — and speed is the fleet's aggregate runs/sec estimate
-// for the system.
+// where gain is the system's gain-per-run EWMA (the uncovered-recovery
+// fraction before any batch has run) and uncovered is that fraction —
+// a floor that keeps breadth in the mix after gain EWMAs decay.
 func systemScore(r *run) float64 {
 	rec := r.x.idx.Recovery(r.x.covered)
 	uncovered := float64(rec.Blocks-rec.BlocksCovered) / float64(rec.Blocks+1)
-	gain := r.cfg.Exec.GainEstimate(r.cfg.System, uncovered)
-	return (gain + 0.05*uncovered) * r.cfg.Exec.SpeedEstimate(r.cfg.System)
+	return r.gain.estimate(uncovered) + 0.05*uncovered
 }
 
-// nextRun picks the not-done run with the highest cost-model score,
-// ties broken by system name so scheduling is deterministic.
+// gainEWMA is a system's coverage yield: an EWMA of new recovery
+// blocks per executed run across scheduling batches. The store index
+// persists it under "cost", so a resumed session schedules on it from
+// its first batch and re-validation ranks by it (buildDiff.revalBoost).
+type gainEWMA struct {
+	PerRun  float64 `json:"gain_per_run"`
+	Batches int     `json:"batches"`
+}
+
+// gainAlpha weights the newest batch. Batches are coarse (tens of
+// runs), so the estimate converges in a few batches without
+// whipsawing on one unlucky one.
+const gainAlpha = 0.4
+
+// observe folds one batch's yield into the EWMA; the first batch
+// replaces the prior outright.
+func (g *gainEWMA) observe(runs, newBlocks int) {
+	if runs <= 0 {
+		return
+	}
+	obs := float64(newBlocks) / float64(runs)
+	if g.Batches > 0 {
+		obs = gainAlpha*obs + (1-gainAlpha)*g.PerRun
+	}
+	g.PerRun = obs
+	g.Batches++
+}
+
+// estimate prices one more run: the EWMA once any batch has been
+// folded, else prior.
+func (g gainEWMA) estimate(prior float64) float64 {
+	if g.Batches == 0 {
+		return prior
+	}
+	return g.PerRun
+}
+
+// nextRun picks the not-done run with the highest score, ties broken
+// by system name so scheduling is deterministic.
 func nextRun(runs []*run) *run {
 	var best *run
 	var bestScore float64

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"lfi/internal/callgraph"
-	"lfi/internal/exec"
 )
 
 // Store is the persistent campaign store: a shard directory, not one
@@ -101,10 +100,11 @@ type shard struct {
 type storeIndex struct {
 	System string          `json:"system"`
 	Images []imageManifest `json:"images"` // most recent save first
-	// Cost is the system's persisted execution cost model (EWMA of
-	// runs/sec per backend and coverage gain per run): the scheduling
-	// signal a resumed session starts from.
-	Cost *exec.CostModel `json:"cost,omitempty"`
+	// Cost is the system's gain-per-run EWMA: the scheduling signal a
+	// resumed session starts from. An index written when this also held
+	// per-backend runs/sec ("runs_per_sec") loads with that field
+	// ignored, and Save does not write it back.
+	Cost *gainEWMA `json:"cost,omitempty"`
 }
 
 // imageManifest names the shards one image version's candidate set
@@ -811,28 +811,28 @@ func (s *Store) PreviousImage() (image string, funcs map[string]string, ok bool)
 	return "", nil, false
 }
 
-// CostModel returns the persisted execution cost model, if any session
-// has saved one.
-func (s *Store) CostModel() (exec.CostModel, bool) {
+// gain returns the persisted gain EWMA (zero when no session has saved
+// one).
+func (s *Store) gain() gainEWMA {
 	if s == nil {
-		return exec.CostModel{}, false
+		return gainEWMA{}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.index.Cost == nil {
-		return exec.CostModel{}, false
+		return gainEWMA{}
 	}
-	return *s.index.Cost, true
+	return *s.index.Cost
 }
 
-// SetCostModel records the cost model to persist with the next Save.
-func (s *Store) SetCostModel(c exec.CostModel) {
+// setGain records the gain EWMA to persist with the next Save.
+func (s *Store) setGain(g gainEWMA) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.index.Cost = &c
+	s.index.Cost = &g
 }
 
 // Shards returns the in-memory shard regions, sorted (tests, CLI).

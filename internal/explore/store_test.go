@@ -12,8 +12,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"lfi/internal/exec"
 )
 
 // TestStoreCrashSafePartialWrite pins the crash-safety satellite: every
@@ -308,40 +306,64 @@ func TestStoreImageRetention(t *testing.T) {
 	}
 }
 
-// TestStoreCostModelRoundTrip: the execution cost model persists in the
-// store index across load/save cycles — a resumed session schedules on
-// the economics the last one measured.
-func TestStoreCostModelRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store")
-	st, err := LoadStore(path, "sys", "img@1")
+// oldCostIndex is a minidb index.json as written when the store also
+// persisted per-backend runs/sec: its "cost" carries "runs_per_sec"
+// next to the gain EWMA.
+func oldCostIndex(t testing.TB) []byte {
+	data, err := os.ReadFile(filepath.Join("testdata", "index_runs_per_sec.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.CostModel(); ok {
-		t.Fatal("fresh store claims a cost model")
+	return data
+}
+
+// TestStoreOldCostIndex: an index that still persists runs/sec loads
+// with that field ignored and its gain EWMA intact, and the next Save
+// writes "cost" as the gain EWMA alone — the runs/sec are dropped, not
+// reinterpreted.
+func TestStoreOldCostIndex(t *testing.T) {
+	old := oldCostIndex(t)
+	var want struct {
+		Cost struct {
+			GainPerRun float64            `json:"gain_per_run"`
+			Batches    int                `json:"batches"`
+			Speed      map[string]float64 `json:"runs_per_sec"`
+		} `json:"cost"`
 	}
-	want := exec.CostModel{
-		GainPerRun: 0.25,
-		Batches:    7,
-		Speed:      map[string]float64{"local": 1200, "remote(h:1)": 3400},
+	if err := json.Unmarshal(old, &want); err != nil || len(want.Cost.Speed) == 0 || want.Cost.Batches == 0 {
+		t.Fatalf("fixture is not an index with runs/sec: %+v, %v", want.Cost, err)
 	}
-	st.SetCostModel(want)
+	root := filepath.Join(t.TempDir(), "store")
+	dir := filepath.Join(root, "minidb")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadStore(root, "minidb", "img@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.gain(); got != (gainEWMA{PerRun: want.Cost.GainPerRun, Batches: want.Cost.Batches}) {
+		t.Fatalf("loaded gain %+v, want %+v", got, want.Cost)
+	}
 	st.Put("scen@aaaa", Entry{Name: "scen"})
 	if err := st.Save(map[string]bool{"scen@aaaa": true}); err != nil {
 		t.Fatal(err)
 	}
-
-	st2, err := LoadStore(path, "sys", "img@2")
+	saved, err := os.ReadFile(filepath.Join(dir, "index.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := st2.CostModel()
-	if !ok {
-		t.Fatal("cost model lost across load")
+	var got struct {
+		Cost map[string]any `json:"cost"`
 	}
-	if got.GainPerRun != want.GainPerRun || got.Batches != want.Batches ||
-		got.Speed["local"] != 1200 || got.Speed["remote(h:1)"] != 3400 {
-		t.Fatalf("cost model mangled: %+v vs %+v", got, want)
+	if err := json.Unmarshal(saved, &got); err != nil {
+		t.Fatal(err)
+	}
+	if wantCost := map[string]any{"gain_per_run": want.Cost.GainPerRun, "batches": float64(want.Cost.Batches)}; !reflect.DeepEqual(got.Cost, wantCost) {
+		t.Fatalf("saved cost %v, want %v", got.Cost, wantCost)
 	}
 }
 
@@ -408,6 +430,8 @@ func FuzzStoreLoad(f *testing.F) {
 	bad[4] ^= 0xff
 	f.Add([]byte(`null`), []byte(`{}`), append(append([]byte(nil), good...), bad...))
 	f.Add([]byte(`null`), []byte(`{}`), append(journalFrame(`{"key":"noat","entry":{}}`), good...))
+	// An index that still persists per-backend runs/sec.
+	f.Add(oldCostIndex(f), []byte(`{}`), good)
 	f.Fuzz(func(t *testing.T, index, shard, journal []byte) {
 		base := t.TempDir()
 		root := filepath.Join(base, "store")

@@ -16,7 +16,7 @@
 //   - `lfi fleet status` (or any HTTP client — the endpoints are
 //     plain JSON over GET/POST) reads the merged picture: per-worker
 //     throughput derived from heartbeat counter deltas, plus the
-//     coordinator's outcomes-folded / coverage-frontier / cost-model
+//     coordinator's outcomes-folded / coverage-frontier / gain-per-run
 //     snapshot.
 //
 // The package deliberately knows nothing about the wire protocol or
@@ -62,16 +62,15 @@ type Worker struct {
 }
 
 // SystemStatus is one system's slice of a coordinator's campaign
-// report: outcomes folded, the coverage frontier, and the EWMA cost
-// model driving the fleet's scheduling.
+// report: outcomes folded, the coverage frontier, and the gain-per-run
+// EWMA driving the explorer's scheduling.
 type SystemStatus struct {
-	Executed       int                `json:"executed"`
-	Replayed       int                `json:"replayed"`
-	Bugs           int                `json:"bugs"`
-	Covered        int                `json:"covered"`
-	RecoveryBlocks int                `json:"recovery_blocks"`
-	GainPerRun     float64            `json:"gain_per_run"`
-	Speed          map[string]float64 `json:"runs_per_sec,omitempty"`
+	Executed       int     `json:"executed"`
+	Replayed       int     `json:"replayed"`
+	Bugs           int     `json:"bugs"`
+	Covered        int     `json:"covered"`
+	RecoveryBlocks int     `json:"recovery_blocks"`
+	GainPerRun     float64 `json:"gain_per_run"`
 }
 
 // CampaignStatus is the coordinator's progress report, replaced
@@ -109,7 +108,7 @@ type workerState struct {
 	lastStatsAt time.Time
 }
 
-// ewmaAlpha matches the exec cost model's smoothing: converge in a few
+// ewmaAlpha matches the fleet's speed smoothing: converge in a few
 // observations without whipsawing on one noisy heartbeat.
 const ewmaAlpha = 0.4
 

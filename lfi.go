@@ -19,8 +19,9 @@
 //   - Executor / NewLocalExecutor / NewPoolExecutor / DialExecutor /
 //     ServeExecutor — the pluggable execution backends: batches run on
 //     the in-process pool, in crash-isolating worker subprocesses, or
-//     on remote `lfi serve` workers, scheduled by a per-system cost
-//     model with identical results on every backend;
+//     on remote `lfi serve` workers, with identical results — and,
+//     since systems are scheduled from outcomes alone, identical
+//     budget splits and store bytes — on every backend;
 //   - Scenario / ParseScenario / NewScenarioBuilder — the XML fault
 //     injection language (§4);
 //   - Trigger / RegisterTrigger / TriggerArgs — the extensible trigger
@@ -197,7 +198,7 @@ type (
 	// Executor is a pluggable execution backend (local / pool /
 	// remote) a Session dispatches test batches to.
 	Executor = exec.Executor
-	// ExecutorInfo is an executor's capability and cost metadata.
+	// ExecutorInfo is an executor's capability metadata.
 	ExecutorInfo = exec.Info
 	// ExecBatch is one dispatch unit: scenarios + system + seed.
 	ExecBatch = exec.Batch
@@ -209,10 +210,6 @@ type (
 	// ExecOutcome is one run's serializable, backend-independent
 	// result.
 	ExecOutcome = exec.Outcome
-	// CostModel is a system's persisted execution economics (EWMA
-	// runs/sec per backend, coverage gain per run) — the scheduling
-	// signal behind Session.ExploreAll and the fleet's batch routing.
-	CostModel = exec.CostModel
 )
 
 var (

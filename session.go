@@ -49,10 +49,12 @@ var (
 // Where tests execute is pluggable: by default a session runs batches
 // on the in-process worker pool, but WithExecutor/WithExecutors swap in
 // or add crash-isolating subprocess pools (NewPoolExecutor) and remote
-// `lfi serve` workers (DialExecutor). Mixed backends are scheduled by a
-// per-system cost model; because all backends produce byte-identical
-// outcomes for the same batch and seed, the mix never changes results,
-// only speed. Close releases the backends.
+// `lfi serve` workers (DialExecutor). Each batch is split across the
+// mix by observed backend speed; because all backends produce
+// byte-identical outcomes for the same batch and seed, and the explorer
+// chooses what to run from outcomes alone, the mix never changes
+// results, budget splits or store bytes, only speed. Close releases
+// the backends.
 //
 // A Session is safe for sequential reuse across systems (that is the
 // -all workflow: one session, one shared store root, one backend
@@ -154,8 +156,8 @@ func WithExecutor(e Executor) SessionOption { return WithExecutors(e) }
 
 // WithExecutors adds execution backends to the session. Batches fan
 // out across the whole mix — local pools, crash-isolating subprocess
-// pools, remote `lfi serve` workers — routed by the per-system cost
-// model; a backend that dies has its in-flight work requeued on the
+// pools, remote `lfi serve` workers — in chunks sized by each
+// backend's observed speed; a backend that dies has its in-flight work requeued on the
 // survivors. The session takes ownership: Close closes every backend.
 func WithExecutors(execs ...Executor) SessionOption {
 	return func(s *Session) error {
@@ -344,9 +346,11 @@ func (s *Session) Explore(ctx context.Context, sys *System) (*ExploreResult, err
 
 // ExploreAll explores several systems (default: every registered one)
 // in one session: a shared backend fleet, a shared store root, and a
-// shared budget, with batches interleaved across systems by the cost
-// model — expected coverage gain per second, seeded by uncovered
-// recovery blocks and updated from observed runs/sec and gain/run.
+// shared budget, with batches interleaved across systems by expected
+// new recovery blocks per run — seeded by the uncovered-recovery
+// fraction and updated from each system's own outcomes, never from
+// timing, so a budgeted session splits its budget the same way on every
+// host and backend mix.
 // Cancellation flushes every system's store cleanly and returns the
 // partial result with ctx.Err().
 func (s *Session) ExploreAll(ctx context.Context, systems ...*System) (*ExploreAllResult, error) {

@@ -322,4 +322,55 @@ func TestSessionExploreRemoteMatchesLocal(t *testing.T) {
 			}
 		})
 	}
+
+	// A fresh store of every registered system is byte-identical, file
+	// for file and index.json included, whichever backend mix wrote it:
+	// nothing a backend measures reaches the store.
+	t.Run("stores", func(t *testing.T) {
+		var want map[string]string
+		for _, be := range budgetBackends {
+			store := filepath.Join(t.TempDir(), "store")
+			opts := append(be.opts(t), WithSeed(1), WithStore(store))
+			if _, err := mustSession(t, opts...).ExploreAll(context.Background()); err != nil {
+				t.Fatalf("%s: %v", be.name, err)
+			}
+			got := storeFiles(t, store)
+			if want == nil {
+				want = got
+				continue
+			}
+			for name, data := range want {
+				if got[name] != data {
+					t.Errorf("%s: %s differs from %s's", be.name, name, budgetBackends[0].name)
+				}
+			}
+			for name := range got {
+				if _, ok := want[name]; !ok {
+					t.Errorf("%s: extra file %s", be.name, name)
+				}
+			}
+		}
+		if len(want) == 0 {
+			t.Fatal("the sessions wrote no store")
+		}
+	})
+}
+
+// storeFiles reads every file under root, keyed by relative path.
+func storeFiles(t *testing.T, root string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(p)
+		rel, _ := filepath.Rel(root, p)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
