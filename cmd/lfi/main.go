@@ -29,7 +29,7 @@
 // recovery blocks per run, scored from outcomes alone, so a budgeted
 // split is the same under any -j, -pool or remote mix. Ctrl-C cancels
 // cleanly: in-flight tests finish, every store is flushed (no torn
-// shards), and the next run resumes with zero re-execution. -v adds
+// snapshots), and the next run resumes with zero re-execution. -v adds
 // per-batch progress and the per-store compaction stats (shards,
 // retained image versions, entries migrated vs invalidated).
 //
@@ -501,7 +501,7 @@ func runExplore(args []string) {
 	fs := flag.NewFlagSet("lfi explore", flag.ExitOnError)
 	app := fs.String("app", "minidb", "target system(s), comma-separated: "+appsUsage())
 	all := fs.Bool("all", false, "explore every registered system in one session")
-	store := fs.String("store", "", "persistent campaign store root (shard directory per system); resumes incrementally")
+	store := fs.String("store", "", "persistent campaign store root (one directory per system); resumes incrementally")
 	budget := fs.Int("budget", 0, "max executed test runs, total across systems (0 = explore everything)")
 	stall := fs.Int("stall", 0, "stop after this many batches with no new coverage/bugs (default 3)")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "local campaign worker pool size (1 = sequential)")

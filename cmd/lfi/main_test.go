@@ -377,7 +377,7 @@ func TestExplorePool(t *testing.T) {
 
 // noJournal fails the test if any system directory of the store holds a
 // journal: a session that ends, completed or interrupted, compacts its
-// per-batch journal into the shard snapshots.
+// per-batch journal into the system's snapshot.
 func noJournal(t *testing.T, what, store string) {
 	t.Helper()
 	left, err := filepath.Glob(filepath.Join(store, "*", "journal"))

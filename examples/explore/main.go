@@ -6,7 +6,7 @@
 // registered target systems. The explorer enumerates candidate
 // injections from the library fault profiles crossed with the call-site
 // analysis, schedules them in batches steered toward uncovered recovery
-// blocks, and persists outcomes in a sharded store — so a second run
+// blocks, and persists outcomes in a store — so a second run
 // replays instead of re-executing, and `ExploreAll` fans one session
 // out over every registered system at once.
 //

@@ -7,8 +7,9 @@ import (
 
 // Bitset is a dense bitset over a block universe established by an
 // Index: bit i stands for the block at universe position i. It is the
-// encoding of coverage from a run's Hit to the store boundary, where the
-// sorted []string ID form is materialized on demand via Index.AppendIDs.
+// encoding of coverage from a run's Hit to the store, which keeps it
+// with the ID table it is over; the sorted []string ID form is
+// materialized on demand via Index.AppendIDs.
 type Bitset []uint64
 
 // NewBitset returns a zeroed bitset able to hold n bits.
@@ -107,10 +108,15 @@ func (x *Index) Remap(ids []string) *Remap {
 // Apply returns src's bits as a new bitset over the local universe.
 func (m *Remap) Apply(src Bitset) Bitset {
 	out := NewBitset(m.to.Len())
+	m.OrInto(out, src)
+	return out
+}
+
+// OrInto sets src's bits in dst, a bitset over the local universe.
+func (m *Remap) OrInto(dst, src Bitset) {
 	src.Range(func(i int) {
 		if i < len(m.pos) && m.pos[i] >= 0 {
-			out.Set(m.pos[i])
+			dst.Set(m.pos[i])
 		}
 	})
-	return out
 }

@@ -21,17 +21,18 @@ func plain(c byte) bool {
 // string Marshal would escape makes Bytes report false; the caller then
 // falls back to json.Marshal.
 type FlatEncoder struct {
-	b   []byte
-	bad bool
+	b     []byte
+	start int // offset of the object's '{' in b
+	bad   bool
 }
 
-// NewFlatEncoder starts an object in a buffer of capacity size.
-func NewFlatEncoder(size int) FlatEncoder {
-	return FlatEncoder{b: append(make([]byte, 0, size), '{')}
+// AppendFlat starts an object appended to b.
+func AppendFlat(b []byte) FlatEncoder {
+	return FlatEncoder{b: append(b, '{'), start: len(b)}
 }
 
 func (e *FlatEncoder) key(k string) {
-	if len(e.b) > 1 {
+	if len(e.b) > e.start+1 {
 		e.b = append(e.b, ',')
 	}
 	e.b = append(e.b, '"')
@@ -65,8 +66,8 @@ func (e *FlatEncoder) Int(k string, v int64, omitempty bool) {
 	e.b = strconv.AppendInt(e.b, v, 10)
 }
 
-// Bytes closes the object. ok is false if a string field needed
-// escaping.
+// Bytes closes the object and returns the buffer with it appended. ok
+// is false if a string field needed escaping.
 func (e *FlatEncoder) Bytes() (b []byte, ok bool) {
 	return append(e.b, '}'), !e.bad
 }

@@ -126,8 +126,8 @@ type Outcome struct {
 	// Cov/CovU are the coverage encoding: a dense bitset over the
 	// system's block universe CovU — this process's Descriptor.Blocks,
 	// whichever backend ran the test (nil when the batch collected no
-	// coverage). BlockIDs materializes the sorted-ID form at
-	// serialization boundaries such as the store.
+	// coverage). BlockIDs materializes the sorted-ID form for
+	// reporting; the store keeps the bitset.
 	Cov  coverage.Bitset
 	CovU *coverage.Index
 	// wire is the worker's universe a decoded outcome's Cov is over,

@@ -30,13 +30,13 @@
 // occurrence range (RAFT's log-truncation crash, deep in the receive
 // stream) only through the latter.
 //
-// Outcomes persist in a sharded store keyed by scenario content hash
-// plus a hash of the targeted code region — one shard file per region,
-// per-image manifests in an index — so a second run against an
-// unchanged target replays results instead of re-executing them, a run
-// after a code change re-executes only the scenarios aimed at the
-// changed region, and stores for multiple image versions coexist (the
-// reuse-of-intermediate-results idea of Beyer et al.).
+// Outcomes persist in a store keyed by scenario content hash plus a
+// hash of the targeted code region — one snapshot and journal per
+// system, per-image manifests of regions in an index — so a second run
+// against an unchanged target replays results instead of re-executing
+// them, a run after a code change re-executes only the scenarios aimed
+// at the changed region, and stores for multiple image versions coexist
+// (the reuse-of-intermediate-results idea of Beyer et al.).
 package explore
 
 import (
@@ -566,12 +566,18 @@ type explorer struct {
 	// two bitsets over it: the blocks reached so far and the blocks the
 	// suite covers with no injection. Every batch outcome's coverage is
 	// over idx already (executors map a worker's universe onto this
-	// process's Blocks), so folding is bit arithmetic. Replayed store
-	// entries may predate a code change elsewhere in the image, so
-	// their recorded block IDs count only if they still exist in idx.
+	// process's Blocks), so folding is bit arithmetic.
 	idx     *coverage.Index
 	covered coverage.Bitset
 	base    coverage.Bitset
+	// table is idx's ID table as fresh store entries carry it. Replayed
+	// entries are over the table they were stored with, which may
+	// predate a code change elsewhere in the image: remaps maps each
+	// table onto idx once (nil: the table is idx's own), dropping blocks
+	// idx no longer declares, and scratch receives remapped coverage.
+	table   *blockTable
+	remaps  map[*blockTable]*coverage.Remap
+	scratch coverage.Bitset
 
 	// Mutation state: the scenario names already enumerated (initial
 	// candidates plus spawned mutants), the candidates already mutated,
@@ -611,18 +617,39 @@ type explorer struct {
 	mixedSum     *MixedSummary
 }
 
+// coverageOf returns an entry's coverage over idx. The result may be
+// x.scratch, valid until the next call.
+func (x *explorer) coverageOf(e Entry) coverage.Bitset {
+	if e.table == nil {
+		return nil
+	}
+	m, ok := x.remaps[e.table]
+	if !ok {
+		m = x.idx.Remap(e.table.ids)
+		x.remaps[e.table] = m
+	}
+	if m == nil {
+		return e.cov
+	}
+	x.scratch.Reset()
+	m.OrInto(x.scratch, e.cov)
+	return x.scratch
+}
+
 // mutationWorthy reports whether an outcome earns its candidate a set
 // of window mutants: it actually injected, and it either failed or
-// reached recovery code the default suite does not reach.
-func (x *explorer) mutationWorthy(e Entry) bool {
+// reached recovery code the default suite does not reach. cov is the
+// outcome's coverage over idx.
+func (x *explorer) mutationWorthy(e Entry, cov coverage.Bitset) bool {
 	if e.Injections == 0 {
 		return false
 	}
 	if e.Failed {
 		return true
 	}
-	for _, id := range e.Blocks {
-		if p, ok := x.idx.Pos(id); ok && x.idx.Recoveries().Has(p) && !x.base.Has(p) {
+	rec := x.idx.Recoveries()
+	for w := 0; w < len(cov) && w < len(rec); w++ {
+		if cov[w]&rec[w]&^x.base[w] != 0 {
 			return true
 		}
 	}
@@ -841,6 +868,9 @@ func newRun(cfg Config) (*run, error) {
 		return nil, fmt.Errorf("explore: baseline: %s records no coverage", cfg.System)
 	}
 	x.idx, x.base, x.covered = base.CovU, base.Cov, base.Cov.Clone()
+	x.table = &blockTable{ids: x.idx.IDs()}
+	x.remaps = map[*blockTable]*coverage.Remap{x.table: nil}
+	x.scratch = coverage.NewBitset(x.idx.Len())
 	res.Baseline = x.idx.Recovery(x.base)
 
 	// Replay the persistent store: cached outcomes count as explored
@@ -907,15 +937,12 @@ func newRun(cfg Config) (*run, error) {
 			continue
 		}
 		res.Replayed++
-		for _, id := range e.Blocks {
-			if p, ok := x.idx.Pos(id); ok {
-				x.covered.Set(p)
-			}
-		}
+		cov := x.coverageOf(e)
+		x.covered.Or(cov)
 		if e.Failed {
 			x.sigs[e.Signature] = append(x.sigs[e.Signature], e.Name)
 		}
-		if x.mutationWorthy(e) {
+		if x.mutationWorthy(e, cov) {
 			for _, m := range x.mutate(c, e.Failed) {
 				keys[m.key] = true
 				work = append(work, m)
@@ -1156,10 +1183,16 @@ func (x *explorer) runBatch(ctx context.Context, index int, batch []*Candidate, 
 			continue
 		}
 		report.Runs++
-		// covBlocks is the run's footprint materialized as sorted IDs —
-		// the JSON form the store entry keeps (and an owned copy, so
-		// nothing wire- or scratch-backed is retained).
-		covBlocks := out.BlockIDs()
+		// The entry records the run's full covered footprint (not just
+		// recovery blocks), so a resumed run reconstructs total
+		// coverage too, as an owned copy of the outcome's bitset over
+		// idx: nothing wire- or scratch-backed is retained. The failure
+		// signature was computed where the run executed — it needs the
+		// injection log, which stays with the worker.
+		entry := Entry{Name: c.Scenario.Name, Injections: out.Injections}
+		if out.CovU != nil {
+			entry.cov, entry.table = out.Cov.Clone(), x.table
+		}
 
 		// Mixed build: the worker executed a different image version
 		// than the coordinator analyzed. The stale-outcome rule, built
@@ -1171,7 +1204,7 @@ func (x *explorer) runBatch(ctx context.Context, index int, batch []*Candidate, 
 		var adoptKey string
 		if out.Image != "" && out.Image != x.imageVersion {
 			d := x.foreign(out.Image)
-			if !d.adoptable(c, covBlocks) {
+			if !d.adoptable(c, entry) {
 				x.mixedSum.Revalidated++
 				reval = append(reval, c)
 				continue
@@ -1184,12 +1217,6 @@ func (x *explorer) runBatch(ctx context.Context, index int, batch []*Candidate, 
 			x.reward(c.Callee)
 		})
 
-		// The entry records the run's full covered footprint (not just
-		// recovery blocks), so a resumed run reconstructs total
-		// coverage too. The failure signature was computed where the
-		// run executed — it needs the injection log, which stays with
-		// the worker.
-		entry := Entry{Name: c.Scenario.Name, Blocks: covBlocks, Injections: out.Injections}
 		if out.Signature != "" {
 			entry.Failed, entry.Signature = true, out.Signature
 			if _, known := x.sigs[out.Signature]; !known {
@@ -1203,13 +1230,13 @@ func (x *explorer) runBatch(ctx context.Context, index int, batch []*Candidate, 
 		} else {
 			store.Put(c.key, entry)
 		}
-		if x.mutationWorthy(entry) {
+		if x.mutationWorthy(entry, entry.cov) {
 			mutants = append(mutants, x.mutate(c, entry.Failed)...)
 		}
 	}
-	// The fold copied everything it keeps (BlockIDs materializes an
-	// owned slice; signatures are strings), so the decoded outcomes can
-	// go back to the wire pool for the next batch.
+	// The fold copied everything it keeps (entries own their bitsets;
+	// signatures are strings), so the decoded outcomes can go back to
+	// the wire pool for the next batch.
 	exec.Recycle(outs)
 	sort.Strings(report.NewBlocks)
 	report.Recovery = x.idx.Recovery(x.covered)

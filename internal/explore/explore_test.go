@@ -1,14 +1,17 @@
 package explore
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"lfi/internal/callsite"
+	"lfi/internal/impact"
 	"lfi/internal/isa"
 	"lfi/internal/system"
 
@@ -298,7 +301,9 @@ func TestShardInvalidation(t *testing.T) {
 		t.Fatal("no surviving candidates; test is vacuous")
 	}
 
+	oldRegion := impact.FuncHashes(cfg.Binary)[changed]
 	cfg.Binary = patched(t, cfg.Binary, changed)
+	newRegion := impact.FuncHashes(cfg.Binary)[changed]
 	second, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -322,6 +327,12 @@ func TestShardInvalidation(t *testing.T) {
 	}
 	if imgs := st.Images(); len(imgs) != 2 {
 		t.Fatalf("want 2 retained image manifests, have %v", imgs)
+	}
+	// The changed function's region under either image keeps its
+	// entries on disk, next to each other.
+	regions := st.Shards()
+	if oldRegion == newRegion || !slices.Contains(regions, oldRegion) || !slices.Contains(regions, newRegion) {
+		t.Fatalf("regions on disk %v, want both %s (old) and %s (new)", regions, oldRegion, newRegion)
 	}
 }
 
@@ -622,9 +633,13 @@ func TestStoreShardPrune(t *testing.T) {
 	if err := st.Save(map[string]bool{"keep@aaaa": true}); err != nil {
 		t.Fatal(err)
 	}
-	// The unreferenced region's shard file is gone from disk.
-	if _, err := os.Stat(filepath.Join(path, "sys", "bbbb.json")); !os.IsNotExist(err) {
-		t.Fatalf("stale shard still on disk: %v", err)
+	// The unreferenced region's record is gone from disk.
+	snap, err := os.ReadFile(filepath.Join(path, "sys", snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotKeys(t, snap); !reflect.DeepEqual(got, []string{"keep@aaaa"}) || bytes.Contains(snap, []byte("bbbb")) {
+		t.Fatalf("stale region still on disk: snapshot records %v", got)
 	}
 	st2, err := LoadStore(path, "sys", "img@2")
 	if err != nil {
@@ -637,7 +652,7 @@ func TestStoreShardPrune(t *testing.T) {
 		t.Fatal("stale entry survived pruning")
 	}
 	// Two systems coexist under one root, each in its own directory;
-	// neither sees or clobbers the other's shards.
+	// neither sees or clobbers the other's entries.
 	other, err := LoadStore(path, "other", "img@1")
 	if err != nil {
 		t.Fatal(err)

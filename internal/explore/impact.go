@@ -168,13 +168,13 @@ func (d *buildDiff) oldKey(c *Candidate) string {
 	return c.Hash + "@" + region
 }
 
-// adoptable is the one adopt predicate: the other build's outcome for c,
-// which covered blocks, stands for ours.
-func (d *buildDiff) adoptable(c *Candidate, blocks []string) bool {
+// adoptable is the one adopt predicate: the other build's outcome e for
+// c stands for ours.
+func (d *buildDiff) adoptable(c *Candidate, e Entry) bool {
 	if c.Caller != "" && d.theirs[c.Caller] != d.ours[c.Caller] {
 		return false
 	}
-	return !d.set.Intersects(blocks)
+	return !d.set.Intersects(e.Blocks())
 }
 
 // classify gives c its verdict against the store, with the cached entry
@@ -202,7 +202,7 @@ func (d *buildDiff) classify(store *Store, c *Candidate) (verdict, Entry, string
 		return revalidate, e, oldKey
 	case oldKey == "":
 		return replay, e, ""
-	case d.adoptable(c, e.Blocks):
+	case d.adoptable(c, e):
 		return adopt, e, oldKey
 	}
 	return revalidate, e, oldKey
@@ -233,7 +233,7 @@ func (d *buildDiff) revalBoost(c *Candidate, e Entry) float64 {
 	}
 	if !d.set.Fallback {
 		hits := 0
-		for _, id := range e.Blocks {
+		for _, id := range e.Blocks() {
 			if d.set.Blocks[id] {
 				hits++
 			}

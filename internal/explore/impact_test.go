@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,16 +133,13 @@ func copyStoreWithoutFingerprints(t *testing.T, src, dst, sys string) {
 	if err := os.MkdirAll(to, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	names, err := filepath.Glob(filepath.Join(from, "*.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	names := []string{filepath.Join(from, indexName), filepath.Join(from, snapshotName)}
 	for _, name := range names {
 		data, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if filepath.Base(name) == "index.json" {
+		if filepath.Base(name) == indexName {
 			var idx storeIndex
 			if err := json.Unmarshal(data, &idx); err != nil {
 				t.Fatal(err)
@@ -401,8 +399,8 @@ func TestDiffReport(t *testing.T) {
 
 // TestStoreEntryStampRetentionPrune: entries are stamped with the
 // newest image that references them, and an entry whose stamp falls out
-// of manifest retention is pruned even from a shard file that survives
-// for other images — the stale shard file actually shrinks.
+// of manifest retention is pruned even from a region that survives for
+// other images — the snapshot's record count actually shrinks.
 func TestStoreEntryStampRetentionPrune(t *testing.T) {
 	root := t.TempDir()
 	st, err := LoadStore(root, "sys", "img@1")
@@ -414,14 +412,17 @@ func TestStoreEntryStampRetentionPrune(t *testing.T) {
 	if err := st.Save(map[string]bool{"a@rrrr": true, "b@rrrr": true}); err != nil {
 		t.Fatal(err)
 	}
-	shardPath := filepath.Join(root, "sys", "rrrr.json")
-	before, err := os.ReadFile(shardPath)
+	snapPath := filepath.Join(root, "sys", snapshotName)
+	before, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := snapshotKeys(t, before); !slices.Equal(got, []string{"a@rrrr", "b@rrrr"}) {
+		t.Fatalf("snapshot records %v, want a and b", got)
+	}
 
 	// maxImages-1 later images keep referencing only "a": img@1 stays
-	// retained, so the shared shard keeps "b" (stamped img@1).
+	// retained, so the shared region keeps "b" (stamped img@1).
 	for i := 2; i <= maxImages; i++ {
 		st, err := LoadStore(root, "sys", fmt.Sprintf("img@%d", i))
 		if err != nil {
@@ -440,7 +441,7 @@ func TestStoreEntryStampRetentionPrune(t *testing.T) {
 	}
 
 	// One more image evicts img@1's manifest; "b" can never replay
-	// again and must leave the shard file.
+	// again and must leave the snapshot.
 	st3, err := LoadStore(root, "sys", fmt.Sprintf("img@%d", maxImages+1))
 	if err != nil {
 		t.Fatal(err)
@@ -451,15 +452,18 @@ func TestStoreEntryStampRetentionPrune(t *testing.T) {
 	if _, ok := st3.Lookup("b@rrrr"); ok {
 		t.Fatal("entry survived eviction of every image that referenced it")
 	}
-	after, err := os.ReadFile(shardPath)
+	after, err := os.ReadFile(snapPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(string(after), "straggler") {
 		t.Fatal("pruned entry still on disk")
 	}
+	if got := snapshotKeys(t, after); !slices.Equal(got, []string{"a@rrrr"}) {
+		t.Fatalf("snapshot records %v after the prune, want only a", got)
+	}
 	if len(after) >= len(before) {
-		t.Fatalf("stale shard file did not shrink: %d -> %d bytes", len(before), len(after))
+		t.Fatalf("snapshot did not shrink: %d -> %d bytes", len(before), len(after))
 	}
 	st4, err := LoadStore(root, "sys", "probe2")
 	if err != nil {

@@ -50,8 +50,8 @@ func (m *MultiResult) CrashBugs() []controller.Bug {
 // impact.go), then schedules the remaining candidates in
 // coverage-guided batches and persists their outcomes. All configs
 // share the caller's execution fleet (by convention: a Session passes
-// one fleet to every config) and one store root: LoadStore keys shards
-// by system name, so the configs' Store fields may all point at the
+// one fleet to every config) and one store root: LoadStore keys store
+// directories by system name, so the configs' Store fields may all point at the
 // same directory.
 //
 // Scheduling interleaves batches across systems by expected coverage
@@ -68,7 +68,7 @@ func (m *MultiResult) CrashBugs() []controller.Bug {
 // budget, when positive, bounds the total tests executed across all
 // systems; replayed store hits are free. Cancellation is honored
 // between test runs: every started batch's outcomes are saved —
-// drained remote responses included — no shard is ever torn, and the
+// drained remote responses included — no snapshot is ever torn, and the
 // partial MultiResult comes back with ctx.Err(), so an interrupted
 // session is fully resumable.
 func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, error) {
@@ -79,7 +79,7 @@ func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, err
 		if seen[name] {
 			// Two runs of one system would double-execute its whole
 			// candidate space and race their Store instances over the
-			// same shard directory.
+			// same store directory.
 			return nil, fmt.Errorf("explore: duplicate system %q in cross-system explore", name)
 		}
 		seen[name] = true

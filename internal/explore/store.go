@@ -1,48 +1,63 @@
 package explore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 
 	"lfi/internal/callgraph"
+	"lfi/internal/coverage"
 )
 
-// Store is the persistent campaign store: a shard directory, not one
-// JSON document. Outcomes are keyed by scenario content hash plus
-// targeted-code-region hash ("scenarioHash@codeHash"), and every code
-// region gets its own shard file:
+// Store is the persistent campaign store. Outcomes are keyed by
+// scenario content hash plus targeted-code-region hash
+// ("scenarioHash@codeHash"), and each system keeps three files:
 //
-//	<dir>/<system>/index.json            image manifests (newest first)
-//	<dir>/<system>/<codeHash>.json       one shard per targeted region
-//	<dir>/<system>/journal               outcomes recorded since the last Save
+//	<dir>/<system>/index.json   image manifests (newest first), JSON
+//	<dir>/<system>/snapshot     every entry, one record per key, sorted
+//	<dir>/<system>/journal      records appended since the last Save
 //
-// The layout buys two properties the single document could not offer:
+// A region (the @codeHash half of a key) is what the manifests list,
+// never a file name, which buys two properties:
 //
 //   - Stores from multiple image versions coexist. Each image version
-//     saves a manifest naming the shards its candidate set references;
-//     regions the versions share point at the same shard, so entries
+//     saves a manifest naming the regions its candidate set references;
+//     versions that share a region share its entries, so entries
 //     migrate forward for free when only untargeted code changed, and a
-//     shard is deleted only when no retained manifest references it.
+//     region's entries are dropped only when no retained manifest
+//     references it.
 //   - A code change to one application function moves that function's
-//     region hash, so exactly one shard is invalidated; everything else
-//     replays untouched.
+//     region hash, so exactly that region is invalidated; everything
+//     else replays untouched.
+//
+// The snapshot and the journal share one binary record (appendRecord,
+// decodeRecord) inside one frame: uint32 LE body length, uint32 LE
+// CRC-32 (IEEE) of the body, the body. A record's coverage is a bitset
+// over a block-ID table declared once: the snapshot's header frame
+// holds its table, and the journal carries a table frame before the
+// first record over each table.
 //
 // Persistence has two speeds. Append, once per batch, writes the
-// batch's outcomes to the journal as framed records in one O_APPEND
-// write. Save, once per session, is the compaction point: it rewrites
-// the dirty shards and index.json, each through a temp file and an
-// atomic rename, and only then removes the journal. LoadStore replays
-// the journal over the shards and ignores stray .tmp files, unparsable
-// shards and a torn journal tail, so a killed campaign loses at most
+// batch's records to the journal in one O_APPEND write. Save, once per
+// session, is the compaction point: it writes the snapshot (only when
+// an entry changed) and index.json (only when its bytes changed), each
+// through a temp file and an atomic rename, and only then removes the
+// journal. LoadStore replays the journal over the snapshot and ignores
+// stray .tmp files, a torn snapshot or journal tail past its last whole
+// record, and an unparsable index, so a killed campaign loses at most
 // the batch it was writing.
+//
+// Stores of the previous format — indented <codeHash>.json shards and
+// journal records with JSON bodies — load through the same loader; the
+// first Save rewrites them into the snapshot and removes the shards.
 type Store struct {
 	dir    string // <root>/<system>
 	system string
@@ -52,18 +67,34 @@ type Store struct {
 	// (Append, FlushDirty, Save, SaveSummaries), which hold it across
 	// their IO: no Put or append can land between a snapshot and the
 	// journal removal that follows it.
-	mu     sync.Mutex
-	shards map[string]*shard // codeHash -> entries
-	index  storeIndex
-	// journal is the journal file Append opened, until the next flush
-	// closes it.
-	journal *os.File
+	mu      sync.Mutex
+	entries map[string]Entry // candidate key -> outcome
+	// loaded lists, once each, the keys read from disk (vs Put this run).
+	loaded []string
+	// dirty reports entries the snapshot on disk does not hold as they
+	// are in memory.
+	dirty bool
+	index storeIndex
+	// indexData is index.json as last read or written: an index write
+	// that would not change it is skipped.
+	indexData []byte
 	// indexed reports a manifest on disk: index.json loaded, or written
-	// since. Append saves first while it is false.
+	// since. Append writes one first while it is false.
 	indexed bool
-	// jbuf holds the journal records of every Put since the last Append
-	// or flush; nil until the first Put.
-	jbuf []byte
+	// legacy lists the previous format's shard files found at load; the
+	// first flush that lands index.json removes them.
+	legacy []string
+
+	// journal is the journal file Append opened, until the next flush
+	// closes it; jsize is the length of its whole records at load, where
+	// the first Append cuts off a torn tail before appending.
+	journal *os.File
+	jsize   int64
+	// jbuf holds the journal frames of every Put since the last Append
+	// or flush; jtable is the table the journal's latest table frame
+	// (in jbuf or already written) declares.
+	jbuf   []byte
+	jtable *blockTable
 
 	// funcs is the current image's per-function fingerprint map,
 	// recorded into its manifest at Save — the impact metadata a later
@@ -82,23 +113,20 @@ type Store struct {
 	// them as migrated rather than invalidated.
 	adopted map[string]bool
 
-	// migrated/invalidated are computed by Save from the loaded sets:
+	// migrated/invalidated are computed by Save from the loaded keys:
 	// how many on-disk entries the current image's manifest still
 	// references vs how many it can no longer reach (stale code region,
-	// or pruned from an exclusive shard).
+	// or pruned from an exclusive region).
 	migrated    int
 	invalidated int
 }
 
-type shard struct {
-	entries map[string]Entry // scenarioHash -> outcome
-	loaded  map[string]bool  // entries read from disk (vs Put this run)
-	dirty   bool
-}
-
 // storeIndex is the on-disk index.json shape.
 type storeIndex struct {
-	System string          `json:"system"`
+	System string `json:"system"`
+	// Format is the store format the snapshot and journal are in; an
+	// index without it was written in the previous format.
+	Format int             `json:"format,omitempty"`
 	Images []imageManifest `json:"images"` // most recent save first
 	// Cost is the system's gain-per-run EWMA: the scheduling signal a
 	// resumed session starts from. An index written when this also held
@@ -107,11 +135,11 @@ type storeIndex struct {
 	Cost *gainEWMA `json:"cost,omitempty"`
 }
 
-// imageManifest names the shards one image version's candidate set
+// imageManifest names the regions one image version's candidate set
 // references, plus that image's per-function code fingerprints — the
 // impact metadata the resume path diffs against. Manifests written
 // before fingerprints existed load fine with Funcs nil; the resume path
-// then falls back to whole-shard invalidation.
+// then falls back to whole-region invalidation.
 type imageManifest struct {
 	Image  string            `json:"image"`
 	Shards []string          `json:"shards"`
@@ -129,89 +157,65 @@ type imageManifest struct {
 	Summaries callgraph.Summaries `json:"summaries,omitempty"`
 }
 
-// shardFile is the on-disk shape of one shard. Its region is its file
-// name, never a field inside it: a base name cannot carry a path
-// separator, so no shard can point Save outside the store.
-type shardFile struct {
-	System  string           `json:"system"`
-	Entries map[string]Entry `json:"entries"`
-}
-
 // Entry is one cached scenario outcome.
 type Entry struct {
-	Name       string   `json:"name"`
-	Failed     bool     `json:"failed,omitempty"`
-	Signature  string   `json:"signature,omitempty"`
-	Blocks     []string `json:"blocks,omitempty"` // all blocks the run covered
-	Injections int      `json:"injections,omitempty"`
+	Name       string
+	Failed     bool
+	Signature  string
+	Injections int
 	// Image is the newest image version whose candidate set referenced
 	// this entry (stamped by Save). An entry whose image falls out of
-	// manifest retention is pruned from its shard file even when the
-	// shard itself survives for other images; "" (entries written
-	// before stamping existed) keeps the shard-level lifecycle.
-	Image string `json:"image,omitempty"`
+	// manifest retention is pruned even when its region survives for
+	// other images; "" (entries written before stamping existed) keeps
+	// the region-level lifecycle.
+	Image string
+
+	// cov is every block the run covered, as a bitset over table: bit i
+	// stands for table.ids[i]. A fresh outcome's table is the
+	// explorer's universe; entries decoded from one snapshot share its
+	// header's. A nil table is no coverage.
+	cov   coverage.Bitset
+	table *blockTable
 }
 
 // maxImages bounds how many image-version manifests a store retains;
-// shards referenced only by older manifests are garbage-collected on
+// entries of regions referenced only by older manifests are dropped on
 // Save.
 const maxImages = 8
 
-// The journal is a sequence of records, each a frame header — the body
-// length and the body's CRC-32 (IEEE), both uint32 little-endian —
-// followed by the body, a JSON journalRecord. A kill mid-write leaves a
-// torn last record: a short header, a short or corrupt body.
 const (
-	journalName   = "journal"
-	journalHeader = 8
+	// storeFormat is index.json's "format" and the snapshot header's
+	// version. An index without it was written in the previous format.
+	storeFormat  = 2
+	indexName    = "index.json"
+	snapshotName = "snapshot"
+	journalName  = "journal"
 )
 
-// maxShardName bounds a shard file name so that the temp file Save
-// renames over it (the name plus ".tmp" and CreateTemp's random
-// suffix) still fits a 255-byte file name.
-const maxShardName = 255 - len(".tmp4294967295")
-
-// journalRecord is one journaled outcome: the full candidate key, so
-// replay restores the entry exactly where Put placed it.
-type journalRecord struct {
-	Key   string `json:"key"`
-	Entry Entry  `json:"entry"`
-}
-
-// splitKey breaks a candidate key into its scenario-hash and
-// code-region components.
-func splitKey(key string) (scen, region string, ok bool) {
+// regionOf returns a candidate key's code-region component, and ok
+// false for a key without one.
+func regionOf(key string) (string, bool) {
 	i := strings.IndexByte(key, '@')
 	if i < 0 {
-		return "", "", false
+		return "", false
 	}
-	return key[:i], key[i+1:], true
+	return key[i+1:], true
 }
 
-// shardName reports whether region can name a shard file: <region>.json
-// is one base name in the store directory, and the loader reads it back
-// as region (not the index, not a temp file). Journal keys come from
-// disk, so replay drops a record whose region fails this — no forged
-// record can point Save outside the store.
-func shardName(region string) bool {
-	base := region + ".json"
-	return filepath.Base(base) == base && base != "index.json" && !strings.Contains(base, ".tmp") &&
-		!strings.ContainsRune(base, 0) && len(base) <= maxShardName
-}
-
-// LoadStore opens the sharded store rooted at path for one target
-// system and image version, creating nothing on disk until the first
-// flush. Loading a store written for a different system is refused —
-// saving would destroy that system's cache; shards of other image
-// versions of the same system are loaded and kept. Anything but a
-// directory at path is refused and left untouched.
+// LoadStore opens the store rooted at path for one target system and
+// image version, creating nothing on disk until the first flush.
+// Loading a store written for a different system is refused — saving
+// would destroy that system's cache — and so is one written in a newer
+// format; entries of other image versions of the same system are
+// loaded and kept. Anything but a directory at path is refused and left
+// untouched.
 func LoadStore(path, system, image string) (*Store, error) {
 	st := &Store{
-		dir:    filepath.Join(path, system),
-		system: system,
-		image:  image,
-		shards: make(map[string]*shard),
-		index:  storeIndex{System: system},
+		dir:     filepath.Join(path, system),
+		system:  system,
+		image:   image,
+		entries: make(map[string]Entry),
+		index:   storeIndex{System: system},
 	}
 	fi, err := os.Stat(path)
 	if os.IsNotExist(err) {
@@ -229,15 +233,18 @@ func LoadStore(path, system, image string) (*Store, error) {
 	return st, nil
 }
 
-// loadDir reads index.json and every parsable shard, then replays the
-// journal over them. Partial writes — stray .tmp files from a killed
-// campaign, or a shard that does not parse — are skipped, never loaded:
-// the worst case is re-executing the scenarios that shard cached.
+// loadDir reads index.json, then the entries, then replays the journal
+// over them. The entries come from the snapshot, or from the previous
+// format's shards when index.json is not in this format and shards are
+// present: then this format's Save never landed its index, so the
+// shards and the journal hold everything the snapshot would. Under an
+// index in this format, shards are leftovers of a conversion whose
+// index landed, and are not read.
 func (s *Store) loadDir() error {
-	data, err := os.ReadFile(filepath.Join(s.dir, "index.json"))
+	data, err := os.ReadFile(filepath.Join(s.dir, indexName))
 	switch {
 	case os.IsNotExist(err):
-		// No index (or none survived): shards found on disk are still
+		// No index (or none survived): entries found on disk are still
 		// usable, their keys self-identify.
 	case err != nil:
 		return fmt.Errorf("explore: store: %w", err)
@@ -248,80 +255,60 @@ func (s *Store) loadDir() error {
 				return fmt.Errorf("explore: store %s belongs to system %q, not %q — use a separate store path per target",
 					s.dir, idx.System, s.system)
 			}
+			if idx.Format > storeFormat {
+				return fmt.Errorf("explore: store %s is in format %d; this build reads formats up to %d", s.dir, idx.Format, storeFormat)
+			}
 			s.index = idx
 			s.index.System = s.system
 			s.indexed = true
+			s.indexData = data
 		}
 	}
+	current := s.indexed && s.index.Format == storeFormat
 	names, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
 	if err != nil {
 		return fmt.Errorf("explore: store: %w", err)
 	}
+	fromShards := false
 	for _, name := range names {
 		base := filepath.Base(name)
-		if base == "index.json" || strings.Contains(base, ".tmp") {
+		if base == indexName || strings.Contains(base, ".tmp") {
 			continue
 		}
-		data, err := os.ReadFile(name)
-		if err != nil {
+		if fi, err := os.Lstat(name); err != nil || !fi.Mode().IsRegular() {
 			continue
 		}
-		var sf shardFile
-		if err := json.Unmarshal(data, &sf); err != nil || sf.Entries == nil {
-			continue // partial/corrupt write: not loaded
+		s.legacy = append(s.legacy, name)
+		if !current && s.loadShard(name, strings.TrimSuffix(base, ".json")) {
+			fromShards = true
 		}
-		if sf.System != "" && sf.System != s.system {
-			continue
-		}
-		region := strings.TrimSuffix(base, ".json")
-		loaded := make(map[string]bool, len(sf.Entries))
-		for scen := range sf.Entries {
-			loaded[scen] = true
-		}
-		s.shards[region] = &shard{entries: sf.Entries, loaded: loaded}
 	}
+	if !fromShards {
+		data, err := os.ReadFile(filepath.Join(s.dir, snapshotName))
+		if err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("explore: store: %w", err)
+		}
+		s.loadSnapshot(data)
+	}
+	s.dirty = fromShards
 	data, err = os.ReadFile(filepath.Join(s.dir, journalName))
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("explore: store: %w", err)
 	}
-	s.replay(data)
+	text := string(data)
+	s.jsize = int64(s.replay(data, text, 0, &decoder{}))
+	if s.jsize > 0 {
+		s.dirty = true
+	}
 	return nil
 }
 
-// replay applies journal records over the loaded shards, in order, and
-// marks every shard it touches dirty so the next Save compacts it. The
-// first record with a short frame, a bad checksum or a body that does
-// not parse ends the replay: it is the torn tail of a killed batch, and
-// nothing after it was acknowledged. A replayed entry counts as loaded
-// from disk, exactly as it would had a snapshot held it.
-func (s *Store) replay(data []byte) {
-	for len(data) >= journalHeader {
-		n := binary.LittleEndian.Uint32(data)
-		if uint64(n) > uint64(len(data)-journalHeader) {
-			return
-		}
-		body := data[journalHeader : journalHeader+int(n)]
-		if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[4:]) {
-			return
-		}
-		var rec journalRecord
-		if json.Unmarshal(body, &rec) != nil {
-			return
-		}
-		data = data[journalHeader+int(n):]
-		scen, region, ok := splitKey(rec.Key)
-		if !ok || !shardName(region) {
-			continue
-		}
-		sh, ok := s.shards[region]
-		if !ok {
-			sh = &shard{entries: make(map[string]Entry), loaded: make(map[string]bool)}
-			s.shards[region] = sh
-		}
-		sh.entries[scen] = rec.Entry
-		sh.loaded[scen] = true
-		sh.dirty = true
+// load places an entry read from disk.
+func (s *Store) load(key string, e Entry) {
+	if _, had := s.entries[key]; !had {
+		s.loaded = append(s.loaded, key)
 	}
+	s.entries[key] = e
 }
 
 // Lookup returns the cached outcome for a candidate key.
@@ -329,17 +316,9 @@ func (s *Store) Lookup(key string) (Entry, bool) {
 	if s == nil {
 		return Entry{}, false
 	}
-	scen, region, ok := splitKey(key)
-	if !ok {
-		return Entry{}, false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sh, ok := s.shards[region]
-	if !ok {
-		return Entry{}, false
-	}
-	e, ok := sh.entries[scen]
+	e, ok := s.entries[key]
 	return e, ok
 }
 
@@ -359,40 +338,35 @@ func (s *Store) Adopt(oldKey, newKey string, e Entry) {
 	s.mu.Unlock()
 }
 
-// Put records one outcome, marks its shard dirty, and stages its
-// journal record for the next Append.
+// Put records one outcome and stages its journal record — after a
+// table frame when its coverage is over another table than the last
+// record's — for the next Append.
 func (s *Store) Put(key string, e Entry) {
 	if s == nil {
 		return
 	}
-	scen, region, ok := splitKey(key)
-	if !ok {
+	if _, ok := regionOf(key); !ok {
 		return
 	}
-	// An Entry holds only strings, bools and ints: it always marshals.
-	body, _ := json.Marshal(journalRecord{Key: key, Entry: e})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sh, ok := s.shards[region]
-	if !ok {
-		sh = &shard{entries: make(map[string]Entry)}
-		s.shards[region] = sh
+	s.entries[key] = e
+	s.dirty = true
+	if e.table != nil && e.table != s.jtable {
+		s.jbuf = appendFrame(s.jbuf, func(b []byte) []byte { return appendTable(append(b, tagTable), e.table) })
+		s.jtable = e.table
 	}
-	sh.entries[scen] = e
-	sh.dirty = true
-	s.jbuf = binary.LittleEndian.AppendUint32(s.jbuf, uint32(len(body)))
-	s.jbuf = binary.LittleEndian.AppendUint32(s.jbuf, crc32.ChecksumIEEE(body))
-	s.jbuf = append(s.jbuf, body...)
+	s.jbuf = appendRecord(s.jbuf, key, &e, e.cov)
 }
 
 // Append is the per-batch persistence point: one write appends the
 // journal records of every outcome Put or Adopted since the last Append
 // to <system>/journal — no snapshot, no temp file, no rename. Like the
 // rename Save does, it survives a killed process, not a power loss. A
-// store with no manifest on disk is saved instead, so a killed first
-// session still leaves the fault profile and function fingerprints its
-// outcomes were produced under; currentKeys is the live candidate-key
-// set that Save takes.
+// store with no manifest on disk first writes index.json, so a killed
+// first session still leaves the fault profile and function
+// fingerprints its outcomes were produced under; currentKeys is the
+// live candidate-key set that Save takes.
 func (s *Store) Append(currentKeys map[string]bool) error {
 	if s == nil {
 		return nil
@@ -400,7 +374,10 @@ func (s *Store) Append(currentKeys map[string]bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.indexed {
-		return s.save(currentKeys)
+		s.manifest(currentKeys)
+		if err := s.writeIndex(); err != nil {
+			return err
+		}
 	}
 	if len(s.jbuf) == 0 {
 		return nil
@@ -413,237 +390,138 @@ func (s *Store) Append(currentKeys map[string]bool) error {
 		if err != nil {
 			return fmt.Errorf("explore: store: %w", err)
 		}
+		// Records appended behind a torn tail would never replay.
+		if err := f.Truncate(s.jsize); err != nil {
+			f.Close()
+			return fmt.Errorf("explore: store: %w", err)
+		}
 		s.journal = f
 	}
 	if _, err := s.journal.Write(s.jbuf); err != nil {
-		// The records stay staged and their shards dirty: the next
-		// flush writes them into snapshots.
+		// The records stay staged and the entries dirty: the next flush
+		// writes them into the snapshot.
 		return fmt.Errorf("explore: store: %w", err)
 	}
 	s.jbuf = s.jbuf[:0]
 	return nil
 }
 
-// FlushDirty writes every dirty shard's snapshot, then drops the
-// journal, whose records the snapshots now hold.
+// FlushDirty writes the snapshot when an entry changed, then drops the
+// journal, whose records the snapshot now holds.
 func (s *Store) FlushDirty() error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.flush(nil)
+	return s.flush(false)
 }
 
-// flush writes every dirty shard's snapshot, then index.json when idx
-// is non-nil, and only after both removes the journal: a kill anywhere
-// before that leaves the journal to replay over whatever snapshots
-// landed. Records staged for the next Append are dropped, since the
-// snapshots hold them. The caller holds mu.
-func (s *Store) flush(idx *storeIndex) error {
+// flush writes the snapshot when an entry changed, then index.json when
+// withIndex is set or one is on disk (or the previous format's shards
+// are, which only an index in this format retires), and only after both
+// removes the shards and the journal: a kill anywhere before that
+// leaves the journal to replay over whatever landed. Records staged for
+// the next Append are dropped, since the snapshot holds them. The
+// caller holds mu.
+func (s *Store) flush(withIndex bool) error {
 	if s.journal != nil {
 		// Write's error is the one that says whether records landed,
 		// and the next Append reopens the file: released on every path.
 		s.journal.Close()
 		s.journal = nil
 	}
-	regions := make([]string, 0, len(s.shards))
-	for region, sh := range s.shards {
-		if sh.dirty {
-			regions = append(regions, region)
-		}
-	}
-	sort.Strings(regions)
-	for _, region := range regions {
-		sh := s.shards[region]
-		if err := s.writeJSON(s.shardPath(region), shardFile{System: s.system, Entries: sh.entries}); err != nil {
+	if s.dirty {
+		if err := writeFile(filepath.Join(s.dir, snapshotName), s.snapshot()); err != nil {
 			return err
 		}
-		sh.dirty = false
+		s.dirty = false
 	}
-	s.jbuf = s.jbuf[:0]
-	if idx != nil {
-		if err := s.writeJSON(filepath.Join(s.dir, "index.json"), idx); err != nil {
+	s.jbuf, s.jtable = s.jbuf[:0], nil
+	if withIndex || s.indexed || len(s.legacy) > 0 {
+		if err := s.writeIndex(); err != nil {
 			return err
 		}
-		s.indexed = true
 	}
-	if err := os.Remove(filepath.Join(s.dir, journalName)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("explore: store: %w", err)
-	}
-	return nil
-}
-
-// Save is the end-of-session persistence point and the store's one
-// compaction: it updates the current image's manifest to the shards
-// currentKeys references, prunes entries and shards no retained image
-// version can ever match again, writes every dirty shard and the index,
-// and then removes the journal.
-func (s *Store) Save(currentKeys map[string]bool) error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.save(currentKeys)
-}
-
-// save is Save with mu held.
-func (s *Store) save(currentKeys map[string]bool) error {
-	// The current image's shard set and per-shard live key sets.
-	liveByRegion := make(map[string]map[string]bool)
-	for key := range currentKeys {
-		scen, region, ok := splitKey(key)
-		if !ok {
-			continue
-		}
-		set := liveByRegion[region]
-		if set == nil {
-			set = make(map[string]bool)
-			liveByRegion[region] = set
-		}
-		set[scen] = true
-	}
-	manifest := imageManifest{Image: s.image, Funcs: s.funcs, Profiles: s.profiles, Summaries: s.summaries}
-	if manifest.Summaries == nil {
-		// Keep summaries a previous session saved for this image: Save
-		// rebuilds the manifest, and not every caller recomputes them.
-		for _, m := range s.index.Images {
-			if m.Image == s.image {
-				manifest.Summaries = m.Summaries
-				break
-			}
-		}
-	}
-	for region := range liveByRegion {
-		manifest.Shards = append(manifest.Shards, region)
-	}
-	sort.Strings(manifest.Shards)
-
-	// Move/insert the manifest at the front, retain at most maxImages.
-	images := []imageManifest{manifest}
-	for _, m := range s.index.Images {
-		if m.Image != s.image && len(images) < maxImages {
-			images = append(images, m)
-		}
-	}
-	s.index.Images = images
-
-	// Stamp every entry the current image's candidate set references.
-	// The stamp is the entry-level analogue of the manifest: it names
-	// the newest image that can still replay the entry, so retention
-	// can prune per entry, not just per shard file.
-	for region, live := range liveByRegion {
-		sh, ok := s.shards[region]
-		if !ok {
-			continue
-		}
-		for scen, e := range sh.entries {
-			if live[scen] && e.Image != s.image {
-				e.Image = s.image
-				sh.entries[scen] = e
-				sh.dirty = true
-			}
-		}
-	}
-
-	// Shards shared with an older retained manifest may hold entries
-	// for candidate sets we cannot see; only shards exclusive to the
-	// current image are pruned entry-by-entry against the live set.
-	shared := make(map[string]bool)
-	for _, m := range s.index.Images[1:] {
-		for _, region := range m.Shards {
-			shared[region] = true
-		}
-	}
-	for region, live := range liveByRegion {
-		sh, ok := s.shards[region]
-		if !ok || shared[region] {
-			continue
-		}
-		for scen := range sh.entries {
-			if !live[scen] {
-				delete(sh.entries, scen)
-				sh.dirty = true
-			}
-		}
-	}
-
-	// Retention pruning for shared shards: an entry stamped with an
-	// image no retained manifest names can never replay again — drop it
-	// even though its shard file survives for other images, so stale
-	// shard files shrink instead of accreting dead entries. Unstamped
-	// entries (written before stamping existed) keep the conservative
-	// shard-level lifecycle.
-	retained := make(map[string]bool, len(s.index.Images))
-	for _, m := range s.index.Images {
-		retained[m.Image] = true
-	}
-	for _, sh := range s.shards {
-		for scen, e := range sh.entries {
-			if e.Image != "" && !retained[e.Image] {
-				delete(sh.entries, scen)
-				sh.dirty = true
-			}
-		}
-	}
-
-	// Compaction stats: of the entries that were on disk when the store
-	// was opened, how many the current image's manifest can still
-	// replay — in place, or adopted forward across an image edit by the
-	// stale-outcome rule — vs how many it can no longer reach (their
-	// code region changed, or they were pruned).
-	current := make(map[string]bool, len(manifest.Shards))
-	for _, region := range manifest.Shards {
-		current[region] = true
-	}
-	s.migrated, s.invalidated = 0, 0
-	for region, sh := range s.shards {
-		for scen := range sh.loaded {
-			if _, live := sh.entries[scen]; live && current[region] {
-				s.migrated++
-			} else if s.adopted[scen+"@"+region] {
-				s.migrated++
-			} else {
-				s.invalidated++
-			}
-		}
-	}
-
-	// Drop shards no retained manifest references.
-	referenced := make(map[string]bool)
-	for _, m := range s.index.Images {
-		for _, region := range m.Shards {
-			referenced[region] = true
-		}
-	}
-	var stale []string
-	for region := range s.shards {
-		if !referenced[region] {
-			stale = append(stale, region)
-			delete(s.shards, region)
-		}
-	}
-	for _, region := range stale {
-		if err := os.Remove(s.shardPath(region)); err != nil && !os.IsNotExist(err) {
+	for _, name := range s.legacy {
+		if err := os.Remove(name); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("explore: store: %w", err)
 		}
 	}
-	return s.flush(&s.index)
+	s.legacy = nil
+	if err := os.Remove(filepath.Join(s.dir, journalName)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("explore: store: %w", err)
+	}
+	s.jsize = 0
+	return nil
 }
 
-func (s *Store) shardPath(region string) string {
-	return filepath.Join(s.dir, region+".json")
+// snapshot encodes every entry: a header frame (magic, format, system,
+// and the table the records' coverage is over — the sorted union of
+// the entries' tables), then one record frame per entry, sorted by key.
+func (s *Store) snapshot() []byte {
+	keys := make([]string, 0, len(s.entries))
+	tables := make(map[*blockTable][]int) // table -> union position of each ID, nil if the union's own
+	var ids []string
+	for key, e := range s.entries {
+		keys = append(keys, key)
+		if _, seen := tables[e.table]; e.table != nil && !seen {
+			tables[e.table] = nil
+			ids = append(ids, e.table.ids...)
+		}
+	}
+	sort.Strings(keys)
+	union := newTable(ids)
+	for t := range tables {
+		if !slices.Equal(t.ids, union.ids) {
+			pos := make([]int, len(t.ids))
+			for i, id := range t.ids {
+				pos[i], _ = slices.BinarySearch(union.ids, id)
+			}
+			tables[t] = pos
+		}
+	}
+	b := appendFrame(make([]byte, 0, 128*len(s.entries)), func(b []byte) []byte {
+		b = binary.AppendUvarint(append(b, snapshotMagic...), storeFormat)
+		return appendTable(appendString(b, s.system), union)
+	})
+	scratch := coverage.NewBitset(len(union.ids))
+	for _, key := range keys {
+		e := s.entries[key]
+		cov := e.cov
+		if pos := tables[e.table]; pos != nil {
+			scratch.Reset()
+			e.cov.Range(func(i int) { scratch.Set(pos[i]) })
+			cov = scratch
+		}
+		b = appendRecord(b, key, &e, cov)
+	}
+	return b
 }
 
-// writeJSON writes v crash-safely: marshal, write a unique temp file in
-// the target directory, rename over the destination. A kill between
-// the two steps leaves only an ignorable .tmp file.
-func (s *Store) writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
+// writeIndex writes index.json in this format, unless its bytes would
+// not change.
+func (s *Store) writeIndex() error {
+	s.index.Format = storeFormat
+	data, err := json.Marshal(s.index)
 	if err != nil {
 		return fmt.Errorf("explore: store: %w", err)
 	}
+	data = append(data, '\n')
+	if !bytes.Equal(data, s.indexData) {
+		if err := writeFile(filepath.Join(s.dir, indexName), data); err != nil {
+			return err
+		}
+		s.indexData = data
+	}
+	s.indexed = true
+	return nil
+}
+
+// writeFile replaces path with data crash-safely: a unique temp file in
+// the same directory, then a rename over path. A kill between the two
+// leaves only a .tmp file, which the loader never reads.
+func writeFile(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("explore: store: %w", err)
@@ -652,7 +530,7 @@ func (s *Store) writeJSON(path string, v any) error {
 	if err != nil {
 		return fmt.Errorf("explore: store: %w", err)
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -663,6 +541,114 @@ func (s *Store) writeJSON(path string, v any) error {
 		return fmt.Errorf("explore: store: %w", err)
 	}
 	return nil
+}
+
+// Save is the end-of-session persistence point and the store's one
+// compaction: it updates the current image's manifest to the regions
+// currentKeys references, prunes entries no retained image version can
+// ever match again, writes the snapshot and the index, and then removes
+// the journal. Neither file is rewritten when its bytes would not
+// change, so a converged resume writes nothing.
+func (s *Store) Save(currentKeys map[string]bool) error {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.save(currentKeys)
+}
+
+// manifest moves the current image's manifest, rebuilt over the
+// regions currentKeys references, to the front of the index, retains at
+// most maxImages, and returns those regions. The caller holds mu.
+func (s *Store) manifest(currentKeys map[string]bool) map[string]bool {
+	live := make(map[string]bool)
+	for key := range currentKeys {
+		if region, ok := regionOf(key); ok {
+			live[region] = true
+		}
+	}
+	m := imageManifest{Image: s.image, Funcs: s.funcs, Profiles: s.profiles, Summaries: s.summaries}
+	if m.Summaries == nil {
+		// Keep summaries a previous session saved for this image: Save
+		// rebuilds the manifest, and not every caller recomputes them.
+		for _, old := range s.index.Images {
+			if old.Image == s.image {
+				m.Summaries = old.Summaries
+				break
+			}
+		}
+	}
+	for region := range live {
+		m.Shards = append(m.Shards, region)
+	}
+	sort.Strings(m.Shards)
+	images := []imageManifest{m}
+	for _, old := range s.index.Images {
+		if old.Image != s.image && len(images) < maxImages {
+			images = append(images, old)
+		}
+	}
+	s.index.Images = images
+	return live
+}
+
+// save is Save with mu held.
+func (s *Store) save(currentKeys map[string]bool) error {
+	live := s.manifest(currentKeys)
+	// Regions shared with an older retained manifest may hold entries
+	// for candidate sets we cannot see; only regions exclusive to the
+	// current image are pruned entry-by-entry against the live set.
+	shared, referenced := make(map[string]bool), make(map[string]bool)
+	retained := make(map[string]bool, len(s.index.Images))
+	for i, m := range s.index.Images {
+		retained[m.Image] = true
+		for _, region := range m.Shards {
+			referenced[region] = true
+			shared[region] = shared[region] || i > 0
+		}
+	}
+	for key, e := range s.entries {
+		// Stamp every entry the current image's candidate set
+		// references: the stamp names the newest image that can still
+		// replay the entry, so retention can prune per entry, not just
+		// per region.
+		if currentKeys[key] {
+			if e.Image != s.image {
+				e.Image = s.image
+				s.entries[key] = e
+				s.dirty = true
+			}
+			continue
+		}
+		// Drop an entry whose region no retained manifest references, a
+		// dead entry of a region exclusive to the current image, and an
+		// entry stamped with an image no retained manifest names: it can
+		// never replay again, even though its region survives for other
+		// images. Unstamped entries (written before stamping existed)
+		// keep the region-level lifecycle.
+		region, _ := regionOf(key)
+		if !referenced[region] || (live[region] && !shared[region]) || (e.Image != "" && !retained[e.Image]) {
+			delete(s.entries, key)
+			s.dirty = true
+		}
+	}
+
+	// Compaction stats: of the entries that were on disk when the store
+	// was opened, how many the current image's manifest can still
+	// replay — in place, or adopted forward across an image edit by the
+	// stale-outcome rule — vs how many it can no longer reach (their
+	// code region changed, or they were pruned).
+	s.migrated, s.invalidated = 0, 0
+	for _, key := range s.loaded {
+		region, _ := regionOf(key)
+		if _, ok := s.entries[key]; ok && live[region] || s.adopted[key] {
+			s.migrated++
+		} else {
+			s.invalidated++
+		}
+	}
+	return s.flush(true)
 }
 
 // SetFuncHashes records the current image's per-function fingerprints;
@@ -731,10 +717,11 @@ func (s *Store) reusableSummaries(profiles map[string]string) (callgraph.Summari
 // rewriting only index.json — the lint path's persistence point. It
 // must not go through Save: Save rebuilds the current image's manifest
 // from a live candidate-key set, and lint has none, so a full Save
-// would disconnect the image's shards and let retention prune cached
-// outcomes. The image's existing manifest (shards, funcs, profiles) is
+// would disconnect the image's regions and let retention prune cached
+// outcomes. The image's existing manifest (regions, funcs, profiles) is
 // updated in place when present; otherwise a minimal manifest is
-// prepended under the usual retention bound.
+// prepended under the usual retention bound. An index whose bytes would
+// not change is not rewritten.
 func (s *Store) SaveSummaries(sums callgraph.Summaries, funcs, profiles map[string]string) error {
 	if s == nil {
 		return nil
@@ -765,11 +752,7 @@ func (s *Store) SaveSummaries(sums callgraph.Summaries, funcs, profiles map[stri
 		}
 		s.index.Images = images
 	}
-	if err := s.writeJSON(filepath.Join(s.dir, "index.json"), s.index); err != nil {
-		return err
-	}
-	s.indexed = true
-	return nil
+	return s.writeIndex()
 }
 
 // PriorProfileHashes returns the profile fingerprints of the most
@@ -835,15 +818,26 @@ func (s *Store) setGain(g gainEWMA) {
 	s.index.Cost = &g
 }
 
-// Shards returns the in-memory shard regions, sorted (tests, CLI).
+// Shards returns the code regions holding entries, sorted (tests, CLI).
 func (s *Store) Shards() []string {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.shards))
-	for region := range s.shards {
+	return s.regions()
+}
+
+// regions returns the code regions holding entries, sorted. The caller
+// holds mu.
+func (s *Store) regions() []string {
+	set := make(map[string]bool)
+	for key := range s.entries {
+		region, _ := regionOf(key)
+		set[region] = true
+	}
+	out := make([]string, 0, len(set))
+	for region := range set {
 		out = append(out, region)
 	}
 	sort.Strings(out)
@@ -854,14 +848,14 @@ func (s *Store) Shards() []string {
 // per-store report.
 type StoreStats struct {
 	System  string
-	Shards  int // shard files retained (one per targeted code region)
+	Shards  int // code regions holding entries
 	Images  int // retained image-version manifests
-	Entries int // cached outcomes across all shards
+	Entries int // cached outcomes across all regions
 	// Migrated counts on-disk entries the current image's manifest
 	// still references: cache carried forward across image versions.
 	Migrated int
 	// Invalidated counts on-disk entries the current image can no
-	// longer reach — their code region changed (the shard may survive
+	// longer reach — their code region changed (the region may survive
 	// for older retained images) or they were pruned.
 	Invalidated int
 }
@@ -880,17 +874,14 @@ func (s *Store) Stats() StoreStats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := StoreStats{
+	return StoreStats{
 		System:      s.system,
-		Shards:      len(s.shards),
+		Shards:      len(s.regions()),
 		Images:      len(s.index.Images),
+		Entries:     len(s.entries),
 		Migrated:    s.migrated,
 		Invalidated: s.invalidated,
 	}
-	for _, sh := range s.shards {
-		st.Entries += len(sh.entries)
-	}
-	return st
 }
 
 // Images returns the retained image versions, most recent first.

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -9,39 +10,45 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+
+	"lfi/internal/system"
 )
 
 // TestStoreCrashSafePartialWrite pins the crash-safety satellite: every
 // write goes to a temp file first, so a killed campaign leaves at worst
-// a stray .tmp alongside intact shards — and a torn shard (simulated
-// here by truncating the file in place) is skipped on load, never
-// half-parsed into the campaign.
+// a stray .tmp next to an intact snapshot — and a torn snapshot or
+// previous-format shard (simulated here by truncating the file in
+// place) loads only what it holds whole, never half-parsed into the
+// campaign.
 func TestStoreCrashSafePartialWrite(t *testing.T) {
 	root := t.TempDir()
 	st, err := LoadStore(root, "sys", "img@1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put("good@aaaa", Entry{Name: "good"})
-	st.Put("torn@bbbb", Entry{Name: "torn"})
+	good := entryWith("good", "rec.a", "main.x")
+	st.Put("good@aaaa", good)
+	st.Put("torn@bbbb", entryWith("torn", "rec.b"))
 	if err := st.FlushDirty(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Simulate a kill mid-write: a partial .tmp for one shard, and a
-	// truncated (torn) second shard.
+	// Simulate a kill mid-write: a partial .tmp of the snapshot, and
+	// the snapshot itself torn inside its last record.
 	dir := filepath.Join(root, "sys")
-	if err := os.WriteFile(filepath.Join(dir, "aaaa.json.tmp123"), []byte(`{"system":"sys","entr`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	torn, err := os.ReadFile(filepath.Join(dir, "bbbb.json"))
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "bbbb.json"), torn[:len(torn)/2], 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, snapshotName+".tmp123"), snap[:len(snap)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), snap[:len(snap)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -49,14 +56,14 @@ func TestStoreCrashSafePartialWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st2.Lookup("good@aaaa"); !ok {
-		t.Fatal("intact shard lost")
+	if e, ok := st2.Lookup("good@aaaa"); !ok || !sameEntry(e, good) {
+		t.Fatalf("intact record lost or garbled: %+v, %v", e, ok)
 	}
 	if _, ok := st2.Lookup("torn@bbbb"); ok {
 		t.Fatal("partial write was loaded")
 	}
-	// A torn index must not take the shards down with it either.
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(`{"system":"sy`), 0o644); err != nil {
+	// A torn index must not take the snapshot down with it either.
+	if err := os.WriteFile(filepath.Join(dir, indexName), []byte(`{"system":"sy`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st3, err := LoadStore(root, "sys", "img@1")
@@ -64,7 +71,37 @@ func TestStoreCrashSafePartialWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, ok := st3.Lookup("good@aaaa"); !ok {
-		t.Fatal("torn index dropped intact shards")
+		t.Fatal("torn index dropped the intact snapshot")
+	}
+
+	// The same for a store in the previous format: an intact shard and
+	// a stray .tmp load, a torn shard does not, and neither does the
+	// snapshot of a conversion whose index never landed.
+	legacy := filepath.Join(t.TempDir(), "sys")
+	if err := os.MkdirAll(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	shard := []byte(`{"system":"sys","entries":{"good":{"name":"good","blocks":["main.x","rec.a"],"injections":1}}}`)
+	torn := []byte(`{"system":"sys","entries":{"torn":{"name":"torn","blocks":["rec.b"]}}}`)
+	for name, data := range map[string][]byte{
+		"aaaa.json":        shard,
+		"aaaa.json.tmp123": shard[:20],
+		"bbbb.json":        torn[:len(torn)/2],
+		snapshotName:       snap,
+	} {
+		if err := os.WriteFile(filepath.Join(legacy, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st4, err := LoadStore(filepath.Dir(legacy), "sys", "img@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := st4.Lookup("good@aaaa"); !ok || !sameEntry(e, good) {
+		t.Fatalf("intact shard lost or garbled: %+v, %v", e, ok)
+	}
+	if _, ok := st4.Lookup("torn@bbbb"); ok {
+		t.Fatal("torn shard (or the snapshot beside the shards) was loaded")
 	}
 }
 
@@ -194,8 +231,9 @@ func concurrentStoreWrites(t *testing.T, region func(w int) string) {
 
 // TestStoreJournalTornTail: a kill mid-append leaves the last record
 // torn at an arbitrary byte. Load must succeed at every cut inside that
-// record, with every earlier record (and the snapshot under them)
-// intact and the torn one absent.
+// record, with every earlier record intact and the torn one absent; and
+// a session appending after a torn tail cuts it off first, so its own
+// records replay.
 func TestStoreJournalTornTail(t *testing.T) {
 	root := t.TempDir()
 	st, err := LoadStore(root, "sys", "img@1")
@@ -203,27 +241,35 @@ func TestStoreJournalTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := map[string]bool{"a@rrrr": true, "b@rrrr": true, "c@ssss": true, "d@ssss": true}
-	// The first append of an unindexed store saves: a lands in a
-	// snapshot, the rest in the journal.
+	// The entries share one table, as an explorer's fresh outcomes do:
+	// the journal holds one table frame, then the four records (the
+	// first append of an unindexed store writes index.json, not a
+	// snapshot).
+	table := newTable([]string{"rec.a@rrrr", "rec.b@rrrr", "rec.c@ssss", "rec.d@ssss"})
+	want := map[string]Entry{}
 	for _, k := range []string{"a@rrrr", "b@rrrr", "c@ssss", "d@ssss"} {
-		st.Put(k, Entry{Name: k, Blocks: []string{"rec." + k}})
+		want[k] = Entry{Name: k, Injections: 1, table: table, cov: table.bits([]string{"rec." + k})}
+		st.Put(k, want[k])
 		if err := st.Append(keys); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := os.Stat(filepath.Join(root, "sys", snapshotName)); !os.IsNotExist(err) {
+		t.Fatalf("appending wrote a snapshot: %v", err)
 	}
 	path := filepath.Join(root, "sys", journalName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Locate the last record by walking the frames: three records.
-	last, records := 0, 0
-	for off := 0; off < len(data); records++ {
+	// Locate the last record by walking the frames.
+	last, frames := 0, 0
+	for off := 0; off < len(data); frames++ {
 		last = off
-		off += journalHeader + int(binary.LittleEndian.Uint32(data[off:]))
+		off += frameHeader + int(binary.LittleEndian.Uint32(data[off:]))
 	}
-	if records != 3 {
-		t.Fatalf("journal holds %d records, want 3", records)
+	if frames != 5 {
+		t.Fatalf("journal holds %d frames, want a table frame and 4 records", frames)
 	}
 	for cut := last; cut <= len(data); cut++ {
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
@@ -234,8 +280,8 @@ func TestStoreJournalTornTail(t *testing.T) {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		for _, k := range []string{"a@rrrr", "b@rrrr", "c@ssss"} {
-			if e, ok := st2.Lookup(k); !ok || e.Name != k {
-				t.Fatalf("cut %d: record %s lost (%+v)", cut, k, e)
+			if e, ok := st2.Lookup(k); !ok || !sameEntry(e, want[k]) {
+				t.Fatalf("cut %d: record %s lost or garbled (%+v)", cut, k, e)
 			}
 		}
 		if _, ok := st2.Lookup("d@ssss"); ok != (cut == len(data)) {
@@ -243,10 +289,10 @@ func TestStoreJournalTornTail(t *testing.T) {
 		}
 	}
 
-	// A full-length last record whose body still parses but no longer
+	// A full-length last record whose body still decodes but no longer
 	// matches its checksum is as torn as a short one.
 	forged := append([]byte(nil), data...)
-	copy(forged[last:], bytes.Replace(forged[last:], []byte(`"d@ssss"`), []byte(`"e@ssss"`), 1))
+	copy(forged[last:], bytes.Replace(forged[last:], []byte("d@ssss"), []byte("e@ssss"), 1))
 	if err := os.WriteFile(path, forged, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +305,136 @@ func TestStoreJournalTornTail(t *testing.T) {
 	}
 	if _, ok := st3.Lookup("c@ssss"); !ok {
 		t.Fatal("records before the corrupt one lost")
+	}
+
+	// The next session appends behind the torn tail: its record must
+	// replay, which it could not after the torn bytes.
+	if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st4, err := LoadStore(root, "sys", "img@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := entryWith("f@ssss", "rec.f")
+	st4.Put("f@ssss", f)
+	if err := st4.Append(keys); err != nil {
+		t.Fatal(err)
+	}
+	st5, err := LoadStore(root, "sys", "img@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := st5.Lookup("f@ssss"); !ok || !sameEntry(e, f) {
+		t.Fatalf("record appended after a torn tail lost: %+v, %v", e, ok)
+	}
+	if _, ok := st5.Lookup("d@ssss"); ok {
+		t.Fatal("torn record resurrected")
+	}
+}
+
+// TestStoreSnapshotTornTail is the snapshot analogue: a snapshot cut at
+// any byte loads whole or as its prefix of intact records, in key
+// order, and never yields a garbled entry; a record failing its
+// checksum ends the prefix.
+func TestStoreSnapshotTornTail(t *testing.T) {
+	root := t.TempDir()
+	st, err := LoadStore(root, "sys", "img@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]Entry{
+		"a@rrrr": entryWith("a", "rec.a", "main.m"),
+		"b@rrrr": {Name: "b", Failed: true, Signature: "workload: crash", Injections: 2},
+		"c@rrrr": entryWith("c", "rec.c"),
+		"d@ssss": entryWith("d", "rec.a", "rec.d", "rec.z"),
+		"e@ssss": {Name: "e", Injections: -1},
+	}
+	keys := map[string]bool{}
+	for k, e := range want {
+		st.Put(k, e)
+		keys[k] = true
+	}
+	if err := st.Save(keys); err != nil {
+		t.Fatal(err)
+	}
+	for k, e := range want {
+		e.Image = "img@1"
+		want[k] = e
+	}
+	var order []string
+	for k := range want {
+		order = append(order, k)
+	}
+	sort.Strings(order)
+	path := filepath.Join(root, "sys", snapshotName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotKeys(t, data); !slices.Equal(got, order) {
+		t.Fatalf("snapshot records %v, want %v", got, order)
+	}
+	prefix := func(what string, data []byte) int {
+		t.Helper()
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st2, err := LoadStore(root, "sys", "img@1")
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		n, gap := 0, false
+		for _, k := range order {
+			e, ok := st2.Lookup(k)
+			switch {
+			case !ok:
+				gap = true
+			case gap:
+				t.Fatalf("%s: %s loaded after a missing record", what, k)
+			case !sameEntry(e, want[k]):
+				t.Fatalf("%s: %s garbled: %+v, want %+v", what, k, e, want[k])
+			default:
+				n++
+			}
+		}
+		if got := st2.Stats().Entries; got != n {
+			t.Fatalf("%s: %d entries loaded, %d of them a prefix of the records", what, got, n)
+		}
+		return n
+	}
+	// ends[i] is where the header (i = 0) or record i ends: a cut at c
+	// must load exactly the records that end at or before it.
+	var ends []int
+	for off := 0; off < len(data); {
+		off += frameHeader + int(binary.LittleEndian.Uint32(data[off:]))
+		ends = append(ends, off)
+	}
+	for cut := 0; cut < len(data); cut++ {
+		whole := 0
+		for i, end := range ends[1:] {
+			if ends[0] <= cut && end <= cut {
+				whole = i + 1
+			}
+		}
+		if n := prefix(fmt.Sprintf("cut %d", cut), data[:cut]); n != whole {
+			t.Fatalf("cut %d: %d records loaded, want the %d whole ones", cut, n, whole)
+		}
+	}
+	if n := prefix("whole", data); n != len(order) {
+		t.Fatalf("whole snapshot loaded %d of %d records", n, len(order))
+	}
+	// Flip one byte inside the third record: only the two before it
+	// load.
+	third := 0
+	for off, i := 0, 0; i < 3; i++ {
+		off += frameHeader + int(binary.LittleEndian.Uint32(data[off:]))
+		third = off
+	}
+	flipped := append([]byte(nil), data...)
+	flipped[third+frameHeader+2] ^= 0x40
+	if n := prefix("flipped", flipped); n != 2 {
+		t.Fatalf("a corrupt third record left %d records loaded, want 2", n)
 	}
 }
 
@@ -367,11 +543,13 @@ func TestStoreOldCostIndex(t *testing.T) {
 	}
 }
 
-// TestStoreShardRegionIsFileName: a shard's region is its file name,
-// never a field inside the file. A shard claiming the region
-// "../../victim" must not make Save reach outside the store: the file
-// two directories above the system's shard directory survives, and the
-// unreferenced shard itself is what gets collected.
+// TestStoreShardRegionIsFileName: a previous-format shard's region is
+// its file name, never a field inside the file, and no region is ever
+// a path: a shard claiming the region "../../victim", and journal
+// records keyed into that region in both record encodings, must not
+// make Save reach outside the store. The file two directories above the
+// system's directory survives, the shard itself is retired, and the
+// forged region's entries, which no manifest references, are dropped.
 func TestStoreShardRegionIsFileName(t *testing.T) {
 	base := t.TempDir()
 	root := filepath.Join(base, "store")
@@ -384,12 +562,23 @@ func TestStoreShardRegionIsFileName(t *testing.T) {
 		t.Fatal(err)
 	}
 	evil := filepath.Join(dir, "evil.json")
-	if err := os.WriteFile(evil, []byte(`{"system":"minidb","region":"../../victim","entries":{}}`), 0o644); err != nil {
+	if err := os.WriteFile(evil, []byte(`{"system":"minidb","region":"../../victim","entries":{"x":{"name":"x"}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	forged := Entry{Name: "s"}
+	journal := appendRecord(nil, "s@../../victim", &forged, nil)
+	journal = append(journal, journalFrame(`{"key":"t@../../victim","entry":{"name":"t"}}`)...)
+	if err := os.WriteFile(filepath.Join(dir, journalName), journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := LoadStore(root, "minidb", "img@1")
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, k := range []string{"x@evil", "s@../../victim", "t@../../victim"} {
+		if _, ok := st.Lookup(k); !ok {
+			t.Fatalf("%s not loaded", k)
+		}
 	}
 	st.Put("s@rrrr", Entry{Name: "s"})
 	if err := st.Save(map[string]bool{"s@rrrr": true}); err != nil {
@@ -399,40 +588,130 @@ func TestStoreShardRegionIsFileName(t *testing.T) {
 		t.Fatalf("Save removed a file outside the store: %v", err)
 	}
 	if _, err := os.Stat(evil); !os.IsNotExist(err) {
-		t.Fatalf("unreferenced shard evil.json not collected: %v", err)
+		t.Fatalf("previous-format shard evil.json not retired: %v", err)
+	}
+	st2, err := LoadStore(root, "minidb", "img@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st2.Shards(); !slices.Equal(got, []string{"rrrr"}) {
+		t.Fatalf("regions after Save: %v, want only rrrr", got)
 	}
 }
 
 // journalFrame frames one journal record body: length and CRC-32
 // header, then the body.
 func journalFrame(body string) []byte {
-	out := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE([]byte(body)))
-	return append(out, body...)
+	return appendFrame(nil, func(b []byte) []byte { return append(b, body...) })
 }
 
-// FuzzStoreLoad feeds arbitrary bytes to LoadStore as index.json, as
-// one shard file and as the journal. Loading never panics and fails
-// only on a foreign-system index; a following Put + Save creates and
-// removes nothing outside the store directory and leaves no journal;
-// and a reload returns the Put entry.
+// entryWith returns an entry that covered blocks, over a table of its
+// own.
+func entryWith(name string, blocks ...string) Entry {
+	t := newTable(blocks)
+	return Entry{Name: name, Injections: 1, table: t, cov: t.bits(blocks)}
+}
+
+// sameEntry reports whether two entries are Lookup-equal: the same
+// fields and the same covered block IDs, whatever tables they are over.
+func sameEntry(a, b Entry) bool {
+	return a.Name == b.Name && a.Failed == b.Failed && a.Signature == b.Signature &&
+		a.Injections == b.Injections && a.Image == b.Image && slices.Equal(a.Blocks(), b.Blocks())
+}
+
+// snapshotKeys decodes a snapshot's records and returns their keys, in
+// file order; the header must name this format and system "sys".
+func snapshotKeys(t testing.TB, data []byte) []string {
+	t.Helper()
+	end, ok := frameAt(data, 0)
+	if !ok {
+		t.Fatal("snapshot header torn")
+	}
+	c := cursor{s: string(data[frameHeader:end])}
+	if c.take(len(snapshotMagic)) != snapshotMagic || c.uvarint() != storeFormat || c.str() != "sys" {
+		t.Fatalf("snapshot header %q", data[:end])
+	}
+	d := &decoder{table: c.table()}
+	var keys []string
+	for off := end; off < len(data); off = end {
+		if end, ok = frameAt(data, off); !ok || data[off+frameHeader] != tagRecord {
+			t.Fatalf("snapshot frame at %d torn or not a record", off)
+		}
+		key, _, ok := decodeRecord(string(data[off+frameHeader+1:end]), d)
+		if !ok {
+			t.Fatalf("snapshot record at %d does not decode", off)
+		}
+		keys = append(keys, key)
+	}
+	return keys
+}
+
+// fuzzSeeds is a real store's bytes: a snapshot with entries over two
+// tables, and a journal of binary records.
+func fuzzSeeds(f *testing.F) (snapshot, journal []byte) {
+	root := f.TempDir()
+	st, err := LoadStore(root, "minidb", "img@1")
+	if err != nil {
+		f.Fatal(err)
+	}
+	keys := map[string]bool{"a@rrrr": true, "b@rrrr": true, "c@ssss": true}
+	st.Put("a@rrrr", entryWith("a", "rec.a", "main.m"))
+	st.Put("b@rrrr", Entry{Name: "b", Failed: true, Signature: "sig", Injections: 1})
+	st.Put("c@ssss", entryWith("c", "rec.c"))
+	if err := st.Save(keys); err != nil {
+		f.Fatal(err)
+	}
+	st.Put("d@ssss", entryWith("d", "rec.d"))
+	if err := st.Append(keys); err != nil {
+		f.Fatal(err)
+	}
+	dir := filepath.Join(root, "minidb")
+	snapshot, err = os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	journal, err = os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return snapshot, journal
+}
+
+// FuzzStoreLoad feeds arbitrary bytes to LoadStore as index.json, as the
+// snapshot, as one previous-format shard file and as the journal.
+// Loading never panics and fails only on a foreign-system index or one
+// in a newer format; a following Put + Save creates and removes nothing
+// outside the store directory and leaves no journal; and a reload
+// returns the Put entry.
 func FuzzStoreLoad(f *testing.F) {
 	good := journalFrame(`{"key":"s@rrrr","entry":{"name":"x"}}`)
-	f.Add([]byte(`{"system":"minidb","images":[{"image":"img@1","shards":["rrrr"]}]}`),
+	f.Add([]byte(`{"system":"minidb","images":[{"image":"img@1","shards":["rrrr"]}]}`), []byte(nil),
 		[]byte(`{"system":"minidb","region":"../../victim","entries":{}}`), []byte(nil))
-	f.Add([]byte(`{"system":"other"}`), []byte(`{"system":"minidb","entries":{"s":{"name":"x","image":"img@0"}}}`), good)
-	f.Add([]byte(`null`), []byte(`{"entries":{"a":{"blocks":["rec.x"]}}`), []byte{})
+	f.Add([]byte(`{"system":"other"}`), []byte(nil), []byte(`{"system":"minidb","entries":{"s":{"name":"x","image":"img@0"}}}`), good)
+	f.Add([]byte(`null`), []byte(nil), []byte(`{"entries":{"a":{"blocks":["rec.x"]}}`), []byte{})
 	// A forged region, a torn length prefix, a bad checksum, a key
 	// without '@'.
-	f.Add([]byte(`null`), []byte(`{}`), journalFrame(`{"key":"s@../../victim","entry":{"name":"x"}}`))
-	f.Add([]byte(`null`), []byte(`{}`), append(good, 0x2a, 0))
+	f.Add([]byte(`null`), []byte(nil), []byte(`{}`), journalFrame(`{"key":"s@../../victim","entry":{"name":"x"}}`))
+	f.Add([]byte(`null`), []byte(nil), []byte(`{}`), append(good, 0x2a, 0))
 	bad := journalFrame(`{"key":"t@rrrr","entry":{"name":"y"}}`)
 	bad[4] ^= 0xff
-	f.Add([]byte(`null`), []byte(`{}`), append(append([]byte(nil), good...), bad...))
-	f.Add([]byte(`null`), []byte(`{}`), append(journalFrame(`{"key":"noat","entry":{}}`), good...))
+	f.Add([]byte(`null`), []byte(nil), []byte(`{}`), append(append([]byte(nil), good...), bad...))
+	f.Add([]byte(`null`), []byte(nil), []byte(`{}`), append(journalFrame(`{"key":"noat","entry":{}}`), good...))
 	// An index that still persists per-backend runs/sec.
-	f.Add(oldCostIndex(f), []byte(`{}`), good)
-	f.Fuzz(func(t *testing.T, index, shard, journal []byte) {
+	f.Add(oldCostIndex(f), []byte(nil), []byte(`{}`), good)
+	// A real snapshot and journal: whole, under an index in this format
+	// and in a newer one, torn, corrupt, beside a previous-format shard,
+	// and as each other's bytes.
+	snap, journal := fuzzSeeds(f)
+	current := []byte(`{"system":"minidb","format":2,"images":[{"image":"img@1","shards":["rrrr","ssss"]}]}`)
+	f.Add(current, snap, []byte(nil), journal)
+	f.Add([]byte(`{"system":"minidb","format":3}`), snap, []byte(nil), journal)
+	f.Add(current, snap[:len(snap)-7], []byte(nil), journal[:len(journal)-1])
+	flipped := append([]byte(nil), snap...)
+	flipped[len(flipped)/2] ^= 1
+	f.Add([]byte(`null`), flipped, []byte(`{"system":"minidb","entries":{"a":{"name":"x","blocks":["rec.a"]}}}`), journal)
+	f.Add(current, journal, []byte(nil), snap)
+	f.Fuzz(func(t *testing.T, index, snapshot, shard, journal []byte) {
 		base := t.TempDir()
 		root := filepath.Join(base, "store")
 		dir := filepath.Join(root, "minidb")
@@ -441,7 +720,8 @@ func FuzzStoreLoad(f *testing.F) {
 		}
 		for name, data := range map[string][]byte{
 			filepath.Join(base, "victim.json"): []byte("{}\n"),
-			filepath.Join(dir, "index.json"):   index,
+			filepath.Join(dir, indexName):      index,
+			filepath.Join(dir, snapshotName):   snapshot,
 			filepath.Join(dir, "fuzz.json"):    shard,
 			filepath.Join(dir, journalName):    journal,
 		} {
@@ -470,13 +750,16 @@ func FuzzStoreLoad(f *testing.F) {
 
 		st, err := LoadStore(root, "minidb", "img@1")
 		if err != nil {
-			var idx struct{ System string }
-			if json.Unmarshal(index, &idx) == nil && idx.System != "" && idx.System != "minidb" {
-				return // a foreign-system index is refused, by design
+			var idx struct {
+				System string
+				Format int
+			}
+			if json.Unmarshal(index, &idx) == nil && (idx.System != "" && idx.System != "minidb" || idx.Format > storeFormat) {
+				return // a foreign-system or newer-format index is refused, by design
 			}
 			t.Fatalf("LoadStore: %v", err)
 		}
-		want := Entry{Name: "probe", Blocks: []string{"rec.a"}, Injections: 1}
+		want := entryWith("probe", "rec.a")
 		st.Put("probe@rrrr", want)
 		if err := st.Save(map[string]bool{"probe@rrrr": true}); err != nil {
 			t.Fatalf("Save: %v", err)
@@ -493,8 +776,253 @@ func FuzzStoreLoad(f *testing.F) {
 		}
 		got, ok := st2.Lookup("probe@rrrr")
 		want.Image = "img@1"
-		if !ok || !reflect.DeepEqual(got, want) {
+		if !ok || !sameEntry(got, want) {
 			t.Fatalf("reload lost the Put entry: %+v, %v", got, ok)
 		}
 	})
+}
+
+// legacyReference decodes a previous-format system directory the way
+// the previous format's loader did: every <region>.json shard, then the
+// journal's JSON-body records up to the first torn one.
+func legacyReference(t *testing.T, dir string) map[string]legacyEntry {
+	t.Helper()
+	ref := make(map[string]legacyEntry)
+	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		base := filepath.Base(name)
+		if base == indexName {
+			continue
+		}
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sf struct {
+			Entries map[string]legacyEntry `json:"entries"`
+		}
+		if err := json.Unmarshal(data, &sf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for scen, e := range sf.Entries {
+			ref[scen+"@"+strings.TrimSuffix(base, ".json")] = e
+		}
+	}
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(data) >= 8 {
+		n := int(binary.LittleEndian.Uint32(data))
+		if n > len(data)-8 || crc32.ChecksumIEEE(data[8:8+n]) != binary.LittleEndian.Uint32(data[4:]) {
+			break
+		}
+		var rec struct {
+			Key   string      `json:"key"`
+			Entry legacyEntry `json:"entry"`
+		}
+		if json.Unmarshal(data[8:8+n], &rec) != nil {
+			break
+		}
+		ref[rec.Key] = rec.Entry
+		data = data[8+n:]
+	}
+	return ref
+}
+
+// sameAsLegacy reports whether an entry is Lookup-equal to its
+// previous-format decoding.
+func sameAsLegacy(e Entry, le legacyEntry) bool {
+	return e.Name == le.Name && e.Failed == le.Failed && e.Signature == le.Signature &&
+		e.Injections == le.Injections && e.Image == le.Image && slices.Equal(e.Blocks(), le.Blocks)
+}
+
+// TestStoreLegacyFixture loads a converged minidb store written in the
+// previous format (testdata/legacy_store: indented shards, index.json,
+// and a journal of two JSON-body records, both clearing an entry's
+// image stamp, the last one torn). Every entry loads Lookup-equal to
+// the previous format's own decoding — the intact journal record over
+// its shard entry, the torn one dropped — a default resume executes
+// nothing, and its Save retires the shards into a snapshot that
+// reloads entry for entry.
+func TestStoreLegacyFixture(t *testing.T) {
+	cfg := configFor(t, "minidb")
+	root := filepath.Join(t.TempDir(), "store")
+	copyDir(t, filepath.Join("testdata", "legacy_store"), root)
+	dir := filepath.Join(root, cfg.System)
+	ref := legacyReference(t, dir)
+	unstamped := 0
+	for _, le := range ref {
+		if le.Image == "" {
+			unstamped++
+		}
+	}
+	if len(ref) != 376 || unstamped != 1 {
+		t.Fatalf("fixture decodes to %d entries, %d unstamped; want the 376 of a converged minidb store, one unstamped by the intact journal record",
+			len(ref), unstamped)
+	}
+	image := ImageVersion(cfg.Binary)
+	check := func(what string, st *Store, image string) {
+		t.Helper()
+		if got := st.Stats().Entries; got != len(ref) {
+			t.Fatalf("%s: %d entries, want %d", what, got, len(ref))
+		}
+		for key, le := range ref {
+			if image != "" {
+				le.Image = image
+			}
+			if e, ok := st.Lookup(key); !ok || !sameAsLegacy(e, le) {
+				t.Fatalf("%s: %s = %+v (found %v), want %+v", what, key, e, ok, le)
+			}
+		}
+	}
+	st, err := LoadStore(root, cfg.System, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("previous-format load", st, "")
+
+	cfg.Store = root
+	res, err := exploreOne(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Executed != 0 || res.Replayed != len(ref) {
+		t.Fatalf("default resume on the fixture executed %d, replayed %d; want 0 and %d", res.Executed, res.Replayed, len(ref))
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range files {
+		names = append(names, f.Name())
+	}
+	if want := []string{indexName, snapshotName}; !slices.Equal(names, want) {
+		t.Fatalf("files after the first Save: %v, want %v", names, want)
+	}
+	st2, err := LoadStore(root, cfg.System, image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("reload after Save", st2, image)
+}
+
+// TestStoreNewFilesUnreadableByPreviousFormat lists the files of a
+// killed store (index and journal) and of a saved one (index and
+// snapshot): none is one the previous format's loader would parse as
+// entries. It reads every *.json but index.json as a shard, and every
+// journal body as JSON.
+func TestStoreNewFilesUnreadableByPreviousFormat(t *testing.T) {
+	killed, _ := killedStore(t, minidbConfig(t), 3)
+	cfg := minidbConfig(t)
+	cfg.Store = filepath.Join(t.TempDir(), "store")
+	if _, err := exploreOne(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range []string{killed, cfg.Store} {
+		dir := filepath.Join(root, cfg.System)
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != 2 {
+			t.Fatalf("%s holds %d files, want an index and a journal or a snapshot", dir, len(files))
+		}
+		for _, f := range files {
+			name := f.Name()
+			switch name {
+			case indexName:
+			case snapshotName:
+				if shard, _ := filepath.Match("*.json", name); shard {
+					t.Fatalf("the previous format would read %s as a shard", name)
+				}
+			case journalName:
+				data, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				frames := 0
+				for off := 0; off < len(data); frames++ {
+					end, ok := frameAt(data, off)
+					if !ok {
+						t.Fatalf("journal frame at %d torn", off)
+					}
+					var rec struct {
+						Key   string          `json:"key"`
+						Entry json.RawMessage `json:"entry"`
+					}
+					if json.Unmarshal(data[off+frameHeader:end], &rec) == nil {
+						t.Fatalf("the previous format would replay journal frame %d", frames)
+					}
+					off = end
+				}
+				if frames == 0 {
+					t.Fatal("killed store's journal is empty")
+				}
+			default:
+				t.Fatalf("unexpected file %s in %s", name, dir)
+			}
+		}
+	}
+}
+
+// TestStoreConvergedResumeWritesNothing: on every registered system,
+// sessions run until one executes nothing, and that session leaves
+// every path under the store root as it found it: no file rewritten
+// (same size and mtime), none created or removed, no .tmp file.
+func TestStoreConvergedResumeWritesNothing(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "store")
+	var cfgs []Config
+	for _, d := range system.All() {
+		cfg := ConfigForSystem(d)
+		cfg.Store = root
+		cfgs = append(cfgs, cfg)
+	}
+	state := func() map[string]string {
+		t.Helper()
+		paths := make(map[string]string)
+		err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+			if os.IsNotExist(err) && p == root {
+				return nil // before the first session
+			}
+			if err != nil {
+				return err
+			}
+			if strings.Contains(d.Name(), ".tmp") {
+				t.Fatalf("temp file %s under the store", p)
+			}
+			fi, err := d.Info()
+			if err != nil {
+				return err
+			}
+			paths[p] = fmt.Sprintf("%v %d %v", fi.Mode(), fi.Size(), fi.ModTime().UnixNano())
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths
+	}
+	for session := 1; session <= 5; session++ {
+		before := state()
+		res, err := Explore(context.Background(), 0, cfgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Executed > 0 {
+			continue
+		}
+		if res.Replayed == 0 {
+			t.Fatal("converged session replayed nothing")
+		}
+		if after := state(); !reflect.DeepEqual(before, after) {
+			t.Fatalf("session %d executed nothing but changed the store:\nbefore %v\nafter  %v", session, before, after)
+		}
+		return
+	}
+	t.Fatal("no session of five executed nothing")
 }

@@ -56,10 +56,16 @@ type Msg struct {
 // allocating a copy per datagram.
 var msgTypes = []string{TypeRequest, TypePrePrepare, TypePrepare, TypeCommit, TypeReply, TypeViewChange, TypeNewView}
 
-// Encode serializes the message: the bytes of json.Marshal, appended
-// directly (json.Marshal itself only for strings it would escape).
+// Encode serializes the message into a fresh buffer.
 func (m Msg) Encode() []byte {
-	e := distharness.NewFlatEncoder(80 + len(m.Type) + len(m.Client) + len(m.Op) + len(m.Digest) + len(m.Result))
+	return m.AppendTo(make([]byte, 0, 80+len(m.Type)+len(m.Client)+len(m.Op)+len(m.Digest)+len(m.Result)))
+}
+
+// AppendTo appends the message's encoding to b: the bytes of
+// json.Marshal, appended directly (json.Marshal itself only for strings
+// it would escape).
+func (m Msg) AppendTo(b []byte) []byte {
+	e := distharness.AppendFlat(b)
 	e.Str("t", m.Type, false)
 	e.Int("v", int64(m.View), true)
 	e.Int("n", int64(m.Seq), true)
@@ -69,14 +75,14 @@ func (m Msg) Encode() []byte {
 	e.Str("op", m.Op, true)
 	e.Str("d", m.Digest, true)
 	e.Str("res", m.Result, true)
-	if b, ok := e.Bytes(); ok {
-		return b
+	if out, ok := e.Bytes(); ok {
+		return out
 	}
-	b, err := json.Marshal(m)
+	j, err := json.Marshal(m)
 	if err != nil {
 		panic(fmt.Sprintf("pbft: marshal: %v", err))
 	}
-	return b
+	return append(b, j...)
 }
 
 // DecodeMsg parses one datagram; ok is false for garbage. The shape

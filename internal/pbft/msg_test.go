@@ -18,8 +18,9 @@ func referenceDecode(b []byte) (Msg, bool) {
 	return m, m.Type != ""
 }
 
-// checkCodec fails t unless Encode is json.Marshal on m and DecodeMsg
-// agrees with encoding/json on m's bytes and on raw.
+// checkCodec fails t unless Encode (and AppendTo after any prefix) is
+// json.Marshal on m and DecodeMsg agrees with encoding/json on m's
+// bytes and on raw.
 func checkCodec(t *testing.T, m Msg, raw []byte) {
 	t.Helper()
 	want, err := json.Marshal(m)
@@ -28,6 +29,14 @@ func checkCodec(t *testing.T, m Msg, raw []byte) {
 	}
 	if got := m.Encode(); !bytes.Equal(got, want) {
 		t.Fatalf("Encode(%#v) = %s, json.Marshal = %s", m, got, want)
+	}
+	// A replica encodes into a reused scratch buffer, stale bytes past
+	// its length: AppendTo keeps what the buffer holds and appends
+	// exactly the same bytes.
+	prefix := append([]byte("{}"), raw...)
+	scratch := append(bytes.Repeat([]byte{0xff}, len(prefix)+len(want)+16)[:0], prefix...)
+	if got := m.AppendTo(scratch); !bytes.Equal(got, append(prefix, want...)) {
+		t.Fatalf("AppendTo(%q, %#v) = %s, want the prefix then %s", prefix, m, got, want)
 	}
 	for _, b := range [][]byte{want, raw} {
 		got, ok := DecodeMsg(b)

@@ -88,6 +88,10 @@ type Replica struct {
 	pendingAt   time.Time // oldest unexecuted request observed at
 	halted      bool
 	executedN   int64
+	// out is the scratch each outgoing message is encoded in (sends
+	// come from one goroutine: the receive loop, or the harness's
+	// PollOnce); Reset keeps it, and sendto copies the datagram out.
+	out []byte
 
 	// crash is stored atomically: the panic that carries it may be
 	// raised while r.mu is held, so the recover path must not lock.
@@ -320,7 +324,8 @@ func (r *Replica) run() {
 // give the message up — in the release build silently, which is the
 // root of the view-change bug.
 func (r *Replica) send(dst string, m Msg) {
-	payload := m.Encode()
+	r.out = m.AppendTo(r.out[:0])
+	payload := r.out
 	attempts := 1
 	if r.Build != BuildDebug {
 		attempts = 1 + sendRetries

@@ -36,6 +36,9 @@ type Follower struct {
 	log    []string
 	commit int
 	polls  int
+	// out is the scratch each outgoing message is encoded in; Reset
+	// keeps it, and sendto copies the datagram out of it.
+	out []byte
 }
 
 // NewFollower creates follower id, bound to the shared network.
@@ -152,7 +155,8 @@ func (f *Follower) PollOnce(buf []byte) bool {
 // times on failure (release build: a reply that cannot be delivered is
 // given up, never reported).
 func (f *Follower) send(dst string, m Msg) {
-	payload := m.Encode()
+	f.out = m.AppendTo(f.out[:0])
+	payload := f.out
 	for i := 0; i < 1+sendRetries; i++ {
 		pop := f.at("reply", "rp_sendto")
 		n := f.Th.Sendto(f.fd, payload, dst)

@@ -60,10 +60,16 @@ type Msg struct {
 // allocating a copy per datagram.
 var msgTypes = []string{TypeVoteReq, TypeVoteResp, TypeAppend, TypeAck}
 
-// Encode serializes the message: the bytes of json.Marshal, appended
-// directly (json.Marshal itself only for strings it would escape).
+// Encode serializes the message into a fresh buffer.
 func (m Msg) Encode() []byte {
-	e := distharness.NewFlatEncoder(64 + len(m.Type) + len(m.Op) + len(m.PrevOp))
+	return m.AppendTo(make([]byte, 0, 64+len(m.Type)+len(m.Op)+len(m.PrevOp)))
+}
+
+// AppendTo appends the message's encoding to b: the bytes of
+// json.Marshal, appended directly (json.Marshal itself only for strings
+// it would escape).
+func (m Msg) AppendTo(b []byte) []byte {
+	e := distharness.AppendFlat(b)
 	e.Str("t", m.Type, false)
 	e.Int("tm", int64(m.Term), true)
 	e.Int("f", int64(m.From), false)
@@ -71,14 +77,14 @@ func (m Msg) Encode() []byte {
 	e.Str("op", m.Op, true)
 	e.Str("po", m.PrevOp, true)
 	e.Int("c", int64(m.Commit), true)
-	if b, ok := e.Bytes(); ok {
-		return b
+	if out, ok := e.Bytes(); ok {
+		return out
 	}
-	b, err := json.Marshal(m)
+	j, err := json.Marshal(m)
 	if err != nil {
 		panic(fmt.Sprintf("raft: marshal: %v", err))
 	}
-	return b
+	return append(b, j...)
 }
 
 // DecodeMsg parses one datagram; ok is false for garbage. The shape

@@ -249,8 +249,8 @@ type (
 	// ExploreAllResult is a cross-system exploration's outcome — the
 	// Session.ExploreAll / `lfi explore -all` shape.
 	ExploreAllResult = explore.MultiResult
-	// StoreStats is a persistent store's compaction summary (shards,
-	// retained image versions, entries migrated vs invalidated).
+	// StoreStats is a persistent store's compaction summary (code
+	// regions, retained image versions, entries migrated vs invalidated).
 	StoreStats = explore.StoreStats
 	// ImpactSummary reports what the stale-outcome rule did on a
 	// resume after a code or fault-profile edit: functions diffed,

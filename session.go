@@ -85,7 +85,7 @@ type Session struct {
 type SessionOption func(*Session) error
 
 // WithStore sets the persistent store root shared by every system the
-// session explores (each system keeps its own shard directory under
+// session explores (each system keeps its own store directory under
 // it); "" disables persistence. NewSession verifies the root is
 // creatable and writable.
 func WithStore(root string) SessionOption {
@@ -331,7 +331,7 @@ func (s *Session) Lint(sys *System) (*LintReport, error) {
 // a code edit, cached outcomes the edit provably cannot reach migrate
 // forward and only the rest re-execute (whole-shard invalidation when
 // the edit cannot be bounded); after a fault-profile edit, the changed
-// callees' cached outcomes re-execute. Cancellation flushes the sharded
+// callees' cached outcomes re-execute. Cancellation flushes the
 // store cleanly — completed local runs and drained remote responses
 // included; only candidates that never ran are left for the next
 // session — and returns the partial result with ctx.Err(), so the next
