@@ -171,75 +171,160 @@ func RunN(workers, n int, run func(i int) (Outcome, error)) ([]Outcome, error) {
 // run granularity: in-flight tests finish (a test never observes a torn
 // process image), no new test starts afterwards, and the call returns
 // the contiguous prefix of completed outcomes together with ctx.Err().
+//
+// Runs execute on the process-wide set of long-lived workers (see
+// job.start), never on the caller, so a run's deep stack is grown once
+// per worker rather than once per call. A run that errors or panics
+// stops the call from starting higher indexes: every index below it
+// was already taken, so the contiguous prefix up to the first failure
+// is complete either way.
 func RunNContext(ctx context.Context, workers, n int, run func(i int) (Outcome, error)) ([]Outcome, error) {
-	if workers > n {
-		workers = n
+	if n <= 0 {
+		return []Outcome{}, nil
 	}
-	if workers <= 1 {
-		outcomes := make([]Outcome, 0, n)
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return outcomes, err
-			}
-			o, err := run(i)
-			if err != nil {
-				return outcomes, err
-			}
-			outcomes = append(outcomes, o)
+	j := jobs.Get().(*job)
+	j.ctx, j.n, j.run = ctx, n, run
+	j.next.Store(0)
+	j.stop.Store(false)
+	j.outcomes = make([]Outcome, n)
+	if cap(j.res) < n {
+		j.res = make([]result, n)
+	}
+	j.res = j.res[:n]
+	j.start(min(max(workers, 1), n))
+	j.wg.Wait()
+
+	outs, err := j.outcomes, ctx.Err()
+	for i := range j.res {
+		r := &j.res[i]
+		if r.panic != nil {
+			v := r.panic
+			j.release()
+			panic(v)
 		}
-		return outcomes, nil
+		if !r.done {
+			// Only cancellation or an earlier failure leaves gaps, and
+			// a failure returns above; report the prefix.
+			outs = outs[:i]
+			break
+		}
+		if r.err != nil {
+			outs, err = outs[:i], r.err
+			break
+		}
 	}
-	outcomes := make([]Outcome, n)
-	done := make([]bool, n)
-	errs := make([]error, n)
-	panics := make([]any, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	j.release()
+	return outs, err
+}
+
+// job is one RunNContext call, shared by the workers serving it. Jobs
+// are recycled, so a call allocates only the outcomes it returns.
+type job struct {
+	ctx  context.Context
+	n    int
+	run  func(i int) (Outcome, error)
+	next atomic.Int64 // the next index to take
+	stop atomic.Bool  // a run failed: take no further index
+
+	outcomes []Outcome
+	res      []result
+	wg       sync.WaitGroup
+}
+
+// result is how one index of a job ended.
+type result struct {
+	done  bool
+	err   error
+	panic any
+}
+
+var jobs = sync.Pool{New: func() any { return new(job) }}
+
+// release drops everything the finished call referenced and recycles
+// the job.
+func (j *job) release() {
+	clear(j.res)
+	j.ctx, j.run, j.outcomes = nil, nil, nil
+	jobs.Put(j)
+}
+
+// idle holds the parked workers' hand-off channels, most recently
+// parked last. Workers live as long as the process, like the pooled
+// process images and runtimes: a run grows a worker's stack to the
+// depth of RunOne once, and later calls reuse it, the warmest first.
+// A worker is added only when none is parked, so there are as many as
+// the most runs the process ever executed at once.
+var idle struct {
+	sync.Mutex
+	workers []chan *job
+}
+
+// start hands j to workers workers: parked ones first, fresh ones when
+// none is parked.
+func (j *job) start(workers int) {
+	j.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+		idle.Lock()
+		var next chan *job
+		if k := len(idle.workers); k > 0 {
+			next = idle.workers[k-1]
+			idle.workers = idle.workers[:k-1]
+		}
+		idle.Unlock()
+		if next != nil {
+			next <- j
+		} else {
+			go worker(j)
+		}
+	}
+}
+
+// worker serves jobs until the process exits. It parks itself before
+// it signals the job done, so a caller that starts its next call at
+// once finds it parked; the buffered hand-off never blocks start.
+func worker(j *job) {
+	next := make(chan *job, 1)
+	for {
+		j.work()
+		idle.Lock()
+		idle.workers = append(idle.workers, next)
+		idle.Unlock()
+		j.wg.Done()
+		j = <-next
+	}
+}
+
+// work takes indexes until none is left, the context is done or a run
+// failed. A panic is recorded for the caller to re-raise: it must not
+// kill the process from a worker, nor end the worker.
+func (j *job) work() {
+	for j.ctx.Err() == nil && !j.stop.Load() {
+		i := int(j.next.Add(1)) - 1
+		if i >= j.n {
+			return
+		}
+		func() {
+			r := &j.res[i]
+			defer func() {
+				if v := recover(); v != nil {
+					r.panic = v
+					j.stop.Store(true)
 				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panics[i] = r
-						}
-					}()
-					outcomes[i], errs[i] = run(i)
-					done[i] = true
-				}()
+			}()
+			j.outcomes[i], r.err = j.run(i)
+			r.done = true
+			if r.err != nil {
+				j.stop.Store(true)
 			}
 		}()
 	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if panics[i] != nil {
-			panic(panics[i])
-		}
-		if !done[i] {
-			// Only cancellation leaves gaps; report the prefix.
-			return outcomes[:i], ctx.Err()
-		}
-		if errs[i] != nil {
-			return outcomes[:i], errs[i]
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return outcomes, err
-	}
-	return outcomes, nil
 }
 
 // CampaignParallel is Campaign on a worker pool: one test per scenario,
 // executed by up to workers goroutines, with outcomes returned in
 // scenario order. Runs are independent (fresh process image and runtime
 // each), so with a fixed seed the result is identical to the sequential
-// Campaign. workers <= 1 degrades to the sequential path.
+// Campaign. workers <= 1 runs the scenarios one at a time.
 func CampaignParallel(tgt Target, scenarios []*scenario.Scenario, workers int, opts ...core.Option) ([]Outcome, error) {
 	return RunNContext(context.Background(), workers, len(scenarios), func(i int) (Outcome, error) {
 		o, err := RunOne(tgt, scenarios[i], opts...)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -230,6 +231,32 @@ func TestRunNContextCancellation(t *testing.T) {
 		if o.Injections != i {
 			t.Fatalf("prefix slot %d holds run %d", i, o.Injections)
 		}
+	}
+}
+
+// TestRunNReusesWorkers: RunN's workers outlive the call, so repeated
+// calls, one at a time or several at once, start no goroutine beyond
+// the most runs ever in flight together, and a run's panic does not
+// cost the pool its worker.
+func TestRunNReusesWorkers(t *testing.T) {
+	noop := func(i int) (Outcome, error) { return Outcome{Injections: i}, nil }
+	RunN(4, 16, noop)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		RunN(1, 8, noop)
+		RunN(4, 16, noop)
+		func() {
+			defer func() { _ = recover() }()
+			RunN(4, 16, func(i int) (Outcome, error) {
+				if i == 3 {
+					panic("boom")
+				}
+				return Outcome{}, nil
+			})
+		}()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after 150 calls, %d before: workers were not reused", after, before)
 	}
 }
 

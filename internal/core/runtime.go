@@ -7,7 +7,8 @@
 // The runtime reproduces the evaluation rules of §4.3:
 //
 //   - the trigger list for the intercepted function is found in O(1),
-//     independent of scenario size (a map from function name);
+//     independent of scenario size (a touched-function bitset, then
+//     the rank of the function's bit);
 //   - triggers inside one <function> element are a conjunction evaluated
 //     in scenario order with short-circuiting;
 //   - repeated <function> elements for the same function form a
@@ -132,10 +133,11 @@ const evalShards = 16
 // overlay (live trigger instances, injection log, rng, counters) over
 // an immutable compiled Program.
 //
-// Scenario entries are compiled into a FuncID-indexed table plus a
-// bitset of touched functions: an intercepted call whose function has no
-// scenario entry bails out with two array reads, no map lookup and no
-// allocation.
+// Scenario entries are compiled into a bitset of touched functions
+// plus one entry slot per touched function: an intercepted call whose
+// function has no scenario entry bails out with two array reads, no map
+// lookup and no allocation, and a touched one finds its slot by the
+// rank of its bit.
 type Runtime struct {
 	prog      *Program
 	proc      *libsim.C
@@ -294,8 +296,8 @@ func (r *Runtime) Evals() uint64 {
 // TriggerInstance exposes a live trigger instance by id (tests use it to
 // reach stateful triggers). It forces initialization.
 func (r *Runtime) TriggerInstance(id string) (trigger.Trigger, error) {
-	i, ok := r.prog.declIdx[id]
-	if !ok {
+	i := r.prog.decl(id)
+	if i < 0 {
 		return nil, fmt.Errorf("core: no trigger instance %q", id)
 	}
 	return r.insts[i].get()
@@ -312,7 +314,7 @@ func (r *Runtime) Before(call *interpose.Call) interpose.Decision {
 	if w >= len(touched) || touched[w]&(1<<(uint(id)%64)) == 0 {
 		return interpose.Decision{}
 	}
-	ens := r.prog.entries[id]
+	ens := r.prog.group(id)
 	for i := range ens {
 		en := &ens[i]
 		if !r.evalEntry(en, call) {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lfi/internal/errno"
+	"lfi/internal/interpose"
 	"lfi/internal/libsim"
 	"lfi/internal/scenario"
 )
@@ -654,5 +655,69 @@ func TestCompileMemoizedOnScenario(t *testing.T) {
 	}
 	if _, err := Compile(bad); err == nil || bad.Compiled() != nil {
 		t.Fatalf("invalid scenario: err %v, memoized %v", err, bad.Compiled())
+	}
+}
+
+// TestCompileGroupsEntriesByFunction: the compiled table holds one
+// group per touched function, found by the rank of its bit even when
+// the FuncIDs span several bitset words, and each group keeps the
+// scenario order of its function's associations (the disjunction's
+// evaluation order). Trigger references resolve to their declarations.
+func TestCompileGroupsEntriesByFunction(t *testing.T) {
+	// Function names interned past the first 64-bit word.
+	var far []string
+	for i := 0; i < 70; i++ {
+		far = append(far, fmt.Sprintf("compile-groups-fn-%d", i))
+		interpose.Intern(far[i])
+	}
+	b := scenario.NewBuilder("groups")
+	a := b.Trigger("a", "CallCountTrigger", scenario.IntArgs("n", 1))
+	z := b.Trigger("z", "CallCountTrigger", scenario.IntArgs("n", 2))
+	order := []struct {
+		fn  string
+		ret int64
+		ref string
+	}{
+		{far[69], -1, a}, {"read", -2, z}, {far[3], -3, a}, {"read", -4, a}, {far[69], -5, z},
+	}
+	for _, o := range order {
+		b.Inject(o.fn, 0, o.ret, errno.EIO, o.ref)
+	}
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]int64{}
+	for _, o := range order {
+		want[o.fn] = append(want[o.fn], o.ret)
+	}
+	if len(p.entries) != len(want) {
+		t.Fatalf("%d entry groups, want %d", len(p.entries), len(want))
+	}
+	for fn, rets := range want {
+		id := interpose.Intern(fn)
+		if p.touched[int(id)/64]&(1<<(uint(id)%64)) == 0 {
+			t.Fatalf("%s (FuncID %d) not marked touched", fn, id)
+		}
+		var got []int64
+		for _, en := range p.group(id) {
+			got = append(got, en.retval)
+			if d := p.decls[en.refs[0].decl]; d.id != en.ids[0] {
+				t.Errorf("%s: reference %q resolved to declaration %q", fn, en.ids[0], d.id)
+			}
+		}
+		if !slices.Equal(got, rets) {
+			t.Errorf("%s: entries %v, want %v in scenario order", fn, got, rets)
+		}
+	}
+	if i := p.decl("z"); i != 1 {
+		t.Errorf("decl(z) = %d, want 1", i)
+	}
+	if i := p.decl("ghost"); i != -1 {
+		t.Errorf("decl(ghost) = %d, want -1", i)
 	}
 }

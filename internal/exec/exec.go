@@ -222,6 +222,10 @@ func IsBackendError(err error) bool {
 // existed. It resolves targets through the system registry.
 type Local struct {
 	workers int
+	// slots holds one token per running test. The width bounds the
+	// tests running at once across every concurrent Run, so two
+	// batches in flight share it instead of doubling it.
+	slots chan struct{}
 }
 
 // NewLocal returns the in-process backend with the given worker-pool
@@ -230,7 +234,7 @@ func NewLocal(workers int) *Local {
 	if workers <= 0 {
 		workers = 1
 	}
-	return &Local{workers: workers}
+	return &Local{workers: workers, slots: make(chan struct{}, workers)}
 }
 
 // Info reports the local backend's metadata.
@@ -257,6 +261,13 @@ func (l *Local) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	tgt := d.Target()
 	tgt.Coverage = b.Coverage
 	ctrl, err := controller.RunNContext(ctx, l.workers, len(b.Scenarios), func(i int) (controller.Outcome, error) {
+		select {
+		case l.slots <- struct{}{}:
+		case <-ctx.Done():
+			// Cancelled while waiting for a slot: the test never started.
+			return controller.Outcome{}, ctx.Err()
+		}
+		defer func() { <-l.slots }()
 		o, rerr := controller.RunOne(tgt, b.Scenarios[i], core.WithSeed(b.Seed))
 		if rerr != nil {
 			return o, fmt.Errorf("exec: scenario %q: %w", b.Scenarios[i].Name, rerr)

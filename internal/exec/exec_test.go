@@ -12,6 +12,7 @@ import (
 	"os"
 	osexec "os/exec"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
@@ -509,5 +510,60 @@ func TestFleetSplitSharesByCost(t *testing.T) {
 	}
 	if total != 32 {
 		t.Fatalf("split lost runs: %d of 32 assigned", total)
+	}
+}
+
+// TestLocalWidthSharedAcrossRuns: a Local's width bounds the tests
+// running at once across concurrent Runs. With every slot taken no
+// test starts, and a cancel while waiting returns no outcome and the
+// context's error; two concurrent Runs on a one-wide Local both return
+// the outcomes of a Run alone.
+func TestLocalWidthSharedAcrossRuns(t *testing.T) {
+	l := NewLocal(1)
+	b := &Batch{System: "minidb", Seed: 1, Coverage: true, Scenarios: testScenarios(t)[:4]}
+	alone, err := l.Run(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := marshalOutcomes(t, alone)
+
+	l.slots <- struct{}{} // every slot taken
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	var outs []*Outcome
+	go func() {
+		defer close(done)
+		outs, err = l.Run(ctx, b)
+	}()
+	select {
+	case <-done:
+		t.Fatal("Run returned while every slot was taken")
+	case <-time.After(50 * time.Millisecond):
+	}
+	cancel()
+	<-done
+	if len(outs) != 0 || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled while waiting for a slot: %d outcomes, err %v; want 0, context.Canceled", len(outs), err)
+	}
+	<-l.slots
+
+	var got [2][]*Outcome
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = l.Run(context.Background(), b)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !bytes.Equal(marshalOutcomes(t, got[i]), want) {
+			t.Fatalf("concurrent Run %d differs from a Run alone", i)
+		}
 	}
 }

@@ -353,52 +353,60 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 			retry  []chunk
 			failed []Executor
 		)
-		for _, d := range wave {
-			e, c := d.e, d.c
-			wg.Add(1)
-			go func(e Executor, c chunk) {
-				defer wg.Done()
-				sub := &Batch{System: b.System, Seed: b.Seed, Coverage: b.Coverage, Image: b.Image, RequireImage: b.RequireImage, Scenarios: b.Scenarios[c.off:c.end]}
-				if b.Observe != nil {
-					sub.Observe = func(i int, o *Outcome) {
-						f.obsMu.Lock()
-						defer f.obsMu.Unlock()
-						b.Observe(c.off+i, o)
-					}
+		do := func(e Executor, c chunk) {
+			sub := &Batch{System: b.System, Seed: b.Seed, Coverage: b.Coverage, Image: b.Image, RequireImage: b.RequireImage, Scenarios: b.Scenarios[c.off:c.end]}
+			if b.Observe != nil {
+				sub.Observe = func(i int, o *Outcome) {
+					f.obsMu.Lock()
+					defer f.obsMu.Unlock()
+					b.Observe(c.off+i, o)
 				}
-				begin := time.Now()
-				got, err := e.Run(ctx, sub)
-				// A nested fleet answers aligned with nil holes, so the
-				// chunk's unfinished tail starts at its first gap.
-				done := len(got)
-				for i, o := range got {
-					if o == nil {
-						done = min(done, i)
-						continue
-					}
-					outs[c.off+i] = o
+			}
+			begin := time.Now()
+			got, err := e.Run(ctx, sub)
+			// A nested fleet answers aligned with nil holes, so the
+			// chunk's unfinished tail starts at its first gap.
+			done := len(got)
+			for i, o := range got {
+				if o == nil {
+					done = min(done, i)
+					continue
 				}
-				f.observeSpeed(b.System, e.Info(), done, time.Since(begin))
-				if err == nil || (ctx.Err() != nil && errors.Is(err, ctx.Err())) {
-					return
-				}
-				mu.Lock()
-				defer mu.Unlock()
-				if !IsBackendError(err) {
-					fatal = err
-					return
-				}
-				failed = append(failed, e)
-				switch rest := (chunk{off: c.off + done, end: c.end, attempts: c.attempts + 1}); {
-				case rest.off >= rest.end:
-				case rest.attempts >= maxAttempts:
-					fatal = err
-				default:
-					retry = append(retry, rest)
-				}
-			}(e, c)
+				outs[c.off+i] = o
+			}
+			f.observeSpeed(b.System, e.Info(), done, time.Since(begin))
+			if err == nil || (ctx.Err() != nil && errors.Is(err, ctx.Err())) {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if !IsBackendError(err) {
+				fatal = err
+				return
+			}
+			failed = append(failed, e)
+			switch rest := (chunk{off: c.off + done, end: c.end, attempts: c.attempts + 1}); {
+			case rest.off >= rest.end:
+			case rest.attempts >= maxAttempts:
+				fatal = err
+			default:
+				retry = append(retry, rest)
+			}
 		}
-		wg.Wait()
+		if len(wave) == 1 {
+			// One dispatch (a one-backend fleet, the local default): run
+			// it on the caller rather than a fresh goroutine per batch.
+			do(wave[0].e, wave[0].c)
+		} else {
+			for _, d := range wave {
+				wg.Add(1)
+				go func(d dispatch) {
+					defer wg.Done()
+					do(d.e, d.c)
+				}(d)
+			}
+			wg.Wait()
+		}
 		if failed != nil {
 			f.recover(failed)
 		}

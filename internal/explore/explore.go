@@ -137,6 +137,12 @@ type Candidate struct {
 	// key is Hash plus the targeted code region's hash — the store
 	// identity that invalidates the cached outcome when code changes.
 	key string
+	// base and pos are what score caches once ranked is set: the
+	// static part of the score and Block's position in the run's
+	// universe (-1: none).
+	ranked bool
+	base   float64
+	pos    int
 }
 
 // Config parametrizes one exploration run.
@@ -594,6 +600,9 @@ type explorer struct {
 	spawned     int
 	name        []byte // scratch a mutant's name is assembled in
 
+	// top is takeBatch's scratch: the best pending candidates.
+	top []ranked
+
 	// reval holds per-candidate re-validation boosts assigned by the
 	// stale-outcome rule: candidates whose cached outcome a code or
 	// fault-profile edit may have affected jump the queue (see
@@ -750,6 +759,29 @@ func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
 // already reached, and callees that recently produced new blocks or
 // new bug signatures are boosted.
 func (x *explorer) score(c *Candidate) float64 {
+	if !c.ranked {
+		c.base, c.pos = x.baseScore(c), -1
+		if c.Block != "" {
+			if p, ok := x.idx.Pos(c.Block); ok {
+				c.pos = p
+			}
+		}
+		c.ranked = true
+	}
+	s := c.base
+	if c.Block != "" {
+		if c.pos >= 0 && x.covered.Has(c.pos) {
+			s -= 50
+		} else {
+			s += 30
+		}
+	}
+	return s + x.reval[c.Hash] + x.boost[c.Callee]
+}
+
+// baseScore is the part of c's score that depends on c and the run's
+// static prior alone, so score computes it once per candidate.
+func (x *explorer) baseScore(c *Candidate) float64 {
 	var s float64
 	switch c.Kind {
 	case Vulnerable:
@@ -781,14 +813,7 @@ func (x *explorer) score(c *Candidate) float64 {
 		// call site tolerates a single fault, so the burst is aimed.
 		s = 46 - float64(c.From) - 0.5*float64(c.To-c.From)
 	}
-	if c.Block != "" {
-		if p, ok := x.idx.Pos(c.Block); ok && x.covered.Has(p) {
-			s -= 50
-		} else {
-			s += 30
-		}
-	}
-	return s + x.reval[c.Hash] + x.boost[c.Callee]
+	return s
 }
 
 func (x *explorer) reward(callee string) {
@@ -804,7 +829,7 @@ func (x *explorer) logf(format string, args ...any) {
 }
 
 // run is one system's in-flight exploration — the schedulable unit
-// the driver (Explore) interleaves steps of.
+// the driver (Explore) interleaves batches of.
 type run struct {
 	cfg     Config
 	x       *explorer
@@ -817,6 +842,8 @@ type run struct {
 	// batches pinned to build-matched backends (Batch.RequireImage).
 	reval []*Candidate
 	stall int
+	// flying is set while a launched batch of this run has not landed.
+	flying bool
 	// gain is the system's coverage yield per run, folded from this
 	// run's own batches (seeded from the store): the scheduling signal.
 	gain  gainEWMA
@@ -966,15 +993,26 @@ func (r *run) done() bool {
 	return len(r.pending)+len(r.reval) == 0 || r.stall >= r.cfg.StallBatches
 }
 
-// step schedules one batch, dispatches it across the execution fleet,
-// and appends its outcomes to the store's journal, so a mid-run error,
-// interrupt or kill loses nothing that completed: even a cancelled
-// batch's drained outcomes (local prefix, in-flight remote responses)
-// are folded, counted as executed and journaled, and only the
-// candidates that never ran go back to the queue. cap, when positive,
-// bounds the batch size (the driver passes its shared remaining
-// budget).
-func (r *run) step(ctx context.Context, cap int) error {
+// flight is one launched batch: its candidates, whether it is a pinned
+// re-validation batch, the dispatch, and its result, valid once done is
+// closed.
+type flight struct {
+	run     *run
+	batch   []*Candidate
+	require bool
+	ctx     context.Context
+	b       *exec.Batch
+	done    chan struct{}
+	outs    []*exec.Outcome
+	err     error
+}
+
+// launch takes the run's next batch and hands it to d, which dispatches
+// it across the execution fleet; land waits for it and folds it. cap,
+// when positive, bounds the batch size (the driver passes the budget
+// left after every in-flight batch's reservation). A run has at most
+// one batch in flight.
+func (r *run) launch(ctx context.Context, cap int, d *dispatcher) *flight {
 	size := batchSize
 	if cap > 0 && cap < size {
 		size = cap
@@ -982,23 +1020,49 @@ func (r *run) step(ctx context.Context, cap int) error {
 	// Mixed-build re-validations run first, pinned to build-matched
 	// backends: they are completed experiments waiting on a trusted
 	// executor — the cheapest path back to a fully-folded frontier.
-	require := len(r.reval) > 0
-	var batch []*Candidate
-	if require {
+	f := &flight{run: r, require: len(r.reval) > 0, ctx: ctx, done: make(chan struct{})}
+	if f.require {
 		if size > len(r.reval) {
 			size = len(r.reval)
 		}
-		batch, r.reval = r.reval[:size], r.reval[size:]
+		f.batch, r.reval = r.reval[:size], r.reval[size:]
 	} else {
-		batch, r.pending = r.x.takeBatch(r.pending, size)
+		f.batch, r.pending = r.x.takeBatch(r.pending, size)
 	}
+	scens := make([]*scenario.Scenario, len(f.batch))
+	for i, c := range f.batch {
+		scens[i] = c.Scenario
+	}
+	f.b = &exec.Batch{
+		System:       r.cfg.System,
+		Seed:         r.cfg.Seed,
+		Coverage:     true,
+		Scenarios:    scens,
+		Image:        r.x.imageVersion,
+		RequireImage: f.require,
+	}
+	r.flying = true
+	d.queue <- f
+	return f
+}
 
-	report, mutants, unrun, reval, err := r.x.runBatch(ctx, len(r.res.Batches), batch, r.store, require)
+// land waits for a launched batch, folds its outcomes and appends them
+// to the store's journal, so a mid-run error, interrupt or kill loses
+// nothing that completed: even a cancelled batch's drained outcomes
+// (local prefix, in-flight remote responses) are folded, counted as
+// executed and journaled, and only the candidates that never ran go
+// back to the queue. It returns the dispatch's error, else the
+// journal's.
+func (r *run) land(f *flight) error {
+	<-f.done
+	r.flying = false
+	report, mutants, unrun, reval := r.x.fold(len(r.res.Batches), f.batch, f.outs, r.store)
+	err := f.err
 	for _, m := range mutants {
 		r.keys[m.key] = true
 	}
 	r.pending = append(r.pending, mutants...)
-	if require {
+	if f.require {
 		// Candidates a pinned batch never ran still need a matched
 		// build; everything else requeues on the general queue.
 		r.reval = append(r.reval, unrun...)
@@ -1029,7 +1093,7 @@ func (r *run) step(ctx context.Context, cap int) error {
 	// bred candidates. Pinned re-validation batches are exempt both
 	// ways: they re-confirm known outcomes, which is neither progress
 	// nor a stall signal.
-	if require {
+	if f.require {
 		return nil
 	}
 	if len(report.NewBlocks) == 0 && len(report.NewBugs) == 0 && len(mutants) == 0 {
@@ -1093,20 +1157,65 @@ func (r *run) finish(runErr error) (*Result, error) {
 	return r.res, nil
 }
 
-// takeBatch removes the size highest-scoring candidates from pending.
-// Ties break on scenario name, so scheduling is deterministic.
+// takeBatch removes the size highest-ranked candidates from pending
+// and returns them, best first. The rank is score descending, then
+// scenario name ascending: a total order (names are unique within a
+// run), so the batch is exactly the head of a full sort, while each
+// candidate is scored once and only the batch is kept ordered. The
+// rest of pending keeps its order, which nothing reads.
 func (x *explorer) takeBatch(pending []*Candidate, size int) (batch, rest []*Candidate) {
-	sort.SliceStable(pending, func(i, j int) bool {
-		si, sj := x.score(pending[i]), x.score(pending[j])
-		if si != sj {
-			return si > sj
-		}
-		return pending[i].Scenario.Name < pending[j].Scenario.Name
-	})
-	if size > len(pending) {
-		size = len(pending)
+	size = min(size, len(pending))
+	if size <= 0 {
+		return nil, pending
 	}
-	return pending[:size], pending[size:]
+	// top holds the best candidates seen so far, best first; a
+	// candidate enters by insertion, evicting the last.
+	top := x.top[:0]
+	for i, c := range pending {
+		r := ranked{score: x.score(c), c: c, at: i}
+		if len(top) == size && !r.ahead(top[size-1]) {
+			continue
+		}
+		k := len(top)
+		if k < size {
+			top = append(top, r)
+		} else {
+			k--
+		}
+		for ; k > 0 && r.ahead(top[k-1]); k-- {
+			top[k] = top[k-1]
+		}
+		top[k] = r
+	}
+	x.top = top
+	batch = make([]*Candidate, len(top))
+	for i, r := range top {
+		batch[i] = r.c
+		pending[r.at] = nil
+	}
+	rest = pending[:0]
+	for _, c := range pending {
+		if c != nil {
+			rest = append(rest, c)
+		}
+	}
+	clear(pending[len(rest):])
+	return batch, rest
+}
+
+// ranked is a scored pending candidate and its index in pending.
+type ranked struct {
+	score float64
+	c     *Candidate
+	at    int
+}
+
+// ahead reports whether r ranks before o.
+func (r ranked) ahead(o ranked) bool {
+	if r.score != o.score {
+		return r.score > o.score
+	}
+	return r.c.Scenario.Name < o.c.Scenario.Name
 }
 
 // foreign resolves (memoized) the stale-outcome rule for a foreign
@@ -1144,31 +1253,18 @@ func mixedBound(s *impact.Set) string {
 	return fmt.Sprintf("%d changed fn, %d impacted blocks; unaffected outcomes adopt", len(s.Changed), len(s.Blocks))
 }
 
-// runBatch dispatches one batch across the execution fleet, then folds
-// coverage and failure deltas back into the scheduler state. Every
+// fold folds one landed batch's outcomes into the scheduler state:
+// coverage and failure deltas, store entries and window mutants. Every
 // completed outcome is folded even when the dispatch returned an error
 // — that is how a cancelled batch's drained remote responses land in
-// the store — and candidates the fleet never ran come back as unrun for
-// the caller to requeue. It also returns the window mutants bred from
-// this batch's worthy occurrence/window outcomes, plus the candidates
-// whose outcome came from a mixed-build worker and could not be proven
-// build-independent (reval) — the caller re-runs those on a
-// build-matched backend, which is what require requests.
-func (x *explorer) runBatch(ctx context.Context, index int, batch []*Candidate, store *Store, require bool) (report BatchReport, mutants, unrun, reval []*Candidate, err error) {
+// the store — and candidates the fleet never ran come back as unrun
+// for the caller to requeue. It also returns the window mutants bred
+// from this batch's worthy occurrence/window outcomes, plus the
+// candidates whose outcome came from a mixed-build worker and could
+// not be proven build-independent (reval) — the caller re-runs those
+// on a build-matched backend (Batch.RequireImage).
+func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, store *Store) (report BatchReport, mutants, unrun, reval []*Candidate) {
 	report = BatchReport{Index: index}
-	scens := make([]*scenario.Scenario, len(batch))
-	for i, c := range batch {
-		scens[i] = c.Scenario
-	}
-	outs, err := x.cfg.Exec.Run(ctx, &exec.Batch{
-		System:       x.cfg.System,
-		Seed:         x.cfg.Seed,
-		Coverage:     true,
-		Scenarios:    scens,
-		Image:        x.imageVersion,
-		RequireImage: require,
-	})
-
 	// Delta attribution is sequential in batch order, so results are
 	// independent of backend routing and worker interleaving — the
 	// executor equivalence property makes the outcomes themselves
@@ -1240,7 +1336,7 @@ func (x *explorer) runBatch(ctx context.Context, index int, batch []*Candidate, 
 	exec.Recycle(outs)
 	sort.Strings(report.NewBlocks)
 	report.Recovery = x.idx.Recovery(x.covered)
-	return report, mutants, unrun, reval, err
+	return report, mutants, unrun, reval
 }
 
 func candidateKeys(cands []*Candidate) map[string]bool {

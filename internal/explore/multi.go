@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"lfi/internal/controller"
@@ -43,6 +44,10 @@ func (m *MultiResult) CrashBugs() []controller.Bug {
 	return out
 }
 
+// inFlight is how many batches Explore keeps running at once: one
+// landing, one executing.
+const inFlight = 2
+
 // Explore is the exploration driver: one session over one or more
 // systems — a single-system run is the same loop over one config. For
 // each config it generates the candidate space, runs the coverage
@@ -65,12 +70,23 @@ func (m *MultiResult) CrashBugs() []controller.Bug {
 // local/pool/remote backends (exec.Fleet.Run), which decides where it
 // runs, never what runs.
 //
+// Up to inFlight batches run at once, never two of one system: while
+// the oldest lands (its outcomes folded, mutants bred, journal
+// appended), the next system's batch keeps the executor busy. Each
+// next system is chosen from the state in which every batch but the
+// newest in-flight one has landed — a fixed lag of one batch, so the
+// choice still depends on outcomes alone. A system's own batches stay
+// strictly serial, so an unbudgeted session's per-system results and
+// stores are those of running the systems one after another.
+//
 // budget, when positive, bounds the total tests executed across all
-// systems; replayed store hits are free. Cancellation is honored
-// between test runs: every started batch's outcomes are saved —
-// drained remote responses included — no snapshot is ever torn, and the
-// partial MultiResult comes back with ctx.Err(), so an interrupted
-// session is fully resumable.
+// systems; replayed store hits are free. A launched batch reserves its
+// size against the budget until it lands, and only what it ran stays
+// spent. Cancellation is honored between test runs: every in-flight
+// batch lands before the stores are saved — drained remote responses
+// included — no snapshot is ever torn, and the partial MultiResult
+// comes back with ctx.Err(), so an interrupted session is fully
+// resumable.
 func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, error) {
 	begin := time.Now()
 	seen := make(map[string]bool, len(cfgs))
@@ -106,18 +122,41 @@ func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, err
 		}
 		return total
 	}
-	for runErr == nil {
-		remaining := 0
-		if budget > 0 {
-			if remaining = budget - executed(); remaining <= 0 {
+	// flights are the launched batches, oldest first: at most inFlight,
+	// never two of one run. reserved is their summed size, held against
+	// the budget until they land.
+	var flights []*flight
+	reserved := 0
+	d := newDispatcher()
+	defer d.stop()
+	for {
+		for runErr == nil && len(flights) < inFlight {
+			remaining := 0
+			if budget > 0 {
+				if remaining = budget - executed() - reserved; remaining <= 0 {
+					break
+				}
+			}
+			r := nextRun(runs)
+			if r == nil {
 				break
 			}
+			f := r.launch(ctx, remaining, d)
+			reserved += len(f.batch)
+			flights = append(flights, f)
 		}
-		r := nextRun(runs)
-		if r == nil {
+		if len(flights) == 0 {
 			break
 		}
-		runErr = r.step(ctx, remaining)
+		// Land the oldest batch while the newer one runs. Errors and
+		// cancellation stop launching, but every in-flight batch still
+		// lands, so no completed outcome is lost.
+		f := flights[0]
+		flights = flights[1:]
+		reserved -= len(f.batch)
+		if err := f.run.land(f); runErr == nil {
+			runErr = err
+		}
 	}
 
 	res := &MultiResult{}
@@ -144,6 +183,36 @@ func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, err
 		return res, runErr
 	}
 	return res, nil
+}
+
+// dispatcher runs launched batches on inFlight goroutines that live for
+// the whole session, so a batch starts no goroutine whose stack must
+// grow again to the executor's depth.
+type dispatcher struct {
+	queue chan *flight
+	wg    sync.WaitGroup
+}
+
+func newDispatcher() *dispatcher {
+	d := &dispatcher{queue: make(chan *flight)}
+	d.wg.Add(inFlight)
+	for i := 0; i < inFlight; i++ {
+		go func() {
+			defer d.wg.Done()
+			for f := range d.queue {
+				f.outs, f.err = f.run.cfg.Exec.Run(f.ctx, f.b)
+				close(f.done)
+			}
+		}()
+	}
+	return d
+}
+
+// stop returns once every dispatcher goroutine has exited; every
+// launched batch must have landed.
+func (d *dispatcher) stop() {
+	close(d.queue)
+	d.wg.Wait()
 }
 
 // systemScore prices one more batch of r in expected new recovery
@@ -198,12 +267,13 @@ func (g gainEWMA) estimate(prior float64) float64 {
 }
 
 // nextRun picks the not-done run with the highest score, ties broken
-// by system name so scheduling is deterministic.
+// by system name so scheduling is deterministic. A run with a batch in
+// flight is not a choice: its next batch waits for that one's outcomes.
 func nextRun(runs []*run) *run {
 	var best *run
 	var bestScore float64
 	for _, r := range runs {
-		if r.done() {
+		if r.flying || r.done() {
 			continue
 		}
 		score := systemScore(r)

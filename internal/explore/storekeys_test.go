@@ -74,12 +74,14 @@ func TestStoreKeysGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		collect(r)
+		disp := newDispatcher()
 		for !r.done() {
-			if err := r.step(context.Background(), 0); err != nil {
+			if err := r.land(r.launch(context.Background(), 0, disp)); err != nil {
 				t.Fatal(err)
 			}
 			collect(r)
 		}
+		disp.stop()
 		res, err := r.finish(nil)
 		if err != nil {
 			t.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"lfi/internal/errno"
@@ -102,7 +103,10 @@ type Scenario struct {
 
 	canon     []byte
 	canonHash string
-	compiled  atomic.Value
+	// valid is set by Build, which validated the scenario before
+	// sealing it; Validate returns at once for such a scenario.
+	valid    bool
+	compiled atomic.Value
 }
 
 // Compiled returns the compiled form the first SetCompiled stored, or
@@ -180,8 +184,13 @@ func validateArgs(id string, a *trigger.Args) error {
 // Validate checks referential integrity and fault encodings: every
 // reftrigger resolves, trigger ids are unique, trigger classes exist in
 // the registry, every args tree is serializable, and every injecting
-// association has a decodable fault.
+// association has a decodable fault. A scenario Build returned passed
+// these checks before it was sealed, and is immutable since, so it is
+// not checked again; parsed and hand-built ones are.
 func (s *Scenario) Validate() error {
+	if s.valid {
+		return nil
+	}
 	seen := make(map[string]bool, len(s.Triggers))
 	for _, td := range s.Triggers {
 		if td.ID == "" {
@@ -191,7 +200,7 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("scenario: duplicate trigger id %q", td.ID)
 		}
 		seen[td.ID] = true
-		if _, err := trigger.New(td.Class); err != nil {
+		if err := checkClass(td.Class); err != nil {
 			return err
 		}
 		if err := validateArgs(td.ID, td.Args); err != nil {
@@ -217,6 +226,35 @@ func (s *Scenario) Validate() error {
 			}
 		}
 	}
+	return nil
+}
+
+// classes is the set of trigger classes checkClass has found in the
+// registry. The registry only grows, so a class found once stays valid.
+var classes struct {
+	sync.RWMutex
+	known map[string]bool
+}
+
+// checkClass reports whether a trigger class is registered. The first
+// check of a class instantiates it through trigger.New; later ones are
+// one lookup in classes, so validating a scenario builds no trigger.
+func checkClass(class string) error {
+	classes.RLock()
+	known := classes.known[class]
+	classes.RUnlock()
+	if known {
+		return nil
+	}
+	if _, err := trigger.New(class); err != nil {
+		return err
+	}
+	classes.Lock()
+	defer classes.Unlock()
+	if classes.known == nil {
+		classes.known = make(map[string]bool)
+	}
+	classes.known[class] = true
 	return nil
 }
 
@@ -273,6 +311,7 @@ func (b *Builder) Build() (*Scenario, error) {
 		return nil, err
 	}
 	s.seal()
+	s.valid = true
 	return &s, nil
 }
 

@@ -194,12 +194,9 @@ func NewSession(opts ...SessionOption) (*Session, error) {
 		if err := os.MkdirAll(s.store, 0o755); err != nil {
 			return nil, fmt.Errorf("lfi: WithStore(%q): store root not creatable: %w", s.store, err)
 		}
-		probe, err := os.CreateTemp(s.store, ".lfi-probe-*")
-		if err != nil {
+		if err := checkWritable(s.store); err != nil {
 			return nil, fmt.Errorf("lfi: WithStore(%q): store root not writable: %w", s.store, err)
 		}
-		probe.Close()
-		os.Remove(probe.Name())
 	}
 	if len(s.execs) == 0 && s.fleetReg == "" {
 		// No explicit backends: default to the in-process pool. In fleet

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestMain makes this test binary pool-capable: a copy re-executed by
@@ -178,6 +179,79 @@ func TestNewSessionValidation(t *testing.T) {
 		t.Fatal("NewSession accepted an unwritable store root")
 	} else if !strings.Contains(err.Error(), "WithStore") {
 		t.Fatalf("store error does not name the option: %q", err)
+	}
+}
+
+// TestSessionConvergedResumeLeavesStoreUntouched: a resume that
+// executes nothing writes no store file, and constructing its session
+// checks the store root without a probe file, so the root and every
+// path under it keep their mode, size and mtime.
+func TestSessionConvergedResumeLeavesStoreUntouched(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "store")
+	explore := func() int {
+		t.Helper()
+		res, err := mustSession(t, WithStore(root), WithSeed(1)).ExploreAll(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Executed
+	}
+	// A default-flag store converges within a few sessions.
+	for i := 0; explore() != 0; i++ {
+		if i == 3 {
+			t.Fatal("store did not converge in four sessions")
+		}
+	}
+
+	// Back-date everything, so any write shows as a fresh mtime
+	// whatever the file system's timestamp granularity.
+	old := time.Date(2001, 2, 3, 4, 5, 6, 0, time.UTC)
+	type stat struct {
+		mode  os.FileMode
+		size  int64
+		mtime time.Time
+	}
+	snapshot := func() map[string]stat {
+		t.Helper()
+		out := map[string]stat{}
+		err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			fi, err := d.Info()
+			if err != nil {
+				return err
+			}
+			out[p] = stat{fi.Mode(), fi.Size(), fi.ModTime()}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for p := range snapshot() {
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := snapshot()
+
+	if n := explore(); n != 0 {
+		t.Fatalf("converged resume executed %d tests", n)
+	}
+	after := snapshot()
+	for p, b := range before {
+		if a, ok := after[p]; !ok {
+			t.Errorf("%s: removed by a converged resume", p)
+		} else if a != b {
+			t.Errorf("%s: %+v before a converged resume, %+v after", p, b, a)
+		}
+	}
+	for p := range after {
+		if _, ok := before[p]; !ok {
+			t.Errorf("%s: created by a converged resume", p)
+		}
 	}
 }
 
