@@ -126,7 +126,6 @@ func Explorer(quick bool) (ExplorerResult, error) {
 	for _, sys := range systems {
 		cfg := explore.ConfigForSystem(sys)
 		cfg.Profiles = profs
-		cfg.Workers = campaignWorkers()
 		// Drain the whole candidate queue, bred window mutants
 		// included, so the "Tests executed" row reports the full
 		// fault space rather than wherever the stall heuristic

@@ -24,7 +24,7 @@ type Table5Result struct {
 // String renders the table.
 func (r Table5Result) String() string {
 	var b strings.Builder
-	header(&b, fmt.Sprintf("Table 5: miniweb running time, %d requests (trigger evaluation only)", r.Requests))
+	header(&b, fmt.Sprintf("Table 5: miniweb running time, %d requests, in %s (trigger evaluation only)", r.Requests, clockName))
 	fmt.Fprintf(&b, "%-18s %14s %14s\n", "", "Static HTML", "PHP")
 	fmt.Fprintf(&b, "%-18s %14v %14v\n", "Baseline (no LFI)", r.StaticTimes[0].Round(time.Microsecond), r.PHPTimes[0].Round(time.Microsecond))
 	for k := 1; k <= 5; k++ {
@@ -83,7 +83,9 @@ func (r Table5Result) StackingOverheadPct() float64 {
 // Every cell (trigger count × page kind) gets its own warmed-up app
 // image; timed slices of requests then run interleaved across the
 // cells, and each cell reports its median slice, so a slow phase of
-// the host lands on every cell alike.
+// the host lands on every cell alike. Slices are timed on threadClock:
+// the requests run on the calling goroutine alone, so its thread's CPU
+// time is all they cost, whatever else shares the CPUs.
 func Table5(requests int) (Table5Result, error) {
 	if requests <= 0 {
 		requests = 1000
@@ -115,10 +117,12 @@ func Table5(requests int) (Table5Result, error) {
 		}
 		apps[cell] = app
 	}
+	now, release := threadClock()
+	defer release()
 	med, err := interleaved(len(apps), 7, func(cell int) (float64, error) {
-		start := time.Now()
+		start := now()
 		err := apps[cell].RunAB(requests, cell%2 == 1)
-		return float64(time.Since(start)), err
+		return float64(now() - start), err
 	})
 	if err != nil {
 		return res, err
@@ -169,7 +173,7 @@ type Table6Result struct {
 // String renders the table.
 func (r Table6Result) String() string {
 	var b strings.Builder
-	header(&b, fmt.Sprintf("Table 6: minidb OLTP throughput (window %v)", r.Duration))
+	header(&b, fmt.Sprintf("Table 6: minidb OLTP throughput (window %v of %s)", r.Duration, clockName))
 	fmt.Fprintf(&b, "%-18s %14s %14s\n", "", "Read-only", "Read/Write")
 	fmt.Fprintf(&b, "%-18s %10.0f t/s %10.0f t/s\n", "Baseline (no LFI)", r.ReadOnly[0], r.ReadWr[0])
 	for k := 1; k <= 4; k++ {
@@ -227,7 +231,8 @@ func table6Scenario(k int) (*scenario.Scenario, error) {
 // cell (trigger count × workload) gets its own database; the window is
 // cut into slices run interleaved across the cells, and each cell
 // reports its median slice throughput, so a slow phase of the host
-// lands on every cell alike.
+// lands on every cell alike. The window and the throughput are in
+// threadClock time, as in Table5.
 func Table6(window time.Duration) (Table6Result, error) {
 	if window <= 0 {
 		window = 300 * time.Millisecond
@@ -256,17 +261,19 @@ func Table6(window time.Duration) (Table6Result, error) {
 		apps[cell] = app
 	}
 	const rounds = 9
+	now, release := threadClock()
+	defer release()
 	med, err := interleaved(len(apps), rounds, func(cell int) (float64, error) {
 		app, readWrite := apps[cell], cell%2 == 1
-		before, start := app.TxnCount(), time.Now()
-		for time.Since(start) < window/rounds {
+		before, start := app.TxnCount(), now()
+		for now()-start < window/rounds {
 			for i := 0; i < 32; i++ { // batch to amortize clock reads
 				if err := app.Txn(readWrite); err != nil {
 					return 0, err
 				}
 			}
 		}
-		return float64(app.TxnCount()-before) / time.Since(start).Seconds(), nil
+		return float64(app.TxnCount()-before) / (now() - start).Seconds(), nil
 	})
 	if err != nil {
 		return res, err

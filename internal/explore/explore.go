@@ -43,7 +43,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,14 +167,10 @@ type Config struct {
 	// StallBatches stops the run after this many consecutive batches
 	// with no new coverage and no new bugs (default 3).
 	StallBatches int
-	// Workers is the campaign worker-pool width (default GOMAXPROCS).
-	// It sizes the default local execution backend; when Exec is set it
-	// only carries the session's width for reporting.
-	Workers int
 	// Exec is the execution-backend fleet batches dispatch through.
-	// nil means a private fleet with one local (in-process) backend of
-	// Workers width — the pre-backend behavior, bit for bit. The fleet
-	// decides where a batch runs, never which system runs next.
+	// nil means the fleet Explore shares among every config without
+	// one: a single local (in-process) backend of GOMAXPROCS width. The
+	// fleet decides where a batch runs, never which system runs next.
 	Exec *exec.Fleet
 	// Store is the path of the persistent campaign store ("" = none).
 	Store string
@@ -214,9 +209,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.StallBatches <= 0 {
 		c.StallBatches = 3
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.System == "" && c.Binary != nil {
 		c.System = c.Binary.Name
@@ -848,19 +840,12 @@ type run struct {
 	// run's own batches (seeded from the store): the scheduling signal.
 	gain  gainEWMA
 	begin time.Time
-	// ownExec marks a fleet newRun built itself (no Config.Exec);
-	// finish closes it.
-	ownExec bool
 }
 
 // newRun generates the candidate space, runs the coverage baseline, and
 // replays the persistent store, leaving the run ready to step.
 func newRun(cfg Config) (*run, error) {
 	cfg = cfg.withDefaults()
-	ownExec := cfg.Exec == nil
-	if ownExec {
-		cfg.Exec = exec.NewFleet(exec.NewLocal(cfg.Workers))
-	}
 	begin := time.Now()
 	cands := Generate(cfg)
 
@@ -984,7 +969,7 @@ func newRun(cfg Config) (*run, error) {
 	}
 	// The gain EWMA resumes where the last session left it, so
 	// scheduling starts from observed yield instead of the prior.
-	return &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, gain: store.gain(), begin: begin, ownExec: ownExec}, nil
+	return &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, gain: store.gain(), begin: begin}, nil
 }
 
 // done reports whether scheduling is finished: queue drained or
@@ -1135,9 +1120,6 @@ func (r *run) finish(runErr error) (*Result, error) {
 	// schedules on it from its first batch.
 	r.store.setGain(r.gain)
 	saveErr := r.store.Save(r.keys)
-	if r.ownExec {
-		r.cfg.Exec.Close()
-	}
 	r.res.Mutants = r.x.spawned
 	r.res.Mixed = r.x.mixedSum
 	r.res.Bugs = controller.SortBugs(r.cfg.System, r.x.sigs)

@@ -47,7 +47,6 @@ func minidbConfig(t *testing.T) Config {
 	t.Helper()
 	cfg := configFor(t, "minidb")
 	cfg.StallBatches = 1000
-	cfg.Workers = 4
 	return cfg
 }
 
@@ -179,8 +178,7 @@ func TestExploreBudget(t *testing.T) {
 
 // TestGainEWMA: batch yields fold into the explorer's gain-per-run
 // EWMA (the prior stands until the first batch), and a new run resumes
-// the EWMA a store persisted — including one whose index still carries
-// per-backend runs/sec.
+// the EWMA a store persisted.
 func TestGainEWMA(t *testing.T) {
 	var g gainEWMA
 	if got := g.estimate(0.5); got != 0.5 {
@@ -195,10 +193,12 @@ func TestGainEWMA(t *testing.T) {
 
 	cfg := configFor(t, "minidb")
 	cfg.Store = filepath.Join(t.TempDir(), "store")
-	if err := os.MkdirAll(filepath.Join(cfg.Store, "minidb"), 0o755); err != nil {
+	st, err := LoadStore(cfg.Store, "minidb", "")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(cfg.Store, "minidb", "index.json"), oldCostIndex(t), 0o644); err != nil {
+	st.setGain(gainEWMA{PerRun: 0.25, Batches: 7})
+	if err := st.Save(nil); err != nil {
 		t.Fatal(err)
 	}
 	persisted := func() gainEWMA {
@@ -341,7 +341,6 @@ func TestShardInvalidation(t *testing.T) {
 func TestWindowMutantsDeterministic(t *testing.T) {
 	cfg := configFor(t, "pbft")
 	cfg.StallBatches = 1000
-	cfg.Workers = 4
 	a, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -554,7 +553,6 @@ func TestExploreAllSharedStore(t *testing.T) {
 		for _, sys := range []string{"minidb", "minivcs"} {
 			cfg := configFor(t, sys)
 			cfg.StallBatches = 1000
-			cfg.Workers = 4
 			cfg.Store = root
 			cfgs = append(cfgs, cfg)
 		}

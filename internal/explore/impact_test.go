@@ -281,7 +281,6 @@ func TestImpactFallbackConservative(t *testing.T) {
 	const changed = "load_zone"
 	cfg := configFor(t, "minidns")
 	cfg.StallBatches = 1000
-	cfg.Workers = 4
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 
 	first, err := exploreOne(cfg)

@@ -3,12 +3,14 @@ package explore
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"lfi/internal/controller"
+	"lfi/internal/exec"
 )
 
 // MultiResult is the outcome of one exploration session — the
@@ -54,8 +56,9 @@ const inFlight = 2
 // baseline and replays the persistent store (diff-aware: see
 // impact.go), then schedules the remaining candidates in
 // coverage-guided batches and persists their outcomes. All configs
-// share the caller's execution fleet (by convention: a Session passes
-// one fleet to every config) and one store root: LoadStore keys store
+// share one execution fleet (by convention: a Session passes one fleet
+// to every config, and configs without one share a local fleet Explore
+// builds and closes) and one store root: LoadStore keys store
 // directories by system name, so the configs' Store fields may all point at the
 // same directory.
 //
@@ -102,9 +105,19 @@ func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, err
 	}
 	runs := make([]*run, 0, len(cfgs))
 	var runErr error
+	// local is the one fleet every config without an Exec shares, so
+	// its width bounds the session's in-process runs.
+	var local *exec.Fleet
 	for _, cfg := range cfgs {
 		if runErr = ctx.Err(); runErr != nil {
 			break
+		}
+		if cfg.Exec == nil {
+			if local == nil {
+				local = exec.NewFleet(exec.NewLocal(runtime.GOMAXPROCS(0)))
+				defer local.Close()
+			}
+			cfg.Exec = local
 		}
 		r, err := newRun(cfg)
 		if err != nil {

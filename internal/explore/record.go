@@ -4,14 +4,11 @@ package explore
 // uint32 LE body length, uint32 LE CRC-32 (IEEE) of the body, then the
 // body; a body is a table (the block IDs the records after it are
 // over) or one entry's record. The snapshot's first frame is its
-// header. The previous format's JSON — <codeHash>.json shards and
-// JSON journal bodies — is read here too, never written.
+// header.
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
-	"os"
 	"slices"
 	"sort"
 
@@ -22,9 +19,8 @@ const (
 	frameHeader   = 8
 	snapshotMagic = "lfi-snapshot"
 	// The first byte of a frame body says what it holds. Neither byte
-	// starts a JSON value, so a previous-format reader, which parses
-	// every journal body as JSON, stops at the first new record instead
-	// of misreading it; a previous-format record body starts with '{'.
+	// starts a JSON value, so no JSON reader mistakes a record for one
+	// of its own.
 	tagTable  byte = 1
 	tagRecord byte = 2
 )
@@ -40,80 +36,11 @@ func newTable(ids []string) *blockTable {
 	return &blockTable{ids: slices.Compact(ids)}
 }
 
-// bits returns ids, each of which t holds, as a bitset over t.
-func (t *blockTable) bits(ids []string) coverage.Bitset {
-	b := coverage.NewBitset(len(t.ids))
-	for _, id := range ids {
-		p, _ := slices.BinarySearch(t.ids, id)
-		b.Set(p)
-	}
-	return b
-}
-
 // Blocks returns the IDs of every block the run covered, sorted.
 func (e Entry) Blocks() []string {
 	var out []string
 	e.cov.Range(func(i int) { out = append(out, e.table.ids[i]) })
 	return out
-}
-
-// legacyEntry is an entry as the previous format spelled it in JSON,
-// coverage as sorted block IDs: in <codeHash>.json shards
-// ({"system", "entries": {scenarioHash: entry}}) and in journal record
-// bodies ({"key", "entry"}).
-type legacyEntry struct {
-	Name       string   `json:"name"`
-	Failed     bool     `json:"failed"`
-	Signature  string   `json:"signature"`
-	Blocks     []string `json:"blocks"`
-	Injections int      `json:"injections"`
-	Image      string   `json:"image"`
-}
-
-// loadShard loads one previous-format shard file, whose region is its
-// file name, and reports whether it parsed. A shard that does not parse
-// is a partial or corrupt write: it is skipped, and the worst case is
-// re-executing the scenarios it cached.
-func (s *Store) loadShard(name, region string) bool {
-	data, err := os.ReadFile(name)
-	if err != nil {
-		return false
-	}
-	var sf struct {
-		System  string                 `json:"system"`
-		Entries map[string]legacyEntry `json:"entries"`
-	}
-	if json.Unmarshal(data, &sf) != nil || sf.Entries == nil || (sf.System != "" && sf.System != s.system) {
-		return false
-	}
-	keys := make([]string, 0, len(sf.Entries))
-	for scen := range sf.Entries {
-		keys = append(keys, scen)
-	}
-	sort.Strings(keys)
-	les := make([]legacyEntry, len(keys))
-	for i, scen := range keys {
-		les[i], keys[i] = sf.Entries[scen], scen+"@"+region
-	}
-	s.loadLegacy(keys, les)
-	return true
-}
-
-// loadLegacy loads previous-format entries with their coverage moved
-// onto one table, the sorted union of their block IDs.
-func (s *Store) loadLegacy(keys []string, les []legacyEntry) {
-	var ids []string
-	for _, le := range les {
-		ids = append(ids, le.Blocks...)
-	}
-	t := newTable(ids)
-	for i, le := range les {
-		e := Entry{Name: le.Name, Failed: le.Failed, Signature: le.Signature, Injections: le.Injections, Image: le.Image}
-		if len(le.Blocks) > 0 {
-			e.table, e.cov = t, t.bits(le.Blocks)
-		}
-		s.load(keys[i], e)
-	}
 }
 
 // loadSnapshot loads the snapshot's records when its header names this
@@ -200,17 +127,6 @@ func (s *Store) replay(data []byte, text string, off int, d *decoder) int {
 			}
 			if _, ok := regionOf(key); ok {
 				s.load(key, e)
-			}
-		case body[0] == '{':
-			var rec struct {
-				Key   string      `json:"key"`
-				Entry legacyEntry `json:"entry"`
-			}
-			if json.Unmarshal([]byte(body), &rec) != nil {
-				return off
-			}
-			if _, ok := regionOf(rec.Key); ok {
-				s.loadLegacy([]string{rec.Key}, []legacyEntry{rec.Entry})
 			}
 		default:
 			return off

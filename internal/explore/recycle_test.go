@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -76,7 +77,7 @@ func (r *recordingExec) Run(ctx context.Context, b *exec.Batch) ([]*exec.Outcome
 func exploredScenarios(t *testing.T, d *system.Descriptor) []*scenario.Scenario {
 	t.Helper()
 	cfg := ConfigForSystem(d)
-	rec := &recordingExec{Local: exec.NewLocal(cfg.Workers)}
+	rec := &recordingExec{Local: exec.NewLocal(runtime.GOMAXPROCS(0))}
 	cfg.Exec = exec.NewFleet(rec)
 	if _, err := exploreOne(cfg); err != nil {
 		t.Fatal(err)

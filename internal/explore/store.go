@@ -53,11 +53,8 @@ import (
 // journal. LoadStore replays the journal over the snapshot and ignores
 // stray .tmp files, a torn snapshot or journal tail past its last whole
 // record, and an unparsable index, so a killed campaign loses at most
-// the batch it was writing.
-//
-// Stores of the previous format — indented <codeHash>.json shards and
-// journal records with JSON bodies — load through the same loader; the
-// first Save rewrites them into the snapshot and removes the shards.
+// the batch it was writing. It reads those three files and no other,
+// and refuses a store whose index names another format.
 type Store struct {
 	dir    string // <root>/<system>
 	system string
@@ -81,9 +78,6 @@ type Store struct {
 	// indexed reports a manifest on disk: index.json loaded, or written
 	// since. Append writes one first while it is false.
 	indexed bool
-	// legacy lists the previous format's shard files found at load; the
-	// first flush that lands index.json removes them.
-	legacy []string
 
 	// journal is the journal file Append opened, until the next flush
 	// closes it; jsize is the length of its whole records at load, where
@@ -124,22 +118,20 @@ type Store struct {
 // storeIndex is the on-disk index.json shape.
 type storeIndex struct {
 	System string `json:"system"`
-	// Format is the store format the snapshot and journal are in; an
-	// index without it was written in the previous format.
+	// Format is the store format the snapshot and journal are in;
+	// LoadStore refuses an index in any other.
 	Format int             `json:"format,omitempty"`
 	Images []imageManifest `json:"images"` // most recent save first
 	// Cost is the system's gain-per-run EWMA: the scheduling signal a
-	// resumed session starts from. An index written when this also held
-	// per-backend runs/sec ("runs_per_sec") loads with that field
-	// ignored, and Save does not write it back.
+	// resumed session starts from.
 	Cost *gainEWMA `json:"cost,omitempty"`
 }
 
 // imageManifest names the regions one image version's candidate set
 // references, plus that image's per-function code fingerprints — the
-// impact metadata the resume path diffs against. Manifests written
-// before fingerprints existed load fine with Funcs nil; the resume path
-// then falls back to whole-region invalidation.
+// impact metadata the resume path diffs against. A manifest saved with
+// no fingerprints set has Funcs nil; the resume path then falls back to
+// whole-region invalidation.
 type imageManifest struct {
 	Image  string            `json:"image"`
 	Shards []string          `json:"shards"`
@@ -166,8 +158,8 @@ type Entry struct {
 	// Image is the newest image version whose candidate set referenced
 	// this entry (stamped by Save). An entry whose image falls out of
 	// manifest retention is pruned even when its region survives for
-	// other images; "" (entries written before stamping existed) keeps
-	// the region-level lifecycle.
+	// other images; "" (an entry a journal replayed before any Save
+	// stamped it) keeps the region-level lifecycle.
 	Image string
 
 	// cov is every block the run covered, as a bitset over table: bit i
@@ -185,7 +177,7 @@ const maxImages = 8
 
 const (
 	// storeFormat is index.json's "format" and the snapshot header's
-	// version. An index without it was written in the previous format.
+	// version, the only format LoadStore reads.
 	storeFormat  = 2
 	indexName    = "index.json"
 	snapshotName = "snapshot"
@@ -205,10 +197,10 @@ func regionOf(key string) (string, bool) {
 // LoadStore opens the store rooted at path for one target system and
 // image version, creating nothing on disk until the first flush.
 // Loading a store written for a different system is refused — saving
-// would destroy that system's cache — and so is one written in a newer
-// format; entries of other image versions of the same system are
-// loaded and kept. Anything but a directory at path is refused and left
-// untouched.
+// would destroy that system's cache — and so is one whose index is in
+// any format but this one; entries of other image versions of the same
+// system are loaded and kept. Anything but a directory at path is
+// refused and left untouched.
 func LoadStore(path, system, image string) (*Store, error) {
 	st := &Store{
 		dir:     filepath.Join(path, system),
@@ -233,13 +225,8 @@ func LoadStore(path, system, image string) (*Store, error) {
 	return st, nil
 }
 
-// loadDir reads index.json, then the entries, then replays the journal
-// over them. The entries come from the snapshot, or from the previous
-// format's shards when index.json is not in this format and shards are
-// present: then this format's Save never landed its index, so the
-// shards and the journal hold everything the snapshot would. Under an
-// index in this format, shards are leftovers of a conversion whose
-// index landed, and are not read.
+// loadDir reads index.json, then the snapshot, then replays the
+// journal over it.
 func (s *Store) loadDir() error {
 	data, err := os.ReadFile(filepath.Join(s.dir, indexName))
 	switch {
@@ -255,8 +242,9 @@ func (s *Store) loadDir() error {
 				return fmt.Errorf("explore: store %s belongs to system %q, not %q — use a separate store path per target",
 					s.dir, idx.System, s.system)
 			}
-			if idx.Format > storeFormat {
-				return fmt.Errorf("explore: store %s is in format %d; this build reads formats up to %d", s.dir, idx.Format, storeFormat)
+			if idx.Format != storeFormat {
+				return fmt.Errorf("explore: store %s is not in store format %d, the only one this build reads — use a new store path",
+					s.dir, storeFormat)
 			}
 			s.index = idx
 			s.index.System = s.system
@@ -264,42 +252,17 @@ func (s *Store) loadDir() error {
 			s.indexData = data
 		}
 	}
-	current := s.indexed && s.index.Format == storeFormat
-	names, err := filepath.Glob(filepath.Join(s.dir, "*.json"))
-	if err != nil {
+	data, err = os.ReadFile(filepath.Join(s.dir, snapshotName))
+	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("explore: store: %w", err)
 	}
-	fromShards := false
-	for _, name := range names {
-		base := filepath.Base(name)
-		if base == indexName || strings.Contains(base, ".tmp") {
-			continue
-		}
-		if fi, err := os.Lstat(name); err != nil || !fi.Mode().IsRegular() {
-			continue
-		}
-		s.legacy = append(s.legacy, name)
-		if !current && s.loadShard(name, strings.TrimSuffix(base, ".json")) {
-			fromShards = true
-		}
-	}
-	if !fromShards {
-		data, err := os.ReadFile(filepath.Join(s.dir, snapshotName))
-		if err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("explore: store: %w", err)
-		}
-		s.loadSnapshot(data)
-	}
-	s.dirty = fromShards
+	s.loadSnapshot(data)
 	data, err = os.ReadFile(filepath.Join(s.dir, journalName))
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("explore: store: %w", err)
 	}
-	text := string(data)
-	s.jsize = int64(s.replay(data, text, 0, &decoder{}))
-	if s.jsize > 0 {
-		s.dirty = true
-	}
+	s.jsize = int64(s.replay(data, string(data), 0, &decoder{}))
+	s.dirty = s.jsize > 0
 	return nil
 }
 
@@ -418,10 +381,9 @@ func (s *Store) FlushDirty() error {
 }
 
 // flush writes the snapshot when an entry changed, then index.json when
-// withIndex is set or one is on disk (or the previous format's shards
-// are, which only an index in this format retires), and only after both
-// removes the shards and the journal: a kill anywhere before that
-// leaves the journal to replay over whatever landed. Records staged for
+// withIndex is set or one is on disk, and only after both removes the
+// journal: a kill anywhere before that leaves the journal to replay
+// over whatever landed. Records staged for
 // the next Append are dropped, since the snapshot holds them. The
 // caller holds mu.
 func (s *Store) flush(withIndex bool) error {
@@ -438,17 +400,11 @@ func (s *Store) flush(withIndex bool) error {
 		s.dirty = false
 	}
 	s.jbuf, s.jtable = s.jbuf[:0], nil
-	if withIndex || s.indexed || len(s.legacy) > 0 {
+	if withIndex || s.indexed {
 		if err := s.writeIndex(); err != nil {
 			return err
 		}
 	}
-	for _, name := range s.legacy {
-		if err := os.Remove(name); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("explore: store: %w", err)
-		}
-	}
-	s.legacy = nil
 	if err := os.Remove(filepath.Join(s.dir, journalName)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("explore: store: %w", err)
 	}
@@ -499,7 +455,7 @@ func (s *Store) snapshot() []byte {
 	return b
 }
 
-// writeIndex writes index.json in this format, unless its bytes would
+// writeIndex writes index.json, unless its bytes would
 // not change.
 func (s *Store) writeIndex() error {
 	s.index.Format = storeFormat
@@ -625,8 +581,8 @@ func (s *Store) save(currentKeys map[string]bool) error {
 		// dead entry of a region exclusive to the current image, and an
 		// entry stamped with an image no retained manifest names: it can
 		// never replay again, even though its region survives for other
-		// images. Unstamped entries (written before stamping existed)
-		// keep the region-level lifecycle.
+		// images. Unstamped entries (replayed from a journal no Save
+		// compacted) keep the region-level lifecycle.
 		region, _ := regionOf(key)
 		if !referenced[region] || (live[region] && !shared[region]) || (e.Image != "" && !retained[e.Image]) {
 			delete(s.entries, key)

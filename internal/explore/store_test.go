@@ -3,10 +3,10 @@ package explore
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,16 +15,17 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"lfi/internal/coverage"
 	"lfi/internal/system"
 )
 
-// TestStoreCrashSafePartialWrite pins the crash-safety satellite: every
+// TestStoreCrashSafePartialWrite pins the crash-safety contract: every
 // write goes to a temp file first, so a killed campaign leaves at worst
-// a stray .tmp next to an intact snapshot — and a torn snapshot or
-// previous-format shard (simulated here by truncating the file in
-// place) loads only what it holds whole, never half-parsed into the
-// campaign.
+// a stray .tmp next to an intact snapshot — and a torn snapshot
+// (simulated here by truncating the file in place) loads only what it
+// holds whole, never half-parsed into the campaign.
 func TestStoreCrashSafePartialWrite(t *testing.T) {
 	root := t.TempDir()
 	st, err := LoadStore(root, "sys", "img@1")
@@ -72,36 +73,6 @@ func TestStoreCrashSafePartialWrite(t *testing.T) {
 	}
 	if _, ok := st3.Lookup("good@aaaa"); !ok {
 		t.Fatal("torn index dropped the intact snapshot")
-	}
-
-	// The same for a store in the previous format: an intact shard and
-	// a stray .tmp load, a torn shard does not, and neither does the
-	// snapshot of a conversion whose index never landed.
-	legacy := filepath.Join(t.TempDir(), "sys")
-	if err := os.MkdirAll(legacy, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	shard := []byte(`{"system":"sys","entries":{"good":{"name":"good","blocks":["main.x","rec.a"],"injections":1}}}`)
-	torn := []byte(`{"system":"sys","entries":{"torn":{"name":"torn","blocks":["rec.b"]}}}`)
-	for name, data := range map[string][]byte{
-		"aaaa.json":        shard,
-		"aaaa.json.tmp123": shard[:20],
-		"bbbb.json":        torn[:len(torn)/2],
-		snapshotName:       snap,
-	} {
-		if err := os.WriteFile(filepath.Join(legacy, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st4, err := LoadStore(filepath.Dir(legacy), "sys", "img@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := st4.Lookup("good@aaaa"); !ok || !sameEntry(e, good) {
-		t.Fatalf("intact shard lost or garbled: %+v, %v", e, ok)
-	}
-	if _, ok := st4.Lookup("torn@bbbb"); ok {
-		t.Fatal("torn shard (or the snapshot beside the shards) was loaded")
 	}
 }
 
@@ -248,7 +219,7 @@ func TestStoreJournalTornTail(t *testing.T) {
 	table := newTable([]string{"rec.a@rrrr", "rec.b@rrrr", "rec.c@ssss", "rec.d@ssss"})
 	want := map[string]Entry{}
 	for _, k := range []string{"a@rrrr", "b@rrrr", "c@ssss", "d@ssss"} {
-		want[k] = Entry{Name: k, Injections: 1, table: table, cov: table.bits([]string{"rec." + k})}
+		want[k] = Entry{Name: k, Injections: 1, table: table, cov: bitsOf(table, "rec."+k)}
 		st.Put(k, want[k])
 		if err := st.Append(keys); err != nil {
 			t.Fatal(err)
@@ -482,134 +453,27 @@ func TestStoreImageRetention(t *testing.T) {
 	}
 }
 
-// oldCostIndex is a minidb index.json as written when the store also
-// persisted per-backend runs/sec: its "cost" carries "runs_per_sec"
-// next to the gain EWMA.
-func oldCostIndex(t testing.TB) []byte {
-	data, err := os.ReadFile(filepath.Join("testdata", "index_runs_per_sec.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestStoreOldCostIndex: an index that still persists runs/sec loads
-// with that field ignored and its gain EWMA intact, and the next Save
-// writes "cost" as the gain EWMA alone — the runs/sec are dropped, not
-// reinterpreted.
-func TestStoreOldCostIndex(t *testing.T) {
-	old := oldCostIndex(t)
-	var want struct {
-		Cost struct {
-			GainPerRun float64            `json:"gain_per_run"`
-			Batches    int                `json:"batches"`
-			Speed      map[string]float64 `json:"runs_per_sec"`
-		} `json:"cost"`
-	}
-	if err := json.Unmarshal(old, &want); err != nil || len(want.Cost.Speed) == 0 || want.Cost.Batches == 0 {
-		t.Fatalf("fixture is not an index with runs/sec: %+v, %v", want.Cost, err)
-	}
-	root := filepath.Join(t.TempDir(), "store")
-	dir := filepath.Join(root, "minidb")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "index.json"), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadStore(root, "minidb", "img@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st.gain(); got != (gainEWMA{PerRun: want.Cost.GainPerRun, Batches: want.Cost.Batches}) {
-		t.Fatalf("loaded gain %+v, want %+v", got, want.Cost)
-	}
-	st.Put("scen@aaaa", Entry{Name: "scen"})
-	if err := st.Save(map[string]bool{"scen@aaaa": true}); err != nil {
-		t.Fatal(err)
-	}
-	saved, err := os.ReadFile(filepath.Join(dir, "index.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got struct {
-		Cost map[string]any `json:"cost"`
-	}
-	if err := json.Unmarshal(saved, &got); err != nil {
-		t.Fatal(err)
-	}
-	if wantCost := map[string]any{"gain_per_run": want.Cost.GainPerRun, "batches": float64(want.Cost.Batches)}; !reflect.DeepEqual(got.Cost, wantCost) {
-		t.Fatalf("saved cost %v, want %v", got.Cost, wantCost)
-	}
-}
-
-// TestStoreShardRegionIsFileName: a previous-format shard's region is
-// its file name, never a field inside the file, and no region is ever
-// a path: a shard claiming the region "../../victim", and journal
-// records keyed into that region in both record encodings, must not
-// make Save reach outside the store. The file two directories above the
-// system's directory survives, the shard itself is retired, and the
-// forged region's entries, which no manifest references, are dropped.
-func TestStoreShardRegionIsFileName(t *testing.T) {
-	base := t.TempDir()
-	root := filepath.Join(base, "store")
-	dir := filepath.Join(root, "minidb")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	victim := filepath.Join(base, "victim.json")
-	if err := os.WriteFile(victim, []byte("{}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	evil := filepath.Join(dir, "evil.json")
-	if err := os.WriteFile(evil, []byte(`{"system":"minidb","region":"../../victim","entries":{"x":{"name":"x"}}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	forged := Entry{Name: "s"}
-	journal := appendRecord(nil, "s@../../victim", &forged, nil)
-	journal = append(journal, journalFrame(`{"key":"t@../../victim","entry":{"name":"t"}}`)...)
-	if err := os.WriteFile(filepath.Join(dir, journalName), journal, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadStore(root, "minidb", "img@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"x@evil", "s@../../victim", "t@../../victim"} {
-		if _, ok := st.Lookup(k); !ok {
-			t.Fatalf("%s not loaded", k)
-		}
-	}
-	st.Put("s@rrrr", Entry{Name: "s"})
-	if err := st.Save(map[string]bool{"s@rrrr": true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(victim); err != nil {
-		t.Fatalf("Save removed a file outside the store: %v", err)
-	}
-	if _, err := os.Stat(evil); !os.IsNotExist(err) {
-		t.Fatalf("previous-format shard evil.json not retired: %v", err)
-	}
-	st2, err := LoadStore(root, "minidb", "img@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := st2.Shards(); !slices.Equal(got, []string{"rrrr"}) {
-		t.Fatalf("regions after Save: %v, want only rrrr", got)
-	}
-}
-
 // journalFrame frames one journal record body: length and CRC-32
 // header, then the body.
 func journalFrame(body string) []byte {
 	return appendFrame(nil, func(b []byte) []byte { return append(b, body...) })
 }
 
+// bitsOf returns ids, each of which t holds, as a bitset over t.
+func bitsOf(t *blockTable, ids ...string) coverage.Bitset {
+	b := coverage.NewBitset(len(t.ids))
+	for _, id := range ids {
+		p, _ := slices.BinarySearch(t.ids, id)
+		b.Set(p)
+	}
+	return b
+}
+
 // entryWith returns an entry that covered blocks, over a table of its
 // own.
 func entryWith(name string, blocks ...string) Entry {
 	t := newTable(blocks)
-	return Entry{Name: name, Injections: 1, table: t, cov: t.bits(blocks)}
+	return Entry{Name: name, Injections: 1, table: t, cov: bitsOf(t, blocks...)}
 }
 
 // sameEntry reports whether two entries are Lookup-equal: the same
@@ -678,38 +542,45 @@ func fuzzSeeds(f *testing.F) (snapshot, journal []byte) {
 }
 
 // FuzzStoreLoad feeds arbitrary bytes to LoadStore as index.json, as the
-// snapshot, as one previous-format shard file and as the journal.
-// Loading never panics and fails only on a foreign-system index or one
-// in a newer format; a following Put + Save creates and removes nothing
-// outside the store directory and leaves no journal; and a reload
-// returns the Put entry.
+// snapshot, as a stray fuzz.json beside them (where the previous format
+// kept a shard) and as the journal. Loading never panics and fails
+// exactly when the index parses and names another system or a format
+// other than this one; a following Put + Save creates and removes
+// nothing outside the store directory, leaves no journal and leaves
+// fuzz.json, which the store does not own, byte for byte in place; and
+// a reload returns the Put entry.
 func FuzzStoreLoad(f *testing.F) {
-	good := journalFrame(`{"key":"s@rrrr","entry":{"name":"x"}}`)
-	f.Add([]byte(`{"system":"minidb","images":[{"image":"img@1","shards":["rrrr"]}]}`), []byte(nil),
+	record := func(key, name string) []byte { return appendRecord(nil, key, &Entry{Name: name}, nil) }
+	good := record("s@rrrr", "x")
+	current := []byte(`{"system":"minidb","format":2,"images":[{"image":"img@1","shards":["rrrr","ssss"]}]}`)
+	f.Add([]byte(`{"system":"minidb","format":2,"images":[{"image":"img@1","shards":["rrrr"]}]}`), []byte(nil),
 		[]byte(`{"system":"minidb","region":"../../victim","entries":{}}`), []byte(nil))
-	f.Add([]byte(`{"system":"other"}`), []byte(nil), []byte(`{"system":"minidb","entries":{"s":{"name":"x","image":"img@0"}}}`), good)
-	f.Add([]byte(`null`), []byte(nil), []byte(`{"entries":{"a":{"blocks":["rec.x"]}}`), []byte{})
+	f.Add([]byte(`{"system":"other","format":2}`), []byte(nil), []byte(`{"system":"minidb","entries":{"s":{"name":"x","image":"img@0"}}}`), good)
+	// Previous-format bytes: an index without a format, and a journal
+	// of JSON-body frames.
+	f.Add([]byte(`{"system":"minidb","images":[{"image":"img@1","shards":["rrrr"]}]}`), []byte(nil),
+		[]byte(`{"entries":{"a":{"blocks":["rec.x"]}}`), journalFrame(`{"key":"s@rrrr","entry":{"name":"x"}}`))
+	f.Add([]byte(`null`), []byte(nil), []byte(`{}`), []byte{})
 	// A forged region, a torn length prefix, a bad checksum, a key
 	// without '@'.
-	f.Add([]byte(`null`), []byte(nil), []byte(`{}`), journalFrame(`{"key":"s@../../victim","entry":{"name":"x"}}`))
-	f.Add([]byte(`null`), []byte(nil), []byte(`{}`), append(good, 0x2a, 0))
-	bad := journalFrame(`{"key":"t@rrrr","entry":{"name":"y"}}`)
+	f.Add(current, []byte(nil), []byte(`{}`), record("s@../../victim", "x"))
+	f.Add(current, []byte(nil), []byte(`{}`), append(good, 0x2a, 0))
+	bad := record("t@rrrr", "y")
 	bad[4] ^= 0xff
-	f.Add([]byte(`null`), []byte(nil), []byte(`{}`), append(append([]byte(nil), good...), bad...))
-	f.Add([]byte(`null`), []byte(nil), []byte(`{}`), append(journalFrame(`{"key":"noat","entry":{}}`), good...))
-	// An index that still persists per-backend runs/sec.
-	f.Add(oldCostIndex(f), []byte(nil), []byte(`{}`), good)
+	f.Add(current, []byte(nil), []byte(`{}`), append(append([]byte(nil), good...), bad...))
+	f.Add(current, []byte(nil), []byte(`{}`), append(record("noat", ""), good...))
+	// An index with a field this build does not know.
+	f.Add([]byte(`{"system":"minidb","format":2,"cost":{"gain_per_run":0.5,"batches":3,"runs_per_sec":{"local":900}}}`), []byte(nil), []byte(`{}`), good)
 	// A real snapshot and journal: whole, under an index in this format
-	// and in a newer one, torn, corrupt, beside a previous-format shard,
-	// and as each other's bytes.
+	// and in a newer one, torn, corrupt, beside a stray JSON file, and
+	// as each other's bytes.
 	snap, journal := fuzzSeeds(f)
-	current := []byte(`{"system":"minidb","format":2,"images":[{"image":"img@1","shards":["rrrr","ssss"]}]}`)
 	f.Add(current, snap, []byte(nil), journal)
 	f.Add([]byte(`{"system":"minidb","format":3}`), snap, []byte(nil), journal)
 	f.Add(current, snap[:len(snap)-7], []byte(nil), journal[:len(journal)-1])
 	flipped := append([]byte(nil), snap...)
 	flipped[len(flipped)/2] ^= 1
-	f.Add([]byte(`null`), flipped, []byte(`{"system":"minidb","entries":{"a":{"name":"x","blocks":["rec.a"]}}}`), journal)
+	f.Add([]byte(`{"system":"mi`), flipped, []byte(`{"system":"minidb","entries":{"a":{"name":"x","blocks":["rec.a"]}}}`), journal)
 	f.Add(current, journal, []byte(nil), snap)
 	f.Fuzz(func(t *testing.T, index, snapshot, shard, journal []byte) {
 		base := t.TempDir()
@@ -748,15 +619,16 @@ func FuzzStoreLoad(f *testing.F) {
 		}
 		before := outside()
 
+		var idx storeIndex
+		refused := json.Unmarshal(index, &idx) == nil && (idx.System != "" && idx.System != "minidb" || idx.Format != storeFormat)
 		st, err := LoadStore(root, "minidb", "img@1")
+		if refused {
+			if err == nil || !strings.Contains(err.Error(), dir) {
+				t.Fatalf("LoadStore under index %q: %v, want an error naming %s", index, err, dir)
+			}
+			return
+		}
 		if err != nil {
-			var idx struct {
-				System string
-				Format int
-			}
-			if json.Unmarshal(index, &idx) == nil && (idx.System != "" && idx.System != "minidb" || idx.Format > storeFormat) {
-				return // a foreign-system or newer-format index is refused, by design
-			}
 			t.Fatalf("LoadStore: %v", err)
 		}
 		want := entryWith("probe", "rec.a")
@@ -770,6 +642,9 @@ func FuzzStoreLoad(f *testing.F) {
 		if _, err := os.Stat(filepath.Join(dir, journalName)); !os.IsNotExist(err) {
 			t.Fatalf("Save left the journal behind: %v", err)
 		}
+		if data, err := os.ReadFile(filepath.Join(dir, "fuzz.json")); err != nil || !bytes.Equal(data, shard) {
+			t.Fatalf("Save moved or rewrote fuzz.json, a file the store does not own: %q, %v", data, err)
+		}
 		st2, err := LoadStore(root, "minidb", "img@1")
 		if err != nil {
 			t.Fatalf("reload: %v", err)
@@ -782,133 +657,79 @@ func FuzzStoreLoad(f *testing.F) {
 	})
 }
 
-// legacyReference decodes a previous-format system directory the way
-// the previous format's loader did: every <region>.json shard, then the
-// journal's JSON-body records up to the first torn one.
-func legacyReference(t *testing.T, dir string) map[string]legacyEntry {
-	t.Helper()
-	ref := make(map[string]legacyEntry)
-	names, err := filepath.Glob(filepath.Join(dir, "*.json"))
-	if err != nil {
+// TestStoreRefusesPreviousFormat: a minidb store in the previous format
+// — an index without "format", a <region>.json shard and a journal
+// of JSON-body records — is refused by every entry point that opens a
+// store (LoadStore, Lint, Diff, Explore) with an error naming the
+// system's store directory, and none of them creates, removes or
+// rewrites a file under the store.
+func TestStoreRefusesPreviousFormat(t *testing.T) {
+	cfg := configFor(t, "minidb")
+	cfg.Store = filepath.Join(t.TempDir(), "store")
+	dir := filepath.Join(cfg.Store, cfg.System)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range names {
-		base := filepath.Base(name)
-		if base == indexName {
-			continue
+	for name, data := range map[string][]byte{
+		indexName:   []byte(`{"system":"minidb","images":[{"image":"img@0","shards":["aaaa"]}]}` + "\n"),
+		"aaaa.json": []byte(`{"system":"minidb","entries":{"s":{"name":"s","blocks":["rec.x"],"injections":1,"image":"img@0"}}}` + "\n"),
+		journalName: journalFrame(`{"key":"t@aaaa","entry":{"name":"t","injections":1}}`),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		data, err := os.ReadFile(name)
+	}
+	// Back-date every path, so a rewrite shows in its mtime however
+	// coarse the file system's clock is.
+	old := time.Date(2001, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, p := range []string{filepath.Join(dir, indexName), filepath.Join(dir, "aaaa.json"), filepath.Join(dir, journalName), dir, cfg.Store} {
+		if err := os.Chtimes(p, old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state := func() map[string]string {
+		t.Helper()
+		paths := make(map[string]string)
+		err := filepath.WalkDir(cfg.Store, func(p string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			fi, err := d.Info()
+			if err != nil {
+				return err
+			}
+			paths[p] = fmt.Sprintf("%v %d %v", fi.Mode(), fi.Size(), fi.ModTime().UnixNano())
+			if fi.Mode().IsRegular() {
+				data, err := os.ReadFile(p)
+				if err != nil {
+					return err
+				}
+				paths[p] += fmt.Sprintf(" %x", sha256.Sum256(data))
+			}
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sf struct {
-			Entries map[string]legacyEntry `json:"entries"`
-		}
-		if err := json.Unmarshal(data, &sf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for scen, e := range sf.Entries {
-			ref[scen+"@"+strings.TrimSuffix(base, ".json")] = e
-		}
+		return paths
 	}
-	data, err := os.ReadFile(filepath.Join(dir, journalName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for len(data) >= 8 {
-		n := int(binary.LittleEndian.Uint32(data))
-		if n > len(data)-8 || crc32.ChecksumIEEE(data[8:8+n]) != binary.LittleEndian.Uint32(data[4:]) {
-			break
-		}
-		var rec struct {
-			Key   string      `json:"key"`
-			Entry legacyEntry `json:"entry"`
-		}
-		if json.Unmarshal(data[8:8+n], &rec) != nil {
-			break
-		}
-		ref[rec.Key] = rec.Entry
-		data = data[8+n:]
-	}
-	return ref
-}
-
-// sameAsLegacy reports whether an entry is Lookup-equal to its
-// previous-format decoding.
-func sameAsLegacy(e Entry, le legacyEntry) bool {
-	return e.Name == le.Name && e.Failed == le.Failed && e.Signature == le.Signature &&
-		e.Injections == le.Injections && e.Image == le.Image && slices.Equal(e.Blocks(), le.Blocks)
-}
-
-// TestStoreLegacyFixture loads a converged minidb store written in the
-// previous format (testdata/legacy_store: indented shards, index.json,
-// and a journal of two JSON-body records, both clearing an entry's
-// image stamp, the last one torn). Every entry loads Lookup-equal to
-// the previous format's own decoding — the intact journal record over
-// its shard entry, the torn one dropped — a default resume executes
-// nothing, and its Save retires the shards into a snapshot that
-// reloads entry for entry.
-func TestStoreLegacyFixture(t *testing.T) {
-	cfg := configFor(t, "minidb")
-	root := filepath.Join(t.TempDir(), "store")
-	copyDir(t, filepath.Join("testdata", "legacy_store"), root)
-	dir := filepath.Join(root, cfg.System)
-	ref := legacyReference(t, dir)
-	unstamped := 0
-	for _, le := range ref {
-		if le.Image == "" {
-			unstamped++
+	before := state()
+	for _, open := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"LoadStore", func() error { _, err := LoadStore(cfg.Store, cfg.System, ImageVersion(cfg.Binary)); return err }},
+		{"Lint", func() error { _, err := Lint(cfg); return err }},
+		{"Diff", func() error { _, err := Diff(cfg); return err }},
+		{"Explore", func() error { _, err := Explore(context.Background(), 0, cfg); return err }},
+	} {
+		if err := open.fn(); err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("%s on a previous-format store: %v, want an error naming %s", open.name, err, dir)
 		}
 	}
-	if len(ref) != 376 || unstamped != 1 {
-		t.Fatalf("fixture decodes to %d entries, %d unstamped; want the 376 of a converged minidb store, one unstamped by the intact journal record",
-			len(ref), unstamped)
+	if after := state(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("opening a previous-format store changed it:\nbefore %v\nafter  %v", before, after)
 	}
-	image := ImageVersion(cfg.Binary)
-	check := func(what string, st *Store, image string) {
-		t.Helper()
-		if got := st.Stats().Entries; got != len(ref) {
-			t.Fatalf("%s: %d entries, want %d", what, got, len(ref))
-		}
-		for key, le := range ref {
-			if image != "" {
-				le.Image = image
-			}
-			if e, ok := st.Lookup(key); !ok || !sameAsLegacy(e, le) {
-				t.Fatalf("%s: %s = %+v (found %v), want %+v", what, key, e, ok, le)
-			}
-		}
-	}
-	st, err := LoadStore(root, cfg.System, image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("previous-format load", st, "")
-
-	cfg.Store = root
-	res, err := exploreOne(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Executed != 0 || res.Replayed != len(ref) {
-		t.Fatalf("default resume on the fixture executed %d, replayed %d; want 0 and %d", res.Executed, res.Replayed, len(ref))
-	}
-	files, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, f := range files {
-		names = append(names, f.Name())
-	}
-	if want := []string{indexName, snapshotName}; !slices.Equal(names, want) {
-		t.Fatalf("files after the first Save: %v, want %v", names, want)
-	}
-	st2, err := LoadStore(root, cfg.System, image)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("reload after Save", st2, image)
 }
 
 // TestStoreNewFilesUnreadableByPreviousFormat lists the files of a

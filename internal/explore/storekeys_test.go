@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
+	"lfi/internal/exec"
 	"lfi/internal/system"
 )
 
@@ -43,9 +45,12 @@ func TestStoreKeysGolden(t *testing.T) {
 		t.Skip("explores every registered system")
 	}
 	var got strings.Builder
+	fleet := exec.NewFleet(exec.NewLocal(runtime.GOMAXPROCS(0)))
+	defer fleet.Close()
 	for _, d := range system.All() {
 		cfg := ConfigForSystem(d)
 		cfg.Store = t.TempDir()
+		cfg.Exec = fleet
 
 		gen := map[string]bool{}
 		for _, c := range Generate(cfg) {

@@ -289,7 +289,6 @@ func distinctExecBugs(systemName string, outs []*exec.Outcome) []Bug {
 func (s *Session) config(sys *System) ExploreConfig {
 	cfg := explore.ConfigForSystem(sys)
 	cfg.Store = s.store
-	cfg.Workers = s.workers
 	cfg.StallBatches = s.stall
 	cfg.Seed = s.seed
 	cfg.Log = s.log
