@@ -503,7 +503,6 @@ func runExplore(args []string) {
 	all := fs.Bool("all", false, "explore every registered system in one session")
 	store := fs.String("store", "", "persistent campaign store root (one directory per system); resumes incrementally")
 	budget := fs.Int("budget", 0, "max executed test runs, total across systems (0 = explore everything)")
-	stall := fs.Int("stall", 0, "stop after this many batches with no new coverage/bugs (default 3)")
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "local campaign worker pool size (1 = sequential)")
 	pool := fs.Int("pool", 0, "add a crash-isolating pool of this many worker subprocesses")
 	remotes := fs.String("workers-remote", "", "comma-separated host:port list of `lfi serve` workers to fan batches across")
@@ -528,9 +527,6 @@ func runExplore(args []string) {
 	}
 	if *budget > 0 {
 		opts = append(opts, lfi.WithBudget(*budget))
-	}
-	if *stall > 0 {
-		opts = append(opts, lfi.WithStallBatches(*stall))
 	}
 	if *verbose {
 		opts = append(opts, lfi.WithLog(os.Stderr))

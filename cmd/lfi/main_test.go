@@ -128,7 +128,7 @@ func TestExploreThenResume(t *testing.T) {
 	} {
 		t.Run(tc.app, func(t *testing.T) {
 			store := filepath.Join(t.TempDir(), "store")
-			args := append([]string{"explore", "-app", tc.app, "-store", store, "-stall", "1000", "-v"}, tc.extra...)
+			args := append([]string{"explore", "-app", tc.app, "-store", store, "-v"}, tc.extra...)
 			out, errOut := run(t, 0, args...)
 			mustMatch(t, "explore", out,
 				`(?m)^explore `+tc.app+`: \d+ candidates \(\+\d+ window mutants\), [1-9]\d* executed, 0 replayed, \d+ batches`,
@@ -148,6 +148,70 @@ func TestExploreThenResume(t *testing.T) {
 		})
 	}
 	run(t, 2, "explore", "-app", "nosuchsystem")
+}
+
+// exploreLine matches a per-system explore summary line: system,
+// candidates, window mutants, executed, replayed.
+var exploreLine = regexp.MustCompile(`(?m)^explore ([a-z]+): (\d+) candidates \(\+(\d+) window mutants\), (\d+) executed, (\d+) replayed, `)
+
+// exploreCounts parses every per-system summary line of an explore
+// stdout into system -> [candidates, mutants, executed, replayed].
+func exploreCounts(t *testing.T, out string) map[string][4]int {
+	t.Helper()
+	counts := make(map[string][4]int)
+	for _, m := range exploreLine.FindAllStringSubmatch(out, -1) {
+		var c [4]int
+		for i := range c {
+			fmt.Sscan(m[i+2], &c[i])
+		}
+		counts[m[1]] = c
+	}
+	if len(counts) == 0 {
+		t.Fatalf("no per-system explore lines in:\n%s", out)
+	}
+	return counts
+}
+
+// TestExploreResumeIdempotent: an unbudgeted explore at default flags
+// drains each system's frontier — every candidate and every bred
+// mutant is executed or replayed — so an identical second session
+// against the same store executes nothing, per system and under -all.
+func TestExploreResumeIdempotent(t *testing.T) {
+	drained := func(t *testing.T, out string) map[string][4]int {
+		t.Helper()
+		counts := exploreCounts(t, out)
+		for sys, c := range counts {
+			if c[2]+c[3] != c[0]+c[1] {
+				t.Errorf("explore %s: %d executed + %d replayed, want %d candidates + %d window mutants: frontier not drained",
+					sys, c[2], c[3], c[0], c[1])
+			}
+		}
+		return counts
+	}
+	for _, sys := range lfi.Systems() {
+		t.Run(sys.Name, func(t *testing.T) {
+			store := filepath.Join(t.TempDir(), "store")
+			out, _ := run(t, 0, "explore", "-app", sys.Name, "-store", store)
+			drained(t, out)
+			out, _ = run(t, 0, "explore", "-app", sys.Name, "-store", store)
+			mustMatch(t, "resume", out, `(?m)^explore `+sys.Name+`: .*, 0 executed, [1-9]\d* replayed, 0 batches`)
+		})
+	}
+	t.Run("all", func(t *testing.T) {
+		store := filepath.Join(t.TempDir(), "store")
+		out, _ := run(t, 0, "explore", "-all", "-store", store)
+		first := drained(t, out)
+		out, _ = run(t, 0, "explore", "-all", "-store", store)
+		again := exploreCounts(t, out)
+		for sys, c := range first {
+			if a := again[sys]; a[2] != 0 || a[3] != c[2] {
+				t.Errorf("resumed explore %s: %d executed, %d replayed, want 0 executed and the first run's %d replayed", sys, a[2], a[3], c[2])
+			}
+		}
+		if len(again) != len(first) {
+			t.Errorf("resumed explore -all reported %d systems, the first run %d", len(again), len(first))
+		}
+	})
 }
 
 // TestExploreAllCoverage pins the exact coverage lines `explore -all
@@ -177,7 +241,7 @@ func TestExploreAllCoverage(t *testing.T) {
 // the store read-only, and the patched explore reports its impact plan.
 func TestDiffAndPatchedExplore(t *testing.T) {
 	store := filepath.Join(t.TempDir(), "store")
-	run(t, 0, "explore", "-app", "minidb", "-store", store, "-stall", "1000")
+	run(t, 0, "explore", "-app", "minidb", "-store", store)
 
 	out, _ := run(t, 0, "diff", "-app", "minidb", "-store", store, "-patch", "errmsg_load")
 	mustMatch(t, "diff", out,
@@ -186,7 +250,7 @@ func TestDiffAndPatchedExplore(t *testing.T) {
 		`impacted recovery blocks \(\d+\): .*rec\.em_read`,
 		`base candidates: \d+ cached, [1-9]\d* migratable, \d+ revalidate, 0 missing`)
 
-	out, _ = run(t, 0, "explore", "-app", "minidb", "-store", store, "-stall", "1000", "-patch", "errmsg_load", "-v")
+	out, _ = run(t, 0, "explore", "-app", "minidb", "-store", store, "-patch", "errmsg_load", "-v")
 	mustMatch(t, "patched explore", out,
 		`(?m)^  impact vs minidb@[0-9a-f]+: 1 changed fn \[errmsg_load\], \d+ impacted blocks, [1-9]\d* migrated, \d+ revalidated`,
 		`(?m)^  store minidb: \d+ shards, 2 image versions, `)
@@ -312,7 +376,7 @@ func TestProfile(t *testing.T) {
 func TestServeWorkersRemote(t *testing.T) {
 	a := start(t, "serve", "-addr", "127.0.0.1:0", "-j", "2")
 	b := start(t, "serve", "-addr", "127.0.0.1:0", "-j", "2")
-	out, errOut := run(t, 0, "explore", "-all", "-stall", "1000", "-no-local", "-workers-remote", a+","+b, "-v")
+	out, errOut := run(t, 0, "explore", "-all", "-no-local", "-workers-remote", a+","+b, "-v")
 	mustMatch(t, "remote explore", out,
 		fmt.Sprintf(`(?m)^explore all: %d systems, [1-9]\d* executed, 0 replayed, `, len(lfi.SystemNames())))
 	mustMatch(t, "remote explore -v log", errOut,
@@ -416,7 +480,7 @@ func TestFleetRegistry(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	out, errOut := run(t, 0, "explore", "-all", "-stall", "1000", "-fleet", reg, "-no-local", "-v")
+	out, errOut := run(t, 0, "explore", "-all", "-fleet", reg, "-no-local", "-v")
 	mustMatch(t, "fleet explore", out, `(?m)^explore all: \d+ systems, [1-9]\d* executed, `)
 	mustMatch(t, "fleet explore -v log", errOut,
 		`fleet: registry .*: 1 worker\(s\) discovered, 1 dialed`,

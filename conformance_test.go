@@ -128,7 +128,7 @@ func TestSystemRegistryConformance(t *testing.T) {
 			// The static analysis contract: the interprocedural lint
 			// reproduces the pinned site-class tally, and every
 			// swallowed site names a dead recovery block.
-			sess := mustSession(t, WithWorkers(4), WithStallBatches(1000))
+			sess := mustSession(t, WithWorkers(4))
 			if want, pinned := lintGoldens[sys.Name]; pinned {
 				rep, err := sess.Lint(sys)
 				if err != nil {

@@ -51,7 +51,7 @@ func ExampleNewSession() {
 // fault-profile edit only the cached outcomes the edit can reach
 // re-execute (see `lfi diff` and DESIGN.md).
 func ExampleSession_Explore() {
-	sess, err := lfi.NewSession(lfi.WithWorkers(4), lfi.WithStallBatches(1000))
+	sess, err := lfi.NewSession(lfi.WithWorkers(4))
 	if err != nil {
 		fmt.Println(err)
 		return

@@ -32,12 +32,10 @@ func main() {
 	ctx := context.Background()
 
 	// One session for everything below: shared store root, shared
-	// worker pool. StallBatches is raised so runs drain their whole
-	// candidate queue (bred window mutants included) and the resume
-	// demos can replay everything.
+	// worker pool. Every run drains its whole candidate queue (bred
+	// window mutants included), so the resume demos replay everything.
 	sess, err := lfi.NewSession(
 		lfi.WithStore(filepath.Join(storeDir, "store")),
-		lfi.WithStallBatches(1000),
 		lfi.WithLog(os.Stdout),
 	)
 	if err != nil {

@@ -135,11 +135,13 @@ func (w *fleetWatch) close() {
 
 // fleetPublisher forwards explorer status snapshots to the registry's
 // campaign endpoint, rate-limited to one POST per second — a dropped
-// intermediate snapshot is superseded by the next one anyway. Publishes
-// are fire-and-forget: status is observability, never control flow.
+// intermediate snapshot is superseded by the next one, and flush posts
+// the last one. Publishes are fire-and-forget: status is observability,
+// never control flow.
 type fleetPublisher struct {
 	registry string
 	session  string
+	inflight sync.WaitGroup // asynchronous POSTs not yet answered
 
 	mu      sync.Mutex
 	last    time.Time
@@ -171,12 +173,34 @@ func (p *fleetPublisher) publish(u explore.StatusUpdate) {
 		return
 	}
 	p.last = time.Now()
+	c := p.snapshot()
+	p.mu.Unlock()
+	p.inflight.Add(1)
+	go func() {
+		defer p.inflight.Done()
+		fleetd.PublishCampaign(p.registry, c)
+	}()
+}
+
+// flush posts the latest snapshot synchronously once every asynchronous
+// POST has been answered, so a stale snapshot cannot land after it and
+// a process exiting right after the campaign cannot lose it.
+func (p *fleetPublisher) flush() {
+	p.inflight.Wait()
+	p.mu.Lock()
+	c := p.snapshot()
+	p.mu.Unlock()
+	fleetd.PublishCampaign(p.registry, c)
+}
+
+// snapshot copies the per-system statuses into a campaign report; the
+// caller holds p.mu.
+func (p *fleetPublisher) snapshot() fleetd.CampaignStatus {
 	c := fleetd.CampaignStatus{Session: p.session, Systems: make(map[string]fleetd.SystemStatus, len(p.systems))}
 	for k, v := range p.systems {
 		c.Systems[k] = v
 	}
-	p.mu.Unlock()
-	go fleetd.PublishCampaign(p.registry, c)
+	return c
 }
 
 // initFleet runs WithFleet's discovery during NewSession: fetch the

@@ -25,7 +25,6 @@ func TestSessionImpactWorkflow(t *testing.T) {
 		t.Run(sys.Name, func(t *testing.T) {
 			sess := mustSession(t,
 				WithWorkers(4),
-				WithStallBatches(1000),
 				WithStore(filepath.Join(t.TempDir(), "store")),
 			)
 			first, err := sess.Explore(context.Background(), sys)

@@ -126,11 +126,6 @@ func Explorer(quick bool) (ExplorerResult, error) {
 	for _, sys := range systems {
 		cfg := explore.ConfigForSystem(sys)
 		cfg.Profiles = profs
-		// Drain the whole candidate queue, bred window mutants
-		// included, so the "Tests executed" row reports the full
-		// fault space rather than wherever the stall heuristic
-		// happened to stop.
-		cfg.StallBatches = 1000
 		all, err := explore.Explore(context.Background(), 0, cfg)
 		if err != nil {
 			return res, err

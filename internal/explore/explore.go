@@ -15,8 +15,8 @@
 // feeds coverage deltas back in: candidates that target still-uncovered
 // recovery blocks are prioritized (the code-combinations-coverage idea
 // of Huang et al.), callees that recently produced new blocks or new
-// bug signatures get boosted, and the run stops on a budget or when
-// consecutive batches add no coverage and no new bugs.
+// bug signatures get boosted, and the run stops when its frontier is
+// drained or its budget is spent.
 //
 // Candidates that prove interesting breed *window* mutants that feed
 // back into the queue. Occurrence candidates that injected and then
@@ -164,9 +164,6 @@ type Config struct {
 	// conservative whole-shard fallback.
 	BlockOffsets map[string]uint64
 
-	// StallBatches stops the run after this many consecutive batches
-	// with no new coverage and no new bugs (default 3).
-	StallBatches int
 	// Exec is the execution-backend fleet batches dispatch through.
 	// nil means the fleet Explore shares among every config without
 	// one: a single local (in-process) backend of GOMAXPROCS width. The
@@ -207,9 +204,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.StallBatches <= 0 {
-		c.StallBatches = 3
-	}
 	if c.System == "" && c.Binary != nil {
 		c.System = c.Binary.Name
 	}
@@ -833,7 +827,6 @@ type run struct {
 	// proven build-independent; they re-run ahead of pending, in
 	// batches pinned to build-matched backends (Batch.RequireImage).
 	reval []*Candidate
-	stall int
 	// flying is set while a launched batch of this run has not landed.
 	flying bool
 	// gain is the system's coverage yield per run, folded from this
@@ -972,10 +965,10 @@ func newRun(cfg Config) (*run, error) {
 	return &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, gain: store.gain(), begin: begin}, nil
 }
 
-// done reports whether scheduling is finished: queue drained or
-// stalled.
+// done reports whether scheduling is finished: the frontier (pending
+// and pinned re-validation) is drained.
 func (r *run) done() bool {
-	return len(r.pending)+len(r.reval) == 0 || r.stall >= r.cfg.StallBatches
+	return len(r.pending)+len(r.reval) == 0
 }
 
 // flight is one launched batch: its candidates, whether it is a pinned
@@ -1070,22 +1063,6 @@ func (r *run) land(f *flight) error {
 		return err
 	}
 	r.publishStatus()
-
-	// A batch that breeds mutants is progress even when it adds no
-	// immediate coverage: the interesting part of a mutation chain
-	// (pbft's view-change burst) can sit several generations past
-	// the last coverage gain, and stalling it off would orphan the
-	// bred candidates. Pinned re-validation batches are exempt both
-	// ways: they re-confirm known outcomes, which is neither progress
-	// nor a stall signal.
-	if f.require {
-		return nil
-	}
-	if len(report.NewBlocks) == 0 && len(report.NewBugs) == 0 && len(mutants) == 0 {
-		r.stall++
-	} else {
-		r.stall = 0
-	}
 	return nil
 }
 

@@ -40,18 +40,8 @@ func exploreOne(cfg Config) (*Result, error) {
 	return res.Results[0], err
 }
 
-// minidbConfig returns a config that explores the whole minidb fault
-// space deterministically (no budget, stall disabled high enough that
-// every candidate runs).
-func minidbConfig(t *testing.T) Config {
-	t.Helper()
-	cfg := configFor(t, "minidb")
-	cfg.StallBatches = 1000
-	return cfg
-}
-
 func TestGenerateDeterministicAndDeduped(t *testing.T) {
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	a := Generate(cfg)
 	b := Generate(cfg)
 	if len(a) == 0 {
@@ -96,7 +86,7 @@ func TestGenerateDeterministicAndDeduped(t *testing.T) {
 // (Stock-bug rediscovery for every registered system, minidb included,
 // is pinned by the registry conformance test at the repository root.)
 func TestExploreMinidbCoverageGain(t *testing.T) {
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	res, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +106,7 @@ func TestExploreMinidbCoverageGain(t *testing.T) {
 // an unchanged target replays every outcome and executes nothing, and
 // reports the same bugs and coverage.
 func TestExploreResume(t *testing.T) {
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 
 	first, err := exploreOne(cfg)
@@ -163,7 +153,7 @@ func bugSigs(r *Result) []string {
 // executed tests: the last batch shrinks to what the budget has left.
 func TestExploreBudget(t *testing.T) {
 	const budget = batchSize + 4
-	all, err := Explore(context.Background(), budget, minidbConfig(t))
+	all, err := Explore(context.Background(), budget, configFor(t, "minidb"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +217,7 @@ func TestGainEWMA(t *testing.T) {
 // TestExploreDeterministic runs twice without a store and expects
 // identical bug lists and batch structure.
 func TestExploreDeterministic(t *testing.T) {
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	a, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +263,7 @@ func patched(t *testing.T, bin *isa.Binary, fn string) *isa.Binary {
 // image's shards stay on disk next to the new ones.
 func TestShardInvalidation(t *testing.T) {
 	const changed = "errmsg_load"
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 
 	first, err := exploreOne(cfg)
@@ -340,7 +330,6 @@ func TestShardInvalidation(t *testing.T) {
 // same config twice yields the same mutant count and the same bugs.
 func TestWindowMutantsDeterministic(t *testing.T) {
 	cfg := configFor(t, "pbft")
-	cfg.StallBatches = 1000
 	a, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -382,12 +371,12 @@ func (c *cancelAfterBatches) Write(p []byte) (int, error) {
 // from it — replaying everything the interrupted run completed and
 // converging on the same bugs as an uninterrupted run.
 func TestExploreCancelLeavesResumableStore(t *testing.T) {
-	full, err := exploreOne(minidbConfig(t))
+	full, err := exploreOne(configFor(t, "minidb"))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -495,18 +484,18 @@ func killedStore(t *testing.T, cfg Config, n int) (string, *Result) {
 // by replaying every outcome of the batches logged before the kill, and
 // converges on the uninterrupted run's executed count and bugs.
 func TestExploreHardKillResume(t *testing.T) {
-	full, err := exploreOne(minidbConfig(t))
+	full, err := exploreOne(configFor(t, "minidb"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 4
-	killed, partial := killedStore(t, minidbConfig(t), n)
+	killed, partial := killedStore(t, configFor(t, "minidb"), n)
 	before := 0
 	for _, b := range partial.Batches[:n-1] {
 		before += b.Runs
 	}
 
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	cfg.Store = killed
 	resumed, err := exploreOne(cfg)
 	if err != nil {
@@ -530,8 +519,8 @@ func TestExploreHardKillResume(t *testing.T) {
 // batches already records the fault profile its outcomes were produced
 // under, so a resume after a profile edit sees the edit.
 func TestExploreHardKillProfileEdit(t *testing.T) {
-	killed, _ := killedStore(t, minidbConfig(t), 3)
-	cfg := minidbConfig(t)
+	killed, _ := killedStore(t, configFor(t, "minidb"), 3)
+	cfg := configFor(t, "minidb")
 	cfg.Store = killed
 	cfg.Profiles = dupReturnProfiles(t, cfg.Profiles, "read")
 	resumed, err := exploreOne(cfg)
@@ -552,7 +541,6 @@ func TestExploreAllSharedStore(t *testing.T) {
 		var cfgs []Config
 		for _, sys := range []string{"minidb", "minivcs"} {
 			cfg := configFor(t, sys)
-			cfg.StallBatches = 1000
 			cfg.Store = root
 			cfgs = append(cfgs, cfg)
 		}

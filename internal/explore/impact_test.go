@@ -27,7 +27,7 @@ func TestImpactInvalidation(t *testing.T) {
 	const changed = "errmsg_load"
 
 	// The first run has no previous image and must be a plain full run.
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 	first, err := exploreOne(cfg)
 	if err != nil {
@@ -199,7 +199,7 @@ func dupReturnProfiles(t *testing.T, ps []*profile.Profile, fn string) []*profil
 // callee's cached entries re-execute; everything else replays.
 func TestImpactProfileEdit(t *testing.T) {
 	const changed = "read"
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 
 	first, err := exploreOne(cfg)
@@ -280,7 +280,6 @@ func TestImpactProfileEdit(t *testing.T) {
 func TestImpactFallbackConservative(t *testing.T) {
 	const changed = "load_zone"
 	cfg := configFor(t, "minidns")
-	cfg.StallBatches = 1000
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 
 	first, err := exploreOne(cfg)
@@ -316,7 +315,7 @@ func TestImpactFallbackConservative(t *testing.T) {
 // against an edit without executing anything or writing the store.
 func TestDiffReport(t *testing.T) {
 	const changed = "errmsg_load"
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	if _, err := Diff(cfg); err == nil {
 		t.Fatal("diff without a store succeeded")
 	}
@@ -364,7 +363,7 @@ func TestDiffReport(t *testing.T) {
 	// An identical binary diffs clean: no previous-image pairing is an
 	// acceptable report too, but with the store's manifest present the
 	// report must show zero work.
-	cfg2 := minidbConfig(t)
+	cfg2 := configFor(t, "minidb")
 	cfg2.Store = cfg.Store
 	rep2, err := Diff(cfg2)
 	if err != nil {
@@ -380,7 +379,7 @@ func TestDiffReport(t *testing.T) {
 	// A fault-profile edit moves no code byte, yet the diff previews it
 	// with the resume's own rule: the changed callee's cached entries
 	// re-validate — the 40 TestImpactProfileEdit's resume re-validates.
-	cfg3 := minidbConfig(t)
+	cfg3 := configFor(t, "minidb")
 	cfg3.Store = cfg.Store
 	cfg3.Profiles = dupReturnProfiles(t, cfg3.Profiles, "read")
 	rep3, err := Diff(cfg3)
@@ -517,7 +516,7 @@ func TestStorePreviousImage(t *testing.T) {
 // each re-validated entry once.
 func TestImpactProfileEditAgedStore(t *testing.T) {
 	const changed = "read"
-	base := minidbConfig(t)
+	base := configFor(t, "minidb")
 	imageB := patched(t, base.Binary, "errmsg_load")
 	edited := dupReturnProfiles(t, base.Profiles, changed)
 
@@ -604,7 +603,7 @@ func (f *foreignExec) Run(ctx context.Context, b *exec.Batch) ([]*exec.Outcome, 
 // which makes the counts pinnable.
 func TestMixedBuildCallerGuard(t *testing.T) {
 	const changed = "errmsg_load"
-	cfg := minidbConfig(t)
+	cfg := configFor(t, "minidb")
 	baseline, err := exploreOne(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -738,8 +738,8 @@ func TestStoreRefusesPreviousFormat(t *testing.T) {
 // entries. It reads every *.json but index.json as a shard, and every
 // journal body as JSON.
 func TestStoreNewFilesUnreadableByPreviousFormat(t *testing.T) {
-	killed, _ := killedStore(t, minidbConfig(t), 3)
-	cfg := minidbConfig(t)
+	killed, _ := killedStore(t, configFor(t, "minidb"), 3)
+	cfg := configFor(t, "minidb")
 	cfg.Store = filepath.Join(t.TempDir(), "store")
 	if _, err := exploreOne(cfg); err != nil {
 		t.Fatal(err)

@@ -63,7 +63,6 @@ type Session struct {
 	store    string
 	workers  int
 	budget   int
-	stall    int
 	seed     int64
 	log      io.Writer
 	observer func(system string, o Outcome)
@@ -114,18 +113,6 @@ func WithBudget(n int) SessionOption {
 			return fmt.Errorf("lfi: WithBudget(%d): budget cannot be negative (0 means unlimited)", n)
 		}
 		s.budget = n
-		return nil
-	}
-}
-
-// WithStallBatches stops exploration after n consecutive batches with
-// no new coverage, bugs, or mutants (default 3).
-func WithStallBatches(n int) SessionOption {
-	return func(s *Session) error {
-		if n < 0 {
-			return fmt.Errorf("lfi: WithStallBatches(%d): stall threshold cannot be negative", n)
-		}
-		s.stall = n
 		return nil
 	}
 }
@@ -289,7 +276,6 @@ func distinctExecBugs(systemName string, outs []*exec.Outcome) []Bug {
 func (s *Session) config(sys *System) ExploreConfig {
 	cfg := explore.ConfigForSystem(sys)
 	cfg.Store = s.store
-	cfg.StallBatches = s.stall
 	cfg.Seed = s.seed
 	cfg.Log = s.log
 	cfg.Exec = s.fleet
@@ -362,5 +348,9 @@ func (s *Session) ExploreAll(ctx context.Context, systems ...*System) (*ExploreA
 		seen[sys.Name] = true
 		cfgs = append(cfgs, s.config(sys))
 	}
-	return explore.Explore(ctx, s.budget, cfgs...)
+	res, err := explore.Explore(ctx, s.budget, cfgs...)
+	if s.publisher != nil {
+		s.publisher.flush()
+	}
+	return res, err
 }

@@ -109,7 +109,6 @@ func TestSessionExploreStoreStats(t *testing.T) {
 	}
 	sess := mustSession(t,
 		WithWorkers(4),
-		WithStallBatches(1000),
 		WithStore(filepath.Join(t.TempDir(), "store")),
 	)
 	first, err := sess.Explore(context.Background(), sys)
@@ -151,7 +150,6 @@ func TestNewSessionValidation(t *testing.T) {
 		{"zero workers", []SessionOption{WithWorkers(0)}, "WithWorkers"},
 		{"negative workers", []SessionOption{WithWorkers(-3)}, "WithWorkers"},
 		{"negative budget", []SessionOption{WithBudget(-1)}, "WithBudget"},
-		{"negative stall", []SessionOption{WithStallBatches(-2)}, "WithStallBatches"},
 		{"nil executor", []SessionOption{WithExecutors(nil)}, "nil executor"},
 		{"no executors", []SessionOption{WithExecutors()}, "no executors"},
 	}
@@ -340,7 +338,7 @@ func TestSessionExploreRemoteMatchesLocal(t *testing.T) {
 	if !ok {
 		t.Fatal("minidb not registered")
 	}
-	localSess := mustSession(t, WithWorkers(4), WithStallBatches(1000))
+	localSess := mustSession(t, WithWorkers(4))
 	localRes, err := localSess.Explore(context.Background(), sys)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +369,6 @@ func TestSessionExploreRemoteMatchesLocal(t *testing.T) {
 			store := filepath.Join(t.TempDir(), "store")
 			sess := mustSession(t,
 				WithExecutor(tc.backend(t)),
-				WithStallBatches(1000),
 				WithStore(store),
 			)
 			res, err := sess.Explore(context.Background(), sys)
@@ -385,7 +382,7 @@ func TestSessionExploreRemoteMatchesLocal(t *testing.T) {
 				t.Fatalf("%s exploration executed nothing", tc.name)
 			}
 
-			resumed := mustSession(t, WithWorkers(4), WithStallBatches(1000), WithStore(store))
+			resumed := mustSession(t, WithWorkers(4), WithStore(store))
 			again, err := resumed.Explore(context.Background(), sys)
 			if err != nil {
 				t.Fatal(err)
