@@ -41,6 +41,8 @@ package explore
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
@@ -116,8 +118,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Candidate is one proposed injection experiment.
+// Candidate is one proposed injection experiment. The explorer keys,
+// deduplicates and schedules a candidate by its parameters alone and
+// builds its scenario only when it launches.
 type Candidate struct {
+	// Scenario is the built scenario: nil until the candidate is
+	// launched, except in Generate's output, which is built.
 	Scenario   *scenario.Scenario
 	Kind       Kind
 	Callee     string
@@ -131,10 +137,17 @@ type Candidate struct {
 	// Block is the recovery basic block this candidate targets, when
 	// the target application's site map can name it ("" = unknown).
 	Block string
-	// Hash is the content hash of the serialized scenario.
+	// Hash is the content hash of the serialized scenario. The
+	// explorer derives it from the parameters (keyer), before any
+	// scenario is built.
 	Hash string
+	// name is the scenario name, which encodes every parameter (see
+	// stackName): the identity the explorer deduplicates and breaks
+	// ranking ties by.
+	name string
 	// key is Hash plus the targeted code region's hash — the store
 	// identity that invalidates the cached outcome when code changes.
+	// keyer.key sets both; Generate's output has no key.
 	key string
 	// base and pos are what score caches once ranked is set: the
 	// static part of the score and Block's position in the run's
@@ -293,16 +306,27 @@ func (r *Result) String() string {
 
 // Generate enumerates the candidate fault space for cfg, in a
 // deterministic order: call-stack candidates by site offset, then the
-// occurrence cross product by function name. Duplicate scenarios (same
-// name, hence same content) are dropped before they are built.
+// occurrence cross product by function name, each with its scenario
+// built.
 func Generate(cfg Config) []*Candidate {
 	cfg = cfg.withDefaults()
+	cands := generate(cfg)
+	for _, c := range cands {
+		c.Scenario = c.build(cfg.Binary.Name)
+		c.Hash = c.Scenario.ContentHash()
+	}
+	return cands
+}
+
+// generate is Generate without the builds: every candidate carries its
+// name and parameters, and no key yet. Duplicate scenarios (same name,
+// hence same content) are dropped before anything is serialized.
+func generate(cfg Config) []*Candidate {
 	a := &callsite.Analyzer{}
 	rep := a.Analyze(cfg.Binary, cfg.Profiles...)
 
 	var out []*Candidate
 	seen := make(map[string]bool)
-	hashes := impact.NewHasher(cfg.Binary)
 	blocks := blockAt(cfg.BlockOffsets)
 	bin := cfg.Binary.Name
 	var buf []byte // scratch candidate names are assembled in
@@ -316,15 +340,13 @@ func Generate(cfg Config) []*Candidate {
 		seen[name] = true
 		return name, true
 	}
-	add := func(c *Candidate) {
-		c.Hash = c.Scenario.ContentHash()
-		c.key = c.Hash + "@" + hashes.Region(c.Caller)
-		out = append(out, c)
-	}
 	addStack := func(site callsite.Site, code int64, e errno.Errno, kind Kind) {
 		buf = stackName(buf[:0], bin, site.Callee, site.Offset, code, e)
 		if name, ok := fresh(); ok {
-			add(stackCandidate(cfg, name, site, code, e, kind, blocks[site.Offset]))
+			out = append(out, &Candidate{
+				name: name, Kind: kind, Callee: site.Callee, Caller: site.Caller,
+				Offset: site.Offset, Code: code, Errno: e, Class: site.Class, Block: blocks[site.Offset],
+			})
 		}
 	}
 
@@ -366,7 +388,7 @@ func Generate(cfg Config) []*Candidate {
 				for n := uint64(1); n <= maxOccurrence; n++ {
 					buf = occurrenceName(buf[:0], bin, fn, n, code, e)
 					if name, ok := fresh(); ok {
-						add(occurrenceCandidate(name, fn, n, code, e))
+						out = append(out, &Candidate{name: name, Kind: Occurrence, Callee: fn, Occurrence: n, Code: code, Errno: e})
 					}
 				}
 			}
@@ -441,9 +463,35 @@ func nameTail(b []byte, code int64, e errno.Errno) []byte {
 	return append(b, e.String()...)
 }
 
-// build seals a generated scenario; the generators only ever produce
-// valid ones.
-func build(bld *scenario.Builder) *scenario.Scenario {
+// build assembles and seals c's scenario — the bytes keyer.key
+// derives c.Hash from. The generators only ever produce valid ones. A
+// call-stack candidate pins its site with a CallStackTrigger and fires
+// once; an occurrence one fires on the n-th call. A window fires on
+// every call in a CallCount from/to burst. A stack window composes the
+// CallStackTrigger with a SiteCountTrigger burst: the conjunction
+// short-circuits, so the counter sees only calls made from that site,
+// and the burst is independent of how often the rest of the program
+// called the same function.
+func (c *Candidate) build(bin string) *scenario.Scenario {
+	bld := scenario.NewBuilder(c.name)
+	switch c.Kind {
+	case Vulnerable, Exercise:
+		off := strconv.FormatUint(c.Offset, 16)
+		cs := bld.Trigger(off, "CallStackTrigger", frameArgs(bin, off))
+		once := bld.Trigger("once", "SingletonTrigger", nil)
+		bld.Inject(c.Callee, 0, c.Code, c.Errno, cs, once)
+	case Occurrence:
+		nth := bld.Trigger("nth", "CallCountTrigger", scenario.IntArgs("n", c.Occurrence))
+		bld.Inject(c.Callee, 0, c.Code, c.Errno, nth)
+	case Window:
+		win := bld.Trigger("win", "CallCountTrigger", scenario.BurstArgs(c.From, c.To))
+		bld.Inject(c.Callee, 0, c.Code, c.Errno, win)
+	case StackWindow:
+		off := strconv.FormatUint(c.Offset, 16)
+		cs := bld.Trigger(off, "CallStackTrigger", frameArgs(bin, off))
+		win := bld.Trigger("swin", "SiteCountTrigger", scenario.BurstArgs(c.From, c.To))
+		bld.Inject(c.Callee, 0, c.Code, c.Errno, cs, win)
+	}
 	s, err := bld.Build()
 	if err != nil {
 		panic("explore: generated scenario invalid: " + err.Error())
@@ -451,57 +499,82 @@ func build(bld *scenario.Builder) *scenario.Scenario {
 	return s
 }
 
-func stackCandidate(cfg Config, name string, site callsite.Site, code int64, e errno.Errno, kind Kind, block string) *Candidate {
-	bld := scenario.NewBuilder(name)
-	off := strconv.FormatUint(site.Offset, 16)
-	cs := bld.Trigger(off, "CallStackTrigger", frameArgs(cfg.Binary.Name, off))
-	once := bld.Trigger("once", "SingletonTrigger", nil)
-	bld.Inject(site.Callee, 0, code, e, cs, once)
-	return &Candidate{
-		Scenario: build(bld), Kind: kind, Callee: site.Callee, Caller: site.Caller,
-		Offset: site.Offset, Code: code, Errno: e, Class: site.Class, Block: block,
-	}
+// keyer derives candidates' store keys from their parameters: key
+// fills the template of the candidate's scenario shape in place and
+// runs the canonical serializer over it into a reused buffer — the
+// bytes build seals, with no scenario built, validated or copied
+// (TestCandidateKeyMatchesBuild pins the two together). A keyer
+// belongs to one run, used by one goroutine at a time.
+type keyer struct {
+	// hashes is the code hasher of the region half of every key.
+	hashes *impact.Hasher
+	buf    []byte
+	// The templates of build's four shapes, and the argument trees they
+	// share, whose texts key sets.
+	stack, occ, win, swin scenario.Scenario
+	frame, nth, burst     *trigger.Args
 }
 
-func occurrenceCandidate(name, fn string, n uint64, code int64, e errno.Errno) *Candidate {
-	bld := scenario.NewBuilder(name)
-	nth := bld.Trigger("nth", "CallCountTrigger", scenario.IntArgs("n", n))
-	bld.Inject(fn, 0, code, e, nth)
-	return &Candidate{
-		Scenario: build(bld), Kind: Occurrence, Callee: fn,
-		Occurrence: n, Code: code, Errno: e,
+func newKeyer(bin *isa.Binary) *keyer {
+	k := &keyer{
+		hashes: impact.NewHasher(bin),
+		frame:  frameArgs(bin.Name, ""),
+		nth:    scenario.IntArgs("n", 0),
+		burst:  scenario.BurstArgs(0, 0),
 	}
+	k.stack = template(scenario.TriggerDecl{Class: "CallStackTrigger", Args: k.frame},
+		scenario.TriggerDecl{ID: "once", Class: "SingletonTrigger"})
+	k.occ = template(scenario.TriggerDecl{ID: "nth", Class: "CallCountTrigger", Args: k.nth})
+	k.win = template(scenario.TriggerDecl{ID: "win", Class: "CallCountTrigger", Args: k.burst})
+	k.swin = template(scenario.TriggerDecl{Class: "CallStackTrigger", Args: k.frame},
+		scenario.TriggerDecl{ID: "swin", Class: "SiteCountTrigger", Args: k.burst})
+	return k
 }
 
-// windowCandidate builds a CallCount burst mutant: inject on every call
-// in [from, to].
-func windowCandidate(name, fn string, from, to uint64, code int64, e errno.Errno) *Candidate {
-	bld := scenario.NewBuilder(name)
-	win := bld.Trigger("win", "CallCountTrigger", scenario.BurstArgs(from, to))
-	bld.Inject(fn, 0, code, e, win)
-	return &Candidate{
-		Scenario: build(bld), Kind: Window, Callee: fn,
-		From: from, To: to, Code: code, Errno: e,
+// template is a shape: triggers, and one injecting function whose
+// conjunction references each of them in order.
+func template(triggers ...scenario.TriggerDecl) scenario.Scenario {
+	refs := make([]scenario.TriggerRef, len(triggers))
+	for i, td := range triggers {
+		refs[i].Ref = td.ID
 	}
+	return scenario.Scenario{Triggers: triggers, Functions: []scenario.FunctionAssoc{{Refs: refs}}}
 }
 
-// stackWindowCandidate builds a call-stack window mutant from a
-// call-stack parent: inject on the from-th through to-th call *made
-// from the parent's call site*. The CallStackTrigger pins the frame and
-// the SiteCountTrigger counts its own evaluations, so (with the
-// conjunction's short-circuit) the burst is site-local — independent of
-// how often the rest of the program called the same function.
-func stackWindowCandidate(cfg Config, name string, c *Candidate, from, to uint64) *Candidate {
-	bld := scenario.NewBuilder(name)
-	off := strconv.FormatUint(c.Offset, 16)
-	cs := bld.Trigger(off, "CallStackTrigger", frameArgs(cfg.Binary.Name, off))
-	win := bld.Trigger("swin", "SiteCountTrigger", scenario.BurstArgs(from, to))
-	bld.Inject(c.Callee, 0, c.Code, c.Errno, cs, win)
-	return &Candidate{
-		Scenario: build(bld), Kind: StackWindow, Callee: c.Callee, Caller: c.Caller,
-		Offset: c.Offset, From: from, To: to, Code: c.Code, Errno: c.Errno,
-		Class: c.Class, Block: c.Block,
+// key sets c.Hash to the content hash c's built scenario would have,
+// and c.key to that hash, '@', and the region of c's caller (the whole
+// image for a candidate without one). The hash is the key's prefix, so
+// the two are one string.
+func (k *keyer) key(c *Candidate) {
+	var s *scenario.Scenario
+	switch c.Kind {
+	case Vulnerable, Exercise:
+		s = &k.stack
+	case Occurrence:
+		s = &k.occ
+		k.nth.Children[0].Text = strconv.FormatUint(c.Occurrence, 10)
+	case Window:
+		s = &k.win
+	case StackWindow:
+		s = &k.swin
 	}
+	if c.Kind == Window || c.Kind == StackWindow {
+		k.burst.Children[0].Text = strconv.FormatUint(c.From, 10)
+		k.burst.Children[1].Text = strconv.FormatUint(c.To, 10)
+	}
+	if s.Triggers[0].Class == "CallStackTrigger" {
+		off := strconv.FormatUint(c.Offset, 16)
+		s.Triggers[0].ID, s.Functions[0].Refs[0].Ref = off, off
+		k.frame.Children[0].Children[1].Text = off
+	}
+	fa := &s.Functions[0]
+	s.Name, fa.Name, fa.Return, fa.Errno = c.name, c.Callee, strconv.FormatInt(c.Code, 10), c.Errno.String()
+	k.buf = s.AppendCanonical(k.buf[:0])
+	sum := sha256.Sum256(k.buf)
+	var h [16]byte
+	hex.Encode(h[:], sum[:8])
+	c.key = string(h[:]) + "@" + k.hashes.Region(c.Caller)
+	c.Hash = c.key[:len(h)]
 }
 
 // frameArgs is a CallStackTrigger's one-frame argument tree; off is the
@@ -573,18 +646,15 @@ type explorer struct {
 
 	// Mutation state: the scenario names already enumerated (initial
 	// candidates plus spawned mutants), the candidates already mutated,
-	// the code hasher for mutant store keys (stack-window mutants key on
-	// their caller's region, like the call-stack candidates they descend
-	// from), and the image-wide code region global windows key on.
-	// (Mutation triggers only on coverage *beyond* the suite baseline,
-	// so the decision is identical whether an outcome was executed or
+	// and the keyer of every candidate and mutant store key. (Mutation
+	// triggers only on coverage *beyond* the suite baseline, so the
+	// decision is identical whether an outcome was executed or
 	// replayed, in any order.)
-	seen        map[string]bool
-	mutated     map[string]bool
-	hashes      *impact.Hasher
-	imageRegion string
-	spawned     int
-	name        []byte // scratch a mutant's name is assembled in
+	seen    map[string]bool
+	mutated map[string]bool
+	keyer   *keyer
+	spawned int
+	name    []byte // scratch a mutant's name is assembled in
 
 	// top is takeBatch's scratch: the best pending candidates.
 	top []ranked
@@ -663,16 +733,16 @@ func (x *explorer) mutationWorthy(e Entry, cov coverage.Bitset) bool {
 // counts are aligned to the site, so the interesting bursts sit near
 // the start), with bursts no longer than maxOccurrence, and
 // deduplicated by name against everything already enumerated before
-// anything is built, so the mutation lattice is finite, the loop
-// always terminates, and each kept mutant is serialized and hashed
-// once. Every decision depends only on the candidate and its outcome
-// entry, never on scheduling order, so a resumed run re-breeds the
-// same lattice from replayed entries alone.
+// anything is hashed, so the mutation lattice is finite, the loop
+// always terminates, and each kept mutant is keyed once and built only
+// if it launches. Every decision depends only on the candidate and its
+// outcome entry, never on scheduling order, so a resumed run re-breeds
+// the same lattice from replayed entries alone.
 func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
-	if x.mutated[c.Scenario.Name] {
+	if x.mutated[c.name] {
 		return nil
 	}
-	x.mutated[c.Scenario.Name] = true
+	x.mutated[c.name] = true
 	var wins [][2]uint64
 	stack := false
 	switch c.Kind {
@@ -722,16 +792,13 @@ func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
 		}
 		name := string(x.name)
 		x.seen[name] = true
-		var nc *Candidate
-		region := x.imageRegion
+		nc := &Candidate{name: name, Kind: Window, Callee: c.Callee, From: from, To: to, Code: c.Code, Errno: c.Errno}
 		if stack {
-			nc = stackWindowCandidate(x.cfg, name, c, from, to)
-			region = x.hashes.Region(nc.Caller)
-		} else {
-			nc = windowCandidate(name, c.Callee, from, to, c.Code, c.Errno)
+			// A stack window stays aimed at its parent's site and keys
+			// on its caller's region, like the parent.
+			nc.Kind, nc.Caller, nc.Offset, nc.Class, nc.Block = StackWindow, c.Caller, c.Offset, c.Class, c.Block
 		}
-		nc.Hash = nc.Scenario.ContentHash()
-		nc.key = nc.Hash + "@" + region
+		x.keyer.key(nc)
 		x.spawned++
 		out = append(out, nc)
 	}
@@ -840,7 +907,7 @@ type run struct {
 func newRun(cfg Config) (*run, error) {
 	cfg = cfg.withDefaults()
 	begin := time.Now()
-	cands := Generate(cfg)
+	cands := generate(cfg)
 
 	x := &explorer{
 		cfg:     cfg,
@@ -849,12 +916,12 @@ func newRun(cfg Config) (*run, error) {
 		reval:   make(map[string]float64),
 		seen:    make(map[string]bool, len(cands)),
 		mutated: make(map[string]bool),
+		keyer:   newKeyer(cfg.Binary),
 	}
 	for _, c := range cands {
-		x.seen[c.Scenario.Name] = true
+		x.keyer.key(c)
+		x.seen[c.name] = true
 	}
-	x.hashes = impact.NewHasher(cfg.Binary)
-	x.imageRegion = x.hashes.Image()
 	x.imageVersion = ImageVersion(cfg.Binary)
 	x.funcHashes = impact.FuncHashes(cfg.Binary)
 	x.mixed = make(map[string]*buildDiff)
@@ -892,6 +959,7 @@ func newRun(cfg Config) (*run, error) {
 		if err != nil {
 			return nil, err
 		}
+		store.reserve(len(cands))
 		// Diff-aware resume: the stale-outcome rule (impact.go) against
 		// the store's previous image and profile fingerprints decides
 		// per candidate whether its cached outcome replays, migrates
@@ -954,15 +1022,21 @@ func newRun(cfg Config) (*run, error) {
 			}
 		}
 	}
-	if res.Replayed > 0 {
-		x.logf("explore %s: replayed %d cached outcomes from %s", cfg.System, res.Replayed, cfg.Store)
-	}
-	if res.Impact != nil {
-		x.logf("explore %s: %s", cfg.System, res.Impact)
-	}
 	// The gain EWMA resumes where the last session left it, so
 	// scheduling starts from observed yield instead of the prior.
 	return &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, gain: store.gain(), begin: begin}, nil
+}
+
+// logSetup writes what newRun replayed and the change-impact summary
+// to the log. Explore calls it in input order once the runs are ready,
+// so the lines do not depend on which setup finished first.
+func (r *run) logSetup() {
+	if r.res.Replayed > 0 {
+		r.x.logf("explore %s: replayed %d cached outcomes from %s", r.cfg.System, r.res.Replayed, r.cfg.Store)
+	}
+	if r.res.Impact != nil {
+		r.x.logf("explore %s: %s", r.cfg.System, r.res.Impact)
+	}
 }
 
 // done reports whether scheduling is finished: the frontier (pending
@@ -1009,6 +1083,9 @@ func (r *run) launch(ctx context.Context, cap int, d *dispatcher) *flight {
 	}
 	scens := make([]*scenario.Scenario, len(f.batch))
 	for i, c := range f.batch {
+		if c.Scenario == nil {
+			c.Scenario = c.build(r.cfg.Binary.Name)
+		}
 		scens[i] = c.Scenario
 	}
 	f.b = &exec.Batch{
@@ -1174,7 +1251,7 @@ func (r ranked) ahead(o ranked) bool {
 	if r.score != o.score {
 		return r.score > o.score
 	}
-	return r.c.Scenario.Name < o.c.Scenario.Name
+	return r.c.name < o.c.name
 }
 
 // foreign resolves (memoized) the stale-outcome rule for a foreign
@@ -1244,7 +1321,7 @@ func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, sto
 		// idx: nothing wire- or scratch-backed is retained. The failure
 		// signature was computed where the run executed — it needs the
 		// injection log, which stays with the worker.
-		entry := Entry{Name: c.Scenario.Name, Injections: out.Injections}
+		entry := Entry{Name: c.name, Injections: out.Injections}
 		if out.CovU != nil {
 			entry.cov, entry.table = out.Cov.Clone(), x.table
 		}
@@ -1278,7 +1355,7 @@ func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, sto
 				report.NewBugs = append(report.NewBugs, out.Signature)
 				x.reward(c.Callee)
 			}
-			x.sigs[out.Signature] = append(x.sigs[out.Signature], c.Scenario.Name)
+			x.sigs[out.Signature] = append(x.sigs[out.Signature], c.name)
 		}
 		if adoptKey != "" {
 			store.Adopt(adoptKey, c.key, entry)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -597,6 +598,78 @@ func TestExploreAllRejectsDuplicateSystems(t *testing.T) {
 	cfg := configFor(t, "minidb")
 	if _, err := Explore(context.Background(), 0, cfg, cfg); err == nil {
 		t.Fatal("duplicate system accepted")
+	}
+}
+
+// TestExploreSetupDeterministic: the runs are set up in parallel, yet
+// the session reads as if they were set up one after another. On a
+// converged store over every system, the -v log (each run's replay
+// line, in input order) is byte-identical across sessions and under
+// GOMAXPROCS 1 and 2. With two refused stores, the error names the
+// first in input order, although with every setup started at once the
+// second (miniweb, the quickest to set up) fails first.
+func TestExploreSetupDeterministic(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "store")
+	cfgs := allConfigs(nil, root)
+	if _, err := Explore(context.Background(), 0, cfgs...); err != nil {
+		t.Fatal(err)
+	}
+	session := func() string {
+		t.Helper()
+		var log bytes.Buffer
+		logged := slices.Clone(cfgs)
+		for i := range logged {
+			logged[i].Log = &log
+		}
+		res, err := Explore(context.Background(), 0, logged...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Executed != 0 {
+			t.Fatalf("converged session executed %d", res.Executed)
+		}
+		return log.String()
+	}
+	want := session()
+	var order []string
+	for _, line := range strings.Split(strings.TrimSpace(want), "\n") {
+		order = append(order, strings.Fields(line)[1])
+	}
+	var systems []string
+	for _, cfg := range cfgs {
+		systems = append(systems, cfg.System+":")
+	}
+	if !slices.Equal(order, systems) {
+		t.Fatalf("setup log is not one replay line per system in input order:\n%s", want)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < 10; i++ {
+			if got := session(); got != want {
+				t.Fatalf("GOMAXPROCS %d, session %d: setup log differs:\n%s\nwant:\n%s", procs, i, got, want)
+			}
+		}
+	}
+
+	refused := filepath.Join(t.TempDir(), "refused")
+	for _, i := range []int{1, 3} {
+		dir := filepath.Join(refused, cfgs[i].System)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		index := `{"system":"` + cfgs[i].System + `"}` + "\n"
+		if err := os.WriteFile(filepath.Join(dir, indexName), []byte(index), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first := filepath.Join(refused, cfgs[1].System)
+	runtime.GOMAXPROCS(len(cfgs))
+	for i := 0; i < 10; i++ {
+		res, err := Explore(context.Background(), 0, allConfigs(nil, refused)...)
+		if res != nil || err == nil || !strings.Contains(err.Error(), first+" ") {
+			t.Fatalf("session %d: got %v, %v; want the error naming %s", i, res, err, first)
+		}
 	}
 }
 

@@ -334,7 +334,9 @@ func Diff(cfg Config) (*DiffReport, error) {
 	if d.image != "" {
 		rep.Diff = impact.DiffFuncs(d.theirs, ours)
 	}
-	for _, c := range Generate(cfg) {
+	k := newKeyer(cfg.Binary)
+	for _, c := range generate(cfg) {
+		k.key(c)
 		switch v, _, _ := d.classify(store, c); v {
 		case replay:
 			rep.Cached++

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lfi/internal/controller"
@@ -52,9 +53,9 @@ const inFlight = 2
 
 // Explore is the exploration driver: one session over one or more
 // systems — a single-system run is the same loop over one config. For
-// each config it generates the candidate space, runs the coverage
-// baseline and replays the persistent store (diff-aware: see
-// impact.go), then schedules the remaining candidates in
+// each config, in parallel (setup), it generates the candidate space,
+// runs the coverage baseline and replays the persistent store
+// (diff-aware: see impact.go), then it schedules the remaining candidates in
 // coverage-guided batches and persists their outcomes. All configs
 // share one execution fleet (by convention: a Session passes one fleet
 // to every config, and configs without one share a local fleet Explore
@@ -103,29 +104,25 @@ func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, err
 		}
 		seen[name] = true
 	}
-	runs := make([]*run, 0, len(cfgs))
-	var runErr error
 	// local is the one fleet every config without an Exec shares, so
-	// its width bounds the session's in-process runs.
+	// its width bounds the session's in-process runs. The configs are
+	// copied, so the caller's slice keeps its nil Execs.
+	cfgs = append([]Config(nil), cfgs...)
 	var local *exec.Fleet
-	for _, cfg := range cfgs {
-		if runErr = ctx.Err(); runErr != nil {
-			break
-		}
-		if cfg.Exec == nil {
+	for i := range cfgs {
+		if cfgs[i].Exec == nil {
 			if local == nil {
 				local = exec.NewFleet(exec.NewLocal(runtime.GOMAXPROCS(0)))
 				defer local.Close()
 			}
-			cfg.Exec = local
+			cfgs[i].Exec = local
 		}
-		r, err := newRun(cfg)
-		if err != nil {
-			// Creation failures (bad store, broken baseline) abort the
-			// whole session before any scheduling starts.
-			return nil, err
-		}
-		runs = append(runs, r)
+	}
+	runs, runErr, err := setup(ctx, cfgs)
+	if err != nil {
+		// Creation failures (bad store, broken baseline) abort the
+		// whole session before any scheduling starts.
+		return nil, err
 	}
 
 	executed := func() int {
@@ -196,6 +193,48 @@ func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, err
 		return res, runErr
 	}
 	return res, nil
+}
+
+// setup creates the configs' runs — each newRun generates, runs its
+// baseline and loads its store — on up to GOMAXPROCS goroutines. It
+// returns them in input order once every one is ready and writes their
+// setup log lines in that order, so the schedule and the log are those
+// of creating the runs one after another. ctx is checked before each
+// run starts. The first config in input order without a run decides
+// the outcome: if ctx stopped it, the runs ahead of it come back with
+// ctx's error as runErr; if its creation failed, err is that error.
+func setup(ctx context.Context, cfgs []Config) (runs []*run, runErr, err error) {
+	type slot struct {
+		r           *run
+		err, ctxErr error
+	}
+	slots := make([]slot, len(cfgs))
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(cfgs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(cfgs); i = int(next.Add(1)) - 1 {
+				if slots[i].ctxErr = ctx.Err(); slots[i].ctxErr == nil {
+					slots[i].r, slots[i].err = newRun(cfgs[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	runs = make([]*run, 0, len(cfgs))
+	for _, s := range slots {
+		switch {
+		case s.ctxErr != nil:
+			return runs, s.ctxErr, nil
+		case s.err != nil:
+			return nil, nil, s.err
+		}
+		s.r.logSetup()
+		runs = append(runs, s.r)
+	}
+	return runs, nil, nil
 }
 
 // dispatcher runs launched batches on inFlight goroutines that live for

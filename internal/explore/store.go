@@ -274,6 +274,15 @@ func (s *Store) load(key string, e Entry) {
 	s.entries[key] = e
 }
 
+// reserve sizes an empty store's entry map for n entries, so a fresh
+// store's first session does not grow it from empty one outcome at a
+// time. A store that loaded entries keeps its map.
+func (s *Store) reserve(n int) {
+	if s != nil && len(s.entries) == 0 {
+		s.entries = make(map[string]Entry, n)
+	}
+}
+
 // Lookup returns the cached outcome for a candidate key.
 func (s *Store) Lookup(key string) (Entry, bool) {
 	if s == nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"lfi/internal/exec"
+	"lfi/internal/scenario"
 	"lfi/internal/system"
 )
 
@@ -48,23 +49,16 @@ func TestStoreKeysGolden(t *testing.T) {
 	fleet := exec.NewFleet(exec.NewLocal(runtime.GOMAXPROCS(0)))
 	defer fleet.Close()
 	for _, d := range system.All() {
-		cfg := ConfigForSystem(d)
-		cfg.Store = t.TempDir()
-		cfg.Exec = fleet
-
 		gen := map[string]bool{}
-		for _, c := range Generate(cfg) {
+		for _, c := range Generate(ConfigForSystem(d)) {
 			gen[c.Hash] = true
 		}
 
-		// Every bred mutant lands on the pending queue at the end of
-		// the step that bred it, so sampling the queue after each step
-		// sees every scenario the run enumerates, executed or not.
 		nameOf := map[string]string{}
 		hashOf := map[string]string{}
-		collect := func(r *run) {
+		res := exploreFresh(t, d, fleet, func(r *run) {
 			for _, c := range r.pending {
-				name := c.Scenario.Name
+				name := c.name
 				if h, ok := hashOf[name]; ok && h != c.Hash {
 					t.Fatalf("%s: name %s has two content hashes %s and %s", d.Name, name, h, c.Hash)
 				}
@@ -73,24 +67,7 @@ func TestStoreKeysGolden(t *testing.T) {
 				}
 				hashOf[name], nameOf[c.Hash] = c.Hash, name
 			}
-		}
-		r, err := newRun(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		collect(r)
-		disp := newDispatcher()
-		for !r.done() {
-			if err := r.land(r.launch(context.Background(), 0, disp)); err != nil {
-				t.Fatal(err)
-			}
-			collect(r)
-		}
-		disp.stop()
-		res, err := r.finish(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
 
 		mutants := map[string]bool{}
 		for h := range nameOf {
@@ -120,5 +97,82 @@ func TestStoreKeysGolden(t *testing.T) {
 	}
 	if got.String() != string(want) {
 		t.Fatalf("store keys moved:\ngot:\n%swant:\n%s", got.String(), want)
+	}
+}
+
+// exploreFresh runs d's default-flag exploration on a fresh store one
+// batch at a time and returns the finished result. Every bred mutant
+// lands on the pending queue at the end of the step that bred it, so
+// step, called with the run after setup and after every landed batch,
+// sees every candidate the run enumerates, executed or not.
+func exploreFresh(t *testing.T, d *system.Descriptor, fleet *exec.Fleet, step func(*run)) *Result {
+	t.Helper()
+	cfg := ConfigForSystem(d)
+	cfg.Store = t.TempDir()
+	cfg.Exec = fleet
+	r, err := newRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step(r)
+	disp := newDispatcher()
+	defer disp.stop()
+	for !r.done() {
+		if err := r.land(r.launch(context.Background(), 0, disp)); err != nil {
+			t.Fatal(err)
+		}
+		step(r)
+	}
+	res, err := r.finish(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestCandidateKeyMatchesBuild pins the key a candidate is scheduled
+// and looked up by to the scenario that runs: for every candidate a
+// default-flag fresh-store exploration generates or breeds, on every
+// registered system, the Hash derived from the parameters equals the
+// ContentHash of the scenario launch built, and that scenario's XML
+// parses back to the same content and passes Validate.
+func TestCandidateKeyMatchesBuild(t *testing.T) {
+	fleet := exec.NewFleet(exec.NewLocal(runtime.GOMAXPROCS(0)))
+	defer fleet.Close()
+	check := func(sys string, c *Candidate) {
+		t.Helper()
+		if c.Scenario == nil {
+			t.Fatalf("%s: %s was never built", sys, c.name)
+		}
+		if h := c.Scenario.ContentHash(); h != c.Hash {
+			t.Fatalf("%s: %s keyed %s, built %s", sys, c.name, c.Hash, h)
+		}
+		parsed, err := scenario.ParseString(string(c.Scenario.Serialize()))
+		if err != nil {
+			t.Fatalf("%s: %s: %v", sys, c.name, err)
+		}
+		if err := parsed.Validate(); err != nil {
+			t.Fatalf("%s: %s: %v", sys, c.name, err)
+		}
+		if parsed.Name != c.name || parsed.ContentHash() != c.Hash {
+			t.Fatalf("%s: %s reparses as %s %s", sys, c.name, parsed.Name, parsed.ContentHash())
+		}
+	}
+	for _, d := range system.All() {
+		// A fresh store drains the whole frontier, so every candidate
+		// the run enumerates launches.
+		all := map[*Candidate]bool{}
+		res := exploreFresh(t, d, fleet, func(r *run) {
+			for _, c := range r.pending {
+				all[c] = true
+			}
+		})
+		if len(all) != res.Candidates+res.Mutants || len(all) != res.Executed {
+			t.Fatalf("%s: %d candidates enumerated, %d generated and bred, %d executed",
+				d.Name, len(all), res.Candidates+res.Mutants, res.Executed)
+		}
+		for c := range all {
+			check(d.Name, c)
+		}
 	}
 }

@@ -84,10 +84,10 @@ func (f *FunctionAssoc) RetvalErrno() (int64, errno.Errno, error) {
 // written exactly once, by seal(), before the scenario escapes Build or
 // Parse — after that the scenario is treated as immutable, so
 // concurrent readers (wire encoders on parallel fleet backends) need no
-// synchronization. Sealing is the one place a scenario is serialized
-// and hashed, so a caller that can tell a duplicate by its name (the
-// explorer) checks the name before building. Hand-constructed literals
-// skip the cache and recompute per call.
+// synchronization. Sealing is where a built scenario is serialized and
+// hashed; a caller that needs keys before it builds anything (the
+// explorer) runs AppendCanonical over a scratch scenario it refills.
+// Hand-constructed literals skip the cache and recompute per call.
 //
 // compiled is a write-once slot for the runtime's compiled form of the
 // scenario (see Compiled), so every run of one *Scenario compiles it

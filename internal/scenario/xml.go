@@ -153,12 +153,18 @@ func (s *Scenario) seal() {
 	s.canonHash = hex.EncodeToString(sum[:8])
 }
 
-// serialize materializes the canonical XML document: the one
-// serializer behind Serialize, ContentHash and so every store key, so
-// its bytes must never change. It appends into a buffer sized for the
-// unescaped document.
+// serialize materializes the canonical XML document into a buffer
+// sized for the unescaped document.
 func (s *Scenario) serialize() []byte {
-	b := make([]byte, 0, s.size())
+	return s.AppendCanonical(make([]byte, 0, s.size()))
+}
+
+// AppendCanonical appends the canonical XML document to b and returns
+// the extended buffer: the one serializer behind Serialize,
+// ContentHash and so every store key, so its bytes must never change.
+// It never reads the sealed cache, so a caller that derives keys from
+// parameters can run it over a scratch scenario it refills in place.
+func (s *Scenario) AppendCanonical(b []byte) []byte {
 	b = append(b, "<scenario"...)
 	if s.Name != "" {
 		b = appendAttr(b, "name", s.Name)
