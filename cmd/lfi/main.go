@@ -88,9 +88,10 @@
 //
 // Workers that join mid-campaign are dialed and used; workers that miss
 // heartbeats are evicted and their in-flight batches requeue on the
-// survivors. `lfi serve -patch system:function` starts a deliberately
-// mixed-build worker (inert one-function patch) whose outcomes the
-// explorer reconciles by impact analysis instead of dropping.
+// survivors. A worker gets only the batches of systems it runs as the
+// explorer's own image: one built from another commit sits idle for
+// the systems that differ, and if no backend runs a system's image
+// the explore fails with an error naming each worker and its image.
 package main
 
 import (
@@ -362,16 +363,9 @@ func runServe(args []string) {
 	jobs := fs.Int("j", runtime.GOMAXPROCS(0), "worker pool size for batches this worker executes")
 	register := fs.String("register", "", "fleet registry `host:port` to self-register with (see `lfi fleet registry`)")
 	advertise := fs.String("advertise", "", "dial-back `address` announced to the registry (default: the listen address)")
-	patch := fs.String("patch", "", "apply an inert one-function patch (`system:function`) before serving — a deliberately mixed-build worker for exercising reconciliation")
 	verbose := fs.Bool("v", false, "log connections and registry traffic")
 	fs.Parse(args)
 
-	if *patch != "" {
-		if err := lfi.PatchWorkerSystem(*patch); err != nil {
-			fmt.Fprintln(os.Stderr, "lfi serve: -patch:", err)
-			os.Exit(2)
-		}
-	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lfi serve:", err)

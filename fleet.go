@@ -31,8 +31,9 @@ import (
 // the session's lifetime, and campaign progress is published back.
 // Combines with WithExecutors: explicit backends stay, and mixing in
 // NewLocalExecutor (what `lfi explore -fleet` does unless -no-local)
-// also covers mixed-build re-validation when every registered worker
-// runs a different build. With no explicit executors the fleet starts
+// keeps the campaign running when every registered worker runs a
+// different build, since a worker only gets the batches of systems it
+// runs as this build's image. With no explicit executors the fleet starts
 // empty and consists solely of discovered workers. Discovery failure
 // at construction is an error; a registry that dies mid-run only stops
 // the sync, never the campaign.
@@ -261,16 +262,6 @@ const (
 	// registration.
 	DefaultFleetMiss = fleetd.DefaultMiss
 )
-
-// PatchWorkerSystem replaces the registered system named in spec
-// ("system:function") with a copy whose image carries an inert
-// one-function patch: execution is unchanged, but the image version and
-// that function's fingerprint move, so this process serves as a
-// deliberately mixed-build worker — the engine behind
-// `lfi serve -patch`, for exercising the reconciliation path end to
-// end. (Contrast PatchSystem, which returns a detached copy for the
-// coordinator side.)
-var PatchWorkerSystem = exec.PatchWorkerSystem
 
 // ServeRegistered is ServeExecutor plus fleet membership: when registry
 // is non-empty the worker self-registers there and heartbeats its

@@ -3,23 +3,27 @@ package lfi
 import (
 	"bufio"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	osexec "os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"lfi/internal/exec"
+	"lfi/internal/explore"
 	"lfi/internal/fleetd"
 )
 
 // spawnWorkerProcess re-executes this test binary as a real `lfi serve`
 // worker subprocess (the MaybeExecWorker env hook) and returns its
 // dialable address and a kill function. Extra env entries layer fleet
-// registration (EnvRegister) or a mixed build (EnvPatch) on top.
+// registration (EnvRegister) on top.
 func spawnWorkerProcess(t *testing.T, extraEnv ...string) (addr string, kill func()) {
 	t.Helper()
 	self, err := os.Executable()
@@ -174,70 +178,103 @@ func TestFleetServiceSelfRegistration(t *testing.T) {
 	}
 }
 
-// TestSessionMixedBuildReconciliation: a worker running a different
-// build (inert one-function patch, so behavior is identical but the
-// image version and one fingerprint differ) joins the fleet. Its
-// outcomes are reconciled by impact analysis — adopted when the edit
-// provably cannot reach their coverage, re-executed on a build-matched
-// backend otherwise — never silently dropped, and the store ends up
-// fully keyed under the coordinator's image: a resume replays
-// everything with zero re-execution.
-func TestSessionMixedBuildReconciliation(t *testing.T) {
-	sys, ok := LookupSystem("minidb")
-	if !ok {
-		t.Fatal("minidb not registered")
+// otherBuild is a local backend posing as an `lfi serve` worker built
+// from another commit: it advertises the image of an inert minidb patch
+// for minidb, nothing for raft (as a worker that does not register it
+// does), and this build's image for every other system. It counts the
+// batches it runs per system.
+type otherBuild struct {
+	Executor
+	images map[string]string
+
+	mu  sync.Mutex
+	ran map[string]int
+}
+
+func newOtherBuild(t *testing.T) *otherBuild {
+	t.Helper()
+	e := &otherBuild{Executor: NewLocalExecutor(2), images: map[string]string{}, ran: map[string]int{}}
+	for _, sys := range Systems() {
+		if sys.Name == "minidb" {
+			var err error
+			if sys, err = PatchSystem(sys, "errmsg_load"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sys.Name != "raft" {
+			b, _ := sys.Binary()
+			e.images[sys.Name] = explore.ImageVersion(b)
+		}
 	}
-	baselineSess := mustSession(t, WithWorkers(4))
-	baseline, err := baselineSess.Explore(context.Background(), sys)
-	if err != nil {
-		t.Fatal(err)
+	return e
+}
+
+func (e *otherBuild) Info() ExecutorInfo {
+	info := e.Executor.Info()
+	info.Name = "other-build"
+	return info
+}
+
+func (e *otherBuild) ImageVersion(sys string) string { return e.images[sys] }
+
+func (e *otherBuild) Run(ctx context.Context, b *ExecBatch) ([]*ExecOutcome, error) {
+	e.mu.Lock()
+	e.ran[b.System]++
+	e.mu.Unlock()
+	return e.Executor.Run(ctx, b)
+}
+
+// TestSessionRoutesByImage: a batch runs only on a backend that runs
+// its system as this build's image. Beside a local backend, a worker
+// of another build gets the batches of every system it runs as ours
+// and none of minidb (another image) or raft (no image), and the
+// session's result and fresh store are byte-identical to an all-local
+// run's. With that worker alone, exploring minidb or raft fails with
+// an error naming it and both images.
+func TestSessionRoutesByImage(t *testing.T) {
+	explored := func(opts ...SessionOption) (string, map[string]string) {
+		t.Helper()
+		store := filepath.Join(t.TempDir(), "store")
+		res, err := mustSession(t, append(opts, WithSeed(1), WithStore(store))...).ExploreAll(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Elapsed = 0
+		for _, r := range res.Results {
+			r.Elapsed = 0
+		}
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js), storeFiles(t, store)
+	}
+	wantRes, wantStore := explored(WithWorkers(2))
+
+	other := newOtherBuild(t)
+	gotRes, gotStore := explored(WithExecutors(NewLocalExecutor(2), other))
+	for _, sys := range Systems() {
+		n := other.ran[sys.Name]
+		if skip := sys.Name == "minidb" || sys.Name == "raft"; skip != (n == 0) {
+			t.Errorf("the other build ran %d %s batches", n, sys.Name)
+		}
+	}
+	if gotRes != wantRes {
+		t.Errorf("result differs from the all-local run's:\n%s\nvs\n%s", gotRes, wantRes)
+	}
+	if !reflect.DeepEqual(gotStore, wantStore) {
+		t.Error("store differs from the all-local run's")
 	}
 
-	addr, _ := spawnWorkerProcess(t, exec.EnvPatch+"=minidb:errmsg_load")
-	remote, err := DialExecutor(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := filepath.Join(t.TempDir(), "store")
-	sess := mustSession(t,
-		WithExecutors(NewLocalExecutor(2), remote),
-		WithStore(store),
-	)
-	res, err := sess.Explore(context.Background(), sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if res.Mixed == nil {
-		t.Fatal("no mixed-build summary: the patched worker executed nothing?")
-	}
-	if len(res.Mixed.Images) != 1 || !strings.HasPrefix(res.Mixed.Images[0], "minidb@") {
-		t.Fatalf("foreign images seen = %v, want the patched worker's minidb image", res.Mixed.Images)
-	}
-	if res.Mixed.Migrated+res.Mixed.Revalidated == 0 {
-		t.Fatal("mixed-build outcomes neither adopted nor re-validated")
-	}
-	// Identical results despite the mixed fleet: the patch is inert.
-	if !reflect.DeepEqual(exploreSigs(baseline), exploreSigs(res)) {
-		t.Fatalf("mixed fleet found different bugs:\nlocal: %v\nmixed: %v", exploreSigs(baseline), exploreSigs(res))
-	}
-	if res.Final.BlocksCovered != baseline.Final.BlocksCovered {
-		t.Fatalf("mixed fleet coverage %d, local %d", res.Final.BlocksCovered, baseline.Final.BlocksCovered)
-	}
-
-	// Every outcome — adopted foreign ones included — landed in the
-	// store under this build's keys exactly once: a local resume replays
-	// the whole space without executing a single run.
-	resumed := mustSession(t, WithWorkers(4), WithStore(store))
-	res2, err := resumed.Explore(context.Background(), sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Executed != 0 {
-		t.Fatalf("resume after mixed-build campaign re-executed %d runs, want 0", res2.Executed)
-	}
-	if !reflect.DeepEqual(exploreSigs(res), exploreSigs(res2)) {
-		t.Fatalf("resume lost bugs: %v vs %v", exploreSigs(res), exploreSigs(res2))
+	for _, name := range []string{"minidb", "raft"} {
+		sys, _ := LookupSystem(name)
+		b, _ := sys.Binary()
+		_, err := mustSession(t, WithExecutor(other)).Explore(context.Background(), sys)
+		for _, want := range []string{"other-build", explore.ImageVersion(b), fmt.Sprintf("%q", other.images[name])} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s on the other build alone: error %v, want one naming %s", name, err, want)
+			}
+		}
 	}
 }
 

@@ -90,18 +90,13 @@ type Batch struct {
 	Coverage  bool // collect per-run coverage (Outcome.Cov/CovU)
 	Scenarios []*scenario.Scenario
 
-	// Image is the image version the dispatching session expects the
-	// batch to execute against (explore.ImageVersion of its own
-	// binary). Optional; when set, a remote backend whose advertised
-	// image for the system differs tags the returned outcomes with its
-	// own version so the caller can reconcile them (see Outcome.Image).
+	// Image is the image version the batch must execute against
+	// (explore.ImageVersion of the dispatching session's binary). A
+	// Fleet routes the batch only to backends that run exactly this
+	// image of System: a remote worker qualifies when it advertises it,
+	// the local and pool backends always (they run this very build).
+	// "" runs anywhere.
 	Image string
-	// RequireImage restricts dispatch to backends whose image for the
-	// system matches Image (or is unknown — the local and pool backends
-	// run this very build). The explorer sets it when re-validating
-	// outcomes a mixed-build worker produced, so the re-run cannot land
-	// on another mismatched worker.
-	RequireImage bool
 
 	// Observe, when non-nil, streams each completed outcome (by batch
 	// index) as backends finish; the Fleet serializes calls. Wire
@@ -137,13 +132,6 @@ type Outcome struct {
 	// Raw carries the full in-process outcome (injection log included)
 	// when the run executed locally; wire backends leave it nil.
 	Raw *controller.Outcome
-
-	// Image is set (client-side, never on the wire) when the outcome
-	// came from a backend whose image version for the batch's system
-	// differs from Batch.Image: the version the run actually executed
-	// against. Consumers reconcile such outcomes through change-impact
-	// analysis instead of folding them as current-image results.
-	Image string
 }
 
 // BlockIDs returns the run's covered block IDs, sorted, materialized

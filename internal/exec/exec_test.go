@@ -169,6 +169,48 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
+// TestFleetRoutesByImage: a batch runs only where its image of the
+// system runs. A remote worker qualifies when it advertises exactly
+// Batch.Image; a pool re-execs this binary and qualifies for every
+// batch, as the local backend does (an `lfi explore -patch` batch
+// carries an image no worker advertises). With no backend qualifying,
+// Run fails naming each worker, the image it advertised and the
+// batch's.
+func TestFleetRoutesByImage(t *testing.T) {
+	scens := testScenarios(t)[:2]
+	pool, err := NewPool(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	remote := startLoopbackServe(t, 1)
+	ours := remote.ImageVersion("minidb")
+	run := func(f *Fleet, image string) error {
+		outs, err := f.Run(context.Background(), &Batch{System: "minidb", Image: image, Scenarios: scens})
+		if err == nil && len(outs) != len(scens) {
+			t.Fatalf("image %q: %d outcomes for %d scenarios", image, len(outs), len(scens))
+		}
+		return err
+	}
+	for _, image := range []string{"", ours} {
+		if err := run(NewFleet(remote), image); err != nil {
+			t.Fatalf("remote with image %q: %v", image, err)
+		}
+	}
+	if err := run(NewFleet(pool), "minidb@other"); err != nil {
+		t.Fatalf("pool with another image: %v", err)
+	}
+	err = run(NewFleet(remote), "minidb@other")
+	if err == nil || IsBackendError(err) {
+		t.Fatalf("remote with another image: err %v, want a non-backend error", err)
+	}
+	for _, want := range []string{remote.Info().Name, "minidb@other", fmt.Sprintf("%q", ours)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+}
+
 // poolMember returns the pool's current member in the given slot.
 func poolMember(t *testing.T, pool *Fleet, slot int) *Remote {
 	t.Helper()
@@ -299,7 +341,8 @@ func TestPoolWorkerCrashRespawn(t *testing.T) {
 			if n := respawns.Load(); n != 1 {
 				t.Fatalf("one failure wave caused %d respawns, want 1", n)
 			}
-			live := len(pool.live(nil))
+			members, _ := pool.live(&Batch{})
+			live := len(members)
 			if tc.refuse == 0 {
 				if poolMember(t, pool, 0).liveConn() == nil || live != 2 {
 					t.Fatalf("killed worker not respawned: %d live members", live)
@@ -386,8 +429,8 @@ func TestFleetRequeuesKilledRemote(t *testing.T) {
 	if !bytes.Equal(marshalOutcomes(t, wantOuts), marshalOutcomes(t, outs)) {
 		t.Fatal("requeued outcomes diverge from all-local outcomes")
 	}
-	if got := len(fleet.live(nil)); got != 1 {
-		t.Fatalf("dead remote still listed live: %d live backends", got)
+	if got, _ := fleet.live(&Batch{}); len(got) != 1 {
+		t.Fatalf("dead remote still listed live: %d live backends", len(got))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -37,6 +38,8 @@ func speedPrior(info Info) float64 {
 // only code that scatters a batch, reassembles its outcomes or
 // requeues after a backend failure:
 //
+//   - a batch runs only on backends that run its build (Batch.Image):
+//     a remote worker built from another commit never gets it;
 //   - a batch is split into contiguous chunks sized by each backend's
 //     observed (or prior) runs/sec for the batch's system, so big
 //     batches flow to cheap, wide backends and the hot head of the
@@ -59,8 +62,11 @@ func speedPrior(info Info) float64 {
 // requeue exactly those. A pool instead returns the contiguous prefix
 // before the first such gap, the Executor contract.
 type Fleet struct {
-	name   string // Info().Name
-	prefix bool   // Run returns the contiguous completed prefix
+	name string // Info().Name
+	// pool marks a subprocess pool (NewPool): Run returns the
+	// contiguous completed prefix, and members are not routed by
+	// image, since each re-execs this very binary.
+	pool bool
 
 	mu     sync.Mutex
 	execs  []Executor
@@ -119,13 +125,11 @@ func (f *Fleet) Info() Info {
 // batches.
 type pipeliner interface{ Pipeline() int }
 
-// imaged is implemented by backends that know which image version they
-// execute a system as ("" = unknown, treated as this very build: the
-// local and pool backends run in-process or re-exec the same binary).
-type imaged interface {
-	ImageVersion(sys string) string
-	FuncFingerprints(sys string) (map[string]string, error)
-}
+// imaged is implemented by backends that may run another build
+// (Remote): ImageVersion is the image they execute sys as, "" for a
+// system they lack. Local and Fleet do not implement it, and a pool
+// does not ask its members: they all run this very build.
+type imaged interface{ ImageVersion(sys string) string }
 
 // Executors reports the fleet's backends, dead ones included.
 func (f *Fleet) Executors() []Info {
@@ -181,21 +185,6 @@ func (f *Fleet) Retire(name string) {
 	f.mu.Unlock()
 }
 
-// FuncsForImage fetches per-function fingerprints for a foreign image
-// version some backend advertised for sys — the reconciliation input
-// for mixed-build outcomes. It asks the first live backend advertising
-// exactly that image.
-func (f *Fleet) FuncsForImage(sys, image string) (map[string]string, error) {
-	for _, e := range f.live(nil) {
-		im, ok := e.(imaged)
-		if !ok || im.ImageVersion(sys) != image {
-			continue
-		}
-		return im.FuncFingerprints(sys)
-	}
-	return nil, fmt.Errorf("exec: no live backend advertises image %s for %s", image, sys)
-}
-
 // Close closes every backend.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
@@ -211,28 +200,39 @@ func (f *Fleet) Close() error {
 	return first
 }
 
-// live returns the usable executors, in latency order. A batch that
-// requires an image match (re-validation of mixed-build outcomes)
-// additionally excludes backends advertising a different image; nil is
-// "any batch".
-func (f *Fleet) live(b *Batch) []Executor {
+// live returns the live executors that run b's build, in latency
+// order. With none, it returns the error Run fails with instead: one
+// naming each live backend, all of which run another build, with the
+// image it advertised; with no backend alive, a BackendError.
+func (f *Fleet) live(b *Batch) ([]Executor, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out []Executor
 	for _, e := range f.execs {
-		if f.dead[e.Info().Name] {
-			continue
+		if !f.dead[e.Info().Name] && f.runs(e, b) {
+			out = append(out, e)
 		}
-		if b != nil && b.RequireImage && b.Image != "" {
-			if im, ok := e.(imaged); ok {
-				if v := im.ImageVersion(b.System); v != "" && v != b.Image {
-					continue
-				}
-			}
-		}
-		out = append(out, e)
 	}
-	return out
+	if out != nil {
+		return out, nil
+	}
+	var other []string
+	for _, e := range f.execs {
+		if name := e.Info().Name; !f.dead[name] {
+			other = append(other, fmt.Sprintf("%s advertises %q", name, e.(imaged).ImageVersion(b.System)))
+		}
+	}
+	if other == nil {
+		return nil, &BackendError{Backend: f.name, Err: errors.New("no live executors")}
+	}
+	return nil, fmt.Errorf("exec: no live backend runs %s image %s: %s", b.System, b.Image, strings.Join(other, ", "))
+}
+
+// runs reports whether e executes b.System as b.Image. Images must be
+// equal: a worker that lacks the system advertises "" for it.
+func (f *Fleet) runs(e Executor, b *Batch) bool {
+	im, ok := e.(imaged)
+	return !ok || f.pool || b.Image == "" || im.ImageVersion(b.System) == b.Image
 }
 
 // recover reacts, once per wave, to the members whose transport
@@ -326,9 +326,9 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	first := true
 	var fatal error
 	for len(queue) > 0 && fatal == nil && ctx.Err() == nil {
-		live := f.live(b)
-		if len(live) == 0 {
-			fatal = &BackendError{Backend: f.name, Err: fmt.Errorf("no live executors")}
+		live, err := f.live(b)
+		if err != nil {
+			fatal = err
 			break
 		}
 		// First wave: split the whole batch by speed share. Retry
@@ -354,7 +354,7 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 			failed []Executor
 		)
 		do := func(e Executor, c chunk) {
-			sub := &Batch{System: b.System, Seed: b.Seed, Coverage: b.Coverage, Image: b.Image, RequireImage: b.RequireImage, Scenarios: b.Scenarios[c.off:c.end]}
+			sub := &Batch{System: b.System, Seed: b.Seed, Coverage: b.Coverage, Image: b.Image, Scenarios: b.Scenarios[c.off:c.end]}
 			if b.Observe != nil {
 				sub.Observe = func(i int, o *Outcome) {
 					f.obsMu.Lock()
@@ -413,7 +413,7 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 		sort.Slice(retry, func(i, j int) bool { return retry[i].off < retry[j].off })
 		queue = append(queue, retry...)
 	}
-	if f.prefix {
+	if f.pool {
 		for i, o := range outs {
 			if o == nil {
 				outs = outs[:i]

@@ -42,7 +42,7 @@ func NewPool(size int) (*Fleet, error) {
 		members = append(members, w)
 	}
 	f := NewFleet(members...)
-	f.name, f.prefix = name, true
+	f.name, f.pool = name, true
 	return f, nil
 }
 
@@ -69,10 +69,6 @@ func spawnWorker(self, slot string) (*Remote, error) {
 		return nil, err
 	}
 	r.name, r.kind = slot, KindPool
-	// The worker re-execs this very binary, so it runs the
-	// coordinator's build: like Local it advertises no image, and its
-	// outcomes are never reconciled as a foreign build's.
-	r.hello.Images = nil
 	r.respawn = func() (*Remote, error) { return spawnWorker(self, slot) }
 	return r, nil
 }

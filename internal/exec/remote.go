@@ -59,9 +59,6 @@ type Remote struct {
 	// the reader goroutine touches it after the hello exchange.
 	universes map[uint64]*wireUniverse
 
-	funcsMu sync.Mutex
-	funcs   map[string]map[string]string // system -> fingerprint cache
-
 	// conn teardown has its own lock: a drain timeout must force-close
 	// the connection while the reader is blocked in a read — closing
 	// the stream is exactly what unblocks that read.
@@ -172,19 +169,13 @@ func (r *Remote) Info() Info {
 func (r *Remote) Systems() []string { return r.hello.Systems }
 
 // ImageVersion reports the image version the worker advertised for a
-// system ("" for a system it lacks).
+// system ("" for a system it lacks). A Fleet sends the worker only the
+// batches whose Image it equals.
 func (r *Remote) ImageVersion(sys string) string { return r.hello.Images[sys] }
 
-// FuncFingerprints fetches (and caches) the worker's per-function
-// fingerprints for one system — the mixed-build reconciliation input:
-// diffing them against the local build's fingerprints bounds what an
-// image divergence can have touched.
+// FuncFingerprints fetches the worker's per-function fingerprints for
+// one system (the "funcs" method).
 func (r *Remote) FuncFingerprints(sys string) (map[string]string, error) {
-	r.funcsMu.Lock()
-	defer r.funcsMu.Unlock()
-	if m, ok := r.funcs[sys]; ok {
-		return m, nil
-	}
 	conn := r.liveConn()
 	if conn == nil {
 		return nil, fmt.Errorf("exec: remote %s: connection closed", r.addr)
@@ -208,10 +199,6 @@ func (r *Remote) FuncFingerprints(sys string) (map[string]string, error) {
 	if resp.Error != "" {
 		return nil, fmt.Errorf("exec: remote %s: funcs: %s", r.addr, resp.Error)
 	}
-	if r.funcs == nil {
-		r.funcs = make(map[string]map[string]string)
-	}
-	r.funcs[sys] = resp.Funcs
 	return resp.Funcs, nil
 }
 
@@ -384,10 +371,8 @@ func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 }
 
 // observed caps outcomes at the batch length, maps their coverage onto
-// this process's Blocks for the batch's system, tags them with the
-// worker's image version when it differs from the batch's expected
-// image (the mixed-build handshake), and streams them to the batch
-// observer.
+// this process's Blocks for the batch's system, and streams them to the
+// batch observer.
 func (r *Remote) observed(b *Batch, outs []*Outcome) []*Outcome {
 	if len(outs) > len(b.Scenarios) {
 		outs = outs[:len(b.Scenarios)]
@@ -398,11 +383,6 @@ func (r *Remote) observed(b *Batch, outs []*Outcome) []*Outcome {
 	}
 	for _, o := range outs {
 		o.localize(local)
-	}
-	if img := r.hello.Images[b.System]; img != "" && b.Image != "" && img != b.Image {
-		for _, o := range outs {
-			o.Image = img
-		}
 	}
 	if b.Observe != nil {
 		for i, o := range outs {

@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -48,13 +47,6 @@ const EnvWorkerJobs = "LFI_EXEC_WORKER_J"
 // until it exits — the subprocess form of `lfi serve -register`.
 const EnvRegister = "LFI_EXEC_REGISTER"
 
-// EnvPatch, when set to "system:function" alongside EnvServe, applies
-// an inert one-function patch to that system's image before serving —
-// a deliberately mixed-build worker for tests and smoke jobs: it
-// executes identically but advertises a different image version and
-// per-function fingerprints, exercising the reconciliation path.
-const EnvPatch = "LFI_EXEC_PATCH"
-
 // MaybeWorker checks the worker environment hooks and, when one is
 // set, runs the corresponding protocol loop and exits the process.
 // Call it first thing in main (cmd/lfi does) or TestMain: it is what
@@ -77,12 +69,6 @@ func MaybeWorker() {
 		os.Exit(0)
 	}
 	if addr := os.Getenv(EnvServe); addr != "" {
-		if spec := os.Getenv(EnvPatch); spec != "" {
-			if err := PatchWorkerSystem(spec); err != nil {
-				fmt.Fprintln(os.Stderr, "lfi exec serve:", err)
-				os.Exit(1)
-			}
-		}
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lfi exec serve:", err)
@@ -96,28 +82,6 @@ func MaybeWorker() {
 		}
 		os.Exit(0)
 	}
-}
-
-// PatchWorkerSystem replaces the registered system named in spec
-// ("system:function") with its PatchSystem copy. Execution is unchanged
-// (the patch is behavior-preserving by construction), but the image
-// hash and the function's fingerprint differ — this process now looks
-// like a worker built from a different commit, which is exactly what
-// the mixed-build reconciliation tests need.
-func PatchWorkerSystem(spec string) error {
-	name, fn, ok := strings.Cut(spec, ":")
-	if !ok || name == "" || fn == "" {
-		return fmt.Errorf("exec: patch spec %q: want system:function", spec)
-	}
-	d, ok := system.Lookup(name)
-	if !ok {
-		return fmt.Errorf("exec: patch: system %q not registered (have: %v)", name, system.Names())
-	}
-	nd, err := PatchSystem(d, fn)
-	if err != nil {
-		return fmt.Errorf("exec: patch %s: %w", spec, err)
-	}
-	return system.Replace(nd)
 }
 
 // PatchSystem returns a detached copy of d whose program image carries
@@ -259,8 +223,8 @@ func Serve(ctx context.Context, ln net.Listener, opts ServeOptions) error {
 
 // workerImages advertises the image version of every registered
 // system, computed exactly as the explorer computes its own
-// (explore.ImageVersion): binary name + "@" + image hash. A client
-// compares these against its build to detect a mixed-build worker.
+// (explore.ImageVersion): binary name + "@" + image hash. A client's
+// fleet sends this worker only the batches of its own build.
 func workerImages() map[string]string {
 	ds := system.All()
 	out := make(map[string]string, len(ds))

@@ -43,10 +43,11 @@ import (
 //     while executing the current one (batches still execute in FIFO
 //     order per connection, preserving determinism), and responses
 //     carry ids so a client can keep several batches in flight;
-//   - the hello response advertises per-system **image versions** and
-//     the "funcs" method serves per-function fingerprints, so a client
-//     can detect a mixed-build worker and reconcile its outcomes
-//     through the store's migration machinery instead of dropping them.
+//   - the hello response advertises per-system **image versions**, and
+//     a client's fleet sends a worker only the batches of its own build
+//     (Batch.Image): an outcome always comes from the build that asked
+//     for it. The "funcs" method serves a system's per-function
+//     fingerprints.
 //
 // A batch's scenarios travel as canonical XML (scenario.Serialize is
 // byte-deterministic), so content hashes — and therefore store keys —
@@ -84,9 +85,8 @@ type helloInfo struct {
 	Capacity int      `json:"capacity"`
 	Systems  []string `json:"systems"`
 	// Images maps each advertised system to the image version the
-	// worker would execute it as — the mixed-build handshake: a client
-	// whose own image differs reconciles this worker's outcomes instead
-	// of trusting them blindly.
+	// worker would execute it as: a client's fleet routes a batch here
+	// only when its Batch.Image matches.
 	Images map[string]string `json:"images,omitempty"`
 }
 

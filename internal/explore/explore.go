@@ -251,26 +251,6 @@ type Result struct {
 	// Impact is the change-impact analysis summary (nil unless the
 	// store recorded a previous image or a fault-profile edit).
 	Impact *ImpactSummary
-	// Mixed is the mixed-build reconciliation summary (nil unless some
-	// fleet worker ran a different image version than the coordinator).
-	Mixed *MixedSummary
-}
-
-// MixedSummary reports how outcomes from workers running a *different*
-// image version were reconciled instead of dropped: per foreign image,
-// the stale-outcome rule (impact.go) adopts the outcomes the divergence
-// provably cannot reach into the store, and everything else re-executes
-// on a build-matched backend.
-type MixedSummary struct {
-	Images      []string // foreign image versions seen (sorted)
-	Migrated    int      // outcomes adopted — divergence cannot reach their coverage
-	Revalidated int      // outcomes discarded, candidates re-run on matching builds
-}
-
-// String renders the one-line mixed-build report.
-func (s *MixedSummary) String() string {
-	return fmt.Sprintf("mixed builds: %d foreign image(s) %v, %d outcomes adopted, %d re-validated on matching builds",
-		len(s.Images), s.Images, s.Migrated, s.Revalidated)
 }
 
 // CoverageGain reports whether exploration covered recovery blocks the
@@ -291,9 +271,6 @@ func (r *Result) String() string {
 	fmt.Fprintf(&b, "  total coverage:    %s\n", r.Total)
 	if r.Impact != nil {
 		fmt.Fprintf(&b, "  %s\n", r.Impact)
-	}
-	if r.Mixed != nil {
-		fmt.Fprintf(&b, "  %s\n", r.Mixed)
 	}
 	fmt.Fprintf(&b, "  %d distinct failure signatures:\n", len(r.Bugs))
 	for _, bug := range r.Bugs {
@@ -671,15 +648,9 @@ type explorer struct {
 	// caller provably checks rank below recovery exercising.
 	static map[uint64]callsite.Class
 
-	// Mixed-build reconciliation state: this coordinator's image
-	// version and function fingerprints, plus the stale-outcome rule per
-	// foreign image version some worker reported (built from the
-	// worker's own fingerprints; a fallback set when they cannot be
-	// fetched).
+	// imageVersion is this build's image of the system: every batch
+	// carries it, so only backends running this build execute it.
 	imageVersion string
-	funcHashes   map[string]string
-	mixed        map[string]*buildDiff
-	mixedSum     *MixedSummary
 }
 
 // coverageOf returns an entry's coverage over idx. The result may be
@@ -890,10 +861,6 @@ type run struct {
 	store   *Store
 	keys    map[string]bool
 	pending []*Candidate
-	// reval queues candidates whose mixed-build outcome could not be
-	// proven build-independent; they re-run ahead of pending, in
-	// batches pinned to build-matched backends (Batch.RequireImage).
-	reval []*Candidate
 	// flying is set while a launched batch of this run has not landed.
 	flying bool
 	// gain is the system's coverage yield per run, folded from this
@@ -923,8 +890,6 @@ func newRun(cfg Config) (*run, error) {
 		x.seen[c.name] = true
 	}
 	x.imageVersion = ImageVersion(cfg.Binary)
-	x.funcHashes = impact.FuncHashes(cfg.Binary)
-	x.mixed = make(map[string]*buildDiff)
 	res := &Result{System: cfg.System, Candidates: len(cands)}
 
 	// Baseline: the default suite with no injection. Its outcome
@@ -964,13 +929,14 @@ func newRun(cfg Config) (*run, error) {
 		// the store's previous image and profile fingerprints decides
 		// per candidate whether its cached outcome replays, migrates
 		// forward, or re-validates.
-		if stale = storeDiff(cfg, store, x.funcHashes, profHashes); stale != nil {
+		funcHashes := impact.FuncHashes(cfg.Binary)
+		if stale = storeDiff(cfg, store, funcHashes, profHashes); stale != nil {
 			res.Impact = stale.summary(x.imageVersion)
 		}
 		// Record this image's function and profile fingerprints so the
 		// *next* session can diff against us without the old binary or
 		// the old profile set.
-		store.SetFuncHashes(x.funcHashes)
+		store.SetFuncHashes(funcHashes)
 		store.SetProfileHashes(profHashes)
 	}
 
@@ -1039,24 +1005,22 @@ func (r *run) logSetup() {
 	}
 }
 
-// done reports whether scheduling is finished: the frontier (pending
-// and pinned re-validation) is drained.
+// done reports whether scheduling is finished: the frontier is
+// drained.
 func (r *run) done() bool {
-	return len(r.pending)+len(r.reval) == 0
+	return len(r.pending) == 0
 }
 
-// flight is one launched batch: its candidates, whether it is a pinned
-// re-validation batch, the dispatch, and its result, valid once done is
-// closed.
+// flight is one launched batch: its candidates, the dispatch, and its
+// result, valid once done is closed.
 type flight struct {
-	run     *run
-	batch   []*Candidate
-	require bool
-	ctx     context.Context
-	b       *exec.Batch
-	done    chan struct{}
-	outs    []*exec.Outcome
-	err     error
+	run   *run
+	batch []*Candidate
+	ctx   context.Context
+	b     *exec.Batch
+	done  chan struct{}
+	outs  []*exec.Outcome
+	err   error
 }
 
 // launch takes the run's next batch and hands it to d, which dispatches
@@ -1069,18 +1033,8 @@ func (r *run) launch(ctx context.Context, cap int, d *dispatcher) *flight {
 	if cap > 0 && cap < size {
 		size = cap
 	}
-	// Mixed-build re-validations run first, pinned to build-matched
-	// backends: they are completed experiments waiting on a trusted
-	// executor — the cheapest path back to a fully-folded frontier.
-	f := &flight{run: r, require: len(r.reval) > 0, ctx: ctx, done: make(chan struct{})}
-	if f.require {
-		if size > len(r.reval) {
-			size = len(r.reval)
-		}
-		f.batch, r.reval = r.reval[:size], r.reval[size:]
-	} else {
-		f.batch, r.pending = r.x.takeBatch(r.pending, size)
-	}
+	f := &flight{run: r, ctx: ctx, done: make(chan struct{})}
+	f.batch, r.pending = r.x.takeBatch(r.pending, size)
 	scens := make([]*scenario.Scenario, len(f.batch))
 	for i, c := range f.batch {
 		if c.Scenario == nil {
@@ -1089,12 +1043,11 @@ func (r *run) launch(ctx context.Context, cap int, d *dispatcher) *flight {
 		scens[i] = c.Scenario
 	}
 	f.b = &exec.Batch{
-		System:       r.cfg.System,
-		Seed:         r.cfg.Seed,
-		Coverage:     true,
-		Scenarios:    scens,
-		Image:        r.x.imageVersion,
-		RequireImage: f.require,
+		System:    r.cfg.System,
+		Seed:      r.cfg.Seed,
+		Coverage:  true,
+		Scenarios: scens,
+		Image:     r.x.imageVersion,
 	}
 	r.flying = true
 	d.queue <- f
@@ -1111,20 +1064,13 @@ func (r *run) launch(ctx context.Context, cap int, d *dispatcher) *flight {
 func (r *run) land(f *flight) error {
 	<-f.done
 	r.flying = false
-	report, mutants, unrun, reval := r.x.fold(len(r.res.Batches), f.batch, f.outs, r.store)
+	report, mutants, unrun := r.x.fold(len(r.res.Batches), f.batch, f.outs, r.store)
 	err := f.err
 	for _, m := range mutants {
 		r.keys[m.key] = true
 	}
 	r.pending = append(r.pending, mutants...)
-	if f.require {
-		// Candidates a pinned batch never ran still need a matched
-		// build; everything else requeues on the general queue.
-		r.reval = append(r.reval, unrun...)
-	} else {
-		r.pending = append(r.pending, unrun...)
-	}
-	r.reval = append(r.reval, reval...)
+	r.pending = append(r.pending, unrun...)
 	if report.Runs > 0 {
 		r.res.Executed += report.Runs
 		r.res.Batches = append(r.res.Batches, report)
@@ -1175,7 +1121,6 @@ func (r *run) finish(runErr error) (*Result, error) {
 	r.store.setGain(r.gain)
 	saveErr := r.store.Save(r.keys)
 	r.res.Mutants = r.x.spawned
-	r.res.Mixed = r.x.mixedSum
 	r.res.Bugs = controller.SortBugs(r.cfg.System, r.x.sigs)
 	r.res.Final = r.x.idx.Recovery(r.x.covered)
 	r.res.Total = r.x.idx.Total(r.x.covered)
@@ -1254,52 +1199,14 @@ func (r ranked) ahead(o ranked) bool {
 	return r.c.name < o.c.name
 }
 
-// foreign resolves (memoized) the stale-outcome rule for a foreign
-// image version some worker reported. The fingerprints come from the
-// worker itself over the "funcs" RPC, routed through the fleet; when no
-// live backend can serve them the impact set falls back to one that
-// intersects everything, so every outcome from that image re-validates
-// — never adopts on a bound we cannot prove.
-func (x *explorer) foreign(image string) *buildDiff {
-	if d, ok := x.mixed[image]; ok {
-		return d
-	}
-	var why string
-	theirs, err := x.cfg.Exec.FuncsForImage(x.cfg.System, image)
-	if err != nil {
-		why = err.Error()
-	}
-	d := newBuildDiff(x.cfg, x.funcHashes, image, theirs, why)
-	x.mixed[image] = d
-	if x.mixedSum == nil {
-		x.mixedSum = &MixedSummary{}
-	}
-	x.mixedSum.Images = append(x.mixedSum.Images, image)
-	sort.Strings(x.mixedSum.Images)
-	x.logf("explore %s: worker image %s differs from ours (%s): %s",
-		x.cfg.System, image, x.imageVersion, mixedBound(d.set))
-	return d
-}
-
-// mixedBound renders what the reconciliation decided for a log line.
-func mixedBound(s *impact.Set) string {
-	if s.Fallback {
-		return "divergence unbounded (" + s.Reason + "); all its outcomes re-validate"
-	}
-	return fmt.Sprintf("%d changed fn, %d impacted blocks; unaffected outcomes adopt", len(s.Changed), len(s.Blocks))
-}
-
 // fold folds one landed batch's outcomes into the scheduler state:
 // coverage and failure deltas, store entries and window mutants. Every
 // completed outcome is folded even when the dispatch returned an error
 // — that is how a cancelled batch's drained remote responses land in
 // the store — and candidates the fleet never ran come back as unrun
 // for the caller to requeue. It also returns the window mutants bred
-// from this batch's worthy occurrence/window outcomes, plus the
-// candidates whose outcome came from a mixed-build worker and could
-// not be proven build-independent (reval) — the caller re-runs those
-// on a build-matched backend (Batch.RequireImage).
-func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, store *Store) (report BatchReport, mutants, unrun, reval []*Candidate) {
+// from this batch's worthy occurrence/window outcomes.
+func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, store *Store) (report BatchReport, mutants, unrun []*Candidate) {
 	report = BatchReport{Index: index}
 	// Delta attribution is sequential in batch order, so results are
 	// independent of backend routing and worker interleaving — the
@@ -1325,25 +1232,6 @@ func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, sto
 		if out.CovU != nil {
 			entry.cov, entry.table = out.Cov.Clone(), x.table
 		}
-
-		// Mixed build: the worker executed a different image version
-		// than the coordinator analyzed. The stale-outcome rule, built
-		// from the worker's own function fingerprints, decides: an
-		// outcome the divergence provably cannot reach folds in (and
-		// adopts into the store with foreign-key provenance); anything
-		// else is discarded here and re-executed on a build-matched
-		// backend — reconciled, never silently dropped.
-		var adoptKey string
-		if out.Image != "" && out.Image != x.imageVersion {
-			d := x.foreign(out.Image)
-			if !d.adoptable(c, entry) {
-				x.mixedSum.Revalidated++
-				reval = append(reval, c)
-				continue
-			}
-			x.mixedSum.Migrated++
-			adoptKey = d.oldKey(c)
-		}
 		x.covered.FoldNew(out.Cov, x.idx.Recoveries(), func(p int) {
 			report.NewBlocks = append(report.NewBlocks, x.idx.ID(p))
 			x.reward(c.Callee)
@@ -1357,11 +1245,7 @@ func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, sto
 			}
 			x.sigs[out.Signature] = append(x.sigs[out.Signature], c.name)
 		}
-		if adoptKey != "" {
-			store.Adopt(adoptKey, c.key, entry)
-		} else {
-			store.Put(c.key, entry)
-		}
+		store.Put(c.key, entry)
 		if x.mutationWorthy(entry, entry.cov) {
 			mutants = append(mutants, x.mutate(c, entry.Failed)...)
 		}
@@ -1372,7 +1256,7 @@ func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, sto
 	exec.Recycle(outs)
 	sort.Strings(report.NewBlocks)
 	report.Recovery = x.idx.Recovery(x.covered)
-	return report, mutants, unrun, reval
+	return report, mutants, unrun
 }
 
 func candidateKeys(cands []*Candidate) map[string]bool {

@@ -4,13 +4,14 @@ package explore
 // stands for this build.
 //
 // Every outcome is a real run of one scenario under one build and one
-// fault-profile set. Three paths meet outcomes recorded under something
+// fault-profile set. Two paths meet outcomes recorded under something
 // else: the resume worklist (the store's previous image, the store's
-// previous profile fingerprints), `lfi diff` previewing that resume, and
-// a fleet worker running another build. All three ask a buildDiff,
-// built once per other image from that image's function fingerprints
-// (persisted in the store's manifest, or fetched from the worker over
-// the "funcs" RPC). Each candidate gets exactly one verdict:
+// previous profile fingerprints) and `lfi diff` previewing that resume.
+// Both ask a buildDiff, built from the other image's function
+// fingerprints persisted in the store's manifest. (No fleet worker of
+// another build adds a third: the fleet routes each batch only to
+// backends running its image, Batch.Image.) Each candidate gets exactly
+// one verdict:
 //
 //   - replay: its current key hits and its callee's fault profile is
 //     unchanged;
@@ -26,10 +27,9 @@ package explore
 //
 // When the walk cannot bound the divergence (indirect branch, truncated
 // walk, removed function, an image that changed outside function
-// symbols, a worker whose fingerprints cannot be fetched) the impact set
-// falls back to one that intersects everything: nothing adopts, and the
-// resume degrades to whole-shard invalidation. Correctness never
-// depends on the analysis.
+// symbols) the impact set falls back to one that intersects everything:
+// nothing adopts, and the resume degrades to whole-shard invalidation.
+// Correctness never depends on the analysis.
 
 import (
 	"fmt"
@@ -99,19 +99,15 @@ type buildDiff struct {
 }
 
 // newBuildDiff diffs this build against image from that image's
-// function fingerprints. why, when non-empty, says why the fingerprints
-// could not be had; the impact set then intersects everything.
-func newBuildDiff(cfg Config, ours map[string]string, image string, theirs map[string]string, why string) *buildDiff {
+// function fingerprints. An image that changed outside every function
+// gets an impact set that intersects everything.
+func newBuildDiff(cfg Config, ours map[string]string, image string, theirs map[string]string) *buildDiff {
 	d := &buildDiff{image: image, region: regionOfImage(image), theirs: theirs, ours: ours}
-	if why == "" {
-		if fd := impact.DiffFuncs(theirs, ours); fd.Empty() {
-			why = "image changed outside function symbols"
-		} else {
-			d.set = impact.Compute(cfg.Binary, fd, cfg.BlockOffsets)
-			return d
-		}
+	if fd := impact.DiffFuncs(theirs, ours); fd.Empty() {
+		d.set = &impact.Set{Fallback: true, Reason: "image changed outside function symbols"}
+	} else {
+		d.set = impact.Compute(cfg.Binary, fd, cfg.BlockOffsets)
 	}
-	d.set = &impact.Set{Fallback: true, Reason: why}
 	return d
 }
 
@@ -122,7 +118,7 @@ func newBuildDiff(cfg Config, ours map[string]string, image string, theirs map[s
 func storeDiff(cfg Config, store *Store, ours, profiles map[string]string) *buildDiff {
 	var d *buildDiff
 	if prev, theirs, ok := store.PreviousImage(); ok {
-		d = newBuildDiff(cfg, ours, prev, theirs, "")
+		d = newBuildDiff(cfg, ours, prev, theirs)
 	}
 	if prior, ok := store.PriorProfileHashes(); ok {
 		if changed := impact.DiffProfiles(prior, profiles); len(changed) > 0 {

@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -11,9 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"lfi/internal/exec"
-	"lfi/internal/impact"
-	"lfi/internal/isa"
 	"lfi/internal/profile"
 )
 
@@ -562,77 +558,5 @@ func TestImpactProfileEditAgedStore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bugSigs(want), bugSigs(got)) {
 		t.Fatalf("bug signatures diverged:\n%v\nvs\n%v", bugSigs(want), bugSigs(got))
-	}
-}
-
-// foreignExec is a local backend posing as a worker built from another
-// commit: it executes our image in process (the patch it advertises is
-// inert, so outcomes are identical) but reports bin's image version and
-// function fingerprints, and stamps its outcomes with that version.
-type foreignExec struct {
-	*exec.Local
-	image string
-	funcs map[string]string
-}
-
-func newForeignExec(bin *isa.Binary, workers int) *foreignExec {
-	return &foreignExec{Local: exec.NewLocal(workers), image: ImageVersion(bin), funcs: impact.FuncHashes(bin)}
-}
-
-func (f *foreignExec) ImageVersion(string) string { return f.image }
-
-func (f *foreignExec) FuncFingerprints(string) (map[string]string, error) { return f.funcs, nil }
-
-func (f *foreignExec) Run(ctx context.Context, b *exec.Batch) ([]*exec.Outcome, error) {
-	outs, err := f.Local.Run(ctx, b)
-	for _, o := range outs {
-		if o != nil {
-			o.Image = f.image
-		}
-	}
-	return outs, err
-}
-
-// TestMixedBuildCallerGuard: outcomes a worker of another build returns
-// follow the same adopt rule as a resume. A call-stack outcome whose
-// enclosing function differs between the two builds re-validates on a
-// build-matched backend even when its coverage misses the impact set;
-// only outcomes the divergence provably cannot reach adopt. The foreign
-// backend reports the same name as the local one, so the fleet prices
-// both identically and splits every batch the same way on every run —
-// which makes the counts pinnable.
-func TestMixedBuildCallerGuard(t *testing.T) {
-	const changed = "errmsg_load"
-	cfg := configFor(t, "minidb")
-	baseline, err := exploreOne(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	foreign := newForeignExec(patched(t, cfg.Binary, changed), 2)
-	cfg.Exec = exec.NewFleet(exec.NewLocal(2), foreign)
-	cfg.Store = filepath.Join(t.TempDir(), "store")
-	res, err := exploreOne(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mixed == nil || !reflect.DeepEqual(res.Mixed.Images, []string{foreign.image}) {
-		t.Fatalf("mixed summary %+v, want the foreign image %s", res.Mixed, foreign.image)
-	}
-	if res.Mixed.Migrated != 170 || res.Mixed.Revalidated != 18 {
-		t.Fatalf("mixed build adopted %d, re-validated %d; want 170, 18", res.Mixed.Migrated, res.Mixed.Revalidated)
-	}
-	if !reflect.DeepEqual(bugSigs(baseline), bugSigs(res)) || res.Final.BlocksCovered != baseline.Final.BlocksCovered {
-		t.Fatalf("mixed fleet diverged from local: bugs %v vs %v, coverage %d vs %d",
-			bugSigs(res), bugSigs(baseline), res.Final.BlocksCovered, baseline.Final.BlocksCovered)
-	}
-
-	cfg.Exec = nil
-	again, err := exploreOne(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Executed != 0 {
-		t.Fatalf("resume after the mixed-build campaign executed %d runs, want 0", again.Executed)
 	}
 }

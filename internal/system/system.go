@@ -125,25 +125,6 @@ func Register(d *Descriptor) {
 	registry[d.Name] = d
 }
 
-// Replace swaps an already-registered descriptor for a modified copy
-// under the same name. It exists for one consumer: a worker process
-// simulating a mixed build (`lfi serve -patch`), which must make its
-// *own* registry reflect the patched image so hellos, fingerprints and
-// executions all agree. It errors — rather than registering — when the
-// name is unknown, so it can never be used to smuggle in a new system.
-func Replace(d *Descriptor) error {
-	if err := d.validate(); err != nil {
-		return fmt.Errorf("system: Replace: %s", err)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := registry[d.Name]; !ok {
-		return fmt.Errorf("system: Replace: %q is not registered", d.Name)
-	}
-	registry[d.Name] = d
-	return nil
-}
-
 // Lookup returns the descriptor registered under name.
 func Lookup(name string) (*Descriptor, bool) {
 	regMu.RLock()
