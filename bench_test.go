@@ -602,11 +602,12 @@ func BenchmarkScenarioParse(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioBuild measures building one explorer mutant of the
-// call-stack-window shape — the two-trigger scenario the explorer
+// BenchmarkScenarioBuild measures Builder.Build of a scenario of the
+// explorer's call-stack-window shape — the two-trigger scenario it
 // breeds most: validation, the canonical XML serialization and its
-// content hash. Every kept mutant pays this once, serially, between
-// batches.
+// content hash. It is no longer the explorer's launch path, which
+// assembles an unsealed literal of the shape and leaves validation to
+// the worker's compile; it remains the cost of a built scenario.
 func BenchmarkScenarioBuild(b *testing.B) {
 	frame := &trigger.Args{Name: "args", Children: []*trigger.Args{{
 		Name: "frame",

@@ -278,6 +278,32 @@ func TestSessionRoutesByImage(t *testing.T) {
 	}
 }
 
+// TestSessionRunRoutesByImage: Session.Run routes its batch by image,
+// like Explore. The other build runs minidns as ours, so it runs a
+// minidns test; it advertises no image of raft, so alone it gets a raft
+// Run refused with the fleet's error naming it, and runs nothing.
+func TestSessionRunRoutesByImage(t *testing.T) {
+	scens := []*Scenario{sessionScenario(t, `<scenario name="benign">
+	  <trigger id="never" class="CallCountTrigger"><args><n>100000</n></args></trigger>
+	  <function name="read" return="-1" errno="EINTR"><reftrigger ref="never" /></function>
+	</scenario>`)}
+	other := newOtherBuild(t)
+	sess := mustSession(t, WithExecutor(other))
+	dns, _ := LookupSystem("minidns")
+	if rep, err := sess.Run(context.Background(), dns, scens); err != nil || len(rep.Outcomes) != 1 {
+		t.Fatalf("minidns on the other build: %v", err)
+	}
+	raft, _ := LookupSystem("raft")
+	rep, err := sess.Run(context.Background(), raft, scens)
+	if err == nil || !strings.Contains(err.Error(), "no live backend runs raft image") || !strings.Contains(err.Error(), "other-build") {
+		t.Errorf("raft on the other build alone: error %v, want the fleet's no-live-backend error naming it", err)
+	}
+	if len(rep.Outcomes) != 0 || other.ran["raft"] != 0 || other.ran["minidns"] != 1 {
+		t.Errorf("the other build ran %d minidns and %d raft batches, %d raft outcomes reported; want 1, 0, 0",
+			other.ran["minidns"], other.ran["raft"], len(rep.Outcomes))
+	}
+}
+
 // TestFleetWorkerRestartsAtSameAddress: a registered worker that is
 // killed — its BackendError gets it marked dead — and restarts at the
 // same address before the registry evicts it re-registers under a new

@@ -118,9 +118,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Candidate is one proposed injection experiment. The explorer keys,
-// deduplicates and schedules a candidate by its parameters alone and
-// builds its scenario only when it launches.
+// Candidate is one proposed injection experiment. The explorer keys
+// (with a store), deduplicates and schedules a candidate by its
+// parameters alone and builds its scenario only when it launches.
 type Candidate struct {
 	// Scenario is the built scenario: nil until the candidate is
 	// launched, except in Generate's output, which is built.
@@ -139,7 +139,7 @@ type Candidate struct {
 	Block string
 	// Hash is the content hash of the serialized scenario. The
 	// explorer derives it from the parameters (keyer), before any
-	// scenario is built.
+	// scenario is built, and only in a run with a store.
 	Hash string
 	// name is the scenario name, which encodes every parameter (see
 	// stackName): the identity the explorer deduplicates and breaks
@@ -147,7 +147,8 @@ type Candidate struct {
 	name string
 	// key is Hash plus the targeted code region's hash — the store
 	// identity that invalidates the cached outcome when code changes.
-	// keyer.key sets both; Generate's output has no key.
+	// keyer.key sets both; Generate's output and a run without a store
+	// have no key.
 	key string
 	// base and pos are what score caches once ranked is set: the
 	// static part of the score and Block's position in the run's
@@ -440,8 +441,11 @@ func nameTail(b []byte, code int64, e errno.Errno) []byte {
 	return append(b, e.String()...)
 }
 
-// build assembles and seals c's scenario — the bytes keyer.key
-// derives c.Hash from. The generators only ever produce valid ones. A
+// build assembles c's scenario as a literal of its shape (template):
+// the bytes keyer.key derives c.Hash from. The generators only ever
+// produce valid ones, and the scenario is left unsealed: core.Compile
+// validates it where it runs, and a wire encoder serializes it when it
+// ships, so launch neither validates, serializes nor hashes it. A
 // call-stack candidate pins its site with a CallStackTrigger and fires
 // once; an occurrence one fires on the n-th call. A window fires on
 // every call in a CallCount from/to burst. A stack window composes the
@@ -450,38 +454,32 @@ func nameTail(b []byte, code int64, e errno.Errno) []byte {
 // and the burst is independent of how often the rest of the program
 // called the same function.
 func (c *Candidate) build(bin string) *scenario.Scenario {
-	bld := scenario.NewBuilder(c.name)
+	var s scenario.Scenario
 	switch c.Kind {
 	case Vulnerable, Exercise:
 		off := strconv.FormatUint(c.Offset, 16)
-		cs := bld.Trigger(off, "CallStackTrigger", frameArgs(bin, off))
-		once := bld.Trigger("once", "SingletonTrigger", nil)
-		bld.Inject(c.Callee, 0, c.Code, c.Errno, cs, once)
+		s = template(scenario.TriggerDecl{ID: off, Class: "CallStackTrigger", Args: frameArgs(bin, off)},
+			scenario.TriggerDecl{ID: "once", Class: "SingletonTrigger"})
 	case Occurrence:
-		nth := bld.Trigger("nth", "CallCountTrigger", scenario.IntArgs("n", c.Occurrence))
-		bld.Inject(c.Callee, 0, c.Code, c.Errno, nth)
+		s = template(scenario.TriggerDecl{ID: "nth", Class: "CallCountTrigger", Args: scenario.IntArgs("n", c.Occurrence)})
 	case Window:
-		win := bld.Trigger("win", "CallCountTrigger", scenario.BurstArgs(c.From, c.To))
-		bld.Inject(c.Callee, 0, c.Code, c.Errno, win)
+		s = template(scenario.TriggerDecl{ID: "win", Class: "CallCountTrigger", Args: scenario.BurstArgs(c.From, c.To)})
 	case StackWindow:
 		off := strconv.FormatUint(c.Offset, 16)
-		cs := bld.Trigger(off, "CallStackTrigger", frameArgs(bin, off))
-		win := bld.Trigger("swin", "SiteCountTrigger", scenario.BurstArgs(c.From, c.To))
-		bld.Inject(c.Callee, 0, c.Code, c.Errno, cs, win)
+		s = template(scenario.TriggerDecl{ID: off, Class: "CallStackTrigger", Args: frameArgs(bin, off)},
+			scenario.TriggerDecl{ID: "swin", Class: "SiteCountTrigger", Args: scenario.BurstArgs(c.From, c.To)})
 	}
-	s, err := bld.Build()
-	if err != nil {
-		panic("explore: generated scenario invalid: " + err.Error())
-	}
-	return s
+	fa := &s.Functions[0]
+	s.Name, fa.Name, fa.Return, fa.Errno = c.name, c.Callee, strconv.FormatInt(c.Code, 10), c.Errno.String()
+	return &s
 }
 
 // keyer derives candidates' store keys from their parameters: key
 // fills the template of the candidate's scenario shape in place and
 // runs the canonical serializer over it into a reused buffer — the
-// bytes build seals, with no scenario built, validated or copied
+// bytes of the scenario build assembles, with no scenario built
 // (TestCandidateKeyMatchesBuild pins the two together). A keyer
-// belongs to one run, used by one goroutine at a time.
+// belongs to one run with a store, used by one goroutine at a time.
 type keyer struct {
 	// hashes is the code hasher of the region half of every key.
 	hashes *impact.Hasher
@@ -623,7 +621,8 @@ type explorer struct {
 
 	// Mutation state: the scenario names already enumerated (initial
 	// candidates plus spawned mutants), the candidates already mutated,
-	// and the keyer of every candidate and mutant store key. (Mutation
+	// and the keyer of every candidate and mutant store key (nil without
+	// a store: nothing looks a key up, so none is derived). (Mutation
 	// triggers only on coverage *beyond* the suite baseline, so the
 	// decision is identical whether an outcome was executed or
 	// replayed, in any order.)
@@ -769,7 +768,9 @@ func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
 			// on its caller's region, like the parent.
 			nc.Kind, nc.Caller, nc.Offset, nc.Class, nc.Block = StackWindow, c.Caller, c.Offset, c.Class, c.Block
 		}
-		x.keyer.key(nc)
+		if x.keyer != nil {
+			x.keyer.key(nc)
+		}
 		x.spawned++
 		out = append(out, nc)
 	}
@@ -855,10 +856,12 @@ func (x *explorer) logf(format string, args ...any) {
 // run is one system's in-flight exploration — the schedulable unit
 // the driver (Explore) interleaves batches of.
 type run struct {
-	cfg     Config
-	x       *explorer
-	res     *Result
-	store   *Store
+	cfg   Config
+	x     *explorer
+	res   *Result
+	store *Store
+	// keys is the live candidate-key set Append and Save take (nil
+	// without a store).
 	keys    map[string]bool
 	pending []*Candidate
 	// flying is set while a launched batch of this run has not landed.
@@ -883,10 +886,8 @@ func newRun(cfg Config) (*run, error) {
 		reval:   make(map[string]float64),
 		seen:    make(map[string]bool, len(cands)),
 		mutated: make(map[string]bool),
-		keyer:   newKeyer(cfg.Binary),
 	}
 	for _, c := range cands {
-		x.keyer.key(c)
 		x.seen[c.name] = true
 	}
 	x.imageVersion = ImageVersion(cfg.Binary)
@@ -917,6 +918,7 @@ func newRun(cfg Config) (*run, error) {
 	// an unchanged target still executes nothing.
 	var store *Store
 	var stale *buildDiff
+	var keys map[string]bool
 	profHashes := impact.ProfileHashes(cfg.Profiles)
 	if cfg.Store != "" {
 		var err error
@@ -925,6 +927,13 @@ func newRun(cfg Config) (*run, error) {
 			return nil, err
 		}
 		store.reserve(len(cands))
+		// Store keys exist for result reuse alone: derive them only
+		// when there is a store to look them up in.
+		x.keyer = newKeyer(cfg.Binary)
+		for _, c := range cands {
+			x.keyer.key(c)
+		}
+		keys = candidateKeys(cands)
 		// Diff-aware resume: the stale-outcome rule (impact.go) against
 		// the store's previous image and profile fingerprints decides
 		// per candidate whether its cached outcome replays, migrates
@@ -955,7 +964,6 @@ func newRun(cfg Config) (*run, error) {
 	}
 	store.SetSummaries(inter.Summaries)
 
-	keys := candidateKeys(cands)
 	pending := make([]*Candidate, 0, len(cands))
 	work := append([]*Candidate(nil), cands...)
 	for len(work) > 0 {
@@ -1066,8 +1074,10 @@ func (r *run) land(f *flight) error {
 	r.flying = false
 	report, mutants, unrun := r.x.fold(len(r.res.Batches), f.batch, f.outs, r.store)
 	err := f.err
-	for _, m := range mutants {
-		r.keys[m.key] = true
+	if r.keys != nil {
+		for _, m := range mutants {
+			r.keys[m.key] = true
+		}
 	}
 	r.pending = append(r.pending, mutants...)
 	r.pending = append(r.pending, unrun...)

@@ -240,6 +240,58 @@ func TestExploreDeterministic(t *testing.T) {
 	}
 }
 
+// TestExploreScheduleIndependentOfStore: the store is for result reuse
+// alone and never steers the schedule. On every registered system,
+// unbudgeted and under a shared budget of 1000, a session without a
+// store and one with a fresh store log the same batch lines and reach
+// the same per-system results — executed, bugs, coverage, and so the
+// budget split (TestBudgetCurve's golden).
+func TestExploreScheduleIndependentOfStore(t *testing.T) {
+	session := func(budget int, store string) (string, []*Result) {
+		t.Helper()
+		var log bytes.Buffer
+		var cfgs []Config
+		for _, d := range system.All() {
+			cfg := ConfigForSystem(d)
+			cfg.Store, cfg.Log, cfg.Seed = store, &log, 1
+			cfgs = append(cfgs, cfg)
+		}
+		res, err := Explore(context.Background(), budget, cfgs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res.Results {
+			r.Elapsed, r.StoreStats = 0, nil
+		}
+		return log.String(), res.Results
+	}
+	for _, budget := range []int{0, 1000} {
+		wantLog, want := session(budget, "")
+		gotLog, got := session(budget, t.TempDir())
+		if gotLog != wantLog {
+			gl, wl := strings.Split(gotLog, "\n"), strings.Split(wantLog, "\n")
+			i := 0
+			for i < min(len(gl), len(wl))-1 && gl[i] == wl[i] {
+				i++
+			}
+			t.Errorf("budget %d: log line %d with a fresh store %q, without a store %q", budget, i, gl[i], wl[i])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("budget %d: results differ with a fresh store", budget)
+		}
+		if budget == 0 {
+			continue
+		}
+		var split []int
+		for _, r := range got {
+			split = append(split, r.Executed)
+		}
+		if wantSplit := []int{160, 216, 256, 128, 112, 128}; !slices.Equal(split, wantSplit) {
+			t.Errorf("budget %d split %v, want %v", budget, split, wantSplit)
+		}
+	}
+}
+
 // patched returns a copy of bin with the prologue immediate of fn
 // flipped — an inert change (r13 feeds nothing) that moves only that
 // function's code-region hash, plus the whole-image hash.

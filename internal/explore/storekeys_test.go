@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -134,18 +135,27 @@ func exploreFresh(t *testing.T, d *system.Descriptor, fleet *exec.Fleet, step fu
 // and looked up by to the scenario that runs: for every candidate a
 // default-flag fresh-store exploration generates or breeds, on every
 // registered system, the Hash derived from the parameters equals the
-// ContentHash of the scenario launch built, and that scenario's XML
-// parses back to the same content and passes Validate.
+// ContentHash of the scenario launch built, the built scenario passes
+// Validate and serializes to exactly the bytes the keyer hashes, and
+// its XML parses back to the same content and passes Validate too.
 func TestCandidateKeyMatchesBuild(t *testing.T) {
 	fleet := exec.NewFleet(exec.NewLocal(runtime.GOMAXPROCS(0)))
 	defer fleet.Close()
-	check := func(sys string, c *Candidate) {
+	check := func(sys string, k *keyer, c *Candidate) {
 		t.Helper()
 		if c.Scenario == nil {
 			t.Fatalf("%s: %s was never built", sys, c.name)
 		}
 		if h := c.Scenario.ContentHash(); h != c.Hash {
 			t.Fatalf("%s: %s keyed %s, built %s", sys, c.name, c.Hash, h)
+		}
+		if err := c.Scenario.Validate(); err != nil {
+			t.Fatalf("%s: %s built invalid: %v", sys, c.name, err)
+		}
+		rekeyed := *c
+		k.key(&rekeyed)
+		if doc := c.Scenario.Serialize(); !bytes.Equal(doc, k.buf) {
+			t.Fatalf("%s: %s built\n%s\nkeyed\n%s", sys, c.name, doc, k.buf)
 		}
 		parsed, err := scenario.ParseString(string(c.Scenario.Serialize()))
 		if err != nil {
@@ -171,8 +181,9 @@ func TestCandidateKeyMatchesBuild(t *testing.T) {
 			t.Fatalf("%s: %d candidates enumerated, %d generated and bred, %d executed",
 				d.Name, len(all), res.Candidates+res.Mutants, res.Executed)
 		}
+		k := newKeyer(ConfigForSystem(d).Binary)
 		for c := range all {
-			check(d.Name, c)
+			check(d.Name, k, c)
 		}
 	}
 }

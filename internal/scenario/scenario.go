@@ -87,7 +87,10 @@ func (f *FunctionAssoc) RetvalErrno() (int64, errno.Errno, error) {
 // synchronization. Sealing is where a built scenario is serialized and
 // hashed; a caller that needs keys before it builds anything (the
 // explorer) runs AppendCanonical over a scratch scenario it refills.
-// Hand-constructed literals skip the cache and recompute per call.
+// Hand-constructed literals skip the cache and recompute per call;
+// the explorer launches such literals, unsealed, so a test it runs is
+// validated when it compiles and serialized only if it ships over the
+// wire.
 //
 // compiled is a write-once slot for the runtime's compiled form of the
 // scenario (see Compiled), so every run of one *Scenario compiles it

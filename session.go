@@ -233,10 +233,13 @@ type RunReport struct {
 // in scenario order, identical to a sequential campaign under the
 // session seed regardless of which backend ran which slice. On
 // cancellation, in-flight tests finish (remote batches drain) and the
-// report carries the completed prefix together with ctx.Err().
+// report carries the completed prefix together with ctx.Err(). As in
+// Explore, the tests run only on backends that run sys as this build's
+// image.
 func (s *Session) Run(ctx context.Context, sys *System, scenarios []*Scenario) (*RunReport, error) {
 	begin := time.Now()
-	b := &exec.Batch{System: sys.Name, Seed: s.seed, Scenarios: scenarios}
+	bin, _ := sys.Binary()
+	b := &exec.Batch{System: sys.Name, Seed: s.seed, Scenarios: scenarios, Image: explore.ImageVersion(bin)}
 	if s.observer != nil {
 		b.Observe = func(i int, o *exec.Outcome) {
 			s.observer(sys.Name, o.Controller(scenarios[i]))
