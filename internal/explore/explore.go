@@ -866,8 +866,11 @@ type run struct {
 	pending []*Candidate
 	// flying is set while a launched batch of this run has not landed.
 	flying bool
+	// stale is the resume's stale-outcome rule (nil when nothing
+	// moved); finish asks it which entries a stop left unverified.
+	stale *buildDiff
 	// gain is the system's coverage yield per run, folded from this
-	// run's own batches (seeded from the store): the scheduling signal.
+	// run's own batches: the scheduling signal.
 	gain  gainEWMA
 	begin time.Time
 }
@@ -996,9 +999,7 @@ func newRun(cfg Config) (*run, error) {
 			}
 		}
 	}
-	// The gain EWMA resumes where the last session left it, so
-	// scheduling starts from observed yield instead of the prior.
-	return &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, gain: store.gain(), begin: begin}, nil
+	return &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, stale: stale, begin: begin}, nil
 }
 
 // logSetup writes what newRun replayed and the change-impact summary
@@ -1126,9 +1127,17 @@ func (r *run) publishStatus() {
 // up to the interrupt.
 func (r *run) finish(runErr error) (*Result, error) {
 	r.publishStatus()
-	// Persist the gain EWMA next to the outcomes: the next session
-	// schedules on it from its first batch.
-	r.store.setGain(r.gain)
+	// Save records this session's fingerprints, under which an entry a
+	// stop left pending would replay as settled though its
+	// re-validation never ran. Drop it, and for a changed profile also
+	// the other build's entry the next session would adopt: each comes
+	// back as a miss.
+	for _, c := range r.pending {
+		r.store.forget(c.key)
+		if r.stale != nil && r.stale.profileChanged(c.Callee) {
+			r.store.forget(r.stale.oldKey(c))
+		}
+	}
 	saveErr := r.store.Save(r.keys)
 	r.res.Mutants = r.x.spawned
 	r.res.Bugs = controller.SortBugs(r.cfg.System, r.x.sigs)

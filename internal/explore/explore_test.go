@@ -140,6 +140,37 @@ func TestExploreResume(t *testing.T) {
 	if second.Total.BlocksCovered != first.Total.BlocksCovered {
 		t.Fatalf("total coverage diverged across resume: %s vs %s", first.Total, second.Total)
 	}
+
+	// A store whose index still carries the gain EWMA that earlier
+	// builds persisted under "cost" loads, and the field steers
+	// nothing: the run starts from the prior, replays everything, and
+	// its Save writes the index back without it.
+	index := filepath.Join(cfg.Store, cfg.System, indexName)
+	clean, err := os.ReadFile(index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCost := append(bytes.TrimSuffix(clean, []byte("}\n")), `,"cost":{"gain_per_run":0.25,"batches":7}}`+"\n"...)
+	if err := os.WriteFile(index, withCost, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := newRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.gain != (gainEWMA{}) {
+		t.Fatalf("run over an index with cost starts from gain %+v, want the prior", r.gain)
+	}
+	third, err := r.finish(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.Executed != 0 || third.Replayed != first.Executed {
+		t.Fatalf("resume over an index with cost executed %d, replayed %d; want 0, %d", third.Executed, third.Replayed, first.Executed)
+	}
+	if got, err := os.ReadFile(index); err != nil || !bytes.Equal(got, clean) {
+		t.Fatalf("index after Save (err %v):\n%s\nwant it without cost:\n%s", err, got, clean)
+	}
 }
 
 func bugSigs(r *Result) []string {
@@ -168,8 +199,7 @@ func TestExploreBudget(t *testing.T) {
 }
 
 // TestGainEWMA: batch yields fold into the explorer's gain-per-run
-// EWMA (the prior stands until the first batch), and a new run resumes
-// the EWMA a store persisted.
+// EWMA, and the prior stands until the first batch.
 func TestGainEWMA(t *testing.T) {
 	var g gainEWMA
 	if got := g.estimate(0.5); got != 0.5 {
@@ -180,38 +210,6 @@ func TestGainEWMA(t *testing.T) {
 	want := (1-gainAlpha)*0.5 + gainAlpha*0
 	if got := g.estimate(99); got-want > 1e-9 || want-got > 1e-9 || g.Batches != 2 {
 		t.Fatalf("gain EWMA: got %v over %d batches, want %v over 2", got, g.Batches, want)
-	}
-
-	cfg := configFor(t, "minidb")
-	cfg.Store = filepath.Join(t.TempDir(), "store")
-	st, err := LoadStore(cfg.Store, "minidb", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.setGain(gainEWMA{PerRun: 0.25, Batches: 7})
-	if err := st.Save(nil); err != nil {
-		t.Fatal(err)
-	}
-	persisted := func() gainEWMA {
-		st, err := LoadStore(cfg.Store, "minidb", "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.gain()
-	}
-	seed := persisted()
-	r, err := newRun(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seed.Batches == 0 || r.gain != seed {
-		t.Fatalf("run seeded gain %+v, store holds %+v", r.gain, seed)
-	}
-	if _, err := r.finish(nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := persisted(); got != seed {
-		t.Fatalf("finish persisted gain %+v, want the seeded %+v", got, seed)
 	}
 }
 

@@ -95,7 +95,6 @@ type buildDiff struct {
 	// since the store's last save. Resume and diff only: a worker runs
 	// the scenarios we send, generated from our profiles.
 	profiles []string
-	gain     float64 // persisted gain-per-run EWMA (re-validation order)
 }
 
 // newBuildDiff diffs this build against image from that image's
@@ -127,9 +126,6 @@ func storeDiff(cfg Config, store *Store, ours, profiles map[string]string) *buil
 			}
 			d.profiles = changed
 		}
-	}
-	if d != nil {
-		d.gain = store.gain().PerRun
 	}
 	return d
 }
@@ -210,10 +206,9 @@ func (d *buildDiff) classify(store *Store, c *Candidate) (verdict, Entry, string
 // to a fully-validated store). An entry cached under a changed fault
 // profile ranks highest, failed ones first — a bug found under the old
 // profile is the outcome most worth re-confirming under the new one.
-// Code-edit re-validations order by expected gain: the persisted EWMA
-// gain-per-run scales up entries that previously failed (a bug that
-// might have been fixed — or not) and entries covering blocks the edit
-// reaches (the coverage most likely to shift).
+// Code-edit re-validations rank entries that previously failed (a bug
+// that might have been fixed — or not) and entries covering blocks the
+// edit reaches (the coverage most likely to shift) first.
 func (d *buildDiff) revalBoost(c *Candidate, e Entry) float64 {
 	if d.profileChanged(c.Callee) {
 		b := 125.0
@@ -222,10 +217,9 @@ func (d *buildDiff) revalBoost(c *Candidate, e Entry) float64 {
 		}
 		return b
 	}
-	gain := 1 + d.gain
 	b := 120.0
 	if e.Failed {
-		b += 40 * gain
+		b += 40
 	}
 	if !d.set.Fallback {
 		hits := 0
@@ -234,7 +228,7 @@ func (d *buildDiff) revalBoost(c *Candidate, e Entry) float64 {
 				hits++
 			}
 		}
-		b += 5 * gain * float64(hits)
+		b += 5 * float64(hits)
 	}
 	return b
 }

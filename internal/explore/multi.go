@@ -282,12 +282,11 @@ func systemScore(r *run) float64 {
 }
 
 // gainEWMA is a system's coverage yield: an EWMA of new recovery
-// blocks per executed run across scheduling batches. The store index
-// persists it under "cost", so a resumed session schedules on it from
-// its first batch and re-validation ranks by it (buildDiff.revalBoost).
+// blocks per executed run across this session's batches. Nothing
+// persists it, so every session starts from the prior.
 type gainEWMA struct {
-	PerRun  float64 `json:"gain_per_run"`
-	Batches int     `json:"batches"`
+	PerRun  float64
+	Batches int
 }
 
 // gainAlpha weights the newest batch. Batches are coarse (tens of

@@ -122,9 +122,6 @@ type storeIndex struct {
 	// LoadStore refuses an index in any other.
 	Format int             `json:"format,omitempty"`
 	Images []imageManifest `json:"images"` // most recent save first
-	// Cost is the system's gain-per-run EWMA: the scheduling signal a
-	// resumed session starts from.
-	Cost *gainEWMA `json:"cost,omitempty"`
 }
 
 // imageManifest names the regions one image version's candidate set
@@ -759,28 +756,18 @@ func (s *Store) PreviousImage() (image string, funcs map[string]string, ok bool)
 	return "", nil, false
 }
 
-// gain returns the persisted gain EWMA (zero when no session has saved
-// one).
-func (s *Store) gain() gainEWMA {
-	if s == nil {
-		return gainEWMA{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.index.Cost == nil {
-		return gainEWMA{}
-	}
-	return *s.index.Cost
-}
-
-// setGain records the gain EWMA to persist with the next Save.
-func (s *Store) setGain(g gainEWMA) {
+// forget drops the entry under key, so the next session meets a miss
+// where this one left an outcome it did not verify.
+func (s *Store) forget(key string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.index.Cost = &g
+	if _, ok := s.entries[key]; ok {
+		delete(s.entries, key)
+		s.dirty = true
+	}
 }
 
 // Shards returns the code regions holding entries, sorted (tests, CLI).
