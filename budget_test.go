@@ -26,7 +26,7 @@ var budgetBackends = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []SessionOption{WithExecutor(pool)}
+		return []SessionOption{WithExecutors(pool...)}
 	}},
 	{"remote", func(t *testing.T) []SessionOption {
 		return []SessionOption{WithExecutor(startSessionLoopback(t, 2))}

@@ -177,7 +177,7 @@ func executorOpts(jobs, pool int, remotes string, noLocal, haveFleet bool) []lfi
 			fmt.Fprintln(os.Stderr, "lfi: -pool:", err)
 			os.Exit(2)
 		}
-		execs = append(execs, p)
+		execs = append(execs, p...)
 	}
 	for _, addr := range strings.Split(remotes, ",") {
 		addr = strings.TrimSpace(addr)

@@ -390,8 +390,9 @@ func TestServeWorkersRemote(t *testing.T) {
 }
 
 // TestExplorePool: `lfi explore -pool 2 -no-local` runs every test in
-// worker subprocesses and matches the local backend's figures for
-// minidb (376 executed, 35 signatures); an identical rerun under
+// worker subprocesses, lists the pool's two members as backends, and
+// matches the local backend's figures for minidb (376 executed, 35
+// signatures); an identical rerun under
 // default flags executes nothing; and SIGINT during a pool-only
 // `-all` campaign exits 130 promptly with the store compacted (no
 // journal left), so the rerun replays what was folded.
@@ -402,7 +403,9 @@ func TestExplorePool(t *testing.T) {
 	mustMatch(t, "pool explore", out,
 		`(?m)^explore minidb: .*, 376 executed, 0 replayed, `,
 		`(?m)^  35 distinct failure signatures:$`)
-	mustMatch(t, "pool explore -v log", errOut, `backend pool\(2\) \(capacity 2, isolated true\)`)
+	mustMatch(t, "pool explore -v log", errOut,
+		`backend pool\(2\)\[0\] \(capacity 1, isolated true\)`,
+		`backend pool\(2\)\[1\] \(capacity 1, isolated true\)`)
 	out, _ = run(t, 0, args...)
 	mustMatch(t, "pool resume", out, `(?m)^explore minidb: .*, 0 executed, 376 replayed, `)
 

@@ -14,12 +14,13 @@
 //   - Remote — the wire-protocol client: over TCP to `lfi serve`
 //     workers (Dial), fanning batches across machines, or over the
 //     stdin/stdout of a worker subprocess (NewPool).
-//   - Fleet — a mix of executors, itself an Executor: it scatters a
-//     batch by observed speed, reassembles the outcomes and requeues a dead
-//     member's runs, respawning the member if it can. A subprocess
-//     pool is a Fleet of respawning Remote members (NewPool): a
-//     workload panic that escapes the crash monitor kills one worker,
-//     not the session.
+//   - Fleet — the one level where backends compose, not itself an
+//     Executor: it scatters a batch across its members by observed
+//     speed, reassembles the outcomes and requeues a dead member's
+//     runs, respawning the member if it can. A subprocess pool is n
+//     respawning Remote members of that fleet (NewPool): a workload
+//     panic that escapes the crash monitor kills one worker, not the
+//     session.
 //
 // Both backends consume a Batch (system name + serialized scenarios +
 // seed) and produce the same Outcome records: because runs are
@@ -169,12 +170,11 @@ func (o *Outcome) Controller(s *scenario.Scenario) controller.Outcome {
 }
 
 // Executor is a pluggable execution backend. Run executes a batch and
-// returns the contiguous prefix of completed outcomes (a plain Fleet
-// instead aligns them with the batch, nil where a run did not
-// execute): on cancellation
-// in-flight runs finish and the prefix comes back with ctx.Err(); on a
-// backend failure (dead subprocess, broken connection) the error wraps
-// BackendError so schedulers can requeue the unfinished tail elsewhere.
+// returns the contiguous prefix of completed outcomes, every one
+// non-nil — the one result shape: on cancellation in-flight runs
+// finish and the prefix comes back with ctx.Err(); on a backend
+// failure (dead subprocess, broken connection) the error wraps
+// BackendError so the Fleet can requeue the unfinished tail elsewhere.
 // Implementations must be safe for use by one dispatcher goroutine at a
 // time per Run call; Close releases subprocesses or connections.
 type Executor interface {

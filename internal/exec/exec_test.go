@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	osexec "os/exec"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -121,31 +122,52 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// completed returns the contiguous completed prefix of a Fleet.Run
+// result, which aligns outcomes with the batch, nil where a run never
+// executed.
+func completed(outs []*Outcome) []*Outcome {
+	for i, o := range outs {
+		if o == nil {
+			return outs[:i]
+		}
+	}
+	return outs
+}
+
 // TestBackendEquivalence is the executor equivalence property: for the
-// same system, scenarios and seed, the local, pool and loopback-remote
-// backends must produce byte-identical outcome sequences — coverage
-// blocks, injections and worker-computed failure signatures included.
-// This is the contract that lets the fleet route batches by speed alone.
+// same system, scenarios and seed, the local backend, a fleet of pool
+// members and a loopback remote must produce byte-identical outcome
+// sequences — coverage blocks, injections and worker-computed failure
+// signatures included. This is the contract that lets the fleet route
+// batches by speed alone.
 func TestBackendEquivalence(t *testing.T) {
 	scens := testScenarios(t)
-	pool, err := NewPool(2)
+	members, err := NewPool(2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pool := NewFleet(members...)
 	defer pool.Close()
 	remote := startLoopbackServe(t, 2)
-	backends := []Executor{NewLocal(4), pool, remote}
+	backends := []struct {
+		name string
+		run  func(context.Context, *Batch) ([]*Outcome, error)
+	}{
+		{"local", NewLocal(4).Run},
+		{"pool", pool.Run},
+		{"remote", remote.Run},
+	}
 
 	for _, seed := range []int64{0, 7, 42} {
 		var want []byte
 		for _, e := range backends {
 			b := &Batch{System: "minidb", Seed: seed, Coverage: true, Scenarios: scens}
-			outs, err := e.Run(context.Background(), b)
+			outs, err := e.run(context.Background(), b)
 			if err != nil {
-				t.Fatalf("%s seed %d: %v", e.Info().Name, seed, err)
+				t.Fatalf("%s seed %d: %v", e.name, seed, err)
 			}
-			if len(outs) != len(scens) {
-				t.Fatalf("%s seed %d: %d outcomes for %d scenarios", e.Info().Name, seed, len(outs), len(scens))
+			if outs = completed(outs); len(outs) != len(scens) {
+				t.Fatalf("%s seed %d: %d outcomes for %d scenarios", e.name, seed, len(outs), len(scens))
 			}
 			got := marshalOutcomes(t, outs)
 			if want == nil {
@@ -163,7 +185,7 @@ func TestBackendEquivalence(t *testing.T) {
 			}
 			if !bytes.Equal(want, got) {
 				t.Fatalf("%s seed %d: outcome sequence diverges from local:\nlocal: %s\ngot:   %s",
-					e.Info().Name, seed, want, got)
+					e.name, seed, want, got)
 			}
 		}
 	}
@@ -171,8 +193,8 @@ func TestBackendEquivalence(t *testing.T) {
 
 // TestFleetRoutesByImage: a batch runs only where its image of the
 // system runs. A remote worker qualifies when it advertises exactly
-// Batch.Image; a pool re-execs this binary and qualifies for every
-// batch, as the local backend does (an `lfi explore -patch` batch
+// Batch.Image; a pool member re-execs this binary and qualifies for
+// every batch, as the local backend does (an `lfi explore -patch` batch
 // carries an image no worker advertises). With no backend qualifying,
 // Run fails naming each worker, the image it advertised and the
 // batch's.
@@ -182,13 +204,13 @@ func TestFleetRoutesByImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close()
+	defer pool[0].Close()
 	remote := startLoopbackServe(t, 1)
 	ours := remote.ImageVersion("minidb")
 	run := func(f *Fleet, image string) error {
 		outs, err := f.Run(context.Background(), &Batch{System: "minidb", Image: image, Scenarios: scens})
-		if err == nil && len(outs) != len(scens) {
-			t.Fatalf("image %q: %d outcomes for %d scenarios", image, len(outs), len(scens))
+		if err == nil && len(completed(outs)) != len(scens) {
+			t.Fatalf("image %q: %d outcomes for %d scenarios", image, len(completed(outs)), len(scens))
 		}
 		return err
 	}
@@ -197,7 +219,7 @@ func TestFleetRoutesByImage(t *testing.T) {
 			t.Fatalf("remote with image %q: %v", image, err)
 		}
 	}
-	if err := run(NewFleet(pool), "minidb@other"); err != nil {
+	if err := run(NewFleet(pool...), "minidb@other"); err != nil {
 		t.Fatalf("pool with another image: %v", err)
 	}
 	err = run(NewFleet(remote), "minidb@other")
@@ -211,28 +233,30 @@ func TestFleetRoutesByImage(t *testing.T) {
 	}
 }
 
-// poolMember returns the pool's current member in the given slot.
-func poolMember(t *testing.T, pool *Fleet, slot int) *Remote {
+// poolMember returns the fleet's current member in the given slot of a
+// two-worker pool.
+func poolMember(t *testing.T, f *Fleet, slot int) *Remote {
 	t.Helper()
-	name := fmt.Sprintf("%s[%d]", pool.Info().Name, slot)
-	pool.mu.Lock()
-	defer pool.mu.Unlock()
-	for _, e := range pool.execs {
+	name := fmt.Sprintf("pool(2)[%d]", slot)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, e := range f.execs {
 		if e.Info().Name == name {
 			return e.(*Remote)
 		}
 	}
-	t.Fatalf("pool has no member %s", name)
+	t.Fatalf("fleet has no member %s", name)
 	return nil
 }
 
 // TestPoolWorkerCrashRespawn: killing pool workers — between batches,
-// mid-batch, or inside a fleet that nests the pool — must not lose
-// work: the dead member's slices are requeued, the fleet respawns the
-// slot exactly once per failure wave, and outcomes stay byte-identical
-// to the local backend's. A slot whose respawn fails is retired, and a
-// pool that cannot respawn at all fails with BackendError instead of
-// hanging or spawning without bound.
+// mid-batch, or mid-batch in a fleet that mixes the pool members with a
+// local backend — must not lose work: the dead member's slices are
+// requeued across the live members, the fleet respawns the slot
+// exactly once per failure wave, and outcomes stay byte-identical to
+// the local backend's. A slot whose respawn fails is retired, and a
+// fleet of pool members that cannot respawn at all fails with
+// BackendError instead of hanging or spawning without bound.
 func TestPoolWorkerCrashRespawn(t *testing.T) {
 	scens := testScenarios(t)
 	var big []*scenario.Scenario
@@ -245,14 +269,14 @@ func TestPoolWorkerCrashRespawn(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name     string
-		nest     bool // dispatch through NewFleet(NewLocal(1), pool)
+		mixed    bool // NewFleet(NewLocal(1), pool members...)
 		midBatch bool // kill while the batch is in flight on the victims
 		kill     int  // slots killed, from slot 0
 		refuse   int  // slots, from slot 0, whose respawn function fails
 	}{
 		{name: "between-batches", kill: 1},
 		{name: "mid-batch", midBatch: true, kill: 1},
-		{name: "nested-mid-batch", nest: true, midBatch: true, kill: 1},
+		{name: "mixed-mid-batch", mixed: true, midBatch: true, kill: 1},
 		{name: "respawn-fails", kill: 1, refuse: 1},
 		{name: "unrespawnable", kill: 2, refuse: 2},
 	} {
@@ -261,11 +285,15 @@ func TestPoolWorkerCrashRespawn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer pool.Close()
+			if tc.mixed {
+				pool = append([]Executor{NewLocal(1)}, pool...)
+			}
+			f := NewFleet(pool...)
+			defer f.Close()
 			var respawns atomic.Int32
 			var victims []*Remote
 			for slot := 0; slot < 2; slot++ {
-				m := poolMember(t, pool, slot)
+				m := poolMember(t, f, slot)
 				spawn, refuse := m.respawn, slot < tc.refuse
 				m.respawn = func() (*Remote, error) {
 					respawns.Add(1)
@@ -283,13 +311,8 @@ func TestPoolWorkerCrashRespawn(t *testing.T) {
 					m.liveConn().(*procConn).cmd.Process.Kill()
 				}
 			}
-			var e Executor = pool
-			if tc.nest {
-				e = NewFleet(NewLocal(1), pool)
-			}
-
-			first, err := e.Run(context.Background(), &Batch{System: "minidb", Scenarios: big})
-			if err != nil || len(first) != len(big) {
+			first, err := f.Run(context.Background(), &Batch{System: "minidb", Scenarios: big})
+			if err != nil || len(completed(first)) != len(big) {
 				t.Fatalf("healthy pool run: %d outcomes, err %v", len(first), err)
 			}
 			// Mid-batch, the victims are frozen before the batch is
@@ -307,7 +330,7 @@ func TestPoolWorkerCrashRespawn(t *testing.T) {
 			start := time.Now()
 			go func() {
 				defer close(done)
-				second, err = e.Run(context.Background(), &Batch{System: "minidb", Scenarios: big})
+				second, err = f.Run(context.Background(), &Batch{System: "minidb", Scenarios: big})
 			}()
 			if tc.midBatch {
 				for _, m := range victims {
@@ -335,23 +358,31 @@ func TestPoolWorkerCrashRespawn(t *testing.T) {
 				}
 				return
 			}
-			if err != nil || len(second) != len(big) {
-				t.Fatalf("run across a killed worker: %d outcomes, err %v", len(second), err)
+			if err != nil || len(completed(second)) != len(big) {
+				t.Fatalf("run across a killed worker: %d outcomes, err %v", len(completed(second)), err)
 			}
 			if n := respawns.Load(); n != 1 {
 				t.Fatalf("one failure wave caused %d respawns, want 1", n)
 			}
-			members, _ := pool.live(&Batch{})
-			live := len(members)
-			if tc.refuse == 0 {
-				if poolMember(t, pool, 0).liveConn() == nil || live != 2 {
-					t.Fatalf("killed worker not respawned: %d live members", live)
+			members, _ := f.live(&Batch{})
+			var live []string
+			for _, m := range members {
+				if m.Info().Kind == KindPool {
+					live = append(live, m.Info().Name)
 				}
-			} else if live != 1 {
-				t.Fatalf("unrespawnable member not retired: %d live members", live)
 			}
-			if !bytes.Equal(marshalOutcomes(t, want), marshalOutcomes(t, first)) ||
-				!bytes.Equal(marshalOutcomes(t, want), marshalOutcomes(t, second)) {
+			if tc.refuse == 0 {
+				if poolMember(t, f, 0).liveConn() == nil || len(live) != 2 {
+					t.Fatalf("killed worker not respawned: live pool members %v", live)
+				}
+				if !slices.Contains(live, "pool(2)[0]") || !slices.Contains(live, "pool(2)[1]") {
+					t.Fatalf("live pool members %v, want pool(2)[0] and pool(2)[1]", live)
+				}
+			} else if len(live) != 1 {
+				t.Fatalf("unrespawnable member not retired: live pool members %v", live)
+			}
+			if !bytes.Equal(marshalOutcomes(t, want), marshalOutcomes(t, completed(first))) ||
+				!bytes.Equal(marshalOutcomes(t, want), marshalOutcomes(t, completed(second))) {
 				t.Fatal("outcomes diverged across a worker crash")
 			}
 		})

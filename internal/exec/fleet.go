@@ -39,7 +39,8 @@ func speedPrior(info Info) float64 {
 // requeues after a backend failure:
 //
 //   - a batch runs only on backends that run its build (Batch.Image):
-//     a remote worker built from another commit never gets it;
+//     a remote worker built from another commit never gets it, and a
+//     pool member, which re-execs this binary, always qualifies;
 //   - a batch is split into contiguous chunks sized by each backend's
 //     observed (or prior) runs/sec for the batch's system, so big
 //     batches flow to cheap, wide backends and the hot head of the
@@ -55,19 +56,12 @@ func speedPrior(info Info) float64 {
 //     never persisted, and never decides which system runs next, so
 //     host timing moves where a run executes, not what runs.
 //
-// A Fleet is itself an Executor, so fleets nest: a subprocess pool is
-// a Fleet of respawning pool workers (NewPool). Run returns outcomes
-// aligned with the batch's scenarios; an index is nil only when
-// cancellation or exhausted retries left that run unexecuted — callers
-// requeue exactly those. A pool instead returns the contiguous prefix
-// before the first such gap, the Executor contract.
+// Run returns outcomes aligned with the batch's scenarios; an index is
+// nil only when cancellation or exhausted retries left that run
+// unexecuted — callers requeue exactly those. A Fleet is not itself an
+// Executor: it is the one level where backends compose, and a
+// subprocess pool joins it as its n members (NewPool).
 type Fleet struct {
-	name string // Info().Name
-	// pool marks a subprocess pool (NewPool): Run returns the
-	// contiguous completed prefix, and members are not routed by
-	// image, since each re-execs this very binary.
-	pool bool
-
 	mu     sync.Mutex
 	execs  []Executor
 	dead   map[string]bool
@@ -84,39 +78,19 @@ type Fleet struct {
 // before its failure is treated as fatal rather than environmental.
 const maxAttempts = 3
 
-// NewFleet builds a fleet named "fleet" over the given executors,
-// ordered by latency class (local, then pool, then remote; stable
-// within a class) so the head of every batch lands on the
-// fastest-dispatch backend.
+// NewFleet builds a fleet over the given executors, ordered by latency
+// class (local, then pool, then remote; stable within a class) so the
+// head of every batch lands on the fastest-dispatch backend.
 func NewFleet(execs ...Executor) *Fleet {
 	ordered := append([]Executor(nil), execs...)
 	sort.SliceStable(ordered, func(i, j int) bool {
 		return ordered[i].Info().Kind < ordered[j].Info().Kind
 	})
 	return &Fleet{
-		name:   "fleet",
 		execs:  ordered,
 		dead:   make(map[string]bool),
 		speeds: make(map[speedKey]float64),
 	}
-}
-
-// Info describes the fleet as one backend: the name it was built
-// with, its members' lowest (fastest) kind, their summed capacity, and
-// isolated when every member is.
-func (f *Fleet) Info() Info {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	info := Info{Name: f.name, Isolated: true}
-	for i, e := range f.execs {
-		m := e.Info()
-		if i == 0 {
-			info.Kind = m.Kind // execs are ordered by kind
-		}
-		info.Capacity += m.Capacity
-		info.Isolated = info.Isolated && m.Isolated
-	}
-	return info
 }
 
 // pipeliner is implemented by backends that keep several batches in
@@ -127,8 +101,8 @@ type pipeliner interface{ Pipeline() int }
 
 // imaged is implemented by backends that may run another build
 // (Remote): ImageVersion is the image they execute sys as, "" for a
-// system they lack. Local and Fleet do not implement it, and a pool
-// does not ask its members: they all run this very build.
+// system they lack. Local does not implement it, and the fleet does
+// not ask a pool member: it re-execs this very build.
 type imaged interface{ ImageVersion(sys string) string }
 
 // Executors reports the fleet's backends, dead ones included.
@@ -209,7 +183,7 @@ func (f *Fleet) live(b *Batch) ([]Executor, error) {
 	defer f.mu.Unlock()
 	var out []Executor
 	for _, e := range f.execs {
-		if !f.dead[e.Info().Name] && f.runs(e, b) {
+		if !f.dead[e.Info().Name] && runs(e, b) {
 			out = append(out, e)
 		}
 	}
@@ -223,16 +197,18 @@ func (f *Fleet) live(b *Batch) ([]Executor, error) {
 		}
 	}
 	if other == nil {
-		return nil, &BackendError{Backend: f.name, Err: errors.New("no live executors")}
+		return nil, &BackendError{Backend: "fleet", Err: errors.New("no live executors")}
 	}
 	return nil, fmt.Errorf("exec: no live backend runs %s image %s: %s", b.System, b.Image, strings.Join(other, ", "))
 }
 
 // runs reports whether e executes b.System as b.Image. Images must be
-// equal: a worker that lacks the system advertises "" for it.
-func (f *Fleet) runs(e Executor, b *Batch) bool {
+// equal: a worker that lacks the system advertises "" for it. A pool
+// member takes every batch, since it re-execs this very binary (an
+// `lfi explore -patch` batch carries an image no worker advertises).
+func runs(e Executor, b *Batch) bool {
 	im, ok := e.(imaged)
-	return !ok || f.pool || b.Image == "" || im.ImageVersion(b.System) == b.Image
+	return !ok || b.Image == "" || e.Info().Kind == KindPool || im.ImageVersion(b.System) == b.Image
 }
 
 // recover reacts, once per wave, to the members whose transport
@@ -364,16 +340,7 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 			}
 			begin := time.Now()
 			got, err := e.Run(ctx, sub)
-			// A nested fleet answers aligned with nil holes, so the
-			// chunk's unfinished tail starts at its first gap.
-			done := len(got)
-			for i, o := range got {
-				if o == nil {
-					done = min(done, i)
-					continue
-				}
-				outs[c.off+i] = o
-			}
+			done := copy(outs[c.off:c.end], got) // the completed prefix
 			f.observeSpeed(b.System, e.Info(), done, time.Since(begin))
 			if err == nil || (ctx.Err() != nil && errors.Is(err, ctx.Err())) {
 				return
@@ -412,14 +379,6 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 		}
 		sort.Slice(retry, func(i, j int) bool { return retry[i].off < retry[j].off })
 		queue = append(queue, retry...)
-	}
-	if f.pool {
-		for i, o := range outs {
-			if o == nil {
-				outs = outs[:i]
-				break
-			}
-		}
 	}
 	if fatal != nil {
 		return outs, fatal

@@ -7,21 +7,20 @@ import (
 	osexec "os/exec"
 )
 
-// NewPool starts size worker subprocesses and returns them as a Fleet
-// named pool(size). The workers re-exec the current binary with
-// EnvWorker set, so any program whose main (or TestMain) calls
+// NewPool starts size worker subprocesses and returns them as size
+// executors, pool(size)[0] … pool(size)[size-1], to join the session's
+// Fleet like any other backend. The workers re-exec the current binary
+// with EnvWorker set, so any program whose main (or TestMain) calls
 // MaybeWorker is pool-capable with no separate worker executable. Each
-// member is a Remote client over its worker's stdin/stdout, named
-// pool(size)[i], and carries a respawn function: when a member's
-// transport fails, Fleet.Run starts a fresh worker in its slot.
+// member is a Remote client over its worker's stdin/stdout, of kind
+// KindPool, and carries a respawn function: when a member's transport
+// fails, Fleet.Run starts a fresh worker in its slot.
 //
 // What a pool buys over Local is crash isolation: a workload panic
 // that escapes the controller's crash monitor — a logic bug in the
 // harness itself, not a simulated crash — kills one worker process, not
-// the session. Unlike a plain Fleet, a pool's Run returns the
-// contiguous completed prefix, as the Executor contract asks. The
-// returned fleet must be Closed to reap the workers.
-func NewPool(size int) (*Fleet, error) {
+// the session. Every member must be Closed to reap its worker.
+func NewPool(size int) ([]Executor, error) {
 	if size <= 0 {
 		size = 1
 	}
@@ -29,10 +28,9 @@ func NewPool(size int) (*Fleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exec: pool: %w", err)
 	}
-	name := fmt.Sprintf("pool(%d)", size)
 	members := make([]Executor, 0, size)
 	for i := 0; i < size; i++ {
-		w, err := spawnWorker(self, fmt.Sprintf("%s[%d]", name, i))
+		w, err := spawnWorker(self, fmt.Sprintf("pool(%d)[%d]", size, i))
 		if err != nil {
 			for _, m := range members {
 				m.Close()
@@ -41,9 +39,7 @@ func NewPool(size int) (*Fleet, error) {
 		}
 		members = append(members, w)
 	}
-	f := NewFleet(members...)
-	f.name, f.pool = name, true
-	return f, nil
+	return members, nil
 }
 
 // spawnWorker starts one worker subprocess of self and connects a

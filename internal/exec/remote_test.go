@@ -12,8 +12,8 @@ import (
 
 // TestRemoteCancelFastWithoutGrace pins the cancel contract for both
 // backends built on the Remote client, a loopback `lfi serve` worker
-// and a subprocess pool: cancelling a Run against live workers returns
-// the completed prefix promptly — the cancel frame stops each worker
+// and a fleet of subprocess pool members: cancelling a Run against live
+// workers returns the completed prefix promptly — the cancel frame stops each worker
 // after its in-flight run — with the 30s drain grace untouched (it
 // remains a fallback for wedged workers, never the steady-state cost
 // of a Ctrl-C). Completed runs are not lost: the prefix is
@@ -26,20 +26,23 @@ func TestRemoteCancelFastWithoutGrace(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		backend func(t *testing.T) Executor
+		backend func(t *testing.T) func(context.Context, *Batch) ([]*Outcome, error)
 	}{
-		{"remote", func(t *testing.T) Executor { return startLoopbackServe(t, 1) }},
-		{"pool", func(t *testing.T) Executor {
-			pool, err := NewPool(2)
+		{"remote", func(t *testing.T) func(context.Context, *Batch) ([]*Outcome, error) {
+			return startLoopbackServe(t, 1).Run
+		}},
+		{"pool", func(t *testing.T) func(context.Context, *Batch) ([]*Outcome, error) {
+			members, err := NewPool(2)
 			if err != nil {
 				t.Fatal(err)
 			}
+			pool := NewFleet(members...)
 			t.Cleanup(func() { pool.Close() })
-			return pool
+			return pool.Run
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := tc.backend(t)
+			run := tc.backend(t)
 			var outs []*Outcome
 			var err error
 			var elapsed time.Duration
@@ -54,7 +57,8 @@ func TestRemoteCancelFastWithoutGrace(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				timer := time.AfterFunc(delay, cancel)
 				start := time.Now()
-				outs, err = e.Run(ctx, &Batch{System: "minidb", Coverage: true, Scenarios: big})
+				outs, err = run(ctx, &Batch{System: "minidb", Coverage: true, Scenarios: big})
+				outs = completed(outs)
 				elapsed = time.Since(start)
 				timer.Stop()
 				cancel()

@@ -15,7 +15,6 @@ import (
 	"lfi/internal/coverage"
 	"lfi/internal/fleetd"
 	"lfi/internal/impact"
-	"lfi/internal/isa"
 	"lfi/internal/scenario"
 	"lfi/internal/system"
 )
@@ -82,27 +81,6 @@ func MaybeWorker() {
 		}
 		os.Exit(0)
 	}
-}
-
-// PatchSystem returns a detached copy of d whose program image carries
-// the inert one-function patch of impact.PatchFunc: fn's fingerprint and
-// the image version move, behavior does not.
-func PatchSystem(d *system.Descriptor, fn string) (*system.Descriptor, error) {
-	b, _ := d.Binary()
-	if _, err := impact.PatchFunc(b, fn); err != nil {
-		return nil, err
-	}
-	nd := *d
-	orig := d.Binary
-	nd.Binary = func() (*isa.Binary, map[string]uint64) {
-		b, offs := orig()
-		pb, err := impact.PatchFunc(b, fn)
-		if err != nil {
-			return b, offs // validated above; cannot happen
-		}
-		return pb, offs
-	}
-	return &nd, nil
 }
 
 // workerRegistration describes this process as a fleet worker: the
@@ -222,15 +200,14 @@ func Serve(ctx context.Context, ln net.Listener, opts ServeOptions) error {
 }
 
 // workerImages advertises the image version of every registered
-// system, computed exactly as the explorer computes its own
-// (explore.ImageVersion): binary name + "@" + image hash. A client's
-// fleet sends this worker only the batches of its own build.
+// system, the impact.ImageVersion the explorer computes its own with. A
+// client's fleet sends this worker only the batches of its own build.
 func workerImages() map[string]string {
 	ds := system.All()
 	out := make(map[string]string, len(ds))
 	for _, d := range ds {
 		b, _ := d.Binary()
-		out[d.Name] = b.Name + "@" + impact.ImageHash(b.Code)
+		out[d.Name] = impact.ImageVersion(b)
 	}
 	return out
 }

@@ -587,12 +587,9 @@ func profileErrorCodes(ps []*profile.Profile, callee string) []int64 {
 	return nil
 }
 
-// ImageVersion identifies the target image the store entries belong to.
-// The region-hashing itself lives in internal/impact, shared with the
-// diff analysis so both sides always agree on what "changed" means.
-func ImageVersion(b *isa.Binary) string {
-	return b.Name + "@" + impact.ImageHash(b.Code)
-}
+// ImageVersion identifies the target image the store entries belong to
+// (impact.ImageVersion, which fleet workers advertise too).
+func ImageVersion(b *isa.Binary) string { return impact.ImageVersion(b) }
 
 // --- the exploration loop ----------------------------------------------------
 
@@ -620,14 +617,13 @@ type explorer struct {
 	scratch coverage.Bitset
 
 	// Mutation state: the scenario names already enumerated (initial
-	// candidates plus spawned mutants), the candidates already mutated,
-	// and the keyer of every candidate and mutant store key (nil without
-	// a store: nothing looks a key up, so none is derived). (Mutation
-	// triggers only on coverage *beyond* the suite baseline, so the
-	// decision is identical whether an outcome was executed or
-	// replayed, in any order.)
+	// candidates plus spawned mutants), and the keyer of every
+	// candidate and mutant store key (nil without a store: nothing
+	// looks a key up, so none is derived). (Mutation triggers only on
+	// coverage *beyond* the suite baseline, so the decision is
+	// identical whether an outcome was executed or replayed, in any
+	// order.)
 	seen    map[string]bool
-	mutated map[string]bool
 	keyer   *keyer
 	spawned int
 	name    []byte // scratch a mutant's name is assembled in
@@ -709,10 +705,6 @@ func (x *explorer) mutationWorthy(e Entry, cov coverage.Bitset) bool {
 // outcome entry, never on scheduling order, so a resumed run re-breeds
 // the same lattice from replayed entries alone.
 func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
-	if x.mutated[c.name] {
-		return nil
-	}
-	x.mutated[c.name] = true
 	var wins [][2]uint64
 	stack := false
 	switch c.Kind {
@@ -883,12 +875,11 @@ func newRun(cfg Config) (*run, error) {
 	cands := generate(cfg)
 
 	x := &explorer{
-		cfg:     cfg,
-		sigs:    make(map[string][]string),
-		boost:   make(map[string]float64),
-		reval:   make(map[string]float64),
-		seen:    make(map[string]bool, len(cands)),
-		mutated: make(map[string]bool),
+		cfg:   cfg,
+		sigs:  make(map[string][]string),
+		boost: make(map[string]float64),
+		reval: make(map[string]float64),
+		seen:  make(map[string]bool, len(cands)),
 	}
 	for _, c := range cands {
 		x.seen[c.name] = true

@@ -57,6 +57,14 @@ func ImageHash(code []byte) string {
 	return hex.EncodeToString(sum[:6])
 }
 
+// ImageVersion identifies a target image: binary name + "@" + its
+// ImageHash. Store entries belong to it, and a fleet worker advertises
+// it per system, so the explorer and the worker must agree on it byte
+// for byte.
+func ImageVersion(b *isa.Binary) string {
+	return b.Name + "@" + ImageHash(b.Code)
+}
+
 // Hasher fingerprints the code regions of one binary: the enclosing
 // function for call-stack candidates, the whole image for global-count
 // candidates. The image is hashed once and function regions are

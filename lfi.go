@@ -51,7 +51,9 @@ import (
 	"lfi/internal/errno"
 	"lfi/internal/exec"
 	"lfi/internal/explore"
+	"lfi/internal/impact"
 	"lfi/internal/interpose"
+	"lfi/internal/isa"
 	"lfi/internal/libsim"
 	"lfi/internal/profile"
 	"lfi/internal/scenario"
@@ -216,13 +218,14 @@ var (
 	// NewLocalExecutor returns the in-process backend (the default).
 	NewLocalExecutor = exec.NewLocal
 	// NewPoolExecutor starts n crash-isolating worker subprocesses and
-	// returns them as one executor named pool(n): a fleet whose
-	// members, pool(n)[0] … pool(n)[n-1], are the same wire-protocol
-	// client DialExecutor returns, over each worker's stdin/stdout — so
-	// a cancelled pool run stops promptly, like a remote one. A member
-	// whose worker dies is respawned by the fleet and its unfinished
-	// runs requeued. The calling binary must invoke MaybeExecWorker
-	// first thing in main (cmd/lfi does) or TestMain.
+	// returns them as n executors, pool(n)[0] … pool(n)[n-1], each the
+	// same wire-protocol client DialExecutor returns, over its worker's
+	// stdin/stdout — so a cancelled pool run stops promptly, like a
+	// remote one. Pass them all to a session, WithExecutors(pool...):
+	// they join its fleet like any other backend, and a member whose
+	// worker dies is respawned by that fleet and its unfinished runs
+	// requeued. The calling binary must invoke MaybeExecWorker first
+	// thing in main (cmd/lfi does) or TestMain.
 	NewPoolExecutor = exec.NewPool
 	// DialExecutor connects to an `lfi serve` worker.
 	DialExecutor = exec.Dial
@@ -278,9 +281,19 @@ type (
 // twice restores the original image. The returned descriptor is a
 // detached copy, not registered.
 func PatchSystem(sys *System, fn string) (*System, error) {
-	ps, err := exec.PatchSystem(sys, fn)
-	if err != nil {
+	b, _ := sys.Binary()
+	if _, err := impact.PatchFunc(b, fn); err != nil {
 		return nil, fmt.Errorf("lfi: patching %s: %w", sys.Name, err)
 	}
-	return ps, nil
+	ps := *sys
+	orig := sys.Binary
+	ps.Binary = func() (*isa.Binary, map[string]uint64) {
+		b, offs := orig()
+		pb, err := impact.PatchFunc(b, fn)
+		if err != nil {
+			return b, offs // validated above; cannot happen
+		}
+		return pb, offs
+	}
+	return &ps, nil
 }

@@ -48,8 +48,9 @@ var (
 //
 // Where tests execute is pluggable: by default a session runs batches
 // on the in-process worker pool, but WithExecutor/WithExecutors swap in
-// or add crash-isolating subprocess pools (NewPoolExecutor) and remote
-// `lfi serve` workers (DialExecutor). Each batch is split across the
+// or add the members of crash-isolating subprocess pools
+// (NewPoolExecutor) and remote `lfi serve` workers (DialExecutor), all
+// members of the session's one fleet. Each batch is split across the
 // mix by observed backend speed; because all backends produce
 // byte-identical outcomes for the same batch and seed, and the explorer
 // chooses what to run from outcomes alone, the mix never changes
@@ -142,10 +143,12 @@ func WithObserver(fn func(system string, o Outcome)) SessionOption {
 func WithExecutor(e Executor) SessionOption { return WithExecutors(e) }
 
 // WithExecutors adds execution backends to the session. Batches fan
-// out across the whole mix — local pools, crash-isolating subprocess
-// pools, remote `lfi serve` workers — in chunks sized by each
-// backend's observed speed; a backend that dies has its in-flight work requeued on the
-// survivors. The session takes ownership: Close closes every backend.
+// out across the whole mix — local pools, the members of
+// crash-isolating subprocess pools (WithExecutors(pool...)), remote
+// `lfi serve` workers — in chunks sized by each backend's observed
+// speed; a backend that dies has its in-flight work requeued on the
+// survivors, and a pool member is respawned. The session takes
+// ownership: Close closes every backend.
 func WithExecutors(execs ...Executor) SessionOption {
 	return func(s *Session) error {
 		if len(execs) == 0 {
@@ -214,7 +217,8 @@ func (s *Session) Close() error {
 }
 
 // Executors reports the session's execution backends and their
-// capability metadata, in dispatch (latency) order.
+// capability metadata, in dispatch (latency) order; a subprocess pool
+// is listed member by member.
 func (s *Session) Executors() []ExecutorInfo { return s.fleet.Executors() }
 
 // RunReport is Run's final summary.

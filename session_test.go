@@ -299,11 +299,11 @@ func TestSessionExecutorEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report := func(name string, e Executor) string {
+	report := func(name string, execs ...Executor) string {
 		t.Helper()
 		opts := []SessionOption{WithSeed(11)}
-		if e != nil {
-			opts = append(opts, WithExecutor(e))
+		if execs != nil {
+			opts = append(opts, WithExecutors(execs...))
 		}
 		sess := mustSession(t, opts...)
 		rep, err := sess.Run(context.Background(), sys, scens)
@@ -319,8 +319,8 @@ func TestSessionExecutorEquivalence(t *testing.T) {
 		b.Write(bugs)
 		return b.String()
 	}
-	local := report("local", nil)
-	if got := report("pool", pool); got != local {
+	local := report("local")
+	if got := report("pool", pool...); got != local {
 		t.Fatalf("pool report diverges from local:\n%s\nvs\n%s", got, local)
 	}
 	if got := report("remote", startSessionLoopback(t, 2)); got != local {
@@ -354,10 +354,10 @@ func TestSessionExploreRemoteMatchesLocal(t *testing.T) {
 
 	for _, tc := range []struct {
 		name    string
-		backend func(t *testing.T) Executor
+		backend func(t *testing.T) []Executor
 	}{
-		{"remote", func(t *testing.T) Executor { return startSessionLoopback(t, 4) }},
-		{"pool", func(t *testing.T) Executor {
+		{"remote", func(t *testing.T) []Executor { return []Executor{startSessionLoopback(t, 4)} }},
+		{"pool", func(t *testing.T) []Executor {
 			pool, err := NewPoolExecutor(2)
 			if err != nil {
 				t.Fatal(err)
@@ -368,7 +368,7 @@ func TestSessionExploreRemoteMatchesLocal(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			store := filepath.Join(t.TempDir(), "store")
 			sess := mustSession(t,
-				WithExecutor(tc.backend(t)),
+				WithExecutors(tc.backend(t)...),
 				WithStore(store),
 			)
 			res, err := sess.Explore(context.Background(), sys)
