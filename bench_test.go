@@ -727,8 +727,9 @@ func BenchmarkExecutorBatchLocal(b *testing.B) {
 }
 
 // BenchmarkExecutorBatchRemote is the same batch through a loopback
-// `lfi serve` TCP worker: canonical-XML serialization, length-prefixed
-// JSON-RPC framing and transport, per batch. The gap to
+// `lfi serve` TCP worker: binary scenario records (the 32 copies of one
+// scenario travel as one record and 31 back-references), length-prefixed
+// binary framing and transport, per batch. The gap to
 // BenchmarkExecutorBatchLocal is the wire tax a remote worker must
 // amortize with batch size — the reason the fleet's speed shares route
 // big batches remote and small hot batches locally.

@@ -22,8 +22,8 @@
 //     panic that escapes the crash monitor kills one worker, not the
 //     session.
 //
-// Both backends consume a Batch (system name + serialized scenarios +
-// seed) and produce the same Outcome records: because runs are
+// Both backends consume a Batch (system name + scenarios + seed) and
+// produce the same Outcome records: because runs are
 // deterministic under a fixed seed, every backend and every fleet of
 // them is observationally equivalent — byte-identical outcome
 // sequences — which is what lets the Fleet scheduler route batches by
@@ -83,8 +83,9 @@ type Info struct {
 }
 
 // Batch is one unit of dispatch: scenarios to run against a registered
-// system under a fixed seed. Scenarios ship as canonical XML on the
-// wire, so a batch means the same thing to every backend.
+// system under a fixed seed. A batch means the same thing to every
+// backend: a wire backend ships each scenario as a binary record that
+// decodes to a scenario with the same canonical bytes.
 type Batch struct {
 	System    string
 	Seed      int64

@@ -441,9 +441,10 @@ const minPipelineSlice = 8
 // expandWave subdivides each pipelining backend's chunk into up to
 // Pipeline() contiguous slices dispatched concurrently on the same
 // backend: while the worker executes one slice the next is already on
-// the wire, taking the round-trip off the critical path. Slices stay
-// contiguous and in order (the worker executes them FIFO), so outcome
-// determinism is untouched.
+// the wire, taking the round-trip off the critical path. Each slice's
+// outcomes land at its own offsets and depend only on scenario and
+// seed, so a worker that runs the slices side by side, finishing them
+// in any order, leaves outcome determinism untouched.
 func expandWave(wave []dispatch) []dispatch {
 	out := make([]dispatch, 0, len(wave))
 	for _, d := range wave {

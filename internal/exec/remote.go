@@ -22,7 +22,8 @@ import (
 // up to Pipeline() batches ride the wire at once, matched back to
 // callers by request id through a single reader goroutine — the
 // worker's input queue stays non-empty, so the round-trip latency is
-// off the critical path. Cancellation sends a cancel frame and the
+// off the critical path, and a worker of width n runs up to n of the
+// batches side by side, answering each as it finishes. Cancellation sends a cancel frame and the
 // worker answers promptly with the completed prefix; a drain grace
 // survives only as the fallback for a wedged worker. A broken
 // connection fails every in-flight batch with BackendError and marks

@@ -15,7 +15,6 @@ import (
 	"lfi/internal/coverage"
 	"lfi/internal/fleetd"
 	"lfi/internal/impact"
-	"lfi/internal/scenario"
 	"lfi/internal/system"
 )
 
@@ -212,57 +211,51 @@ func workerImages() map[string]string {
 	return out
 }
 
-// scenarioCacheMax caps a connection's parsed-scenario cache; beyond it
-// the cache is dropped wholesale (campaigns resend a bounded working
-// set of scenario documents, and a fresh parse is always correct).
-const scenarioCacheMax = 4096
-
-// serverConn is the per-connection protocol state: the parsed-scenario
-// cache (repeated batches reuse scenario — and therefore compiled-
-// program — identity) and the coverage-universe tags already sent to
-// this client. It is touched only by the connection's executor
-// goroutine, so it needs no locking even under pipelining.
+// serverConn is what a connection's executor goroutines share: the
+// stream they write responses to and the coverage-universe tags already
+// sent on it, both behind mu. A tag is assigned as the response that
+// carries it is written, so the first frame to go out with a tag is
+// the one that carries its table inline.
 type serverConn struct {
-	scenarios map[string]*scenario.Scenario // canonical XML -> parsed
-	uniTags   map[*coverage.Index]uint64
-	sent      map[uint64]bool
-	nextTag   uint64
+	mu      sync.Mutex
+	w       io.Writer
+	uniTags map[*coverage.Index]uint64
 }
 
-// parse resolves one canonical XML document, memoized per connection.
-func (sc *serverConn) parse(doc string) (*scenario.Scenario, error) {
-	if s, ok := sc.scenarios[doc]; ok {
-		return s, nil
-	}
-	s, err := scenario.ParseString(doc)
-	if err != nil {
-		return nil, err
-	}
-	if sc.scenarios == nil || len(sc.scenarios) >= scenarioCacheMax {
-		sc.scenarios = make(map[string]*scenario.Scenario)
-	}
-	sc.scenarios[doc] = s
-	return s, nil
+// writeJSON writes one JSON frame.
+func (sc *serverConn) writeJSON(v any) error {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return writeFrame(sc.w, v)
 }
 
-// universe assigns (or recalls) this connection's tag for a coverage
-// universe and reports whether its ID table must still be sent inline.
-func (sc *serverConn) universe(idx *coverage.Index) (tag uint64, inline []string) {
-	if sc.uniTags == nil {
-		sc.uniTags = make(map[*coverage.Index]uint64)
-		sc.sent = make(map[uint64]bool)
+// respond encodes and writes a run response. The batch's universe (one
+// system per batch, so at most one) goes inline the first time this
+// connection sends it and by tag after that.
+func (sc *serverConn) respond(id uint64, errStr string, outs []*Outcome) error {
+	var idx *coverage.Index
+	for _, o := range outs {
+		if o.CovU != nil {
+			idx = o.CovU
+			break
+		}
 	}
-	tag, ok := sc.uniTags[idx]
-	if !ok {
-		sc.nextTag++
-		tag = sc.nextTag
-		sc.uniTags[idx] = tag
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	var tag uint64
+	var inline []string
+	if idx != nil {
+		var sent bool
+		if tag, sent = sc.uniTags[idx]; !sent {
+			if sc.uniTags == nil {
+				sc.uniTags = make(map[*coverage.Index]uint64)
+			}
+			tag = uint64(len(sc.uniTags)) + 1
+			sc.uniTags[idx] = tag
+			inline = idx.IDs()
+		}
 	}
-	if !sc.sent[tag] {
-		sc.sent[tag] = true
-		return tag, idx.IDs()
-	}
-	return tag, nil
+	return writeRawFrame(sc.w, encodeRunResponse(id, errStr, outs, tag, inline))
 }
 
 // cancelledBatch is the in-band error a worker answers a cancelled run
@@ -271,15 +264,14 @@ func (sc *serverConn) universe(idx *coverage.Index) (tag uint64, inline []string
 const cancelledBatch = "cancelled"
 
 // pipelineQueueMax bounds how many run requests one connection may
-// hold queued behind the executing batch. Clients pipeline far fewer
+// hold queued behind the executing batches. Clients pipeline far fewer
 // (Remote defaults to 4); a client that exceeds the bound just blocks
 // the connection's read loop — its own cancels included — until the
 // queue drains, which only hurts itself.
 const pipelineQueueMax = 64
 
-// queuedRun is one run request awaiting the connection's executor
-// goroutine. The payload is decoded at execution time, so the read
-// loop never touches serverConn state.
+// queuedRun is one run request awaiting one of the connection's
+// executor goroutines, which decodes its payload when it takes it.
 type queuedRun struct {
 	id      uint64
 	payload []byte
@@ -295,33 +287,24 @@ type queuedRun struct {
 // requests arrive as binary frames, hello and funcs as JSON — the
 // first payload byte tells them apart.
 //
-// The loop splits into two goroutines so pipelining and cancellation
-// work: the read loop enqueues run requests (up to pipelineQueueMax
-// deep) and handles control frames inline, while a single
-// executor goroutine runs batches strictly in arrival order
-// (determinism: same FIFO execution a sequential client got). A
-// cancel frame cancels the named request's context whether it is
+// The loop splits into goroutines so pipelining and cancellation work:
+// the read loop enqueues run requests (up to pipelineQueueMax deep) and
+// handles control frames inline, while workers executor goroutines take
+// batches from the queue in arrival order and run them side by side on
+// the connection's one Local, whose width bounds the tests running at
+// once across all of them. Every outcome depends only on its scenario
+// and seed, so responses may finish out of order without changing one.
+// A cancel frame cancels the named request's context whether it is
 // executing or still queued; the cancelled batch answers with its
 // completed prefix and the in-band "cancelled" error, so a client's
 // Ctrl-C never waits for a batch to run out.
 func serveConn(ctx context.Context, conn io.ReadWriter, workers int, counters *serveCounters) error {
 	local := NewLocal(workers)
-	sc := &serverConn{}
+	sc := &serverConn{w: conn}
 	var (
-		writeMu  sync.Mutex
 		cancelMu sync.Mutex
 		cancels  = make(map[uint64]context.CancelFunc)
 	)
-	write := func(data []byte) error {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		return writeRawFrame(conn, data)
-	}
-	writeJSON := func(v any) error {
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		return writeFrame(conn, v)
-	}
 	admit := func(id uint64) context.Context {
 		rctx, rcancel := context.WithCancel(ctx)
 		cancelMu.Lock()
@@ -338,18 +321,21 @@ func serveConn(ctx context.Context, conn io.ReadWriter, workers int, counters *s
 		cancelMu.Unlock()
 	}
 
-	// The executor: batches run one at a time, FIFO. Its write errors
-	// are not surfaced separately — a broken connection fails the read
-	// loop too, which is where the connection error is reported.
+	// The executors. Their write errors are not surfaced separately: a
+	// broken connection fails the read loop too, which is where the
+	// connection error is reported.
 	queue := make(chan queuedRun, pipelineQueueMax)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for qr := range queue {
-			serveRun(local, sc, counters, qr, write)
-			retire(qr.id)
-		}
-	}()
+	var executors sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		executors.Add(1)
+		go func() {
+			defer executors.Done()
+			for qr := range queue {
+				serveRun(local, sc, counters, qr)
+				retire(qr.id)
+			}
+		}()
+	}
 
 	var readErr error
 read:
@@ -391,7 +377,7 @@ read:
 					Systems:  system.Names(),
 					Images:   workerImages(),
 				}}
-				if err := writeJSON(&resp); err != nil {
+				if err := sc.writeJSON(&resp); err != nil {
 					readErr = err
 					break read
 				}
@@ -403,13 +389,13 @@ read:
 				} else {
 					resp.Error = fmt.Sprintf("system %q not registered", req.System)
 				}
-				if err := writeJSON(&resp); err != nil {
+				if err := sc.writeJSON(&resp); err != nil {
 					readErr = err
 					break read
 				}
 			default:
 				resp := response{ID: req.ID, Error: fmt.Sprintf("unknown method %q", req.Method)}
-				if err := writeJSON(&resp); err != nil {
+				if err := sc.writeJSON(&resp); err != nil {
 					readErr = err
 					break read
 				}
@@ -424,13 +410,13 @@ read:
 	}
 	cancelMu.Unlock()
 	close(queue)
-	<-done
+	executors.Wait()
 	return readErr
 }
 
 // serveRun executes one queued run request and writes its response.
-func serveRun(local *Local, sc *serverConn, counters *serveCounters, qr queuedRun, write func([]byte) error) {
-	id, b, err := decodeRunRequest(qr.payload, sc.parse)
+func serveRun(local *Local, sc *serverConn, counters *serveCounters, qr queuedRun) {
+	id, b, err := decodeRunRequest(qr.payload)
 	var outs []*Outcome
 	if err == nil {
 		outs, err = local.Run(qr.ctx, b)
@@ -450,14 +436,5 @@ func serveRun(local *Local, sc *serverConn, counters *serveCounters, qr queuedRu
 	default:
 		errStr = err.Error()
 	}
-	var tag uint64
-	var inline []string
-	for _, o := range outs {
-		if o.CovU != nil {
-			// One system per batch, so one universe per response.
-			tag, inline = sc.universe(o.CovU)
-			break
-		}
-	}
-	write(encodeRunResponse(id, errStr, outs, tag, inline))
+	_ = sc.respond(id, errStr, outs) // a broken connection fails the read loop, which reports it
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"lfi/internal/coverage"
@@ -24,7 +25,7 @@ import (
 //     exchange and the "funcs" fingerprint query.
 //
 //	client → worker: {"id":1,"method":"hello"}
-//	worker → client: {"id":1,"hello":{"proto":3,"capacity":4,"systems":[...],"images":{...}}}
+//	worker → client: {"id":1,"hello":{"proto":4,"capacity":4,"systems":[...],"images":{...}}}
 //	client → worker: {"id":2,"method":"funcs","system":"minidb"}
 //	worker → client: {"id":2,"funcs":{...}}
 //
@@ -37,27 +38,31 @@ import (
 //     client accepts only its own: any other version fails the dial
 //     with ProtoMismatchError, before a batch is ever sent;
 //   - a **cancel** frame names an in-flight run request by id; the
-//     worker stops starting new runs, finishes the ones in flight, and
-//     answers the cancelled request with its completed prefix;
+//     worker stops starting new runs of it, finishes the ones in
+//     flight, and answers the cancelled request with its completed
+//     prefix;
 //   - requests are **pipelined**: a worker reads the next run request
-//     while executing the current one (batches still execute in FIFO
-//     order per connection, preserving determinism), and responses
-//     carry ids so a client can keep several batches in flight;
+//     while executing the current ones, and runs a connection's queued
+//     batches side by side, as many at once as it has workers, all on
+//     one in-process pool of that width. Responses carry ids and may
+//     leave in any order; a run's outcome depends only on its scenario
+//     and seed, so the order batches run in never changes a result;
 //   - the hello response advertises per-system **image versions**, and
 //     a client's fleet sends a worker only the batches of its own build
 //     (Batch.Image): an outcome always comes from the build that asked
 //     for it. The "funcs" method serves a system's per-function
 //     fingerprints.
 //
-// A batch's scenarios travel as canonical XML (scenario.Serialize is
-// byte-deterministic), so content hashes — and therefore store keys —
-// mean the same thing on both ends. Errors come back in-band on the
-// response's error field; transport failures surface as BackendError.
+// A batch's scenarios travel as binary records (scenario.AppendBinary),
+// each decoded afresh per request: the worker keeps no scenario cache.
+// Content hashes, and so store keys, are computed by the client alone.
+// Errors come back in-band on the response's error field; transport
+// failures surface as BackendError.
 
 // protoVersion is the one protocol version this build speaks; a peer
 // advertising any other is rejected at connection setup, not
 // mid-campaign.
-const protoVersion = 3
+const protoVersion = 4
 
 // maxFrame bounds one message (a batch of a few hundred scenarios is
 // well under 1 MiB; 64 MiB rejects garbage and runaway peers).
@@ -145,7 +150,17 @@ func writeFrame(w io.Writer, v any) error {
 //	varint  seed                    (zigzag)
 //	byte    flags                   (bit0: coverage)
 //	uvarint nscenarios
-//	nscenarios × string             (canonical scenario XML)
+//	nscenarios × scenario
+//
+// Scenario:
+//
+//	uvarint ref                     (0 = a record follows; i+1 = the
+//	                                 scenario of entry i < this one)
+//	if ref == 0: string record      (scenario.AppendBinary)
+//
+// A scenario that appears more than once in a batch is sent once and
+// referenced after that, so it decodes to one *Scenario that the
+// worker compiles once per batch.
 //
 // Run response body:
 //
@@ -205,12 +220,29 @@ func encodeRunRequest(id uint64, b *Batch) []byte {
 	}
 	out = append(out, flags)
 	out = binary.AppendUvarint(out, uint64(len(b.Scenarios)))
-	for _, s := range b.Scenarios {
-		doc := s.Serialize()
-		out = binary.AppendUvarint(out, uint64(len(doc)))
-		out = append(out, doc...)
+	for i, s := range b.Scenarios {
+		if j := slices.Index(b.Scenarios[:i], s); j >= 0 {
+			out = binary.AppendUvarint(out, uint64(j)+1)
+			continue
+		}
+		out = append(out, 0)
+		out = appendRecord(out, s)
 	}
 	return out
+}
+
+// appendRecord appends s's binary record behind its length. The record
+// is written in place first and then moved up by the length's width,
+// so it needs no scratch buffer.
+func appendRecord(b []byte, s *scenario.Scenario) []byte {
+	start := len(b)
+	b = s.AppendBinary(b)
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(len(b)-start))
+	b = append(b, hdr[:h]...)
+	copy(b[start+h:], b[start:len(b)-h])
+	copy(b[start:], hdr[:h])
+	return b
 }
 
 // encodeCancel encodes a cancel frame naming an in-flight
@@ -379,11 +411,10 @@ func isBinaryFrame(payload []byte, kind byte) bool {
 	return len(payload) >= 2 && payload[0] == frameMagic && payload[1] == kind
 }
 
-// decodeRunRequest parses a binary run request. parse resolves one
-// canonical XML document to a scenario (the server memoizes it so
-// repeated batches share scenario — and therefore compiled-program —
-// identity).
-func decodeRunRequest(payload []byte, parse func(string) (*scenario.Scenario, error)) (id uint64, b *Batch, err error) {
+// decodeRunRequest parses a binary run request. The scenarios' strings
+// alias one string copy of the payload; a back-reference decodes to the
+// *Scenario of the entry it names.
+func decodeRunRequest(payload []byte) (id uint64, b *Batch, err error) {
 	d := &bdec{data: payload, off: 2}
 	id = d.uvarint()
 	b = &Batch{System: d.str(), Seed: d.varint()}
@@ -393,20 +424,36 @@ func decodeRunRequest(payload []byte, parse func(string) (*scenario.Scenario, er
 	if d.err != nil {
 		return id, nil, d.err
 	}
-	if n > uint64(len(payload)) { // cheap sanity bound before allocating
+	if n > uint64(len(payload)-d.off) { // every entry takes at least one byte
 		return id, nil, fmt.Errorf("exec: binary frame: %d scenarios in %d-byte payload", n, len(payload))
 	}
-	b.Scenarios = make([]*scenario.Scenario, 0, n)
-	for i := uint64(0); i < n; i++ {
-		doc := d.str()
-		if d.err != nil {
+	var src string
+	if n > 0 {
+		src = string(payload)
+	}
+	b.Scenarios = make([]*scenario.Scenario, n)
+	for i := range b.Scenarios {
+		if ref := d.uvarint(); ref != 0 {
+			if ref > uint64(i) {
+				return id, nil, fmt.Errorf("exec: binary frame: scenario %d refers to entry %d, not an earlier one", i, ref-1)
+			}
+			b.Scenarios[i] = b.Scenarios[ref-1]
+			continue
+		}
+		m := d.uvarint()
+		if d.err != nil || m > uint64(len(payload)-d.off) {
+			d.fail()
 			return id, nil, d.err
 		}
-		s, perr := parse(doc)
-		if perr != nil {
-			return id, nil, fmt.Errorf("exec: batch scenario %d: %w", i, perr)
+		s, err := scenario.DecodeBinary(src[d.off : d.off+int(m)])
+		if err != nil {
+			return id, nil, fmt.Errorf("exec: batch scenario %d: %w", i, err)
 		}
-		b.Scenarios = append(b.Scenarios, s)
+		d.off += int(m)
+		b.Scenarios[i] = s
+	}
+	if d.err == nil && d.off != len(payload) {
+		return id, nil, fmt.Errorf("exec: binary frame: %d bytes after the last scenario", len(payload)-d.off)
 	}
 	return id, b, d.err
 }

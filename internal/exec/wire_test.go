@@ -3,6 +3,8 @@ package exec
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -91,7 +93,8 @@ func outcomeEqual(a, b *Outcome) bool {
 //     encodeRunResponse → decodeRunResponse bit-for-bit, both with the
 //     universe inline (first response on a connection) and by tag
 //     (steady state);
-//   - a run request must survive encodeRunRequest → decodeRunRequest;
+//   - a run request must survive encodeRunRequest → decodeRunRequest,
+//     a scenario repeated in the batch decoding to one *Scenario;
 //   - a cancel frame must survive encodeCancel → frameID;
 //   - arbitrary bytes fed to the decoders and to frameID may error but
 //     never panic.
@@ -111,13 +114,16 @@ func FuzzWireFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A request whose third entry is a back-reference to the first.
+	other := &scenario.Scenario{Name: "fuzz-read-2", Triggers: sc.Triggers, Functions: sc.Functions}
+	f.Add(encodeRunRequest(5, &Batch{System: "minidb", Scenarios: []*scenario.Scenario{sc, other, sc}}))
 	idx := fuzzUniverse()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decoder robustness: whatever the bytes, no panic. (The frame
 		// layer only hands payloads to a decoder when isBinaryFrame
 		// matched, so replicate that guard.)
 		if isBinaryFrame(data, frameRunReq) {
-			_, _, _ = decodeRunRequest(data, scenario.ParseString)
+			_, _, _ = decodeRunRequest(data)
 		}
 		if isBinaryFrame(data, frameRunResp) {
 			var resp response
@@ -175,7 +181,7 @@ func FuzzWireFrame(f *testing.F) {
 			b.Seed = int64(data[1]) - int64(data[2])<<3
 			b.Coverage = data[0]&1 != 0
 		}
-		id, got, err := decodeRunRequest(encodeRunRequest(9, b), scenario.ParseString)
+		id, got, err := decodeRunRequest(encodeRunRequest(9, b))
 		if err != nil {
 			t.Fatalf("request decode: %v", err)
 		}
@@ -190,6 +196,9 @@ func FuzzWireFrame(f *testing.F) {
 			if !bytes.Equal(got.Scenarios[i].Serialize(), b.Scenarios[i].Serialize()) {
 				t.Fatalf("scenario %d did not round-trip", i)
 			}
+		}
+		if got.Scenarios[0] != got.Scenarios[1] {
+			t.Fatal("a scenario sent twice decoded to two scenarios")
 		}
 	})
 }
@@ -280,5 +289,56 @@ func TestRemoteMapsForeignUniverse(t *testing.T) {
 	}
 	if got := outs[0].BlockIDs(); !slices.Equal(got, shared) {
 		t.Fatalf("covered blocks %v, want the shared blocks %v", got, shared)
+	}
+}
+
+// TestHelloRefusesProtocol3: a worker that still speaks protocol 3
+// (scenarios as canonical XML) is refused at the hello, before any
+// batch could reach it in a format it cannot read.
+func TestHelloRefusesProtocol3(t *testing.T) {
+	client, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		if _, err := readRawFrame(server); err != nil {
+			return
+		}
+		writeFrame(server, &response{ID: 1, Hello: &helloInfo{Proto: 3, Capacity: 1, Systems: []string{"minidb"}}})
+	}()
+	_, err := newRemote("old-worker", client)
+	var mismatch *ProtoMismatchError
+	if !errors.As(err, &mismatch) || mismatch.Got != 3 {
+		t.Fatalf("hello from a protocol-3 worker: %v, want ProtoMismatchError", err)
+	}
+}
+
+// TestDecodeRunRequestRejects: a run request whose scenario list does
+// not parse is refused whole: a back-reference to the entry itself or
+// to a later one, a record that runs past the payload, and bytes after
+// the last entry.
+func TestDecodeRunRequestRejects(t *testing.T) {
+	sc := testScenarios(t)[0]
+	header := encodeRunRequest(1, &Batch{System: "minidb"})
+	header = header[:len(header)-1] // drop the zero scenario count
+	req := func(n uint64, entries ...[]byte) []byte {
+		out := binary.AppendUvarint(slices.Clone(header), n)
+		for _, e := range entries {
+			out = append(out, e...)
+		}
+		return out
+	}
+	record := appendRecord([]byte{0}, sc)
+	if _, b, err := decodeRunRequest(req(2, record, []byte{1})); err != nil || b.Scenarios[0] != b.Scenarios[1] {
+		t.Fatalf("well-formed request with a back-reference: %v", err)
+	}
+	for name, payload := range map[string][]byte{
+		"self reference":    req(2, record, []byte{2}),
+		"forward reference": req(2, []byte{2}, record),
+		"record too long":   req(1, record[:len(record)-1]),
+		"trailing bytes":    req(1, record, []byte{0}),
+		"bad record":        req(1, []byte{0, 2, 0x80, 0x00}),
+	} {
+		if _, _, err := decodeRunRequest(payload); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }

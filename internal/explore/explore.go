@@ -705,7 +705,8 @@ func (x *explorer) mutationWorthy(e Entry, cov coverage.Bitset) bool {
 // outcome entry, never on scheduling order, so a resumed run re-breeds
 // the same lattice from replayed entries alone.
 func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
-	var wins [][2]uint64
+	var buf [5][2]uint64 // at most five windows: widen, shift, shift left, two halves
+	wins := buf[:0]
 	stack := false
 	switch c.Kind {
 	case Vulnerable, Exercise:
@@ -738,7 +739,7 @@ func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
 	}
 	maxLen := uint64(maxOccurrence)
 	bin := x.cfg.Binary.Name
-	var out []*Candidate
+	var out []*Candidate // allocated once, at the first mutant not yet seen
 	for _, w := range wins {
 		from, to := w[0], w[1]
 		if from < 1 || to <= from || to > maxTo || to-from+1 > maxLen {
@@ -764,6 +765,9 @@ func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
 			x.keyer.key(nc)
 		}
 		x.spawned++
+		if out == nil {
+			out = make([]*Candidate, 0, len(wins))
+		}
 		out = append(out, nc)
 	}
 	return out

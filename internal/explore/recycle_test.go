@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -194,6 +195,32 @@ func TestRecycledOutcomesMatchFresh(t *testing.T) {
 			if crashes == 0 {
 				t.Fatalf("%s: no run crashed; the recycled images never faced a crashed predecessor", name)
 			}
+		})
+	}
+}
+
+// TestExploredScenariosCrossTheWire: every scenario a default-flag
+// explore generates or breeds, on every registered system, survives
+// its binary wire record. The decoded scenario has the original's
+// canonical bytes, so a worker runs what the explorer keyed, and
+// validates exactly as the original does.
+func TestExploredScenariosCrossTheWire(t *testing.T) {
+	for _, d := range system.All() {
+		t.Run(d.Name, func(t *testing.T) {
+			scens := exploredScenarios(t, d)
+			for _, s := range scens {
+				got, err := scenario.DecodeBinary(string(s.AppendBinary(nil)))
+				if err != nil {
+					t.Fatalf("%s: decode: %v", s.Name, err)
+				}
+				if want, have := s.AppendCanonical(nil), got.AppendCanonical(nil); !bytes.Equal(want, have) {
+					t.Fatalf("%s: canonical bytes differ after the record:\n%s\nvs\n%s", s.Name, have, want)
+				}
+				if want, have := fmt.Sprint(s.Validate()), fmt.Sprint(got.Validate()); want != have {
+					t.Fatalf("%s: Validate gives %s after the record, %s before", s.Name, have, want)
+				}
+			}
+			t.Logf("%d scenarios", len(scens))
 		})
 	}
 }

@@ -89,8 +89,9 @@ func (f *FunctionAssoc) RetvalErrno() (int64, errno.Errno, error) {
 // explorer) runs AppendCanonical over a scratch scenario it refills.
 // Hand-constructed literals skip the cache and recompute per call;
 // the explorer launches such literals, unsealed, so a test it runs is
-// validated when it compiles and serialized only if it ships over the
-// wire.
+// validated when it compiles. A scenario that ships over the wire
+// travels as a binary record (AppendBinary), not as XML, and arrives
+// unsealed too.
 //
 // compiled is a write-once slot for the runtime's compiled form of the
 // scenario (see Compiled), so every run of one *Scenario compiles it
