@@ -139,7 +139,10 @@ type Candidate struct {
 	Block string
 	// Hash is the content hash of the serialized scenario. The
 	// explorer derives it from the parameters (keyer), before any
-	// scenario is built, and only in a run with a store.
+	// scenario is built, and only in a run with a store: at setup for
+	// the generated candidates and the mutants the store replay breeds,
+	// else once the candidate has run (the run's store job) or when the
+	// run finishes.
 	Hash string
 	// name is the scenario name, which encodes every parameter (see
 	// stackName): the identity the explorer deduplicates and breaks
@@ -148,14 +151,21 @@ type Candidate struct {
 	// key is Hash plus the targeted code region's hash — the store
 	// identity that invalidates the cached outcome when code changes.
 	// keyer.key sets both; Generate's output and a run without a store
-	// have no key.
+	// have no key. The scheduler reads neither: while a run's store job
+	// runs, the key and Hash of the candidates it stores are the job's.
 	key string
+	// reval is the re-validation boost the stale-outcome rule gave a
+	// candidate whose cached outcome a code or fault-profile edit may
+	// have affected (buildDiff.revalBoost), so it jumps the queue; 0
+	// for every other candidate.
+	reval float64
 	// base and pos are what score caches once ranked is set: the
 	// static part of the score and Block's position in the run's
-	// universe (-1: none).
+	// universe (-1: none). pos is an int32, so that with reval a
+	// Candidate still fits the 192-byte allocation size class.
 	ranked bool
+	pos    int32
 	base   float64
-	pos    int
 }
 
 // Config parametrizes one exploration run.
@@ -479,7 +489,9 @@ func (c *Candidate) build(bin string) *scenario.Scenario {
 // runs the canonical serializer over it into a reused buffer — the
 // bytes of the scenario build assembles, with no scenario built
 // (TestCandidateKeyMatchesBuild pins the two together). A keyer
-// belongs to one run with a store, used by one goroutine at a time.
+// belongs to one run with a store, used by one goroutine at a time:
+// the run's setup, then its store jobs one after another, then its
+// finish.
 type keyer struct {
 	// hashes is the code hasher of the region half of every key.
 	hashes *impact.Hasher
@@ -619,8 +631,9 @@ type explorer struct {
 	// Mutation state: the scenario names already enumerated (initial
 	// candidates plus spawned mutants), and the keyer of every
 	// candidate and mutant store key (nil without a store: nothing
-	// looks a key up, so none is derived). (Mutation triggers only on
-	// coverage *beyond* the suite baseline, so the decision is
+	// looks a key up, so none is derived; once the run is set up, only
+	// the run's store job and finish use it). (Mutation triggers only
+	// on coverage *beyond* the suite baseline, so the decision is
 	// identical whether an outcome was executed or replayed, in any
 	// order.)
 	seen    map[string]bool
@@ -630,12 +643,6 @@ type explorer struct {
 
 	// top is takeBatch's scratch: the best pending candidates.
 	top []ranked
-
-	// reval holds per-candidate re-validation boosts assigned by the
-	// stale-outcome rule: candidates whose cached outcome a code or
-	// fault-profile edit may have affected jump the queue (see
-	// buildDiff.revalBoost).
-	reval map[string]float64
 
 	// static is the interprocedural prior: final site class by call
 	// offset (package callgraph). Swallowed sites — statically proven
@@ -700,10 +707,11 @@ func (x *explorer) mutationWorthy(e Entry, cov coverage.Bitset) bool {
 // the start), with bursts no longer than maxOccurrence, and
 // deduplicated by name against everything already enumerated before
 // anything is hashed, so the mutation lattice is finite, the loop
-// always terminates, and each kept mutant is keyed once and built only
-// if it launches. Every decision depends only on the candidate and its
-// outcome entry, never on scheduling order, so a resumed run re-breeds
-// the same lattice from replayed entries alone.
+// always terminates, and each kept mutant is keyed at most once (by
+// the caller, not by mutate) and built only if it launches. Every
+// decision depends only on the candidate and its outcome entry, never
+// on scheduling order, so a resumed run re-breeds the same lattice
+// from replayed entries alone.
 func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
 	var buf [5][2]uint64 // at most five windows: widen, shift, shift left, two halves
 	wins := buf[:0]
@@ -761,9 +769,6 @@ func (x *explorer) mutate(c *Candidate, failed bool) []*Candidate {
 			// on its caller's region, like the parent.
 			nc.Kind, nc.Caller, nc.Offset, nc.Class, nc.Block = StackWindow, c.Caller, c.Offset, c.Class, c.Block
 		}
-		if x.keyer != nil {
-			x.keyer.key(nc)
-		}
 		x.spawned++
 		if out == nil {
 			out = make([]*Candidate, 0, len(wins))
@@ -784,20 +789,20 @@ func (x *explorer) score(c *Candidate) float64 {
 		c.base, c.pos = x.baseScore(c), -1
 		if c.Block != "" {
 			if p, ok := x.idx.Pos(c.Block); ok {
-				c.pos = p
+				c.pos = int32(p)
 			}
 		}
 		c.ranked = true
 	}
 	s := c.base
 	if c.Block != "" {
-		if c.pos >= 0 && x.covered.Has(c.pos) {
+		if c.pos >= 0 && x.covered.Has(int(c.pos)) {
 			s -= 50
 		} else {
 			s += 30
 		}
 	}
-	return s + x.reval[c.Hash] + x.boost[c.Callee]
+	return s + c.reval + x.boost[c.Callee]
 }
 
 // baseScore is the part of c's score that depends on c and the run's
@@ -858,7 +863,14 @@ type run struct {
 	store *Store
 	// keys is the live candidate-key set Append and Save take (nil
 	// without a store).
-	keys    map[string]bool
+	keys map[string]bool
+	// staged is the landed batch's executed candidates with their
+	// entries, which the run's store job stores, reused across batches
+	// (unused without a store). job reports a store job started and not
+	// yet waited for; jobErr receives its error.
+	staged  []staged
+	job     bool
+	jobErr  chan error
 	pending []*Candidate
 	// flying is set while a launched batch of this run has not landed.
 	flying bool
@@ -882,7 +894,6 @@ func newRun(cfg Config) (*run, error) {
 		cfg:   cfg,
 		sigs:  make(map[string][]string),
 		boost: make(map[string]float64),
-		reval: make(map[string]float64),
 		seen:  make(map[string]bool, len(cands)),
 	}
 	for _, c := range cands {
@@ -973,7 +984,7 @@ func newRun(cfg Config) (*run, error) {
 			store.Adopt(oldKey, c.key, e)
 			res.Impact.Migrated++
 		case revalidate:
-			x.reval[c.Hash] = stale.revalBoost(c, e)
+			c.reval = stale.revalBoost(c, e)
 			res.Impact.Revalidated++
 			pending = append(pending, c)
 			continue
@@ -989,12 +1000,19 @@ func newRun(cfg Config) (*run, error) {
 		}
 		if x.mutationWorthy(e, cov) {
 			for _, m := range x.mutate(c, e.Failed) {
+				// classify looks the mutant up by its key.
+				x.keyer.key(m)
 				keys[m.key] = true
 				work = append(work, m)
 			}
 		}
 	}
-	return &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, stale: stale, begin: begin}, nil
+	r := &run{cfg: cfg, x: x, res: res, store: store, keys: keys, pending: pending, stale: stale, begin: begin}
+	if store != nil {
+		// Room for the one result: a job never blocks on its send.
+		r.jobErr = make(chan error, 1)
+	}
+	return r, nil
 }
 
 // logSetup writes what newRun replayed and the change-impact summary
@@ -1058,23 +1076,24 @@ func (r *run) launch(ctx context.Context, cap int, d *dispatcher) *flight {
 	return f
 }
 
-// land waits for a launched batch, folds its outcomes and appends them
-// to the store's journal, so a mid-run error, interrupt or kill loses
-// nothing that completed: even a cancelled batch's drained outcomes
-// (local prefix, in-flight remote responses) are folded, counted as
-// executed and journaled, and only the candidates that never ran go
-// back to the queue. It returns the dispatch's error, else the
-// journal's.
+// land waits for a launched batch and folds its outcomes, then starts
+// the run's store job, which keys, stores and journals them beside the
+// next batch. Even a cancelled batch's drained outcomes (local prefix,
+// in-flight remote responses) are folded, counted as executed and
+// journaled, and only the candidates that never ran go back to the
+// queue, so a mid-run error, interrupt or kill loses nothing that
+// completed. land first waits for the run's previous store job; it
+// returns the dispatch's error, else that job's journal error.
 func (r *run) land(f *flight) error {
 	<-f.done
 	r.flying = false
-	report, mutants, unrun := r.x.fold(len(r.res.Batches), f.batch, f.outs, r.store)
-	err := f.err
-	if r.keys != nil {
-		for _, m := range mutants {
-			r.keys[m.key] = true
-		}
+	jerr := r.wait()
+	var stage *[]staged
+	if r.store != nil {
+		r.staged = r.staged[:0]
+		stage = &r.staged
 	}
+	report, mutants, unrun := r.x.fold(len(r.res.Batches), f.batch, f.outs, stage)
 	r.pending = append(r.pending, mutants...)
 	r.pending = append(r.pending, unrun...)
 	if report.Runs > 0 {
@@ -1084,15 +1103,52 @@ func (r *run) land(f *flight) error {
 		r.x.logf("explore %s: batch %d: %d runs, %d new blocks, %d new bugs, %d mutants bred, recovery %s",
 			r.cfg.System, report.Index, report.Runs, len(report.NewBlocks), len(report.NewBugs), len(mutants), report.Recovery)
 	}
-	// Journal even a failed batch's drained outcomes; the run error wins.
-	if jerr := r.store.Append(r.keys); err == nil {
+	err := f.err
+	if err == nil {
 		err = jerr
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		r.publishStatus()
 	}
-	r.publishStatus()
-	return nil
+	// Journal even a failed batch's drained outcomes; the run error wins.
+	if r.store != nil {
+		r.job = true
+		go r.storeJob()
+	}
+	return err
+}
+
+// staged is one executed candidate of a landed batch and its entry.
+type staged struct {
+	c *Candidate
+	e Entry
+}
+
+// storeJob stores the landed batch: it keys each staged candidate that
+// has no key yet (a mutant bred while the loop ran) into the run's key
+// set, puts its entry and appends the journal. While it runs it alone
+// touches the run's store, keys and keyer and the keys of the
+// candidates it stores; wait hands them back.
+func (r *run) storeJob() {
+	for i := range r.staged {
+		st := &r.staged[i]
+		if st.c.key == "" {
+			r.x.keyer.key(st.c)
+			r.keys[st.c.key] = true
+		}
+		r.store.Put(st.c.key, st.e)
+	}
+	r.jobErr <- r.store.Append(r.keys)
+}
+
+// wait waits for the run's store job, if one is running, and returns
+// its journal error.
+func (r *run) wait() error {
+	if !r.job {
+		return nil
+	}
+	r.job = false
+	return <-r.jobErr
 }
 
 // publishStatus pushes a progress snapshot to the Config.Status hook.
@@ -1112,16 +1168,28 @@ func (r *run) publishStatus() {
 	})
 }
 
-// finish saves the store — the session's one compaction, on
+// finish waits for the run's store job, keys every candidate still
+// pending, and saves the store — the session's one compaction, on
 // completion, budget and cancellation alike, and on the zero-batch
 // pure-replay path too, since Save is where entry stamping,
 // invalidated-entry pruning, and migrated-entry flushing land on disk —
-// then summarizes the run and attaches the store's compaction stats. runErr
-// — cancellation or a batch failure — wins over a save error, and the
-// partial Result is returned either way so callers can report progress
-// up to the interrupt.
+// then summarizes the run and attaches the store's compaction stats.
+// runErr — cancellation or a batch failure — wins over the job's
+// journal error, and that over a save error, and the partial Result is
+// returned either way so callers can report progress up to the
+// interrupt. Runs finish independently of each other.
 func (r *run) finish(runErr error) (*Result, error) {
-	r.publishStatus()
+	if err := r.wait(); runErr == nil {
+		runErr = err
+	}
+	if r.store != nil {
+		for _, c := range r.pending {
+			if c.key == "" {
+				r.x.keyer.key(c)
+				r.keys[c.key] = true
+			}
+		}
+	}
 	// Save records this session's fingerprints, under which an entry a
 	// stop left pending would replay as settled though its
 	// re-validation never ran. Drop it, and for a changed profile also
@@ -1214,13 +1282,14 @@ func (r ranked) ahead(o ranked) bool {
 }
 
 // fold folds one landed batch's outcomes into the scheduler state:
-// coverage and failure deltas, store entries and window mutants. Every
-// completed outcome is folded even when the dispatch returned an error
-// — that is how a cancelled batch's drained remote responses land in
-// the store — and candidates the fleet never ran come back as unrun
+// coverage and failure deltas and window mutants, and stages each
+// executed candidate with its store entry on stage (nil: no store).
+// Every completed outcome is folded even when the dispatch returned an
+// error — that is how a cancelled batch's drained remote responses land
+// in the store — and candidates the fleet never ran come back as unrun
 // for the caller to requeue. It also returns the window mutants bred
 // from this batch's worthy occurrence/window outcomes.
-func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, store *Store) (report BatchReport, mutants, unrun []*Candidate) {
+func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, stage *[]staged) (report BatchReport, mutants, unrun []*Candidate) {
 	report = BatchReport{Index: index}
 	// Delta attribution is sequential in batch order, so results are
 	// independent of backend routing and worker interleaving — the
@@ -1259,7 +1328,9 @@ func (x *explorer) fold(index int, batch []*Candidate, outs []*exec.Outcome, sto
 			}
 			x.sigs[out.Signature] = append(x.sigs[out.Signature], c.name)
 		}
-		store.Put(c.key, entry)
+		if stage != nil {
+			*stage = append(*stage, staged{c, entry})
+		}
 		if x.mutationWorthy(entry, entry.cov) {
 			mutants = append(mutants, x.mutate(c, entry.Failed)...)
 		}

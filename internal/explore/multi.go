@@ -75,11 +75,13 @@ const inFlight = 2
 // runs, never what runs.
 //
 // Up to inFlight batches run at once, never two of one system: while
-// the oldest lands (its outcomes folded, mutants bred, journal
-// appended), the next system's batch keeps the executor busy. Each
-// next system is chosen from the state in which every batch but the
-// newest in-flight one has landed — a fixed lag of one batch, so the
-// choice still depends on outcomes alone. A system's own batches stay
+// the oldest lands (its outcomes folded, mutants bred), the next
+// system's batch keeps the executor busy, and the landed batch's
+// outcomes are keyed, stored and appended to the journal by its run's
+// store job beside the next batch. Each next system is chosen from the
+// state in which every batch but the newest in-flight one has landed —
+// a fixed lag of one batch, so the choice still depends on outcomes
+// alone. A system's own batches stay
 // strictly serial, so an unbudgeted session's per-system results and
 // stores are those of running the systems one after another.
 //
@@ -90,7 +92,9 @@ const inFlight = 2
 // batch lands before the stores are saved — drained remote responses
 // included — no snapshot is ever torn, and the partial MultiResult
 // comes back with ctx.Err(), so an interrupted session is fully
-// resumable.
+// resumable. At the end every run publishes its last status, in input
+// order, and then the runs finish — their stores saved — on up to
+// GOMAXPROCS goroutines; results and errors are taken in input order.
 func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, error) {
 	begin := time.Now()
 	seen := make(map[string]bool, len(cfgs))
@@ -169,15 +173,19 @@ func Explore(ctx context.Context, budget int, cfgs ...Config) (*MultiResult, err
 		}
 	}
 
-	res := &MultiResult{}
 	for _, r := range runs {
-		// finish flushes and prunes each store even on a shared error,
-		// so an interrupted session resumes with no re-execution.
-		sysRes, err := r.finish(nil)
+		r.publishStatus()
+	}
+	// finish flushes and prunes each store even on a shared error, so an
+	// interrupted session resumes with no re-execution.
+	results := make([]*Result, len(runs))
+	errs := make([]error, len(runs))
+	fanOut(len(runs), func(i int) { results[i], errs[i] = runs[i].finish(nil) })
+	res := &MultiResult{Results: results}
+	for i, sysRes := range results {
 		if runErr == nil {
-			runErr = err
+			runErr = errs[i]
 		}
-		res.Results = append(res.Results, sysRes)
 		res.Executed += sysRes.Executed
 		res.Replayed += sysRes.Replayed
 		res.Bugs = append(res.Bugs, sysRes.Bugs...)
@@ -209,20 +217,11 @@ func setup(ctx context.Context, cfgs []Config) (runs []*run, runErr, err error) 
 		err, ctxErr error
 	}
 	slots := make([]slot, len(cfgs))
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(cfgs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(cfgs); i = int(next.Add(1)) - 1 {
-				if slots[i].ctxErr = ctx.Err(); slots[i].ctxErr == nil {
-					slots[i].r, slots[i].err = newRun(cfgs[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	fanOut(len(cfgs), func(i int) {
+		if slots[i].ctxErr = ctx.Err(); slots[i].ctxErr == nil {
+			slots[i].r, slots[i].err = newRun(cfgs[i])
+		}
+	})
 	runs = make([]*run, 0, len(cfgs))
 	for _, s := range slots {
 		switch {
@@ -235,6 +234,23 @@ func setup(ctx context.Context, cfgs []Config) (runs []*run, runErr, err error) 
 		runs = append(runs, s.r)
 	}
 	return runs, nil, nil
+}
+
+// fanOut calls f(0) … f(n-1) on up to GOMAXPROCS goroutines, starting
+// them in index order, and returns once every call has.
+func fanOut(n int, f func(i int)) {
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // dispatcher runs launched batches on inFlight goroutines that live for

@@ -177,7 +177,7 @@ func sameStore(t *testing.T, what, want, got string) {
 		if other, ok := g[name]; !ok {
 			t.Errorf("%s: %s missing", what, name)
 		} else if other != data {
-			t.Errorf("%s: %s differs from the unbudgeted store's", what, name)
+			t.Errorf("%s: %s differs from %s", what, name, filepath.Join(want, name))
 		}
 	}
 	for name := range g {

@@ -1,10 +1,12 @@
 package explore
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"path/filepath"
@@ -400,7 +402,7 @@ func (s *Store) flush(withIndex bool) error {
 		s.journal = nil
 	}
 	if s.dirty {
-		if err := writeFile(filepath.Join(s.dir, snapshotName), s.snapshot()); err != nil {
+		if err := writeFile(filepath.Join(s.dir, snapshotName), s.writeSnapshot); err != nil {
 			return err
 		}
 		s.dirty = false
@@ -418,10 +420,15 @@ func (s *Store) flush(withIndex bool) error {
 	return nil
 }
 
-// snapshot encodes every entry: a header frame (magic, format, system,
-// and the table the records' coverage is over — the sorted union of
-// the entries' tables), then one record frame per entry, sorted by key.
-func (s *Store) snapshot() []byte {
+// snapshotChunk is how many bytes writeSnapshot buffers per write.
+const snapshotChunk = 64 << 10
+
+// writeSnapshot streams every entry's encoding to w in snapshotChunk
+// writes: a header frame (magic, format, system, and the table the
+// records' coverage is over — the sorted union of the entries'
+// tables), then one record frame per entry, sorted by key. The caller
+// holds mu.
+func (s *Store) writeSnapshot(w io.Writer) error {
 	keys := make([]string, 0, len(s.entries))
 	tables := make(map[*blockTable][]int) // table -> union position of each ID, nil if the union's own
 	var ids []string
@@ -443,10 +450,13 @@ func (s *Store) snapshot() []byte {
 			tables[t] = pos
 		}
 	}
-	b := appendFrame(make([]byte, 0, 128*len(s.entries)), func(b []byte) []byte {
+	bw := bufio.NewWriterSize(w, snapshotChunk)
+	// frame holds one frame at a time; bw's errors stick until Flush.
+	frame := appendFrame(nil, func(b []byte) []byte {
 		b = binary.AppendUvarint(append(b, snapshotMagic...), storeFormat)
 		return appendTable(appendString(b, s.system), union)
 	})
+	bw.Write(frame)
 	scratch := coverage.NewBitset(len(union.ids))
 	for _, key := range keys {
 		e := s.entries[key]
@@ -456,9 +466,10 @@ func (s *Store) snapshot() []byte {
 			e.cov.Range(func(i int) { scratch.Set(pos[i]) })
 			cov = scratch
 		}
-		b = appendRecord(b, key, &e, cov)
+		frame = appendRecord(frame[:0], key, &e, cov)
+		bw.Write(frame)
 	}
-	return b
+	return bw.Flush()
 }
 
 // writeIndex writes index.json, unless its bytes would
@@ -471,7 +482,10 @@ func (s *Store) writeIndex() error {
 	}
 	data = append(data, '\n')
 	if !bytes.Equal(data, s.indexData) {
-		if err := writeFile(filepath.Join(s.dir, indexName), data); err != nil {
+		if err := writeFile(filepath.Join(s.dir, indexName), func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		}); err != nil {
 			return err
 		}
 		s.indexData = data
@@ -480,10 +494,11 @@ func (s *Store) writeIndex() error {
 	return nil
 }
 
-// writeFile replaces path with data crash-safely: a unique temp file in
-// the same directory, then a rename over path. A kill between the two
-// leaves only a .tmp file, which the loader never reads.
-func writeFile(path string, data []byte) error {
+// writeFile replaces path with what write writes crash-safely: a
+// unique temp file in the same directory, then a rename over path. A
+// kill between the two leaves only a .tmp file, which the loader never
+// reads.
+func writeFile(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("explore: store: %w", err)
@@ -492,7 +507,7 @@ func writeFile(path string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("explore: store: %w", err)
 	}
-	_, werr := tmp.Write(data)
+	werr := write(tmp)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

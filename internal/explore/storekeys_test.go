@@ -55,20 +55,26 @@ func TestStoreKeysGolden(t *testing.T) {
 			gen[c.Hash] = true
 		}
 
-		nameOf := map[string]string{}
-		hashOf := map[string]string{}
+		// A mutant is keyed only once it has run (or when the run
+		// finishes), so the hashes are read after finish.
+		queued := map[*Candidate]bool{}
 		res := exploreFresh(t, d, fleet, func(r *run) {
 			for _, c := range r.pending {
-				name := c.name
-				if h, ok := hashOf[name]; ok && h != c.Hash {
-					t.Fatalf("%s: name %s has two content hashes %s and %s", d.Name, name, h, c.Hash)
-				}
-				if n, ok := nameOf[c.Hash]; ok && n != name {
-					t.Fatalf("%s: content hash %s has two names %s and %s", d.Name, c.Hash, n, name)
-				}
-				hashOf[name], nameOf[c.Hash] = c.Hash, name
+				queued[c] = true
 			}
 		})
+		nameOf := map[string]string{}
+		hashOf := map[string]string{}
+		for c := range queued {
+			name := c.name
+			if h, ok := hashOf[name]; ok && h != c.Hash {
+				t.Fatalf("%s: name %s has two content hashes %s and %s", d.Name, name, h, c.Hash)
+			}
+			if n, ok := nameOf[c.Hash]; ok && n != name {
+				t.Fatalf("%s: content hash %s has two names %s and %s", d.Name, c.Hash, n, name)
+			}
+			hashOf[name], nameOf[c.Hash] = c.Hash, name
+		}
 
 		mutants := map[string]bool{}
 		for h := range nameOf {
