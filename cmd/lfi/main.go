@@ -559,8 +559,8 @@ func runExplore(args []string) {
 }
 
 func main() {
-	// Become a pool worker when re-executed by NewPoolExecutor (or a
-	// serve worker via the env hook); no-op otherwise.
+	// Become a pool worker when re-executed by NewPoolExecutor; no-op
+	// otherwise.
 	lfi.MaybeExecWorker()
 	if len(os.Args) > 1 {
 		switch os.Args[1] {

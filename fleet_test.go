@@ -15,24 +15,21 @@ import (
 	"testing"
 	"time"
 
-	"lfi/internal/exec"
 	"lfi/internal/explore"
 	"lfi/internal/fleetd"
 )
 
-// spawnWorkerProcess re-executes this test binary as a real `lfi serve`
-// worker subprocess (the MaybeExecWorker env hook) and returns its
-// dialable address and a kill function. Extra env entries layer fleet
-// registration (EnvRegister) on top.
-func spawnWorkerProcess(t *testing.T, extraEnv ...string) (addr string, kill func()) {
+// spawnWorkerProcess re-executes this test binary as a real `lfi serve
+// -j 2 -register registry` worker subprocess, listening on listen (see
+// serveEnv), and returns its dialable address and a kill function.
+func spawnWorkerProcess(t *testing.T, listen, registry string) (addr string, kill func()) {
 	t.Helper()
 	self, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cmd := osexec.Command(self)
-	cmd.Env = append(os.Environ(), exec.EnvServe+"=127.0.0.1:0", exec.EnvWorkerJobs+"=2")
-	cmd.Env = append(cmd.Env, extraEnv...)
+	cmd.Env = append(os.Environ(), serveEnv+"="+listen+" "+registry)
 	out, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +96,8 @@ func TestFleetServiceSelfRegistration(t *testing.T) {
 	}
 
 	regAddr := startRegistry(t)
-	_, killA := spawnWorkerProcess(t, exec.EnvRegister+"="+regAddr)
-	spawnWorkerProcess(t, exec.EnvRegister+"="+regAddr)
+	_, killA := spawnWorkerProcess(t, "127.0.0.1:0", regAddr)
+	spawnWorkerProcess(t, "127.0.0.1:0", regAddr)
 
 	waitWorkers := func(n int, what string) {
 		t.Helper()
@@ -347,7 +344,7 @@ func TestFleetWorkerRestartsAtSameAddress(t *testing.T) {
 		return ""
 	}
 
-	addr, kill := spawnWorkerProcess(t, exec.EnvRegister+"="+regAddr)
+	addr, kill := spawnWorkerProcess(t, "127.0.0.1:0", regAddr)
 	firstID := registered(addr)
 	sess := mustSession(t, WithFleet(regAddr))
 	if _, err := sess.Run(context.Background(), sys, scens); err != nil {
@@ -358,7 +355,7 @@ func TestFleetWorkerRestartsAtSameAddress(t *testing.T) {
 		t.Fatal("run succeeded with the fleet's only worker killed")
 	}
 
-	spawnWorkerProcess(t, exec.EnvServe+"="+addr, exec.EnvRegister+"="+regAddr)
+	spawnWorkerProcess(t, addr, regAddr)
 	for registered(addr) == firstID {
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -78,8 +78,8 @@ func (b Bitset) Range(fn func(i int)) {
 	}
 }
 
-// Remap translates bitsets over a foreign ID table — the universe a
-// worker built from another commit announced — onto a local Index:
+// Remap translates bitsets over a foreign ID table — a store's block
+// table written by another commit — onto a local Index:
 // blocks both sides declare keep their bit, blocks the local build lacks
 // are dropped.
 type Remap struct {

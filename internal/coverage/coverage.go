@@ -11,7 +11,8 @@
 // .info files), and the Index answers the two Table 3 questions over any
 // union: what fraction of recovery blocks/lines it covers, and what the
 // total line coverage is. Sorted IDs appear only at serialization
-// boundaries (the store, the wire's universe table).
+// boundaries (the store's block tables, the wire's universe
+// fingerprint).
 package coverage
 
 import (
@@ -30,8 +31,8 @@ type Block struct {
 // ID, with their LOC weights and recovery flags. Bit i of a Bitset over
 // an Index stands for the block at position i. Everyone who shares an
 // Index (process image, executor, explorer) agrees on what each bit
-// means; a worker's universe reaches a client as its ID table and is
-// mapped onto the client's own Index with Remap.
+// means; a store's block table from an earlier build is mapped onto
+// the current Index with Remap.
 type Index struct {
 	ids []string
 	loc []int

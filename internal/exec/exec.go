@@ -28,7 +28,10 @@
 // them is observationally equivalent — byte-identical outcome
 // sequences — which is what lets the Fleet scheduler route batches by
 // speed alone and requeue a dead backend's batch anywhere else without
-// changing results.
+// changing results. A coverage bit names the same block on each of
+// them: a Remote checks once, at the hello, which systems the worker
+// declares this process's block universe for, and a batch runs only
+// where it does, so a worker's bitsets need no translation.
 package exec
 
 import (
@@ -122,14 +125,12 @@ type Outcome struct {
 
 	// Cov/CovU are the coverage encoding: a dense bitset over the
 	// system's block universe CovU — this process's Descriptor.Blocks,
-	// whichever backend ran the test (nil when the batch collected no
+	// whichever backend ran the test, since a batch runs only where that
+	// universe is the worker's too (nil when the batch collected no
 	// coverage). BlockIDs materializes the sorted-ID form for
 	// reporting; the store keeps the bitset.
 	Cov  coverage.Bitset
 	CovU *coverage.Index
-	// wire is the worker's universe a decoded outcome's Cov is over,
-	// until Remote localizes it onto CovU.
-	wire *wireUniverse
 
 	// Raw carries the full in-process outcome (injection log included)
 	// when the run executed locally; wire backends leave it nil.

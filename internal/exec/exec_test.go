@@ -25,11 +25,29 @@ import (
 	_ "lfi/internal/system/all"
 )
 
+// serveEnv, set to a TCP listen address in the environment of a copy
+// of this test binary, makes that copy a serve worker of width 2 on the
+// address instead of running the tests (spawnServeWorker).
+const serveEnv = "LFI_EXEC_TEST_SERVE"
+
 // TestMain makes this test binary pool- and serve-capable: a copy
-// re-executed with EnvWorker/EnvServe set becomes a protocol worker
-// instead of running the tests (the same hook cmd/lfi installs).
+// re-executed with EnvWorker set becomes a pool worker (the same hook
+// cmd/lfi installs), one with serveEnv set a serve worker.
 func TestMain(m *testing.M) {
 	MaybeWorker()
+	if addr := os.Getenv(serveEnv); addr != "" {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "serve worker:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("listening %s\n", ln.Addr())
+		if err := Serve(context.Background(), ln, ServeOptions{Workers: 2}); err != nil {
+			fmt.Fprintln(os.Stderr, "serve worker:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
 	os.Exit(m.Run())
 }
 
@@ -390,7 +408,7 @@ func TestPoolWorkerCrashRespawn(t *testing.T) {
 }
 
 // spawnServeWorker starts a real `serve` worker subprocess (this test
-// binary re-executed with EnvServe) and returns its address and a kill
+// binary re-executed with serveEnv) and returns its address and a kill
 // function.
 func spawnServeWorker(t *testing.T) (addr string, kill func()) {
 	t.Helper()
@@ -399,7 +417,7 @@ func spawnServeWorker(t *testing.T) (addr string, kill func()) {
 		t.Fatal(err)
 	}
 	cmd := osexec.Command(self)
-	cmd.Env = append(os.Environ(), EnvServe+"=127.0.0.1:0", EnvWorkerJobs+"=2")
+	cmd.Env = append(os.Environ(), serveEnv+"=127.0.0.1:0")
 	out, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

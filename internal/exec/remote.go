@@ -35,6 +35,11 @@ type Remote struct {
 	kind  Kind
 	hello helloInfo
 
+	// systems is what the hello established per system the worker
+	// advertised: the image ImageVersion reports, and the block universe
+	// run responses' coverage is over. Read-only after the hello.
+	systems map[string]helloSystem
+
 	// respawn, set on pool members, starts a replacement worker under
 	// the same name; the fleet calls it when this member's transport
 	// fails (see Fleet.Run).
@@ -51,14 +56,11 @@ type Remote struct {
 
 	mu      sync.Mutex // request ids + pending-response registry
 	nextID  uint64
-	pending map[uint64]chan *response
+	pending map[uint64]call
 	readErr error // reader's terminal error; set once under mu
 
 	writeMu sync.Mutex // one frame writer at a time
-
-	// universes is the per-connection coverage-universe table. Only
-	// the reader goroutine touches it after the hello exchange.
-	universes map[uint64]*wireUniverse
+	reqBuf  []byte     // the run request being written, under writeMu
 
 	// conn teardown has its own lock: a drain timeout must force-close
 	// the connection while the reader is blocked in a read — closing
@@ -67,6 +69,23 @@ type Remote struct {
 	conn   io.ReadWriteCloser
 
 	readDone chan struct{}
+}
+
+// helloSystem is one advertised system as the hello left it. blocks is
+// this process's Descriptor.Blocks when the worker's universe of the
+// system fingerprints the same, nil when it does not: then the worker
+// runs another build of the system, and image names the mismatch, a
+// value no batch image equals.
+type helloSystem struct {
+	image  string
+	blocks *coverage.Index
+}
+
+// call is one in-flight request: where its response goes, and the
+// universe a run response's coverage is decoded over.
+type call struct {
+	ch     chan *response
+	blocks *coverage.Index
 }
 
 // ProtoMismatchError reports a worker whose wire protocol version is
@@ -94,9 +113,9 @@ const defaultPipeline = 4
 
 // Dial connects to an `lfi serve` worker and performs the hello
 // exchange, learning the worker's capacity, registered systems, and
-// per-system image versions. A worker speaking any protocol version
-// but this build's fails with ProtoMismatchError so fleet assembly can
-// drop the worker and keep the campaign.
+// per-system image versions and block universes. A worker speaking any
+// protocol version but this build's fails with ProtoMismatchError so
+// fleet assembly can drop the worker and keep the campaign.
 func Dial(addr string) (*Remote, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -115,8 +134,7 @@ func newRemote(addr string, conn io.ReadWriteCloser) (*Remote, error) {
 		conn:       conn,
 		drainGrace: drainGraceTimeout,
 		pipeline:   defaultPipeline,
-		pending:    make(map[uint64]chan *response),
-		universes:  make(map[uint64]*wireUniverse),
+		pending:    make(map[uint64]call),
 		readDone:   make(chan struct{}),
 	}
 	// Hello runs synchronously, before the reader demux starts.
@@ -142,8 +160,29 @@ func newRemote(addr string, conn io.ReadWriteCloser) (*Remote, error) {
 		return nil, err
 	}
 	r.hello = *resp.Hello
+	r.systems = checkSystems(r.hello)
 	go r.readLoop(conn)
 	return r, nil
+}
+
+// checkSystems compares the worker's block universe of each system it
+// advertises with this process's Blocks, once per connection.
+func checkSystems(h helloInfo) map[string]helloSystem {
+	out := make(map[string]helloSystem, len(h.Systems))
+	for _, sys := range h.Systems {
+		s := helloSystem{image: h.Images[sys]}
+		theirs, ours := h.Universes[sys], "none"
+		if d, ok := system.Lookup(sys); ok {
+			if ours = universeHash(d.Blocks); ours == theirs {
+				s.blocks = d.Blocks
+			}
+		}
+		if s.blocks == nil {
+			s.image = fmt.Sprintf("%s over block universe %s, not this build's %s", s.image, theirs, ours)
+		}
+		out[sys] = s
+	}
+	return out
 }
 
 // SetPipeline overrides the in-flight batch budget (default 4). It
@@ -171,8 +210,10 @@ func (r *Remote) Systems() []string { return r.hello.Systems }
 
 // ImageVersion reports the image version the worker advertised for a
 // system ("" for a system it lacks). A Fleet sends the worker only the
-// batches whose Image it equals.
-func (r *Remote) ImageVersion(sys string) string { return r.hello.Images[sys] }
+// batches whose Image it equals, so for a system whose block universe
+// is not this process's it reports the mismatch instead, which no
+// batch image equals.
+func (r *Remote) ImageVersion(sys string) string { return r.systems[sys].image }
 
 // FuncFingerprints fetches the worker's per-function fingerprints for
 // one system (the "funcs" method).
@@ -181,7 +222,7 @@ func (r *Remote) FuncFingerprints(sys string) (map[string]string, error) {
 	if conn == nil {
 		return nil, fmt.Errorf("exec: remote %s: connection closed", r.addr)
 	}
-	id, ch, err := r.register()
+	id, ch, err := r.register(nil)
 	if err != nil {
 		return nil, fmt.Errorf("exec: remote %s: funcs: %w", r.addr, err)
 	}
@@ -224,8 +265,9 @@ func (r *Remote) liveConn() io.ReadWriteCloser {
 	return r.conn
 }
 
-// register allocates a request id and its response channel.
-func (r *Remote) register() (uint64, chan *response, error) {
+// register allocates a request id and its response channel; blocks is
+// the universe a run response's coverage is decoded over.
+func (r *Remote) register(blocks *coverage.Index) (uint64, chan *response, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.readErr != nil {
@@ -234,8 +276,21 @@ func (r *Remote) register() (uint64, chan *response, error) {
 	r.nextID++
 	id := r.nextID
 	ch := make(chan *response, 1)
-	r.pending[id] = ch
+	r.pending[id] = call{ch: ch, blocks: blocks}
 	return id, ch, nil
+}
+
+// claim takes the in-flight request a response answers off the
+// registry.
+func (r *Remote) claim(id uint64) (call, error) {
+	r.mu.Lock()
+	c, ok := r.pending[id]
+	delete(r.pending, id)
+	r.mu.Unlock()
+	if !ok {
+		return c, fmt.Errorf("response id %d answers no in-flight request", id)
+	}
+	return c, nil
 }
 
 // abandon forgets a request whose frame never made it out.
@@ -256,13 +311,17 @@ func (r *Remote) readError() error {
 }
 
 // readLoop is the connection's single reader: it decodes every inbound
-// frame (binary run responses against the shared universe table, JSON
-// for the control methods) and hands it to the pending request it answers.
-// On any failure it tears the connection down and fails every pending
-// request — their callers surface BackendError and the scheduler
-// requeues.
+// frame (binary run responses over the universe their request
+// registered, JSON for the control methods) and hands it to the
+// pending request it answers. On any failure, an undecodable frame or
+// coverage outside the universe included, it tears the connection down
+// and fails every pending request — their callers surface BackendError
+// and the scheduler requeues.
 func (r *Remote) readLoop(conn io.Reader) {
-	var err error
+	var (
+		err error
+		c   call // claimed by the frame being read, until delivered
+	)
 	for {
 		var payload []byte
 		payload, err = readRawFrame(conn)
@@ -271,29 +330,29 @@ func (r *Remote) readLoop(conn io.Reader) {
 		}
 		resp := new(response)
 		if isBinaryFrame(payload, frameRunResp) {
-			err = decodeRunResponse(payload, resp, r.universes)
-		} else {
-			err = json.Unmarshal(payload, resp)
+			if resp.ID, err = frameID(payload); err == nil {
+				if c, err = r.claim(resp.ID); err == nil {
+					err = decodeRunResponse(payload, resp, c.blocks)
+				}
+			}
+		} else if err = json.Unmarshal(payload, resp); err == nil {
+			c, err = r.claim(resp.ID)
 		}
 		if err != nil {
 			break
 		}
-		r.mu.Lock()
-		ch := r.pending[resp.ID]
-		delete(r.pending, resp.ID)
-		r.mu.Unlock()
-		if ch == nil {
-			err = fmt.Errorf("response id %d answers no in-flight request", resp.ID)
-			break
-		}
-		ch <- resp
+		c.ch <- resp
+		c = call{}
 	}
 	r.Close()
 	r.mu.Lock()
 	r.readErr = err
-	for id, ch := range r.pending {
+	if c.ch != nil {
+		close(c.ch)
+	}
+	for id, c := range r.pending {
 		delete(r.pending, id)
-		close(ch)
+		close(c.ch)
 	}
 	r.mu.Unlock()
 	close(r.readDone)
@@ -313,12 +372,17 @@ func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	if conn == nil {
 		return nil, &BackendError{Backend: r.Info().Name, Err: fmt.Errorf("connection closed")}
 	}
-	id, ch, err := r.register()
+	s, advertised := r.systems[b.System]
+	if b.Coverage && advertised && s.blocks == nil {
+		return nil, fmt.Errorf("exec: remote %s: no coverage of %s from a worker that runs it as %s", r.addr, b.System, s.image)
+	}
+	id, ch, err := r.register(s.blocks)
 	if err != nil {
 		return nil, &BackendError{Backend: r.Info().Name, Err: err}
 	}
 	r.writeMu.Lock()
-	err = writeRawFrame(conn, encodeRunRequest(id, b))
+	r.reqBuf = appendRunRequest(r.reqBuf[:0], id, b)
+	err = writeRawFrame(conn, r.reqBuf)
 	r.writeMu.Unlock()
 	if err != nil {
 		r.abandon(id)
@@ -371,19 +435,11 @@ func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	return outs, nil
 }
 
-// observed caps outcomes at the batch length, maps their coverage onto
-// this process's Blocks for the batch's system, and streams them to the
+// observed caps outcomes at the batch length and streams them to the
 // batch observer.
 func (r *Remote) observed(b *Batch, outs []*Outcome) []*Outcome {
 	if len(outs) > len(b.Scenarios) {
 		outs = outs[:len(b.Scenarios)]
-	}
-	var local *coverage.Index
-	if d, ok := system.Lookup(b.System); ok {
-		local = d.Blocks
-	}
-	for _, o := range outs {
-		o.localize(local)
 	}
 	if b.Observe != nil {
 		for i, o := range outs {

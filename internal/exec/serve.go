@@ -8,11 +8,9 @@ import (
 	"io"
 	"net"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"lfi/internal/coverage"
 	"lfi/internal/fleetd"
 	"lfi/internal/impact"
 	"lfi/internal/system"
@@ -30,56 +28,25 @@ import (
 // subprocess mode).
 const EnvWorker = "LFI_EXEC_WORKER"
 
-// EnvServe, when set to a TCP listen address, makes MaybeWorker take
-// over the process as a serve worker on that address. It prints
-// "listening <addr>" on stdout once bound — tests and scripts spawn
-// workers on ":0" and read the chosen port back.
-const EnvServe = "LFI_EXEC_SERVE"
-
-// EnvWorkerJobs overrides a worker's in-process pool width (default 1
-// for stdio workers: pool parallelism comes from having several).
-const EnvWorkerJobs = "LFI_EXEC_WORKER_J"
-
-// EnvRegister, when set to a fleet registry address alongside
-// EnvServe, makes the serve worker self-register there and heartbeat
-// until it exits — the subprocess form of `lfi serve -register`.
-const EnvRegister = "LFI_EXEC_REGISTER"
-
-// MaybeWorker checks the worker environment hooks and, when one is
-// set, runs the corresponding protocol loop and exits the process.
-// Call it first thing in main (cmd/lfi does) or TestMain: it is what
-// lets the pool backend re-exec the current binary as its worker
-// without a dedicated worker executable.
+// MaybeWorker checks the pool worker's environment hook and, when it
+// is set, serves the protocol over stdin/stdout on a pool of width 1
+// (a pool's parallelism comes from having several workers) and exits
+// the process. Call it first thing in main (cmd/lfi does) or TestMain:
+// it is what lets the pool backend re-exec the current binary as its
+// worker without a dedicated worker executable.
 func MaybeWorker() {
-	jobs := 1
-	if j, err := strconv.Atoi(os.Getenv(EnvWorkerJobs)); err == nil && j > 0 {
-		jobs = j
+	if os.Getenv(EnvWorker) == "" {
+		return
 	}
-	if os.Getenv(EnvWorker) != "" {
-		err := serveConn(context.Background(), struct {
-			io.Reader
-			io.Writer
-		}{os.Stdin, os.Stdout}, jobs, nil)
-		if err != nil && !errors.Is(err, io.EOF) {
-			fmt.Fprintln(os.Stderr, "lfi exec worker:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
+	err := serveConn(context.Background(), struct {
+		io.Reader
+		io.Writer
+	}{os.Stdin, os.Stdout}, 1, nil)
+	if err != nil && !errors.Is(err, io.EOF) {
+		fmt.Fprintln(os.Stderr, "lfi exec worker:", err)
+		os.Exit(1)
 	}
-	if addr := os.Getenv(EnvServe); addr != "" {
-		ln, err := net.Listen("tcp", addr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lfi exec serve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("listening %s\n", ln.Addr())
-		ctx := context.Background()
-		if err := Serve(ctx, ln, ServeOptions{Workers: jobs, Registry: os.Getenv(EnvRegister)}); err != nil && ctx.Err() == nil {
-			fmt.Fprintln(os.Stderr, "lfi exec serve:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
+	os.Exit(0)
 }
 
 // workerRegistration describes this process as a fleet worker: the
@@ -211,15 +178,23 @@ func workerImages() map[string]string {
 	return out
 }
 
-// serverConn is what a connection's executor goroutines share: the
-// stream they write responses to and the coverage-universe tags already
-// sent on it, both behind mu. A tag is assigned as the response that
-// carries it is written, so the first frame to go out with a tag is
-// the one that carries its table inline.
+// workerUniverses advertises the universeHash of every registered
+// system's Blocks: a client routes a system here only when it is the
+// fingerprint of its own.
+func workerUniverses() map[string]string {
+	ds := system.All()
+	out := make(map[string]string, len(ds))
+	for _, d := range ds {
+		out[d.Name] = universeHash(d.Blocks)
+	}
+	return out
+}
+
+// serverConn is the stream a connection's executor goroutines and its
+// read loop write frames to, one at a time under mu.
 type serverConn struct {
-	mu      sync.Mutex
-	w       io.Writer
-	uniTags map[*coverage.Index]uint64
+	mu sync.Mutex
+	w  io.Writer
 }
 
 // writeJSON writes one JSON frame.
@@ -229,33 +204,12 @@ func (sc *serverConn) writeJSON(v any) error {
 	return writeFrame(sc.w, v)
 }
 
-// respond encodes and writes a run response. The batch's universe (one
-// system per batch, so at most one) goes inline the first time this
-// connection sends it and by tag after that.
+// respond encodes and writes a run response.
 func (sc *serverConn) respond(id uint64, errStr string, outs []*Outcome) error {
-	var idx *coverage.Index
-	for _, o := range outs {
-		if o.CovU != nil {
-			idx = o.CovU
-			break
-		}
-	}
+	payload := encodeRunResponse(id, errStr, outs)
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	var tag uint64
-	var inline []string
-	if idx != nil {
-		var sent bool
-		if tag, sent = sc.uniTags[idx]; !sent {
-			if sc.uniTags == nil {
-				sc.uniTags = make(map[*coverage.Index]uint64)
-			}
-			tag = uint64(len(sc.uniTags)) + 1
-			sc.uniTags[idx] = tag
-			inline = idx.IDs()
-		}
-	}
-	return writeRawFrame(sc.w, encodeRunResponse(id, errStr, outs, tag, inline))
+	return writeRawFrame(sc.w, payload)
 }
 
 // cancelledBatch is the in-band error a worker answers a cancelled run
@@ -372,10 +326,11 @@ read:
 			switch req.Method {
 			case "hello":
 				resp := response{ID: req.ID, Hello: &helloInfo{
-					Proto:    protoVersion,
-					Capacity: workers,
-					Systems:  system.Names(),
-					Images:   workerImages(),
+					Proto:     protoVersion,
+					Capacity:  workers,
+					Systems:   system.Names(),
+					Images:    workerImages(),
+					Universes: workerUniverses(),
 				}}
 				if err := sc.writeJSON(&resp); err != nil {
 					readErr = err

@@ -9,28 +9,18 @@ import (
 	"time"
 
 	"lfi/internal/scenario"
+	"lfi/internal/system"
 )
 
-// inlineTable reports whether a run response carries its coverage
-// universe table inline.
-func inlineTable(t *testing.T, payload []byte) bool {
-	t.Helper()
-	d := &bdec{data: payload, off: 2}
-	d.uvarint()
-	d.str()
-	inline := d.uvarint() != 0 && d.byte() == 1
-	if d.err != nil {
-		t.Fatalf("response header: %v", d.err)
-	}
-	return inline
-}
-
-// TestServeConcurrentUniverseInlineOnce: on a fresh connection a worker
+// TestServeConcurrentShortBatchFirst: on a fresh connection a worker
 // of width 2 runs two pipelined coverage batches side by side, and the
-// second, one test long, finishes first. Its response goes out first,
-// so it must be the one that carries the universe table inline: both
-// responses decode in arrival order, and the table goes inline once.
-func TestServeConcurrentUniverseInlineOnce(t *testing.T) {
+// second, one test long, finishes first and answers first. Both
+// responses decode in arrival order, each in full.
+func TestServeConcurrentShortBatchFirst(t *testing.T) {
+	d, ok := system.Lookup("minidb")
+	if !ok {
+		t.Fatal("minidb not registered")
+	}
 	scens := testScenarios(t)
 	big := scens
 	for attempt := 0; ; attempt++ {
@@ -45,7 +35,7 @@ func TestServeConcurrentUniverseInlineOnce(t *testing.T) {
 			2: {System: "minidb", Coverage: true, Scenarios: scens[:1]},
 		}
 		for id := uint64(1); id <= 2; id++ {
-			if err := writeRawFrame(client, encodeRunRequest(id, batches[id])); err != nil {
+			if err := writeRawFrame(client, appendRunRequest(nil, id, batches[id])); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -65,26 +55,15 @@ func TestServeConcurrentUniverseInlineOnce(t *testing.T) {
 			}
 			t.Fatalf("the %d-test batch answered before the 1-test batch %d times", len(big), attempt+1)
 		}
-		inline := 0
-		universes := map[uint64]*wireUniverse{}
 		for i, payload := range frames {
-			if inlineTable(t, payload) {
-				inline++
-				if i != 0 {
-					t.Errorf("response %d carries the table, after a response that needed it", i)
-				}
-			}
 			var resp response
-			if err := decodeRunResponse(payload, &resp, universes); err != nil {
+			if err := decodeRunResponse(payload, &resp, d.Blocks); err != nil {
 				t.Fatalf("response %d: %v", i, err)
 			}
 			b := batches[resp.ID]
 			if resp.Error != "" || len(resp.Outcomes) != len(b.Scenarios) {
 				t.Fatalf("response %d: %d of %d outcomes, error %q", resp.ID, len(resp.Outcomes), len(b.Scenarios), resp.Error)
 			}
-		}
-		if inline != 1 {
-			t.Fatalf("universe table inline in %d responses, want 1", inline)
 		}
 		return
 	}

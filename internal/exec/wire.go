@@ -1,12 +1,13 @@
 package exec
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
 	"lfi/internal/coverage"
 	"lfi/internal/scenario"
@@ -25,7 +26,7 @@ import (
 //     exchange and the "funcs" fingerprint query.
 //
 //	client → worker: {"id":1,"method":"hello"}
-//	worker → client: {"id":1,"hello":{"proto":4,"capacity":4,"systems":[...],"images":{...}}}
+//	worker → client: {"id":1,"hello":{"proto":5,"capacity":4,"systems":[...],"images":{...},"universes":{...}}}
 //	client → worker: {"id":2,"method":"funcs","system":"minidb"}
 //	worker → client: {"id":2,"funcs":{...}}
 //
@@ -47,11 +48,16 @@ import (
 //     one in-process pool of that width. Responses carry ids and may
 //     leave in any order; a run's outcome depends only on its scenario
 //     and seed, so the order batches run in never changes a result;
-//   - the hello response advertises per-system **image versions**, and
-//     a client's fleet sends a worker only the batches of its own build
+//   - the hello response advertises per-system **image versions** and
+//     **block-universe fingerprints** (universeHash), and a client's
+//     fleet sends a worker only the batches of its own build
 //     (Batch.Image): an outcome always comes from the build that asked
-//     for it. The "funcs" method serves a system's per-function
-//     fingerprints.
+//     for it. A worker whose universe of a system differs from the
+//     client's runs another build of it, whatever its image, so the
+//     client checks the universes once, at the hello, and every
+//     coverage bit on the connection names a block of the client's own
+//     Descriptor.Blocks. The "funcs" method serves a system's
+//     per-function fingerprints.
 //
 // A batch's scenarios travel as binary records (scenario.AppendBinary),
 // each decoded afresh per request: the worker keeps no scenario cache.
@@ -62,7 +68,7 @@ import (
 // protoVersion is the one protocol version this build speaks; a peer
 // advertising any other is rejected at connection setup, not
 // mid-campaign.
-const protoVersion = 4
+const protoVersion = 5
 
 // maxFrame bounds one message (a batch of a few hundred scenarios is
 // well under 1 MiB; 64 MiB rejects garbage and runaway peers).
@@ -93,6 +99,23 @@ type helloInfo struct {
 	// worker would execute it as: a client's fleet routes a batch here
 	// only when its Batch.Image matches.
 	Images map[string]string `json:"images,omitempty"`
+	// Universes maps each advertised system to the universeHash of its
+	// block universe: a client takes a system whose universe is not its
+	// own for another build, and routes none of its batches here.
+	Universes map[string]string `json:"universes,omitempty"`
+}
+
+// universeHash fingerprints a block universe, its sorted block IDs, in
+// 12 hex digits like impact.ImageHash. The worker advertises it per
+// system and the client compares it with its own Blocks', both through
+// this one function.
+func universeHash(x *coverage.Index) string {
+	var b []byte
+	for _, id := range x.IDs() {
+		b = appendString(b, id)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:6])
 }
 
 // writeRawFrame writes one length-prefixed frame.
@@ -166,10 +189,6 @@ func writeFrame(w io.Writer, v any) error {
 //
 //	uvarint id
 //	string  error                   ("" = ok)
-//	uvarint universeTag             (0 = no coverage in this response)
-//	if tag != 0:
-//	  byte inline                   (1 = table follows, 0 = previously sent)
-//	  if inline: uvarint n, n × string   (sorted block-ID universe)
 //	uvarint nstrings, nstrings × string  (response string table)
 //	uvarint noutcomes
 //	noutcomes × outcome
@@ -184,12 +203,12 @@ func writeFrame(w io.Writer, v any) error {
 //	uvarint injections
 //	if coverage: uvarint nwords, nwords × 8-byte little-endian words
 //
-// The block-universe table is per connection: the worker sends it
-// inline with the first coverage response and by tag afterwards, so
-// steady-state responses carry coverage as a few dozen bitset bytes
-// instead of a sorted []string of block IDs. The string table
-// deduplicates repeated crash reasons and failure signatures within a
-// response.
+// Coverage is a bitset over the batch system's Descriptor.Blocks, the
+// universe both sides checked equal at the hello: a few dozen bytes of
+// bitset words instead of a sorted []string of block IDs. The client
+// refuses a bitset longer than that universe or with a bit at or past
+// its end. The string table deduplicates repeated crash reasons and
+// failure signatures within a response.
 
 const (
 	frameMagic     = 0xB2
@@ -208,9 +227,9 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// encodeRunRequest encodes a run request.
-func encodeRunRequest(id uint64, b *Batch) []byte {
-	out := []byte{frameMagic, frameRunReq}
+// appendRunRequest appends a run request's payload to out.
+func appendRunRequest(out []byte, id uint64, b *Batch) []byte {
+	out = append(out, frameMagic, frameRunReq)
 	out = binary.AppendUvarint(out, id)
 	out = appendString(out, b.System)
 	out = binary.AppendVarint(out, b.Seed)
@@ -287,10 +306,8 @@ func (e *respEncoder) ref(s string) uint64 {
 	return i + 1
 }
 
-// encodeRunResponse encodes a run response's outcomes. universeTag
-// and inlineUniverse describe the coverage universe section: tag 0
-// means no outcome in this response carries coverage.
-func encodeRunResponse(id uint64, errStr string, outs []*Outcome, universeTag uint64, inlineUniverse []string) []byte {
+// encodeRunResponse encodes a run response's outcomes.
+func encodeRunResponse(id uint64, errStr string, outs []*Outcome) []byte {
 	var enc respEncoder
 	// Pre-encode outcomes so the string table is complete before it is
 	// written; the body is assembled after the header.
@@ -324,18 +341,6 @@ func encodeRunResponse(id uint64, errStr string, outs []*Outcome, universeTag ui
 	out := []byte{frameMagic, frameRunResp}
 	out = binary.AppendUvarint(out, id)
 	out = appendString(out, errStr)
-	out = binary.AppendUvarint(out, universeTag)
-	if universeTag != 0 {
-		if inlineUniverse != nil {
-			out = append(out, 1)
-			out = binary.AppendUvarint(out, uint64(len(inlineUniverse)))
-			for _, s := range inlineUniverse {
-				out = appendString(out, s)
-			}
-		} else {
-			out = append(out, 0)
-		}
-	}
 	out = binary.AppendUvarint(out, uint64(len(enc.tab)))
 	for _, s := range enc.tab {
 		out = appendString(out, s)
@@ -458,84 +463,16 @@ func decodeRunRequest(payload []byte) (id uint64, b *Batch, err error) {
 	return id, b, d.err
 }
 
-// wireUniverse is one coverage universe a worker announced on a
-// connection: its ID table as sent (bit i of a decoded bitset means its
-// i-th ID), plus the mapping onto the local system's Blocks, computed
-// once when the first outcome over it is localized.
-type wireUniverse struct {
-	ids []string
-
-	mu    sync.Mutex
-	local *coverage.Index
-	remap *coverage.Remap
-}
-
-// onto returns the mapping of the table onto local, nil when the table
-// is local's own (same build: the bits carry over unchanged).
-func (u *wireUniverse) onto(local *coverage.Index) *coverage.Remap {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.local != local {
-		u.local, u.remap = local, local.Remap(u.ids)
-	}
-	return u.remap
-}
-
-// localize turns a decoded outcome's coverage into bits over local, the
-// dispatching process's Blocks for the batch's system: blocks a foreign
-// build declares and this one lacks are dropped. A nil local (a system
-// this process does not register) drops the coverage.
-func (o *Outcome) localize(local *coverage.Index) {
-	if o.wire == nil {
-		return
-	}
-	if local == nil {
-		o.Cov = o.Cov[:0]
-	} else if m := o.wire.onto(local); m != nil {
-		o.Cov = m.Apply(o.Cov)
-	}
-	o.CovU, o.wire = local, nil
-}
-
-// decodeRunResponse parses a binary run response. universes is the
-// client's per-connection tag → universe cache; an inline table
-// populates it, a bare tag must already be present. Decoded coverage
-// stays over the worker's table until the outcome is localized.
-func decodeRunResponse(payload []byte, resp *response, universes map[uint64]*wireUniverse) error {
+// decodeRunResponse parses a binary run response. Decoded coverage is
+// over blocks, the batch system's universe the client checked at the
+// hello; a response with coverage outside it, or with coverage and no
+// checked universe, is refused whole.
+func decodeRunResponse(payload []byte, resp *response, blocks *coverage.Index) error {
 	d := &bdec{data: payload, off: 2}
 	resp.ID = d.uvarint()
 	resp.Error = d.str()
 	resp.Hello = nil
 	resp.Outcomes = nil
-	var u *wireUniverse
-	if tag := d.uvarint(); tag != 0 {
-		if inline := d.byte(); inline == 1 {
-			n := d.uvarint()
-			if d.err != nil || n > uint64(len(payload)) {
-				d.fail()
-				return d.err
-			}
-			ids := make([]string, 0, n)
-			for i := uint64(0); i < n; i++ {
-				ids = append(ids, d.str())
-			}
-			if d.err != nil {
-				return d.err
-			}
-			for i := 1; i < len(ids); i++ {
-				if ids[i] <= ids[i-1] {
-					return fmt.Errorf("exec: binary frame: coverage universe %d not strictly ascending at entry %d", tag, i)
-				}
-			}
-			u = &wireUniverse{ids: ids}
-			universes[tag] = u
-		} else {
-			var ok bool
-			if u, ok = universes[tag]; !ok {
-				return fmt.Errorf("exec: binary frame references unknown universe %d", tag)
-			}
-		}
-	}
 	nstr := d.uvarint()
 	if d.err != nil || nstr > uint64(len(payload)) {
 		d.fail()
@@ -576,14 +513,19 @@ func decodeRunResponse(payload []byte, resp *response, universes map[uint64]*wir
 		o.Signature = ref()
 		o.Injections = int(d.uvarint())
 		if flags&outHasCoverage != 0 {
-			if u == nil {
-				return fmt.Errorf("exec: binary frame: outcome coverage without universe")
+			if blocks == nil {
+				return fmt.Errorf("exec: binary frame: coverage of a system with no block universe checked at the hello")
 			}
 			nw := d.uvarint()
 			// Divide, don't multiply: nw*8 can wrap for a hostile varint.
 			if d.err != nil || nw > uint64(len(d.data)-d.off)/8 {
 				d.fail()
 				return d.err
+			}
+			size := blocks.Len()
+			words := uint64(size+63) / 64
+			if nw > words {
+				return fmt.Errorf("exec: binary frame: %d coverage words over a %d-block universe", nw, size)
 			}
 			if uint64(cap(o.Cov)) >= nw {
 				o.Cov = o.Cov[:nw]
@@ -594,7 +536,10 @@ func decodeRunResponse(payload []byte, resp *response, universes map[uint64]*wir
 				o.Cov[w] = binary.LittleEndian.Uint64(d.data[d.off:])
 				d.off += 8
 			}
-			o.wire = u
+			if nw == words && size%64 != 0 && o.Cov[nw-1]>>(size%64) != 0 {
+				return fmt.Errorf("exec: binary frame: coverage bit past the %d-block universe", size)
+			}
+			o.CovU = blocks
 		}
 		if d.err != nil {
 			return d.err

@@ -32,29 +32,28 @@ func benchResponse() ([]*Outcome, *coverage.Index) {
 }
 
 // BenchmarkWireEncodeResponse measures the binary encoder on
-// a steady-state response (universe already sent, tag only).
+// a steady-state response.
 func BenchmarkWireEncodeResponse(b *testing.B) {
 	outs, _ := benchResponse()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(encodeRunResponse(uint64(i+1), "", outs, 1, nil)) == 0 {
+		if len(encodeRunResponse(uint64(i+1), "", outs)) == 0 {
 			b.Fatal("empty payload")
 		}
 	}
 }
 
-// BenchmarkWireDecodeResponse measures the matching decoder with the
-// universe already cached on the connection.
+// BenchmarkWireDecodeResponse measures the matching decoder over the
+// universe the connection checked at the hello.
 func BenchmarkWireDecodeResponse(b *testing.B) {
 	outs, idx := benchResponse()
-	payload := encodeRunResponse(1, "", outs, 1, nil)
-	universes := map[uint64]*wireUniverse{1: {ids: idx.IDs()}}
+	payload := encodeRunResponse(1, "", outs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var resp response
-		if err := decodeRunResponse(payload, &resp, universes); err != nil {
+		if err := decodeRunResponse(payload, &resp, idx); err != nil {
 			b.Fatal(err)
 		}
 		if len(resp.Outcomes) != len(outs) {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 
 	"lfi/internal/coverage"
 	"lfi/internal/scenario"
-	"lfi/internal/system"
 )
 
 // fuzzUniverse is a fixed 130-block universe (three bitset words, the
@@ -65,6 +63,13 @@ func outcomesFromBytes(data []byte, idx *coverage.Index) []*Outcome {
 	return outs
 }
 
+// withinUniverse reports whether cov names only blocks of idx.
+func withinUniverse(cov coverage.Bitset, idx *coverage.Index) bool {
+	ok := len(cov) <= (idx.Len()+63)/64
+	cov.Range(func(i int) { ok = ok && i < idx.Len() })
+	return ok
+}
+
 // outcomeEqual compares the serializable fields of two outcomes,
 // coverage in materialized sorted-ID form (exactly what the codec must
 // preserve).
@@ -90,14 +95,13 @@ func outcomeEqual(a, b *Outcome) bool {
 // wire-protocol analogue of the scenario XML FuzzRoundTrip:
 //
 //   - outcomes derived from the fuzz input must survive
-//     encodeRunResponse → decodeRunResponse bit-for-bit, both with the
-//     universe inline (first response on a connection) and by tag
-//     (steady state);
-//   - a run request must survive encodeRunRequest → decodeRunRequest,
+//     encodeRunResponse → decodeRunResponse bit-for-bit;
+//   - a run request must survive appendRunRequest → decodeRunRequest,
 //     a scenario repeated in the batch decoding to one *Scenario;
 //   - a cancel frame must survive encodeCancel → frameID;
 //   - arbitrary bytes fed to the decoders and to frameID may error but
-//     never panic.
+//     never panic, and a response the decoder accepts has coverage
+//     only inside the universe it was decoded over.
 func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xB2, 0x02})
@@ -106,7 +110,6 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 3, 0, 1, 255, 9, 9, 0, 0, 0, 0, 0, 128})
 	f.Add(bytes.Repeat([]byte{0xaa}, 64))
 	f.Add([]byte{0xB2, 0x03, 0x85, 0x01})
-	f.Add(encodeRunResponse(1, "", []*Outcome{{Name: "s"}}, 1, []string{"rec.b", "rec.a"}))
 	sc, err := scenario.ParseString(`<scenario name="fuzz-read">
 	  <trigger id="nth" class="CallCountTrigger"><args><n>3</n></args></trigger>
 	  <function name="read" return="-1" errno="EIO"><reftrigger ref="nth" /></function>
@@ -116,8 +119,13 @@ func FuzzWireFrame(f *testing.F) {
 	}
 	// A request whose third entry is a back-reference to the first.
 	other := &scenario.Scenario{Name: "fuzz-read-2", Triggers: sc.Triggers, Functions: sc.Functions}
-	f.Add(encodeRunRequest(5, &Batch{System: "minidb", Scenarios: []*scenario.Scenario{sc, other, sc}}))
+	f.Add(appendRunRequest(nil, 5, &Batch{System: "minidb", Scenarios: []*scenario.Scenario{sc, other, sc}}))
 	idx := fuzzUniverse()
+	// A response whose coverage names block 130 of the 130-block
+	// universe: the decoder must refuse it.
+	past := &Outcome{Name: "s", Cov: coverage.NewBitset(idx.Len() + 1), CovU: idx}
+	past.Cov.Set(idx.Len())
+	f.Add(encodeRunResponse(1, "", []*Outcome{past}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decoder robustness: whatever the bytes, no panic. (The frame
 		// layer only hands payloads to a decoder when isBinaryFrame
@@ -127,7 +135,13 @@ func FuzzWireFrame(f *testing.F) {
 		}
 		if isBinaryFrame(data, frameRunResp) {
 			var resp response
-			_ = decodeRunResponse(data, &resp, map[uint64]*wireUniverse{})
+			if decodeRunResponse(data, &resp, idx) == nil {
+				for i, o := range resp.Outcomes {
+					if !withinUniverse(o.Cov, idx) {
+						t.Fatalf("outcome %d decoded with coverage outside the %d-block universe: %x", i, idx.Len(), o.Cov)
+					}
+				}
+			}
 		}
 		_, _ = frameID(data)
 
@@ -145,32 +159,25 @@ func FuzzWireFrame(f *testing.F) {
 			t.Fatalf("cancel id %d round-tripped as %d (%v)", cancelID, id, err)
 		}
 
-		// Structured response round trip, inline universe then by tag.
+		// Structured response round trip.
 		outs := outcomesFromBytes(data, idx)
 		errStr := ""
 		if len(data) > 0 && data[0]&0x80 != 0 {
 			errStr = "mid-batch failure"
 		}
-		universes := map[uint64]*wireUniverse{}
-		for round, inline := range [][]string{idx.IDs(), nil} {
-			payload := encodeRunResponse(7, errStr, outs, 3, inline)
-			var resp response
-			if err := decodeRunResponse(payload, &resp, universes); err != nil {
-				t.Fatalf("round %d: decode: %v", round, err)
-			}
-			for _, o := range resp.Outcomes {
-				o.localize(idx)
-			}
-			if resp.ID != 7 || resp.Error != errStr {
-				t.Fatalf("round %d: header (%d, %q) != (7, %q)", round, resp.ID, resp.Error, errStr)
-			}
-			if len(resp.Outcomes) != len(outs) {
-				t.Fatalf("round %d: %d outcomes != %d", round, len(resp.Outcomes), len(outs))
-			}
-			for i := range outs {
-				if !outcomeEqual(outs[i], resp.Outcomes[i]) {
-					t.Fatalf("round %d: outcome %d differs:\n got %+v\nwant %+v", round, i, resp.Outcomes[i], outs[i])
-				}
+		var resp response
+		if err := decodeRunResponse(encodeRunResponse(7, errStr, outs), &resp, idx); err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if resp.ID != 7 || resp.Error != errStr {
+			t.Fatalf("header (%d, %q) != (7, %q)", resp.ID, resp.Error, errStr)
+		}
+		if len(resp.Outcomes) != len(outs) {
+			t.Fatalf("%d outcomes != %d", len(resp.Outcomes), len(outs))
+		}
+		for i := range outs {
+			if !outcomeEqual(outs[i], resp.Outcomes[i]) {
+				t.Fatalf("outcome %d differs:\n got %+v\nwant %+v", i, resp.Outcomes[i], outs[i])
 			}
 		}
 
@@ -181,7 +188,7 @@ func FuzzWireFrame(f *testing.F) {
 			b.Seed = int64(data[1]) - int64(data[2])<<3
 			b.Coverage = data[0]&1 != 0
 		}
-		id, got, err := decodeRunRequest(encodeRunRequest(9, b))
+		id, got, err := decodeRunRequest(appendRunRequest(nil, 9, b))
 		if err != nil {
 			t.Fatalf("request decode: %v", err)
 		}
@@ -203,111 +210,27 @@ func FuzzWireFrame(f *testing.F) {
 	})
 }
 
-// TestDecodeUnknownUniverseTag pins the steady-state failure mode: a
-// tag-only response on a connection that never saw the inline table is
-// an error, not silently empty coverage.
-func TestDecodeUnknownUniverseTag(t *testing.T) {
-	idx := fuzzUniverse()
-	o := &Outcome{Name: "s", Cov: coverage.NewBitset(idx.Len()), CovU: idx}
-	o.Cov.Set(1)
-	payload := encodeRunResponse(1, "", []*Outcome{o}, 5, nil)
-	var resp response
-	err := decodeRunResponse(payload, &resp, map[uint64]*wireUniverse{})
-	if err == nil {
-		t.Fatal("decode with unknown universe tag succeeded")
-	}
-}
-
-// TestDecodeRejectsUnorderedUniverse: bit i of a decoded bitset means
-// the i-th ID the worker sent, and a universe table is sorted, so a
-// table that is not strictly ascending would misattribute every bit on
-// the connection. It is an error, never reordered.
-func TestDecodeRejectsUnorderedUniverse(t *testing.T) {
-	idx := fuzzUniverse()
-	o := &Outcome{Name: "s", Cov: coverage.NewBitset(2), CovU: idx}
-	o.Cov.Set(0)
-	for _, table := range [][]string{{"rec.b", "rec.a"}, {"rec.a", "rec.a"}} {
-		payload := encodeRunResponse(1, "", []*Outcome{o}, 1, table)
-		var resp response
-		if err := decodeRunResponse(payload, &resp, map[uint64]*wireUniverse{}); err == nil {
-			t.Errorf("universe table %q decoded without error", table)
-		}
-	}
-}
-
-// TestRemoteMapsForeignUniverse: a worker built from another commit
-// announces a universe with one block this build lacks and without one
-// this build declares. Remote returns the outcome's coverage over this
-// process's own Blocks: every shared block keeps its bit, the unknown
-// block is dropped.
-func TestRemoteMapsForeignUniverse(t *testing.T) {
-	d, ok := system.Lookup("minidb")
-	if !ok {
-		t.Fatal("minidb not registered")
-	}
-	local := d.Blocks.IDs()
-	shared := local[1:]
-	var theirs []coverage.Block
-	for _, id := range append([]string{"rec.only_in_their_build"}, shared...) {
-		theirs = append(theirs, coverage.Block{ID: id, LOC: 1})
-	}
-	worker := coverage.NewIndex(theirs)
-	covered := &Outcome{Name: "s", Cov: coverage.NewBitset(worker.Len()), CovU: worker}
-	for i := 0; i < worker.Len(); i++ {
-		covered.Cov.Set(i)
-	}
-
-	client, server := net.Pipe()
-	go func() {
-		defer server.Close()
-		if _, err := readRawFrame(server); err != nil {
-			return
-		}
-		hello := &response{ID: 1, Hello: &helloInfo{Proto: protoVersion, Capacity: 1, Systems: []string{"minidb"}}}
-		if writeFrame(server, hello) != nil {
-			return
-		}
-		req, err := readRawFrame(server)
-		if err != nil {
-			return
-		}
-		id, _ := frameID(req)
-		writeRawFrame(server, encodeRunResponse(id, "", []*Outcome{covered}, 1, worker.IDs()))
-		readRawFrame(server) // hold the connection until the client closes it
-	}()
-	r, err := newRemote("foreign-build", client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	outs, err := r.Run(context.Background(), &Batch{System: "minidb", Coverage: true, Scenarios: testScenarios(t)[:1]})
-	if err != nil || len(outs) != 1 {
-		t.Fatalf("run: %d outcomes, %v", len(outs), err)
-	}
-	if outs[0].CovU != d.Blocks {
-		t.Fatal("remote coverage is not over this process's minidb Blocks")
-	}
-	if got := outs[0].BlockIDs(); !slices.Equal(got, shared) {
-		t.Fatalf("covered blocks %v, want the shared blocks %v", got, shared)
-	}
-}
-
-// TestHelloRefusesProtocol3: a worker that still speaks protocol 3
-// (scenarios as canonical XML) is refused at the hello, before any
-// batch could reach it in a format it cannot read.
-func TestHelloRefusesProtocol3(t *testing.T) {
-	client, server := net.Pipe()
-	go func() {
-		defer server.Close()
-		if _, err := readRawFrame(server); err != nil {
-			return
-		}
-		writeFrame(server, &response{ID: 1, Hello: &helloInfo{Proto: 3, Capacity: 1, Systems: []string{"minidb"}}})
-	}()
-	_, err := newRemote("old-worker", client)
-	var mismatch *ProtoMismatchError
-	if !errors.As(err, &mismatch) || mismatch.Got != 3 {
-		t.Fatalf("hello from a protocol-3 worker: %v, want ProtoMismatchError", err)
+// TestServeOldProtocolRefusedAtHello: a worker that still speaks
+// protocol 3 (scenarios as canonical XML) or 4 (block-universe tables
+// in run responses) is refused at the hello, before any batch could
+// reach it in a format it cannot read.
+func TestServeOldProtocolRefusedAtHello(t *testing.T) {
+	for _, proto := range []int{3, 4} {
+		t.Run(fmt.Sprintf("proto%d", proto), func(t *testing.T) {
+			client, server := net.Pipe()
+			go func() {
+				defer server.Close()
+				if _, err := readRawFrame(server); err != nil {
+					return
+				}
+				writeFrame(server, &response{ID: 1, Hello: &helloInfo{Proto: proto, Capacity: 1, Systems: []string{"minidb"}}})
+			}()
+			_, err := newRemote("old-worker", client)
+			var mismatch *ProtoMismatchError
+			if !errors.As(err, &mismatch) || mismatch.Got != proto {
+				t.Fatalf("hello from a protocol-%d worker: %v, want ProtoMismatchError", proto, err)
+			}
+		})
 	}
 }
 
@@ -317,7 +240,7 @@ func TestHelloRefusesProtocol3(t *testing.T) {
 // the last entry.
 func TestDecodeRunRequestRejects(t *testing.T) {
 	sc := testScenarios(t)[0]
-	header := encodeRunRequest(1, &Batch{System: "minidb"})
+	header := appendRunRequest(nil, 1, &Batch{System: "minidb"})
 	header = header[:len(header)-1] // drop the zero scenario count
 	req := func(n uint64, entries ...[]byte) []byte {
 		out := binary.AppendUvarint(slices.Clone(header), n)

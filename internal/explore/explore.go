@@ -614,8 +614,9 @@ type explorer struct {
 	// The system's block universe, taken from the baseline outcome, and
 	// two bitsets over it: the blocks reached so far and the blocks the
 	// suite covers with no injection. Every batch outcome's coverage is
-	// over idx already (executors map a worker's universe onto this
-	// process's Blocks), so folding is bit arithmetic.
+	// over idx already (a batch runs only on a backend whose universe is
+	// this process's Blocks, checked at a worker's hello), so folding is
+	// bit arithmetic.
 	idx     *coverage.Index
 	covered coverage.Bitset
 	base    coverage.Bitset

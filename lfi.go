@@ -229,9 +229,9 @@ var (
 	NewPoolExecutor = exec.NewPool
 	// DialExecutor connects to an `lfi serve` worker.
 	DialExecutor = exec.Dial
-	// MaybeExecWorker turns the current process into an execution
-	// worker when the worker environment hooks are set; call it first
-	// thing in main or TestMain to make a binary pool-capable.
+	// MaybeExecWorker turns the current process into a pool worker
+	// when the pool's environment hook is set; call it first thing in
+	// main or TestMain to make a binary pool-capable.
 	MaybeExecWorker = exec.MaybeWorker
 )
 

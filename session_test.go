@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -13,11 +14,31 @@ import (
 	"time"
 )
 
-// TestMain makes this test binary pool-capable: a copy re-executed by
-// NewPoolExecutor with the worker env hook set becomes a protocol
-// worker instead of running the tests.
+// serveEnv, set in the environment of a copy of this test binary to a
+// TCP listen address and a fleet registry address, separated by a
+// space, makes that copy a serve worker of width 2 on the address,
+// registered with the registry, instead of running the tests
+// (spawnWorkerProcess).
+const serveEnv = "LFI_TEST_SERVE"
+
+// TestMain makes this test binary pool- and serve-capable: a copy
+// re-executed by NewPoolExecutor with the worker env hook set becomes a
+// pool worker, one with serveEnv set a serve worker.
 func TestMain(m *testing.M) {
 	MaybeExecWorker()
+	if addr, registry, ok := strings.Cut(os.Getenv(serveEnv), " "); ok {
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "serve worker:", err)
+			os.Exit(1)
+		}
+		fmt.Printf("listening %s\n", ln.Addr())
+		if err := ServeRegistered(context.Background(), ln, 2, nil, registry, ""); err != nil {
+			fmt.Fprintln(os.Stderr, "serve worker:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
 	os.Exit(m.Run())
 }
 
