@@ -774,7 +774,9 @@ func BenchmarkExecutorBatchRemote(b *testing.B) {
 // latency to every segment — a simulated LAN hop. Pipelining is about
 // latency: on raw loopback the wire tax is single-digit microseconds
 // (see BenchmarkWireDecodeResponse) and depth-1 already matches
-// depth-4, so the pipelining benchmark measures across this relay.
+// depth-4, so the pipelining benchmark measures across this relay. It
+// sleeps once per segment it reads, so a frame sent in one write pays
+// the hop once.
 func delayedRelay(b *testing.B, target string, delay time.Duration) string {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -816,14 +818,16 @@ func delayedRelay(b *testing.B, target string, delay time.Duration) string {
 	return ln.Addr().String()
 }
 
-// BenchmarkFleetPipelined measures what pipelining buys on a remote
-// connection with realistic latency (a relay adds 200µs each way): the
-// same 32-scenario minidb coverage batch with one batch in flight
-// (call-and-response — every round trip sits on the worker's critical
-// path and it idles between batches) versus the default depth of 4,
-// where the scheduler keeps the worker saturated while frames are in
-// the air. The depth-4 tests/s over depth-1 is the pipelining win
-// BENCH_9 records.
+// BenchmarkFleetPipelined measures what concurrent Run calls on one
+// remote connection buy with realistic latency (a relay adds 200µs each
+// way): the same 32-scenario minidb coverage batch from one caller at a
+// time (call-and-response — every round trip sits on the worker's
+// critical path and it idles between batches) versus four callers at
+// once, which keep the worker saturated while frames are in the air.
+// The explorer's two in-flight batches are this kind of depth; the
+// fleet does not slice a batch into several requests, so this does not
+// measure fleet slicing. The depth-4 tests/s over depth-1 is the
+// pipelining win BENCH_9 records.
 func BenchmarkFleetPipelined(b *testing.B) {
 	s, err := ParseScenarioString(`<scenario name="bench-exec-read">
 	  <trigger id="nth" class="CallCountTrigger"><args><n>3</n></args></trigger>
@@ -851,7 +855,6 @@ func BenchmarkFleetPipelined(b *testing.B) {
 	defer e.Close()
 	for _, depth := range []int{1, 4} {
 		b.Run(fmt.Sprintf("depth%d", depth), func(b *testing.B) {
-			e.SetPipeline(depth)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -46,7 +46,10 @@ func speedPrior(info Info) float64 {
 //     batches flow to cheap, wide backends and the hot head of the
 //     batch — candidates the explorer scored highest — runs on the
 //     lowest-latency backend (executors are ordered local, pool,
-//     remote);
+//     remote). A chunk is one Run call, so one frame on a remote
+//     connection: a worker runs a whole batch across its own width,
+//     and the depth on a connection comes from concurrent Runs (the
+//     explorer keeps two batches in flight);
 //   - a chunk whose backend dies (BackendError) is requeued on the
 //     surviving executors, up to maxAttempts, so killing a worker
 //     never loses work; the dead member is respawned if it carries a
@@ -92,12 +95,6 @@ func NewFleet(execs ...Executor) *Fleet {
 		speeds: make(map[speedKey]float64),
 	}
 }
-
-// pipeliner is implemented by backends that keep several batches in
-// flight on one connection (Remote): the scheduler subdivides such a
-// backend's chunk so the worker's input queue never drains between
-// batches.
-type pipeliner interface{ Pipeline() int }
 
 // imaged is implemented by backends that may run another build
 // (Remote): ImageVersion is the image they execute sys as, "" for a
@@ -224,7 +221,7 @@ func (f *Fleet) recover(failed []Executor) {
 	for i, e := range failed {
 		name := e.Info().Name
 		if slices.ContainsFunc(failed[:i], func(p Executor) bool { return p.Info().Name == name }) {
-			continue // several slices of one member failed together
+			continue // several chunks of one member failed together
 		}
 		r, _ := e.(*Remote)
 		if r != nil && r.respawn != nil && f.has(r) {
@@ -309,8 +306,6 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 		}
 		// First wave: split the whole batch by speed share. Retry
 		// waves keep failed chunks intact and spread them round-robin.
-		// Either way, a pipelining backend's chunk is subdivided so
-		// several slices ride its connection at once.
 		var wave []dispatch
 		if first {
 			wave = f.split(b.System, live, queue[0])
@@ -322,7 +317,6 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 			}
 			queue = nil
 		}
-		wave = expandWave(wave)
 		var (
 			wg     sync.WaitGroup
 			mu     sync.Mutex
@@ -361,8 +355,9 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 			}
 		}
 		if len(wave) == 1 {
-			// One dispatch (a one-backend fleet, the local default): run
-			// it on the caller rather than a fresh goroutine per batch.
+			// One dispatch (a one-backend fleet: the local default, or a
+			// lone remote): run it on the caller rather than a fresh
+			// goroutine per batch.
 			do(wave[0].e, wave[0].c)
 		} else {
 			for _, d := range wave {
@@ -430,43 +425,6 @@ func (f *Fleet) split(sys string, live []Executor, c chunk) []dispatch {
 	if off < c.end {
 		// All-zero rounding tail: the fastest backend takes the rest.
 		out = append(out, dispatch{c: chunk{off: off, end: c.end}, e: live[0]})
-	}
-	return out
-}
-
-// minPipelineSlice is the smallest slice worth pipelining: below this
-// the per-frame overhead outweighs the overlap.
-const minPipelineSlice = 8
-
-// expandWave subdivides each pipelining backend's chunk into up to
-// Pipeline() contiguous slices dispatched concurrently on the same
-// backend: while the worker executes one slice the next is already on
-// the wire, taking the round-trip off the critical path. Each slice's
-// outcomes land at its own offsets and depend only on scenario and
-// seed, so a worker that runs the slices side by side, finishing them
-// in any order, leaves outcome determinism untouched.
-func expandWave(wave []dispatch) []dispatch {
-	out := make([]dispatch, 0, len(wave))
-	for _, d := range wave {
-		p, ok := d.e.(pipeliner)
-		depth := 1
-		if ok {
-			depth = p.Pipeline()
-		}
-		n := d.c.end - d.c.off
-		if depth > n/minPipelineSlice {
-			depth = n / minPipelineSlice
-		}
-		if depth <= 1 {
-			out = append(out, d)
-			continue
-		}
-		off := d.c.off
-		for i := 0; i < depth; i++ {
-			size := (d.c.end - off) / (depth - i)
-			out = append(out, dispatch{c: chunk{off: off, end: off + size, attempts: d.c.attempts}, e: d.e})
-			off += size
-		}
 	}
 	return out
 }

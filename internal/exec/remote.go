@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -18,13 +19,17 @@ import (
 // protocol worker — a TCP connection to `lfi serve` (Dial), or a pool
 // worker subprocess's stdin/stdout (NewPool).
 //
-// The connection is **pipelined**: Run is safe for concurrent use and
-// up to Pipeline() batches ride the wire at once, matched back to
-// callers by request id through a single reader goroutine — the
-// worker's input queue stays non-empty, so the round-trip latency is
-// off the critical path, and a worker of width n runs up to n of the
-// batches side by side, answering each as it finishes. Cancellation sends a cancel frame and the
-// worker answers promptly with the completed prefix; a drain grace
+// The connection is **pipelined**: Run is safe for concurrent use, and
+// every concurrent call's batch rides the wire at once, matched back to
+// its caller by request id through a single reader goroutine. The
+// depth comes from the callers — the explorer keeps two batches in
+// flight, and Session callers may add more — so the worker's input
+// queue stays non-empty and the round trip is off the critical path;
+// a worker of width n runs up to n of the batches side by side,
+// answering each as it finishes. Each batch is one frame, written with
+// one Write, and the reader takes frames through one buffered reader
+// that the hello exchange shares. Cancellation sends a cancel frame and
+// the worker answers promptly with the completed prefix; a drain grace
 // survives only as the fallback for a wedged worker. A broken
 // connection fails every in-flight batch with BackendError and marks
 // the backend dead — the scheduler requeues the batches' runs
@@ -50,8 +55,7 @@ type Remote struct {
 	// cancel frame makes the response arrive in batch-drain time
 	// (milliseconds); the grace only catches a wedged worker.
 	drainGrace time.Duration
-	// pipeline is the in-flight batch budget Pipeline() advertises to
-	// the fleet scheduler.
+	// pipeline is what Pipeline() reports; nothing schedules by it.
 	pipeline int
 
 	mu      sync.Mutex // request ids + pending-response registry
@@ -60,7 +64,7 @@ type Remote struct {
 	readErr error // reader's terminal error; set once under mu
 
 	writeMu sync.Mutex // one frame writer at a time
-	reqBuf  []byte     // the run request being written, under writeMu
+	reqBuf  []byte     // the run request frame being written, under writeMu
 
 	// conn teardown has its own lock: a drain timeout must force-close
 	// the connection while the reader is blocked in a read — closing
@@ -106,9 +110,10 @@ func (e *ProtoMismatchError) Error() string {
 // simulated runs, each of which completes in milliseconds.
 const drainGraceTimeout = 30 * time.Second
 
-// defaultPipeline is how many batches a connection keeps in flight:
-// enough that the worker never idles waiting on the wire, few enough
-// that a cancel loses little queued work.
+// defaultPipeline is what Pipeline() reports unless SetPipeline
+// changed it.
+//
+// Deprecated: the fleet no longer reads it (see Remote.Pipeline).
 const defaultPipeline = 4
 
 // Dial connects to an `lfi serve` worker and performs the hello
@@ -137,13 +142,16 @@ func newRemote(addr string, conn io.ReadWriteCloser) (*Remote, error) {
 		pending:    make(map[uint64]call),
 		readDone:   make(chan struct{}),
 	}
-	// Hello runs synchronously, before the reader demux starts.
+	// Hello runs synchronously, before the reader demux starts, through
+	// the reader the demux then takes over: bytes it read ahead of the
+	// hello response belong to the frames after it.
 	r.nextID = 1
+	br := bufio.NewReader(conn)
 	var resp response
 	err := writeFrame(conn, &request{ID: 1, Method: "hello"})
 	if err == nil {
 		var payload []byte
-		if payload, err = readRawFrame(conn); err == nil {
+		if payload, err = readRawFrame(br); err == nil {
 			err = json.Unmarshal(payload, &resp)
 		}
 	}
@@ -161,7 +169,7 @@ func newRemote(addr string, conn io.ReadWriteCloser) (*Remote, error) {
 	}
 	r.hello = *resp.Hello
 	r.systems = checkSystems(r.hello)
-	go r.readLoop(conn)
+	go r.readLoop(br)
 	return r, nil
 }
 
@@ -185,17 +193,22 @@ func checkSystems(h helloInfo) map[string]helloSystem {
 	return out
 }
 
-// SetPipeline overrides the in-flight batch budget (default 4). It
-// only informs the scheduler via Pipeline(); Run itself accepts any
-// number of concurrent callers.
+// SetPipeline sets what Pipeline reports (default 4). Run accepts any
+// number of concurrent callers regardless.
+//
+// Deprecated: the fleet no longer reads Pipeline; it sends each chunk
+// of a batch as one Run call.
 func (r *Remote) SetPipeline(k int) {
 	if k > 0 {
 		r.pipeline = k
 	}
 }
 
-// Pipeline reports how many batches this backend wants in flight at
-// once.
+// Pipeline reports the value SetPipeline set.
+//
+// Deprecated: the fleet no longer reads it; the depth on a connection
+// comes from concurrent Run callers. It stays while bench/trace.go's
+// wrapper requires it beside ImageVersion.
 func (r *Remote) Pipeline() int { return r.pipeline }
 
 // Info reports the worker's advertised metadata. A remote worker is
@@ -317,14 +330,14 @@ func (r *Remote) readError() error {
 // coverage outside the universe included, it tears the connection down
 // and fails every pending request — their callers surface BackendError
 // and the scheduler requeues.
-func (r *Remote) readLoop(conn io.Reader) {
+func (r *Remote) readLoop(br *bufio.Reader) {
 	var (
 		err error
 		c   call // claimed by the frame being read, until delivered
 	)
 	for {
 		var payload []byte
-		payload, err = readRawFrame(conn)
+		payload, err = readRawFrame(br)
 		if err != nil {
 			break
 		}
@@ -381,8 +394,8 @@ func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 		return nil, &BackendError{Backend: r.Info().Name, Err: err}
 	}
 	r.writeMu.Lock()
-	r.reqBuf = appendRunRequest(r.reqBuf[:0], id, b)
-	err = writeRawFrame(conn, r.reqBuf)
+	r.reqBuf = appendRunRequest(newFrame(r.reqBuf), id, b)
+	err = sendFrame(conn, r.reqBuf)
 	r.writeMu.Unlock()
 	if err != nil {
 		r.abandon(id)
@@ -399,7 +412,7 @@ func (r *Remote) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 		// answers with the prefix. A write failure just leaves us on
 		// the grace path below.
 		r.writeMu.Lock()
-		writeRawFrame(conn, encodeCancel(id))
+		sendFrame(conn, appendCancel(newFrame(nil), id))
 		r.writeMu.Unlock()
 		t := time.NewTimer(r.drainGrace)
 		select {

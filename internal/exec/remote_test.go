@@ -3,6 +3,9 @@ package exec
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"net"
 	"slices"
 	"strings"
@@ -37,6 +40,7 @@ func fakeWorker(t *testing.T, name string, hello helloInfo, edit func([]*Outcome
 			return
 		}
 		local := NewLocal(1)
+		var enc respEncoder
 		for {
 			payload, err := readRawFrame(server)
 			if err != nil || !isBinaryFrame(payload, frameRunReq) {
@@ -57,7 +61,7 @@ func fakeWorker(t *testing.T, name string, hello helloInfo, edit func([]*Outcome
 			if edit != nil {
 				edit(outs)
 			}
-			if writeRawFrame(server, encodeRunResponse(id, errStr, outs)) != nil {
+			if writeRawFrame(server, enc.appendRunResponse(nil, id, errStr, outs)) != nil {
 				return
 			}
 		}
@@ -269,8 +273,8 @@ func TestRemoteCancelFastWithoutGrace(t *testing.T) {
 	}
 }
 
-// TestRemotePipelinedConcurrentBatches: a connection carries
-// several batches at once (the scheduler keeps Pipeline() in flight);
+// TestRemotePipelinedConcurrentBatches: a connection carries several
+// batches at once (as many as there are concurrent Run callers);
 // concurrent Runs on one Remote must all complete and stay
 // byte-identical to the local backend per batch.
 func TestRemotePipelinedConcurrentBatches(t *testing.T) {
@@ -302,5 +306,72 @@ func TestRemotePipelinedConcurrentBatches(t *testing.T) {
 		if !bytes.Equal(marshalOutcomes(t, got[seed]), marshalOutcomes(t, want)) {
 			t.Errorf("seed %d: pipelined outcomes diverge from local", seed)
 		}
+	}
+}
+
+// TestRemoteHelloSharesReader: a worker that writes its hello response
+// and a run response back to back in one write is decoded correctly —
+// the bytes the hello read buffers ahead belong to the reader loop.
+// The run response answers the client's first run request (id 2), which
+// is not sent until the hello is done, so its last byte follows once
+// the request arrives: the client's reader must be mid-frame on bytes
+// it buffered during the hello, not on a fresh reader.
+func TestRemoteHelloSharesReader(t *testing.T) {
+	b := &Batch{System: "minidb", Coverage: true, Scenarios: testScenarios(t)}
+	want, err := NewLocal(1).Run(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := thisBuildsHello()
+	hello.Proto = protoVersion
+	var enc respEncoder
+	run := enc.appendRunResponse(newFrame(nil), 2, "", want)
+	binary.BigEndian.PutUint32(run, uint32(len(run)-frameHeader))
+	client, server := net.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		defer server.Close()
+		served <- func() error {
+			if _, err := readRawFrame(server); err != nil {
+				return err
+			}
+			js, err := json.Marshal(&response{ID: 1, Hello: &hello})
+			if err != nil {
+				return err
+			}
+			frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(js))), js...)
+			if _, err := server.Write(append(frame, run[:len(run)-1]...)); err != nil {
+				return err
+			}
+			payload, err := readRawFrame(server)
+			if err != nil {
+				return err
+			}
+			if id, err := frameID(payload); err != nil || id != 2 {
+				return fmt.Errorf("run request id %d (%v), want 2", id, err)
+			}
+			_, err = server.Write(run[len(run)-1:])
+			return err
+		}()
+	}()
+	r, err := newRemote("coalesced", client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	// A reader that lost the buffered bytes would wait forever for a
+	// frame; bound the wait so that fails as an error.
+	r.drainGrace = 100 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	got, err := r.Run(ctx, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalOutcomes(t, got), marshalOutcomes(t, want)) {
+		t.Fatal("the run response read behind the hello diverges from a local run")
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -204,12 +205,11 @@ func (sc *serverConn) writeJSON(v any) error {
 	return writeFrame(sc.w, v)
 }
 
-// respond encodes and writes a run response.
-func (sc *serverConn) respond(id uint64, errStr string, outs []*Outcome) error {
-	payload := encodeRunResponse(id, errStr, outs)
+// send writes one frame built behind a reserved header (newFrame).
+func (sc *serverConn) send(frame []byte) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return writeRawFrame(sc.w, payload)
+	return sendFrame(sc.w, frame)
 }
 
 // cancelledBatch is the in-band error a worker answers a cancelled run
@@ -219,9 +219,9 @@ const cancelledBatch = "cancelled"
 
 // pipelineQueueMax bounds how many run requests one connection may
 // hold queued behind the executing batches. Clients pipeline far fewer
-// (Remote defaults to 4); a client that exceeds the bound just blocks
-// the connection's read loop — its own cancels included — until the
-// queue drains, which only hurts itself.
+// (the explorer keeps two batches in flight); a client that exceeds the
+// bound just blocks the connection's read loop — its own cancels
+// included — until the queue drains, which only hurts itself.
 const pipelineQueueMax = 64
 
 // queuedRun is one run request awaiting one of the connection's
@@ -251,7 +251,8 @@ type queuedRun struct {
 // A cancel frame cancels the named request's context whether it is
 // executing or still queued; the cancelled batch answers with its
 // completed prefix and the in-band "cancelled" error, so a client's
-// Ctrl-C never waits for a batch to run out.
+// Ctrl-C never waits for a batch to run out. The read loop reads
+// through one buffered reader, and every frame leaves in one Write.
 func serveConn(ctx context.Context, conn io.ReadWriter, workers int, counters *serveCounters) error {
 	local := NewLocal(workers)
 	sc := &serverConn{w: conn}
@@ -275,26 +276,34 @@ func serveConn(ctx context.Context, conn io.ReadWriter, workers int, counters *s
 		cancelMu.Unlock()
 	}
 
-	// The executors. Their write errors are not surfaced separately: a
-	// broken connection fails the read loop too, which is where the
-	// connection error is reported.
+	// The executors, each encoding its responses into one reused frame
+	// buffer. Their write errors are not surfaced separately: a broken
+	// connection fails the read loop too, which is where the connection
+	// error is reported.
 	queue := make(chan queuedRun, pipelineQueueMax)
 	var executors sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		executors.Add(1)
 		go func() {
 			defer executors.Done()
+			var (
+				enc   respEncoder
+				frame []byte
+			)
 			for qr := range queue {
-				serveRun(local, sc, counters, qr)
+				id, errStr, outs := serveRun(local, counters, qr)
+				frame = enc.appendRunResponse(newFrame(frame), id, errStr, outs)
+				_ = sc.send(frame)
 				retire(qr.id)
 			}
 		}()
 	}
 
 	var readErr error
+	br := bufio.NewReader(conn)
 read:
 	for {
-		payload, err := readRawFrame(conn)
+		payload, err := readRawFrame(br)
 		if err != nil {
 			readErr = err
 			break
@@ -369,10 +378,10 @@ read:
 	return readErr
 }
 
-// serveRun executes one queued run request and writes its response.
-func serveRun(local *Local, sc *serverConn, counters *serveCounters, qr queuedRun) {
+// serveRun executes one queued run request and returns what its
+// response carries.
+func serveRun(local *Local, counters *serveCounters, qr queuedRun) (id uint64, errStr string, outs []*Outcome) {
 	id, b, err := decodeRunRequest(qr.payload)
-	var outs []*Outcome
 	if err == nil {
 		outs, err = local.Run(qr.ctx, b)
 		if counters != nil {
@@ -380,7 +389,6 @@ func serveRun(local *Local, sc *serverConn, counters *serveCounters, qr queuedRu
 			counters.runs.Add(int64(len(outs)))
 		}
 	}
-	var errStr string
 	switch {
 	case err == nil:
 	case qr.ctx.Err() != nil && errors.Is(err, qr.ctx.Err()):
@@ -391,5 +399,5 @@ func serveRun(local *Local, sc *serverConn, counters *serveCounters, qr queuedRu
 	default:
 		errStr = err.Error()
 	}
-	_ = sc.respond(id, errStr, outs) // a broken connection fails the read loop, which reports it
+	return id, errStr, outs
 }

@@ -118,23 +118,40 @@ func universeHash(x *coverage.Index) string {
 	return hex.EncodeToString(sum[:6])
 }
 
-// writeRawFrame writes one length-prefixed frame.
-func writeRawFrame(w io.Writer, data []byte) error {
-	if len(data) > maxFrame {
-		return fmt.Errorf("exec: frame too large: %d bytes", len(data))
+// frameHeader is the size of a frame's length prefix. A sender builds
+// a frame in one buffer with the prefix reserved at its front, so the
+// whole frame leaves in one Write: one syscall, and under TCP_NODELAY
+// one segment rather than a 4-byte one ahead of the payload.
+const frameHeader = 4
+
+// newFrame empties buf down to a reserved frame header, ready for a
+// payload to be appended.
+func newFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// sendFrame fills in the length prefix reserved at frame's front and
+// writes the frame with one Write.
+func sendFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - frameHeader
+	if n > maxFrame {
+		return fmt.Errorf("exec: frame too large: %d bytes", n)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(data)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(data)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
-// readRawFrame reads one length-prefixed frame's payload.
+// writeRawFrame writes payload as one frame, copied behind its header.
+func writeRawFrame(w io.Writer, payload []byte) error {
+	return sendFrame(w, append(make([]byte, frameHeader, frameHeader+len(payload)), payload...))
+}
+
+// readRawFrame reads one length-prefixed frame's payload. Each
+// connection end passes its one *bufio.Reader, so a frame's header and
+// a small payload cost one read syscall between them, or none when an
+// earlier read brought them in. An oversized length is refused before
+// the payload is allocated.
 func readRawFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -264,11 +281,11 @@ func appendRecord(b []byte, s *scenario.Scenario) []byte {
 	return b
 }
 
-// encodeCancel encodes a cancel frame naming an in-flight
-// run request. Cancel has no response of its own: the cancelled run
+// appendCancel appends a cancel payload naming an in-flight run
+// request to out. Cancel has no response of its own: the cancelled run
 // request answers with its completed prefix.
-func encodeCancel(id uint64) []byte {
-	out := []byte{frameMagic, frameCancel}
+func appendCancel(out []byte, id uint64) []byte {
+	out = append(out, frameMagic, frameCancel)
 	return binary.AppendUvarint(out, id)
 }
 
@@ -284,10 +301,13 @@ func frameID(payload []byte) (uint64, error) {
 	return id, d.err
 }
 
-// respEncoder assembles one run response's string table while encoding.
+// respEncoder encodes run responses. The server keeps one per executor
+// goroutine and reuses its string table and body buffer across batches,
+// so a steady-state response allocates nothing.
 type respEncoder struct {
 	strs map[string]uint64 // string -> table index
 	tab  []string
+	body []byte // the outcomes, encoded before the table they refer to
 }
 
 func (e *respEncoder) ref(s string) uint64 {
@@ -306,13 +326,13 @@ func (e *respEncoder) ref(s string) uint64 {
 	return i + 1
 }
 
-// encodeRunResponse encodes a run response's outcomes.
-func encodeRunResponse(id uint64, errStr string, outs []*Outcome) []byte {
-	var enc respEncoder
+// appendRunResponse appends a run response's payload to out.
+func (e *respEncoder) appendRunResponse(out []byte, id uint64, errStr string, outs []*Outcome) []byte {
+	clear(e.strs)
+	e.tab = e.tab[:0]
 	// Pre-encode outcomes so the string table is complete before it is
-	// written; the body is assembled after the header.
-	body := make([]byte, 0, 64*len(outs))
-	body = binary.AppendUvarint(body, uint64(len(outs)))
+	// written; the body is appended after the header.
+	body := binary.AppendUvarint(e.body[:0], uint64(len(outs)))
 	for _, o := range outs {
 		var flags byte
 		if o.Crashed {
@@ -322,14 +342,14 @@ func encodeRunResponse(id uint64, errStr string, outs []*Outcome) []byte {
 			flags |= outHasCoverage
 		}
 		body = append(body, flags)
-		body = binary.AppendUvarint(body, enc.ref(o.Name))
+		body = binary.AppendUvarint(body, e.ref(o.Name))
 		if o.Crashed {
 			body = binary.AppendUvarint(body, uint64(o.CrashKind))
-			body = binary.AppendUvarint(body, enc.ref(o.CrashReason))
+			body = binary.AppendUvarint(body, e.ref(o.CrashReason))
 			body = binary.AppendUvarint(body, uint64(o.CrashThread))
 		}
-		body = binary.AppendUvarint(body, enc.ref(o.WorkErr))
-		body = binary.AppendUvarint(body, enc.ref(o.Signature))
+		body = binary.AppendUvarint(body, e.ref(o.WorkErr))
+		body = binary.AppendUvarint(body, e.ref(o.Signature))
 		body = binary.AppendUvarint(body, uint64(o.Injections))
 		if o.CovU != nil {
 			body = binary.AppendUvarint(body, uint64(len(o.Cov)))
@@ -338,11 +358,12 @@ func encodeRunResponse(id uint64, errStr string, outs []*Outcome) []byte {
 			}
 		}
 	}
-	out := []byte{frameMagic, frameRunResp}
+	e.body = body
+	out = append(out, frameMagic, frameRunResp)
 	out = binary.AppendUvarint(out, id)
 	out = appendString(out, errStr)
-	out = binary.AppendUvarint(out, uint64(len(enc.tab)))
-	for _, s := range enc.tab {
+	out = binary.AppendUvarint(out, uint64(len(e.tab)))
+	for _, s := range e.tab {
 		out = appendString(out, s)
 	}
 	return append(out, body...)

@@ -31,14 +31,20 @@ func benchResponse() ([]*Outcome, *coverage.Index) {
 	return outs, idx
 }
 
-// BenchmarkWireEncodeResponse measures the binary encoder on
-// a steady-state response.
+// BenchmarkWireEncodeResponse measures the binary encoder on a
+// steady-state response, reusing its encoder and frame buffer as a
+// serve executor does.
 func BenchmarkWireEncodeResponse(b *testing.B) {
 	outs, _ := benchResponse()
+	var (
+		enc   respEncoder
+		frame []byte
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(encodeRunResponse(uint64(i+1), "", outs)) == 0 {
+		frame = enc.appendRunResponse(newFrame(frame), uint64(i+1), "", outs)
+		if len(frame) == frameHeader {
 			b.Fatal("empty payload")
 		}
 	}
@@ -48,7 +54,7 @@ func BenchmarkWireEncodeResponse(b *testing.B) {
 // universe the connection checked at the hello.
 func BenchmarkWireDecodeResponse(b *testing.B) {
 	outs, idx := benchResponse()
-	payload := encodeRunResponse(1, "", outs)
+	payload := new(respEncoder).appendRunResponse(nil, 1, "", outs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"testing"
@@ -95,10 +97,12 @@ func outcomeEqual(a, b *Outcome) bool {
 // wire-protocol analogue of the scenario XML FuzzRoundTrip:
 //
 //   - outcomes derived from the fuzz input must survive
-//     encodeRunResponse → decodeRunResponse bit-for-bit;
+//     appendRunResponse → decodeRunResponse bit-for-bit, and an encoder
+//     that encoded another response first (as a serve executor reuses
+//     one) must encode the same bytes as a fresh one;
 //   - a run request must survive appendRunRequest → decodeRunRequest,
 //     a scenario repeated in the batch decoding to one *Scenario;
-//   - a cancel frame must survive encodeCancel → frameID;
+//   - a cancel frame must survive appendCancel → frameID;
 //   - arbitrary bytes fed to the decoders and to frameID may error but
 //     never panic, and a response the decoder accepts has coverage
 //     only inside the universe it was decoded over.
@@ -125,7 +129,7 @@ func FuzzWireFrame(f *testing.F) {
 	// universe: the decoder must refuse it.
 	past := &Outcome{Name: "s", Cov: coverage.NewBitset(idx.Len() + 1), CovU: idx}
 	past.Cov.Set(idx.Len())
-	f.Add(encodeRunResponse(1, "", []*Outcome{past}))
+	f.Add(new(respEncoder).appendRunResponse(nil, 1, "", []*Outcome{past}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decoder robustness: whatever the bytes, no panic. (The frame
 		// layer only hands payloads to a decoder when isBinaryFrame
@@ -151,7 +155,7 @@ func FuzzWireFrame(f *testing.F) {
 		for _, c := range data {
 			cancelID = cancelID<<7 ^ uint64(c)
 		}
-		cancel := encodeCancel(cancelID)
+		cancel := appendCancel(nil, cancelID)
 		if !isBinaryFrame(cancel, frameCancel) {
 			t.Fatalf("cancel frame %x not recognized as one", cancel)
 		}
@@ -165,8 +169,14 @@ func FuzzWireFrame(f *testing.F) {
 		if len(data) > 0 && data[0]&0x80 != 0 {
 			errStr = "mid-batch failure"
 		}
+		var enc respEncoder
+		enc.appendRunResponse(nil, 3, "earlier batch", outcomesFromBytes(data[len(data)/3:], idx))
+		payload := enc.appendRunResponse(nil, 7, errStr, outs)
+		if fresh := new(respEncoder).appendRunResponse(nil, 7, errStr, outs); !bytes.Equal(payload, fresh) {
+			t.Fatalf("a reused encoder wrote %x, a fresh one %x", payload, fresh)
+		}
 		var resp response
-		if err := decodeRunResponse(encodeRunResponse(7, errStr, outs), &resp, idx); err != nil {
+		if err := decodeRunResponse(payload, &resp, idx); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if resp.ID != 7 || resp.Error != errStr {
@@ -264,4 +274,86 @@ func TestDecodeRunRequestRejects(t *testing.T) {
 			t.Errorf("%s: decoded", name)
 		}
 	}
+}
+
+// cutReader serves data in reads whose lengths cycle through cuts
+// (each cut+1 bytes; with no cuts, all that fits), then fails with end.
+type cutReader struct {
+	data []byte
+	cuts []byte
+	i    int
+	end  error
+}
+
+func (r *cutReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, r.end
+	}
+	n := len(r.data)
+	if len(r.cuts) > 0 {
+		n = int(r.cuts[r.i%len(r.cuts)]) + 1
+		r.i++
+	}
+	n = copy(p, r.data[:min(n, len(r.data))])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// FuzzFrameStream: an arbitrary byte stream, cut at arbitrary read
+// boundaries and ended by EOF or by a transport error, yields the same
+// frames and then the same error through a buffered reader — the
+// small one that splits every frame across fills, and the connection
+// ends' default one — as through the unbuffered reader, the reference.
+func FuzzFrameStream(f *testing.F) {
+	var stream []byte
+	for _, payload := range [][]byte{
+		[]byte(`{"id":1,"method":"hello"}`),
+		appendRunRequest(nil, 2, &Batch{System: "minidb", Seed: 3}),
+		appendCancel(nil, 2),
+		{},
+	} {
+		stream = binary.BigEndian.AppendUint32(stream, uint32(len(payload)))
+		stream = append(stream, payload...)
+	}
+	f.Add(stream, []byte{}, false)
+	f.Add(stream, []byte{0}, false)
+	f.Add(stream, []byte{2, 30, 5}, true)
+	f.Add(stream[:2], []byte{0}, false)                       // torn header
+	f.Add(stream[:len(stream)-6], []byte{7}, true)            // torn payload
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}, []byte{}, false) // oversized
+	f.Fuzz(func(t *testing.T, stream, cuts []byte, fail bool) {
+		// A torn frame that declares more than 64 KiB would make every
+		// reader allocate up to maxFrame; small torn frames take the same
+		// path.
+		for off := 0; off+frameHeader <= len(stream); {
+			n := int(binary.BigEndian.Uint32(stream[off:]))
+			if n > 1<<16 && n <= maxFrame && n > len(stream)-off-frameHeader {
+				t.Skip("torn frame longer than 64 KiB")
+			}
+			off += frameHeader + n
+		}
+		end := io.EOF
+		if fail {
+			end = errors.New("connection reset")
+		}
+		read := func(r io.Reader) (frames [][]byte, err error) {
+			for {
+				p, err := readRawFrame(r)
+				if err != nil {
+					return frames, err
+				}
+				frames = append(frames, p)
+			}
+		}
+		want, wantErr := read(&cutReader{data: stream, cuts: cuts, end: end})
+		for _, size := range []int{16, 4096} {
+			got, err := read(bufio.NewReaderSize(&cutReader{data: stream, cuts: cuts, end: end}, size))
+			if !slices.EqualFunc(got, want, bytes.Equal) {
+				t.Fatalf("%d-byte buffer: %d frames, want %d", size, len(got), len(want))
+			}
+			if err != wantErr && err.Error() != wantErr.Error() {
+				t.Fatalf("%d-byte buffer: error %v, want %v", size, err, wantErr)
+			}
+		}
+	})
 }
