@@ -568,7 +568,8 @@ func TestRemoteDrainGraceTimeout(t *testing.T) {
 
 // TestFleetSplitSharesByCost: once a backend's observed speed dwarfs
 // the others', it receives the bulk of a batch, and the batch head
-// stays on the local (lowest-latency) backend.
+// stays on the local (lowest-latency) backend. A retried chunk's
+// pieces keep its attempts.
 func TestFleetSplitSharesByCost(t *testing.T) {
 	local := NewLocal(1)
 	remote := startLoopbackServe(t, 4)
@@ -578,7 +579,7 @@ func TestFleetSplitSharesByCost(t *testing.T) {
 	}
 	fleet.observeSpeed("sys", local.Info(), 100, time.Second)           // 100 runs/s
 	fleet.observeSpeed("sys", remote.Info(), 100, 100*time.Millisecond) // 1000 runs/s
-	wave := fleet.split("sys", []Executor{local, remote}, chunk{off: 0, end: 100})
+	wave := fleet.split(nil, "sys", []Executor{local, remote}, chunk{off: 0, end: 100})
 	if len(wave) != 2 || wave[0].c.off != 0 || wave[0].e != local || wave[1].e != Executor(remote) {
 		t.Fatalf("unexpected split: %+v", wave)
 	}
@@ -592,11 +593,14 @@ func TestFleetSplitSharesByCost(t *testing.T) {
 	// stay with the backend it was sized for, not shift positionally.
 	fleet.observeSpeed("sys", local.Info(), 1, 10*time.Second)            // 0.1 runs/s
 	fleet.observeSpeed("sys", remote.Info(), 10000, 100*time.Millisecond) // ~40k runs/s EWMA
-	wave = fleet.split("sys", []Executor{local, remote}, chunk{off: 0, end: 32})
+	wave = fleet.split(nil, "sys", []Executor{local, remote}, chunk{off: 0, end: 32, attempts: 2})
 	total := 0
 	for _, d := range wave {
 		if d.c.end-d.c.off >= 31 && d.e != Executor(remote) {
 			t.Fatalf("bulk chunk routed to %s, want the fast remote: %+v", d.e.Info().Name, wave)
+		}
+		if d.c.attempts != 2 {
+			t.Fatalf("a piece of a chunk on its third attempt has %d attempts: %+v", d.c.attempts, wave)
 		}
 		total += d.c.end - d.c.off
 	}

@@ -296,7 +296,6 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 		return outs, nil
 	}
 	queue := []chunk{{off: 0, end: n}}
-	first := true
 	var fatal error
 	for len(queue) > 0 && fatal == nil && ctx.Err() == nil {
 		live, err := f.live(b)
@@ -304,18 +303,11 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 			fatal = err
 			break
 		}
-		// First wave: split the whole batch by speed share. Retry
-		// waves keep failed chunks intact and spread them round-robin.
+		// Every wave, the first and each retry, splits its queued
+		// chunks by speed share over the backends alive now.
 		var wave []dispatch
-		if first {
-			wave = f.split(b.System, live, queue[0])
-			queue = queue[1:]
-			first = false
-		} else {
-			for i, c := range queue {
-				wave = append(wave, dispatch{c: c, e: live[i%len(live)]})
-			}
-			queue = nil
+		for _, c := range queue {
+			wave = f.split(wave, b.System, live, c)
 		}
 		var (
 			wg     sync.WaitGroup
@@ -354,26 +346,23 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 				retry = append(retry, rest)
 			}
 		}
-		if len(wave) == 1 {
-			// One dispatch (a one-backend fleet: the local default, or a
-			// lone remote): run it on the caller rather than a fresh
-			// goroutine per batch.
-			do(wave[0].e, wave[0].c)
-		} else {
-			for _, d := range wave {
-				wg.Add(1)
-				go func(d dispatch) {
-					defer wg.Done()
-					do(d.e, d.c)
-				}(d)
-			}
-			wg.Wait()
+		// The first dispatch runs on the caller, the rest beside it: a
+		// one-backend fleet (the local default, or a lone remote) starts
+		// no goroutine per batch.
+		for _, d := range wave[1:] {
+			wg.Add(1)
+			go func(d dispatch) {
+				defer wg.Done()
+				do(d.e, d.c)
+			}(d)
 		}
+		do(wave[0].e, wave[0].c)
+		wg.Wait()
 		if failed != nil {
 			f.recover(failed)
 		}
 		sort.Slice(retry, func(i, j int) bool { return retry[i].off < retry[j].off })
-		queue = append(queue, retry...)
+		queue = retry
 	}
 	if fatal != nil {
 		return outs, fatal
@@ -384,18 +373,19 @@ func (f *Fleet) Run(ctx context.Context, b *Batch) ([]*Outcome, error) {
 	return outs, nil
 }
 
-// split cuts one chunk into contiguous sub-chunks, at most one per
-// live executor, sized by speed share: backend i gets
-// round(n × speedᵢ / Σspeed) runs. The head of the batch — the
+// split appends the dispatches of one chunk to out: contiguous
+// sub-chunks, at most one per live executor, sized by speed share:
+// backend i gets round(n × speedᵢ / Σspeed) runs, and every piece
+// inherits the chunk's attempts. The head of the chunk — the
 // explorer's hottest candidates — goes to live[0], the lowest-latency
 // backend; the wide cheap tail fans out behind it. A backend whose
 // share rounds to zero is simply skipped (its chunk is not handed to
 // someone else: each sub-chunk stays paired with the executor it was
 // sized for).
-func (f *Fleet) split(sys string, live []Executor, c chunk) []dispatch {
+func (f *Fleet) split(out []dispatch, sys string, live []Executor, c chunk) []dispatch {
 	n := c.end - c.off
 	if len(live) == 1 || n == 1 {
-		return []dispatch{{c: c, e: live[0]}}
+		return append(out, dispatch{c: c, e: live[0]})
 	}
 	speeds := make([]float64, len(live))
 	total := 0.0
@@ -403,7 +393,6 @@ func (f *Fleet) split(sys string, live []Executor, c chunk) []dispatch {
 		speeds[i] = f.speed(sys, e.Info())
 		total += speeds[i]
 	}
-	var out []dispatch
 	off := c.off
 	for i, e := range live {
 		size := int(float64(n)*speeds[i]/total + 0.5)
@@ -416,7 +405,7 @@ func (f *Fleet) split(sys string, live []Executor, c chunk) []dispatch {
 		if size <= 0 {
 			continue
 		}
-		out = append(out, dispatch{c: chunk{off: off, end: off + size}, e: e})
+		out = append(out, dispatch{c: chunk{off: off, end: off + size, attempts: c.attempts}, e: e})
 		off += size
 		if off >= c.end {
 			break
@@ -424,7 +413,7 @@ func (f *Fleet) split(sys string, live []Executor, c chunk) []dispatch {
 	}
 	if off < c.end {
 		// All-zero rounding tail: the fastest backend takes the rest.
-		out = append(out, dispatch{c: chunk{off: off, end: c.end}, e: live[0]})
+		out = append(out, dispatch{c: chunk{off: off, end: c.end, attempts: c.attempts}, e: live[0]})
 	}
 	return out
 }

@@ -218,9 +218,6 @@ func (r *Remote) Info() Info {
 	return Info{Name: r.name, Kind: r.kind, Capacity: r.hello.Capacity, Isolated: true}
 }
 
-// Systems returns the registered system names the worker advertised.
-func (r *Remote) Systems() []string { return r.hello.Systems }
-
 // ImageVersion reports the image version the worker advertised for a
 // system ("" for a system it lacks). A Fleet sends the worker only the
 // batches whose Image it equals, so for a system whose block universe

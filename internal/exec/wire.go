@@ -9,6 +9,7 @@ import (
 	"io"
 	"slices"
 
+	"lfi/internal/binrec"
 	"lfi/internal/coverage"
 	"lfi/internal/scenario"
 )
@@ -112,7 +113,7 @@ type helloInfo struct {
 func universeHash(x *coverage.Index) string {
 	var b []byte
 	for _, id := range x.IDs() {
-		b = appendString(b, id)
+		b = binrec.AppendString(b, id)
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:6])
@@ -145,25 +146,41 @@ func writeRawFrame(w io.Writer, payload []byte) error {
 	return sendFrame(w, append(make([]byte, frameHeader, frameHeader+len(payload)), payload...))
 }
 
+// frameChunk is the payload readRawFrame allocates before any of it
+// has arrived: a frame up to this size takes one allocation of its
+// size, and a larger one grows as its bytes come in, so a peer that
+// declares a large frame and stops costs what it sent, not what it
+// declared.
+const frameChunk = 64 << 10
+
 // readRawFrame reads one length-prefixed frame's payload. Each
 // connection end passes its one *bufio.Reader, so a frame's header and
 // a small payload cost one read syscall between them, or none when an
 // earlier read brought them in. An oversized length is refused before
-// the payload is allocated.
+// anything is allocated for the payload.
 func readRawFrame(r io.Reader) ([]byte, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n > maxFrame {
 		return nil, fmt.Errorf("exec: frame too large: %d bytes", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
-		return nil, err
+	data := make([]byte, min(n, frameChunk))
+	for off := 0; ; {
+		m, err := io.ReadFull(r, data[off:])
+		if off += m; err == io.EOF && off > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if off == n {
+			return data, nil
+		}
+		data = slices.Grow(data, min(n-off, off))[:min(n, 2*off)]
 	}
-	return data, nil
 }
 
 // writeFrame marshals v as JSON and writes one frame.
@@ -178,7 +195,9 @@ func writeFrame(w io.Writer, v any) error {
 // Binary payloads for the hot path: run requests, run responses and
 // cancels. The frame layer (4-byte length prefix) is shared with the
 // JSON control methods; a binary payload is recognized by its first
-// byte:
+// byte. Its integers, strings, flags and counts are binrec's
+// primitives, and every decoder reads them through one binrec.Reader,
+// under its rules (minimal varints, counts bounded by the bytes left):
 //
 //	payload := 0xB2 kind body
 //	kind    := 0x01 (run request) | 0x02 (run response) | 0x03 (cancel)
@@ -186,9 +205,9 @@ func writeFrame(w io.Writer, v any) error {
 // Run request body:
 //
 //	uvarint id
-//	string  system                  (uvarint length + bytes)
+//	string  system
 //	varint  seed                    (zigzag)
-//	byte    flags                   (bit0: coverage)
+//	flag    coverage
 //	uvarint nscenarios
 //	nscenarios × scenario
 //
@@ -234,27 +253,17 @@ const (
 	frameCancel    = 0x03
 	outCrashed     = 1 << 0
 	outHasCoverage = 1 << 1
-	reqCoverage    = 1 << 0
 )
 
 // --- encoding ----------------------------------------------------------------
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
 
 // appendRunRequest appends a run request's payload to out.
 func appendRunRequest(out []byte, id uint64, b *Batch) []byte {
 	out = append(out, frameMagic, frameRunReq)
 	out = binary.AppendUvarint(out, id)
-	out = appendString(out, b.System)
+	out = binrec.AppendString(out, b.System)
 	out = binary.AppendVarint(out, b.Seed)
-	var flags byte
-	if b.Coverage {
-		flags |= reqCoverage
-	}
-	out = append(out, flags)
+	out = binrec.AppendFlag(out, b.Coverage)
 	out = binary.AppendUvarint(out, uint64(len(b.Scenarios)))
 	for i, s := range b.Scenarios {
 		if j := slices.Index(b.Scenarios[:i], s); j >= 0 {
@@ -293,12 +302,10 @@ func appendCancel(out []byte, id uint64) []byte {
 // with, without decoding the rest — the server's read loop needs the
 // id before the (potentially deferred) full decode.
 func frameID(payload []byte) (uint64, error) {
-	if len(payload) < 2 {
-		return 0, fmt.Errorf("exec: binary frame of %d bytes has no header", len(payload))
-	}
-	d := &bdec{data: payload, off: 2}
-	id := d.uvarint()
-	return id, d.err
+	r := binrec.NewReader(payload)
+	r.Take(2)
+	id := r.Uvarint()
+	return id, wireErr(r.Err())
 }
 
 // respEncoder encodes run responses. The server keeps one per executor
@@ -361,74 +368,22 @@ func (e *respEncoder) appendRunResponse(out []byte, id uint64, errStr string, ou
 	e.body = body
 	out = append(out, frameMagic, frameRunResp)
 	out = binary.AppendUvarint(out, id)
-	out = appendString(out, errStr)
+	out = binrec.AppendString(out, errStr)
 	out = binary.AppendUvarint(out, uint64(len(e.tab)))
 	for _, s := range e.tab {
-		out = appendString(out, s)
+		out = binrec.AppendString(out, s)
 	}
 	return append(out, body...)
 }
 
 // --- decoding ----------------------------------------------------------------
 
-// bdec is a cursor over one binary payload; the first error sticks.
-type bdec struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *bdec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("exec: truncated binary frame at offset %d", d.off)
+// wireErr names a binary frame in a decoding error, or returns nil.
+func wireErr(err error) error {
+	if err == nil {
+		return nil
 	}
-}
-
-func (d *bdec) byte() byte {
-	if d.err != nil || d.off >= len(d.data) {
-		d.fail()
-		return 0
-	}
-	b := d.data[d.off]
-	d.off++
-	return b
-}
-
-func (d *bdec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *bdec) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *bdec) str() string {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.data)-d.off) {
-		d.fail()
-		return ""
-	}
-	s := string(d.data[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
+	return fmt.Errorf("exec: binary frame %w", err)
 }
 
 // isBinaryFrame reports whether a payload is a binary frame of the
@@ -437,135 +392,112 @@ func isBinaryFrame(payload []byte, kind byte) bool {
 	return len(payload) >= 2 && payload[0] == frameMagic && payload[1] == kind
 }
 
-// decodeRunRequest parses a binary run request. The scenarios' strings
-// alias one string copy of the payload; a back-reference decodes to the
-// *Scenario of the entry it names.
+// decodeRunRequest parses a binary run request. Its strings, the
+// scenarios' included, alias one string copy of the payload; a
+// back-reference decodes to the *Scenario of the entry it names.
 func decodeRunRequest(payload []byte) (id uint64, b *Batch, err error) {
-	d := &bdec{data: payload, off: 2}
-	id = d.uvarint()
-	b = &Batch{System: d.str(), Seed: d.varint()}
-	flags := d.byte()
-	b.Coverage = flags&reqCoverage != 0
-	n := d.uvarint()
-	if d.err != nil {
-		return id, nil, d.err
-	}
-	if n > uint64(len(payload)-d.off) { // every entry takes at least one byte
-		return id, nil, fmt.Errorf("exec: binary frame: %d scenarios in %d-byte payload", n, len(payload))
-	}
-	var src string
-	if n > 0 {
-		src = string(payload)
-	}
-	b.Scenarios = make([]*scenario.Scenario, n)
+	r := binrec.NewReader(string(payload))
+	r.Take(2)
+	id = r.Uvarint()
+	b = &Batch{System: r.String(), Seed: r.Varint(), Coverage: r.Flag()}
+	b.Scenarios = make([]*scenario.Scenario, r.Count())
 	for i := range b.Scenarios {
-		if ref := d.uvarint(); ref != 0 {
+		if ref := r.Uvarint(); ref != 0 {
 			if ref > uint64(i) {
 				return id, nil, fmt.Errorf("exec: binary frame: scenario %d refers to entry %d, not an earlier one", i, ref-1)
 			}
 			b.Scenarios[i] = b.Scenarios[ref-1]
 			continue
 		}
-		m := d.uvarint()
-		if d.err != nil || m > uint64(len(payload)-d.off) {
-			d.fail()
-			return id, nil, d.err
+		rec := r.String()
+		if r.Err() != nil {
+			break
 		}
-		s, err := scenario.DecodeBinary(src[d.off : d.off+int(m)])
+		s, err := scenario.DecodeBinary(rec)
 		if err != nil {
 			return id, nil, fmt.Errorf("exec: batch scenario %d: %w", i, err)
 		}
-		d.off += int(m)
 		b.Scenarios[i] = s
 	}
-	if d.err == nil && d.off != len(payload) {
-		return id, nil, fmt.Errorf("exec: binary frame: %d bytes after the last scenario", len(payload)-d.off)
+	if err := r.Finish(); err != nil {
+		return id, nil, wireErr(err)
 	}
-	return id, b, d.err
+	return id, b, nil
 }
 
-// decodeRunResponse parses a binary run response. Decoded coverage is
-// over blocks, the batch system's universe the client checked at the
-// hello; a response with coverage outside it, or with coverage and no
-// checked universe, is refused whole.
+// decodeRunResponse parses a binary run response; its strings are
+// copies, so an outcome the store keeps pins no frame. Decoded
+// coverage is over blocks, the batch system's universe the client
+// checked at the hello; a response with coverage outside it, or with
+// coverage and no checked universe, is refused whole.
 func decodeRunResponse(payload []byte, resp *response, blocks *coverage.Index) error {
-	d := &bdec{data: payload, off: 2}
-	resp.ID = d.uvarint()
-	resp.Error = d.str()
+	r := binrec.NewReader(payload)
+	r.Take(2)
+	resp.ID = r.Uvarint()
+	resp.Error = r.String()
 	resp.Hello = nil
 	resp.Outcomes = nil
-	nstr := d.uvarint()
-	if d.err != nil || nstr > uint64(len(payload)) {
-		d.fail()
-		return d.err
-	}
-	tab := make([]string, 0, nstr)
-	for i := uint64(0); i < nstr; i++ {
-		tab = append(tab, d.str())
+	tab := make([]string, r.Count())
+	for i := range tab {
+		tab[i] = r.String()
 	}
 	ref := func() string {
-		i := d.uvarint()
+		i := r.Uvarint()
 		if i == 0 {
 			return ""
 		}
 		if i > uint64(len(tab)) {
-			d.fail()
+			r.Fail("string %d of a %d-string table", i, len(tab))
 			return ""
 		}
 		return tab[i-1]
 	}
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(payload)) {
-		d.fail()
-		return d.err
-	}
+	n := r.Count()
 	resp.Outcomes = make([]*Outcome, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		o := newOutcome() // pooled; the consumer hands it back via Recycle
-		flags := d.byte()
+		flags := r.Byte()
 		o.Crashed = flags&outCrashed != 0
 		o.Name = ref()
 		if o.Crashed {
-			o.CrashKind = int(d.uvarint())
+			o.CrashKind = int(r.Uvarint())
 			o.CrashReason = ref()
-			o.CrashThread = int(d.uvarint())
+			o.CrashThread = int(r.Uvarint())
 		}
 		o.WorkErr = ref()
 		o.Signature = ref()
-		o.Injections = int(d.uvarint())
+		o.Injections = int(r.Uvarint())
 		if flags&outHasCoverage != 0 {
 			if blocks == nil {
 				return fmt.Errorf("exec: binary frame: coverage of a system with no block universe checked at the hello")
 			}
-			nw := d.uvarint()
-			// Divide, don't multiply: nw*8 can wrap for a hostile varint.
-			if d.err != nil || nw > uint64(len(d.data)-d.off)/8 {
-				d.fail()
-				return d.err
-			}
 			size := blocks.Len()
-			words := uint64(size+63) / 64
+			words := (size + 63) / 64
+			nw := r.Count()
 			if nw > words {
 				return fmt.Errorf("exec: binary frame: %d coverage words over a %d-block universe", nw, size)
 			}
-			if uint64(cap(o.Cov)) >= nw {
+			raw := r.Take(8 * nw)
+			if r.Err() != nil {
+				return wireErr(r.Err())
+			}
+			if cap(o.Cov) >= nw {
 				o.Cov = o.Cov[:nw]
 			} else {
 				o.Cov = make(coverage.Bitset, nw)
 			}
-			for w := uint64(0); w < nw; w++ {
-				o.Cov[w] = binary.LittleEndian.Uint64(d.data[d.off:])
-				d.off += 8
+			for w := range o.Cov {
+				o.Cov[w] = binary.LittleEndian.Uint64(raw[8*w:])
 			}
 			if nw == words && size%64 != 0 && o.Cov[nw-1]>>(size%64) != 0 {
 				return fmt.Errorf("exec: binary frame: coverage bit past the %d-block universe", size)
 			}
 			o.CovU = blocks
 		}
-		if d.err != nil {
-			return d.err
+		if r.Err() != nil {
+			return wireErr(r.Err())
 		}
 		resp.Outcomes = append(resp.Outcomes, o)
 	}
-	return d.err
+	return wireErr(r.Finish())
 }

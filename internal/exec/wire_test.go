@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"slices"
 	"testing"
+	"testing/iotest"
 
 	"lfi/internal/coverage"
 	"lfi/internal/scenario"
@@ -299,6 +301,64 @@ func (r *cutReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// TestReadFrameGrowsAsPayloadArrives: a header declaring a 60 MiB
+// frame followed by three bytes and EOF allocates what arrived, not
+// what was declared, and fails with io.ErrUnexpectedEOF; a frame of at
+// most frameChunk bytes takes one payload allocation of its size; a
+// larger one reads back whole, one byte per read too.
+func TestReadFrameGrowsAsPayloadArrives(t *testing.T) {
+	torn := append(binary.BigEndian.AppendUint32(nil, 60<<20), "abc"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readRawFrame(bytes.NewReader(torn))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Errorf("torn 60 MiB frame: error %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("torn 60 MiB frame allocated %d bytes", grew)
+	}
+
+	frame := func(n int) []byte {
+		f := binary.BigEndian.AppendUint32(nil, uint32(n))
+		for i := range n {
+			f = append(f, byte(i*7))
+		}
+		return f
+	}
+	// The payload is one allocation of its size; the other is the
+	// 4-byte header array, which escapes through the io.Reader.
+	small := frame(frameChunk)
+	var r bytes.Reader
+	read := func() {
+		r.Reset(small)
+		if p, err := readRawFrame(&r); err != nil || len(p) != frameChunk {
+			t.Fatalf("%d-byte frame: %d bytes, %v", frameChunk, len(p), err)
+		}
+	}
+	read()
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(10, read)
+	runtime.ReadMemStats(&after)
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / 11; allocs != 2 || perRead < frameChunk || perRead > frameChunk+64 {
+		t.Errorf("a %d-byte frame took %v allocations of %d bytes in all, want the payload and the header", frameChunk, allocs, perRead)
+	}
+	for _, n := range []int{frameChunk + 1, 3*frameChunk + 5} {
+		f := frame(n)
+		for name, src := range map[string]io.Reader{
+			"whole":             bytes.NewReader(f),
+			"one byte per read": iotest.OneByteReader(bytes.NewReader(f)),
+		} {
+			if p, err := readRawFrame(src); err != nil || !bytes.Equal(p, f[frameHeader:]) {
+				t.Errorf("%d-byte frame, %s: %d bytes back, %v", n, name, len(p), err)
+			}
+		}
+		if _, err := readRawFrame(bytes.NewReader(f[:len(f)-1])); err != io.ErrUnexpectedEOF {
+			t.Errorf("%d-byte frame missing its last byte: error %v, want io.ErrUnexpectedEOF", n, err)
+		}
+	}
+}
+
 // FuzzFrameStream: an arbitrary byte stream, cut at arbitrary read
 // boundaries and ended by EOF or by a transport error, yields the same
 // frames and then the same error through a buffered reader — the
@@ -322,16 +382,6 @@ func FuzzFrameStream(f *testing.F) {
 	f.Add(stream[:len(stream)-6], []byte{7}, true)            // torn payload
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1}, []byte{}, false) // oversized
 	f.Fuzz(func(t *testing.T, stream, cuts []byte, fail bool) {
-		// A torn frame that declares more than 64 KiB would make every
-		// reader allocate up to maxFrame; small torn frames take the same
-		// path.
-		for off := 0; off+frameHeader <= len(stream); {
-			n := int(binary.BigEndian.Uint32(stream[off:]))
-			if n > 1<<16 && n <= maxFrame && n > len(stream)-off-frameHeader {
-				t.Skip("torn frame longer than 64 KiB")
-			}
-			off += frameHeader + n
-		}
 		end := io.EOF
 		if fail {
 			end = errors.New("connection reset")

@@ -3,8 +3,8 @@ package explore
 // The store's on-disk encodings. Every snapshot and journal frame is
 // uint32 LE body length, uint32 LE CRC-32 (IEEE) of the body, then the
 // body; a body is a table (the block IDs the records after it are
-// over) or one entry's record. The snapshot's first frame is its
-// header.
+// over) or one entry's record, in binrec's primitives. The snapshot's
+// first frame is its header.
 
 import (
 	"encoding/binary"
@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sort"
 
+	"lfi/internal/binrec"
 	"lfi/internal/coverage"
 )
 
@@ -52,12 +53,12 @@ func (s *Store) loadSnapshot(data []byte) {
 		return
 	}
 	text := string(data)
-	c := cursor{s: text[frameHeader:end]}
-	if c.take(len(snapshotMagic)) != snapshotMagic || c.uvarint() != storeFormat || c.str() != s.system {
+	r := binrec.NewReader(text[frameHeader:end])
+	if r.Take(len(snapshotMagic)) != snapshotMagic || r.Uvarint() != storeFormat || r.String() != s.system {
 		return
 	}
-	t := c.table()
-	if c.bad || c.s != "" {
+	t := readTable(&r)
+	if r.Finish() != nil {
 		return
 	}
 	if len(s.entries) == 0 {
@@ -114,9 +115,9 @@ func (s *Store) replay(data []byte, text string, off int, d *decoder) int {
 		case body == "":
 			return off
 		case body[0] == tagTable:
-			c := cursor{s: body[1:]}
-			t := c.table()
-			if c.bad || c.s != "" {
+			r := binrec.NewReader(body[1:])
+			t := readTable(&r)
+			if r.Finish() != nil {
 				return off
 			}
 			d.table = t
@@ -144,15 +145,11 @@ func appendFrame(b []byte, body func([]byte) []byte) []byte {
 	return b
 }
 
-func appendString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
-}
-
 // appendTable appends a table's encoding: its length, then its IDs.
 func appendTable(b []byte, t *blockTable) []byte {
 	b = binary.AppendUvarint(b, uint64(len(t.ids)))
 	for _, id := range t.ids {
-		b = appendString(b, id)
+		b = binrec.AppendString(b, id)
 	}
 	return b
 }
@@ -163,15 +160,11 @@ func appendTable(b []byte, t *blockTable) []byte {
 // a little-endian byte string without trailing zero bytes.
 func appendRecord(b []byte, key string, e *Entry, cov coverage.Bitset) []byte {
 	return appendFrame(b, func(b []byte) []byte {
-		b = appendString(append(b, tagRecord), key)
-		b = appendString(b, e.Name)
-		failed := byte(0)
-		if e.Failed {
-			failed = 1
-		}
-		b = appendString(append(b, failed), e.Signature)
+		b = binrec.AppendString(append(b, tagRecord), key)
+		b = binrec.AppendString(b, e.Name)
+		b = binrec.AppendString(binrec.AppendFlag(b, e.Failed), e.Signature)
 		b = binary.AppendUvarint(b, uint64(e.Injections))
-		b = appendString(b, e.Image)
+		b = binrec.AppendString(b, e.Image)
 		n := len(cov) * 8
 		for n > 0 && byte(cov[(n-1)/8]>>(8*((n-1)%8))) == 0 {
 			n--
@@ -185,18 +178,17 @@ func appendRecord(b []byte, key string, e *Entry, cov coverage.Bitset) []byte {
 }
 
 // decodeRecord decodes a record body (after its tag) over d's table.
-// ok is false for a body that does not decode whole, a failed flag
-// other than 0 or 1, or coverage the table cannot hold.
+// ok is false for a body that does not decode whole or coverage the
+// table cannot hold.
 func decodeRecord(body string, d *decoder) (key string, e Entry, ok bool) {
-	c := cursor{s: body}
-	key, e.Name = c.str(), c.str()
-	failed := c.take(1)
-	e.Failed = failed == "\x01"
-	e.Signature = c.str()
-	e.Injections = int(c.uvarint())
-	e.Image = c.str()
-	cov := c.str()
-	if c.bad || c.s != "" || (failed != "\x00" && failed != "\x01") {
+	r := binrec.NewReader(body)
+	key, e.Name = r.String(), r.String()
+	e.Failed = r.Flag()
+	e.Signature = r.String()
+	e.Injections = int(r.Uvarint())
+	e.Image = r.String()
+	cov := r.String()
+	if r.Finish() != nil {
 		return "", Entry{}, false
 	}
 	if cov == "" {
@@ -213,59 +205,14 @@ func decodeRecord(body string, d *decoder) (key string, e Entry, ok bool) {
 	return key, e, true
 }
 
-// cursor reads a frame body; bad latches once a read runs past its end.
-type cursor struct {
-	s   string
-	bad bool
-}
-
-func (c *cursor) take(n int) string {
-	if n > len(c.s) {
-		c.bad, c.s = true, ""
-		return ""
-	}
-	v := c.s[:n]
-	c.s = c.s[n:]
-	return v
-}
-
-func (c *cursor) uvarint() uint64 {
-	var x uint64
-	for shift := uint(0); shift < 64; shift += 7 {
-		b := c.take(1)
-		if b == "" {
-			return 0
-		}
-		x |= uint64(b[0]&0x7f) << shift
-		if b[0] < 0x80 {
-			return x
-		}
-	}
-	c.bad = true
-	return 0
-}
-
-func (c *cursor) str() string {
-	n := c.uvarint()
-	if n > uint64(len(c.s)) {
-		c.bad = true
-		return ""
-	}
-	return c.take(int(n))
-}
-
-// table reads a table; IDs that are not strictly ascending make it bad.
-func (c *cursor) table() *blockTable {
-	n := c.uvarint()
-	if n > uint64(len(c.s)) {
-		c.bad = true
-		return nil
-	}
-	t := &blockTable{ids: make([]string, n)}
+// readTable reads a table; IDs that are not strictly ascending fail
+// it.
+func readTable(r *binrec.Reader[string]) *blockTable {
+	t := &blockTable{ids: make([]string, r.Count())}
 	for i := range t.ids {
-		t.ids[i] = c.str()
+		t.ids[i] = r.String()
 		if i > 0 && t.ids[i] <= t.ids[i-1] {
-			c.bad = true
+			r.Fail("block %q not after %q", t.ids[i], t.ids[i-1])
 		}
 	}
 	return t

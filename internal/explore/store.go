@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 
+	"lfi/internal/binrec"
 	"lfi/internal/callgraph"
 	"lfi/internal/coverage"
 )
@@ -454,7 +455,7 @@ func (s *Store) writeSnapshot(w io.Writer) error {
 	// frame holds one frame at a time; bw's errors stick until Flush.
 	frame := appendFrame(nil, func(b []byte) []byte {
 		b = binary.AppendUvarint(append(b, snapshotMagic...), storeFormat)
-		return appendTable(appendString(b, s.system), union)
+		return appendTable(binrec.AppendString(b, s.system), union)
 	})
 	bw.Write(frame)
 	scratch := coverage.NewBitset(len(union.ids))

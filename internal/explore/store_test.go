@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"lfi/internal/binrec"
 	"lfi/internal/coverage"
 	"lfi/internal/system"
 )
@@ -491,11 +492,11 @@ func snapshotKeys(t testing.TB, data []byte) []string {
 	if !ok {
 		t.Fatal("snapshot header torn")
 	}
-	c := cursor{s: string(data[frameHeader:end])}
-	if c.take(len(snapshotMagic)) != snapshotMagic || c.uvarint() != storeFormat || c.str() != "sys" {
+	r := binrec.NewReader(string(data[frameHeader:end]))
+	if r.Take(len(snapshotMagic)) != snapshotMagic || r.Uvarint() != storeFormat || r.String() != "sys" {
 		t.Fatalf("snapshot header %q", data[:end])
 	}
-	d := &decoder{table: c.table()}
+	d := &decoder{table: readTable(&r)}
 	var keys []string
 	for off := end; off < len(data); off = end {
 		if end, ok = frameAt(data, off); !ok || data[off+frameHeader] != tagRecord {
