@@ -33,7 +33,7 @@ func main() {
 
 	runs := 100
 	t5req := 1000
-	f3ops, f3trials := 15, 3
+	f3ops, f3trials := 15, 7
 	if *quick {
 		runs, t5req, f3ops, f3trials = 25, 200, 8, 2
 	}

@@ -1,6 +1,8 @@
 // PBFT-netfail example: the §7.3 study — degrade the network under a
 // running PBFT cluster with LFI's distributed triggers and watch the
-// throughput respond (the Figure 3 measurement, in miniature).
+// throughput respond (the Figure 3 measurement, in miniature). The
+// cluster runs on virtual time, so the per-op latencies it prints are
+// the same on every run and take a fraction of a second to produce.
 //
 //	go run ./examples/pbft-netfail
 package main
@@ -50,7 +52,7 @@ func main() {
 		} else if baseline > 0 {
 			slow = float64(perOp) / float64(baseline)
 		}
-		fmt.Printf("loss=%.2f  completed=%2d/10  per-op=%-8v slowdown=%.2fx  (controller consulted %d times)\n",
+		fmt.Printf("loss=%.2f  completed=%2d/10  per-op=%-8v (virtual) slowdown=%.2fx  (controller consulted %d times)\n",
 			p, completed, perOp.Round(time.Millisecond), slow, ctrl.Consulted())
 	}
 }

@@ -119,6 +119,10 @@ func startLoopbackServe(t *testing.T, workers int) *Remote {
 	return r
 }
 
+// readRawFrame reads one frame from r through a frameReader of its own,
+// for tests that hold a bare reader rather than a connection end.
+func readRawFrame(r io.Reader) ([]byte, error) { return (&frameReader{r: r}).read() }
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := request{ID: 7, Method: "funcs", System: "minidb"}

@@ -146,12 +146,12 @@ func newRemote(addr string, conn io.ReadWriteCloser) (*Remote, error) {
 	// the reader the demux then takes over: bytes it read ahead of the
 	// hello response belong to the frames after it.
 	r.nextID = 1
-	br := bufio.NewReader(conn)
+	fr := &frameReader{r: bufio.NewReader(conn)}
 	var resp response
 	err := writeFrame(conn, &request{ID: 1, Method: "hello"})
 	if err == nil {
 		var payload []byte
-		if payload, err = readRawFrame(br); err == nil {
+		if payload, err = fr.read(); err == nil {
 			err = json.Unmarshal(payload, &resp)
 		}
 	}
@@ -169,7 +169,7 @@ func newRemote(addr string, conn io.ReadWriteCloser) (*Remote, error) {
 	}
 	r.hello = *resp.Hello
 	r.systems = checkSystems(r.hello)
-	go r.readLoop(br)
+	go r.readLoop(fr)
 	return r, nil
 }
 
@@ -327,14 +327,14 @@ func (r *Remote) readError() error {
 // coverage outside the universe included, it tears the connection down
 // and fails every pending request — their callers surface BackendError
 // and the scheduler requeues.
-func (r *Remote) readLoop(br *bufio.Reader) {
+func (r *Remote) readLoop(fr *frameReader) {
 	var (
 		err error
 		c   call // claimed by the frame being read, until delivered
 	)
 	for {
 		var payload []byte
-		payload, err = readRawFrame(br)
+		payload, err = fr.read()
 		if err != nil {
 			break
 		}

@@ -300,10 +300,10 @@ func serveConn(ctx context.Context, conn io.ReadWriter, workers int, counters *s
 	}
 
 	var readErr error
-	br := bufio.NewReader(conn)
+	fr := &frameReader{r: bufio.NewReader(conn)}
 read:
 	for {
-		payload, err := readRawFrame(br)
+		payload, err := fr.read()
 		if err != nil {
 			readErr = err
 			break

@@ -146,30 +146,36 @@ func writeRawFrame(w io.Writer, payload []byte) error {
 	return sendFrame(w, append(make([]byte, frameHeader, frameHeader+len(payload)), payload...))
 }
 
-// frameChunk is the payload readRawFrame allocates before any of it
+// frameChunk is the payload frameReader allocates before any of it
 // has arrived: a frame up to this size takes one allocation of its
 // size, and a larger one grows as its bytes come in, so a peer that
 // declares a large frame and stops costs what it sent, not what it
 // declared.
 const frameChunk = 64 << 10
 
-// readRawFrame reads one length-prefixed frame's payload. Each
-// connection end passes its one *bufio.Reader, so a frame's header and
-// a small payload cost one read syscall between them, or none when an
-// earlier read brought them in. An oversized length is refused before
-// anything is allocated for the payload.
-func readRawFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads one connection end's length-prefixed frames. Each
+// end reads through its one *bufio.Reader, so a frame's header and a
+// small payload cost one read syscall between them, or none when an
+// earlier read brought them in. The header lands in hdr, which the
+// connection owns, so a frame read allocates only its payload.
+type frameReader struct {
+	r   io.Reader
+	hdr [frameHeader]byte
+}
+
+// read reads one frame's payload. An oversized length is refused
+// before anything is allocated for the payload.
+func (f *frameReader) read() ([]byte, error) {
+	if _, err := io.ReadFull(f.r, f.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(f.hdr[:]))
 	if n > maxFrame {
 		return nil, fmt.Errorf("exec: frame too large: %d bytes", n)
 	}
 	data := make([]byte, min(n, frameChunk))
 	for off := 0; ; {
-		m, err := io.ReadFull(r, data[off:])
+		m, err := io.ReadFull(f.r, data[off:])
 		if off += m; err == io.EOF && off > 0 {
 			err = io.ErrUnexpectedEOF
 		}
@@ -231,7 +237,7 @@ func writeFrame(w io.Writer, v any) error {
 //
 // Outcome:
 //
-//	byte    flags                   (bit0 crashed, bit1 has coverage bitset)
+//	byte    flags                   (bit0 crashed, bit1 has coverage bitset; no other bit)
 //	ref     name                    (uvarint string-table index+1; 0 = "")
 //	if crashed: uvarint kind, ref reason, uvarint thread
 //	ref     workErr
@@ -457,6 +463,9 @@ func decodeRunResponse(payload []byte, resp *response, blocks *coverage.Index) e
 	for i := 0; i < n; i++ {
 		o := newOutcome() // pooled; the consumer hands it back via Recycle
 		flags := r.Byte()
+		if flags&^(outCrashed|outHasCoverage) != 0 {
+			return fmt.Errorf("exec: binary frame: outcome flags %#02x", flags)
+		}
 		o.Crashed = flags&outCrashed != 0
 		o.Name = ref()
 		if o.Crashed {

@@ -116,6 +116,8 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 3, 0, 1, 255, 9, 9, 0, 0, 0, 0, 0, 128})
 	f.Add(bytes.Repeat([]byte{0xaa}, 64))
 	f.Add([]byte{0xB2, 0x03, 0x85, 0x01})
+	// An outcome whose flags byte sets bit 2, which no outcome has.
+	f.Add([]byte{0xB2, 0x02, 0x01, 0x00, 0x00, 0x01, 0x04, 0x00, 0x00, 0x00, 0x00})
 	sc, err := scenario.ParseString(`<scenario name="fuzz-read">
 	  <trigger id="nth" class="CallCountTrigger"><args><n>3</n></args></trigger>
 	  <function name="read" return="-1" errno="EIO"><reftrigger ref="nth" /></function>
@@ -278,6 +280,27 @@ func TestDecodeRunRequestRejects(t *testing.T) {
 	}
 }
 
+// TestDecodeRunResponseRefusesUnknownFlags: an outcome's flags byte
+// has two bits, crashed and has-coverage. A byte with any other bit set
+// is refused rather than decoded and re-encoded without it, the rule
+// binrec's Flag applies to every other flag byte.
+func TestDecodeRunResponseRefusesUnknownFlags(t *testing.T) {
+	// id 1, no error, an empty string table, one outcome: flags, then
+	// zero refs for name, workErr and signature, and zero injections.
+	resp := func(flags byte) []byte {
+		return []byte{0xB2, 0x02, 0x01, 0x00, 0x00, 0x01, flags, 0x00, 0x00, 0x00, 0x00}
+	}
+	var r response
+	if err := decodeRunResponse(resp(0), &r, nil); err != nil || len(r.Outcomes) != 1 {
+		t.Fatalf("well-formed response: %d outcomes, %v", len(r.Outcomes), err)
+	}
+	for _, flags := range []byte{0x04, 0x05, 0x80, 0xff} {
+		if err := decodeRunResponse(resp(flags), &r, nil); err == nil {
+			t.Errorf("outcome flags %#02x: decoded", flags)
+		}
+	}
+}
+
 // cutReader serves data in reads whose lengths cycle through cuts
 // (each cut+1 bytes; with no cuts, all that fits), then fails with end.
 type cutReader struct {
@@ -326,13 +349,14 @@ func TestReadFrameGrowsAsPayloadArrives(t *testing.T) {
 		}
 		return f
 	}
-	// The payload is one allocation of its size; the other is the
-	// 4-byte header array, which escapes through the io.Reader.
+	// The payload is the one allocation: the header is read into the
+	// frameReader, which a connection end keeps.
 	small := frame(frameChunk)
 	var r bytes.Reader
+	fr := &frameReader{r: &r}
 	read := func() {
 		r.Reset(small)
-		if p, err := readRawFrame(&r); err != nil || len(p) != frameChunk {
+		if p, err := fr.read(); err != nil || len(p) != frameChunk {
 			t.Fatalf("%d-byte frame: %d bytes, %v", frameChunk, len(p), err)
 		}
 	}
@@ -340,8 +364,8 @@ func TestReadFrameGrowsAsPayloadArrives(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(10, read)
 	runtime.ReadMemStats(&after)
-	if perRead := (after.TotalAlloc - before.TotalAlloc) / 11; allocs != 2 || perRead < frameChunk || perRead > frameChunk+64 {
-		t.Errorf("a %d-byte frame took %v allocations of %d bytes in all, want the payload and the header", frameChunk, allocs, perRead)
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / 11; allocs != 1 || perRead < frameChunk || perRead > frameChunk+64 {
+		t.Errorf("a %d-byte frame took %v allocations of %d bytes in all, want the payload alone", frameChunk, allocs, perRead)
 	}
 	for _, n := range []int{frameChunk + 1, 3*frameChunk + 5} {
 		f := frame(n)

@@ -205,11 +205,14 @@ func TestEfficiencyFast(t *testing.T) {
 	}
 }
 
+// TestViewChangeBugHuntReproduces pins the attempt that reproduces the
+// view-change crash: the hunt's clusters run on virtual time, so it is a
+// function of the attempts' seeds.
 func TestViewChangeBugHuntReproduces(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-running distributed experiment")
 	}
-	crash, attempts, err := ViewChangeBugHunt(false)
+	crash, attempts, err := ViewChangeBugHunt()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,6 +221,36 @@ func TestViewChangeBugHuntReproduces(t *testing.T) {
 	}
 	if !strings.Contains(crash.Reason, "view change") {
 		t.Fatalf("wrong crash: %v", crash)
+	}
+	if attempts != 8 {
+		t.Fatalf("reproduced at attempt %d, want 8", attempts)
+	}
+}
+
+// TestPBFTStudiesDeterministic runs the pbft studies twice in one
+// process: on virtual time their output is a function of the seeds, so
+// both runs print the same bytes whatever the load on the host.
+func TestPBFTStudiesDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long-running distributed experiment")
+	}
+	run := func() string {
+		f3, err := Figure3(6, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dos, err := DoS(20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crash, attempts, err := ViewChangeBugHunt()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%s%s\nview-change hunt: attempt %d: %v\n", f3, dos, attempts, crash)
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("two runs differ:\n%s\n---\n%s", a, b)
 	}
 }
 

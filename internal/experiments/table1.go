@@ -86,7 +86,7 @@ func Table1(quick bool) (Table1Result, error) {
 	res.PerSys[minidb.Module] = len(dbBugs)
 
 	// PBFT: analyzer scenario for the shutdown fopen bug.
-	pbftBugs, pbftTests, vcDetail, err := pbftCampaign(quick)
+	pbftBugs, pbftTests, vcDetail, err := pbftCampaign()
 	if err != nil {
 		return res, err
 	}
@@ -160,7 +160,7 @@ func minidbRandomCampaign(quick bool) ([]controller.Bug, int, error) {
 // pbftCampaign finds the two PBFT bugs: the shutdown-checkpoint crash
 // via the analyzer-generated fopen scenario, and the view-change crash
 // via distributed loss with consecutive per-replica fault bursts.
-func pbftCampaign(quick bool) ([]controller.Bug, int, string, error) {
+func pbftCampaign() ([]controller.Bug, int, string, error) {
 	var outs []controller.Outcome
 	tests := 0
 
@@ -199,7 +199,7 @@ func pbftCampaign(quick bool) ([]controller.Bug, int, string, error) {
 	}
 
 	// (b) The distributed rotation experiment (release build).
-	crash, attempts, err := ViewChangeBugHunt(quick)
+	crash, attempts, err := ViewChangeBugHunt()
 	if err != nil {
 		return nil, 0, "", err
 	}
@@ -210,59 +210,18 @@ func pbftCampaign(quick bool) ([]controller.Bug, int, string, error) {
 			Crash:    crash,
 		})
 		detail = fmt.Sprintf("reproduced after %d attempt(s): %s", attempts, crash.Reason)
-	} else {
-		// The live hunt races wall-clock view-change timeouts against
-		// a lossy cluster and can starve under CPU contention (the
-		// paper likewise reports the bug manifests intermittently).
-		// The scripted replica harness reproduces the same crash
-		// deterministically: a burst losing both the REQUEST and the
-		// PRE-PREPARE leaves a commit quorum recorded without content,
-		// which the NEW-VIEW then dereferences.
-		out, attempt, rerr := scriptedViewChangeRepro()
-		if rerr != nil {
-			return nil, 0, "", rerr
-		}
-		tests++
-		if out.Crash != nil {
-			outs = append(outs, out)
-			detail = fmt.Sprintf("live rotation missed in %d attempts; reproduced deterministically by %s: %s",
-				attempts, attempt, out.Crash.Reason)
-		}
 	}
 	tests += attempts
 	return controller.DistinctBugs("pbft", crashesOnly(outs)), tests, detail, nil
 }
 
-// scriptedViewChangeRepro replays the deterministic trace harness under
-// a recvfrom occurrence-window burst — the shape the fault-space
-// explorer breeds on its own (explore-win-…-recvfrom-1-2).
-func scriptedViewChangeRepro() (controller.Outcome, string, error) {
-	const name = "pbft-scripted-recvfrom-burst"
-	s, err := scenario.ParseString(`<scenario name="` + name + `">
-	  <trigger id="w" class="CallCountTrigger"><args><from>1</from><to>2</to></args></trigger>
-	  <function name="recvfrom" return="-1" errno="EINTR"><reftrigger ref="w" /></function>
-	</scenario>`)
-	if err != nil {
-		return controller.Outcome{}, name, err
-	}
-	out, err := controller.RunOne(pbft.Target(), s)
-	return out, name, err
-}
-
 // ViewChangeBugHunt drives the release build with bursts of consecutive
 // sendto faults rotating across replicas until the view-change crash
 // manifests. Returns the crash (nil if not reproduced) and the number
-// of cluster runs used.
-func ViewChangeBugHunt(quick bool) (*libsim.Crash, int, error) {
-	// Quick mode usually reproduces within 1-2 attempts, but the hunt
-	// is wall-clock sensitive (view-change timeouts race the lossy
-	// workload), so a 4-attempt bound was observably flaky under the
-	// race detector; 8 keeps the smoke fast and the reproduction
-	// reliable.
-	maxAttempts := 10
-	if quick {
-		maxAttempts = 8
-	}
+// of cluster runs used. The clusters run on virtual time, so both are a
+// function of the attempts' seeds.
+func ViewChangeBugHunt() (*libsim.Crash, int, error) {
+	const maxAttempts = 10
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		// p=0.9 per sendto call: with the release build's bounded
 		// resend (9 calls per message) the per-message loss is
@@ -299,7 +258,7 @@ func ViewChangeBugHunt(quick bool) (*libsim.Crash, int, error) {
 			return nil, attempt, err
 		}
 		cl.RunWorkload(8, 400*time.Millisecond)
-		time.Sleep(300 * time.Millisecond) // let view changes play out
+		cl.Idle(300 * time.Millisecond) // let view changes play out
 		crt.Uninstall()
 		var crash *libsim.Crash
 		for _, c := range cl.Crashes() {

@@ -32,9 +32,9 @@ type NetBackend interface {
 type NetEndpoint interface {
 	Bind(addr string) errno.Errno
 	SendTo(dst string, payload []byte) errno.Errno
-	// RecvFrom blocks up to timeoutMs (0 = poll, <0 = forever) and
-	// returns the payload and sender address, or ETIMEDOUT.
-	RecvFrom(timeoutMs int) ([]byte, string, errno.Errno)
+	// RecvFrom returns the oldest queued payload and its sender
+	// address without blocking, or EAGAIN when nothing is queued.
+	RecvFrom() ([]byte, string, errno.Errno)
 	Close()
 }
 

@@ -53,11 +53,10 @@ func (t *Thread) Sendto(fd int64, payload []byte, dst string) int64 {
 	})
 }
 
-// Recvfrom models recvfrom(2). It blocks up to timeoutMs (0 = poll,
-// <0 = forever), copies the datagram into buf, stores the sender address
-// in from, and returns the byte count or -1 (ETIMEDOUT/EAGAIN on
-// timeout, matching a SO_RCVTIMEO socket).
-func (t *Thread) Recvfrom(fd int64, buf []byte, from *string, timeoutMs int) int64 {
+// Recvfrom models recvfrom(2) on a non-blocking socket: it copies the
+// oldest queued datagram into buf, stores the sender address in from,
+// and returns the byte count, or -1 with EAGAIN when nothing is queued.
+func (t *Thread) Recvfrom(fd int64, buf []byte, from *string) int64 {
 	c := t.C
 	return t.call(fnRecvfrom, []int64{fd, 0, int64(len(buf)), 0}, func() (int64, errno.Errno) {
 		c.mu.Lock()
@@ -66,7 +65,7 @@ func (t *Thread) Recvfrom(fd int64, buf []byte, from *string, timeoutMs int) int
 		if !ok || d.ep == nil {
 			return -1, errno.EBADF
 		}
-		payload, src, e := d.ep.RecvFrom(timeoutMs)
+		payload, src, e := d.ep.RecvFrom()
 		if e != errno.OK {
 			return -1, e
 		}

@@ -56,6 +56,8 @@ var deterministicDirs = []string{
 	"internal/explore",
 	"internal/scenario",
 	"internal/distharness",
+	"internal/pbft",
+	"internal/netsim",
 }
 
 // clockAllowlist exempts files whose only clock use is reporting how

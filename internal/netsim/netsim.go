@@ -10,7 +10,6 @@ package netsim
 
 import (
 	"sync"
-	"time"
 
 	"lfi/internal/errno"
 	"lfi/internal/libsim"
@@ -53,18 +52,17 @@ func (n *Network) NewEndpoint() libsim.NetEndpoint {
 		n.live++
 		return e
 	}
-	e := &Endpoint{net: n, ready: make(chan struct{}, 1)}
+	e := &Endpoint{net: n}
 	n.eps = append(n.eps, e)
 	n.live++
 	return e
 }
 
 // Reset returns the network to the state New left it in, keeping its
-// endpoints for reuse: every address is unbound, every queue emptied
-// and every pending wake-up token drained, so an endpoint NewEndpoint
-// hands out next behaves exactly like a fresh one. The caller must be
-// done with the network: no receiver may be waiting on an endpoint and
-// nothing may use an endpoint obtained before the Reset.
+// endpoints for reuse: every address is unbound and every queue
+// emptied, so an endpoint NewEndpoint hands out next behaves exactly
+// like a fresh one. The caller must be done with the network: nothing
+// may use an endpoint obtained before the Reset.
 func (n *Network) Reset() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -76,20 +74,15 @@ func (n *Network) Reset() {
 		e.addr = ""
 		e.closed = false
 		e.mu.Unlock()
-		select {
-		case <-e.ready:
-		default:
-		}
 	}
 	n.live = 0
 }
 
-// Endpoint is one datagram socket.
+// Endpoint is one datagram socket. Receives never block: a caller that
+// finds the queue empty polls again later (the pbft Cluster's next
+// virtual-time step, or the scripted harness's next trace message).
 type Endpoint struct {
-	net *Network
-	// ready holds a token whenever a datagram may be queued; receivers
-	// that find the queue empty wait on it.
-	ready  chan struct{}
+	net    *Network
 	mu     sync.Mutex
 	ring   []datagram // power-of-two ring, grown on demand up to queueDepth
 	head   int        // index of the oldest pending datagram
@@ -113,12 +106,9 @@ func (e *Endpoint) push(d datagram) {
 	}
 	e.ring[(e.head+e.n)&(len(e.ring)-1)] = d
 	e.n++
-	e.signal()
 }
 
-// pop dequeues the oldest datagram. When data is left behind it
-// re-signals ready, so a second receiver waiting on the endpoint is not
-// left asleep by a wakeup the first one consumed.
+// pop dequeues the oldest datagram.
 func (e *Endpoint) pop() (datagram, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -129,18 +119,7 @@ func (e *Endpoint) pop() (datagram, bool) {
 	e.ring[e.head] = datagram{}
 	e.head = (e.head + 1) & (len(e.ring) - 1)
 	e.n--
-	if e.n > 0 {
-		e.signal()
-	}
 	return d, true
-}
-
-// signal leaves a token on ready unless one is already there.
-func (e *Endpoint) signal() {
-	select {
-	case e.ready <- struct{}{}:
-	default:
-	}
 }
 
 // Bind attaches the endpoint to an address.
@@ -174,33 +153,13 @@ func (e *Endpoint) SendTo(dst string, payload []byte) errno.Errno {
 	return errno.OK
 }
 
-// RecvFrom blocks up to timeoutMs for a datagram (0 = poll, <0 = wait
-// forever).
-func (e *Endpoint) RecvFrom(timeoutMs int) ([]byte, string, errno.Errno) {
+// RecvFrom dequeues the oldest datagram, or fails with EAGAIN when none
+// is queued.
+func (e *Endpoint) RecvFrom() ([]byte, string, errno.Errno) {
 	if d, ok := e.pop(); ok {
 		return d.payload, d.from, errno.OK
 	}
-	if timeoutMs == 0 {
-		return nil, "", errno.EAGAIN
-	}
-	var expired <-chan time.Time // nil: wait forever
-	if timeoutMs > 0 {
-		timer := time.NewTimer(time.Duration(timeoutMs) * time.Millisecond)
-		defer timer.Stop()
-		expired = timer.C
-	}
-	for {
-		select {
-		case <-e.ready:
-			// The token may be stale (another receiver took the data),
-			// so look and wait again if the queue is empty.
-			if d, ok := e.pop(); ok {
-				return d.payload, d.from, errno.OK
-			}
-		case <-expired:
-			return nil, "", errno.ETIMEDOUT
-		}
-	}
+	return nil, "", errno.EAGAIN
 }
 
 // Close unbinds the endpoint.

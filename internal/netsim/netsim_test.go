@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"lfi/internal/errno"
 	"lfi/internal/libsim"
@@ -23,7 +22,7 @@ func TestSendReceive(t *testing.T) {
 	if e := a.SendTo("B", []byte("hi")); e != errno.OK {
 		t.Fatal(e)
 	}
-	payload, from, e := b.RecvFrom(100)
+	payload, from, e := b.RecvFrom()
 	if e != errno.OK || string(payload) != "hi" || from != "A" {
 		t.Fatalf("recv %q from %q e=%v", payload, from, e)
 	}
@@ -38,25 +37,11 @@ func TestUnknownDestinationUnreachable(t *testing.T) {
 	}
 }
 
-func TestRecvTimeout(t *testing.T) {
-	n := New()
-	a := n.NewEndpoint()
-	a.Bind("A")
-	start := time.Now()
-	_, _, e := a.RecvFrom(20)
-	if e != errno.ETIMEDOUT {
-		t.Fatalf("e = %v", e)
-	}
-	if time.Since(start) < 15*time.Millisecond {
-		t.Fatal("timeout returned too early")
-	}
-}
-
 func TestRecvPoll(t *testing.T) {
 	n := New()
 	a := n.NewEndpoint()
 	a.Bind("A")
-	if _, _, e := a.RecvFrom(0); e != errno.EAGAIN {
+	if _, _, e := a.RecvFrom(); e != errno.EAGAIN {
 		t.Fatalf("poll on empty queue: %v", e)
 	}
 }
@@ -108,7 +93,7 @@ func TestPayloadCopied(t *testing.T) {
 	buf := []byte("orig")
 	a.SendTo("B", buf)
 	buf[0] = 'X' // mutate after send
-	payload, _, _ := b.RecvFrom(100)
+	payload, _, _ := b.RecvFrom()
 	if string(payload) != "orig" {
 		t.Fatal("payload aliased sender buffer")
 	}
@@ -139,7 +124,7 @@ func TestFIFOAcrossGrowth(t *testing.T) {
 			sent++
 		}
 		for i := 0; i < round; i++ {
-			p, _, e := b.RecvFrom(0)
+			p, _, e := b.RecvFrom()
 			if e != errno.OK || int(p[0])|int(p[1])<<8 != next {
 				t.Fatalf("recv %v e=%v, want datagram %d", p, e, next)
 			}
@@ -147,12 +132,12 @@ func TestFIFOAcrossGrowth(t *testing.T) {
 		}
 	}
 	for ; next < sent; next++ {
-		p, _, e := b.RecvFrom(0)
+		p, _, e := b.RecvFrom()
 		if e != errno.OK || int(p[0])|int(p[1])<<8 != next {
 			t.Fatalf("recv %v e=%v, want datagram %d", p, e, next)
 		}
 	}
-	if _, _, e := b.RecvFrom(0); e != errno.EAGAIN {
+	if _, _, e := b.RecvFrom(); e != errno.EAGAIN {
 		t.Fatalf("drained queue: %v", e)
 	}
 }
@@ -168,7 +153,7 @@ func TestQueueBoundedUnderPartialDrains(t *testing.T) {
 			a.SendTo("B", []byte{byte(i)})
 		}
 		for i := 0; i < queueDepth/16; i++ {
-			b.RecvFrom(0)
+			b.RecvFrom()
 		}
 		if got := b.Pending(); got > queueDepth {
 			t.Fatalf("round %d: pending %d > %d", round, got, queueDepth)
@@ -181,87 +166,6 @@ func TestQueueBoundedUnderPartialDrains(t *testing.T) {
 	// sixteenth.
 	if got, want := b.Pending(), queueDepth-queueDepth/16; got != want {
 		t.Fatalf("pending %d, want %d", got, want)
-	}
-}
-
-func TestBlockingRecvWokenBySend(t *testing.T) {
-	a, b := pair(t)
-	got := make(chan string, 1)
-	go func() {
-		p, from, e := b.RecvFrom(-1)
-		if e != errno.OK {
-			got <- e.String()
-			return
-		}
-		got <- from + ":" + string(p)
-	}()
-	time.Sleep(10 * time.Millisecond) // let the receiver block first
-	a.SendTo("B", []byte("wake"))
-	select {
-	case s := <-got:
-		if s != "A:wake" {
-			t.Fatalf("received %q", s)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked receiver never woke")
-	}
-}
-
-// TestConcurrentTimedReceivers: two receivers waiting on one endpoint
-// must between them get every datagram sent. Each round both block
-// first, then two datagrams arrive back to back, so a wakeup consumed by
-// one receiver must not strand the datagram the other is waiting for.
-func TestConcurrentTimedReceivers(t *testing.T) {
-	a, b := pair(t)
-	const rounds = 20
-	got := 0
-	for round := 0; round < rounds; round++ {
-		results := make(chan errno.Errno, 2)
-		for r := 0; r < 2; r++ {
-			go func() {
-				_, _, e := b.RecvFrom(1000)
-				results <- e
-			}()
-		}
-		time.Sleep(2 * time.Millisecond) // let both receivers block
-		a.SendTo("B", []byte{1})
-		a.SendTo("B", []byte{2})
-		for r := 0; r < 2; r++ {
-			if e := <-results; e == errno.OK {
-				got++
-			}
-		}
-	}
-	if got != 2*rounds {
-		t.Fatalf("receivers got %d of %d datagrams", got, 2*rounds)
-	}
-}
-
-// TestPopLeavingDataResignals pins the invariant behind the test
-// above in the one interleaving it cannot force: two datagrams queued
-// while both receivers were between their empty check and their wait,
-// so one wakeup token stands for two datagrams. The receiver that takes
-// the token must hand a fresh one on when it leaves data behind.
-func TestPopLeavingDataResignals(t *testing.T) {
-	a, b := pair(t)
-	a.SendTo("B", []byte{1})
-	a.SendTo("B", []byte{2})
-	<-b.ready // the first receiver's wakeup
-	if _, ok := b.pop(); !ok {
-		t.Fatal("nothing queued")
-	}
-	select {
-	case <-b.ready:
-	default:
-		t.Fatal("a datagram is queued but no wakeup is left for the next receiver")
-	}
-	if _, ok := b.pop(); !ok {
-		t.Fatal("second datagram lost")
-	}
-	select {
-	case <-b.ready:
-		t.Fatal("empty queue left a wakeup behind")
-	default:
 	}
 }
 
@@ -279,7 +183,7 @@ func TestDropOnGrownQueue(t *testing.T) {
 	if got := b.Pending(); got != n/2 {
 		t.Fatalf("pending %d after %d drops", got, n/2)
 	}
-	if p, _, _ := b.RecvFrom(0); p[0] != n/2 {
+	if p, _, _ := b.RecvFrom(); p[0] != n/2 {
 		t.Fatalf("head after drops is datagram %d, want %d", p[0], n/2)
 	}
 	for b.Pending() > 0 {
@@ -290,13 +194,13 @@ func TestDropOnGrownQueue(t *testing.T) {
 	}
 }
 
-// TestNewEndpointAllocs pins an idle endpoint at its struct plus its
-// wakeup channel: queue storage is only allocated once data queues.
+// TestNewEndpointAllocs pins an idle endpoint at its struct: queue
+// storage is only allocated once data queues.
 func TestNewEndpointAllocs(t *testing.T) {
 	n := New()
 	var sink libsim.NetEndpoint // keeps the endpoint on the heap
-	if allocs := testing.AllocsPerRun(100, func() { sink = n.NewEndpoint() }); allocs > 2 {
-		t.Fatalf("NewEndpoint: %v allocs, want <= 2", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { sink = n.NewEndpoint() }); allocs > 1 {
+		t.Fatalf("NewEndpoint: %v allocs, want <= 1", allocs)
 	}
 	_ = sink
 	var before, after runtime.MemStats
@@ -313,8 +217,8 @@ func TestNewEndpointAllocs(t *testing.T) {
 }
 
 // TestNetworkReset: after traffic, a Drop and a closed endpoint, a
-// reset network has no bound address, no queued datagram and no stale
-// wake-up; NewEndpoint hands the same endpoints out again in creation
+// reset network has no bound address and no queued datagram;
+// NewEndpoint hands the same endpoints out again in creation
 // order, and re-binding the same addresses succeeds.
 func TestNetworkReset(t *testing.T) {
 	n := New()
@@ -345,9 +249,6 @@ func TestNetworkReset(t *testing.T) {
 		if got := e.Pending(); got != 0 {
 			t.Fatalf("endpoint %d: %d datagrams queued after reset", i, got)
 		}
-		if len(e.ready) != 0 {
-			t.Fatalf("endpoint %d: stale wake-up token after reset", i)
-		}
 	}
 	if e := eps[0].SendTo("B", []byte("y")); e != errno.EHOSTUNREACH {
 		t.Fatalf("send to an address bound before the reset: %v", e)
@@ -369,10 +270,10 @@ func TestNetworkReset(t *testing.T) {
 		t.Fatal("a fourth endpoint reused one already handed out")
 	}
 	eps[0].SendTo("B", []byte("z"))
-	if p, from, e := eps[1].RecvFrom(0); e != errno.OK || string(p) != "z" || from != "A" {
+	if p, from, e := eps[1].RecvFrom(); e != errno.OK || string(p) != "z" || from != "A" {
 		t.Fatalf("after reset: recv %q from %q e=%v", p, from, e)
 	}
-	if _, _, e := eps[2].RecvFrom(0); e != errno.EAGAIN {
+	if _, _, e := eps[2].RecvFrom(); e != errno.EAGAIN {
 		t.Fatalf("reused endpoint delivered a datagram sent before the reset: %v", e)
 	}
 }

@@ -7,14 +7,13 @@ import (
 	"lfi/internal/libsim"
 )
 
-// Client parameters: retransmission keeps requests alive under loss; the
-// paper's client similarly retransmits until f+1 matching replies arrive.
-const (
-	clientRecvTimeoutMs = 2
-	retransmitEvery     = 20 * time.Millisecond
-)
+// retransmitEvery keeps requests alive under loss; the paper's client
+// similarly retransmits until f+1 matching replies arrive.
+const retransmitEvery = 20 * time.Millisecond
 
-// Client is the PBFT client (the simple_client workload generator).
+// Client is the PBFT client (the simple_client workload generator). It
+// has at most one operation in flight, which the Cluster's loop drives
+// through poll and tick.
 type Client struct {
 	Name string
 	N, F int
@@ -24,6 +23,14 @@ type Client struct {
 	fd int64
 
 	reqID int64
+	// The operation in flight: its request, when it was last sent, and
+	// the replicas that sent each result. result holds the answer once
+	// f+1 replicas agree on it, which ends the operation.
+	inFlight bool
+	req      Msg
+	lastSend time.Duration
+	votes    map[string]map[int]bool
+	result   string
 }
 
 // NewClient creates a client bound to the shared network.
@@ -33,13 +40,14 @@ func NewClient(name string, f int, net libsim.NetBackend) *Client {
 	c.SetNet(net)
 	return &Client{
 		Name: name, N: 3*f + 1, F: f,
-		C:  c,
-		Th: c.NewThread("bft/simple-client", "main"),
+		C:     c,
+		Th:    c.NewThread("bft/simple-client", "main"),
+		votes: make(map[string]map[int]bool),
 	}
 }
 
-// Start opens and binds the client socket.
-func (cl *Client) Start() error {
+// Open creates and binds the client socket.
+func (cl *Client) Open() error {
 	t := cl.Th
 	cl.fd = t.Socket()
 	if cl.fd < 0 {
@@ -51,48 +59,51 @@ func (cl *Client) Start() error {
 	return nil
 }
 
-// Invoke submits one operation and waits for f+1 matching replies,
-// retransmitting the request to all replicas until the deadline.
-// It returns the result and whether the operation completed.
-func (cl *Client) Invoke(op string, deadline time.Duration) (string, bool) {
-	t := cl.Th
+// submit starts operation op at virtual time now: its request goes to
+// every replica.
+func (cl *Client) submit(op string, now time.Duration) {
 	cl.reqID++
-	req := Msg{Type: TypeRequest, Replica: -1, Client: cl.Name, ReqID: cl.reqID, Op: op}
+	cl.req = Msg{Type: TypeRequest, Replica: -1, Client: cl.Name, ReqID: cl.reqID, Op: op}
+	cl.inFlight, cl.result = true, ""
+	clear(cl.votes)
+	cl.sendAll(now)
+}
 
-	limit := time.Now().Add(deadline)
-	votes := make(map[string]map[int]bool) // result -> replica set
-	buf := make([]byte, 4096)
+func (cl *Client) sendAll(now time.Duration) {
+	for i := 0; i < cl.N; i++ {
+		cl.Th.Sendto(cl.fd, cl.req.Encode(), ReplicaAddr(i))
+	}
+	cl.lastSend = now
+}
 
-	sendAll := func() {
-		for i := 0; i < cl.N; i++ {
-			t.Sendto(cl.fd, req.Encode(), ReplicaAddr(i))
+// poll receives one datagram, counting it if it is a reply to the
+// operation in flight, and reports whether one was consumed.
+func (cl *Client) poll(buf []byte) bool {
+	var from string
+	n := cl.Th.Recvfrom(cl.fd, buf, &from)
+	if n <= 0 {
+		return false
+	}
+	if m, ok := DecodeMsg(buf[:n]); ok && cl.inFlight && m.Type == TypeReply && m.ReqID == cl.reqID {
+		set := cl.votes[m.Result]
+		if set == nil {
+			set = make(map[int]bool)
+			cl.votes[m.Result] = set
+		}
+		set[m.Replica] = true
+		if len(set) >= cl.F+1 {
+			cl.inFlight, cl.result = false, m.Result
 		}
 	}
-	sendAll()
-	lastSend := time.Now()
+	return true
+}
 
-	for time.Now().Before(limit) {
-		var from string
-		n := t.Recvfrom(cl.fd, buf, &from, clientRecvTimeoutMs)
-		if n > 0 {
-			if m, ok := DecodeMsg(buf[:n]); ok && m.Type == TypeReply && m.ReqID == cl.reqID {
-				set := votes[m.Result]
-				if set == nil {
-					set = make(map[int]bool)
-					votes[m.Result] = set
-				}
-				set[m.Replica] = true
-				if len(set) >= cl.F+1 {
-					return m.Result, true
-				}
-			}
-		}
-		if time.Since(lastSend) >= retransmitEvery {
-			sendAll()
-			lastSend = time.Now()
-		}
+// tick retransmits the request in flight to every replica once
+// retransmitEvery has passed since it was last sent.
+func (cl *Client) tick(now time.Duration) {
+	if cl.inFlight && now-cl.lastSend >= retransmitEvery {
+		cl.sendAll(now)
 	}
-	return "", false
 }
 
 // Close releases the client socket.

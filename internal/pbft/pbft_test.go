@@ -28,7 +28,7 @@ func TestNormalCaseCommits(t *testing.T) {
 		t.Fatalf("completed %d/10", done)
 	}
 	// Give the cluster a beat to finish executing everywhere.
-	time.Sleep(50 * time.Millisecond)
+	cl.Idle(50 * time.Millisecond)
 	if err := cl.AgreeOnPrefix(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +47,15 @@ func TestNormalCaseCommits(t *testing.T) {
 func TestDuplicateRequestReturnsCachedReply(t *testing.T) {
 	cl := startCluster(t, BuildDebug)
 	defer cl.Stop()
-	if _, ok := cl.Client.Invoke("op-a", 2*time.Second); !ok {
+	if _, ok := cl.Invoke("op-a", 2*time.Second); !ok {
 		t.Fatal("first invoke failed")
 	}
 	// Re-sending the same reqID must not re-execute: issue a second
 	// op, then compare executed counts (1 extra only).
-	if _, ok := cl.Client.Invoke("op-b", 2*time.Second); !ok {
+	if _, ok := cl.Invoke("op-b", 2*time.Second); !ok {
 		t.Fatal("second invoke failed")
 	}
-	time.Sleep(50 * time.Millisecond)
+	cl.Idle(50 * time.Millisecond)
 	for _, r := range cl.Replicas {
 		if r.Executed() > 2 {
 			t.Fatalf("replica %d executed %d ops (duplicates re-executed)", r.ID, r.Executed())
@@ -120,7 +120,7 @@ func TestSafetyUnderRandomLoss(t *testing.T) {
 	if done < 4 {
 		t.Fatalf("completed only %d/8 under 20%% loss (crashes: %v)", done, cl.Crashes())
 	}
-	time.Sleep(50 * time.Millisecond)
+	cl.Idle(50 * time.Millisecond)
 	if err := cl.AgreeOnPrefix(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,7 @@ package pbft
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"lfi/internal/coverage"
@@ -11,9 +10,8 @@ import (
 )
 
 // Tunables, scaled down from the real system so experiments run in
-// milliseconds instead of minutes.
+// milliseconds of virtual time instead of minutes.
 const (
-	recvTimeoutMs     = 2
 	rebroadcastEvery  = 4 * time.Millisecond
 	viewChangeTimeout = 150 * time.Millisecond
 	checkpointEvery   = 8
@@ -58,7 +56,9 @@ type entry struct {
 	executed  bool
 }
 
-// Replica is one PBFT server.
+// Replica is one PBFT server. A single driver owns it: the Cluster's
+// virtual-time loop or the scripted harness calls PollOnce (and the
+// Cluster tick), one call at a time.
 type Replica struct {
 	ID    int
 	N, F  int
@@ -68,7 +68,6 @@ type Replica struct {
 	Th *libsim.Thread
 	fd int64
 
-	mu         sync.Mutex
 	view       int
 	seqCounter int
 	entries    map[int]*entry
@@ -82,24 +81,22 @@ type Replica struct {
 	lastReply   map[string]Msg // client -> cached reply
 	vcVotes     map[int]map[int]bool
 	inVC        bool
-	vcView      int       // view change target
-	vcStreak    int       // consecutive view changes without progress
-	lastVCSent  time.Time // vote retransmission pacing
-	pendingAt   time.Time // oldest unexecuted request observed at
+	vcView      int           // view change target
+	vcStreak    int           // consecutive view changes without progress
+	lastVCSent  time.Duration // vote retransmission pacing
+	pendingAt   time.Duration // oldest unexecuted request observed at, or noPending
 	halted      bool
 	executedN   int64
-	// out is the scratch each outgoing message is encoded in (sends
-	// come from one goroutine: the receive loop, or the harness's
-	// PollOnce); Reset keeps it, and sendto copies the datagram out.
+	// now is the virtual time. The Cluster sets it before each step;
+	// the scripted harness never ticks, so it leaves it at 0.
+	now time.Duration
+	// out is the scratch each outgoing message is encoded in; Reset
+	// keeps it, and sendto copies the datagram out.
 	out []byte
-
-	// crash is stored atomically: the panic that carries it may be
-	// raised while r.mu is held, so the recover path must not lock.
-	crash atomic.Pointer[libsim.Crash]
-
-	stop chan struct{}
-	done chan struct{}
 }
+
+// noPending is pendingAt while no unexecuted request is waiting.
+const noPending time.Duration = -1
 
 // NewReplica creates replica i of n=3f+1, bound to the shared network.
 func NewReplica(id, f int, net libsim.NetBackend, build Build) *Replica {
@@ -116,22 +113,18 @@ func NewReplica(id, f int, net libsim.NetBackend, build Build) *Replica {
 		pendingReqs: make(map[string]Msg),
 		lastReply:   make(map[string]Msg),
 		vcVotes:     make(map[int]map[int]bool),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		pendingAt:   noPending,
 	}
 }
 
-// Reset returns a replica that never ran its receive loop (the
-// scripted harness drives it through Open and PollOnce) to the state
-// NewReplica left it in: the image rewound to its staged filesystem
-// (Reset keeps the coverage recorder, cleared), the main thread's
-// stack unwound, and the protocol state emptied. r.mu is replaced, not
-// unlocked: a crash raised while it was held leaves it locked.
+// Reset returns a replica to the state NewReplica left it in, whatever
+// the run did to it (a crash included): the image rewound to its staged
+// filesystem (Reset keeps the coverage recorder, cleared), the main
+// thread's stack unwound, and the protocol state emptied.
 func (r *Replica) Reset() {
 	r.C.Reset()
 	r.Th.Reset()
 	r.fd = 0
-	r.mu = sync.Mutex{}
 	r.view, r.seqCounter = 0, 0
 	clear(r.entries)
 	clear(r.pendingReqs)
@@ -140,10 +133,9 @@ func (r *Replica) Reset() {
 	clear(r.lastReply)
 	clear(r.vcVotes)
 	r.inVC, r.vcView, r.vcStreak = false, 0, 0
-	r.lastVCSent, r.pendingAt = time.Time{}, time.Time{}
+	r.lastVCSent, r.pendingAt, r.now = 0, noPending, 0
 	r.halted = false
 	r.executedN = 0
-	r.crash.Store(nil)
 }
 
 // Blocks is the replica's coverage universe; blocks follow the
@@ -160,7 +152,7 @@ var Blocks = coverage.NewIndex([]coverage.Block{
 	{ID: "main.viewadopt", LOC: 25},
 	{ID: "main.checkpoint", LOC: 12},
 	{ID: "main.shutdown", LOC: 8},
-	// Recovery arms: the receive-failure pacing, the robust-send retry
+	// Recovery arms: the failed-receive arm, the robust-send retry
 	// loop, and the tolerated periodic-checkpoint open failure.
 	{ID: "rec.sv_recvfrom", LOC: 5, Recovery: true},
 	{ID: "rec.sv_sendto", LOC: 6, Recovery: true},
@@ -173,39 +165,14 @@ func primary(view, n int) int { return view % n }
 // isPrimary reports whether this replica leads its current view.
 func (r *Replica) isPrimary() bool { return primary(r.view, r.N) == r.ID }
 
-// Crash returns the crash that terminated the replica, if any.
-func (r *Replica) Crash() *libsim.Crash { return r.crash.Load() }
-
-// Halted reports whether the debug build stopped after a send failure.
-func (r *Replica) Halted() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.halted
-}
-
 // Executed returns how many operations this replica has executed.
-func (r *Replica) Executed() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.executedN
-}
-
-// State returns a copy of the executed operation log (for safety checks).
-func (r *Replica) State() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.state...)
-}
+func (r *Replica) Executed() int64 { return r.executedN }
 
 // View returns the replica's current view.
-func (r *Replica) View() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.view
-}
+func (r *Replica) View() int { return r.view }
 
-// Open creates and binds the replica socket without starting the
-// receive loop — the scripted harness drives receives itself.
+// Open creates and binds the replica socket; its driver then receives
+// through PollOnce.
 func (r *Replica) Open() error {
 	t := r.Th
 	r.fd = t.Socket()
@@ -218,25 +185,17 @@ func (r *Replica) Open() error {
 	return nil
 }
 
-// Start opens the socket and runs the replica loop in a goroutine.
-func (r *Replica) Start() error {
-	if err := r.Open(); err != nil {
-		return err
-	}
-	go r.run()
-	return nil
-}
-
 // PollOnce performs exactly one non-blocking receive and handles the
 // message if one arrived. It reports whether a datagram was consumed;
 // on a failed receive — injected or real — the caller owns the fate of
 // whatever was on the wire (the scripted harness drops it, modelling a
-// zero-depth socket buffer). Crashes raised while handling propagate to
-// the caller, which is what the controller's monitor expects.
+// zero-depth socket buffer; the Cluster leaves it queued for its next
+// step). Crashes raised while handling propagate to the caller, which
+// is what the controller's monitor expects.
 func (r *Replica) PollOnce(buf []byte) bool {
 	var from string
 	pop := r.at("svc_recv", "sv_recvfrom")
-	n := r.Th.Recvfrom(r.fd, buf, &from, 0)
+	n := r.Th.Recvfrom(r.fd, buf, &from)
 	pop()
 	if n <= 0 {
 		r.C.Cov.Hit("rec.sv_recvfrom")
@@ -250,73 +209,7 @@ func (r *Replica) PollOnce(buf []byte) bool {
 
 // Checkpoint writes one periodic checkpoint on demand (the checked
 // fopen path the scripted harness exercises explicitly).
-func (r *Replica) Checkpoint() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.writeCheckpointLocked()
-}
-
-// Stop terminates the loop and writes the shutdown checkpoint (which
-// carries the unchecked-fopen bug).
-func (r *Replica) Stop() {
-	select {
-	case <-r.stop:
-	default:
-		close(r.stop)
-	}
-	<-r.done
-}
-
-// run is the replica main loop: receive, process, retransmit, suspect.
-func (r *Replica) run() {
-	defer close(r.done)
-	defer func() {
-		if p := recover(); p != nil {
-			if cr, ok := p.(*libsim.Crash); ok {
-				r.crash.Store(cr)
-				return
-			}
-			panic(p)
-		}
-	}()
-	lastTick := time.Now()
-	buf := make([]byte, 4096)
-	recvFails := 0
-	for {
-		select {
-		case <-r.stop:
-			r.ShutdownCheckpoint()
-			return
-		default:
-		}
-		if r.Halted() {
-			return
-		}
-		var from string
-		pop := r.at("svc_recv", "sv_recvfrom")
-		n := r.Th.Recvfrom(r.fd, buf, &from, recvTimeoutMs)
-		pop()
-		if n > 0 {
-			recvFails = 0
-			if m, ok := DecodeMsg(buf[:n]); ok {
-				r.handle(m)
-			}
-		} else if n < 0 {
-			// Defensive pacing: an instantly-failing receive (EINTR
-			// storm) must not turn the loop into a busy spin that
-			// starves the healthy replicas of CPU.
-			r.C.Cov.Hit("rec.sv_recvfrom")
-			recvFails++
-			if recvFails >= 3 {
-				time.Sleep(time.Millisecond)
-			}
-		}
-		if time.Since(lastTick) >= rebroadcastEvery {
-			lastTick = time.Now()
-			r.tick()
-		}
-	}
-}
+func (r *Replica) Checkpoint() { r.writeCheckpoint() }
 
 // send transmits one message to a peer or client address. The debug
 // build halts with an error code on the first send failure; the
@@ -342,9 +235,7 @@ func (r *Replica) send(dst string, m Msg) {
 		}
 	}
 	if r.Build == BuildDebug {
-		r.mu.Lock()
 		r.halted = true
-		r.mu.Unlock()
 	}
 }
 
@@ -372,12 +263,24 @@ func (r *Replica) getEntry(seq int) *entry {
 	return e
 }
 
-// fillContentLocked completes an entry whose digest is known but whose
+// seqs returns the sequence numbers of every entry in ascending order.
+// Whatever sends once per entry iterates these, not the map: under a
+// seeded loss policy the send order decides which message is lost.
+func (r *Replica) seqs() []int {
+	seqs := make([]int, 0, len(r.entries))
+	for seq := range r.entries {
+		seqs = append(seqs, seq)
+	}
+	slices.Sort(seqs)
+	return seqs
+}
+
+// fillContent completes an entry whose digest is known but whose
 // request content has not arrived, using the client-supplied request
 // cache. The release build cannot repair slots that were already
 // recorded as committed: its commit-log insert stored a dangling
 // request pointer, and that is the seeded view-change bug.
-func (r *Replica) fillContentLocked(e *entry) {
+func (r *Replica) fillContent(e *entry) {
 	if e.hasReq || e.digest == "" {
 		return
 	}
@@ -391,8 +294,7 @@ func (r *Replica) fillContentLocked(e *entry) {
 	e.client, e.reqID, e.op, e.hasReq = req.Client, req.ReqID, req.Op, true
 }
 
-// handle dispatches one received message. It takes the replica lock for
-// state mutation and releases it around network sends.
+// handle dispatches one received message.
 func (r *Replica) handle(m Msg) {
 	switch m.Type {
 	case TypeRequest:
@@ -412,10 +314,8 @@ func (r *Replica) handle(m Msg) {
 
 func (r *Replica) onRequest(m Msg) {
 	r.C.Cov.Hit("main.request")
-	r.mu.Lock()
 	// Duplicate of an executed request: resend the cached reply.
 	if rep, ok := r.lastReply[m.Client]; ok && rep.ReqID == m.ReqID {
-		r.mu.Unlock()
 		r.send(m.Client, rep)
 		return
 	}
@@ -424,22 +324,20 @@ func (r *Replica) onRequest(m Msg) {
 	// matched to it; repair entries already waiting for this digest.
 	r.pendingReqs[d] = m
 	for _, e := range r.entries {
-		r.fillContentLocked(e)
+		r.fillContent(e)
 	}
 	if !r.isPrimary() {
 		// Backup: remember that work is pending so the view-change
 		// timer runs; the client also retransmits to the primary.
-		if r.pendingAt.IsZero() {
-			r.pendingAt = time.Now()
+		if r.pendingAt == noPending {
+			r.pendingAt = r.now
 		}
-		r.mu.Unlock()
 		return
 	}
 	// Primary: assign the next sequence number, unless this request
 	// is already in flight.
 	for _, e := range r.entries {
 		if e.digest == d && !e.executed {
-			r.mu.Unlock()
 			return // already proposed
 		}
 	}
@@ -447,91 +345,75 @@ func (r *Replica) onRequest(m Msg) {
 	seq := r.seqCounter
 	e := r.getEntry(seq)
 	e.digest, e.client, e.reqID, e.op, e.hasReq = d, m.Client, m.ReqID, m.Op, true
-	if r.pendingAt.IsZero() {
-		r.pendingAt = time.Now()
+	if r.pendingAt == noPending {
+		r.pendingAt = r.now
 	}
-	pp := Msg{Type: TypePrePrepare, View: r.view, Seq: seq, Replica: r.ID,
-		Client: m.Client, ReqID: m.ReqID, Op: m.Op, Digest: d}
 	e.prepares[r.ID] = true
-	r.mu.Unlock()
-	r.broadcast(pp)
+	r.broadcast(Msg{Type: TypePrePrepare, View: r.view, Seq: seq, Replica: r.ID,
+		Client: m.Client, ReqID: m.ReqID, Op: m.Op, Digest: d})
 }
 
 func (r *Replica) onPrePrepare(m Msg) {
 	r.C.Cov.Hit("main.preprepare")
-	r.mu.Lock()
 	// A pre-prepare from the primary of a HIGHER view implies that a
 	// quorum already moved there; adopt it (new-view semantics
 	// folded in, which keeps views from skewing apart under loss).
 	if m.View > r.view && m.Replica == primary(m.View, r.N) {
-		r.adoptViewLocked(m.View)
+		r.adoptView(m.View)
 	}
 	if m.View != r.view || m.Replica != primary(r.view, r.N) {
-		r.mu.Unlock()
 		return
 	}
 	e := r.getEntry(m.Seq)
 	if e.hasReq && e.digest != m.Digest {
-		r.mu.Unlock()
 		return // conflicting pre-prepare; ignore
 	}
 	e.digest, e.client, e.reqID, e.op, e.hasReq = m.Digest, m.Client, m.ReqID, m.Op, true
 	e.prepares[m.Replica] = true
 	e.prepares[r.ID] = true
-	if r.pendingAt.IsZero() {
-		r.pendingAt = time.Now()
+	if r.pendingAt == noPending {
+		r.pendingAt = r.now
 	}
-	p := Msg{Type: TypePrepare, View: r.view, Seq: m.Seq, Replica: r.ID, Digest: m.Digest}
-	r.mu.Unlock()
-	r.broadcast(p)
+	r.broadcast(Msg{Type: TypePrepare, View: r.view, Seq: m.Seq, Replica: r.ID, Digest: m.Digest})
 	r.checkQuorums(m.Seq)
 }
 
 func (r *Replica) onPrepare(m Msg) {
 	r.C.Cov.Hit("main.prepare")
-	r.mu.Lock()
 	// Prepares are matched by (seq, digest) rather than exact view:
 	// under benign loss a peer may lag one view behind, and its
 	// prepare for the same digest is still evidence of agreement.
 	e := r.getEntry(m.Seq)
 	if e.hasReq && m.Digest != "" && e.digest != m.Digest {
-		r.mu.Unlock()
 		return
 	}
 	if e.digest == "" {
 		e.digest = m.Digest
 	}
-	r.fillContentLocked(e)
+	r.fillContent(e)
 	e.prepares[m.Replica] = true
-	r.mu.Unlock()
 	r.checkQuorums(m.Seq)
 }
 
 func (r *Replica) onCommit(m Msg) {
 	r.C.Cov.Hit("main.commit")
-	r.mu.Lock()
 	e := r.getEntry(m.Seq)
 	if e.digest == "" {
 		e.digest = m.Digest
 	}
-	r.fillContentLocked(e)
+	r.fillContent(e)
 	e.commits[m.Replica] = true
-	r.mu.Unlock()
 	r.checkQuorums(m.Seq)
 }
 
 // checkQuorums advances the entry through prepared/committed/executed.
 func (r *Replica) checkQuorums(seq int) {
-	r.mu.Lock()
 	e := r.getEntry(seq)
 	// prepared: pre-prepare + 2f matching prepares.
 	if !e.prepared && e.hasReq && len(e.prepares) >= 2*r.F {
 		e.prepared = true
 		e.commits[r.ID] = true
-		c := Msg{Type: TypeCommit, View: r.view, Seq: seq, Replica: r.ID, Digest: e.digest}
-		r.mu.Unlock()
-		r.broadcast(c)
-		r.mu.Lock()
+		r.broadcast(Msg{Type: TypeCommit, View: r.view, Seq: seq, Replica: r.ID, Digest: e.digest})
 	}
 	// committed: 2f+1 commits. The release build records this even
 	// without the request content (messages were lost and the send
@@ -543,11 +425,9 @@ func (r *Replica) checkQuorums(seq int) {
 		}
 	}
 	r.executeReady()
-	r.mu.Unlock()
 }
 
-// executeReady executes committed entries in sequence order (caller
-// holds the lock).
+// executeReady executes committed entries in sequence order.
 func (r *Replica) executeReady() {
 	for {
 		e, ok := r.entries[r.execUpto+1]
@@ -563,23 +443,20 @@ func (r *Replica) executeReady() {
 		rep := Msg{Type: TypeReply, View: r.view, Seq: r.execUpto, Replica: r.ID,
 			Client: e.client, ReqID: e.reqID, Result: "ok:" + e.op}
 		r.lastReply[e.client] = rep
-		r.pendingAt = time.Time{} // progress made
+		r.pendingAt = noPending // progress made
 		if r.executedN%checkpointEvery == 0 {
-			r.writeCheckpointLocked()
+			r.writeCheckpoint()
 		}
-		client := e.client
-		r.mu.Unlock()
-		r.send(client, rep)
-		r.mu.Lock()
+		r.send(e.client, rep)
 	}
 }
 
 // tick retransmits protocol messages for stalled entries and starts a
 // view change when no progress happens for too long.
 func (r *Replica) tick() {
-	r.mu.Lock()
 	var resend []Msg
-	for seq, e := range r.entries {
+	for _, seq := range r.seqs() {
+		e := r.entries[seq]
 		if e.executed {
 			continue
 		}
@@ -601,7 +478,7 @@ func (r *Replica) tick() {
 		streak = 4
 	}
 	vcTimeout := viewChangeTimeout << streak
-	stalled := !r.pendingAt.IsZero() && time.Since(r.pendingAt) > vcTimeout
+	stalled := r.pendingAt != noPending && r.now-r.pendingAt > vcTimeout
 	var vc Msg
 	sendVC := false
 	if stalled {
@@ -617,13 +494,12 @@ func (r *Replica) tick() {
 		}
 		// Retransmit the vote while stalled: under message loss a
 		// single VIEW-CHANGE broadcast may never reach a quorum.
-		if time.Since(r.lastVCSent) > viewChangeTimeout/2 {
-			r.lastVCSent = time.Now()
+		if r.now-r.lastVCSent > viewChangeTimeout/2 {
+			r.lastVCSent = r.now
 			vc = Msg{Type: TypeViewChange, View: r.vcView, Replica: r.ID}
 			sendVC = true
 		}
 	}
-	r.mu.Unlock()
 	for _, m := range resend {
 		r.broadcast(m)
 	}
@@ -633,9 +509,7 @@ func (r *Replica) tick() {
 }
 
 func (r *Replica) onViewChange(m Msg) {
-	r.mu.Lock()
 	if m.View <= r.view {
-		r.mu.Unlock()
 		return
 	}
 	votes := r.vcVotes[m.View]
@@ -647,38 +521,31 @@ func (r *Replica) onViewChange(m Msg) {
 	// Echo our own vote once someone else suspects (f+1 rule folded in).
 	if !votes[r.ID] && len(votes) >= r.F+1 {
 		votes[r.ID] = true
-		vc := Msg{Type: TypeViewChange, View: m.View, Replica: r.ID}
-		r.mu.Unlock()
-		r.broadcast(vc)
-		r.mu.Lock()
+		r.broadcast(Msg{Type: TypeViewChange, View: m.View, Replica: r.ID})
 	}
 	if len(votes) >= 2*r.F+1 && m.View > r.view {
-		r.enterViewLocked(m.View)
+		r.enterView(m.View)
 	}
-	r.mu.Unlock()
 }
 
-// enterViewLocked moves to a new view; the new primary announces it and
-// re-proposes unexecuted-but-known requests. This is where the release
-// build dereferences committed-but-contentless messages (Table 1).
-// adoptViewLocked moves to view v by any path (vote quorum, NEW-VIEW,
-// or a higher-view pre-prepare). Every view entry summarizes the
-// replica's committed prefix — the material of its view-change
-// certificate. Accessing a committed message whose content never
-// arrived is the seeded segfault; it can only happen in the release
-// build (see fillContentLocked).
-func (r *Replica) adoptViewLocked(v int) {
+// adoptView moves to view v by any path (vote quorum, NEW-VIEW, or a
+// higher-view pre-prepare). Every view entry summarizes the replica's
+// committed prefix — the material of its view-change certificate.
+// Accessing a committed message whose content never arrived is the
+// seeded segfault; it can only happen in the release build (see
+// fillContent).
+func (r *Replica) adoptView(v int) {
 	r.C.Cov.Hit("main.viewadopt")
 	r.view = v
 	r.inVC = false
 	r.vcStreak++
-	r.pendingAt = time.Time{}
+	r.pendingAt = noPending
 	// Adopt the highest known sequence number so new proposals never
 	// collide with earlier views' assignments.
-	if m := r.seqCounterMaxLocked(); m > r.seqCounter {
+	if m := r.seqCounterMax(); m > r.seqCounter {
 		r.seqCounter = m
 	}
-	for seq := 1; seq <= r.seqCounterMaxLocked(); seq++ {
+	for seq := 1; seq <= r.seqCounterMax(); seq++ {
 		e, ok := r.entries[seq]
 		if !ok || !e.committed {
 			continue
@@ -690,28 +557,25 @@ func (r *Replica) adoptViewLocked(v int) {
 	}
 }
 
-func (r *Replica) enterViewLocked(v int) {
-	r.adoptViewLocked(v)
+// enterView moves to a new view; the new primary announces it and
+// re-proposes unexecuted-but-known requests. This is where the release
+// build dereferences committed-but-contentless messages (Table 1).
+func (r *Replica) enterView(v int) {
+	r.adoptView(v)
 	if primary(v, r.N) != r.ID {
 		return
 	}
-	nv := Msg{Type: TypeNewView, View: v, Replica: r.ID}
-	r.mu.Unlock()
-	r.broadcast(nv)
-	r.mu.Lock()
+	r.broadcast(Msg{Type: TypeNewView, View: v, Replica: r.ID})
 	// Re-propose pending requests under the new view.
-	for seq, e := range r.entries {
-		if e.hasReq && !e.executed {
-			pp := Msg{Type: TypePrePrepare, View: v, Seq: seq, Replica: r.ID,
-				Client: e.client, ReqID: e.reqID, Op: e.op, Digest: e.digest}
-			r.mu.Unlock()
-			r.broadcast(pp)
-			r.mu.Lock()
+	for _, seq := range r.seqs() {
+		if e := r.entries[seq]; e.hasReq && !e.executed {
+			r.broadcast(Msg{Type: TypePrePrepare, View: v, Seq: seq, Replica: r.ID,
+				Client: e.client, ReqID: e.reqID, Op: e.op, Digest: e.digest})
 		}
 	}
 }
 
-func (r *Replica) seqCounterMaxLocked() int {
+func (r *Replica) seqCounterMax() int {
 	maxSeq := 0
 	for seq := range r.entries {
 		if seq > maxSeq {
@@ -722,15 +586,13 @@ func (r *Replica) seqCounterMaxLocked() int {
 }
 
 func (r *Replica) onNewView(m Msg) {
-	r.mu.Lock()
 	if m.View > r.view && m.Replica == primary(m.View, r.N) {
-		r.adoptViewLocked(m.View)
+		r.adoptView(m.View)
 	}
-	r.mu.Unlock()
 }
 
-// writeCheckpointLocked persists periodic checkpoints (checked path).
-func (r *Replica) writeCheckpointLocked() {
+// writeCheckpoint persists periodic checkpoints (checked path).
+func (r *Replica) writeCheckpoint() {
 	t := r.Th
 	r.C.Cov.Hit("main.checkpoint")
 	pop := r.at("checkpoint", "cp_fopen_ok")
@@ -748,9 +610,9 @@ func (r *Replica) writeCheckpointLocked() {
 
 // ShutdownCheckpoint is the replica's exit path: it writes a final
 // checkpoint WITHOUT checking that the file opened — the Table 1 PBFT
-// bug (fwrite through a NULL FILE*). The receive loop calls it on
-// stop; the scripted harness calls it directly so the crash propagates
-// to the controller's monitor.
+// bug (fwrite through a NULL FILE*). Cluster.Stop calls it on every
+// live replica; the scripted harness calls it directly so the crash
+// propagates to the controller's monitor.
 func (r *Replica) ShutdownCheckpoint() {
 	t := r.Th
 	r.C.Cov.Hit("main.shutdown")
@@ -759,7 +621,7 @@ func (r *Replica) ShutdownCheckpoint() {
 	pop()
 	// BUG: fp not checked.
 	pop = r.at("shutdown", "sd_fwrite")
-	t.Fwrite([]byte(fmt.Sprintf("final ckpt ops=%d", r.Executed())), fp)
+	t.Fwrite([]byte(fmt.Sprintf("final ckpt ops=%d", r.executedN)), fp)
 	pop()
 	t.Fclose(fp)
 }

@@ -135,7 +135,7 @@ func (f *Follower) PollOnce(buf []byte) bool {
 		pop = f.at("applog", "ap_recvfrom")
 	}
 	var from string
-	n := f.Th.Recvfrom(f.fd, buf, &from, 0)
+	n := f.Th.Recvfrom(f.fd, buf, &from)
 	pop()
 	if n <= 0 {
 		if election {
